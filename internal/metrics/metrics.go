@@ -125,8 +125,10 @@ const (
 	// promoted primary because the old primary died before every group
 	// member confirmed receipt — the tail-ack protocol's repair action.
 	ChainResends
-	// ChainAcks counts chain-mode receipt confirmations (KindChainAck
-	// frames) sent by replicas back to the original sender.
+	// ChainAcks counts chain-mode receipt confirmations retired at the
+	// original sender, attributed to the confirming replica — whichever
+	// carrier brought them: the replica's ARQ ack, or a KindChainAck frame
+	// in a world without the reliability sublayer.
 	ChainAcks
 	numCounters
 )

@@ -78,10 +78,10 @@ type engine struct {
 
 	// chainPend is the chain-mode tail-ack outbox: every chain send this
 	// engine originated that some live replica of the destination group
-	// has not yet confirmed (KindChainAck). A primary death re-sends the
+	// has not yet confirmed (chainConfirm). A primary death re-sends the
 	// surviving entries to the promoted successor. Guarded by mu; nil
 	// outside chain mode.
-	chainPend map[chainKey]*chainPending
+	chainPend map[chainKey]chainPending
 
 	// comms lists every communicator created by this incarnation's proc,
 	// so a peer's revival can repair recognition and collective membership
@@ -131,7 +131,7 @@ func newEngine(w *World, rank int, gen uint32) *engine {
 		e.repSeq = make(map[repChan]uint32)
 		e.repNext = make(map[repChan]uint32)
 		if w.repl.mode == ReplChain {
-			e.chainPend = make(map[chainKey]*chainPending)
+			e.chainPend = make(map[chainKey]chainPending)
 		}
 	}
 	e.agree.init()
@@ -143,18 +143,6 @@ func newEngine(w *World, rank int, gen uint32) *engine {
 // that carry a rank identity in their body (agreement votes, state
 // targets) speak arank; the wire's Src/Dst stay physical.
 func (e *engine) arank() int { return e.w.logicalOf(e.rank) }
-
-// nextRepSeq assigns the replication sequence number for the next
-// outbound data message on the (logical dst, ctx, tag) channel, starting
-// at 1 (0 on the wire means "unstamped").
-func (e *engine) nextRepSeq(dst, ctx, tag int) uint32 {
-	k := repChan{peer: dst, ctx: ctx, tag: tag}
-	e.mu.Lock()
-	e.repSeq[k]++
-	s := e.repSeq[k]
-	e.mu.Unlock()
-	return s
-}
 
 // --- liveness -------------------------------------------------------------
 
@@ -385,27 +373,35 @@ func (e *engine) deliver(pkt *transport.Packet) {
 		return
 	}
 	if pkt.Kind == transport.KindChainAck {
-		e.onChainAck(pkt)
+		// The explicit confirmation carrier of a chain world without ARQ.
+		e.chainConfirm(pkt.Src, pkt.Context, pkt.Tag, pkt.RepSeq)
 		return
 	}
 	if e.w.repl != nil && e.w.repl.mode == ReplChain &&
 		pkt.Kind == transport.KindData && pkt.RepSeq != 0 && !e.dead.Load() {
-		if e.w.repl.isPrimary(e.rank) {
+		primary := e.w.repl.isPrimary(e.rank)
+		if primary {
 			// Chain mode: the group's primary relays the frame to its standbys
 			// before consuming its own copy. Forwards from a freshly promoted
 			// primary can duplicate the old primary's — RepSeq dedup absorbs it.
 			e.chainForward(pkt)
 		}
-		if !e.dead.Load() {
-			// Tail-ack protocol: every replica — primary or forwarded-to
-			// standby — confirms its own receipt to the origin sender, even
-			// for a copy the RepSeq dedup below will drop (the re-send may
-			// exist precisely because the previous confirmation was lost).
-			// Only then is the hop's gate-deferred ARQ ack released: the
-			// frame has been forwarded, so the ack no longer understates
-			// chain durability. A death inside chainForward skips both —
-			// the sender's outbox and ARQ keep racing the corpse honestly.
+		// Tail-ack protocol: every replica — primary or forwarded-to standby
+		// — confirms its own receipt to the origin sender, even for a copy
+		// the RepSeq dedup below will drop (the re-send may exist precisely
+		// because the previous confirmation was lost). A death inside
+		// chainForward skips it: the sender's outbox and ARQ keep racing the
+		// corpse honestly.
+		switch {
+		case e.dead.Load():
+		case e.w.reliable == nil:
 			e.sendChainAck(pkt)
+		case primary:
+			// The ARQ ack is the confirmation. A standby's went out when the
+			// frame arrived; the primary's was withheld by the ack gate until
+			// now, when the frame has been forwarded and the ack no longer
+			// overstates chain durability. Only a primary is ever gated, and
+			// it stays primary until it dies, so nobody else owes a release.
 			e.w.releaseChainAck(e.rank, pkt)
 		}
 	}

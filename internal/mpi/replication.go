@@ -2,8 +2,10 @@ package mpi
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -82,26 +84,34 @@ type chainKey struct {
 
 // chainPending is one unconfirmed chain-mode send: the payload kept for a
 // promotion-triggered re-send, the causal token that keeps the re-send
-// the SAME message for the conservation audit, and the set of physical
-// replicas whose receipt confirmation (KindChainAck) is still owed.
+// the SAME message for the conservation audit, and the replicas whose
+// receipt confirmation is still owed. It lives by value in the outbox
+// map, so the payload copy is the entry's only allocation.
 type chainPending struct {
 	payload []byte
 	tok     uint64
-	waiting map[int]struct{}
+	waiting uint64 // bit i set <=> replica i of the destination group still owes its confirmation
 }
 
-// replGroup is the live view of one logical rank's replica set.
-type replGroup struct {
-	members []int        // backing physical slots, replica index order (fixed)
-	live    map[int]bool // members still alive
-	primary int          // current primary physical slot (-1 when all dead)
-	epoch   uint32       // bumped on every membership change, stamped on the wire
+// maxReplicas bounds the replication degree: replica sets are bitmasks
+// over the replica index.
+const maxReplicas = 64
+
+// groupView is one snapshot of a logical rank's replica set. A published
+// view is never modified: a membership change publishes a new view with a
+// new live slice, so readers keep and range over what they loaded without
+// a lock.
+type groupView struct {
+	live    []int  // live physical slots in replica-index order; shared, read-only
+	mask    uint64 // bit i set <=> replica i (physical slot l + i*lsize) is live
+	primary int    // current primary physical slot (-1 when all dead)
+	epoch   uint32 // bumped on every membership change, stamped on the wire
 }
 
-// replState tracks every replica group of a replicated world. Lock
-// ordering: replState.mu may be taken while holding no engine lock, or
-// under an engine's mu (read accessors called from delivery paths);
-// methods holding mu therefore never call into an engine.
+// replState tracks every replica group of a replicated world. Reads are
+// lock-free loads of the published group table; mu serializes the two
+// writers (handleDeath, onRevive), which never call into an engine while
+// holding it.
 type replState struct {
 	w     *World
 	r     int    // replication degree
@@ -109,8 +119,9 @@ type replState struct {
 	lsize int    // logical world size
 	opts  ReplicationOptions
 
+	table atomic.Pointer[[]groupView] // indexed by logical rank; replaced whole, never edited
+
 	mu      sync.Mutex
-	groups  []replGroup
 	refills int // automatic refills launched (budget bookkeeping)
 }
 
@@ -122,19 +133,39 @@ func newReplState(w *World, lsize int, opts ReplicationOptions) *replState {
 		mode = ReplFanout
 	}
 	s := &replState{w: w, r: r, mode: mode, lsize: lsize, opts: opts}
-	s.groups = make([]replGroup, lsize)
-	for l := 0; l < lsize; l++ {
-		g := &s.groups[l]
-		g.members = make([]int, 0, r)
-		g.live = make(map[int]bool, r)
-		for i := 0; i < r; i++ {
-			p := l + i*lsize
-			g.members = append(g.members, p)
-			g.live[p] = true
-		}
-		g.primary = l // replica 0
+	table := make([]groupView, lsize)
+	all := ^uint64(0) >> (maxReplicas - uint(r))
+	for l := range table {
+		table[l] = groupView{live: s.slotsOf(l, all), mask: all, primary: l} // replica 0 leads
 	}
+	s.table.Store(&table)
 	return s
+}
+
+// group returns the current snapshot of logical rank l's replica set.
+func (s *replState) group(l int) *groupView { return &(*s.table.Load())[l] }
+
+// replicaBit returns physical slot p's bit in its group's replica masks.
+func (s *replState) replicaBit(p int) uint64 { return 1 << uint(p/s.lsize) }
+
+// slotsOf expands a replica mask of logical rank l into physical slots,
+// in replica-index order.
+func (s *replState) slotsOf(l int, mask uint64) []int {
+	out := make([]int, 0, bits.OnesCount64(mask))
+	for i := 0; i < s.r; i++ {
+		if mask&(1<<uint(i)) != 0 {
+			out = append(out, l+i*s.lsize)
+		}
+	}
+	return out
+}
+
+// publishLocked replaces logical rank l's view in a copy of the table and
+// publishes the copy. Callers hold mu.
+func (s *replState) publishLocked(l int, g groupView) {
+	table := append([]groupView(nil), *s.table.Load()...)
+	table[l] = g
+	s.table.Store(&table)
 }
 
 // handleDeath offers a confirmed physical death to the replica-group
@@ -145,37 +176,35 @@ func newReplState(w *World, lsize int, opts ReplicationOptions) *replState {
 // the same slot reports the group's current fate without re-promoting.
 func (s *replState) handleDeath(f int) bool {
 	l := f % s.lsize
-	s.mu.Lock()
-	g := &s.groups[l]
-	if g.live[f] {
-		delete(g.live, f)
-		g.epoch++
-	}
-	if len(g.live) == 0 {
-		g.primary = -1
-		s.mu.Unlock()
-		s.pruneChainAcks(f)
-		s.scheduleRefill(f)
-		return false
-	}
 	promoted := -1
-	if g.primary == f {
-		// Promote the lowest-index live replica: deterministic, so every
-		// observer that consults the group agrees on the new primary.
-		for _, m := range g.members {
-			if g.live[m] {
-				g.primary = m
-				promoted = m
-				break
+	s.mu.Lock()
+	g := *s.group(l)
+	if bit := s.replicaBit(f); g.mask&bit != 0 {
+		g.mask &^= bit
+		g.live = s.slotsOf(l, g.mask)
+		g.epoch++
+		if g.primary == f {
+			// Promote the lowest-index live replica: deterministic, so every
+			// observer that consults the group agrees on the new primary.
+			g.primary = -1
+			if len(g.live) > 0 {
+				g.primary, promoted = g.live[0], g.live[0]
 			}
 		}
+		s.publishLocked(l, g)
 	}
 	s.mu.Unlock()
 
 	// Drop the corpse from every sender's chain-outbox wait sets first, so
 	// the promotion re-send below skips entries the survivors already hold.
+	// The new table is already published: see replSend for why that order
+	// keeps a corpse out of entries recorded from now on.
 	s.pruneChainAcks(f)
 
+	if g.primary < 0 {
+		s.scheduleRefill(f)
+		return false
+	}
 	if promoted >= 0 {
 		w := s.w
 		w.metrics.Inc(promoted, metrics.ReplicaPromotions)
@@ -210,93 +239,32 @@ func (s *replState) handleDeath(f int) bool {
 func (s *replState) onRevive(p int) {
 	l := p % s.lsize
 	s.mu.Lock()
-	g := &s.groups[l]
-	if !g.live[p] {
-		g.live[p] = true
+	g := *s.group(l)
+	if bit := s.replicaBit(p); g.mask&bit == 0 {
+		g.mask |= bit
+		g.live = s.slotsOf(l, g.mask)
 		g.epoch++
 		if g.primary < 0 {
 			g.primary = p
 		}
+		s.publishLocked(l, g)
 	}
 	s.mu.Unlock()
 }
 
 // livePhys returns the live physical replicas of logical rank l in
-// replica-index order.
-func (s *replState) livePhys(l int) []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	g := &s.groups[l]
-	out := make([]int, 0, len(g.live))
-	for _, m := range g.members {
-		if g.live[m] {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// sendTargets returns the physical destinations one logical send must
-// reach: every live replica in fanout mode, just the primary in chain
-// mode (it forwards to the standbys).
-func (s *replState) sendTargets(l int) []int {
-	if s.mode == ReplChain {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if p := s.groups[l].primary; p >= 0 {
-			return []int{p}
-		}
-		return nil
-	}
-	return s.livePhys(l)
-}
+// replica-index order. The slice is shared: callers must not modify it.
+func (s *replState) livePhys(l int) []int { return s.group(l).live }
 
 // primaryPhys returns the current primary physical slot of logical rank
 // l (-1 when the whole group is dead).
-func (s *replState) primaryPhys(l int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.groups[l].primary
-}
+func (s *replState) primaryPhys(l int) int { return s.group(l).primary }
 
 // isPrimary reports whether physical slot p currently leads its group.
-func (s *replState) isPrimary(p int) bool {
-	l := p % s.lsize
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.groups[l].primary == p
-}
-
-// liveSiblings returns the live physical replicas sharing p's logical
-// rank, excluding p itself (the chain-forward targets).
-func (s *replState) liveSiblings(p int) []int {
-	l := p % s.lsize
-	var out []int
-	s.mu.Lock()
-	g := &s.groups[l]
-	for _, m := range g.members {
-		if m != p && g.live[m] {
-			out = append(out, m)
-		}
-	}
-	s.mu.Unlock()
-	return out
-}
-
-// epochOf returns the replica-set epoch of logical rank l, the value
-// stamped into Packet.RepEpoch (diagnostic: dedup is by RepSeq alone).
-func (s *replState) epochOf(l int) uint32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.groups[l].epoch
-}
+func (s *replState) isPrimary(p int) bool { return s.group(p%s.lsize).primary == p }
 
 // groupDead reports whether logical rank l has no live replica left.
-func (s *replState) groupDead(l int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.groups[l].live) == 0
-}
+func (s *replState) groupDead(l int) bool { return s.group(l).mask == 0 }
 
 // --- world-level logical views ----------------------------------------------
 
@@ -406,23 +374,43 @@ func (w *World) notifyRevive(slot int) {
 // Must be called with no engine lock held.
 func (e *engine) replSend(ldst, tag, ctx int, payload []byte) error {
 	w := e.w
-	targets := w.repl.sendTargets(ldst)
-	if len(targets) == 0 {
+	chain := w.repl.mode == ReplChain
+	var kept []byte
+	if chain {
+		kept = make([]byte, len(payload))
+		copy(kept, payload)
+	}
+	// Targets, epoch and the outbox wait set all come from ONE snapshot of
+	// the destination group, loaded under e.mu together with the outbox
+	// insertion. handleDeath publishes the new table before pruneChainAcks
+	// takes e.mu, so either the prune finds this entry or this load finds
+	// the corpse already gone: an entry never waits on a replica that was
+	// dead when it was recorded.
+	e.mu.Lock()
+	g := w.repl.group(ldst)
+	if g.primary < 0 {
+		e.mu.Unlock()
 		return failStop(ldst)
 	}
-	seq := e.nextRepSeq(ldst, ctx, tag)
-	epoch := w.repl.epochOf(ldst)
+	k := repChan{peer: ldst, ctx: ctx, tag: tag}
+	e.repSeq[k]++ // starts at 1: 0 on the wire means "unstamped"
+	seq := e.repSeq[k]
 	// One causal token for the whole fan-out: every physical copy is the
 	// same logical message, so the deduplicated losers and the delivered
 	// winner reconcile to one identity in the conservation audit.
 	// (sendPacket assigns tokens only when unset, so this survives it.)
 	tok := transport.MakeToken(e.rank, w.nextTokenSeq(e.rank))
-	if w.repl.mode == ReplChain {
-		// Record the outbox entry BEFORE the copy enters the fabric: over
-		// the synchronous Local fabric the chain-acks can arrive inside the
-		// Send call below, and they must find the entry to retire.
-		e.recordChainPending(ldst, ctx, tag, seq, tok, payload)
+	targets := g.live
+	if chain {
+		// The outbox entry exists BEFORE the copy enters the fabric: over
+		// the synchronous Local fabric the confirmations can arrive inside
+		// the Send call below, and they must find the entry to retire.
+		e.chainPend[chainKey{ldst: ldst, ctx: ctx, tag: tag, repSeq: seq}] =
+			chainPending{payload: kept, tok: tok, waiting: g.mask}
+		primary := [1]int{g.primary} // the primary forwards to the standbys
+		targets = primary[:]
 	}
+	e.mu.Unlock()
 	var start time.Time
 	var firstErr error
 	for i, phys := range targets {
@@ -439,7 +427,7 @@ func (e *engine) replSend(ldst, tag, ctx int, payload []byte) error {
 		pkt := &transport.Packet{
 			Src: e.rank, Dst: phys, Tag: tag, Context: ctx,
 			Kind: transport.KindData, Payload: buf,
-			RepSeq: seq, RepEpoch: epoch, Token: tok,
+			RepSeq: seq, RepEpoch: g.epoch, Token: tok,
 		}
 		if err := e.sendPacket(pkt); err != nil && firstErr == nil {
 			firstErr = err
@@ -461,7 +449,10 @@ func (e *engine) replSend(ldst, tag, ctx int, payload []byte) error {
 // delivery goroutine with no engine lock held.
 func (e *engine) chainForward(pkt *transport.Packet) {
 	w := e.w
-	for _, sib := range w.repl.liveSiblings(e.rank) {
+	for _, sib := range w.repl.livePhys(e.arank()) {
+		if sib == e.rank {
+			continue
+		}
 		if w.hook != nil && w.hook(HookEvent{
 			Rank: e.arank(), Point: HookChainForward, Peer: w.logicalOf(sib), Tag: pkt.Tag,
 		}) == ActKill {
@@ -489,44 +480,40 @@ func (e *engine) chainForward(pkt *transport.Packet) {
 
 // --- chain tail-acks ---------------------------------------------------------
 //
-// Chain mode's documented loss window: the primary's ARQ ack (and its
-// RepSeq acceptance) used to commit a frame the standbys might never see
-// if the primary died before chainForward completed. The tail-ack
-// protocol closes it sender-side: every chain send is held in a per
-// -sender outbox until EVERY live replica of the destination group has
-// confirmed receipt with a KindChainAck frame; a primary death re-sends
-// the unconfirmed entries (same RepSeq, same causal token) to the
-// promoted survivor, which re-forwards down the chain. The reliability
-// layer's ack gate complements this by keeping the hop-level ARQ ack
-// honest (withheld until the frame is forwarded), so the sender's
-// retransmission machinery also keeps racing a mid-forward death.
+// Chain mode's loss window: a primary that accepted a frame and died
+// before chainForward completed would commit a frame the standbys never
+// see. The tail-ack protocol closes it sender-side: every chain send is
+// held in a per-sender outbox until EVERY live replica of the destination
+// group has confirmed receipt; a primary death re-sends the unconfirmed
+// entries (same RepSeq, same causal token) to the promoted survivor,
+// which re-forwards down the chain.
+//
+// The confirmation has two carriers and one entry point (chainConfirm):
+//
+//   - With the reliability layer, the replica's ARQ ack IS the
+//     confirmation. The ack gate withholds the primary's ack until it has
+//     forwarded the frame, a forward keeps the original sender's Src so
+//     the standby's ack also lands on the sender's link state, and the
+//     layer's ack-retire callback hands each acked frame to
+//     World.chainFrameAcked. No frame beyond data and its ack is sent.
+//   - Without it there is no ack to ride, so every replica sends an
+//     explicit KindChainAck frame per delivered data frame, which
+//     engine.deliver hands to chainConfirm.
 
-// recordChainPending registers one chain-mode send in the sender's
-// outbox, awaiting receipt confirmation from every live member of the
-// destination group. Called with no engine lock held, before the first
-// physical copy enters the fabric.
-func (e *engine) recordChainPending(ldst, ctx, tag int, seq uint32, tok uint64, payload []byte) {
-	members := e.w.repl.livePhys(ldst)
-	if len(members) == 0 {
-		return
+// chainFrameAcked is the reliability layer's ack-retire callback in chain
+// mode: the replica pkt.Dst holds pkt, so it leaves the wait set of the
+// sender's outbox entry. A forwarded frame carries its original sender in
+// Src, so the same rule covers primaries and standbys.
+func (w *World) chainFrameAcked(pkt *transport.Packet) {
+	if pkt.Kind == transport.KindData && pkt.RepSeq != 0 {
+		w.eng(pkt.Src).chainConfirm(pkt.Dst, pkt.Context, pkt.Tag, pkt.RepSeq)
 	}
-	waiting := make(map[int]struct{}, len(members))
-	for _, m := range members {
-		waiting[m] = struct{}{}
-	}
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
-	k := chainKey{ldst: ldst, ctx: ctx, tag: tag, repSeq: seq}
-	e.mu.Lock()
-	e.chainPend[k] = &chainPending{payload: cp, tok: tok, waiting: waiting}
-	e.mu.Unlock()
 }
 
 // sendChainAck confirms receipt of a chain data frame to its ORIGINAL
-// sender (pkt.Src survives the chain forward untouched). The ack is
-// ARQ-sequenced — it must survive the same chaos the data did — but
-// carries no causal token: it is protocol overhead, like the ARQ acks,
-// not a message the conservation audit tracks.
+// sender (pkt.Src survives the chain forward untouched) in a world built
+// without the reliability layer. The frame carries no causal token: it is
+// protocol overhead, not a message the conservation audit tracks.
 func (e *engine) sendChainAck(pkt *transport.Packet) {
 	w := e.w
 	ack := &transport.Packet{
@@ -535,25 +522,32 @@ func (e *engine) sendChainAck(pkt *transport.Packet) {
 		SrcGen: e.gen, DstGen: w.genOf(pkt.Src),
 	}
 	_ = w.fabric.Send(ack)
-	w.metrics.Inc(e.rank, metrics.ChainAcks)
 }
 
-// onChainAck retires one replica's receipt confirmation from the
-// matching outbox entry; the entry itself is released once every awaited
-// replica has confirmed.
-func (e *engine) onChainAck(pkt *transport.Packet) {
-	k := chainKey{
-		ldst: e.w.logicalOf(pkt.Src), ctx: pkt.Context,
-		tag: pkt.Tag, repSeq: pkt.RepSeq,
-	}
+// chainConfirm retires one replica's receipt confirmation, whichever
+// carrier brought it, from this sender's matching outbox entry; the entry
+// is released once every awaited replica has confirmed. A confirmation
+// for an entry already released (a re-send's second confirmation) still
+// counts: ChainAcks is confirmations retired, per confirming replica.
+func (e *engine) chainConfirm(replica, ctx, tag int, repSeq uint32) {
+	w := e.w
+	w.metrics.Inc(replica, metrics.ChainAcks)
+	k := chainKey{ldst: w.logicalOf(replica), ctx: ctx, tag: tag, repSeq: repSeq}
 	e.mu.Lock()
-	if ent := e.chainPend[k]; ent != nil {
-		delete(ent.waiting, pkt.Src)
-		if len(ent.waiting) == 0 {
-			delete(e.chainPend, k)
-		}
+	if ent, ok := e.chainPend[k]; ok {
+		e.chainRetireLocked(k, ent, w.repl.replicaBit(replica))
 	}
 	e.mu.Unlock()
+}
+
+// chainRetireLocked clears one replica's bit from an outbox entry and
+// releases the entry when nobody is awaited any more. Caller holds mu.
+func (e *engine) chainRetireLocked(k chainKey, ent chainPending, bit uint64) {
+	if ent.waiting &^= bit; ent.waiting == 0 {
+		delete(e.chainPend, k)
+	} else {
+		e.chainPend[k] = ent
+	}
 }
 
 // pruneChainAcks removes a dead physical slot from every sender's
@@ -564,15 +558,13 @@ func (s *replState) pruneChainAcks(f int) {
 		return
 	}
 	w := s.w
+	l, bit := f%s.lsize, s.replicaBit(f)
 	for i := 0; i < w.size; i++ {
 		e := w.eng(i)
 		e.mu.Lock()
 		for k, ent := range e.chainPend {
-			if _, ok := ent.waiting[f]; ok {
-				delete(ent.waiting, f)
-				if len(ent.waiting) == 0 {
-					delete(e.chainPend, k)
-				}
+			if k.ldst == l && ent.waiting&bit != 0 {
+				e.chainRetireLocked(k, ent, bit)
 			}
 		}
 		e.mu.Unlock()
@@ -592,7 +584,7 @@ func (s *replState) resendChainPending(l, promoted int) {
 		return
 	}
 	w := s.w
-	epoch := s.epochOf(l)
+	epoch := s.group(l).epoch
 	for i := 0; i < w.size; i++ {
 		e := w.eng(i)
 		if e.dead.Load() {
@@ -600,7 +592,7 @@ func (s *replState) resendChainPending(l, promoted int) {
 		}
 		type item struct {
 			k   chainKey
-			ent *chainPending
+			ent chainPending
 		}
 		var items []item
 		e.mu.Lock()
@@ -736,5 +728,5 @@ func (w *World) LiveReplicas(l int) []int {
 	if w.repl == nil || l < 0 || l >= w.lsize {
 		return nil
 	}
-	return w.repl.livePhys(l)
+	return append([]int(nil), w.repl.livePhys(l)...)
 }

@@ -9,7 +9,19 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/reliable"
 )
+
+// chainCarriers are the two ways a chain world confirms receipt: explicit
+// KindChainAck frames in a world without the reliability layer, the ARQ
+// ack itself in a world with it. Chain-mode tests run on both.
+var chainCarriers = []struct {
+	name string
+	opts []Option
+}{
+	{"explicit", nil},
+	{"arq", []Option{WithReliability(reliable.Options{})}},
+}
 
 // runRepl builds a replicated world of lsize logical ranks at degree r
 // and runs fn on every PHYSICAL replica (all replicas of a logical rank
@@ -201,20 +213,24 @@ func TestReplicationLastReplicaFailStop(t *testing.T) {
 // primary relays to standbys, duplicates are dropped), and a TAIL
 // (standby) death neither promotes nor surfaces.
 func TestReplicationChainMode(t *testing.T) {
-	const laps = 12
-	victim := 5 // standby of logical 2 (L=3: groups {0,3} {1,4} {2,5})
-	w, res := runRepl(t, 3, 2, ReplChain, nil, replRing(laps, victim, 4))
-	for phys, rr := range res.Ranks {
-		if phys != victim && (rr.Err != nil || rr.Killed) {
-			t.Fatalf("phys %d saw the failure: %+v", phys, rr)
-		}
-	}
-	mets := w.Metrics()
-	if got := mets.Total(metrics.ReplicaPromotions); got != 0 {
-		t.Fatalf("promotions: %d, want 0 for a tail death", got)
-	}
-	if mets.Total(metrics.ReplicaSends) == 0 {
-		t.Fatal("no chain forwards counted")
+	for _, carrier := range chainCarriers {
+		t.Run(carrier.name, func(t *testing.T) {
+			const laps = 12
+			victim := 5 // standby of logical 2 (L=3: groups {0,3} {1,4} {2,5})
+			w, res := runRepl(t, 3, 2, ReplChain, carrier.opts, replRing(laps, victim, 4))
+			for phys, rr := range res.Ranks {
+				if phys != victim && (rr.Err != nil || rr.Killed) {
+					t.Fatalf("phys %d saw the failure: %+v", phys, rr)
+				}
+			}
+			mets := w.Metrics()
+			if got := mets.Total(metrics.ReplicaPromotions); got != 0 {
+				t.Fatalf("promotions: %d, want 0 for a tail death", got)
+			}
+			if mets.Total(metrics.ReplicaSends) == 0 {
+				t.Fatal("no chain forwards counted")
+			}
+		})
 	}
 }
 
@@ -378,35 +394,41 @@ func runReplOpts(t *testing.T, lsize int, ropts ReplicationOptions, opts []Optio
 // right value) and no double-delivery (RepSeq dedup absorbs any copy the
 // dying primary did manage to forward).
 func TestChainForwardWindowKill(t *testing.T) {
-	const laps = 12
-	var fires atomic.Int32
-	hook := func(ev HookEvent) Action {
-		// Kill the primary of logical 1 immediately before its third
-		// standby forward. The promoted standby shares the logical rank, so
-		// fire exactly once (Add, not a == comparison on Load).
-		if ev.Point == HookChainForward && ev.Rank == 1 && fires.Add(1) == 3 {
-			return ActKill
-		}
-		return ActNone
-	}
-	w, res := runRepl(t, 3, 2, ReplChain, []Option{WithHook(hook)}, replRing(laps, -1, 0))
-	for phys, rr := range res.Ranks {
-		if phys == 1 {
-			continue // the forward-window victim
-		}
-		if rr.Err != nil || rr.Killed {
-			t.Fatalf("phys %d saw the failure: %+v", phys, rr)
-		}
-	}
-	mets := w.Metrics()
-	if got := mets.Total(metrics.ReplicaPromotions); got != 1 {
-		t.Fatalf("promotions: %d, want exactly 1", got)
-	}
-	if got := mets.Total(metrics.ChainResends); got == 0 {
-		t.Fatal("no chain resends: the unconfirmed outbox entry was not replayed")
-	}
-	if mets.Total(metrics.ChainAcks) == 0 {
-		t.Fatal("no chain acks counted")
+	for _, carrier := range chainCarriers {
+		t.Run(carrier.name, func(t *testing.T) {
+			const laps = 12
+			var fires atomic.Int32
+			hook := func(ev HookEvent) Action {
+				// Kill the primary of logical 1 immediately before its third
+				// standby forward. The promoted standby shares the logical rank,
+				// so fire exactly once (Add, not a == comparison on Load).
+				if ev.Point == HookChainForward && ev.Rank == 1 && fires.Add(1) == 3 {
+					return ActKill
+				}
+				return ActNone
+			}
+			opts := append([]Option{WithHook(hook)}, carrier.opts...)
+			w, res := runRepl(t, 3, 2, ReplChain, opts, replRing(laps, -1, 0))
+			for phys, rr := range res.Ranks {
+				if phys == 1 {
+					continue // the forward-window victim
+				}
+				if rr.Err != nil || rr.Killed {
+					t.Fatalf("phys %d saw the failure: %+v", phys, rr)
+				}
+			}
+			mets := w.Metrics()
+			if got := mets.Total(metrics.ReplicaPromotions); got != 1 {
+				t.Fatalf("promotions: %d, want exactly 1", got)
+			}
+			if got := mets.Total(metrics.ChainResends); got == 0 {
+				t.Fatal("no chain resends: the unconfirmed outbox entry was not replayed")
+			}
+			if mets.Total(metrics.ChainAcks) == 0 {
+				t.Fatal("no chain acks counted")
+			}
+			requireChainOutboxEmpty(t, w)
+		})
 	}
 }
 

@@ -220,9 +220,9 @@ func newWorldFromConfig(cfg Config) (*World, error) {
 	}
 	lsize := cfg.Size
 	if cfg.Replication != nil {
-		if cfg.Replication.R < 1 {
-			return nil, fmt.Errorf("%w: replication degree %d (want >= 1)",
-				ErrInvalidArg, cfg.Replication.R)
+		if cfg.Replication.R < 1 || cfg.Replication.R > maxReplicas {
+			return nil, fmt.Errorf("%w: replication degree %d (want 1..%d)",
+				ErrInvalidArg, cfg.Replication.R, maxReplicas)
 		}
 		switch cfg.Replication.Mode {
 		case "", ReplFanout, ReplChain:
@@ -283,14 +283,16 @@ func newWorldFromConfig(cfg Config) (*World, error) {
 	if cfg.Replication != nil {
 		w.repl = newReplState(w, lsize, *cfg.Replication)
 		if relFab != nil && w.repl.mode == ReplChain {
-			// Tail-ack gating: a chain primary's hop-level ARQ ack for a
-			// fresh data frame is withheld until the engine has forwarded
-			// the frame down the chain (deliver releases it), so an ack
-			// never claims durability the standbys don't have yet.
+			// Tail-ack: a chain primary's hop-level ARQ ack for a fresh data
+			// frame is withheld until the engine has forwarded the frame
+			// down the chain (deliver releases it), so an ack never claims
+			// durability the standbys don't have yet — which is what lets
+			// every replica's ack double as its receipt confirmation.
 			relFab.SetAckGate(func(dst int, pkt *transport.Packet) bool {
 				return pkt.Kind == transport.KindData && pkt.RepSeq != 0 &&
 					w.repl.isPrimary(dst)
 			})
+			relFab.OnAckRetire(w.chainFrameAcked)
 		}
 	}
 	w.agreement = cfg.Agreement

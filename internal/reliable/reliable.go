@@ -13,6 +13,16 @@
 // failover) takes over from there, and the run still terminates with the
 // paper's semantics.
 //
+// An ack means "the receiver's reliability layer holds this frame and will
+// deliver it in order". Upper layers that need exactly that fact subscribe
+// to it instead of sending a confirmation stream of their own: the
+// ack-retire callback (OnAckRetire) hands the retired packet to the upper
+// layer once, when its ack removes it from the inflight table, and the ack
+// gate (SetAckGate/ReleaseAck) lets the receiving side decide when that
+// ack may be sent. Replication chain mode builds its tail-ack on the pair:
+// the primary's ack is withheld until it has forwarded the frame, and
+// every replica's ack retires that replica from the sender's outbox.
+//
 // Layering: reliable wraps chaos, which wraps the base fabric. The
 // reliable fabric intentionally does NOT implement transport.NonRetaining:
 // the mpi world therefore makes a defensive copy of every user payload
@@ -127,7 +137,8 @@ type ackKey struct {
 	seq      uint64
 }
 
-// pending is one unacknowledged outbound frame.
+// pending is one unacknowledged outbound frame. It lives by value in
+// txLink.inflight, so recording a frame allocates nothing.
 type pending struct {
 	pkt       *transport.Packet
 	attempts  int
@@ -137,7 +148,7 @@ type pending struct {
 // txLink is the sender half of one directional link.
 type txLink struct {
 	nextSeq  uint64
-	inflight map[uint64]*pending
+	inflight map[uint64]pending
 }
 
 // rxLink is the receiver half: frames are deduplicated against next and
@@ -169,6 +180,12 @@ type Fabric struct {
 	// frame has been forwarded down the chain. The gate runs without any
 	// fabric lock held and must not re-enter the fabric.
 	ackGate func(dst int, pkt *transport.Packet) bool
+	// onAckRetire, if set (before Start), receives every frame an ack
+	// removes from the inflight table: exactly once per frame, with no
+	// fabric lock held, and never for a frame that was purged instead
+	// (PeerDown, PeerUp, escalation, Close). The packet is the one handed to
+	// Send and is read-only. The callback must not re-enter the fabric.
+	onAckRetire func(pkt *transport.Packet)
 
 	mu       sync.Mutex
 	tx       map[[2]int]*txLink
@@ -204,6 +221,25 @@ func (f *Fabric) Observe(fn func(Event)) { f.onEvent = fn }
 // SetAckGate registers the deferred-ack predicate. Call before Start.
 func (f *Fabric) SetAckGate(fn func(dst int, pkt *transport.Packet) bool) { f.ackGate = fn }
 
+// OnAckRetire registers the ack-retire callback. Call before Start.
+func (f *Fabric) OnAckRetire(fn func(pkt *transport.Packet)) { f.onAckRetire = fn }
+
+// ackPool recycles ack packets. sendAck may release one as soon as the
+// inner Send returns because no fabric keeps an ack's pointer past that
+// point: Local delivers synchronously into the peer's onDeliver, which
+// keeps nothing of an ack; chaos and Latency clone what they hold back;
+// TCP encodes inside Send.
+var ackPool = sync.Pool{New: func() any { return new(transport.Packet) }}
+
+// sendAck acknowledges frame seq of the link src -> dst (the ack travels
+// dst -> src).
+func (f *Fabric) sendAck(src, dst int, seq uint64) {
+	ack := ackPool.Get().(*transport.Packet)
+	*ack = transport.Packet{Src: dst, Dst: src, Kind: transport.KindAck, Seq: seq}
+	_ = f.inner.Send(ack)
+	ackPool.Put(ack)
+}
+
 // ReleaseAck sends the acknowledgement previously withheld by the ack
 // gate for the frame (src -> dst, seq). It is idempotent: if no ack is
 // deferred for that frame (already released, purged, or never gated) the
@@ -215,9 +251,7 @@ func (f *Fabric) ReleaseAck(src, dst int, seq uint64) {
 	delete(f.deferred, key)
 	f.mu.Unlock()
 	if owed {
-		_ = f.inner.Send(&transport.Packet{
-			Src: dst, Dst: src, Kind: transport.KindAck, Seq: seq,
-		})
+		f.sendAck(src, dst, seq)
 	}
 }
 
@@ -402,13 +436,13 @@ func (f *Fabric) Send(pkt *transport.Packet) error {
 	key := [2]int{pkt.Src, pkt.Dst}
 	tx := f.tx[key]
 	if tx == nil {
-		tx = &txLink{inflight: make(map[uint64]*pending)}
+		tx = &txLink{inflight: make(map[uint64]pending)}
 		f.tx[key] = tx
 	}
 	tx.nextSeq++
 	pkt.Seq = tx.nextSeq
 	pkt.Crc = transport.PayloadCrc(pkt.Payload)
-	tx.inflight[pkt.Seq] = &pending{pkt: pkt, nextRetry: time.Now().Add(f.opts.RetryBase)}
+	tx.inflight[pkt.Seq] = pending{pkt: pkt, nextRetry: time.Now().Add(f.opts.RetryBase)}
 	f.mu.Unlock()
 	return f.inner.Send(pkt)
 }
@@ -428,11 +462,18 @@ func (f *Fabric) onDeliver(dst int, pkt *transport.Packet) {
 		return
 	}
 	if pkt.Kind == transport.KindAck {
+		var retired *transport.Packet
 		f.mu.Lock()
 		if tx := f.tx[[2]int{pkt.Dst, pkt.Src}]; tx != nil {
+			// Only the ack that finds the frame inflight retires it: a
+			// duplicate or late ack finds nothing and reports nothing.
+			retired = tx.inflight[pkt.Seq].pkt
 			delete(tx.inflight, pkt.Seq)
 		}
 		f.mu.Unlock()
+		if retired != nil && f.onAckRetire != nil {
+			f.onAckRetire(retired)
+		}
 		return
 	}
 	if pkt.Seq == 0 {
@@ -477,9 +518,7 @@ func (f *Fabric) onDeliver(dst int, pkt *transport.Packet) {
 		f.mu.Unlock()
 		if !withhold {
 			// Ack before anything else: re-acking is what stops the retries.
-			_ = f.inner.Send(&transport.Packet{
-				Src: dst, Dst: pkt.Src, Kind: transport.KindAck, Seq: pkt.Seq,
-			})
+			f.sendAck(pkt.Src, dst, pkt.Seq)
 		}
 		f.emit(Event{Kind: EvDedup, Src: pkt.Src, Dst: dst, Seq: pkt.Seq, Token: pkt.Token})
 		return
@@ -489,9 +528,7 @@ func (f *Fabric) onDeliver(dst int, pkt *transport.Packet) {
 	if !withhold {
 		// Ack first, before delivery: a lost ack is repaired by the dup
 		// path above when the retransmission arrives.
-		_ = f.inner.Send(&transport.Packet{
-			Src: dst, Dst: pkt.Src, Kind: transport.KindAck, Seq: pkt.Seq,
-		})
+		f.sendAck(pkt.Src, dst, pkt.Seq)
 	}
 
 	f.mu.Lock()
@@ -556,6 +593,7 @@ func (f *Fabric) retryLoop() {
 					p.attempts++
 					if p.attempts > f.opts.MaxRetries {
 						exhausted = true
+						tx.inflight[seq] = p // the purge below reports the attempt count
 						escalations = append(escalations, Event{
 							Kind: EvEscalate, Src: key[0], Dst: key[1],
 							Seq: seq, Attempt: p.attempts, Token: p.pkt.Token,
@@ -567,6 +605,7 @@ func (f *Fabric) retryLoop() {
 						backoff = f.opts.RetryMax
 					}
 					p.nextRetry = now.Add(backoff)
+					tx.inflight[seq] = p
 					resend = append(resend, p.pkt)
 					retryEvs = append(retryEvs, Event{
 						Kind: EvRetry, Src: key[0], Dst: key[1],

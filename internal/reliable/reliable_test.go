@@ -345,3 +345,263 @@ func TestUnsequencedPassThrough(t *testing.T) {
 		t.Fatalf("unsequenced packet mangled: %v", got[0])
 	}
 }
+
+// retireLog counts ack-retire callbacks per (src, dst, seq).
+type retireLog struct {
+	mu    sync.Mutex
+	fired map[ackKey]int
+}
+
+func (r *retireLog) record(pkt *transport.Packet) {
+	r.mu.Lock()
+	if r.fired == nil {
+		r.fired = make(map[ackKey]int)
+	}
+	r.fired[ackKey{src: pkt.Src, dst: pkt.Dst, seq: pkt.Seq}]++
+	r.mu.Unlock()
+}
+
+func (r *retireLog) total() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for _, c := range r.fired {
+		n += c
+	}
+	return n
+}
+
+// waitExactlyOnce waits until frames 1..n of the link 0 -> 1 have each
+// retired, then checks none retired twice.
+func (r *retireLog) waitExactlyOnce(t *testing.T, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for r.total() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out: %d of %d frames retired", r.total(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(10 * time.Millisecond) // room for a late duplicate ack to misfire
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for seq := uint64(1); seq <= uint64(n); seq++ {
+		if c := r.fired[ackKey{src: 0, dst: 1, seq: seq}]; c != 1 {
+			t.Fatalf("frame seq %d retired %d times, want exactly once", seq, c)
+		}
+	}
+	if len(r.fired) != n {
+		t.Fatalf("callback fired for %d distinct frames, want %d", len(r.fired), n)
+	}
+}
+
+// TestAckRetireExactlyOnce: whatever the wire does to a frame and its
+// acks, the ack-retire callback sees the frame once.
+func TestAckRetireExactlyOnce(t *testing.T) {
+	pass := func(pkt *transport.Packet) []*transport.Packet { return []*transport.Packet{pkt} }
+	cases := map[string]func() func(*transport.Packet) []*transport.Packet{
+		// Every frame, acks included, arrives twice.
+		"duplicate delivery": func() func(*transport.Packet) []*transport.Packet {
+			return func(pkt *transport.Packet) []*transport.Packet {
+				return []*transport.Packet{pkt, pkt.Clone()}
+			}
+		},
+		// The first ack of every frame is lost: the retransmission is a
+		// duplicate at the receiver, which re-acks it.
+		"lost ack, retransmit, re-ack": func() func(*transport.Packet) []*transport.Packet {
+			var mu sync.Mutex
+			acked := make(map[uint64]bool)
+			return func(pkt *transport.Packet) []*transport.Packet {
+				if pkt.Kind != transport.KindAck {
+					return pass(pkt)
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if !acked[pkt.Seq] {
+					acked[pkt.Seq] = true
+					return nil
+				}
+				return pass(pkt)
+			}
+		},
+		// Adjacent data frames swap on the wire, so acks come back out of
+		// sequence order too.
+		"reorder": func() func(*transport.Packet) []*transport.Packet {
+			var mu sync.Mutex
+			var held *transport.Packet
+			return func(pkt *transport.Packet) []*transport.Packet {
+				if pkt.Kind == transport.KindAck {
+					return pass(pkt)
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if held == nil {
+					held = pkt
+					return nil
+				}
+				out := []*transport.Packet{pkt, held}
+				held = nil
+				return out
+			}
+		},
+	}
+	for name, mangle := range cases {
+		t.Run(name, func(t *testing.T) {
+			inner := &fakeFabric{mangle: mangle()}
+			f := Wrap(inner, fastOpts())
+			var log retireLog
+			f.OnAckRetire(log.record)
+			s := &sink{}
+			if err := f.Start(s.deliver); err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			const n = 40
+			for i := 0; i < n; i++ {
+				if err := f.Send(&transport.Packet{Src: 0, Dst: 1, Tag: i, Payload: []byte{byte(i)}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			assertInOrderTags(t, s.waitFor(t, n), n)
+			log.waitExactlyOnce(t, n)
+		})
+	}
+}
+
+// TestAckRetireNeverForPurgedFrames: a frame that leaves the inflight
+// table any other way than by its ack — PeerDown, PeerUp, escalation,
+// Close — was not confirmed by anybody and must not be reported as if.
+func TestAckRetireNeverForPurgedFrames(t *testing.T) {
+	purges := map[string]func(f *Fabric, escalated <-chan int){
+		"PeerDown": func(f *Fabric, _ <-chan int) { f.PeerDown(1) },
+		"PeerUp":   func(f *Fabric, _ <-chan int) { f.PeerUp(1) },
+		"Close":    func(f *Fabric, _ <-chan int) { f.Close() },
+		"escalation": func(_ *Fabric, escalated <-chan int) {
+			<-escalated
+		},
+	}
+	for name, purge := range purges {
+		t.Run(name, func(t *testing.T) {
+			inner := &fakeFabric{mangle: func(pkt *transport.Packet) []*transport.Packet {
+				if pkt.Dst == 1 {
+					return nil // blackhole: nothing toward rank 1 is ever acked
+				}
+				return []*transport.Packet{pkt}
+			}}
+			f := Wrap(inner, fastOpts())
+			var log retireLog
+			f.OnAckRetire(log.record)
+			escalated := make(chan int, 1)
+			f.Escalate(func(peer int) { escalated <- peer })
+			var purged int
+			var evMu sync.Mutex
+			f.Observe(func(e Event) {
+				if e.Kind == EvPurged {
+					evMu.Lock()
+					purged++
+					evMu.Unlock()
+				}
+			})
+			s := &sink{}
+			if err := f.Start(s.deliver); err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			const n = 3
+			for i := 0; i < n; i++ {
+				if err := f.Send(&transport.Packet{Src: 0, Dst: 1, Tag: i, Payload: []byte{byte(i)}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			purge(f, escalated)
+			evMu.Lock()
+			got := purged
+			evMu.Unlock()
+			if got != n {
+				t.Fatalf("%d frames reported purged, want %d", got, n)
+			}
+			if c := log.total(); c != 0 {
+				t.Fatalf("ack-retire fired %d times for frames that were purged, never acked", c)
+			}
+		})
+	}
+}
+
+// TestAckRetireWaitsForReleaseAck: while the ack gate withholds a frame's
+// ack the sender has no confirmation, however often it retransmits; the
+// callback fires once ReleaseAck lets the ack out.
+func TestAckRetireWaitsForReleaseAck(t *testing.T) {
+	inner := &fakeFabric{}
+	f := Wrap(inner, fastOpts())
+	var log retireLog
+	f.OnAckRetire(log.record)
+	f.SetAckGate(func(dst int, pkt *transport.Packet) bool { return dst == 1 })
+	var retries int
+	var evMu sync.Mutex
+	f.Observe(func(e Event) {
+		if e.Kind == EvRetry {
+			evMu.Lock()
+			retries++
+			evMu.Unlock()
+		}
+	})
+	s := &sink{}
+	if err := f.Start(s.deliver); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.Send(&transport.Packet{Src: 0, Dst: 1, Payload: []byte("gated")}); err != nil {
+		t.Fatal(err)
+	}
+	s.waitFor(t, 1) // delivered upstream at once; only the ack is withheld
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		evMu.Lock()
+		n := retries
+		evMu.Unlock()
+		if n >= 2 {
+			break // retransmissions reached the receiver and stayed unacked
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("gated frame was never retransmitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if c := log.total(); c != 0 {
+		t.Fatalf("ack-retire fired %d times before ReleaseAck", c)
+	}
+	f.ReleaseAck(0, 1, 1)
+	f.ReleaseAck(0, 1, 1) // idempotent: no second ack, no second callback
+	log.waitExactlyOnce(t, 1)
+}
+
+// TestAckRoundTripAllocatesNothing pins the clean Send -> deliver -> ack
+// -> retire round trip at zero heap allocations with no ack-retire
+// callback registered: the inflight record lives by value in its table
+// and ack packets are pooled. This is the path a lossy but unreplicated
+// world pays on every frame.
+func TestAckRoundTripAllocatesNothing(t *testing.T) {
+	inner := &fakeFabric{}
+	f := Wrap(inner, fastOpts())
+	if err := f.Start(func(int, *transport.Packet) {}); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	pkt := &transport.Packet{Src: 0, Dst: 1, Payload: []byte("x")}
+	roundTrip := func() {
+		pkt.Seq = 0 // retired by its synchronous ack: free to send again
+		if err := f.Send(pkt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip() // link state and the first pooled ack are one-time costs
+	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
+		t.Fatalf("clean round trip allocates %.1f objects, want 0", allocs)
+	}
+	f.mu.Lock()
+	inflight := len(f.tx[[2]int{0, 1}].inflight)
+	f.mu.Unlock()
+	if inflight != 0 {
+		t.Fatalf("%d frames still inflight: the round trip did not complete", inflight)
+	}
+}

@@ -63,15 +63,16 @@ const (
 	// replies carry the snapshot as payload. State frames bypass user-level
 	// matching and are answered reactively at delivery.
 	KindState
-	// KindChainAck is replication chain-mode receipt confirmation: a
-	// replica (primary or standby) telling the ORIGINAL sender that it
-	// holds the data frame identified by (Context, Tag, RepSeq) on the
-	// logical channel to the receiver's replica group. The sender retires
-	// the matching chain-outbox entry once every live group member has
-	// confirmed; until then a primary death triggers a re-send to the
-	// promoted survivor. Chain-acks carry no payload and travel through
-	// the reliability sublayer like data (they must survive chaos), but
-	// bypass user-level matching.
+	// KindChainAck is the explicit carrier of replication chain-mode
+	// receipt confirmations, used only by chain worlds built WITHOUT the
+	// reliability sublayer (with it, a replica's ARQ ack is the
+	// confirmation and no such frame is sent). A replica (primary or
+	// standby) tells the ORIGINAL sender that it holds the data frame
+	// identified by (Context, Tag, RepSeq) on the logical channel to the
+	// receiver's replica group. The sender retires the matching
+	// chain-outbox entry once every live group member has confirmed; until
+	// then a primary death triggers a re-send to the promoted survivor.
+	// Chain-acks carry no payload and bypass user-level matching.
 	KindChainAck
 )
 
