@@ -187,7 +187,9 @@ func (n *node) rootIteration() error {
 	// Absorption: record the value that accumulated around the ring.
 	n.stats.RootValues[back.Marker] = back.Value
 	n.stats.Iterations++
-	n.p.Tracer().Record(n.me, trace.IterDone, -1, -1, int(back.Marker), fmt.Sprintf("value=%d", back.Value))
+	if tr := n.p.Tracer(); tr != nil { // the note is formatted only for a recorder that keeps it
+		tr.Record(n.me, trace.IterDone, -1, -1, int(back.Marker), fmt.Sprintf("value=%d", back.Value))
+	}
 	n.p.Metrics().Inc(n.me, metrics.Iterations)
 	n.curMarker++
 	return nil

@@ -11,6 +11,12 @@
 // Triggers count events per (rank, hook point) and fire a kill when their
 // condition matches. Random plans draw kill points from a seeded
 // generator for soak-style testing, remaining reproducible per seed.
+//
+// The hook sits on every send, receive and checkpoint of every rank, so
+// an event that kills nobody costs one atomic add on that rank's own
+// counter and one Matches call per unfired trigger: no lock shared
+// between ranks, no allocation, no formatting. Describe and the log line
+// are rendered only when a trigger fires.
 package inject
 
 import (
@@ -19,12 +25,14 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/mpi"
 )
 
-// Trigger decides whether the observed event should kill the rank. It
-// runs under the plan's lock; implementations must not block.
+// Trigger decides whether the observed event should kill the rank.
+// Matches runs on the rank goroutines, several at once, with no plan lock
+// held; implementations must be safe for that and must not block.
 type Trigger interface {
 	// Matches inspects the event together with the per-(rank,point) event
 	// ordinal (1-based: this is the n-th such event on this rank).
@@ -33,56 +41,112 @@ type Trigger interface {
 	Describe() string
 }
 
-// Plan is a deterministic fault-injection schedule.
-type Plan struct {
-	mu       sync.Mutex
-	triggers []Trigger
-	counts   map[countKey]int
-	fired    map[string]bool
-	log      []string
+// numPoints is the number of hook points the runtime defines; ordinals
+// live in one array slot per point.
+const numPoints = int(mpi.HookChainForward) + 1
+
+// rankCounts holds one rank's event ordinals, one per hook point. Atomic
+// because replicas of a logical rank, and the delivery goroutine at
+// HookChainForward, report events under the same rank.
+type rankCounts [numPoints]atomic.Int64
+
+// armed is a trigger with its fired-once flag.
+type armed struct {
+	tr    Trigger
+	fired atomic.Bool
 }
 
-type countKey struct {
-	rank  int
-	point mpi.HookPoint
+// Plan is a deterministic fault-injection schedule.
+type Plan struct {
+	// triggers and ranks are immutable snapshots, replaced copy-on-write
+	// under mu (by Add, and when an event names a rank beyond the table)
+	// and read lock-free by the hook.
+	triggers atomic.Pointer[[]*armed]
+	ranks    atomic.Pointer[[]*rankCounts]
+
+	mu  sync.Mutex
+	log []string
 }
 
 // NewPlan creates an empty plan (which never kills anything).
-func NewPlan() *Plan {
-	return &Plan{
-		counts: make(map[countKey]int),
-		fired:  make(map[string]bool),
+func NewPlan() *Plan { return &Plan{} }
+
+// armedTriggers returns the current trigger snapshot (nil when empty).
+func (p *Plan) armedTriggers() []*armed {
+	if ts := p.triggers.Load(); ts != nil {
+		return *ts
 	}
+	return nil
 }
 
-// Add appends triggers to the plan and returns the plan for chaining.
+// Add appends triggers to the plan and returns the plan for chaining. It
+// may be called after Hook; events from then on see the new triggers.
 func (p *Plan) Add(ts ...Trigger) *Plan {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.triggers = append(p.triggers, ts...)
+	old := p.armedTriggers()
+	next := make([]*armed, len(old), len(old)+len(ts))
+	copy(next, old)
+	for _, tr := range ts {
+		next = append(next, &armed{tr: tr})
+	}
+	p.triggers.Store(&next)
 	return p
+}
+
+// ordinal counts the event and returns its 1-based index among this
+// rank's events at this hook point.
+func (p *Plan) ordinal(ev mpi.HookEvent) int {
+	tbl := p.ranks.Load()
+	if tbl == nil || ev.Rank >= len(*tbl) {
+		tbl = p.growRanks(ev.Rank)
+	}
+	return int((*tbl)[ev.Rank][ev.Point].Add(1))
+}
+
+// growRanks extends the per-rank table to cover rank, keeping the
+// counters already handed out.
+func (p *Plan) growRanks(rank int) *[]*rankCounts {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var old []*rankCounts
+	if tbl := p.ranks.Load(); tbl != nil {
+		if rank < len(*tbl) {
+			return tbl // another rank grew it first
+		}
+		old = *tbl
+	}
+	next := make([]*rankCounts, max(rank+1, 2*len(old), 16))
+	fresh := make([]rankCounts, len(next)-len(old))
+	copy(next, old)
+	for i := range fresh {
+		next[len(old)+i] = &fresh[i]
+	}
+	p.ranks.Store(&next)
+	return &next
 }
 
 // Hook adapts the plan to the runtime's hook interface. Each trigger
 // fires at most once (a fail-stop rank cannot die twice).
 func (p *Plan) Hook() mpi.HookFunc {
 	return func(ev mpi.HookEvent) mpi.Action {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		key := countKey{rank: ev.Rank, point: ev.Point}
-		p.counts[key]++
-		ordinal := p.counts[key]
-		for _, tr := range p.triggers {
-			desc := tr.Describe()
-			if p.fired[desc] {
+		if ev.Rank < 0 || ev.Point < 0 || int(ev.Point) >= numPoints {
+			return mpi.ActNone // not an event the runtime emits
+		}
+		ordinal := p.ordinal(ev)
+		for _, a := range p.armedTriggers() {
+			if a.fired.Load() || !a.tr.Matches(ev, ordinal) {
 				continue
 			}
-			if tr.Matches(ev, ordinal) {
-				p.fired[desc] = true
-				p.log = append(p.log, fmt.Sprintf("kill rank %d at %s #%d (%s)",
-					ev.Rank, ev.Point, ordinal, desc))
-				return mpi.ActKill
+			if !a.fired.CompareAndSwap(false, true) {
+				continue // a replica sharing this rank fired it first
 			}
+			line := fmt.Sprintf("kill rank %d at %s #%d (%s)",
+				ev.Rank, ev.Point, ordinal, a.tr.Describe())
+			p.mu.Lock()
+			p.log = append(p.log, line)
+			p.mu.Unlock()
+			return mpi.ActKill
 		}
 		return mpi.ActNone
 	}
@@ -97,18 +161,21 @@ func (p *Plan) Log() []string {
 
 // FiredCount returns how many triggers have fired.
 func (p *Plan) FiredCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.fired)
+	n := 0
+	for _, a := range p.armedTriggers() {
+		if a.fired.Load() {
+			n++
+		}
+	}
+	return n
 }
 
 // String lists the plan's triggers.
 func (p *Plan) String() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	descs := make([]string, len(p.triggers))
-	for i, tr := range p.triggers {
-		descs[i] = tr.Describe()
+	ts := p.armedTriggers()
+	descs := make([]string, len(ts))
+	for i, a := range ts {
+		descs[i] = a.tr.Describe()
 	}
 	return strings.Join(descs, "; ")
 }
@@ -191,9 +258,9 @@ func RandomPlan(seed int64, candidates []int, failures, maxOrdinal int) (*Plan, 
 		chosen = append(chosen, [2]int{rank, ord})
 	}
 	sort.Slice(chosen, func(i, j int) bool { return chosen[i][0] < chosen[j][0] })
-	plan := NewPlan()
-	for _, c := range chosen {
-		plan.Add(AfterNthRecv(c[0], c[1]))
+	triggers := make([]Trigger, len(chosen))
+	for i, c := range chosen {
+		triggers[i] = AfterNthRecv(c[0], c[1])
 	}
-	return plan, chosen
+	return NewPlan().Add(triggers...), chosen
 }

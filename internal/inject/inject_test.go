@@ -2,6 +2,8 @@ package inject
 
 import (
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -134,4 +136,126 @@ func TestPlanKillsInsideWorld(t *testing.T) {
 	if plan.String() == "" {
 		t.Fatal("plan description empty")
 	}
+}
+
+// fourTriggerPlan is the run-through benchmark's shape: four receive
+// kills on distinct ranks.
+func fourTriggerPlan() *Plan {
+	return NewPlan().Add(AfterNthRecv(1, 1<<30), AfterNthRecv(2, 1<<30),
+		AfterNthSend(3, 1<<30), AtCheckpoint(4, "never"))
+}
+
+// TestNonFiringEventAllocatesNothing: the hook sits on every send and
+// receive, so an event that kills nobody must not allocate (which also
+// rules out formatting a description or a log line).
+func TestNonFiringEventAllocatesNothing(t *testing.T) {
+	hook := fourTriggerPlan().Hook()
+	events := []mpi.HookEvent{
+		{Rank: 1, Point: mpi.HookAfterRecv, Peer: 0, Tag: 7},
+		{Rank: 3, Point: mpi.HookAfterSend, Peer: 4, Tag: 7},
+		{Rank: 4, Point: mpi.HookCheckpoint, Peer: -1, Label: "lap"},
+		{Rank: 9, Point: mpi.HookBeforeSend, Peer: 10},
+	}
+	for _, ev := range events {
+		hook(ev) // first event of a rank may grow the counter table
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		for _, ev := range events {
+			if hook(ev) != mpi.ActNone {
+				t.Fatal("unexpected kill")
+			}
+		}
+	}); n != 0 {
+		t.Fatalf("%v allocations per %d non-firing events, want 0", n, len(events))
+	}
+}
+
+// TestAddAfterHookTakesEffect: the hook closure reads the plan's current
+// triggers, not the ones present when Hook was called.
+func TestAddAfterHookTakesEffect(t *testing.T) {
+	plan := NewPlan()
+	hook := plan.Hook()
+	ev := mpi.HookEvent{Rank: 5, Point: mpi.HookAfterRecv}
+	if hook(ev) != mpi.ActNone {
+		t.Fatal("empty plan killed")
+	}
+	plan.Add(AfterNthRecv(5, 3)) // ordinals kept counting while the plan was empty
+	if hook(ev) != mpi.ActNone || hook(ev) != mpi.ActKill {
+		t.Fatal("trigger added after Hook() should fire at the rank's 3rd receive")
+	}
+	want := "kill rank 5 at after-recv #3 (rank 5 @ after-recv #3)"
+	if log := plan.Log(); len(log) != 1 || log[0] != want {
+		t.Fatalf("log %q, want [%q]", log, want)
+	}
+	if plan.String() != "rank 5 @ after-recv #3" || plan.FiredCount() != 1 {
+		t.Fatalf("String %q FiredCount %d", plan.String(), plan.FiredCount())
+	}
+}
+
+// TestSharedRankFiresOnce: replicas of one logical rank report events
+// under the same rank from different goroutines. Ordinals stay unique and
+// gap-free across them and the trigger kills exactly one caller.
+func TestSharedRankFiresOnce(t *testing.T) {
+	const goroutines, each = 16, 500
+	plan := NewPlan().Add(AfterNthRecv(2, goroutines*each/2), AtCheckpoint(2, "x"))
+	hook := plan.Hook()
+	var kills atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if hook(mpi.HookEvent{Rank: 2, Point: mpi.HookAfterRecv}) == mpi.ActKill {
+					kills.Add(1)
+				}
+				if hook(mpi.HookEvent{Rank: 2, Point: mpi.HookCheckpoint, Label: "x"}) == mpi.ActKill {
+					kills.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if kills.Load() != 2 || plan.FiredCount() != 2 || len(plan.Log()) != 2 {
+		t.Fatalf("kills %d fired %d log %v, want 2 each", kills.Load(), plan.FiredCount(), plan.Log())
+	}
+}
+
+// TestPointTableCoversRuntime pins numPoints to the runtime's hook
+// points: a point added to mpi without growing the table would silently
+// never be counted.
+func TestPointTableCoversRuntime(t *testing.T) {
+	for p := mpi.HookPoint(0); int(p) < numPoints; p++ {
+		if strings.HasPrefix(p.String(), "HookPoint(") {
+			t.Fatalf("point %d inside the table is not one mpi names", p)
+		}
+	}
+	if !strings.HasPrefix(mpi.HookPoint(numPoints).String(), "HookPoint(") {
+		t.Fatalf("mpi names hook point %d (%s): grow numPoints", numPoints, mpi.HookPoint(numPoints))
+	}
+	hook := NewPlan().Hook()
+	for _, ev := range []mpi.HookEvent{{Rank: -1}, {Point: -1}, {Point: mpi.HookPoint(numPoints)}} {
+		if hook(ev) != mpi.ActNone {
+			t.Fatalf("event %+v outside the runtime's range killed", ev)
+		}
+	}
+}
+
+// BenchmarkPlanHookParallel is the run-through world's load on the hook:
+// 16 ranks reporting sends and receives at once against a four-trigger
+// plan that does not fire.
+func BenchmarkPlanHookParallel(b *testing.B) {
+	hook := fourTriggerPlan().Hook()
+	var nextRank atomic.Int64
+	b.SetParallelism(16) // x GOMAXPROCS goroutines, at least the 16 ranks
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		rank := int(nextRank.Add(1)-1) % 16
+		recv := mpi.HookEvent{Rank: rank, Point: mpi.HookAfterRecv, Peer: (rank + 15) % 16, Tag: 1}
+		send := mpi.HookEvent{Rank: rank, Point: mpi.HookAfterSend, Peer: (rank + 1) % 16, Tag: 1}
+		for pb.Next() {
+			hook(recv)
+			hook(send)
+		}
+	})
 }

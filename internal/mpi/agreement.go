@@ -46,7 +46,8 @@ const (
 	agreeDecide
 )
 
-// agreeMsg is the gob-encoded payload of KindAgreement packets.
+// agreeMsg is the payload of KindAgreement packets; wire.go holds its
+// byte layout.
 type agreeMsg struct {
 	Type    uint8
 	Inst    int   // per-communicator instance number
@@ -65,8 +66,13 @@ type agreeKey struct {
 // agreementState is the per-engine slice of the protocol, guarded by the
 // engine mutex.
 type agreementState struct {
+	// decisions is kept for the life of the engine: late votes, requests
+	// and pulls are answered from it long after the instance returned.
 	decisions map[agreeKey][]int
-	votes     map[agreeKey]map[int]agreeMsg // votes received while coordinating
+	// votes holds what arrived for an UNDECIDED instance; recording the
+	// decision drops the entry (decideLocked) and later arrivals are
+	// answered from decisions without being stored.
+	votes map[agreeKey]map[int]agreeMsg
 	// started marks instances this rank has entered (called validate_all
 	// for). Vote requests arriving earlier are parked in pendingReqs and
 	// answered at entry: validate_all is a collective, so a rank must not
@@ -90,6 +96,18 @@ func (a *agreementState) init() {
 	a.reactive = make(map[agreeKey]bool)
 }
 
+// decideLocked records d as the instance's decision unless one is already
+// held, releases the votes collected for it, and returns the decision in
+// force. Caller holds mu.
+func (e *engine) decideLocked(key agreeKey, d []int) []int {
+	if have, ok := e.agree.decisions[key]; ok {
+		return have
+	}
+	e.agree.decisions[key] = d
+	delete(e.agree.votes, key)
+	return d
+}
+
 // preJoin reports that the instance predates this incarnation's join into
 // an elastic world: the reincarnation will never reach that validate_all
 // call in program order, so it must answer for it reactively. Caller
@@ -102,8 +120,8 @@ func (e *engine) preJoinLocked(key agreeKey) bool {
 // on the delivering goroutine; never blocks; sends replies only after
 // releasing the engine lock (lock discipline: one engine lock at a time).
 func (e *engine) deliverAgreement(pkt *transport.Packet) {
-	var msg agreeMsg
-	if err := decodeGob(pkt.Payload, &msg); err != nil {
+	msg, err := decodeAgree(pkt.Payload)
+	if err != nil {
 		return // corrupt internal message: drop
 	}
 	key := agreeKey{ctx: pkt.Context, inst: msg.Inst}
@@ -135,41 +153,39 @@ func (e *engine) deliverAgreement(pkt *transport.Packet) {
 			e.agree.pendingReqs[key] = append(e.agree.pendingReqs[key], msg)
 		}
 	case agreeVote, agreeTreeVote:
-		m, ok := e.agree.votes[key]
-		if !ok {
-			m = make(map[int]agreeMsg)
-			e.agree.votes[key] = m
-		}
-		m[msg.From] = msg
 		if d, ok := e.agree.decisions[key]; ok {
 			// Reactive decide rule: a vote arriving at a rank that already
 			// holds the decision (this rank may have returned from
 			// validate_all long ago, or learned it before a DECIDE that
 			// was broadcast while the sender had not yet entered) is
-			// answered immediately.
+			// answered immediately, and not stored: nothing reads the
+			// votes of a decided instance.
 			typ := agreeDecide
 			if msg.Type == agreeTreeVote {
 				typ = agreeTreeDecide
 			}
 			reply = &agreeMsg{Type: typ, Inst: msg.Inst,
 				From: e.arank(), Failed: d, Decided: true}
-		} else if e.preJoinLocked(key) && msg.Group != nil && !e.agree.reactive[key] {
-			// Elastic corner: coordinator succession landed on this revived
-			// slot for an instance that predates its join — every other
-			// member is waiting passively and pushed its vote here. The
-			// incarnation will never reach that validate_all call, so it
-			// coordinates reactively.
-			e.agree.reactive[key] = true
-			coordGroup = append([]int(nil), msg.Group...)
+		} else {
+			m, ok := e.agree.votes[key]
+			if !ok {
+				m = make(map[int]agreeMsg)
+				e.agree.votes[key] = m
+			}
+			m[msg.From] = msg
+			if e.preJoinLocked(key) && msg.Group != nil && !e.agree.reactive[key] {
+				// Elastic corner: coordinator succession landed on this
+				// revived slot for an instance that predates its join —
+				// every other member is waiting passively and pushed its
+				// vote here. The incarnation will never reach that
+				// validate_all call, so it coordinates reactively.
+				e.agree.reactive[key] = true
+				coordGroup = msg.Group
+			}
 		}
 		e.agreeBumpLocked()
 	case agreeDecide, agreeTreeDecide:
-		if _, ok := e.agree.decisions[key]; !ok {
-			if msg.Failed == nil {
-				msg.Failed = []int{} // gob flattens empty slices to nil
-			}
-			e.agree.decisions[key] = msg.Failed
-		}
+		e.decideLocked(key, msg.Failed)
 		e.agreeBumpLocked()
 	case agreeTreePull:
 		if d, ok := e.agree.decisions[key]; ok {
@@ -188,7 +204,7 @@ func (e *engine) deliverAgreement(pkt *transport.Packet) {
 		// Reply to the sender's LOGICAL rank: in replication mode the reply
 		// fans out to every replica of it, so a coordinator replica that
 		// dies before reading the reply leaves its successor holding it.
-		e.sendAgreement(e.w.logicalOf(pkt.Src), pkt.Context, reply)
+		e.sendAgreement(pkt.Context, reply, e.w.logicalOf(pkt.Src))
 	}
 	if coordGroup != nil {
 		go e.reactiveCoordinate(key, coordGroup)
@@ -211,38 +227,41 @@ func (e *engine) reactiveCoordinate(key agreeKey, group []int) {
 	_, _ = e.coordinateInstance(key, group)
 }
 
-// sendAgreement transmits an agreement message to a LOGICAL destination
-// rank. Errors are ignored: a message to a dead rank simply vanishes, and
-// the protocol's liveness rests on the failure detector, not on delivery
+// sendAgreement transmits one agreement message to each LOGICAL rank in
+// dsts. The message is encoded once and every frame of the broadcast —
+// per destination, and per live replica of it — carries the same payload
+// slice: no layer writes a payload in place (chaos clones before it flips
+// bits, ARQ and the codecs only read), and deliverAgreement decodes into
+// fresh memory without retaining the frame's bytes.
+//
+// Errors are ignored: a message to a dead rank simply vanishes, and the
+// protocol's liveness rests on the failure detector, not on delivery
 // acknowledgements. In replication mode the message fans out to every
-// live replica of the destination (skipping the sender's own slot), so
-// vote and decision state accumulates on standbys and survives their
+// live replica of a destination (skipping the sender's own slot), so vote
+// and decision state accumulates on standbys and survives their
 // promotion.
-func (e *engine) sendAgreement(dstWorld, ctx int, msg *agreeMsg) {
-	payload, err := encodeGob(msg)
-	if err != nil {
+func (e *engine) sendAgreement(ctx int, msg *agreeMsg, dsts ...int) {
+	if len(dsts) == 0 {
 		return
 	}
-	e.w.metrics.Inc(e.rank, metrics.AgreementMsgs)
-	if e.w.repl != nil {
-		for _, phys := range e.w.repl.livePhys(dstWorld) {
-			if phys == e.rank {
-				continue
-			}
-			// Per-copy payload: retaining fabrics keep the slice, and the
-			// chaos layer may mutate one copy in flight.
-			pl := append([]byte(nil), payload...)
-			pkt := &transport.Packet{
-				Src: e.rank, Dst: phys, Tag: 0, Context: ctx,
-				Kind: transport.KindAgreement, Payload: pl,
-			}
-			e.stampGen(pkt)
-			_ = e.w.fabric.Send(pkt)
+	payload := msg.encode()
+	e.w.metrics.Add(e.rank, metrics.AgreementMsgs, int64(len(dsts)))
+	for _, dst := range dsts {
+		if e.w.repl == nil {
+			e.sendAgreementFrame(dst, ctx, payload)
+			continue
 		}
-		return
+		for _, phys := range e.w.repl.livePhys(dst) {
+			if phys != e.rank {
+				e.sendAgreementFrame(phys, ctx, payload)
+			}
+		}
 	}
+}
+
+func (e *engine) sendAgreementFrame(phys, ctx int, payload []byte) {
 	pkt := &transport.Packet{
-		Src: e.rank, Dst: dstWorld, Tag: 0, Context: ctx,
+		Src: e.rank, Dst: phys, Tag: 0, Context: ctx,
 		Kind: transport.KindAgreement, Payload: payload,
 	}
 	e.stampGen(pkt)
@@ -292,14 +311,14 @@ func (e *engine) setJoinInst(inst int) {
 			if v.Group != nil {
 				e.agree.reactive[key] = true
 				coordKeys = append(coordKeys, key)
-				coordGroups = append(coordGroups, append([]int(nil), v.Group...))
+				coordGroups = append(coordGroups, v.Group)
 				break
 			}
 		}
 	}
 	e.mu.Unlock()
 	for i := range replies {
-		e.sendAgreement(replies[i].dst, replies[i].ctx, &replies[i].msg)
+		e.sendAgreement(replies[i].ctx, &replies[i].msg, replies[i].dst)
 	}
 	for i := range coordKeys {
 		go e.reactiveCoordinate(coordKeys[i], coordGroups[i])
@@ -360,8 +379,8 @@ func (c *Comm) validateAllDriver(inst int) ([]int, error) {
 			// solicit for this pre-join instance — the pushed vote (which
 			// carries the group) is what triggers its reactive coordination.
 			vote := &agreeMsg{Type: agreeVote, Inst: key.inst, From: e.arank(),
-				Failed: e.knownFailedSnapshot(c.group), Group: c.Group()}
-			e.sendAgreement(coord, c.ctxInternal, vote)
+				Failed: e.knownFailedSnapshot(c.group), Group: c.group}
+			e.sendAgreement(c.ctxInternal, vote, coord)
 			lastPushed = coord
 		}
 
@@ -438,22 +457,22 @@ func (e *engine) enterInstance(key agreeKey, c *Comm) {
 		replies = append(replies, pendingReply{dst: req.From, msg: vote})
 	}
 	e.mu.Unlock()
-	for _, r := range replies {
-		msg := r.msg
-		e.sendAgreement(r.dst, key.ctx, &msg)
+	for i := range replies {
+		e.sendAgreement(key.ctx, &replies[i].msg, replies[i].dst)
 	}
 }
 
 // coordinateAgreement runs the coordinator role for a communicator-level
 // validate_all call.
 func (c *Comm) coordinateAgreement(key agreeKey) ([]int, error) {
-	return c.eng.coordinateInstance(key, c.Group())
+	return c.eng.coordinateInstance(key, c.group)
 }
 
-// coordinateInstance runs the coordinator role over group: gather votes
-// from every alive member, decide, distribute. It lives on the engine so
-// an elastic reincarnation can serve instances that predate its join
-// (reactiveCoordinate) without a Comm for them.
+// coordinateInstance runs the coordinator role over group (read, never
+// written): gather votes from every alive member, decide, distribute —
+// one REQ and one DECIDE encode whatever the group size. It lives on the
+// engine so an elastic reincarnation can serve instances that predate its
+// join (reactiveCoordinate) without a Comm for them.
 func (e *engine) coordinateInstance(key agreeKey, group []int) ([]int, error) {
 	me := e.arank()
 	if e.w.obs != nil {
@@ -464,20 +483,19 @@ func (e *engine) coordinateInstance(key agreeKey, group []int) ([]int, error) {
 	// Solicit votes from everyone this rank believes alive.
 	union := make(map[int]bool)
 	pending := make(map[int]bool)
+	solicit := make([]int, 0, len(group))
 	e.mu.Lock()
 	for _, m := range group {
 		if e.knownFailed[m] {
 			union[m] = true
 		} else if m != me {
 			pending[m] = true
+			solicit = append(solicit, m)
 		}
 	}
 	e.mu.Unlock()
 
-	req := &agreeMsg{Type: agreeReq, Inst: key.inst, From: me, Group: append([]int(nil), group...)}
-	for m := range pending {
-		e.sendAgreement(m, key.ctx, req)
-	}
+	e.sendAgreement(key.ctx, &agreeMsg{Type: agreeReq, Inst: key.inst, From: me, Group: group}, solicit...)
 
 	var adopted []int
 	haveAdopted := false
@@ -538,14 +556,8 @@ func (e *engine) coordinateInstance(key agreeKey, group []int) ([]int, error) {
 			decision = append(decision, f)
 		}
 		sort.Ints(decision)
-	} else if decision == nil {
-		decision = []int{} // gob flattens empty slices to nil
 	}
-	if _, ok := e.agree.decisions[key]; !ok {
-		e.agree.decisions[key] = decision
-	} else {
-		decision = e.agree.decisions[key]
-	}
+	decision = e.decideLocked(key, decision)
 	e.mu.Unlock()
 
 	// Broadcast the decision to EVERY member, dead or not: a DECIDE to a
@@ -553,18 +565,16 @@ func (e *engine) coordinateInstance(key agreeKey, group []int) ([]int, error) {
 	// loses the decision for an elastic reincarnation whose revive raced
 	// the broadcast (its pushed vote was already folded in, so it will
 	// never push again and would wait forever).
-	dec := &agreeMsg{Type: agreeDecide, Inst: key.inst, From: me, Failed: decision}
+	// The own logical rank is kept only in replication mode, where
+	// sendAgreement's fan-out skips this physical slot and so reaches
+	// exactly the standby siblings: a later promotion must find the
+	// decision already recorded there.
+	dsts := make([]int, 0, len(group))
 	for _, m := range group {
-		if m == me {
-			if e.w.repl != nil {
-				// Own logical rank: sendAgreement's fan-out skips this physical
-				// slot, so this reaches exactly the standby siblings — a later
-				// promotion must find the decision already recorded there.
-				e.sendAgreement(me, key.ctx, dec)
-			}
-			continue
+		if m != me || e.w.repl != nil {
+			dsts = append(dsts, m)
 		}
-		e.sendAgreement(m, key.ctx, dec)
 	}
+	e.sendAgreement(key.ctx, &agreeMsg{Type: agreeDecide, Inst: key.inst, From: me, Failed: decision}, dsts...)
 	return decision, nil
 }

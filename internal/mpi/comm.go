@@ -369,53 +369,47 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 	p := c.proc
 	ctxP2P, ctxInternal := nextCtxPair(p.nextCtxSeq(), color)
 
-	type entry struct{ WorldRank, Color, Key int }
-	mine := entry{WorldRank: p.rank, Color: color, Key: key}
+	mine := splitEntry{WorldRank: p.rank, Color: color, Key: key}
 
 	const splitTag = -1 // internal context, cannot collide with collectives (positive tags)
-	var all []entry
+	var all []splitEntry
 	if c.myRank == 0 {
-		all = make([]entry, len(c.group))
+		all = make([]splitEntry, len(c.group))
 		all[0] = mine
 		for i := 1; i < len(c.group); i++ {
-			pl, st, err := c.recvInternal(AnySource, splitTag)
+			pl, _, err := c.recvInternal(AnySource, splitTag)
 			if err != nil {
 				return nil, c.herr(err)
 			}
-			var e entry
-			if err := decodeGob(pl, &e); err != nil {
+			got, err := decodeSplit(pl)
+			if err != nil {
 				return nil, c.herr(err)
 			}
-			_ = st
-			all[c.rankOf(e.WorldRank)] = e
+			if len(got) != 1 || c.rankOf(got[0].WorldRank) < 0 {
+				return nil, c.herr(errWire)
+			}
+			all[c.rankOf(got[0].WorldRank)] = got[0]
 		}
-		enc, err := encodeGob(all)
-		if err != nil {
-			return nil, c.herr(err)
-		}
+		enc := encodeSplit(all)
 		for i := 1; i < len(c.group); i++ {
 			if err := c.sendInternal(i, splitTag, enc); err != nil {
 				return nil, c.herr(err)
 			}
 		}
 	} else {
-		enc, err := encodeGob(mine)
-		if err != nil {
-			return nil, c.herr(err)
-		}
-		if err := c.sendInternal(0, splitTag, enc); err != nil {
+		if err := c.sendInternal(0, splitTag, encodeSplit([]splitEntry{mine})); err != nil {
 			return nil, c.herr(err)
 		}
 		pl, _, err := c.recvInternal(0, splitTag)
 		if err != nil {
 			return nil, c.herr(err)
 		}
-		if err := decodeGob(pl, &all); err != nil {
+		if all, err = decodeSplit(pl); err != nil {
 			return nil, c.herr(err)
 		}
 	}
 
-	var members []entry
+	var members []splitEntry
 	for _, e := range all {
 		if e.Color == color {
 			members = append(members, e)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 )
 
 func TestDupIsolatesContexts(t *testing.T) {
@@ -45,9 +44,7 @@ func TestDupSeparateRecognition(t *testing.T) {
 		if p.Rank() == 2 {
 			p.Die()
 		}
-		for p.Registry().AliveCount() > 2 {
-			time.Sleep(time.Millisecond)
-		}
+		awaitKnownAlive(p, 2)
 		if p.Rank() != 0 {
 			return nil
 		}
@@ -150,9 +147,7 @@ func TestValidateAllOnSubCommunicator(t *testing.T) {
 		if p.Rank() == 4 {
 			p.Die()
 		}
-		for p.Registry().AliveCount() > 5 {
-			time.Sleep(time.Millisecond)
-		}
+		awaitKnownAlive(p, 5)
 		cnt, err := sub.ValidateAll()
 		if err != nil {
 			return err

@@ -97,17 +97,15 @@ func TestFailureSemanticsOverTCP(t *testing.T) {
 	}
 }
 
-// TestValidateAllOverTCP exercises the agreement protocol's gob frames
-// over sockets.
+// TestValidateAllOverTCP exercises the agreement protocol's frames over
+// sockets.
 func TestValidateAllOverTCP(t *testing.T) {
 	res := runWorldOn(t, 4, transport.NewTCP(4), func(p *Proc) error {
 		c := p.World()
 		if p.Rank() == 3 {
 			p.Die()
 		}
-		for p.Registry().AliveCount() > 3 {
-			time.Sleep(time.Millisecond)
-		}
+		awaitKnownAlive(p, 3)
 		cnt, err := c.ValidateAll()
 		if err != nil {
 			return err

@@ -30,6 +30,31 @@ func runWorldErr(t *testing.T, n int, fn func(p *Proc) error) (*RunResult, error
 	})
 }
 
+// awaitKnownAlive blocks until p's own engine has been told of enough
+// failures that it believes at most alive ranks are left. Tests that
+// kill a rank and then probe failure semantics wait here: the registry's
+// alive count drops BEFORE Kill runs the subscribers that notify each
+// engine, so polling it says nothing about what this rank knows yet.
+// Every notification rolls the engine's agreement channel, which is what
+// the wait sleeps on. Returns early if p itself goes down.
+func awaitKnownAlive(p *Proc, alive int) {
+	e := p.eng
+	for {
+		e.mu.Lock()
+		known := len(e.knownFailedSnapshotLocked(nil))
+		ch := e.agreeCh
+		e.mu.Unlock()
+		if p.Size()-known <= alive {
+			return
+		}
+		select {
+		case <-ch:
+		case <-e.downCh:
+			return
+		}
+	}
+}
+
 func requireNoRankErrors(t *testing.T, res *RunResult) {
 	t.Helper()
 	for rank, rr := range res.Ranks {
@@ -267,9 +292,7 @@ func TestAnySourceRecvFailsOnUnrecognizedFailure(t *testing.T) {
 		case 2:
 			p.Die()
 		case 0:
-			for p.Registry().AliveCount() > 2 {
-				time.Sleep(time.Millisecond)
-			}
+			awaitKnownAlive(p, 2)
 			_, _, err := c.Recv(AnySource, 0)
 			if !IsRankFailStop(err) {
 				return fmt.Errorf("any-source recv should fail, got %v", err)
@@ -301,9 +324,7 @@ func TestRecognizedRankHasProcNullSemantics(t *testing.T) {
 		if p.Rank() == 1 {
 			p.Die()
 		}
-		for p.Registry().AliveCount() > 1 {
-			time.Sleep(time.Millisecond)
-		}
+		awaitKnownAlive(p, 1)
 		if err := c.RecognizeLocal(1); err != nil {
 			return err
 		}
@@ -342,9 +363,7 @@ func TestEagerDeliveryOutlivesSender(t *testing.T) {
 			}
 			p.Die()
 		}
-		for p.Registry().AliveCount() > 1 {
-			time.Sleep(time.Millisecond)
-		}
+		awaitKnownAlive(p, 1)
 		// The sender is long dead, but its message must still match.
 		pl, _, err := c.Recv(1, 0)
 		if err != nil {
@@ -506,9 +525,7 @@ func TestErrorsAreFatalAborts(t *testing.T) {
 		if p.Rank() == 1 {
 			p.Die()
 		}
-		for p.Registry().AliveCount() > 1 {
-			time.Sleep(time.Millisecond)
-		}
+		awaitKnownAlive(p, 1)
 		return c.Send(1, 0, nil) // must abort the world, not return
 	})
 	var ae *AbortError
@@ -584,9 +601,7 @@ func TestKillWakesBlockedRank(t *testing.T) {
 			_, _, err := c.Recv(1, 0) // blocked until killed externally
 			return err
 		}
-		for p.Registry().AliveCount() > 1 {
-			time.Sleep(time.Millisecond)
-		}
+		awaitKnownAlive(p, 1)
 		return nil
 	})
 	if !res.Ranks[0].Killed {

@@ -1,8 +1,6 @@
 package mpi
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"repro/internal/trace"
@@ -238,21 +236,4 @@ func (c *Comm) IrecvInternal(src, tag int) *Request {
 // library packages (internal/collective).
 func (c *Comm) RecvInternal(src, tag int) ([]byte, Status, error) {
 	return c.recvInternal(src, tag)
-}
-
-// --- gob helpers -------------------------------------------------------------
-
-func encodeGob(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("mpi: gob encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeGob(data []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("mpi: gob decode: %w", err)
-	}
-	return nil
 }

@@ -174,6 +174,14 @@ func covers(covered map[int]bool, view []int) bool {
 	return true
 }
 
+// agreeSend is one message of a driver round with every rank it goes to:
+// a pull to all uncovered members or a decide to both children is one
+// encode.
+type agreeSend struct {
+	msg  agreeMsg
+	dsts []int
+}
+
 // treeAgreementDriver runs one tree-mode agreement instance. The shape
 // mirrors validateAllDriver's passive loop: all state changes (vote and
 // decide arrivals, failure notifications) bump the engine's agreement
@@ -194,8 +202,7 @@ func (c *Comm) treeAgreementDriver(key agreeKey) ([]int, error) {
 
 	for {
 		var (
-			sends    []agreeMsg
-			sendDst  []int
+			sends    []agreeSend
 			decision []int
 			decided  bool
 		)
@@ -225,11 +232,7 @@ func (c *Comm) treeAgreementDriver(key agreeKey) ([]int, error) {
 			case haveAdopted:
 				// A subtree surfaced a prior root's decision: adopt it
 				// verbatim, exactly as a succeeding coordinator would.
-				if adopted == nil {
-					adopted = []int{}
-				}
-				e.agree.decisions[key] = adopted
-				decision, decided = adopted, true
+				decision, decided = e.decideLocked(key, adopted), true
 				e.agreeBumpLocked()
 			// Replication mode: only the PRIMARY replica of the root's
 			// logical rank acts as root; its standbys fall through to the
@@ -239,9 +242,7 @@ func (c *Comm) treeAgreementDriver(key agreeKey) ([]int, error) {
 			case len(view) > 0 && view[0] == me &&
 				(e.w.repl == nil || e.w.repl.isPrimary(e.rank)):
 				if covers(covered, view) {
-					decision = sortedKeys(failedU)
-					e.agree.decisions[key] = decision
-					decided = true
+					decision, decided = e.decideLocked(key, sortedKeys(failedU)), true
 					e.agreeBumpLocked()
 					if e.w.obs != nil {
 						e.w.obs.Observe(me, obs.AgreementRound, time.Since(start))
@@ -251,13 +252,14 @@ func (c *Comm) treeAgreementDriver(key agreeKey) ([]int, error) {
 					// aggregate: some may have returned already and will
 					// never push again — pull them directly.
 					lastPullView = fp
+					pull := agreeSend{msg: agreeMsg{Type: agreeTreePull,
+						Inst: key.inst, From: me, Group: group}}
 					for _, m := range view {
 						if m != me && !covered[m] {
-							sends = append(sends, agreeMsg{Type: agreeTreePull,
-								Inst: key.inst, From: me, Group: group})
-							sendDst = append(sendDst, m)
+							pull.dsts = append(pull.dsts, m)
 						}
 					}
+					sends = append(sends, pull)
 				}
 			default:
 				if parent, ok := treeParent(view, me); ok &&
@@ -266,21 +268,19 @@ func (c *Comm) treeAgreementDriver(key agreeKey) ([]int, error) {
 					// Group rides along so that a parent that turns out to
 					// be a revived slot for a pre-join instance can serve
 					// it reactively (see deliverAgreement).
-					sends = append(sends, agreeMsg{Type: agreeTreeVote,
+					sends = append(sends, agreeSend{msg: agreeMsg{Type: agreeTreeVote,
 						Inst: key.inst, From: me, Group: group,
-						Failed: sortedKeys(failedU), Covered: sortedKeys(covered)})
-					sendDst = append(sendDst, parent)
+						Failed: sortedKeys(failedU), Covered: sortedKeys(covered)},
+						dsts: []int{parent}})
 				}
 			}
 		}
 		if decided {
 			// Forward the decision to the current children before
 			// returning; duplicates are idempotent at the receiver.
-			for _, ch := range treeChildren(view, me) {
-				sends = append(sends, agreeMsg{Type: agreeTreeDecide,
-					Inst: key.inst, From: me, Failed: decision, Decided: true})
-				sendDst = append(sendDst, ch)
-			}
+			sends = append(sends, agreeSend{msg: agreeMsg{Type: agreeTreeDecide,
+				Inst: key.inst, From: me, Failed: decision, Decided: true},
+				dsts: treeChildren(view, me)})
 		}
 		var ch chan struct{}
 		if !decided {
@@ -289,8 +289,7 @@ func (c *Comm) treeAgreementDriver(key agreeKey) ([]int, error) {
 		e.mu.Unlock()
 
 		for i := range sends {
-			msg := sends[i]
-			e.sendAgreement(sendDst[i], key.ctx, &msg)
+			e.sendAgreement(key.ctx, &sends[i].msg, sends[i].dsts...)
 		}
 		if decided {
 			return decision, nil

@@ -50,9 +50,7 @@ func TestTreeAgreementAgreesOnFailures(t *testing.T) {
 		if p.Rank() == 3 || p.Rank() == 7 {
 			p.Die()
 		}
-		for p.Registry().AliveCount() > 7 {
-			time.Sleep(time.Millisecond)
-		}
+		awaitKnownAlive(p, 7)
 		cnt, err := c.ValidateAll()
 		if err != nil {
 			return err
@@ -94,9 +92,7 @@ func TestTreeAgreementInteriorNodeDies(t *testing.T) {
 		if p.Rank() == 6 {
 			// Hold the round open past rank 1's death: the root cannot
 			// decide before this leaf joins, so the death is mid-round.
-			for p.Registry().AliveCount() > 6 {
-				time.Sleep(time.Millisecond)
-			}
+			awaitKnownAlive(p, 6)
 		}
 		cnt, err := c.ValidateAll()
 		if err != nil {
@@ -137,9 +133,7 @@ func TestTreeAgreementRootDies(t *testing.T) {
 		if p.Rank() == 5 {
 			// Hold the round open until the root is dead, forcing the
 			// succession path rather than a clean 0-failure decision.
-			for p.Registry().AliveCount() > 5 {
-				time.Sleep(time.Millisecond)
-			}
+			awaitKnownAlive(p, 5)
 		}
 		cnt, err := c.ValidateAll()
 		if err != nil {
@@ -236,9 +230,7 @@ func TestTreeAgreementParityWithCoordinator(t *testing.T) {
 					p.Die()
 				}
 			}
-			for p.Registry().AliveCount() > n-len(failures) {
-				time.Sleep(time.Millisecond)
-			}
+			awaitKnownAlive(p, n-len(failures))
 			cnt, err := c.ValidateAll()
 			if err != nil {
 				return err

@@ -30,9 +30,7 @@ func TestValidateAllAgreesOnFailures(t *testing.T) {
 		if p.Rank() == 2 || p.Rank() == 4 {
 			p.Die()
 		}
-		for p.Registry().AliveCount() > 4 {
-			time.Sleep(time.Millisecond)
-		}
+		awaitKnownAlive(p, 4)
 		cnt, err := c.ValidateAll()
 		if err != nil {
 			return err
@@ -77,9 +75,7 @@ func TestValidateAllCoordinatorDies(t *testing.T) {
 			// survivors must re-coordinate under rank 1.
 			p.Die()
 		}
-		for p.Registry().AliveCount() > 4 {
-			time.Sleep(time.Millisecond)
-		}
+		awaitKnownAlive(p, 4)
 		cnt, err := c.ValidateAll()
 		if err != nil {
 			return err
@@ -145,9 +141,7 @@ func TestIvalidateAllCompletesAsRequest(t *testing.T) {
 		if p.Rank() == 3 {
 			p.Die()
 		}
-		for p.Registry().AliveCount() > 3 {
-			time.Sleep(time.Millisecond)
-		}
+		awaitKnownAlive(p, 3)
 		r := c.IvalidateAll()
 		st, err := r.Wait()
 		if err != nil {
@@ -196,9 +190,7 @@ func TestValidateAllReenablesCollectiveGate(t *testing.T) {
 		if p.Rank() == 1 {
 			p.Die()
 		}
-		for p.Registry().AliveCount() > 2 {
-			time.Sleep(time.Millisecond)
-		}
+		awaitKnownAlive(p, 2)
 		if err := c.CollectiveOK(); !IsRankFailStop(err) {
 			return fmt.Errorf("collectives should be disabled after failure, got %v", err)
 		}

@@ -387,7 +387,7 @@ func e13() Experiment {
 					if f >= n-1 {
 						continue
 					}
-					elapsed, msgs, count, err := runValidateBench(n, f, reps)
+					elapsed, msgs, count, err := runValidateBench(n, f, reps, opt.Agreement)
 					if err != nil {
 						return nil, err
 					}

@@ -54,9 +54,10 @@ func runLowestAliveElection(n, k int) (map[int]int, time.Duration, error) {
 
 // runValidateBench measures repeated ValidateAll calls on a world with f
 // pre-failed ranks (highest ranks die so rank 0 coordinates).
-func runValidateBench(n, f, reps int) (time.Duration, int64, int, error) {
+func runValidateBench(n, f, reps int, agreement string) (time.Duration, int64, int, error) {
 	mets := metrics.NewWorld(n)
-	w, err := mpi.NewWorld(n, mpi.WithDeadline(60*time.Second), mpi.WithMetrics(mets))
+	w, err := mpi.NewWorld(n, mpi.WithDeadline(60*time.Second), mpi.WithMetrics(mets),
+		mpi.WithAgreement(agreement))
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -272,7 +273,7 @@ func runLargeN(opt Options) ([]*Table, error) {
 		if got := len(report.Rank(0).RootValues); got != iters {
 			return nil, fmt.Errorf("ring n=%d: root absorbed %d/%d iterations", n, got, iters)
 		}
-		vElapsed, vMsgs, _, err := runValidateBench(n, 0, 1)
+		vElapsed, vMsgs, _, err := runValidateBench(n, 0, 1, "")
 		if err != nil {
 			return nil, fmt.Errorf("validate n=%d: %w", n, err)
 		}
