@@ -344,8 +344,8 @@ func WithNotifyDelay(d time.Duration) Option { return mpi.WithNotifyDelay(d) }
 func WithChaos(plan *ChaosPlan) Option { return mpi.WithChaos(plan) }
 
 // WithReliability enables the reliability sublayer (sequencing, acks,
-// dedup, bounded retransmission, escalation to fail-stop) without a
-// chaos plan. Zero option fields take defaults.
+// dedup, retransmission on a per-link measured timeout, escalation to
+// fail-stop) without a chaos plan. Zero option fields take defaults.
 func WithReliability(opts ReliableOptions) Option { return mpi.WithReliability(opts) }
 
 // WithDetector selects the failure-detection mode: DetectorOracle (the
@@ -415,7 +415,18 @@ type (
 	// ChaosEvent is one injected fault in the plan's replayable log.
 	ChaosEvent = chaos.Event
 	// ReliableOptions tunes the reliability sublayer's retransmission
-	// budget (see WithReliability).
+	// (see WithReliability). Each link measures its own round trip and
+	// retransmits after SRTT + 4*RTTVAR; RetryBase is the floor of that
+	// timeout (default 600µs; 2ms until the link's first ack), RetryMax the
+	// cap of the timeout and of its per-retry doubling (default 50ms), and
+	// MaxRetries the retransmissions charged to one frame before the peer
+	// is escalated to fail-stop (default 12; retries in a frame's first
+	// 2ms are free). There is no scan interval to set: one goroutine waits
+	// for the earliest deadline and is parked while nothing is
+	// unacknowledged. Over a fabric that delivers inside Send (Local) a
+	// lost frame is retransmitted one timeout later, to the microsecond;
+	// over an asynchronous one (TCP, Latency) deadlines are kept by a
+	// timer, so a loss costs the timeout rounded up to 1-2ms.
 	ReliableOptions = reliable.Options
 	// HeartbeatOptions tunes the heartbeat detector's monitors (see
 	// WithHeartbeat): ping interval, suspicion timeout, phi threshold,

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/mpi"
+	"repro/internal/mpitest"
 )
 
 func runWorld(t *testing.T, n int, fn func(p *mpi.Proc) error) *mpi.RunResult {
@@ -340,9 +341,7 @@ func TestCollectivesDisabledAfterFailureUntilValidate(t *testing.T) {
 		if p.Rank() == 2 {
 			p.Die()
 		}
-		for p.Registry().AliveCount() > 3 {
-			time.Sleep(time.Millisecond)
-		}
+		mpitest.AwaitKnownAlive(p, 3)
 		if err := Barrier(c); !mpi.IsRankFailStop(err) {
 			return fmt.Errorf("barrier should be disabled, got %v", err)
 		}
@@ -447,9 +446,7 @@ func TestTagAlignmentAfterErroredCollective(t *testing.T) {
 		if p.Rank() == 3 {
 			p.Die()
 		}
-		for p.Registry().AliveCount() > 3 {
-			time.Sleep(time.Millisecond)
-		}
+		mpitest.AwaitKnownAlive(p, 3)
 		if err := Barrier(c); !mpi.IsRankFailStop(err) {
 			return fmt.Errorf("barrier should gate, got %v", err)
 		}

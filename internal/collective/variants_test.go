@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/mpi"
+	"repro/internal/mpitest"
 )
 
 func TestBcastChainAllSizesAllRoots(t *testing.T) {
@@ -112,9 +113,7 @@ func TestRecoveryBlockRetriesThroughFailure(t *testing.T) {
 		if p.Rank() == 3 {
 			p.Die()
 		}
-		for p.Registry().AliveCount() > 4 {
-			time.Sleep(time.Millisecond)
-		}
+		mpitest.AwaitKnownAlive(p, 4)
 		attempts := 0
 		err := RecoveryBlock(c, 2, func() error {
 			attempts++
@@ -207,9 +206,7 @@ func TestRecoveryBlockGivesUpAfterMaxRetries(t *testing.T) {
 		if p.Rank() == 2 {
 			p.Die()
 		}
-		for p.Registry().AliveCount() > 2 {
-			time.Sleep(time.Millisecond)
-		}
+		mpitest.AwaitKnownAlive(p, 2)
 		err := RecoveryBlock(c, 0, func() error { return Barrier(c) })
 		if !mpi.IsRankFailStop(err) {
 			return fmt.Errorf("want fail-stop after 0 retries, got %v", err)

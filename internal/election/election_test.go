@@ -8,6 +8,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/detector"
 	"repro/internal/mpi"
+	"repro/internal/mpitest"
 )
 
 func runWorld(t *testing.T, n int, fn func(p *mpi.Proc) error) *mpi.RunResult {
@@ -50,9 +51,7 @@ func TestLowestAliveSkipsFailedPrefix(t *testing.T) {
 		if p.Rank() == 0 || p.Rank() == 1 {
 			p.Die()
 		}
-		for p.Registry().AliveCount() > 3 {
-			time.Sleep(time.Millisecond)
-		}
+		mpitest.AwaitKnownAlive(p, 3)
 		r := LowestAlive(p, p.World())
 		mu.Lock()
 		elected[p.Rank()] = r
@@ -99,9 +98,7 @@ func TestChangRobertsWithPreFailedRanks(t *testing.T) {
 		if p.Rank() == 0 || p.Rank() == 3 {
 			p.Die()
 		}
-		for p.Registry().AliveCount() > 4 {
-			time.Sleep(time.Millisecond)
-		}
+		mpitest.AwaitKnownAlive(p, 4)
 		leader, err := ChangRoberts(p, p.World())
 		if err != nil {
 			return err

@@ -90,7 +90,7 @@ func TestChainOutboxBoundedUnderLoss(t *testing.T) {
 	ring := replRing(laps, -1, 0)
 	w, res := runRepl(t, 3, 2, ReplChain, []Option{
 		WithChaos(chaos.NewPlan(7).Default(chaos.Rates{Drop: 0.02})),
-		WithReliability(reliable.Options{RetryBase: 500 * time.Microsecond, RetryMax: 4 * time.Millisecond, MaxRetries: 40, Tick: 250 * time.Microsecond}),
+		WithReliability(reliable.Options{RetryBase: 500 * time.Microsecond, RetryMax: 4 * time.Millisecond, MaxRetries: 40}),
 	}, func(w *World, p *Proc) error {
 		stop := make(chan struct{})
 		var wg sync.WaitGroup

@@ -290,7 +290,7 @@ func TestRingUnderChaosOverTCP(t *testing.T) {
 func TestPartitionEscalatesToFailStop(t *testing.T) {
 	plan := chaos.NewPlan(7).Partition(0, 1, 1, ^uint64(0))
 	m := metrics.NewWorld(2)
-	fast := reliable.Options{RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond, MaxRetries: 5, Tick: time.Millisecond}
+	fast := reliable.Options{RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond, MaxRetries: 5}
 	w, err := NewWorld(2, WithChaos(plan), WithReliability(fast), WithMetrics(m), WithDeadline(60*time.Second))
 	if err != nil {
 		t.Fatal(err)

@@ -30,30 +30,9 @@ func runWorldErr(t *testing.T, n int, fn func(p *Proc) error) (*RunResult, error
 	})
 }
 
-// awaitKnownAlive blocks until p's own engine has been told of enough
-// failures that it believes at most alive ranks are left. Tests that
-// kill a rank and then probe failure semantics wait here: the registry's
-// alive count drops BEFORE Kill runs the subscribers that notify each
-// engine, so polling it says nothing about what this rank knows yet.
-// Every notification rolls the engine's agreement channel, which is what
-// the wait sleeps on. Returns early if p itself goes down.
-func awaitKnownAlive(p *Proc, alive int) {
-	e := p.eng
-	for {
-		e.mu.Lock()
-		known := len(e.knownFailedSnapshotLocked(nil))
-		ch := e.agreeCh
-		e.mu.Unlock()
-		if p.Size()-known <= alive {
-			return
-		}
-		select {
-		case <-ch:
-		case <-e.downCh:
-			return
-		}
-	}
-}
+// awaitKnownAlive is mpitest.AwaitKnownAlive, which this package's own
+// tests cannot import (it imports mpi).
+func awaitKnownAlive(p *Proc, alive int) { AwaitKnownFailed(p, p.Size()-alive) }
 
 func requireNoRankErrors(t *testing.T, res *RunResult) {
 	t.Helper()

@@ -100,6 +100,33 @@ func (p *Proc) Abort(code int) {
 	panic(abortPanic{code: code})
 }
 
+// AwaitKnownFailed is a test aid: it blocks until p's own engine has been
+// told of at least n failed ranks, and returns early if p itself goes
+// down. It is a function of this internal package and not a method, so
+// that ftmpi's alias of Proc does not make it public API. Tests that kill
+// a rank and then probe failure semantics wait here and not on
+// Registry().AliveCount(): the registry's count drops BEFORE Kill runs the
+// subscribers that notify each engine, so it says nothing about what this
+// rank knows yet. Every notification rolls the engine's agreement channel,
+// which is what the wait sleeps on.
+func AwaitKnownFailed(p *Proc, n int) {
+	e := p.eng
+	for {
+		e.mu.Lock()
+		known := len(e.knownFailedSnapshotLocked(nil))
+		ch := e.agreeCh
+		e.mu.Unlock()
+		if known >= n {
+			return
+		}
+		select {
+		case <-ch:
+		case <-e.downCh:
+			return
+		}
+	}
+}
+
 // Die fail-stops the calling rank (used by scripted failure scenarios
 // that kill from application level rather than via hooks). Does not
 // return.

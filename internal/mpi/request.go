@@ -55,23 +55,30 @@ type Request struct {
 
 	// Completion state, guarded by eng.mu.
 	done         bool
-	consumed     bool   // returned by a Waitany/Waitall already
-	observedHook bool   // HookAfterRecv already fired for this completion
-	doneSeq      uint64 // world-wide completion order, for Waitany fairness
+	consumed     bool    // returned by a Waitany/Waitall already
+	observedHook bool    // HookAfterRecv already fired for this completion
+	kind         reqKind // one byte, among the flags: see waiter0
+	doneSeq      uint64  // world-wide completion order, for Waitany fairness
 	err          error
 	status       Status
 	payload      []byte
 	result       int // validate_all agreed failure count
-	kind         reqKind
 
 	// waiters are the per-request completion signals: each registered
 	// channel gets a non-blocking token when the request completes, so
 	// only goroutines actually waiting on THIS request wake — there is no
-	// engine-wide broadcast on the completion path.
+	// engine-wide broadcast on the completion path. The list starts out in
+	// waiter0: a request almost always has one waiter, and a Recv that has
+	// to park should allocate no more than one that finds its message
+	// waiting (otherwise allocations per hop measure how the scheduler
+	// happened to interleave sender and receiver). reqKind is a byte among
+	// the flags above so that waiter0 fits in the 176-byte size class the
+	// struct had without it.
 	waiters []chan struct{}
+	waiter0 [1]chan struct{}
 }
 
-type reqKind int
+type reqKind uint8
 
 const (
 	reqRecv reqKind = iota
@@ -128,6 +135,15 @@ func putWaiter(ch chan struct{}) {
 	default:
 	}
 	waiterPool.Put(ch)
+}
+
+// addWaiterLocked registers ch for the completion signal. Caller holds
+// eng.mu.
+func (r *Request) addWaiterLocked(ch chan struct{}) {
+	if r.waiters == nil {
+		r.waiters = r.waiter0[:0]
+	}
+	r.waiters = append(r.waiters, ch)
 }
 
 // dropWaiterLocked removes ch from the request's waiter list if the
@@ -244,7 +260,7 @@ func (r *Request) Wait() (Status, error) {
 			panic(abortPanic{code: e.w.abortCode()})
 		}
 		ch := getWaiter()
-		r.waiters = append(r.waiters, ch)
+		r.addWaiterLocked(ch)
 		e.mu.Unlock()
 		select {
 		case <-ch:
@@ -379,7 +395,7 @@ func Waitany(reqs ...*Request) (int, Status, error) {
 		ch := getWaiter()
 		for _, r := range reqs {
 			if r != nil && !r.consumed && !r.done {
-				r.waiters = append(r.waiters, ch)
+				r.addWaiterLocked(ch)
 			}
 		}
 		e.mu.Unlock()

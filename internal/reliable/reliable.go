@@ -23,6 +23,13 @@
 // the primary's ack is withheld until it has forwarded the frame, and
 // every replica's ack retires that replica from the sender's outbox.
 //
+// Retransmission is paced per link: each directional link estimates its
+// round trip from the acks of frames it did not retransmit and waits
+// SRTT + 4*RTTVAR before the first retry (rto.go), so a lost frame costs
+// about one round trip of the link it was lost on. One goroutine serves
+// the earliest deadline of all links and is parked whenever nothing is
+// unacknowledged (retry.go).
+//
 // Layering: reliable wraps chaos, which wraps the base fabric. The
 // reliable fabric intentionally does NOT implement transport.NonRetaining:
 // the mpi world therefore makes a defensive copy of every user payload
@@ -33,6 +40,7 @@ package reliable
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/transport"
@@ -40,30 +48,34 @@ import (
 
 // Options tune the retransmission machinery. Zero fields take defaults.
 type Options struct {
-	// RetryBase is the first retransmission backoff (default 2ms).
+	// RetryBase is the floor of a link's retransmission timeout (default
+	// 600µs). The timeout itself is SRTT + 4*RTTVAR of the link, measured
+	// from its acks; it never drops below RetryBase, and before the link
+	// has a round-trip sample it is the larger of RetryBase and 2ms.
 	RetryBase time.Duration
-	// RetryMax caps the exponential backoff (default 50ms).
+	// RetryMax caps the timeout and its exponential backoff (default
+	// 50ms, raised to RetryBase if set below it).
 	RetryMax time.Duration
 	// MaxRetries is the retransmission budget per frame; exceeding it
-	// escalates the peer to fail-stop (default 12).
+	// escalates the peer to fail-stop (default 12). Retries made before
+	// the frame is 2ms old are not charged, so a short timeout retries
+	// sooner without declaring a stalled peer dead sooner.
 	MaxRetries int
-	// Tick is the retry scan interval (default 1ms).
-	Tick time.Duration
 }
 
 // withDefaults fills zero fields.
 func (o Options) withDefaults() Options {
 	if o.RetryBase <= 0 {
-		o.RetryBase = 2 * time.Millisecond
+		o.RetryBase = defaultRetryBase
 	}
 	if o.RetryMax <= 0 {
 		o.RetryMax = 50 * time.Millisecond
 	}
+	if o.RetryMax < o.RetryBase {
+		o.RetryMax = o.RetryBase
+	}
 	if o.MaxRetries <= 0 {
 		o.MaxRetries = 12
-	}
-	if o.Tick <= 0 {
-		o.Tick = time.Millisecond
 	}
 	return o
 }
@@ -119,8 +131,9 @@ type Event struct {
 	// threading the trace layer's message identity through every ARQ
 	// action so lifecycles and the conservation audit line up.
 	Token uint64
-	// Backoff is the retransmission backoff applied for EvRetry events
-	// (zero otherwise), so observers can histogram the ARQ's pacing.
+	// Backoff is the wait until the next retransmission for EvRetry
+	// events (zero otherwise): the link's timeout, doubled per retry, so
+	// observers can histogram the ARQ's pacing.
 	Backoff time.Duration
 }
 
@@ -138,17 +151,48 @@ type ackKey struct {
 }
 
 // pending is one unacknowledged outbound frame. It lives by value in
-// txLink.inflight, so recording a frame allocates nothing.
+// txLink.inflight, so recording a frame allocates nothing. Times are
+// readings of Fabric.now.
 type pending struct {
 	pkt       *transport.Packet
-	attempts  int
-	nextRetry time.Time
+	sentAt    int64         // first transmission
+	nextRetry int64         // when the next retransmission is due
+	backoff   time.Duration // wait applied after the latest retry, 0 before the first
+	attempts  int32         // retransmissions so far
+	charged   int32         // those of them counted against MaxRetries
+	// watched: Send found the frame unacknowledged after the inner Send
+	// and counted it in retryState.watched.
+	watched bool
 }
+
+// A link's late score says how its recent Sends ended: it goes up by one
+// (to lateMax) when a Send returns with its frame still unacknowledged and
+// down by one when the ack came back inside the inner Send. At lateAsync
+// the link counts as asynchronous: being unacknowledged after Send is its
+// normal state and says nothing about loss. The margin keeps a lossy
+// synchronous link (a few late Sends in a hundred) and a loaded TCP link
+// (the odd ack that overtakes a descheduled sender) in their class.
+const (
+	lateMax   = 16
+	lateAsync = 8
+)
 
 // txLink is the sender half of one directional link.
 type txLink struct {
 	nextSeq  uint64
 	inflight map[uint64]pending
+	// unacked is len(inflight), readable without the fabric lock: Send
+	// looks at it after the inner Send to learn whether the ack already
+	// came back.
+	unacked atomic.Int32
+	// late is the link's late score (see lateAsync). Only Send writes it,
+	// outside the lock; two Sends racing on one link may lose a step.
+	late atomic.Int32
+	rtt  rttEstimator
+	// timedSeq is the frame whose ack will give the next round-trip
+	// sample (0 = none). One frame is timed at a time, so with a window of
+	// frames in flight most acks read no clock.
+	timedSeq uint64
 }
 
 // rxLink is the receiver half: frames are deduplicated against next and
@@ -187,11 +231,17 @@ type Fabric struct {
 	// Send and is read-only. The callback must not re-enter the fabric.
 	onAckRetire func(pkt *transport.Packet)
 
+	// now reads a monotonic clock in nanoseconds. Tests replace it before
+	// Start to drive the estimator and the backoff schedule by hand.
+	now func() int64
+
 	mu       sync.Mutex
 	tx       map[[2]int]*txLink
 	rx       map[[2]int]*rxLink
 	dead     map[int]bool // peers purged by PeerDown or escalation
 	deferred map[ackKey]struct{}
+
+	retry retryState
 
 	done    chan struct{}
 	closing sync.Once
@@ -200,15 +250,19 @@ type Fabric struct {
 
 // Wrap builds a reliability fabric over inner.
 func Wrap(inner transport.Fabric, opts Options) *Fabric {
-	return &Fabric{
+	epoch := time.Now()
+	f := &Fabric{
 		inner:    inner,
 		opts:     opts.withDefaults(),
+		now:      func() int64 { return int64(time.Since(epoch)) },
 		tx:       make(map[[2]int]*txLink),
 		rx:       make(map[[2]int]*rxLink),
 		dead:     make(map[int]bool),
 		deferred: make(map[ackKey]struct{}),
 		done:     make(chan struct{}),
 	}
+	f.retry.init()
+	return f
 }
 
 // Escalate registers the retry-exhaustion callback. Call before Start.
@@ -295,8 +349,7 @@ func (f *Fabric) Close() error {
 	f.deferred = make(map[ackKey]struct{})
 	var purged []Event
 	for key, tx := range f.tx {
-		purged = f.appendTxPurges(purged, key, tx)
-		delete(f.tx, key)
+		purged = f.purgeTxLocked(purged, key, tx)
 	}
 	for key, rx := range f.rx {
 		purged = f.appendRxPurges(purged, key, rx)
@@ -309,16 +362,25 @@ func (f *Fabric) Close() error {
 	return f.inner.Close()
 }
 
-// appendTxPurges collects one EvPurged per unacknowledged frame of a tx
-// link being discarded. Callers hold f.mu; the events must be emitted
-// after it is released.
-func (f *Fabric) appendTxPurges(evs []Event, key [2]int, tx *txLink) []Event {
+// purgeTxLocked discards a tx link — its sequence numbers, its round-trip
+// estimate and its unacknowledged frames — and collects one EvPurged per
+// frame. Callers hold f.mu; the events must be emitted after it is
+// released.
+func (f *Fabric) purgeTxLocked(evs []Event, key [2]int, tx *txLink) []Event {
 	for seq, p := range tx.inflight {
 		evs = append(evs, Event{
 			Kind: EvPurged, Src: key[0], Dst: key[1],
-			Seq: seq, Attempt: p.attempts, Token: p.pkt.Token,
+			Seq: seq, Attempt: int(p.attempts), Token: p.pkt.Token,
 		})
+		if p.watched {
+			f.retry.watched.Add(-1)
+		}
 	}
+	// A Send that is between its inner Send and its look at the link
+	// still holds tx: leave it nothing to find.
+	clear(tx.inflight)
+	tx.unacked.Store(0)
+	delete(f.tx, key)
 	return evs
 }
 
@@ -341,6 +403,17 @@ func (f *Fabric) emit(e Event) {
 	}
 }
 
+// emitFrame reports an event about the frame pkt sent towards dst. Send and
+// onDeliver nest over the synchronous Local fabric (a delivery sends, which
+// delivers), so what they keep in their frames is paid once per level in
+// the stack growth of every new rank; the Event is built in a frame of its
+// own for that reason, and the compiler is told to leave it there.
+//
+//go:noinline
+func (f *Fabric) emitFrame(kind EventKind, dst int, seq uint64, pkt *transport.Packet) {
+	f.emit(Event{Kind: kind, Src: pkt.Src, Dst: dst, Seq: seq, Token: pkt.Token})
+}
+
 // PeerDown purges all state toward and from a failed peer: inflight
 // frames stop retrying in both directions (frames TO the peer have a dead
 // destination — fail-stop, not lossy — and frames FROM it die with the
@@ -355,8 +428,7 @@ func (f *Fabric) PeerDown(rank int) {
 	var purged []Event
 	for key, tx := range f.tx {
 		if key[1] == rank || key[0] == rank {
-			purged = f.appendTxPurges(purged, key, tx)
-			delete(f.tx, key)
+			purged = f.purgeTxLocked(purged, key, tx)
 		}
 	}
 	for key, rx := range f.rx {
@@ -390,8 +462,7 @@ func (f *Fabric) PeerUp(rank int) {
 	var purged []Event
 	for key, tx := range f.tx {
 		if key[0] == rank || key[1] == rank {
-			purged = f.appendTxPurges(purged, key, tx)
-			delete(f.tx, key)
+			purged = f.purgeTxLocked(purged, key, tx)
 		}
 	}
 	for key, rx := range f.rx {
@@ -424,13 +495,15 @@ func (f *Fabric) Send(pkt *transport.Packet) error {
 		// because the detector, not the ARQ, owns liveness verdicts.
 		return f.inner.Send(pkt)
 	}
+	pkt.Crc = transport.PayloadCrc(pkt.Payload)
+	now := f.now()
 	f.mu.Lock()
 	if f.dead[pkt.Dst] {
 		f.mu.Unlock()
 		// Fail-stop peer: silent drop per the Fabric contract, but
 		// observable — the trace audit accounts the message as mail to a
 		// known-dead destination rather than an unexplained loss.
-		f.emit(Event{Kind: EvDeadDrop, Src: pkt.Src, Dst: pkt.Dst, Token: pkt.Token})
+		f.emitFrame(EvDeadDrop, pkt.Dst, 0, pkt)
 		return nil
 	}
 	key := [2]int{pkt.Src, pkt.Dst}
@@ -441,10 +514,82 @@ func (f *Fabric) Send(pkt *transport.Packet) error {
 	}
 	tx.nextSeq++
 	pkt.Seq = tx.nextSeq
-	pkt.Crc = transport.PayloadCrc(pkt.Payload)
-	tx.inflight[pkt.Seq] = pending{pkt: pkt, nextRetry: time.Now().Add(f.opts.RetryBase)}
+	tx.inflight[pkt.Seq] = pending{pkt: pkt, sentAt: now, nextRetry: now + int64(f.rtoLocked(tx))}
+	if tx.timedSeq == 0 {
+		tx.timedSeq = pkt.Seq
+	}
+	tx.unacked.Add(1)
 	f.mu.Unlock()
-	return f.inner.Send(pkt)
+	err := f.inner.Send(pkt)
+	// Over a synchronous fabric the ack has already retired the frame (in
+	// chain mode too: the engine releases a gated ack inside delivery), so
+	// a clean hop ends here and the retry goroutine stays parked. A frame
+	// still unacknowledged was lost, or travels an asynchronous fabric:
+	// the retry goroutine has to watch its deadline.
+	late := tx.late.Load()
+	if tx.unacked.Load() == 0 {
+		if late > 0 {
+			tx.late.Store(late - 1)
+		}
+		return err
+	}
+	if late < lateMax {
+		tx.late.Store(late + 1)
+	}
+	f.watch(tx, pkt.Seq, late < lateAsync)
+	return err
+}
+
+// watch hands the frame seq of tx to the retry goroutine, unless its ack
+// arrived meanwhile. On a synchronous link the frame is probably lost and
+// its deadline is kept to the microsecond; on an asynchronous one the ack
+// is probably on its way and the deadline is left to a timer.
+func (f *Fabric) watch(tx *txLink, seq uint64, precise bool) {
+	f.mu.Lock()
+	p, inflight := tx.inflight[seq]
+	if inflight {
+		p.watched = true
+		tx.inflight[seq] = p
+		f.retry.watched.Add(1)
+	}
+	f.mu.Unlock()
+	if inflight {
+		f.retry.serve(p.nextRetry, precise)
+	}
+}
+
+// onAck retires the frame an ack names from its link's inflight table and
+// hands it to the ack-retire callback. It is a function of its own to keep
+// its locals out of onDeliver's frame: over the synchronous Local fabric
+// deliveries nest (a delivery sends, which delivers), and every byte of
+// that frame is paid once per level in stack growth of a new rank.
+func (f *Fabric) onAck(ack *transport.Packet) {
+	var retired *transport.Packet
+	f.mu.Lock()
+	if tx := f.tx[[2]int{ack.Dst, ack.Src}]; tx != nil {
+		// Only the ack that finds the frame inflight retires it: a
+		// duplicate or late ack finds nothing and reports nothing.
+		if p, ok := tx.inflight[ack.Seq]; ok {
+			retired = p.pkt
+			delete(tx.inflight, ack.Seq)
+			tx.unacked.Add(-1)
+			if p.watched {
+				f.retry.watched.Add(-1)
+			}
+			if ack.Seq == tx.timedSeq {
+				tx.timedSeq = 0
+				// Karn's rule: the ack of a retransmitted frame may
+				// answer any of its copies, so it times nothing.
+				if p.attempts == 0 {
+					tx.rtt.observe(time.Duration(f.now() - p.sentAt))
+				}
+			}
+		}
+	}
+	f.mu.Unlock()
+	if retired != nil && f.onAckRetire != nil {
+		f.onAckRetire(retired)
+	}
 }
 
 // onDeliver is the receive path: acks retire inflight frames; sequenced
@@ -462,18 +607,7 @@ func (f *Fabric) onDeliver(dst int, pkt *transport.Packet) {
 		return
 	}
 	if pkt.Kind == transport.KindAck {
-		var retired *transport.Packet
-		f.mu.Lock()
-		if tx := f.tx[[2]int{pkt.Dst, pkt.Src}]; tx != nil {
-			// Only the ack that finds the frame inflight retires it: a
-			// duplicate or late ack finds nothing and reports nothing.
-			retired = tx.inflight[pkt.Seq].pkt
-			delete(tx.inflight, pkt.Seq)
-		}
-		f.mu.Unlock()
-		if retired != nil && f.onAckRetire != nil {
-			f.onAckRetire(retired)
-		}
+		f.onAck(pkt)
 		return
 	}
 	if pkt.Seq == 0 {
@@ -483,7 +617,7 @@ func (f *Fabric) onDeliver(dst int, pkt *transport.Packet) {
 	if transport.PayloadCrc(pkt.Payload) != pkt.Crc {
 		// Corrupted above the wire codec (or a codec-less fabric). No ack:
 		// the sender's retransmission carries the intact original.
-		f.emit(Event{Kind: EvReject, Src: pkt.Src, Dst: dst, Seq: pkt.Seq, Token: pkt.Token})
+		f.emitFrame(EvReject, dst, pkt.Seq, pkt)
 		return
 	}
 	// The ack gate runs before any lock: it may consult upper-layer state
@@ -520,7 +654,7 @@ func (f *Fabric) onDeliver(dst int, pkt *transport.Packet) {
 			// Ack before anything else: re-acking is what stops the retries.
 			f.sendAck(pkt.Src, dst, pkt.Seq)
 		}
-		f.emit(Event{Kind: EvDedup, Src: pkt.Src, Dst: dst, Seq: pkt.Seq, Token: pkt.Token})
+		f.emitFrame(EvDedup, dst, pkt.Seq, pkt)
 		return
 	}
 	f.mu.Unlock()
@@ -543,7 +677,7 @@ func (f *Fabric) onDeliver(dst int, pkt *transport.Packet) {
 		// Raced with a concurrent delivery of the same frame between the
 		// two critical sections; treat as the duplicate it is.
 		f.mu.Unlock()
-		f.emit(Event{Kind: EvDedup, Src: pkt.Src, Dst: dst, Seq: pkt.Seq, Token: pkt.Token})
+		f.emitFrame(EvDedup, dst, pkt.Seq, pkt)
 		return
 	}
 	rx.held[pkt.Seq] = pkt
@@ -564,79 +698,5 @@ func (f *Fabric) onDeliver(dst int, pkt *transport.Packet) {
 		f.mu.Unlock()
 		f.deliver(dst, p)
 		f.mu.Lock()
-	}
-}
-
-// retryLoop periodically rescans inflight frames, retransmitting overdue
-// ones with exponential backoff and escalating links whose budget is
-// exhausted. Sends and escalations run outside the fabric lock.
-func (f *Fabric) retryLoop() {
-	defer f.wg.Done()
-	ticker := time.NewTicker(f.opts.Tick)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-f.done:
-			return
-		case now := <-ticker.C:
-			var resend []*transport.Packet
-			var retryEvs []Event
-			var escalations []Event
-			var purged []Event
-			f.mu.Lock()
-			for key, tx := range f.tx {
-				exhausted := false
-				for seq, p := range tx.inflight {
-					if now.Before(p.nextRetry) {
-						continue
-					}
-					p.attempts++
-					if p.attempts > f.opts.MaxRetries {
-						exhausted = true
-						tx.inflight[seq] = p // the purge below reports the attempt count
-						escalations = append(escalations, Event{
-							Kind: EvEscalate, Src: key[0], Dst: key[1],
-							Seq: seq, Attempt: p.attempts, Token: p.pkt.Token,
-						})
-						break
-					}
-					backoff := f.opts.RetryBase << (p.attempts - 1)
-					if backoff > f.opts.RetryMax {
-						backoff = f.opts.RetryMax
-					}
-					p.nextRetry = now.Add(backoff)
-					tx.inflight[seq] = p
-					resend = append(resend, p.pkt)
-					retryEvs = append(retryEvs, Event{
-						Kind: EvRetry, Src: key[0], Dst: key[1],
-						Seq: seq, Attempt: p.attempts, Token: p.pkt.Token, Backoff: backoff,
-					})
-				}
-				if exhausted {
-					// The peer is being demoted to fail-stop: every frame
-					// to it is undeliverable, not just the overdue one.
-					// Account the abandoned inflight frames before the link
-					// state vanishes (PeerDown below purges the rest).
-					f.dead[key[1]] = true
-					purged = f.appendTxPurges(purged, key, tx)
-					delete(f.tx, key)
-				}
-			}
-			f.mu.Unlock()
-			for i, pkt := range resend {
-				_ = f.inner.Send(pkt)
-				f.emit(retryEvs[i])
-			}
-			for _, ev := range purged {
-				f.emit(ev)
-			}
-			for _, ev := range escalations {
-				f.PeerDown(ev.Dst) // purge every link touching the demoted peer
-				f.emit(ev)
-				if f.escalate != nil {
-					f.escalate(ev.Dst)
-				}
-			}
-		}
 	}
 }

@@ -75,7 +75,17 @@ func (s *sink) waitFor(t *testing.T, n int) []*transport.Packet {
 
 // fastOpts keeps retransmission tests snappy.
 func fastOpts() Options {
-	return Options{RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond, MaxRetries: 8, Tick: time.Millisecond}
+	return Options{RetryBase: time.Millisecond, RetryMax: 4 * time.Millisecond, MaxRetries: 8}
+}
+
+// inflightFrames counts the unacknowledged frames of the link src -> dst.
+func inflightFrames(f *Fabric, src, dst int) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if tx := f.tx[[2]int{src, dst}]; tx != nil {
+		return len(tx.inflight)
+	}
+	return 0
 }
 
 // assertInOrderTags checks upstream delivery carries tags 0..n-1 exactly
@@ -109,10 +119,7 @@ func TestPassThroughInOrder(t *testing.T) {
 		}
 	}
 	assertInOrderTags(t, s.waitFor(t, n), n)
-	f.mu.Lock()
-	inflight := len(f.tx[[2]int{0, 1}].inflight)
-	f.mu.Unlock()
-	if inflight != 0 {
+	if inflight := inflightFrames(f, 0, 1); inflight != 0 {
 		t.Fatalf("%d frames still inflight after synchronous acks", inflight)
 	}
 }
@@ -598,10 +605,7 @@ func TestAckRoundTripAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
 		t.Fatalf("clean round trip allocates %.1f objects, want 0", allocs)
 	}
-	f.mu.Lock()
-	inflight := len(f.tx[[2]int{0, 1}].inflight)
-	f.mu.Unlock()
-	if inflight != 0 {
+	if inflight := inflightFrames(f, 0, 1); inflight != 0 {
 		t.Fatalf("%d frames still inflight: the round trip did not complete", inflight)
 	}
 }
