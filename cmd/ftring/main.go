@@ -51,7 +51,7 @@ func main() {
 		kills    killFlags
 		randomF  = flag.Int("random-failures", 0, "kill this many random non-root ranks")
 		seed     = flag.Int64("seed", 1, "seed for -random-failures")
-		fabric   = flag.String("transport", "local", "fabric: local|tcp|tcpgob|latency")
+		fabric   = flag.String("transport", "local", "fabric: local|tcp|latency")
 		latency  = flag.Duration("latency", 100*time.Microsecond, "per-hop delay for -transport latency")
 		deadline = flag.Duration("deadline", 15*time.Second, "watchdog (0 = none)")
 		padding  = flag.Int("padding", 0, "extra payload bytes per message")
@@ -209,8 +209,6 @@ func main() {
 	case "local":
 	case "tcp":
 		mcfg.Fabric = ftmpi.NewTCPFabric(*n)
-	case "tcpgob":
-		mcfg.Fabric = ftmpi.NewTCPGobFabric(*n)
 	case "latency":
 		mcfg.Fabric = ftmpi.NewLatencyFabric(ftmpi.NewLocalFabric(), *latency)
 	default:

@@ -25,6 +25,7 @@
 //     (cmd/scenario).
 //
 // See DESIGN.md for the system inventory and the per-experiment index,
-// and EXPERIMENTS.md for the paper-vs-measured record. The benchmarks in
-// bench_test.go cover each experiment with a testing.B entry point.
+// and EXPERIMENTS.md for the paper-vs-measured record. Every experiment
+// is an `ftbench -exp eN` table; steady-state timing is the bench module's
+// job (`go run -C bench .`).
 package repro

@@ -394,10 +394,6 @@ func NewLocalFabric() Fabric { return transport.NewLocal() }
 // pooled binary wire codec.
 func NewTCPFabric(n int) Fabric { return transport.NewTCP(n) }
 
-// NewTCPGobFabric returns the loopback-TCP fabric with the baseline gob
-// wire codec (the E15 comparison point).
-func NewTCPGobFabric(n int) Fabric { return transport.NewTCPCodec(n, transport.CodecGob) }
-
 // NewLatencyFabric wraps inner with a per-hop pipelined delay.
 func NewLatencyFabric(inner Fabric, d time.Duration) Fabric {
 	return transport.NewLatency(inner, d)

@@ -115,14 +115,8 @@ func (o HeartbeatOptions) withDefaults() HeartbeatOptions {
 type HeartbeatHooks struct {
 	// Ping fires once per heartbeat sent by this rank.
 	Ping func(rank int)
-	// FenceSent fires for every fence notice (including resends).
-	FenceSent func(by, target int)
-	// FenceRTT fires when this monitor resolves one of its suspicions into
-	// a confirmed failure, with the suspicion-raise to confirmation
-	// round-trip (via fence ack or ground-truth observation).
-	FenceRTT func(by, target int, rtt time.Duration)
-	// SelfFence fires when this rank fences itself.
-	SelfFence func(rank int)
+	// FenceHooks observe the fencing protocol (fence.go).
+	FenceHooks
 }
 
 // arrival is a phi-accrual inter-arrival estimator for one peer: an EWMA
@@ -177,27 +171,25 @@ func (a *arrival) phi(now time.Time, sigmaFloor float64) float64 {
 
 // Heartbeat is one rank's failure-detection monitor: it emits heartbeats
 // to every peer, tracks per-peer arrival deadlines (fixed timeout plus
-// phi-accrual), raises suspicion on silence, drives the fencing protocol
-// of fence.go, and fences its own rank when its heartbeats go
-// unacknowledged for too long. Construct with NewHeartbeat, wire inbound
-// control packets to OnControl, and bracket the run with Start/Stop.
+// phi-accrual) and raises suspicion on silence. What follows a suspicion
+// — fence, drain, confirm, self-fence — is the Fencer of fence.go.
+// Construct with NewHeartbeat, wire inbound control packets to OnControl,
+// and bracket the run with Start/Stop.
 type Heartbeat struct {
 	reg   *Registry
 	rank  int
 	size  int
 	opts  HeartbeatOptions
 	clock Clock
-	send  func(to int, op ControlOp, seq uint64)
+	send  SendFunc
+	fence *Fencer
 
 	// Hooks may be set between NewHeartbeat and Start.
 	Hooks HeartbeatHooks
 
-	mu         sync.Mutex
-	est        []arrival
-	seq        uint64
-	lastAck    time.Time
-	fences     map[int]*fenceState
-	selfFenced bool
+	mu  sync.Mutex
+	est []arrival
+	seq uint64
 
 	sigmaFloor float64
 	done       chan struct{}
@@ -206,14 +198,13 @@ type Heartbeat struct {
 }
 
 // NewHeartbeat builds the monitor for rank in a world of size ranks.
-// send transmits one control packet; it is called without the monitor's
-// lock held and may be invoked concurrently.
-func NewHeartbeat(reg *Registry, rank, size int, opts HeartbeatOptions, send func(to int, op ControlOp, seq uint64)) *Heartbeat {
+// Heartbeat frames carry no payload.
+func NewHeartbeat(reg *Registry, rank, size int, opts HeartbeatOptions, send SendFunc) *Heartbeat {
 	if rank < 0 || rank >= size {
 		panic(fmt.Sprintf("detector: heartbeat rank %d out of range [0,%d)", rank, size))
 	}
 	o := opts.withDefaults()
-	return &Heartbeat{
+	h := &Heartbeat{
 		reg:        reg,
 		rank:       rank,
 		size:       size,
@@ -221,14 +212,13 @@ func NewHeartbeat(reg *Registry, rank, size int, opts HeartbeatOptions, send fun
 		clock:      o.Clock,
 		send:       send,
 		est:        make([]arrival, size),
-		fences:     make(map[int]*fenceState),
 		sigmaFloor: o.Interval.Seconds() / 10,
 		done:       make(chan struct{}),
 	}
+	h.fence = NewFencer(reg, rank, size, o.FenceResend, o.SelfFenceAfter, send, &h.Hooks.FenceHooks, nil)
+	h.prime(h.clock.Now())
+	return h
 }
-
-// Options returns the monitor's resolved (defaulted) options.
-func (h *Heartbeat) Options() HeartbeatOptions { return h.opts }
 
 // Start launches the heartbeat pump. Call after the fabric is started.
 func (h *Heartbeat) Start() {
@@ -238,12 +228,11 @@ func (h *Heartbeat) Start() {
 }
 
 // prime resets the ack and arrival baselines to now, so the first
-// deadlines are measured from monitor start rather than the zero time.
-// Deterministic tests call it directly and then drive tick by hand
-// instead of starting the pump.
+// deadlines are measured from construction (and again from Start) rather
+// than the zero time.
 func (h *Heartbeat) prime(now time.Time) {
+	h.fence.Acked(now)
 	h.mu.Lock()
-	h.lastAck = now
 	for i := range h.est {
 		h.est[i].last = now
 	}
@@ -269,8 +258,8 @@ func (h *Heartbeat) Resume(p int) {
 	now := h.clock.Now()
 	h.mu.Lock()
 	h.est[p] = arrival{last: now}
-	delete(h.fences, p)
 	h.mu.Unlock()
+	h.fence.Forget(p)
 }
 
 // pump is the per-rank monitor loop: one tick per Interval. The ticker
@@ -285,91 +274,51 @@ func (h *Heartbeat) pump() {
 		case <-h.done:
 			return
 		case now := <-ticker.Chan():
-			if !h.tick(now) {
+			if !h.Tick(now) {
 				return
 			}
 		}
 	}
 }
 
-// ctl is one outbound control packet decided under the monitor lock and
-// sent outside it (sending under the lock could deadlock two monitors
-// delivering into each other over a synchronous fabric).
-type ctl struct {
-	to  int
-	op  ControlOp
-	seq uint64
-}
-
-// tick runs one monitor round: ping live peers, raise suspicions on
-// missed deadlines, drive pending fences, and check the self-fence
-// deadline. It returns false when this rank is (or just became) dead.
-func (h *Heartbeat) tick(now time.Time) bool {
+// Tick runs one monitor round: arm a fence against every peer that
+// missed its deadline, drive the fences, check the self-fence deadline
+// and ping the live peers. The pump calls it once per Interval;
+// deterministic tests (and a simulator) call it by hand on a ManualClock
+// instead of starting the pump. It returns false when this rank is (or
+// just became) dead.
+func (h *Heartbeat) Tick(now time.Time) bool {
 	if h.reg.Failed(h.rank) {
 		return false // dead ranks fall silent; OnControl still acks fences
 	}
 
-	var outs []ctl
-	var raised, fenceSends []int
-	var confirms []fenceConfirm
-
 	h.mu.Lock()
 	h.seq++
 	seq := h.seq
+	h.armOverdueLocked(now)
+	h.mu.Unlock()
+
+	if !h.fence.Drive(now) {
+		return false
+	}
 	for p := 0; p < h.size; p++ {
 		if p == h.rank || h.reg.Confirmed(p) {
 			continue
 		}
-		outs = append(outs, ctl{to: p, op: OpPing, seq: seq})
-	}
-	raised = h.checkDeadlinesLocked(now)
-	confirms, fenceSends, clears, fenceOuts := h.driveFencesLocked(now)
-	outs = append(outs, fenceOuts...)
-	selfFence := h.selfFenceDueLocked(now)
-	h.mu.Unlock()
-
-	for _, p := range raised {
-		h.reg.Suspect(p, h.rank)
-	}
-	for _, p := range clears {
-		h.reg.ClearSuspect(p, h.rank)
-	}
-	for _, cf := range confirms {
-		if h.reg.ConfirmGen(cf.rank, h.rank, cf.gen) && h.Hooks.FenceRTT != nil {
-			// Suspicion-to-confirmation round-trip, same histogram the ack
-			// path feeds: with a shared ground-truth registry this path
-			// usually wins the race against the (possibly cut) ack.
-			h.Hooks.FenceRTT(h.rank, cf.rank, cf.rtt)
-		}
-	}
-	for _, c := range outs {
-		h.send(c.to, c.op, c.seq)
-		if c.op == OpPing && h.Hooks.Ping != nil {
+		h.send(p, OpPing, seq, nil)
+		if h.Hooks.Ping != nil {
 			h.Hooks.Ping(h.rank)
 		}
-	}
-	for _, p := range fenceSends {
-		if h.Hooks.FenceSent != nil {
-			h.Hooks.FenceSent(h.rank, p)
-		}
-	}
-	if selfFence {
-		if h.Hooks.SelfFence != nil {
-			h.Hooks.SelfFence(h.rank)
-		}
-		h.reg.Kill(h.rank)
-		return false
 	}
 	return true
 }
 
-// checkDeadlinesLocked scans peer arrival estimates and returns the peers
-// to newly suspect: silent past the fixed Timeout, or past the adaptive
-// phi threshold (once enough samples exist). Caller holds mu.
-func (h *Heartbeat) checkDeadlinesLocked(now time.Time) []int {
-	var raised []int
+// armOverdueLocked scans peer arrival estimates and arms a fence against
+// every peer silent past the fixed Timeout, or past the adaptive phi
+// threshold (once enough samples exist). Caller holds mu.
+func (h *Heartbeat) armOverdueLocked(now time.Time) {
 	for p := 0; p < h.size; p++ {
-		if p == h.rank || h.reg.Confirmed(p) || h.fences[p] != nil {
+		if p == h.rank || h.reg.Confirmed(p) {
 			continue
 		}
 		a := &h.est[p]
@@ -379,73 +328,47 @@ func (h *Heartbeat) checkDeadlinesLocked(now time.Time) []int {
 			over = a.phi(now, h.sigmaFloor) >= h.opts.Phi
 		}
 		if over {
-			// Capture the suspect's generation: the fence (and any eventual
-			// Confirm) is against this incarnation only.
-			h.fences[p] = &fenceState{start: now, gen: h.reg.Generation(p)}
-			raised = append(raised, p)
+			h.fence.Arm(p, now) // no-op while a fence against p is pending
 		}
 	}
-	return raised
 }
 
 // OnControl handles one inbound control packet for this rank. It is
 // called from the fabric delivery path — the "NIC" — and keeps answering
 // fence notices even after the rank itself is dead, which is what lets a
-// fencer confirm a death across a half-open link.
-func (h *Heartbeat) OnControl(from int, op ControlOp, seq uint64) {
+// fencer confirm a death across a half-open link. Heartbeat frames carry
+// no payload; the parameter is what lets both monitors sit behind one
+// interface.
+func (h *Heartbeat) OnControl(from int, op ControlOp, seq uint64, _ []byte) {
 	if from < 0 || from >= h.size || from == h.rank {
 		return
 	}
 	now := h.clock.Now()
 	if h.reg.Failed(h.rank) {
 		if op == OpFence {
-			h.send(from, OpFenceAck, seq)
+			h.fence.OnFence(from, seq)
 		}
 		return
 	}
 	switch op {
 	case OpPing:
 		h.markAlive(from, now)
-		h.send(from, OpPingAck, seq)
+		h.send(from, OpPingAck, seq, nil)
 	case OpPingAck:
-		h.mu.Lock()
-		h.lastAck = now
-		h.mu.Unlock()
+		h.fence.Acked(now)
 		h.markAlive(from, now)
 	case OpFence:
-		h.onFenced(from, seq)
+		h.fence.OnFence(from, seq)
 	case OpFenceAck:
-		h.onFenceAck(from, now)
+		h.fence.OnFenceAck(from, now)
 	}
 }
 
 // markAlive folds fresh evidence of `from`'s liveness into its estimator
-// and withdraws any suspicion this monitor held against it.
-//
-// The withdrawal is racy by nature: the tick loop decides to emit a FENCE
-// under the lock but sends it after unlocking, so a heartbeat processed in
-// that window used to clear the suspicion while the fence was already
-// committed to the wire — the rank would then be killed by a fence its
-// observer no longer stood behind, with no fence state left to confirm
-// the death. The rule now: a suspicion whose fence has not yet been
-// emitted clears immediately, but once a fence notice is out the fence
-// supersedes the clear — the state drains instead (see fenceState.clearAt
-// and driveFencesLocked), resolving to Confirm if the fence lands or to a
-// deferred ClearSuspect if it evidently got lost.
+// and into any fence this monitor holds against it.
 func (h *Heartbeat) markAlive(from int, now time.Time) {
-	cleared := false
 	h.mu.Lock()
 	h.est[from].observe(now)
-	if fs := h.fences[from]; fs != nil {
-		if fs.lastSend.IsZero() {
-			delete(h.fences, from)
-			cleared = true
-		} else if fs.clearAt.IsZero() {
-			fs.clearAt = now // fence in flight: drain, don't clear yet
-		}
-	}
 	h.mu.Unlock()
-	if cleared {
-		h.reg.ClearSuspect(from, h.rank)
-	}
+	h.fence.Alive(from, now)
 }

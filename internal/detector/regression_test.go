@@ -1,331 +1,14 @@
 package detector
 
 import (
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// This file holds the regression tests for the heartbeat-era bug sweep:
-// the fence/clear race, the delayed-notify timer leak, the monitor
-// start/stop goroutine leak, and the manual-clock migrations of the
-// tightest-deadline tests (which used to key off real millisecond
-// tickers and false-suspect under CI load).
-
-// manualNet wires n monitors into each other's OnControl synchronously,
-// like hbNet, but on a shared ManualClock with NO pump goroutines: the
-// test drives every monitor tick by hand, so timing is fully
-// deterministic regardless of scheduler load.
-type manualNet struct {
-	clock *ManualClock
-	reg   *Registry
-	hbs   []*Heartbeat
-	cut   func(from, to int, op ControlOp) bool
-}
-
-func newManualNet(t *testing.T, n int, opts HeartbeatOptions, cut func(from, to int, op ControlOp) bool) *manualNet {
-	t.Helper()
-	p := &manualNet{clock: NewManualClock(time.Unix(1000, 0)), reg: New(n), hbs: make([]*Heartbeat, n), cut: cut}
-	p.reg.SetConfirmGate(true)
-	opts.Clock = p.clock
-	for rank := 0; rank < n; rank++ {
-		from := rank
-		p.hbs[rank] = NewHeartbeat(p.reg, rank, n, opts, func(to int, op ControlOp, seq uint64) {
-			if p.cut != nil && p.cut(from, to, op) {
-				return
-			}
-			p.hbs[to].OnControl(from, op, seq)
-		})
-		p.hbs[rank].prime(p.clock.Now())
-	}
-	return p
-}
-
-// round advances the clock by the heartbeat interval and runs one tick on
-// every monitor, in rank order — the deterministic stand-in for the pump.
-func (p *manualNet) round() {
-	p.clock.Advance(p.hbs[0].opts.Interval)
-	now := p.clock.Now()
-	for _, hb := range p.hbs {
-		hb.tick(now)
-	}
-}
-
-var manualOpts = HeartbeatOptions{
-	Interval:       time.Millisecond,
-	Timeout:        10 * time.Millisecond,
-	SelfFenceAfter: 50 * time.Millisecond,
-}
-
-// TestManualClockNoFalseConfirms is the deterministic migration of
-// TestHeartbeatNoFalseConfirms: on a healthy synchronous net, any number
-// of rounds at exactly the heartbeat interval must never raise suspicion
-// or kill anyone — no wall-clock sleep for the scheduler to stretch.
-func TestManualClockNoFalseConfirms(t *testing.T) {
-	p := newManualNet(t, 3, manualOpts, nil)
-	for i := 0; i < 200; i++ {
-		p.round()
-	}
-	if p.reg.AliveCount() != 3 {
-		t.Fatalf("alive %d after healthy run", p.reg.AliveCount())
-	}
-	for r := 0; r < 3; r++ {
-		if p.reg.Suspected(r) {
-			t.Fatalf("rank %d suspected on a healthy link", r)
-		}
-	}
-}
-
-// TestManualClockSuspectFenceConfirm is the deterministic migration of
-// TestFenceKillsSilentRankAckPath: rank 1 falls silent, rank 0 suspects
-// it after exactly Timeout, the fence kills it before the ack, and the
-// ack confirms — every transition pinned to a specific tick.
-func TestManualClockSuspectFenceConfirm(t *testing.T) {
-	var silent atomic.Bool
-	p := newManualNet(t, 2, manualOpts, func(from, to int, op ControlOp) bool {
-		return silent.Load() && from == 1 && (op == OpPing || op == OpPingAck)
-	})
-	for i := 0; i < 20; i++ {
-		p.round() // learn the link
-	}
-	silent.Store(true)
-	// Rank 1's heartbeats stop; suspicion must arrive within Timeout plus
-	// one tick, then fence, self-kill and ack complete synchronously.
-	for i := 0; i < 12 && !p.reg.Confirmed(1); i++ {
-		p.round()
-	}
-	if !p.reg.Failed(1) || !p.reg.Confirmed(1) {
-		t.Fatalf("rank 1 not fenced within the deadline: failed=%v confirmed=%v",
-			p.reg.Failed(1), p.reg.Confirmed(1))
-	}
-	if p.reg.Failed(0) {
-		t.Fatal("the observer died too")
-	}
-}
-
-// TestManualClockSoleSurvivorDoesNotSelfFence migrates the slowest
-// wall-clock test (it slept 3×SelfFenceAfter for real): with every peer
-// ground-truth dead, silence is expected and the survivor must not
-// self-fence no matter how far past the deadline the clock runs.
-func TestManualClockSoleSurvivorDoesNotSelfFence(t *testing.T) {
-	p := newManualNet(t, 2, manualOpts, nil)
-	p.reg.Kill(1)
-	for i := 0; i < 300; i++ { // 300 × 1ms = 6× the self-fence horizon
-		p.round()
-	}
-	if p.reg.Failed(0) {
-		t.Fatal("sole survivor fenced itself")
-	}
-}
-
-// TestManualClockSelfFenceOnIsolation: the deterministic version of the
-// total-isolation self-fence — rank 1 is cut off in both directions with
-// live peers remaining, so after SelfFenceAfter of unacknowledged
-// heartbeats it must kill itself on an exact tick.
-func TestManualClockSelfFenceOnIsolation(t *testing.T) {
-	var isolated atomic.Bool
-	p := newManualNet(t, 3, manualOpts, func(from, to int, op ControlOp) bool {
-		return isolated.Load() && (from == 1 || to == 1)
-	})
-	var selfFenced atomic.Bool
-	p.hbs[1].Hooks.SelfFence = func(rank int) { selfFenced.Store(true) }
-	for i := 0; i < 10; i++ {
-		p.round()
-	}
-	isolated.Store(true)
-	rounds := int(manualOpts.SelfFenceAfter/manualOpts.Interval) + 2
-	for i := 0; i < rounds; i++ {
-		p.round()
-	}
-	if !selfFenced.Load() || !p.reg.Failed(1) {
-		t.Fatalf("isolated rank did not self-fence: hook=%v failed=%v", selfFenced.Load(), p.reg.Failed(1))
-	}
-	if p.reg.Failed(0) || p.reg.Failed(2) {
-		t.Fatal("a connected rank died")
-	}
-}
-
-// --- fence/clear race ---------------------------------------------------------
-
-// TestFenceInFlightSupersedesClear pins the fix for the suspect/clear/
-// fence race: the tick loop decides to emit a FENCE under the monitor
-// lock but sends it after unlocking, so a late heartbeat processed in
-// that window used to clear the suspicion while the fence was already on
-// the wire — killing a rank the detector no longer suspected. Now the
-// clear must not be visible while the fence is in flight: the fence
-// drains, resolving to Confirm if it lands.
-func TestFenceInFlightSupersedesClear(t *testing.T) {
-	clock := NewManualClock(time.Unix(1000, 0))
-	reg := New(2)
-	reg.SetConfirmGate(true)
-	opts := HeartbeatOptions{Interval: time.Millisecond, Timeout: 10 * time.Millisecond,
-		SelfFenceAfter: time.Hour, Clock: clock}
-	var sent []ctl
-	h := NewHeartbeat(reg, 0, 2, opts, func(to int, op ControlOp, seq uint64) {
-		sent = append(sent, ctl{to: to, op: op, seq: seq})
-	})
-	h.prime(clock.Now())
-
-	// Rank 1 stays silent past the timeout: one tick raises the suspicion
-	// and puts a FENCE on the wire.
-	clock.Advance(11 * time.Millisecond)
-	h.tick(clock.Now())
-	if !reg.Suspected(1) {
-		t.Fatal("silent rank not suspected")
-	}
-	fences := 0
-	for _, c := range sent {
-		if c.op == OpFence {
-			fences++
-		}
-	}
-	if fences != 1 {
-		t.Fatalf("want exactly one fence on the wire, got %d", fences)
-	}
-
-	// The late heartbeat arrives while that fence is in flight. Pre-fix
-	// this cleared the suspicion outright; the fence then killed a rank
-	// nobody suspected. The suspicion must survive until the fence
-	// resolves.
-	h.OnControl(1, OpPing, 1)
-	if !reg.Suspected(1) {
-		t.Fatal("late heartbeat cleared a suspicion whose fence is in flight")
-	}
-
-	// The in-flight fence lands: rank 1 dies first, acks second. The
-	// drained fence must resolve to a confirmed failure, never to a
-	// cleared suspicion of a dead rank.
-	var clearedAfterDeath atomic.Bool
-	reg.SubscribeSuspicion(func(ev SuspicionEvent) {
-		if ev.Kind == SuspectCleared && ev.Rank == 1 {
-			clearedAfterDeath.Store(true)
-		}
-	})
-	reg.Kill(1)                                       // the fence's effect at rank 1 (die first...)
-	h.OnControl(1, OpFenceAck, sent[len(sent)-1].seq) // (...ack second)
-	if !reg.Confirmed(1) {
-		t.Fatal("fence ack did not confirm the death")
-	}
-	if clearedAfterDeath.Load() {
-		t.Fatal("drained fence cleared instead of confirming")
-	}
-}
-
-// TestDrainedFenceClearsWhenLost is the other leg of the race fix: when
-// the in-flight fence is lost (chaos drop), the deferred clear must win —
-// after one full resend period with the suspect still alive, the
-// suspicion is withdrawn, no resend goes out, and nobody dies.
-func TestDrainedFenceClearsWhenLost(t *testing.T) {
-	clock := NewManualClock(time.Unix(1000, 0))
-	reg := New(2)
-	reg.SetConfirmGate(true)
-	opts := HeartbeatOptions{Interval: time.Millisecond, Timeout: 10 * time.Millisecond,
-		FenceResend: 2 * time.Millisecond, SelfFenceAfter: time.Hour, Clock: clock}
-	var sent []ctl
-	h := NewHeartbeat(reg, 0, 2, opts, func(to int, op ControlOp, seq uint64) {
-		sent = append(sent, ctl{to: to, op: op, seq: seq})
-	})
-	h.prime(clock.Now())
-
-	clock.Advance(11 * time.Millisecond)
-	h.tick(clock.Now()) // suspect + fence out (and lost)
-	h.OnControl(1, OpPing, 1)
-	if !reg.Suspected(1) {
-		t.Fatal("suspicion dropped while fence in flight")
-	}
-	fencesBefore := countOps(sent, OpFence)
-
-	// Drive past the resend period: the draining fence must NOT resend,
-	// and once the grace lapses with rank 1 alive the clear goes through.
-	for i := 0; i < 4; i++ {
-		clock.Advance(time.Millisecond)
-		h.tick(clock.Now())
-	}
-	if got := countOps(sent, OpFence); got != fencesBefore {
-		t.Fatalf("draining fence was resent: %d -> %d", fencesBefore, got)
-	}
-	if reg.Suspected(1) {
-		t.Fatal("lost fence never released the suspicion")
-	}
-	if reg.FailedCount() != 0 {
-		t.Fatalf("somebody died: %v", reg.Snapshot())
-	}
-}
-
-func countOps(sent []ctl, op ControlOp) int {
-	n := 0
-	for _, c := range sent {
-		if c.op == op {
-			n++
-		}
-	}
-	return n
-}
-
-// TestFenceClearRaceStress interleaves real concurrent late-acks with the
-// fence-send path under -race: two monitors, rank 1's pings randomly
-// delayed so rank 0 flaps between suspecting and clearing while fences
-// fly. The invariant from the fix: a SuspectCleared for a rank must never
-// be followed by that rank's death without a fresh SuspectRaised in
-// between (no rank is killed by a fence its observer had withdrawn).
-func TestFenceClearRaceStress(t *testing.T) {
-	var drop atomic.Bool
-	p := newHBNet(t, 2, HeartbeatOptions{
-		Interval:       time.Millisecond,
-		Timeout:        5 * time.Millisecond,
-		SelfFenceAfter: time.Hour,
-	}, func(from, to int, op ControlOp) bool {
-		return drop.Load() && from == 1 && (op == OpPing || op == OpPingAck)
-	})
-	var mu sync.Mutex
-	suspected := false // rank 0's current view of rank 1, per events
-	violated := false
-	p.reg.SubscribeSuspicion(func(ev SuspicionEvent) {
-		if ev.Rank != 1 || ev.By != 0 {
-			return
-		}
-		mu.Lock()
-		switch ev.Kind {
-		case SuspectRaised:
-			suspected = true
-		case SuspectCleared:
-			suspected = false
-			if ev.SinceDeath >= 0 {
-				violated = true // cleared a rank that is already dead
-			}
-		}
-		mu.Unlock()
-	})
-	p.reg.OnDeath(func(rank int) {
-		if rank != 1 {
-			return
-		}
-		mu.Lock()
-		if !suspected {
-			violated = true // killed while the observer did not suspect it
-		}
-		mu.Unlock()
-	})
-	p.start()
-	// Flap the link hard for a while: each silence window is long enough
-	// to raise suspicion and launch a fence, each recovery short enough
-	// that late heartbeats race those fences.
-	for i := 0; i < 40 && p.reg.AliveCount() == 2; i++ {
-		drop.Store(true)
-		time.Sleep(6 * time.Millisecond)
-		drop.Store(false)
-		time.Sleep(4 * time.Millisecond)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if violated {
-		t.Fatal("a rank was killed or cleared against the observer's suspicion state")
-	}
-}
-
-// --- shutdown leaks -----------------------------------------------------------
+// Regression tests for the registry's delayed-notify timer. The
+// fence/clear race, self-fence and start/stop leak regressions run against
+// both monitors in monitors_test.go.
 
 // TestRegistryCloseStopsPendingNotify pins the oracle-mode timer leak:
 // Kill with a NotifyDelay used to arm a bare time.AfterFunc that outlived
@@ -367,40 +50,4 @@ func TestRegistryNotifyDelayStillDelivers(t *testing.T) {
 	if got := fired.Load(); got != 1 {
 		t.Fatalf("delayed notify fired %d times, want 1", got)
 	}
-}
-
-// TestHeartbeatStartStopNoGoroutineLeak cycles monitor start/stop 100
-// times — with a suspicion raised and a fence resend pending at stop
-// time, the historically leak-prone state — and checks the goroutine
-// count settles back to the baseline.
-func TestHeartbeatStartStopNoGoroutineLeak(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	for i := 0; i < 100; i++ {
-		clock := NewManualClock(time.Unix(1000, 0))
-		reg := New(2)
-		reg.SetConfirmGate(true)
-		opts := HeartbeatOptions{Interval: time.Millisecond, Timeout: 5 * time.Millisecond,
-			SelfFenceAfter: time.Hour, Clock: clock}
-		h := NewHeartbeat(reg, 0, 2, opts, func(to int, op ControlOp, seq uint64) {})
-		h.Start()
-		// Leave a suspicion + unacked fence in flight when Stop hits.
-		clock.Advance(6 * time.Millisecond)
-		h.tick(clock.Now())
-		if !reg.Suspected(1) {
-			t.Fatalf("cycle %d: fence never armed", i)
-		}
-		h.Stop()
-		reg.Close()
-	}
-	// Let exiting pumps be reaped before counting.
-	var after int
-	for try := 0; try < 100; try++ {
-		runtime.GC()
-		after = runtime.NumGoroutine()
-		if after <= baseline+2 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines grew from %d to %d over 100 start/stop cycles", baseline, after)
 }

@@ -94,13 +94,8 @@ type Hooks struct {
 	// ProbeRTT fires when a probe is acknowledged (directly or via a
 	// relay), with the launch-to-ack round-trip.
 	ProbeRTT func(rank, target int, rtt time.Duration)
-	// FenceSent fires for every fence notice (including resends).
-	FenceSent func(by, target int)
-	// FenceRTT fires when this monitor resolves one of its suspicions
-	// into a confirmed failure.
-	FenceRTT func(by, target int, rtt time.Duration)
-	// SelfFence fires when this rank fences itself.
-	SelfFence func(rank int)
+	// FenceHooks observe the fencing protocol (detector/fence.go).
+	detector.FenceHooks
 	// GossipOrigin fires when this rank originates a gossip event.
 	GossipOrigin func(rank int, ev Event)
 	// GossipLearn fires the first time this rank learns an event (for a
@@ -120,28 +115,19 @@ type probe struct {
 	indirect bool // relay requests already launched
 }
 
-// swimFence tracks one (observer, suspect) fence in flight, with the
-// same draining semantics as the heartbeat detector's fenceState: once a
-// notice is on the wire, alive evidence requests a clear (clearAt)
-// rather than performing one, and the fence resolves to Confirm or to a
-// deferred ClearSuspect.
-type swimFence struct {
-	start    time.Time
-	gen      int // suspect's generation when the fence was armed
-	lastSend time.Time
-	clearAt  time.Time
-}
-
-// Swim is one rank's SWIM-style membership monitor. Construct with
-// NewSwim, wire inbound control packets to OnControl, and bracket the
-// run with Start/Stop.
+// Swim is one rank's SWIM-style membership monitor: randomized probes,
+// indirect probes and gossip raise suspicion; what follows a suspicion —
+// fence, drain, confirm, self-fence — is the same detector.Fencer the
+// heartbeat monitor uses. Construct with NewSwim, wire inbound control
+// packets to OnControl, and bracket the run with Start/Stop.
 type Swim struct {
 	reg   *detector.Registry
 	rank  int
 	size  int
 	opts  Options
 	clock detector.Clock
-	send  func(to int, op detector.ControlOp, seq uint64, payload []byte)
+	send  detector.SendFunc
+	fence *detector.Fencer
 
 	// Hooks may be set between NewSwim and Start.
 	Hooks Hooks
@@ -156,20 +142,15 @@ type Swim struct {
 	suspectInc []int64  // highest incarnation each rank was seen suspected at, -1 if never
 	cur        *probe
 	seq        uint64
-	lastAck    time.Time
 	nextProbe  time.Time
-	fences     map[int]*swimFence
-	selfFenced bool
 
 	done     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 }
 
-// NewSwim builds the monitor for rank in a world of size ranks. send
-// transmits one control frame; it is called without the monitor's lock
-// held and may be invoked concurrently.
-func NewSwim(reg *detector.Registry, rank, size int, opts Options, send func(to int, op detector.ControlOp, seq uint64, payload []byte)) *Swim {
+// NewSwim builds the monitor for rank in a world of size ranks.
+func NewSwim(reg *detector.Registry, rank, size int, opts Options, send detector.SendFunc) *Swim {
 	if rank < 0 || rank >= size {
 		panic(fmt.Sprintf("membership: swim rank %d out of range [0,%d)", rank, size))
 	}
@@ -185,17 +166,16 @@ func NewSwim(reg *detector.Registry, rank, size int, opts Options, send func(to 
 		rng:        rand.New(rand.NewSource(o.Seed*1e6 + int64(rank) + 1)),
 		inc:        make([]uint32, size),
 		suspectInc: make([]int64, size),
-		fences:     make(map[int]*swimFence),
 		done:       make(chan struct{}),
 	}
 	for i := range s.suspectInc {
 		s.suspectInc[i] = -1
 	}
+	s.fence = detector.NewFencer(reg, rank, size, o.FenceResend, o.SelfFenceAfter,
+		s.sendFence, &s.Hooks.FenceHooks, s.originConfirm)
+	s.prime(s.clock.Now())
 	return s
 }
-
-// Options returns the monitor's resolved (defaulted) options.
-func (s *Swim) Options() Options { return s.opts }
 
 // Incarnation returns this rank's current incarnation number.
 func (s *Swim) Incarnation() uint32 {
@@ -211,11 +191,11 @@ func (s *Swim) Start() {
 	go s.pump()
 }
 
-// prime resets the ack baseline to now. Deterministic tests call it
-// directly and then drive tick by hand instead of starting the pump.
+// prime resets the ack baseline and the probe schedule to now, at
+// construction and again at Start.
 func (s *Swim) prime(now time.Time) {
+	s.fence.Acked(now)
 	s.mu.Lock()
-	s.lastAck = now
 	s.nextProbe = now
 	s.mu.Unlock()
 }
@@ -241,9 +221,9 @@ func (s *Swim) Resume(p int) {
 	if s.cur != nil && s.cur.target == p {
 		s.cur = nil
 	}
-	delete(s.fences, p)
 	s.suspectInc[p] = -1
 	s.mu.Unlock()
+	s.fence.Forget(p)
 }
 
 // pump drives the protocol at a quarter-period resolution so that the
@@ -258,7 +238,7 @@ func (s *Swim) pump() {
 		case <-s.done:
 			return
 		case now := <-ticker.Chan():
-			if !s.tick(now) {
+			if !s.Tick(now) {
 				return
 			}
 		}
@@ -275,21 +255,20 @@ type out struct {
 	target int
 }
 
-// tick runs one protocol step: advance the outstanding probe's state
-// machine (indirect phase, suspicion), launch the next probe when the
-// period lapses, drive pending fences, and check the self-fence
-// deadline. It returns false when this rank is (or just became) dead.
-func (s *Swim) tick(now time.Time) bool {
+// Tick runs one protocol step: advance the outstanding probe's state
+// machine (indirect phase, suspicion → arm a fence), launch the next
+// probe when the period lapses, then drive the fences and check the
+// self-fence deadline. The pump calls it four times per Period;
+// deterministic tests (and a simulator) call it by hand on a ManualClock
+// instead of starting the pump. It returns false when this rank is (or
+// just became) dead.
+func (s *Swim) Tick(now time.Time) bool {
 	if s.reg.Failed(s.rank) {
 		return false // dead ranks fall silent; OnControl still acks fences
 	}
 
 	var outs []out
-	var suspects []int          // ranks newly suspected (Registry.Suspect outside lock)
-	var suspectEvs []Event      // their gossip events
-	var clears []int            // drained fences resolving to ClearSuspect
-	var confirms []fenceConfirm // fences resolved from ground truth
-	var fenceSends []int
+	var suspectEv *Event // gossip for a newly armed suspicion
 	var indirect, probeSent bool
 	timedOut := -1
 
@@ -301,13 +280,11 @@ func (s *Swim) tick(now time.Time) bool {
 			// Probe transaction expired: suspect the target at its highest
 			// known incarnation and arm a fence.
 			timedOut = c.target
-			if s.fences[c.target] == nil {
-				s.fences[c.target] = &swimFence{start: now, gen: s.reg.Generation(c.target)}
-				suspects = append(suspects, c.target)
+			if s.fence.Arm(c.target, now) {
 				ev := Event{Kind: EvSuspect, Rank: c.target, Inc: s.inc[c.target]}
 				s.suspectInc[c.target] = int64(ev.Inc)
 				s.buf.Add(ev)
-				suspectEvs = append(suspectEvs, ev)
+				suspectEv = &ev
 			}
 			s.cur = nil
 		} else if !c.indirect && now.Sub(c.sentAt) >= s.opts.ProbeTimeout {
@@ -329,32 +306,16 @@ func (s *Swim) tick(now time.Time) bool {
 			probeSent = true
 		}
 	}
-	confirms, fenceSends, clears, fenceOuts := s.driveFencesLocked(now)
-	outs = append(outs, fenceOuts...)
-	selfFence := s.selfFenceDueLocked(now)
 	s.mu.Unlock()
 
-	for _, p := range suspects {
-		s.reg.Suspect(p, s.rank)
-	}
-	if s.Hooks.GossipOrigin != nil {
-		for _, ev := range suspectEvs {
-			s.Hooks.GossipOrigin(s.rank, ev)
-		}
+	if suspectEv != nil && s.Hooks.GossipOrigin != nil {
+		s.Hooks.GossipOrigin(s.rank, *suspectEv)
 	}
 	if timedOut >= 0 && s.Hooks.ProbeTimeout != nil {
 		s.Hooks.ProbeTimeout(s.rank, timedOut)
 	}
-	for _, p := range clears {
-		s.reg.ClearSuspect(p, s.rank)
-	}
-	for _, cf := range confirms {
-		if s.reg.ConfirmGen(cf.rank, s.rank, cf.gen) {
-			s.originConfirm(cf.rank)
-			if s.Hooks.FenceRTT != nil {
-				s.Hooks.FenceRTT(s.rank, cf.rank, cf.rtt)
-			}
-		}
+	if !s.fence.Drive(now) {
+		return false
 	}
 	s.emit(outs)
 	if probeSent && s.Hooks.ProbeSent != nil {
@@ -362,18 +323,6 @@ func (s *Swim) tick(now time.Time) bool {
 	}
 	if indirect && s.Hooks.IndirectProbe != nil {
 		s.Hooks.IndirectProbe(s.rank)
-	}
-	for _, p := range fenceSends {
-		if s.Hooks.FenceSent != nil {
-			s.Hooks.FenceSent(s.rank, p)
-		}
-	}
-	if selfFence {
-		if s.Hooks.SelfFence != nil {
-			s.Hooks.SelfFence(s.rank)
-		}
-		s.reg.Kill(s.rank)
-		return false
 	}
 	return true
 }
@@ -387,8 +336,20 @@ func (s *Swim) emit(outs []out) {
 	}
 }
 
-// originConfirm gossips a confirmation this rank just performed. Called
-// without the monitor lock; the buffer has its own.
+// sendFence is the Fencer's transmit path: a fence notice travels like
+// any other frame, with piggybacked gossip; a fence ack comes from a dead
+// rank and carries none.
+func (s *Swim) sendFence(to int, op detector.ControlOp, seq uint64, _ []byte) {
+	if op == detector.OpFenceAck {
+		ack := Envelope{Origin: s.rank, Target: s.rank}
+		s.send(to, op, seq, ack.Encode())
+		return
+	}
+	s.emit([]out{{to: to, op: op, seq: seq, origin: s.rank, target: to}})
+}
+
+// originConfirm gossips a confirmation this rank's fencer just won.
+// Called without the monitor lock; the buffer has its own.
 func (s *Swim) originConfirm(rank int) {
 	ev := Event{Kind: EvConfirm, Rank: rank, Inc: 0}
 	if s.buf.Add(ev) && s.Hooks.GossipOrigin != nil {
@@ -415,7 +376,7 @@ func (s *Swim) nextTargetLocked() (int, bool) {
 		}
 		t := s.perm[s.permIdx]
 		s.permIdx++
-		if !s.reg.Confirmed(t) && s.fences[t] == nil {
+		if !s.reg.Confirmed(t) && !s.fence.Armed(t) {
 			return t, true
 		}
 	}
@@ -438,56 +399,6 @@ func (s *Swim) pickRelaysLocked(target int) []int {
 	return cands
 }
 
-// driveFencesLocked mirrors the heartbeat detector's fence driver,
-// including the draining state for clears requested while a notice was
-// in flight. Caller holds mu.
-func (s *Swim) driveFencesLocked(now time.Time) (confirms []fenceConfirm, fenceSends, clears []int, outs []out) {
-	for p, fs := range s.fences {
-		switch {
-		case s.reg.Confirmed(p):
-			delete(s.fences, p)
-		case s.reg.Failed(p):
-			confirms = append(confirms, fenceConfirm{rank: p, gen: fs.gen, rtt: now.Sub(fs.start)})
-			delete(s.fences, p)
-		case !fs.clearAt.IsZero():
-			if now.Sub(fs.clearAt) >= s.opts.FenceResend {
-				delete(s.fences, p)
-				clears = append(clears, p)
-			}
-		case fs.lastSend.IsZero() || now.Sub(fs.lastSend) >= s.opts.FenceResend:
-			fs.lastSend = now
-			outs = append(outs, out{to: p, op: detector.OpFence, origin: s.rank, target: p})
-			fenceSends = append(fenceSends, p)
-		}
-	}
-	return confirms, fenceSends, clears, outs
-}
-
-// fenceConfirm is one suspect resolved by the ground-truth path; gen is
-// the generation the fence was armed against, so a stale fence never
-// confirms a later incarnation of the slot.
-type fenceConfirm struct {
-	rank int
-	gen  int
-	rtt  time.Duration
-}
-
-// selfFenceDueLocked reports whether this rank must fence itself: none
-// of its probes have been acknowledged for SelfFenceAfter while at least
-// one peer is still alive. Caller holds mu.
-func (s *Swim) selfFenceDueLocked(now time.Time) bool {
-	if s.selfFenced || now.Sub(s.lastAck) < s.opts.SelfFenceAfter {
-		return false
-	}
-	for p := 0; p < s.size; p++ {
-		if p != s.rank && !s.reg.Failed(p) {
-			s.selfFenced = true
-			return true
-		}
-	}
-	return false // sole survivor: silence is expected
-}
-
 // OnControl handles one inbound control frame for this rank. It is
 // called from the fabric delivery path and keeps answering fence notices
 // even after the rank itself is dead. A payload that fails to decode
@@ -507,8 +418,7 @@ func (s *Swim) OnControl(from int, op detector.ControlOp, seq uint64, payload []
 	now := s.clock.Now()
 	if s.reg.Failed(s.rank) {
 		if op == detector.OpFence {
-			ack := Envelope{Origin: s.rank, Target: s.rank}
-			s.send(from, detector.OpFenceAck, seq, ack.Encode())
+			s.fence.OnFence(from, seq)
 		}
 		return
 	}
@@ -518,98 +428,44 @@ func (s *Swim) OnControl(from int, op detector.ControlOp, seq uint64, payload []
 		// Whether direct (Origin==from) or relayed, ack to the sender; a
 		// relay forwards the ack to the origin. The probe itself is alive
 		// evidence for the sender.
-		s.aliveEvidence(from, now)
+		s.fence.Alive(from, now)
 		s.emit([]out{{to: from, op: detector.OpProbeAck, seq: seq, origin: env.Origin, target: s.rank}})
 	case detector.OpProbeAck:
-		s.aliveEvidence(from, now)
+		s.fence.Alive(from, now)
 		if env.Origin == s.rank {
 			s.onProbeAck(env.Target, seq, now)
 		} else if env.Origin >= 0 && env.Origin < s.size {
 			// We are the relay: forward the ack to the origin.
-			s.aliveEvidence(env.Target, now)
+			s.fence.Alive(env.Target, now)
 			s.emit([]out{{to: env.Origin, op: detector.OpProbeAck, seq: seq,
 				origin: env.Origin, target: env.Target}})
 		}
 	case detector.OpProbeReq:
-		s.aliveEvidence(from, now)
+		s.fence.Alive(from, now)
 		if env.Target >= 0 && env.Target < s.size && env.Target != s.rank {
 			s.emit([]out{{to: env.Target, op: detector.OpProbe, seq: seq,
 				origin: env.Origin, target: env.Target}})
 		}
 	case detector.OpFence:
-		// Die first, ack second — receipt of the ack proves ground-truth
-		// death, exactly as in the heartbeat detector.
-		s.reg.Kill(s.rank)
-		ack := Envelope{Origin: s.rank, Target: s.rank}
-		s.send(from, detector.OpFenceAck, seq, ack.Encode())
+		s.fence.OnFence(from, seq)
 	case detector.OpFenceAck:
-		s.onFenceAck(from, now)
+		s.fence.OnFenceAck(from, now)
 	}
 }
 
 // onProbeAck resolves this rank's outstanding probe.
 func (s *Swim) onProbeAck(target int, seq uint64, now time.Time) {
 	var rtt time.Duration = -1
+	s.fence.Acked(now)
 	s.mu.Lock()
-	s.lastAck = now
 	if c := s.cur; c != nil && c.target == target && c.seq == seq {
 		rtt = now.Sub(c.sentAt)
 		s.cur = nil
 	}
 	s.mu.Unlock()
-	s.aliveEvidence(target, now)
+	s.fence.Alive(target, now)
 	if rtt >= 0 && s.Hooks.ProbeRTT != nil {
 		s.Hooks.ProbeRTT(s.rank, target, rtt)
-	}
-}
-
-// onFenceAck confirms a suspect that killed itself on our fence. The
-// confirmation is generation-fenced (see ConfirmGen): a delayed ack that
-// lands after the slot was revived must not confirm the reincarnation.
-// An ack with no matching fence entry carries no generation evidence and
-// is dropped — the ground-truth resend loop holds confirmation liveness.
-func (s *Swim) onFenceAck(from int, now time.Time) {
-	var rtt time.Duration = -1
-	gen := -1
-	s.mu.Lock()
-	if fs := s.fences[from]; fs != nil {
-		rtt = now.Sub(fs.start)
-		gen = fs.gen
-		delete(s.fences, from)
-	}
-	s.mu.Unlock()
-	if gen < 0 {
-		return
-	}
-	if s.reg.ConfirmGen(from, s.rank, gen) {
-		s.originConfirm(from)
-		if rtt >= 0 && s.Hooks.FenceRTT != nil {
-			s.Hooks.FenceRTT(s.rank, from, rtt)
-		}
-	}
-}
-
-// aliveEvidence folds direct proof of rank's liveness into the fence
-// state: a pending un-sent fence is cancelled outright, a fence already
-// on the wire drains (see swimFence), exactly mirroring the heartbeat
-// detector's markAlive fix for the suspect/clear/fence race.
-func (s *Swim) aliveEvidence(rank int, now time.Time) {
-	if rank < 0 || rank >= s.size || rank == s.rank {
-		return
-	}
-	cleared := false
-	s.mu.Lock()
-	if fs := s.fences[rank]; fs != nil {
-		if fs.lastSend.IsZero() {
-			delete(s.fences, rank)
-			cleared = true
-		} else if fs.clearAt.IsZero() {
-			fs.clearAt = now
-		}
-	}
-	s.mu.Unlock()
-	if cleared {
-		s.reg.ClearSuspect(rank, s.rank)
 	}
 }
 
@@ -668,7 +524,7 @@ func (s *Swim) applyGossip(events []Event, now time.Time) {
 	}
 	s.mu.Unlock()
 	for _, rank := range aliveOf {
-		s.aliveEvidence(rank, now)
+		s.fence.Alive(rank, now)
 	}
 	if refuted != nil && s.Hooks.GossipOrigin != nil {
 		s.Hooks.GossipOrigin(s.rank, *refuted)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/detector"
-	"repro/internal/membership"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -153,10 +151,10 @@ func (w *World) Spawn(slot int) (int, error) {
 //     already-armed fence keeps survivors from re-accepting them;
 //  6. install the monitor;
 //  7. revive the slot in the registry — generation bumps, survivors'
-//     engines repair recognition/collectives via the revive subscriber;
-//  8. start the new monitor;
-//  9. sync protocol counters from the most advanced survivor and set the
-//     agreement join fence.
+//     engines repair recognition/collectives via the revive subscriber —
+//     and, in the same joinMu critical section, sync protocol counters
+//     from the most advanced survivor and set the agreement join fence;
+//  8. start the new monitor.
 //
 // Caller holds runMu.
 func (w *World) join(slot int) (int, *procSeed) {
@@ -189,21 +187,14 @@ func (w *World) join(slot int) (int, *procSeed) {
 		if i == slot || w.registry.Failed(i) {
 			continue
 		}
-		if hb := w.hbAt(i); hb != nil {
-			hb.Resume(slot)
-		}
-		if sw := w.swAt(i); sw != nil {
-			sw.Resume(slot)
+		if m := w.monAt(i); m != nil {
+			m.Resume(slot)
 		}
 	}
 
-	var hb2 *detector.Heartbeat
-	var sw2 *membership.Swim
-	if w.hb != nil {
-		hb2 = w.makeHeartbeat(slot)
-	}
-	if w.sw != nil {
-		sw2 = w.makeSwim(slot)
+	var mon monitor
+	if w.newMonitor != nil {
+		mon = w.newMonitor(slot)
 	}
 
 	w.engines[slot].Store(e2)
@@ -212,22 +203,16 @@ func (w *World) join(slot int) (int, *procSeed) {
 		w.reliable.PeerUp(slot)
 	}
 
-	if hb2 != nil {
-		w.hb[slot].Store(hb2)
-	}
-	if sw2 != nil {
-		w.sw[slot].Store(sw2)
+	if mon != nil {
+		w.setMonitor(slot, mon)
 	}
 
+	// Revive and capture are one step to anyone entering an agreement
+	// instance (nextValidateInst holds the read side): an instance entered
+	// between the two would push the captured validateSeq one too far and
+	// leave the newcomer running its first validate alone, forever.
+	w.joinMu.Lock()
 	gen := w.registry.Revive(slot)
-
-	if hb2 != nil {
-		hb2.Start()
-	}
-	if sw2 != nil {
-		sw2.Start()
-	}
-
 	seed := w.captureSeed(slot)
 	// Any agreement instance entered before the revive has every entrant's
 	// validateSeq past it by capture time, so taking the max over the
@@ -235,6 +220,11 @@ func (w *World) join(slot int) (int, *procSeed) {
 	// this incarnation must answer reactively instead of reaching in
 	// program order.
 	e2.setJoinInst(seed.validateSeq)
+	w.joinMu.Unlock()
+
+	if mon != nil {
+		mon.Start()
+	}
 	return gen, seed
 }
 

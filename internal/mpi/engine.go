@@ -357,10 +357,8 @@ func (e *engine) deliver(pkt *transport.Packet) {
 		// dead-rank guard: the monitor is the "NIC", which keeps answering
 		// fence notices after the process died so a fencer across a
 		// half-open link can still learn of the death.
-		if hb := e.w.hbAt(e.rank); hb != nil {
-			hb.OnControl(pkt.Src, detector.ControlOp(pkt.Tag), pkt.Seq)
-		} else if sw := e.w.swAt(e.rank); sw != nil {
-			sw.OnControl(pkt.Src, detector.ControlOp(pkt.Tag), pkt.Seq, pkt.Payload)
+		if m := e.w.monAt(e.rank); m != nil {
+			m.OnControl(pkt.Src, detector.ControlOp(pkt.Tag), pkt.Seq, pkt.Payload)
 		}
 		return
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/detector"
+	"repro/internal/membership"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -22,7 +23,7 @@ const (
 	// one: ranks exchange heartbeats over the live fabric, silence raises
 	// Suspected (never surfaced to the application), and a fencing
 	// protocol forces the suspect to fail-stop before the failure is
-	// confirmed and notified. See internal/detector/heartbeat.go.
+	// confirmed and notified. See internal/detector (heartbeat.go, fence.go).
 	DetectorHeartbeat = "heartbeat"
 )
 
@@ -32,30 +33,38 @@ const (
 // in traces and can never collide with a communicator context.
 const ctxControl = -2
 
-// initHeartbeats switches the registry into confirm-gated (heartbeat)
-// mode and builds one monitor per rank over the world's fabric stack.
-// Called from newWorldFromConfig; the monitors start inside Run, after
-// the fabric is up.
-func (w *World) initHeartbeats(opts detector.HeartbeatOptions) {
-	w.registry.SetConfirmGate(true)
-	w.registry.SubscribeSuspicion(w.onSuspicion)
-	w.hbOpts = opts
-	w.hb = make([]atomic.Pointer[detector.Heartbeat], w.size)
-	for i := range w.hb {
-		w.hb[i].Store(w.makeHeartbeat(i))
-	}
+// monitor is one slot's failure-detection monitor: the source of
+// suspicion (heartbeat mesh or SWIM probes) plus the detector.Fencer that
+// turns a suspicion into a confirmed fail-stop failure. Start and Stop
+// bracket its pump, Resume(p) resets its view of peer p ahead of p's
+// reincarnation, and OnControl takes the slot's inbound KindControl
+// frames. The world holds one per slot in the monitored modes and none
+// in oracle mode.
+type monitor interface {
+	Start()
+	Stop()
+	Resume(p int)
+	OnControl(from int, op detector.ControlOp, seq uint64, payload []byte)
 }
 
-// makeHeartbeat builds one rank's heartbeat monitor. Elastic respawn
-// calls it again for the slot's next incarnation: the old monitor's pump
-// exited at death and is not restartable.
-func (w *World) makeHeartbeat(rank int) *detector.Heartbeat {
-	hb := detector.NewHeartbeat(w.registry, rank, w.size, w.hbOpts,
-		func(to int, op detector.ControlOp, seq uint64) {
-			w.sendControl(rank, to, op, seq, nil)
-		})
-	hb.Hooks = detector.HeartbeatHooks{
-		Ping: func(r int) { w.metrics.Inc(r, metrics.Heartbeats) },
+// initMonitors picks the monitor factory for the configured detector
+// mode, switches the registry into confirm-gated mode and builds one
+// monitor per slot over the world's fabric stack; oracle mode gets none.
+// Called from newWorldFromConfig; the monitors start inside Run, after
+// the fabric is up. The factory is kept: elastic respawn builds the
+// slot's next incarnation a fresh monitor (the old one's pump exited at
+// death and is not restartable). Every hook names the rank it fires for,
+// so one set per world serves every monitor and every incarnation.
+func (w *World) initMonitors(mode string, heartbeat detector.HeartbeatOptions, swim membership.Options) {
+	if mode != DetectorHeartbeat && mode != DetectorSwim {
+		return // oracle: a world without monitors pays for none of the below
+	}
+	sender := func(rank int) detector.SendFunc {
+		return func(to int, op detector.ControlOp, seq uint64, payload []byte) {
+			w.sendControl(rank, to, op, seq, payload)
+		}
+	}
+	fence := detector.FenceHooks{
 		FenceSent: func(by, target int) {
 			w.metrics.Inc(by, metrics.Fences)
 			w.tracer.Record(by, trace.FenceSent, target, -1, -1, "")
@@ -65,11 +74,46 @@ func (w *World) makeHeartbeat(rank int) *detector.Heartbeat {
 		},
 		SelfFence: func(r int) {
 			w.metrics.Inc(r, metrics.SelfFences)
-			w.tracer.Record(r, trace.SelfFenced, -1, -1, -1, "heartbeat acks stale")
+			w.tracer.Record(r, trace.SelfFenced, -1, -1, -1, mode+" acks stale")
 		},
 	}
-	return hb
+	switch mode {
+	case DetectorHeartbeat:
+		hooks := detector.HeartbeatHooks{
+			Ping:       func(r int) { w.metrics.Inc(r, metrics.Heartbeats) },
+			FenceHooks: fence,
+		}
+		w.newMonitor = func(rank int) monitor {
+			hb := detector.NewHeartbeat(w.registry, rank, w.size, heartbeat, sender(rank))
+			hb.Hooks = hooks
+			return hb
+		}
+	case DetectorSwim:
+		hooks := w.swimHooks(fence)
+		w.newMonitor = func(rank int) monitor {
+			sw := membership.NewSwim(w.registry, rank, w.size, swim, sender(rank))
+			sw.Hooks = hooks
+			return sw
+		}
+	}
+	w.registry.SetConfirmGate(true)
+	w.registry.SubscribeSuspicion(w.onSuspicion)
+	w.monitors = make([]atomic.Pointer[monitor], w.size)
+	for i := range w.monitors {
+		w.setMonitor(i, w.newMonitor(i))
+	}
 }
+
+// monAt returns the slot's current monitor (nil in oracle mode).
+func (w *World) monAt(i int) monitor {
+	if w.monitors == nil {
+		return nil
+	}
+	return *w.monitors[i].Load()
+}
+
+// setMonitor installs the slot's monitor.
+func (w *World) setMonitor(i int, m monitor) { w.monitors[i].Store(&m) }
 
 // sendControl puts one failure-detection control packet on the wire. It
 // enters at the top of the fabric stack: the reliability sublayer passes
@@ -112,23 +156,16 @@ func (w *World) onSuspicion(ev detector.SuspicionEvent) {
 	}
 }
 
-// startMonitors launches every rank's detector monitor — heartbeat or
-// SWIM, whichever mode configured (no-op in oracle mode).
+// startMonitors launches every slot's monitor (no-op in oracle mode).
 func (w *World) startMonitors() {
-	for i := range w.hb {
-		w.hb[i].Load().Start()
-	}
-	for i := range w.sw {
-		w.sw[i].Load().Start()
+	for i := range w.monitors {
+		w.monAt(i).Start()
 	}
 }
 
 // stopMonitors terminates the monitors before the fabric closes.
 func (w *World) stopMonitors() {
-	for i := range w.hb {
-		w.hb[i].Load().Stop()
-	}
-	for i := range w.sw {
-		w.sw[i].Load().Stop()
+	for i := range w.monitors {
+		w.monAt(i).Stop()
 	}
 }

@@ -3,7 +3,6 @@ package mpi
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/detector"
@@ -70,31 +69,13 @@ func (c *convTracker) learn(rank int, ev membership.Event) (time.Duration, bool)
 	return time.Since(t0), true
 }
 
-// initSwim switches the registry into confirm-gated mode and builds one
-// SWIM monitor per rank over the world's fabric stack. Called from
-// newWorldFromConfig; the monitors start inside Run, after the fabric is
-// up.
-func (w *World) initSwim(opts membership.Options) {
-	w.registry.SetConfirmGate(true)
-	w.registry.SubscribeSuspicion(w.onSuspicion)
-	w.swConv = newConvTracker()
-	w.swOpts = opts
-	w.sw = make([]atomic.Pointer[membership.Swim], w.size)
-	for i := range w.sw {
-		w.sw[i].Store(w.makeSwim(i))
-	}
-}
-
-// makeSwim builds one rank's SWIM monitor. Elastic respawn calls it again
-// for the slot's next incarnation; the convergence tracker is shared
-// across incarnations (dissemination latency is a world-level quantity).
-func (w *World) makeSwim(rank int) *membership.Swim {
-	conv := w.swConv
-	sw := membership.NewSwim(w.registry, rank, w.size, w.swOpts,
-		func(to int, op detector.ControlOp, seq uint64, payload []byte) {
-			w.sendControl(rank, to, op, seq, payload)
-		})
-	sw.Hooks = membership.Hooks{
+// swimHooks maps the SWIM monitors' protocol events to metrics, traces
+// and latency histograms. The convergence tracker is shared by every
+// monitor and incarnation: dissemination latency is a world-level
+// quantity.
+func (w *World) swimHooks(fence detector.FenceHooks) membership.Hooks {
+	conv := newConvTracker()
+	return membership.Hooks{
 		ProbeSent: func(r int) { w.metrics.Inc(r, metrics.SwimProbes) },
 		IndirectProbe: func(r int) {
 			w.metrics.Inc(r, metrics.SwimIndirectProbes)
@@ -106,17 +87,7 @@ func (w *World) makeSwim(rank int) *membership.Swim {
 		ProbeRTT: func(r, target int, rtt time.Duration) {
 			w.obs.Observe(r, obs.SwimProbeRTT, rtt)
 		},
-		FenceSent: func(by, target int) {
-			w.metrics.Inc(by, metrics.Fences)
-			w.tracer.Record(by, trace.FenceSent, target, -1, -1, "")
-		},
-		FenceRTT: func(by, target int, rtt time.Duration) {
-			w.obs.Observe(by, obs.FenceRTT, rtt)
-		},
-		SelfFence: func(r int) {
-			w.metrics.Inc(r, metrics.SelfFences)
-			w.tracer.Record(r, trace.SelfFenced, -1, -1, -1, "probe acks stale")
-		},
+		FenceHooks: fence,
 		GossipOrigin: func(r int, ev membership.Event) {
 			w.metrics.Inc(r, metrics.GossipEvents)
 			if ev.Kind == membership.EvAlive && ev.Rank == r {
@@ -135,5 +106,4 @@ func (w *World) makeSwim(rank int) *membership.Swim {
 			w.metrics.Inc(r, metrics.GossipDecodeErrors)
 		},
 	}
-	return sw
 }

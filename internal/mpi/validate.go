@@ -64,8 +64,12 @@ func (c *Comm) IvalidateAll() *Request {
 // nextValidateInst allocates the next agreement instance under the engine
 // lock: elastic respawn reads validateSeq cross-rank to compute a
 // reincarnation's join fence, so the increment must be coherent with that
-// read.
+// read. The read side of joinMu makes World.join's revive + seed capture
+// one step: an instance is entered before both, or after both.
 func (c *Comm) nextValidateInst() int {
+	w := c.proc.w
+	w.joinMu.RLock()
+	defer w.joinMu.RUnlock()
 	c.eng.mu.Lock()
 	defer c.eng.mu.Unlock()
 	inst := c.validateSeq

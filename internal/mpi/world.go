@@ -109,16 +109,16 @@ type World struct {
 	obs       *obs.Registry
 	hook      HookFunc
 	deadline  time.Duration
-	reliable  *reliable.Fabric                     // non-nil when the reliability sublayer is on
-	hb        []atomic.Pointer[detector.Heartbeat] // per-rank heartbeat monitors; nil unless heartbeat mode
-	sw        []atomic.Pointer[membership.Swim]    // per-rank SWIM monitors; nil unless swim mode
-	hbOpts    detector.HeartbeatOptions            // retained to build replacement monitors at respawn
-	swOpts    membership.Options
-	swConv    *convTracker // gossip-convergence probe shared across incarnations
-	agreement string       // validate_all topology (AgreementCoordinator / AgreementTree)
+	reliable  *reliable.Fabric // non-nil when the reliability sublayer is on
+	agreement string           // validate_all topology (AgreementCoordinator / AgreementTree)
 	elastic   *ElasticOptions
 	lsize     int        // logical rank count (== size unless replicated)
 	repl      *replState // replica-group state; nil outside replication mode
+
+	// monitors holds each slot's detector monitor and newMonitor builds a
+	// replacement at respawn; both are nil in oracle mode (monitor.go).
+	monitors   []atomic.Pointer[monitor]
+	newMonitor func(rank int) monitor
 
 	// Causal tracing state, owned by the World (not the engine) so it
 	// survives elastic reincarnation: a respawned slot inherits its
@@ -154,6 +154,11 @@ type World struct {
 	spawning  map[int]bool // slots with a Spawn in flight
 	respawned int          // total reincarnations this run
 	finished  []atomic.Bool
+
+	// joinMu makes a join's revive + seed capture atomic to ranks entering
+	// an agreement instance (read side, nextValidateInst). Revive
+	// subscribers run under it, so they must not enter one themselves.
+	joinMu sync.RWMutex
 }
 
 // eng returns the slot's current engine.
@@ -169,23 +174,6 @@ func (w *World) nextTokenSeq(i int) uint64 { return w.tokSeqs[i].Add(1) }
 
 // genOf returns the generation of the slot's current incarnation.
 func (w *World) genOf(i int) uint32 { return w.engines[i].Load().gen }
-
-// hbAt returns the slot's current heartbeat monitor (nil outside
-// heartbeat mode).
-func (w *World) hbAt(i int) *detector.Heartbeat {
-	if w.hb == nil {
-		return nil
-	}
-	return w.hb[i].Load()
-}
-
-// swAt returns the slot's current SWIM monitor (nil outside swim mode).
-func (w *World) swAt(i int) *membership.Swim {
-	if w.sw == nil {
-		return nil
-	}
-	return w.sw[i].Load()
-}
 
 // NewWorld builds a world of size ranks, configured by functional
 // options (WithFabric, WithTracer, WithMetrics, WithHook, WithDeadline,
@@ -302,12 +290,7 @@ func newWorldFromConfig(cfg Config) (*World, error) {
 	if cfg.NotifyDelay > 0 {
 		w.registry.SetNotifyDelay(cfg.NotifyDelay)
 	}
-	switch cfg.Detector {
-	case DetectorHeartbeat:
-		w.initHeartbeats(cfg.Heartbeat)
-	case DetectorSwim:
-		w.initSwim(cfg.Swim)
-	}
+	w.initMonitors(cfg.Detector, cfg.Heartbeat, cfg.Swim)
 	if cfg.Obs != nil {
 		w.registry.SetNotifyObserver(func(rank int, lat time.Duration) {
 			w.obs.Observe(rank, obs.NotifyLatency, lat)
@@ -521,7 +504,7 @@ func (w *World) Run(fn func(p *Proc) error) (*RunResult, error) {
 		if startErr != nil {
 			return
 		}
-		if w.hb != nil || w.sw != nil {
+		if w.monitors != nil {
 			// Monitored modes (heartbeat or SWIM): ground-truth death
 			// unwinds the victim immediately — it IS dead, whatever its
 			// peers believe — while the survivors' notifications wait for

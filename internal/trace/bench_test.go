@@ -7,11 +7,11 @@ import (
 
 // The benchmarks model the hot path the observability layer creates:
 // every rank's goroutine records events while a live exposition endpoint
-// (/metrics, expvar) periodically polls Count. The old single-mutex
-// recorder pays twice there — all ranks convoy on one lock, and every
-// Count copies the entire event log under it — so its record throughput
-// collapses as the log grows. The sharded flight recorder keeps counts
-// incrementally and scans nothing.
+// (/metrics, expvar) periodically polls Count. A single-mutex recorder
+// pays twice there — all ranks convoy on one lock, and every Count copies
+// the entire event log under it — so its record throughput collapses as
+// the log grows (~32x slower on record, EXPERIMENTS.md). The sharded
+// flight recorder keeps counts incrementally and scans nothing.
 
 // pollEvery is how many records each goroutine performs per Count poll —
 // roughly one scrape per screenful of events, far gentler than a real
@@ -37,40 +37,10 @@ func BenchmarkRecorderSharded(b *testing.B) {
 	}
 }
 
-func BenchmarkRecorderMutex(b *testing.B) {
-	r := newMutexRecorder(0)
-	var rank atomic.Int64
-	b.RunParallel(func(pb *testing.PB) {
-		me := int(rank.Add(1)) - 1
-		i := 0
-		for pb.Next() {
-			r.Record(me, SendPosted, (me+1)%8, 0, i, "")
-			i++
-			if i%pollEvery == 0 {
-				_ = r.Count(SendPosted)
-			}
-		}
-	})
-	if r.Len() != b.N {
-		b.Fatalf("recorded %d events, want %d", r.Len(), b.N)
-	}
-}
-
 // Record-only variants isolate the raw record path with no reader.
 
 func BenchmarkRecordOnlySharded(b *testing.B) {
 	r := New(0)
-	var rank atomic.Int64
-	b.RunParallel(func(pb *testing.PB) {
-		me := int(rank.Add(1)) - 1
-		for pb.Next() {
-			r.Record(me, SendPosted, (me+1)%8, 0, 1, "")
-		}
-	})
-}
-
-func BenchmarkRecordOnlyMutex(b *testing.B) {
-	r := newMutexRecorder(0)
 	var rank atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {
 		me := int(rank.Add(1)) - 1

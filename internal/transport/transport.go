@@ -16,8 +16,7 @@
 //     length, frame crc — see codec.go) followed by the raw payload,
 //     encoded with encoding/binary
 //     into sync.Pool-backed buffers so the steady-state send path does
-//     not allocate. The original reflection-based gob stream remains
-//     available via NewTCPCodec(n, CodecGob) as the E15 baseline.
+//     not allocate.
 //
 // Both fabrics preserve FIFO ordering per (source, destination) pair, the
 // ordering MPI guarantees per (source, tag, communicator). A Latency

@@ -79,8 +79,6 @@ func TestLocalFabricFIFO(t *testing.T) { testFabricBasics(t, NewLocal()) }
 
 func TestTCPFabricFIFO(t *testing.T) { testFabricBasics(t, NewTCP(2)) }
 
-func TestTCPFabricFIFOGob(t *testing.T) { testFabricBasics(t, NewTCPCodec(2, CodecGob)) }
-
 func TestLatencyFabricPreservesOrder(t *testing.T) {
 	testFabricBasics(t, NewLatency(NewLocal(), 100*time.Microsecond))
 }
@@ -118,10 +116,8 @@ func TestSendAfterCloseIsDropped(t *testing.T) {
 	}
 }
 
-func TestTCPCrossTraffic(t *testing.T) { runTCPCrossTraffic(t, NewTCP(4)) }
-
-func runTCPCrossTraffic(t *testing.T, f *TCP) {
-	t.Helper()
+func TestTCPCrossTraffic(t *testing.T) {
+	f := NewTCP(4)
 	const ranks = 4
 	col := newCollector()
 	if err := f.Start(col.deliver); err != nil {
@@ -294,83 +290,64 @@ func TestLatencyPipelinesDelay(t *testing.T) {
 // dropped (nil error), never surface an encode/write error on the closed
 // connection. Run under -race.
 func TestTCPSendCloseRace(t *testing.T) {
-	for _, codec := range []Codec{CodecBinary, CodecGob} {
-		t.Run(codec.String(), func(t *testing.T) {
-			f := NewTCPCodec(4, codec)
-			col := newCollector()
-			if err := f.Start(col.deliver); err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			stop := make(chan struct{})
-			for g := 0; g < 4; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for i := 0; ; i++ {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						pkt := &Packet{Src: g, Dst: (g + 1) % 4, Tag: i, Payload: []byte{byte(i)}}
-						if err := f.Send(pkt); err != nil {
-							t.Errorf("send racing close must be dropped silently, got: %v", err)
-							return
-						}
-					}
-				}(g)
-			}
-			time.Sleep(5 * time.Millisecond)
-			if err := f.Close(); err != nil {
-				t.Fatalf("close: %v", err)
-			}
-			close(stop)
-			wg.Wait()
-			// Sends after Close must keep being silent no-ops.
-			if err := f.Send(&Packet{Src: 0, Dst: 1}); err != nil {
-				t.Fatalf("post-close send: %v", err)
-			}
-		})
+	f := NewTCP(4)
+	col := newCollector()
+	if err := f.Start(col.deliver); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestTCPCrossTrafficBothCodecs reruns the concurrent cross-traffic test
-// over each codec (the FIFO + delivery property under contention).
-func TestTCPCrossTrafficBothCodecs(t *testing.T) {
-	for _, codec := range []Codec{CodecBinary, CodecGob} {
-		t.Run(codec.String(), func(t *testing.T) {
-			runTCPCrossTraffic(t, NewTCPCodec(4, codec))
-		})
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				pkt := &Packet{Src: g, Dst: (g + 1) % 4, Tag: i, Payload: []byte{byte(i)}}
+				if err := f.Send(pkt); err != nil {
+					t.Errorf("send racing close must be dropped silently, got: %v", err)
+					return
+				}
+			}
+		}(g)
+	}
+	time.Sleep(5 * time.Millisecond)
+	if err := f.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	close(stop)
+	wg.Wait()
+	// Sends after Close must keep being silent no-ops.
+	if err := f.Send(&Packet{Src: 0, Dst: 1}); err != nil {
+		t.Fatalf("post-close send: %v", err)
 	}
 }
 
 // BenchmarkTCPFabricThroughput pumps packets through a 2-rank TCP fabric
-// and waits for delivery — the raw wire-path comparison between the gob
-// baseline and the pooled binary codec (E15's transport half, without the
-// ring engine on top).
+// and waits for delivery — the raw wire path (E15's transport half,
+// without the ring engine on top; EXPERIMENTS.md E15 has the record).
 func BenchmarkTCPFabricThroughput(b *testing.B) {
-	for _, codec := range []Codec{CodecGob, CodecBinary} {
-		b.Run(codec.String(), func(b *testing.B) {
-			f := NewTCPCodec(2, codec)
-			var delivered atomic.Int64
-			if err := f.Start(func(int, *Packet) { delivered.Add(1) }); err != nil {
-				b.Fatal(err)
-			}
-			defer f.Close()
-			payload := make([]byte, 1024)
-			b.SetBytes(int64(len(payload)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := f.Send(&Packet{Src: 0, Dst: 1, Tag: i, Payload: payload}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for delivered.Load() < int64(b.N) {
-				time.Sleep(50 * time.Microsecond)
-			}
-		})
+	f := NewTCP(2)
+	var delivered atomic.Int64
+	if err := f.Start(func(int, *Packet) { delivered.Add(1) }); err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	payload := make([]byte, 1024)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := f.Send(&Packet{Src: 0, Dst: 1, Tag: i, Payload: payload}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for delivered.Load() < int64(b.N) {
+		time.Sleep(50 * time.Microsecond)
 	}
 }
 

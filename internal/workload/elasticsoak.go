@@ -151,12 +151,7 @@ func runElasticWorld(opt Options, seed int64, mets *metrics.World, reg *obs.Regi
 	if opt.Tracer != nil {
 		wopts = append(wopts, mpi.WithTracer(opt.Tracer))
 	}
-	switch opt.Detector {
-	case mpi.DetectorHeartbeat:
-		wopts = append(wopts, mpi.WithHeartbeat(opt.Heartbeat))
-	case mpi.DetectorSwim:
-		wopts = append(wopts, mpi.WithSwim(opt.Swim))
-	}
+	wopts = append(wopts, opt.detectorOption())
 	w, err := mpi.NewWorld(n, wopts...)
 	if err != nil {
 		return nil, err

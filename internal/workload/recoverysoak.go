@@ -132,7 +132,7 @@ func runRecoveryWorld(opt Options, repair, det string, seed int64, rec *trace.Re
 	opt.Swim = swimSoakOptions()
 	switch repair {
 	case "resend":
-		return runResendRecovery(opt, det, seed, rec)
+		return runResendRecovery(opt, seed, rec)
 	case "respawn":
 		// The elastic world respawns ANY confirmed-dead slot, so a false
 		// suspicion (a reincarnation's first heartbeats delayed under CI
@@ -162,7 +162,7 @@ func runRecoveryWorld(opt Options, repair, det string, seed int64, rec *trace.Re
 // runResendRecovery runs the paper's ABFT ring under chaos with a seeded
 // mid-iteration kill: the survivors must recognize the failure, resend
 // past the corpse, and revalidate — the trace captures every phase.
-func runResendRecovery(opt Options, det string, seed int64, rec *trace.Recorder) error {
+func runResendRecovery(opt Options, seed int64, rec *trace.Recorder) error {
 	const n, iters = 4, 8
 	victim := 1 + int(seed)%(n-1) // never rank 0
 	plan := chaos.NewPlan(seed).Default(recoveryChaosRates())
@@ -172,13 +172,8 @@ func runResendRecovery(opt Options, det string, seed int64, rec *trace.Recorder)
 	opt.Collector.Attach(mets, reg)
 	mcfg := mpi.Config{
 		Size: n, Deadline: 60 * time.Second, Metrics: mets, Chaos: plan,
-		Obs: reg, Hook: kill.Hook(), Tracer: rec, Detector: det,
-	}
-	switch det {
-	case mpi.DetectorHeartbeat:
-		mcfg.Heartbeat = opt.Heartbeat
-	case mpi.DetectorSwim:
-		mcfg.Swim = opt.Swim
+		Obs: reg, Hook: kill.Hook(), Tracer: rec,
+		Detector: opt.Detector, Heartbeat: opt.Heartbeat, Swim: opt.Swim,
 	}
 	_, res, err := core.Run(mcfg, core.Config{Iters: iters, Variant: core.VariantFull,
 		Termination: core.TermValidateAll, RootPolicy: core.RootElect})

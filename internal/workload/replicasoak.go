@@ -175,12 +175,7 @@ func runReplicaWorld(opt Options, cfg replicaCfg, seed int64, mets *metrics.Worl
 	if opt.Tracer != nil {
 		wopts = append(wopts, mpi.WithTracer(opt.Tracer))
 	}
-	switch opt.Detector {
-	case mpi.DetectorHeartbeat:
-		wopts = append(wopts, mpi.WithHeartbeat(opt.Heartbeat))
-	case mpi.DetectorSwim:
-		wopts = append(wopts, mpi.WithSwim(opt.Swim))
-	}
+	wopts = append(wopts, opt.detectorOption())
 	w, err := mpi.NewWorld(lsize, wopts...)
 	if err != nil {
 		return nil, err

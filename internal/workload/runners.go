@@ -731,8 +731,7 @@ func runHeartbeatSoak(opt Options) ([]*Table, error) {
 }
 
 // runTransportComparison runs the same FT ring over the in-memory fabric,
-// TCP loopback with both wire codecs (gob baseline vs the pooled binary
-// framing), and a latency-model fabric.
+// TCP loopback and a latency-model fabric.
 func runTransportComparison(opt Options) ([]*Table, error) {
 	t := NewTable("E15: same ring, different fabrics",
 		"fabric", "ranks", "iters", "elapsed", "us/iter")
@@ -745,7 +744,6 @@ func runTransportComparison(opt Options) ([]*Table, error) {
 		make func() transport.Fabric
 	}{
 		{"local (in-memory)", func() transport.Fabric { return transport.NewLocal() }},
-		{"tcp (gob codec)", func() transport.Fabric { return transport.NewTCPCodec(n, transport.CodecGob) }},
 		{"tcp (binary codec)", func() transport.Fabric { return transport.NewTCP(n) }},
 		{"local + 100us latency", func() transport.Fabric {
 			return transport.NewLatency(transport.NewLocal(), 100*time.Microsecond)
@@ -760,6 +758,6 @@ func runTransportComparison(opt Options) ([]*Table, error) {
 		t.Add(f.name, n, iters, res.Elapsed,
 			float64(res.Elapsed.Microseconds())/float64(iters))
 	}
-	t.Note("identical engine semantics over all four; only the wire differs")
+	t.Note("identical engine semantics over all three; only the wire differs")
 	return []*Table{t}, nil
 }

@@ -101,14 +101,8 @@ func runDetectionWorld(opt Options, n int, mode string) (*detectRun, error) {
 	if reg != nil {
 		wopts = append(wopts, mpi.WithObservability(reg))
 	}
-	switch mode {
-	case mpi.DetectorSwim:
-		wopts = append(wopts, mpi.WithSwim(swimSoakOptions()))
-	case mpi.DetectorHeartbeat:
-		wopts = append(wopts, mpi.WithHeartbeat(swimSoakBaseline()))
-	default:
-		return nil, fmt.Errorf("runDetectionWorld: detector mode %q", mode)
-	}
+	wopts = append(wopts,
+		Options{Detector: mode, Heartbeat: swimSoakBaseline(), Swim: swimSoakOptions()}.detectorOption())
 	w, err := mpi.NewWorld(n, wopts...)
 	if err != nil {
 		return nil, err

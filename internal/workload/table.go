@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/detector"
 	"repro/internal/membership"
+	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -108,6 +109,12 @@ type Options struct {
 	// (E23's recovery forensics run one recorder per seeded world and
 	// audit it for message conservation).
 	Tracer *trace.Recorder
+}
+
+// detectorOption carries o's detector mode and monitor tunings into a
+// world ("" keeps the oracle default; the tunings of other modes are inert).
+func (o Options) detectorOption() mpi.Option {
+	return func(c *mpi.Config) { c.Detector, c.Heartbeat, c.Swim = o.Detector, o.Heartbeat, o.Swim }
 }
 
 // obsMaxRanks caps the world size that gets a histogram registry: each
