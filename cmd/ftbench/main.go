@@ -43,7 +43,7 @@ func main() {
 		hbTimeout  = flag.Duration("hb-timeout", 0, "heartbeat suspicion timeout (0 = 8x interval; with -detector heartbeat)")
 		swPeriod   = flag.Duration("swim-period", 0, "SWIM protocol period (0 = default; with -detector swim)")
 		swIndirect = flag.Int("swim-indirect", 0, "SWIM indirect-probe fanout k (0 = default; with -detector swim)")
-		agreeMode  = flag.String("agreement", "", "validate_all topology for the generic ring worlds: coordinator|tree (\"\" = coordinator)")
+		agreeMode  = flag.String("agreement", "", "validate_all tree fan-out for the generic ring worlds: coordinator (every member a child of the lowest alive rank) | tree (two children per rank) (\"\" = coordinator)")
 		repMode    = flag.String("rep-mode", "", "replication propagation mode for the E22 kill sweep: fanout|chain (\"\" = fanout; E24 always runs both)")
 	)
 	flag.Parse()

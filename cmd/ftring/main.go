@@ -70,7 +70,7 @@ func main() {
 		hbTimeout  = flag.Duration("hb-timeout", 0, "heartbeat suspicion timeout (0 = 8x interval; with -detector heartbeat)")
 		swPeriod   = flag.Duration("swim-period", 0, "SWIM protocol period (0 = default; with -detector swim)")
 		swIndirect = flag.Int("swim-indirect", 0, "SWIM indirect-probe fanout k (0 = default; with -detector swim)")
-		agreeMode  = flag.String("agreement", "", "validate_all topology: coordinator|tree (\"\" = coordinator)")
+		agreeMode  = flag.String("agreement", "", "validate_all fan-out: coordinator (all children of the root) | tree (binary) (\"\" = coordinator)")
 
 		chaosOn      = flag.Bool("chaos", false, "inject network faults (default rates unless overridden)")
 		chaosSeed    = flag.Int64("chaos-seed", 1, "seed for the chaos plan")

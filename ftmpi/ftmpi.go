@@ -255,13 +255,14 @@ const (
 	DetectorSwim = mpi.DetectorSwim
 )
 
-// Agreement topologies for validate_all (see WithAgreement).
+// Fan-outs of validate_all's one agreement protocol (see WithAgreement).
 const (
-	// AgreementCoordinator funnels every vote through one coordinator —
-	// the paper-faithful default.
+	// AgreementCoordinator makes the lowest alive rank the parent of every
+	// member: one coordinator collects the votes. The paper-faithful
+	// default.
 	AgreementCoordinator = mpi.AgreementCoordinator
-	// AgreementTree reduces votes up a fault-aware spanning tree over the
-	// live membership — the scalable choice for large N.
+	// AgreementTree gives every rank at most two children: votes reduce
+	// up a binary tree over the live membership.
 	AgreementTree = mpi.AgreementTree
 )
 
@@ -360,8 +361,8 @@ func WithHeartbeat(opts HeartbeatOptions) Option { return mpi.WithHeartbeat(opts
 // zero option fields take defaults.
 func WithSwim(opts SwimOptions) Option { return mpi.WithSwim(opts) }
 
-// WithAgreement selects the validate_all topology: AgreementCoordinator
-// (the default) or AgreementTree.
+// WithAgreement selects the fan-out of validate_all's spanning tree:
+// AgreementCoordinator (the default) or AgreementTree.
 func WithAgreement(mode string) Option { return mpi.WithAgreement(mode) }
 
 // --- request combinators -----------------------------------------------------

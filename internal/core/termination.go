@@ -124,7 +124,7 @@ func (n *node) awaitTermination() error {
 // agreement — it completes exactly when every alive rank has entered it,
 // i.e. when every alive rank has finished the ring — while the right-
 // neighbor watch keeps servicing resends. Root failure needs no special
-// handling: the agreement's coordinator role fails over internally.
+// handling: the agreement's root role fails over internally.
 func (n *node) terminateValidateAll() error {
 	val := n.c.IvalidateAll()
 	n.ensureDetector()

@@ -657,23 +657,6 @@ func (r *Registry) LowestAlive() (rank int, ok bool) {
 	return -1, false
 }
 
-// LowestAliveIn returns the smallest alive rank drawn from the given set,
-// used for per-communicator leader election over a sub-group.
-func (r *Registry) LowestAliveIn(ranks []int) (rank int, ok bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	best, found := -1, false
-	for _, cand := range ranks {
-		if cand < 0 || cand >= len(r.failed) || r.failed[cand] {
-			continue
-		}
-		if !found || cand < best {
-			best, found = cand, true
-		}
-	}
-	return best, found
-}
-
 // Epoch returns a counter that increases on every failure. Pollers can use
 // it to cheaply detect "some failure happened since I last looked".
 func (r *Registry) Epoch() uint64 {
@@ -684,8 +667,7 @@ func (r *Registry) Epoch() uint64 {
 
 // WaitEpochChange blocks until the failure epoch differs from since, or
 // returns immediately if it already does. It returns the current epoch.
-// This is used by protocol drivers (e.g. the validate_all coordinator
-// hand-off) that must wake when any failure occurs.
+// It serves waiters that must wake when any failure occurs.
 func (r *Registry) WaitEpochChange(since uint64) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -103,12 +103,6 @@ func TestLowestAlive(t *testing.T) {
 	if got, ok := r.LowestAlive(); !ok || got != 2 {
 		t.Fatalf("lowest %d ok=%v", got, ok)
 	}
-	if got, ok := r.LowestAliveIn([]int{3, 1}); !ok || got != 3 {
-		t.Fatalf("lowest-in %d ok=%v", got, ok)
-	}
-	if _, ok := r.LowestAliveIn([]int{0, 1}); ok {
-		t.Fatal("no alive rank in {0,1}")
-	}
 	r.Kill(2)
 	r.Kill(3)
 	if _, ok := r.LowestAlive(); ok {

@@ -390,86 +390,132 @@ func TestShrinkMidSecondFailure(t *testing.T) {
 // TestValidateAcrossRevive exercises the reincarnation's join fence: the
 // survivors complete agreement instances while the slot is dead, and the
 // newcomer's seeded counters align its FIRST validate with the survivors'
-// next one — pre-join instances are answered reactively, never re-entered.
+// next one — pre-join instances are served reactively, never re-entered.
+// The n=8 row revives slot 1, an interior node of the binary tree, while
+// instance 2 is still open: its last survivor enters only after the
+// revival, so the reincarnation must serve that instance from its join
+// fence, in tree mode as the interior node it is again.
 func TestValidateAcrossRevive(t *testing.T) {
-	for _, mode := range []string{AgreementCoordinator, AgreementTree} {
-		t.Run(mode, func(t *testing.T) {
-			_, res := runElastic(t, 4,
-				[]Option{WithAgreement(mode), WithElastic(ElasticOptions{})},
-				func(w *World, p *Proc) error {
-					c := p.World()
-					if p.Rank() == 3 && p.Gen() == 2 {
-						// The reincarnation runs exactly one validate: its
-						// seeded instance counter lines it up with the
-						// survivors' post-revive round.
-						n, err := c.ValidateAll()
-						if err != nil {
-							return err
-						}
-						if n != 0 {
-							return fmt.Errorf("gen2 validate reported %d failures", n)
-						}
-						return nil
-					}
-					// Instance 0: everyone alive.
-					if n, err := c.ValidateAll(); err != nil || n != 0 {
-						return fmt.Errorf("validate#0: n=%d err=%v", n, err)
-					}
-					if p.Rank() == 3 {
-						p.Die()
-					}
-					if err := pollUntil("death of 3", func() (bool, error) {
-						info, err := c.RankState(3)
-						if err != nil {
-							return false, err
-						}
-						return info.State != RankOK, nil
-					}); err != nil {
-						return err
-					}
-					// Instances 1 and 2 run against the dead slot.
-					for i := 1; i <= 2; i++ {
-						n, err := c.ValidateAll()
-						if err != nil {
-							return err
-						}
-						if n != 1 {
-							return fmt.Errorf("validate#%d reported %d failures", i, n)
-						}
-					}
-					if p.Rank() == 0 {
-						gen, err := w.Spawn(3)
-						if err != nil {
-							return err
-						}
-						if gen != 2 {
-							return fmt.Errorf("spawned generation %d", gen)
-						}
-					}
-					if err := pollUntil("revival of 3", func() (bool, error) {
-						info, err := c.RankState(3)
-						if err != nil {
-							return false, err
-						}
-						return info.State == RankOK && info.Generation == 2, nil
-					}); err != nil {
-						return err
-					}
-					// Instance 3: aligned with the reincarnation's first.
-					n, err := c.ValidateAll()
-					if err != nil {
-						return err
-					}
-					if n != 0 {
-						return fmt.Errorf("post-revive validate reported %d failures", n)
-					}
-					return nil
-				})
-			requireNoRankErrors(t, res)
-			if len(res.Respawns) != 1 || !res.Respawns[0].Finished || res.Respawns[0].Err != nil {
-				t.Fatalf("respawns: %+v", res.Respawns)
+	forModes(t, func(t *testing.T, mode string) {
+		for _, row := range []struct {
+			n, victim int
+			midRound  bool
+		}{{4, 3, false}, {8, 1, true}} {
+			t.Run(fmt.Sprintf("n%d-slot%d", row.n, row.victim), func(t *testing.T) {
+				validateAcrossRevive(t, mode, row.n, row.victim, row.midRound)
+			})
+		}
+	})
+}
+
+func validateAcrossRevive(t *testing.T, mode string, n, victim int, midRound bool) {
+	holder := n - 1 // midRound: enters instance 2 only after the revival
+	var mu sync.Mutex
+	open := map[int]int{} // survivor -> its count for the instance open at the revival
+	_, res := runElastic(t, n,
+		[]Option{WithAgreement(mode), WithElastic(ElasticOptions{})},
+		func(w *World, p *Proc) error {
+			c := p.World()
+			if p.Rank() == victim && p.Gen() == 2 {
+				// The reincarnation runs exactly one validate: its seeded
+				// instance counter lines it up with the survivors'
+				// post-revive round.
+				cnt, err := c.ValidateAll()
+				if err != nil {
+					return err
+				}
+				if cnt != 0 {
+					return fmt.Errorf("gen2 validate reported %d failures", cnt)
+				}
+				return nil
 			}
+			// Instance 0: everyone alive.
+			if cnt, err := c.ValidateAll(); err != nil || cnt != 0 {
+				return fmt.Errorf("validate#0: count=%d err=%v", cnt, err)
+			}
+			if p.Rank() == victim {
+				p.Die()
+			}
+			if err := pollUntil("death of the victim", func() (bool, error) {
+				info, err := c.RankState(victim)
+				if err != nil {
+					return false, err
+				}
+				return info.State != RankOK, nil
+			}); err != nil {
+				return err
+			}
+			// Instances 1 and 2 run against the dead slot.
+			closed := 2
+			if midRound {
+				closed = 1
+			}
+			for i := 1; i <= closed; i++ {
+				cnt, err := c.ValidateAll()
+				if err != nil {
+					return err
+				}
+				if cnt != 1 {
+					return fmt.Errorf("validate#%d reported %d failures", i, cnt)
+				}
+			}
+			var req *Request
+			if midRound && p.Rank() != holder {
+				req = c.IvalidateAll() // instance 2, open across the revival
+			}
+			if p.Rank() == 0 {
+				gen, err := w.Spawn(victim)
+				if err != nil {
+					return err
+				}
+				if gen != 2 {
+					return fmt.Errorf("spawned generation %d", gen)
+				}
+			}
+			if err := pollUntil("revival of the victim", func() (bool, error) {
+				info, err := c.RankState(victim)
+				if err != nil {
+					return false, err
+				}
+				return info.State == RankOK && info.Generation == 2, nil
+			}); err != nil {
+				return err
+			}
+			if midRound {
+				var cnt int
+				if req != nil {
+					if _, err := req.Wait(); err != nil {
+						return err
+					}
+					cnt = req.Result()
+				} else {
+					var err error
+					if cnt, err = c.ValidateAll(); err != nil {
+						return err
+					}
+				}
+				mu.Lock()
+				open[p.Rank()] = cnt
+				mu.Unlock()
+			}
+			// Instance 3: aligned with the reincarnation's first.
+			cnt, err := c.ValidateAll()
+			if err != nil {
+				return err
+			}
+			if cnt != 0 {
+				return fmt.Errorf("post-revive validate reported %d failures", cnt)
+			}
+			return nil
 		})
+	requireNoRankErrors(t, res)
+	if len(res.Respawns) != 1 || !res.Respawns[0].Finished || res.Respawns[0].Err != nil {
+		t.Fatalf("respawns: %+v", res.Respawns)
+	}
+	for _, cnt := range open {
+		if cnt != open[0] {
+			t.Fatalf("survivors disagree on the instance open at the revival: %v", open)
+		}
 	}
 }
 
@@ -693,7 +739,7 @@ func TestLateFailureNoticeAfterRevive(t *testing.T) {
 			}
 			// The alive slot must NOT be marked failed, or it would stay
 			// failed forever (onPeerRevive already ran and will not repair).
-			if kf := e.knownFailedSnapshot(nil); len(kf) != 0 {
+			if kf := e.knownFailedSnapshot(); len(kf) != 0 {
 				return fmt.Errorf("late notification stuck knownFailed=%v", kf)
 			}
 			return nil

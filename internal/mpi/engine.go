@@ -26,9 +26,9 @@ import (
 //     (markDead/markClosed);
 //   - World.abortCh closes on MPI_Abort;
 //   - agreeCh is a generation channel for the agreement service: it is
-//     closed and replaced on every agreement-relevant state change
-//     (vote/decide arrival, failure notification), waking only the
-//     rare waiters inside validate_all.
+//     closed on every agreement-relevant state change (vote/decide
+//     arrival, failure notification) and made afresh by the next waiter,
+//     waking only the rare waiters inside validate_all.
 //
 // The dead/closed flags are additionally mirrored in atomics so that
 // checkAlive — called at the top of every user-facing operation — never
@@ -54,7 +54,7 @@ type engine struct {
 	mu      sync.Mutex
 	downCh  chan struct{} // closed once dead or closed
 	downOne sync.Once
-	agreeCh chan struct{} // generation channel for agreement waiters
+	agreeCh chan struct{} // generation channel for agreement waiters; nil until one waits
 
 	posted     postedIndex
 	unexpected unexpectedIndex
@@ -121,7 +121,6 @@ func newEngine(w *World, rank int, gen uint32) *engine {
 		rank:         rank,
 		gen:          gen,
 		downCh:       make(chan struct{}),
-		agreeCh:      make(chan struct{}),
 		posted:       newPostedIndex(),
 		unexpected:   newUnexpectedIndex(),
 		knownFailed:  make([]bool, nf),
@@ -184,11 +183,22 @@ func (e *engine) markClosed() {
 	e.downOne.Do(func() { close(e.downCh) })
 }
 
-// agreeBumpLocked wakes agreement waiters by rolling the generation
-// channel. Caller holds mu.
+// agreeBumpLocked wakes agreement waiters by closing the generation
+// channel; a change nobody waits for costs nothing. Caller holds mu.
 func (e *engine) agreeBumpLocked() {
-	close(e.agreeCh)
-	e.agreeCh = make(chan struct{})
+	if e.agreeCh != nil {
+		close(e.agreeCh)
+		e.agreeCh = nil
+	}
+}
+
+// agreeWaitLocked returns the channel the next agreeBumpLocked closes.
+// Caller holds mu.
+func (e *engine) agreeWaitLocked() chan struct{} {
+	if e.agreeCh == nil {
+		e.agreeCh = make(chan struct{})
+	}
+	return e.agreeCh
 }
 
 // --- failure notification --------------------------------------------------
@@ -251,6 +261,7 @@ func (e *engine) onPeerFailure(f int) {
 		}
 	}
 	if !revived {
+		e.agree.viewSeq++
 		e.agreeBumpLocked() // agreement waiters watch knownFailed, unchanged above
 	}
 	e.mu.Unlock()
@@ -286,30 +297,23 @@ func (e *engine) onPeerRevive(p int) {
 		}
 		c.collMembers = members
 	}
+	e.agree.viewSeq++
 	e.agreeBumpLocked()
 	e.mu.Unlock()
 }
 
 // knownFailedSnapshot returns the world ranks this engine has been
-// notified about, restricted to the given group (nil = all).
-func (e *engine) knownFailedSnapshot(group []int) []int {
+// notified about.
+func (e *engine) knownFailedSnapshot() []int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.knownFailedSnapshotLocked(group)
+	return e.knownFailedSnapshotLocked()
 }
 
-func (e *engine) knownFailedSnapshotLocked(group []int) []int {
+func (e *engine) knownFailedSnapshotLocked() []int {
 	var out []int
-	if group == nil {
-		for r, f := range e.knownFailed {
-			if f {
-				out = append(out, r)
-			}
-		}
-		return out
-	}
-	for _, r := range group {
-		if r >= 0 && r < len(e.knownFailed) && e.knownFailed[r] {
+	for r, f := range e.knownFailed {
+		if f {
 			out = append(out, r)
 		}
 	}

@@ -90,10 +90,10 @@ func WithSwim(opts membership.Options) Option {
 	}
 }
 
-// WithAgreement selects the validate_all consensus topology:
-// AgreementCoordinator (the default — the paper-faithful single
-// coordinator funnel) or AgreementTree (votes reduced up a fault-aware
-// spanning tree, the scalable choice for large N).
+// WithAgreement selects the fan-out of validate_all's spanning tree:
+// AgreementCoordinator (the default — the lowest alive rank is every
+// member's parent, the paper-faithful single coordinator) or
+// AgreementTree (at most two children per rank). The protocol is the same.
 func WithAgreement(mode string) Option {
 	return func(cfg *Config) { cfg.Agreement = mode }
 }

@@ -113,8 +113,8 @@ func AwaitKnownFailed(p *Proc, n int) {
 	e := p.eng
 	for {
 		e.mu.Lock()
-		known := len(e.knownFailedSnapshotLocked(nil))
-		ch := e.agreeCh
+		known := len(e.knownFailedSnapshotLocked())
+		ch := e.agreeWaitLocked()
 		e.mu.Unlock()
 		if known >= n {
 			return

@@ -216,9 +216,9 @@ func (s *replState) handleDeath(f int) bool {
 		}
 		w.tracer.RecordMsg(promoted, trace.Promoted, f, -1, -1, int(w.genOf(promoted)), 0, 0,
 			fmt.Sprintf("primary of logical %d (replacing %d)", l, f))
-		// A standby that just became primary may be parked in a passive
-		// agreement loop waiting to take over the coordinator or tree-root
-		// role; roll every engine's agreement channel so it re-evaluates.
+		// A standby that just became primary may be parked in an
+		// agreement waiting to take over the root role; roll every
+		// engine's agreement channel so it re-evaluates.
 		for i := 0; i < w.size; i++ {
 			e := w.eng(i)
 			e.mu.Lock()
@@ -302,21 +302,6 @@ func (w *World) appGeneration(l int) int {
 		return w.registry.Generation(p)
 	}
 	return w.registry.Generation(l)
-}
-
-// lowestAliveIn returns the lowest logical rank in group that the
-// application still observes as alive.
-func (w *World) lowestAliveIn(group []int) (int, bool) {
-	if w.repl == nil {
-		return w.registry.LowestAliveIn(group)
-	}
-	best, ok := -1, false
-	for _, l := range group {
-		if !w.appFailed(l) && (!ok || l < best) {
-			best, ok = l, true
-		}
-	}
-	return best, ok
 }
 
 // notifyFailure routes a confirmed physical death into the engines'

@@ -18,8 +18,8 @@ import (
 //
 // All alive members of the communicator must call it (in the same order
 // relative to other collectives), but it tolerates any member failing
-// before or during the call — including the coordinator, per the
-// agreement protocol in agreement.go.
+// before or during the call — including the root of the agreement
+// protocol in agreement.go.
 func (c *Comm) ValidateAll() (int, error) {
 	c.eng.checkAlive()
 	inst := c.nextValidateInst()

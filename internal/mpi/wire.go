@@ -18,24 +18,22 @@ import (
 //
 // Agreement frame payload:
 //
-//	byte 0   type   agreeReq .. agreeTreePull
-//	byte 1   flags  bit0 Decided, bit1 Failed present, bit2 Group present,
-//	                bit3 Covered present; bits 4-7 must be zero
+//	byte 0   type   agreeVote, agreeDecide or agreePull
+//	byte 1   flags  bit0 Failed present, bit1 Group present,
+//	                bit2 Covered present; bits 3-7 must be zero
 //	uvarint  Inst
 //	uvarint  From
 //	then, for each PRESENT list in the order Failed, Group, Covered:
 //	uvarint  n, followed by n uvarint world ranks
 //
 // An absent list decodes to nil and a present list of length zero to an
-// empty non-nil slice: "decided: no failures" and "no vote payload" stay
-// distinct on the wire.
+// empty non-nil slice, so every message survives a round trip exactly.
 
 const (
-	agreeFlagDecided uint8 = 1 << iota
-	agreeFlagFailed
+	agreeFlagFailed uint8 = 1 << iota
 	agreeFlagGroup
 	agreeFlagCovered
-	agreeFlagsKnown = agreeFlagDecided | agreeFlagFailed | agreeFlagGroup | agreeFlagCovered
+	agreeFlagsKnown = agreeFlagFailed | agreeFlagGroup | agreeFlagCovered
 )
 
 // wireIntMax bounds every decoded integer so the conversion to int is
@@ -72,9 +70,6 @@ func (m *agreeMsg) lists() [3]*[]int { return [3]*[]int{&m.Failed, &m.Group, &m.
 // encode renders the message in the layout above.
 func (m *agreeMsg) encode() []byte {
 	var flags uint8
-	if m.Decided {
-		flags |= agreeFlagDecided
-	}
 	size := 2 + uvarintLen(uint64(m.Inst)) + uvarintLen(uint64(m.From))
 	for i, l := range m.lists() {
 		if *l != nil {
@@ -152,12 +147,12 @@ func (r *wireReader) finish() error {
 // decodeAgree parses an agreement payload. The result shares no memory
 // with data, so one encoded buffer can back every copy of a broadcast.
 func decodeAgree(data []byte) (agreeMsg, error) {
-	if len(data) < 2 || data[0] > agreeTreePull || data[1]&^agreeFlagsKnown != 0 {
+	if len(data) < 2 || data[0] > agreePull || data[1]&^agreeFlagsKnown != 0 {
 		return agreeMsg{}, errWire
 	}
 	flags := data[1]
 	r := wireReader{b: data[2:]}
-	m := agreeMsg{Type: data[0], Decided: flags&agreeFlagDecided != 0}
+	m := agreeMsg{Type: data[0]}
 	m.Inst = r.int()
 	m.From = r.int()
 	for i, l := range m.lists() {

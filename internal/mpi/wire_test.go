@@ -32,10 +32,9 @@ func randRankList(rng *rand.Rand, max int) []int {
 
 func randAgreeMsg(rng *rand.Rand, maxList int) agreeMsg {
 	return agreeMsg{
-		Type:    uint8(rng.Intn(int(agreeTreePull) + 1)),
+		Type:    uint8(rng.Intn(int(agreePull) + 1)),
 		Inst:    rng.Intn(1 << uint(1+rng.Intn(31))),
 		From:    rng.Intn(1 << 20),
-		Decided: rng.Intn(2) == 0,
 		Failed:  randRankList(rng, maxList),
 		Group:   randRankList(rng, maxList),
 		Covered: randRankList(rng, maxList),
@@ -51,7 +50,7 @@ func TestAgreeCodecRoundTrip(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		maxList := 8
 		if i%100 == 0 {
-			maxList = 4096 // a REQ carrying a whole large group
+			maxList = 4096 // a PULL carrying a whole large group
 		}
 		want := randAgreeMsg(rng, maxList)
 		enc := want.encode()
@@ -88,13 +87,13 @@ func TestAgreeCodecRejectsOutOfRange(t *testing.T) {
 		{Type: agreeVote, Inst: -1},
 		{Type: agreeVote, From: -1},
 		{Type: agreeDecide, Failed: []int{3, -7}},
-		{Type: agreeReq, Inst: math.MaxInt32 + 1},
+		{Type: agreePull, Inst: math.MaxInt32 + 1},
 	} {
 		if got, err := decodeAgree(m.encode()); err == nil {
 			t.Errorf("%+v decoded as %+v", m, got)
 		}
 	}
-	valid := (&agreeMsg{Type: agreeReq, Inst: 5, From: 1, Group: []int{0, 1, 2}}).encode()
+	valid := (&agreeMsg{Type: agreePull, Inst: 5, From: 1, Group: []int{0, 1, 2}}).encode()
 	mutate := func(i int, v byte) []byte {
 		b := append([]byte(nil), valid...)
 		b[i] = v
@@ -102,9 +101,9 @@ func TestAgreeCodecRejectsOutOfRange(t *testing.T) {
 	}
 	for name, b := range map[string][]byte{
 		"empty":        nil,
-		"type only":    {agreeReq},
-		"unknown type": mutate(0, agreeTreePull+1),
-		"unknown flag": mutate(1, valid[1]|0x10),
+		"type only":    {agreePull},
+		"unknown type": mutate(0, agreePull+1),
+		"unknown flag": mutate(1, valid[1]|agreeFlagCovered<<1),
 		"huge list":    {agreeVote, agreeFlagFailed, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f},
 		"list > bytes": {agreeVote, agreeFlagFailed, 0, 0, 3, 1, 2},
 		"varint > u64": append([]byte{agreeVote, 0}, bytes.Repeat([]byte{0xff}, 11)...),
@@ -127,12 +126,12 @@ func FuzzAgreeDecode(f *testing.F) {
 	}
 	group := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	for _, m := range []agreeMsg{
-		{Type: agreeReq, Inst: 3, Group: group},
+		{Type: agreePull, Inst: 3, Group: group},
 		{Type: agreeVote, Inst: 3, From: 5, Failed: []int{2}, Group: group},
-		{Type: agreeDecide, Inst: 3, Failed: []int{}},
-		{Type: agreeTreeVote, Inst: 9, From: 1, Group: group, Failed: []int{4}, Covered: []int{1, 3, 7}},
-		{Type: agreeTreeDecide, Inst: 9, Failed: []int{4}, Decided: true},
-		{Type: agreeTreePull, Inst: 9, Group: group},
+		{Type: agreeDecide, Inst: 3},
+		{Type: agreeVote, Inst: 9, From: 1, Group: group, Failed: []int{4}, Covered: []int{3, 7}},
+		{Type: agreeDecide, Inst: 9, Failed: []int{4}},
+		{Type: agreeVote, Inst: 9, From: 6, Failed: []int{}},
 	} {
 		f.Add(m.encode())
 	}
@@ -206,10 +205,11 @@ func (a *agreeTap) Send(pkt *transport.Packet) error {
 	return a.Fabric.Send(pkt)
 }
 
-// TestAgreementBroadcastEncodesOnce: the coordinator's REQ and DECIDE
-// fan-outs (and the tree root's DECIDE to its two children) put ONE
-// encoded buffer behind every destination's frame, while AgreementMsgs
-// still counts a message per destination.
+// TestAgreementBroadcastEncodesOnce: the root's DECIDE puts ONE encoded
+// buffer behind every destination's frame — all n-1 members in
+// coordinator mode, its two children in tree mode — while AgreementMsgs
+// still counts a message per destination. A root whose view has lost
+// nobody never pulls: members push their votes on entry.
 func TestAgreementBroadcastEncodesOnce(t *testing.T) {
 	const n = 8
 	for _, mode := range []string{AgreementCoordinator, AgreementTree} {
@@ -232,9 +232,7 @@ func TestAgreementBroadcastEncodesOnce(t *testing.T) {
 
 			// Rank 0's frames grouped by the encoding that backs them: the
 			// widest fan-out of each message type, and how many encodings of
-			// that type there were in all. (A vote that lands after the
-			// decision is answered on its own, so DECIDE can have extra
-			// single-destination encodings; REQ cannot.)
+			// that type there were in all.
 			dstsOf := map[*byte]map[int]bool{}
 			typeOf := map[*byte]uint8{}
 			for _, f := range tap.frames {
@@ -256,17 +254,15 @@ func TestAgreementBroadcastEncodesOnce(t *testing.T) {
 				encodings[typ]++
 				widest[typ] = max(widest[typ], len(dsts))
 			}
+			children := n - 1
 			if mode == AgreementTree {
-				if widest[agreeTreeDecide] != 2 {
-					t.Fatalf("root's DECIDE to its 2 children: widest single encoding reached %d", widest[agreeTreeDecide])
-				}
-			} else {
-				if encodings[agreeReq] != 1 || widest[agreeReq] != n-1 {
-					t.Fatalf("REQ fan-out: %d encodings, widest reached %d of %d", encodings[agreeReq], widest[agreeReq], n-1)
-				}
-				if widest[agreeDecide] != n-1 {
-					t.Fatalf("DECIDE fan-out: widest single encoding reached %d of %d", widest[agreeDecide], n-1)
-				}
+				children = 2
+			}
+			if encodings[agreeDecide] != 1 || widest[agreeDecide] != children {
+				t.Fatalf("DECIDE fan-out: %d encodings, widest reached %d of %d", encodings[agreeDecide], widest[agreeDecide], children)
+			}
+			if encodings[agreePull] != 0 || encodings[agreeVote] != 0 {
+				t.Fatalf("the root sent %d PULL and %d VOTE encodings", encodings[agreePull], encodings[agreeVote])
 			}
 			if got, frames := m.Total(metrics.AgreementMsgs), int64(len(tap.frames)); got != frames {
 				t.Fatalf("AgreementMsgs = %d, but %d agreement frames reached the fabric", got, frames)
@@ -305,17 +301,11 @@ func TestCorruptedAgreementFrameLeavesOtherCopiesIntact(t *testing.T) {
 	if plan.Count(chaos.EvCorrupt) == 0 {
 		t.Fatal("chaos corrupted nothing on link 0->1")
 	}
-	// Everything rank 0 legitimately says in these rounds.
-	group := []int{0, 1, 2, 3}
+	// Everything rank 0, the root of every round, legitimately says: the
+	// DECIDE, which also answers any vote that lands after it.
 	clean := map[string]bool{}
 	for i := 0; i < rounds; i++ {
-		for _, m := range []agreeMsg{
-			{Type: agreeReq, Inst: i, Group: group},
-			{Type: agreeDecide, Inst: i, Failed: []int{}},
-			{Type: agreeDecide, Inst: i, Failed: []int{}, Decided: true}, // answer to a late vote
-		} {
-			clean[string(m.encode())] = true
-		}
+		clean[string((&agreeMsg{Type: agreeDecide, Inst: i}).encode())] = true
 	}
 	mangled := 0
 	first := map[*byte]tappedFrame{}
@@ -344,9 +334,9 @@ func TestCorruptedAgreementFrameLeavesOtherCopiesIntact(t *testing.T) {
 }
 
 // TestAgreementStateBounded is the agreement row of the robustness
-// budget: over 10^4 instances no engine keeps a vote or a parked request
-// for an instance that is over. (decisions is exempt: late arrivals are
-// answered from it.)
+// budget: over 10^4 instances no engine keeps any state — folded votes,
+// the entered mark, a reactive-serving mark — for an instance that is
+// over. (decisions is exempt: late arrivals are answered from it.)
 func TestAgreementStateBounded(t *testing.T) {
 	const n, instances = 8, 10000
 	for _, mode := range []string{AgreementCoordinator, AgreementTree} {
@@ -370,11 +360,10 @@ func TestAgreementStateBounded(t *testing.T) {
 			for r := 0; r < n; r++ {
 				e := w.eng(r)
 				e.mu.Lock()
-				votes, parked, decisions := len(e.agree.votes), len(e.agree.pendingReqs), len(e.agree.decisions)
+				insts, decisions := len(e.agree.insts), len(e.agree.decisions)
 				e.mu.Unlock()
-				if votes != 0 || parked != 0 {
-					t.Errorf("rank %d: %d vote sets and %d parked requests left after %d instances",
-						r, votes, parked, instances)
+				if insts != 0 {
+					t.Errorf("rank %d: state for %d instances left after %d instances", r, insts, instances)
 				}
 				if decisions != instances {
 					t.Errorf("rank %d: %d decisions for %d instances", r, decisions, instances)

@@ -55,11 +55,11 @@ type Config struct {
 	// Swim tunes the SWIM monitors when Detector is DetectorSwim; zero
 	// fields take the membership package defaults.
 	Swim membership.Options
-	// Agreement selects the validate_all consensus topology:
-	// AgreementCoordinator (the default, also selected by "") funnels
-	// votes through the lowest alive rank, AgreementTree reduces them up
-	// a fault-aware spanning tree — the scalable choice for large N. See
-	// the constants in treeagree.go.
+	// Agreement selects the fan-out of validate_all's spanning tree:
+	// AgreementCoordinator (the default, also selected by "") makes the
+	// lowest alive rank the parent of every member, AgreementTree gives
+	// every rank at most two children. The protocol is the same; see
+	// agreement.go.
 	Agreement string
 	// Chaos injects seeded network faults (drop, duplication, corruption,
 	// jitter, reordering, partitions) between the engines and the fabric;
@@ -110,7 +110,7 @@ type World struct {
 	hook      HookFunc
 	deadline  time.Duration
 	reliable  *reliable.Fabric // non-nil when the reliability sublayer is on
-	agreement string           // validate_all topology (AgreementCoordinator / AgreementTree)
+	treeArity int              // validate_all tree fan-out; 0 = the whole group (AgreementCoordinator)
 	elastic   *ElasticOptions
 	lsize     int        // logical rank count (== size unless replicated)
 	repl      *replState // replica-group state; nil outside replication mode
@@ -283,9 +283,8 @@ func newWorldFromConfig(cfg Config) (*World, error) {
 			relFab.OnAckRetire(w.chainFrameAcked)
 		}
 	}
-	w.agreement = cfg.Agreement
-	if w.agreement == "" {
-		w.agreement = AgreementCoordinator
+	if cfg.Agreement == AgreementTree {
+		w.treeArity = 2
 	}
 	if cfg.NotifyDelay > 0 {
 		w.registry.SetNotifyDelay(cfg.NotifyDelay)

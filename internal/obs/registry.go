@@ -22,8 +22,8 @@ const (
 	RecvWait
 	// ValidateAll times one MPI_Comm_validate_all call end to end.
 	ValidateAll
-	// AgreementRound times one coordinator round of the consensus
-	// protocol (solicit votes -> decision).
+	// AgreementRound times one agreement at the root that decides it
+	// (entry -> decision).
 	AgreementRound
 	// Election times one leader-election convergence (LowestAlive scan or
 	// Chang-Roberts token circulation).

@@ -280,7 +280,7 @@ func e9() Experiment {
 					t.Add(n, f, rootDies, res.Elapsed, fmt.Sprintf("%d/%d", term, n-f))
 				}
 			}
-			t.Note("root death needs no special casing: the agreement's coordinator fails over internally")
+			t.Note("root death needs no special casing: the agreement's root fails over internally")
 			return []*Table{t}, nil
 		},
 	}
@@ -377,7 +377,7 @@ func e13() Experiment {
 		ID: "e13", Title: "validate_all cost", PaperRef: "Section II (consensus)",
 		Run: func(opt Options) ([]*Table, error) {
 			t := NewTable("E13: MPI_Comm_validate_all cost",
-				"ranks", "failures", "per-validate", "agreement-msgs/validate", "agreed-count")
+				"ranks", "failures", "per-validate", "agreement-msgs/validate", "allocs/validate", "agreed-count")
 			reps := 20
 			if opt.Quick {
 				reps = 5
@@ -387,13 +387,21 @@ func e13() Experiment {
 					if f >= n-1 {
 						continue
 					}
-					elapsed, msgs, count, err := runValidateBench(n, f, reps, opt.Agreement)
+					// The same world without a validate prices everything
+					// else (setup, deaths, teardown) out of the allocations.
+					base, err := runValidateBench(n, f, 0, opt.Agreement)
 					if err != nil {
 						return nil, err
 					}
-					t.Add(n, f, elapsed/time.Duration(reps), msgs/int64(reps), count)
+					v, err := runValidateBench(n, f, reps, opt.Agreement)
+					if err != nil {
+						return nil, err
+					}
+					allocs := (float64(v.mallocs) - float64(base.mallocs)) / float64(reps)
+					t.Add(n, f, v.elapsed/time.Duration(reps), v.msgs/int64(reps), fmt.Sprintf("%.0f", allocs), v.agreed)
 				}
 			}
+			t.Note("allocs/validate: heap allocations of the whole process, less those of the same world with no validate")
 			return []*Table{t}, nil
 		},
 	}

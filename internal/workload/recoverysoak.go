@@ -90,16 +90,9 @@ func runRecoveryForensics(opt Options) ([]*Table, error) {
 				if err := runRecoveryWorld(opt, repair, det, seed, rec); err != nil {
 					return nil, fmt.Errorf("e23 %s/%s seed %d: %w", repair, det, seed, err)
 				}
-				events := rec.Events()
-				rep := trace.Audit(events)
-				if !rep.Clean() {
-					return nil, fmt.Errorf(
-						"e23 %s/%s seed %d: conservation audit failed: %d unaccounted send(s), %d orphan delivery(ies)",
-						repair, det, seed, len(rep.Unaccounted), len(rep.OrphanDelivers))
-				}
-				if v := trace.CheckCausal(events); len(v) > 0 {
-					return nil, fmt.Errorf("e23 %s/%s seed %d: causal violation: %s",
-						repair, det, seed, v[0])
+				events, err := auditTrace(opt, rec)
+				if err != nil {
+					return nil, fmt.Errorf("e23 %s/%s seed %d: %w", repair, det, seed, err)
 				}
 				incidents := trace.Recoveries(events)
 				if len(incidents) == 0 {
@@ -107,7 +100,6 @@ func runRecoveryForensics(opt Options) ([]*Table, error) {
 						repair, det, seed)
 				}
 				tally.absorb(incidents)
-				opt.Collector.AbsorbAudit(rep)
 			}
 			t.Add(repair, det, tally.seeds, tally.incidents,
 				durQuantile(tally.detect, 0.50), durQuantile(tally.agree, 0.50),

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
@@ -197,9 +196,8 @@ func runReplicaWorld(opt Options, cfg replicaCfg, seed int64, mets *metrics.Worl
 		}
 		me, L, phys := p.Rank(), p.Size(), p.PhysRank()
 
-		// The entire application: the paper's Fig. 2 fault-UNAWARE ring.
-		// Fixed peers, blocking calls, no failure handling of any kind —
-		// the replication layer beneath is what absorbs the kill.
+		// The entire application: the fault-unaware ring. The replication
+		// layer beneath is what absorbs the kill.
 		buf := make([]byte, 8)
 		for lap := 0; lap < cfg.laps; lap++ {
 			if cfg.kill && phys == run.victim && lap == run.killLap {
@@ -208,27 +206,14 @@ func runReplicaWorld(opt Options, cfg replicaCfg, seed int64, mets *metrics.Worl
 			if cfg.waitRepair && me == 0 && lap == cfg.laps-replicaWaitLaps {
 				waitForRepair(mets, run.role == "primary")
 			}
+			got, err := ringLap(c, replicaTagTok, lap, buf)
+			if err != nil {
+				return err
+			}
 			if me == 0 {
-				binary.LittleEndian.PutUint64(buf, uint64(lap))
-				if serr := c.Send(1%L, replicaTagTok, buf); serr != nil {
-					return serr
-				}
-				pl, _, rerr := c.Recv(L-1, replicaTagTok)
-				if rerr != nil {
-					return rerr
-				}
-				got := int64(binary.LittleEndian.Uint64(pl))
 				mu.Lock()
 				rootLaps[phys] = append(rootLaps[phys], got)
 				mu.Unlock()
-			} else {
-				pl, _, rerr := c.Recv(me-1, replicaTagTok)
-				if rerr != nil {
-					return rerr
-				}
-				if serr := c.Send((me+1)%L, replicaTagTok, pl); serr != nil {
-					return serr
-				}
 			}
 		}
 		if cfg.autoRefill && cfg.kill {
@@ -378,18 +363,8 @@ func runReplicaSoak(opt Options) ([]*Table, error) {
 		return nil, err
 	}
 
-	tLat := NewTable("E22c: replication latency quantiles (merged over seeds)",
-		"family", "samples", "p50", "p95", "p99", "max")
-	for _, f := range []obs.Family{obs.ReplicaPromotion, obs.ReplicationOverhead,
-		obs.NotifyLatency, obs.SendComplete} {
-		snap := lat[f]
-		if snap.Count == 0 {
-			continue
-		}
-		tLat.Add(f.String(), snap.Count,
-			time.Duration(snap.Quantile(0.50)), time.Duration(snap.Quantile(0.95)),
-			time.Duration(snap.Quantile(0.99)), time.Duration(snap.Max))
-	}
+	tLat := lat.table("E22c: replication latency quantiles (merged over seeds)",
+		obs.ReplicaPromotion, obs.ReplicationOverhead, obs.NotifyLatency, obs.SendComplete)
 	tLat.Note("replica_promotion = detector Confirm to standby promoted; replication_overhead = extra fan-out copies per send")
 	return []*Table{t, tOv, tLat}, nil
 }
@@ -446,25 +421,10 @@ func runPlainRing(laps int) (time.Duration, error) {
 	res, err := w.Run(func(p *mpi.Proc) error {
 		c := p.World()
 		c.SetErrhandler(mpi.ErrorsReturn)
-		me := p.Rank()
 		buf := make([]byte, 8)
 		for lap := 0; lap < laps; lap++ {
-			if me == 0 {
-				binary.LittleEndian.PutUint64(buf, uint64(lap))
-				if serr := c.Send(1%n, replicaTagTok, buf); serr != nil {
-					return serr
-				}
-				if _, _, rerr := c.Recv(n-1, replicaTagTok); rerr != nil {
-					return rerr
-				}
-			} else {
-				pl, _, rerr := c.Recv(me-1, replicaTagTok)
-				if rerr != nil {
-					return rerr
-				}
-				if serr := c.Send((me+1)%n, replicaTagTok, pl); serr != nil {
-					return serr
-				}
+			if _, err := ringLap(c, replicaTagTok, lap, buf); err != nil {
+				return err
 			}
 		}
 		return nil

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -168,27 +167,14 @@ func runDurabilityWorld(opt Options, mode string, seed int64, rec *trace.Recorde
 				p.Die()
 			}
 			// Ring phase: the fault-unaware token pass.
+			got, err := ringLap(c, durTagTok, lap, buf)
+			if err != nil {
+				return err
+			}
 			if me == 0 {
-				binary.LittleEndian.PutUint64(buf, uint64(lap))
-				if serr := c.Send(1%L, durTagTok, buf); serr != nil {
-					return serr
-				}
-				pl, _, rerr := c.Recv(L-1, durTagTok)
-				if rerr != nil {
-					return rerr
-				}
-				got := int64(binary.LittleEndian.Uint64(pl))
 				mu.Lock()
 				rootLaps[phys] = append(rootLaps[phys], got)
 				mu.Unlock()
-			} else {
-				pl, _, rerr := c.Recv(me-1, durTagTok)
-				if rerr != nil {
-					return rerr
-				}
-				if serr := c.Send((me+1)%L, durTagTok, pl); serr != nil {
-					return serr
-				}
 			}
 			// Collective phase every durCollEvery laps: Bcast + Allreduce
 			// over the replica groups.
@@ -348,16 +334,9 @@ func runDurabilitySoak(opt Options) ([]*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("e24 %s seed %d: %w", mode, seed, err)
 			}
-			events := rec.Events()
-			rep := trace.Audit(events)
-			if !rep.Clean() {
-				return nil, fmt.Errorf("e24 %s seed %d: conservation audit failed: %d unaccounted send(s), %d orphan delivery(ies)",
-					mode, seed, len(rep.Unaccounted), len(rep.OrphanDelivers))
+			if _, err := auditTrace(opt, rec); err != nil {
+				return nil, fmt.Errorf("e24 %s seed %d: %w", mode, seed, err)
 			}
-			if v := trace.CheckCausal(events); len(v) > 0 {
-				return nil, fmt.Errorf("e24 %s seed %d: causal violation: %s", mode, seed, v[0])
-			}
-			opt.Collector.AbsorbAudit(rep)
 			lat.merge(reg)
 			t.Add(mode, seed, run.primVictim, run.killPlacement, run.standbyVictim,
 				run.laps, run.promotions, run.refills, run.chainResends, run.chainAcks,
@@ -369,18 +348,8 @@ func runDurabilitySoak(opt Options) ([]*Table, error) {
 	t.Note("every replica group back at degree R by the epilogue, validates=resends=0")
 	t.Note("forward-window kills (chain, even seeds) additionally assert chain-resends>0: the tail-ack outbox replayed")
 
-	tLat := NewTable("E24b: durability latency quantiles (merged over seeds, both modes)",
-		"family", "samples", "p50", "p95", "p99", "max")
-	for _, f := range []obs.Family{obs.RereplicationLatency, obs.ReplicaPromotion,
-		obs.RecoveryTotal} {
-		snap := lat[f]
-		if snap.Count == 0 {
-			continue
-		}
-		tLat.Add(f.String(), snap.Count,
-			time.Duration(snap.Quantile(0.50)), time.Duration(snap.Quantile(0.95)),
-			time.Duration(snap.Quantile(0.99)), time.Duration(snap.Max))
-	}
+	tLat := lat.table("E24b: durability latency quantiles (merged over seeds, both modes)",
+		obs.RereplicationLatency, obs.ReplicaPromotion, obs.RecoveryTotal)
 	tLat.Note("rereplication_latency = detector confirm of the lost replica to the automatic Spawn restoring the slot")
 	return []*Table{t, tLat}, nil
 }

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -14,6 +16,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/obs"
+	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -52,18 +55,27 @@ func runLowestAliveElection(n, k int) (map[int]int, time.Duration, error) {
 	return elected, res.Elapsed, nil
 }
 
+// validateCost is what one runValidateBench world measured.
+type validateCost struct {
+	elapsed time.Duration // rank 0's wall time over every rep
+	msgs    int64         // agreement messages, world-wide
+	mallocs uint64        // heap allocations, whole process, world built to torn down
+	agreed  int           // rank 0's last agreed failure count
+}
+
 // runValidateBench measures repeated ValidateAll calls on a world with f
-// pre-failed ranks (highest ranks die so rank 0 coordinates).
-func runValidateBench(n, f, reps int, agreement string) (time.Duration, int64, int, error) {
+// pre-failed ranks (highest ranks die so rank 0 is the root).
+func runValidateBench(n, f, reps int, agreement string) (validateCost, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	mets := metrics.NewWorld(n)
 	w, err := mpi.NewWorld(n, mpi.WithDeadline(60*time.Second), mpi.WithMetrics(mets),
 		mpi.WithAgreement(agreement))
 	if err != nil {
-		return 0, 0, 0, err
+		return validateCost{}, err
 	}
 	var mu sync.Mutex
-	var elapsed time.Duration
-	agreed := -1
+	cost := validateCost{agreed: -1}
 	res, err := w.Run(func(p *mpi.Proc) error {
 		c := p.World()
 		c.SetErrhandler(mpi.ErrorsReturn)
@@ -74,7 +86,7 @@ func runValidateBench(n, f, reps int, agreement string) (time.Duration, int64, i
 			time.Sleep(time.Millisecond)
 		}
 		start := time.Now()
-		var cnt int
+		cnt := -1
 		for i := 0; i < reps; i++ {
 			var verr error
 			cnt, verr = c.ValidateAll()
@@ -84,21 +96,24 @@ func runValidateBench(n, f, reps int, agreement string) (time.Duration, int64, i
 		}
 		if p.Rank() == 0 {
 			mu.Lock()
-			elapsed = time.Since(start)
-			agreed = cnt
+			cost.elapsed = time.Since(start)
+			cost.agreed = cnt
 			mu.Unlock()
 		}
 		return nil
 	})
 	if err != nil {
-		return 0, 0, 0, err
+		return validateCost{}, err
 	}
 	for rank, rr := range res.Ranks {
 		if rank < n-f && rr.Err != nil {
-			return 0, 0, 0, fmt.Errorf("rank %d: %w", rank, rr.Err)
+			return validateCost{}, fmt.Errorf("rank %d: %w", rank, rr.Err)
 		}
 	}
-	return elapsed, mets.Total(metrics.AgreementMsgs), agreed, nil
+	runtime.ReadMemStats(&after)
+	cost.msgs = mets.Total(metrics.AgreementMsgs)
+	cost.mallocs = after.Mallocs - before.Mallocs
+	return cost, nil
 }
 
 // runCollectiveSemantics reproduces the Section II collective rules as a
@@ -273,13 +288,13 @@ func runLargeN(opt Options) ([]*Table, error) {
 		if got := len(report.Rank(0).RootValues); got != iters {
 			return nil, fmt.Errorf("ring n=%d: root absorbed %d/%d iterations", n, got, iters)
 		}
-		vElapsed, vMsgs, _, err := runValidateBench(n, 0, 1, "")
+		v, err := runValidateBench(n, 0, 1, "")
 		if err != nil {
 			return nil, fmt.Errorf("validate n=%d: %w", n, err)
 		}
 		hops := iters * n
 		t.Add(n, iters, res.Elapsed,
-			float64(res.Elapsed.Microseconds())/float64(hops), vElapsed, vMsgs)
+			float64(res.Elapsed.Microseconds())/float64(hops), v.elapsed, v.msgs)
 	}
 	t.Note("us/hop flat in ranks = O(1) matching; the pre-index engine grew linearly with queue depth")
 	return []*Table{t}, nil
@@ -306,14 +321,71 @@ func (l latTally) merge(reg *obs.Registry) {
 // addRows renders the non-empty histogram families as quantile rows.
 func (l latTally) addRows(t *Table, workload string) {
 	for _, f := range obs.Families() {
-		snap := l[f]
-		if snap.Count == 0 {
-			continue
+		if snap := l[f]; snap.Count != 0 {
+			t.Add(append([]any{workload}, quantileRow(f, snap)...)...)
 		}
-		t.Add(workload, f.String(), snap.Count,
-			time.Duration(snap.Quantile(0.50)), time.Duration(snap.Quantile(0.95)),
-			time.Duration(snap.Quantile(0.99)), time.Duration(snap.Max))
 	}
+}
+
+// table renders the given families that have samples as a quantile table
+// of its own.
+func (l latTally) table(title string, families ...obs.Family) *Table {
+	t := NewTable(title, "family", "samples", "p50", "p95", "p99", "max")
+	for _, f := range families {
+		if snap := l[f]; snap.Count != 0 {
+			t.Add(quantileRow(f, snap)...)
+		}
+	}
+	return t
+}
+
+// quantileRow is one family's cells: name, samples, p50, p95, p99, max.
+func quantileRow(f obs.Family, s obs.HistSnapshot) []any {
+	return []any{f.String(), s.Count, time.Duration(s.Quantile(0.50)), time.Duration(s.Quantile(0.95)),
+		time.Duration(s.Quantile(0.99)), time.Duration(s.Max)}
+}
+
+// auditTrace holds a recorded run to the forensic standard: the
+// conservation audit must reconcile every send and the HLC/token check
+// must find no causal violation. A clean audit is absorbed into the
+// collector; the events are returned for further analysis.
+func auditTrace(opt Options, rec *trace.Recorder) ([]trace.Event, error) {
+	events := rec.Events()
+	rep := trace.Audit(events)
+	if !rep.Clean() {
+		return nil, fmt.Errorf("conservation audit failed: %d unaccounted send(s), %d orphan delivery(ies)",
+			len(rep.Unaccounted), len(rep.OrphanDelivers))
+	}
+	if v := trace.CheckCausal(events); len(v) > 0 {
+		return nil, fmt.Errorf("causal violation: %s", v[0])
+	}
+	opt.Collector.AbsorbAudit(rep)
+	return events, nil
+}
+
+// ringLap runs one lap of the paper's Fig. 2 fault-UNAWARE ring on c:
+// fixed peers, blocking calls, no failure handling of any kind. Rank 0
+// sends lap (encoded in buf) to its right and returns what comes back
+// from its left; every other rank forwards from left to right and
+// returns -1.
+func ringLap(c *mpi.Comm, tag, lap int, buf []byte) (int64, error) {
+	me, n := c.Rank(), c.Size()
+	if me != 0 {
+		pl, _, err := c.Recv(me-1, tag)
+		if err != nil {
+			return -1, err
+		}
+		return -1, c.Send((me+1)%n, tag, pl)
+	}
+	binary.LittleEndian.PutUint64(buf, uint64(lap))
+	if err := c.Send(1%n, tag, buf); err != nil {
+		return -1, err
+	}
+	pl, _, err := c.Recv(n-1, tag)
+	if err != nil {
+		return -1, err
+	}
+	return int64(binary.LittleEndian.Uint64(pl)), nil
 }
 
 // soakTally aggregates one workload's results across the seed sweep,
@@ -347,12 +419,6 @@ func (s *soakTally) absorb(ok bool, plan *chaos.Plan, mets *metrics.World, reg *
 func (s *soakTally) addRow(t *Table, workload string) {
 	t.Add(workload, s.runs, s.ok, s.dropped, s.duplicated, s.corrupted,
 		s.retried, s.deduped, s.rejected, s.elapsed)
-}
-
-// addLatencyRows renders the workload's non-empty histogram families as
-// quantile rows of the E18 latency table.
-func (s *soakTally) addLatencyRows(t *Table, workload string) {
-	s.lat.addRows(t, workload)
 }
 
 // runChaosSoak sweeps seeds over three workloads — the full FT ring,
@@ -489,9 +555,9 @@ func runChaosSoak(opt Options) ([]*Table, error) {
 	elect.addRow(t, "election")
 	t.Note("ok must equal seeds: every run completes with exact-once app-level delivery")
 	t.Note("rejected = corrupted frames caught by the end-to-end CRC before reaching matching")
-	ring.addLatencyRows(tLat, "ft ring (Fig. 5)")
-	validate.addLatencyRows(tLat, "validate_all")
-	elect.addLatencyRows(tLat, "election")
+	ring.lat.addRows(tLat, "ft ring (Fig. 5)")
+	validate.lat.addRows(tLat, "validate_all")
+	elect.lat.addRows(tLat, "election")
 	tLat.Note("retry_backoff/chaos_delay sample the reliability sublayer pacing and injected jitter")
 	return []*Table{t, tLat}, nil
 }

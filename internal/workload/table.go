@@ -98,7 +98,7 @@ type Options struct {
 	Heartbeat detector.HeartbeatOptions
 	// Swim tunes the monitors when Detector is "swim".
 	Swim membership.Options
-	// Agreement selects the validate_all topology for the generic ring
+	// Agreement selects the validate_all fan-out for the generic ring
 	// worlds ("" keeps the coordinator default).
 	Agreement string
 	// RepMode selects the replication propagation mode of the E22 kill
