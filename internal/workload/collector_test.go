@@ -29,7 +29,7 @@ func TestCollectorCoversAllFamilies(t *testing.T) {
 	// Seed 1 kills physical slot 1 — a primary, so the run exercises a
 	// promotion and its latency sample, not just the fan-out counters.
 	rcfg := replicaCfg{r: 2, mode: mpi.ReplFanout, kill: true,
-		laps: replicaBaseLaps, chaos: true}
+		laps: replicaBaseLaps, rates: repairRates}
 	if _, err := runReplicaWorld(opt, rcfg, 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestCollectorCoversAllFamilies(t *testing.T) {
 	// is even) lights the tail-ack counters (chain_acks, a guaranteed
 	// chain_resends) and the auto re-replication pipeline (replica_refills
 	// + rereplication_latency samples).
-	if _, err := runDurabilityWorld(opt, mpi.ReplChain, 2, nil, nil); err != nil {
+	if _, err := runDurabilityWorld(opt, mpi.ReplChain, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if c.Runs() < 3 {

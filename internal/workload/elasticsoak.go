@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/obs"
@@ -24,15 +23,12 @@ const ElasticDemoRanks = elasticRingRanks
 // scrapes the respawn/shrink/stale-generation counters of the world as it
 // repairs itself.
 func RunElasticDemo(seed int64, mets *metrics.World, reg *obs.Registry) (*Table, error) {
-	t := NewTable("elastic repair demo — kill, respawn, exactly-once resumption under chaos",
-		"seed", "victim", "kill-lap", "laps", "resends", "recovered-lap",
-		"stale-rejected", "shrinks", "elapsed")
+	t := elasticTable("elastic repair demo — kill, respawn, exactly-once resumption under chaos")
 	r, err := runElasticWorld(Options{}, seed, mets, reg)
 	if err != nil {
 		return nil, err
 	}
-	t.Add(seed, r.victim, r.killLap, len(r.laps), r.resends, r.fetched,
-		r.staleRejected, r.shrinks, r.elapsed)
+	r.addRow(t, seed)
 	return t, nil
 }
 
@@ -63,13 +59,6 @@ const (
 	elasticVerifyLaps = 2
 	elasticTagTok     = 1
 )
-
-// elasticRates is the chaos the soak runs under: lossy and duplicating
-// enough to exercise the ARQ under the repair protocol without turning
-// the run into a reliability benchmark.
-func elasticRates() chaos.Rates {
-	return chaos.Rates{Drop: 0.05, Dup: 0.05, Corrupt: 0.01}
-}
 
 // tokMsg is the ring token: the lap counter, the number of forwards it
 // took this lap, and the stop flag that drains the ring at the end.
@@ -107,14 +96,23 @@ type lapRec struct {
 
 // elasticRun is the measured outcome of one seeded E21 world.
 type elasticRun struct {
+	*soakRun
 	victim, killLap int
 	laps            []lapRec // rank 0's arrivals, in order
 	fetched         int64    // lap recovered by the reincarnation's FetchState
 	resends         int64
-	staleRejected   int64
-	respawns        int64
-	shrinks         int64
-	elapsed         time.Duration
+}
+
+// elasticTable is the E21 table shape, shared by the soak and the
+// cmd/ftring demo; addRow fills one seed's row.
+func elasticTable(title string) *Table {
+	return NewTable(title, "seed", "victim", "kill-lap", "laps", "resends", "recovered-lap",
+		"stale-rejected", "shrinks", "elapsed")
+}
+
+func (r *elasticRun) addRow(t *Table, seed int64) {
+	t.Add(seed, r.victim, r.killLap, len(r.laps), r.resends, r.fetched,
+		r.mets.Total(metrics.StaleGenRejected), r.mets.Total(metrics.Shrinks), r.Elapsed)
 }
 
 // runElasticWorld runs one seeded elastic ring world and checks the
@@ -132,34 +130,9 @@ func runElasticWorld(opt Options, seed int64, mets *metrics.World, reg *obs.Regi
 	}
 	totalLaps := elasticBaseLaps + elasticVerifyLaps
 
-	if mets == nil {
-		mets = metrics.NewWorld(n)
-	}
-	if reg == nil {
-		reg = opt.newObs(n)
-	}
-	opt.Collector.Attach(mets, reg)
-	wopts := []mpi.Option{
-		mpi.WithMetrics(mets),
-		mpi.WithDeadline(120 * time.Second),
-		mpi.WithChaos(chaos.NewPlan(seed).Default(elasticRates())),
-		mpi.WithElastic(mpi.ElasticOptions{AutoRespawn: true, RespawnDelay: time.Millisecond}),
-	}
-	if reg != nil {
-		wopts = append(wopts, mpi.WithObservability(reg))
-	}
-	if opt.Tracer != nil {
-		wopts = append(wopts, mpi.WithTracer(opt.Tracer))
-	}
-	wopts = append(wopts, opt.detectorOption())
-	w, err := mpi.NewWorld(n, wopts...)
-	if err != nil {
-		return nil, err
-	}
-
 	var mu sync.Mutex // guards run.laps / run.fetched / run.resends
 
-	res, err := w.Run(func(p *mpi.Proc) error {
+	rank := func(p *mpi.Proc) error {
 		c := p.World()
 		c.SetErrhandler(mpi.ErrorsReturn)
 		me := p.Rank()
@@ -344,28 +317,18 @@ func runElasticWorld(opt Options, seed int64, mets *metrics.World, reg *obs.Regi
 			return fmt.Errorf("rank %d: epilogue shrink size %d, want %d", me, nc.Size(), n)
 		}
 		return nil
-	})
+	}
+	var err error
+	run.soakRun, err = opt.runWorld(seed, soakWorld{size: n, rates: repairRates, victims: []int{run.victim},
+		opts: []mpi.Option{mpi.WithElastic(mpi.ElasticOptions{AutoRespawn: true, RespawnDelay: time.Millisecond})},
+		mets: mets, reg: reg, body: func(*mpi.World) func(*mpi.Proc) error { return rank }})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("seed %d: %w", seed, err)
 	}
-	if res.TimedOut {
-		return nil, fmt.Errorf("seed %d: wedged, stuck ranks %v", seed, res.Stuck)
+	if len(run.Respawns) != 1 {
+		return nil, fmt.Errorf("seed %d: %d respawns, want 1", seed, len(run.Respawns))
 	}
-	for rank, rr := range res.Ranks {
-		if rank == run.victim {
-			if !rr.Killed {
-				return nil, fmt.Errorf("seed %d: victim %d not recorded killed", seed, rank)
-			}
-			continue
-		}
-		if rr.Err != nil {
-			return nil, fmt.Errorf("seed %d: rank %d: %w", seed, rank, rr.Err)
-		}
-	}
-	if len(res.Respawns) != 1 {
-		return nil, fmt.Errorf("seed %d: %d respawns, want 1", seed, len(res.Respawns))
-	}
-	if rr := res.Respawns[0]; rr.Slot != run.victim || rr.Gen != 2 || !rr.Finished || rr.Err != nil {
+	if rr := run.Respawns[0]; rr.Slot != run.victim || rr.Gen != 2 || !rr.Finished || rr.Err != nil {
 		return nil, fmt.Errorf("seed %d: respawn %+v", seed, rr)
 	}
 
@@ -395,17 +358,12 @@ func runElasticWorld(opt Options, seed int64, mets *metrics.World, reg *obs.Regi
 			seed, run.fetched, run.killLap)
 	}
 
-	run.staleRejected = mets.Total(metrics.StaleGenRejected)
-	run.respawns = mets.Total(metrics.Respawns)
-	run.shrinks = mets.Total(metrics.Shrinks)
-	run.elapsed = res.Elapsed
-	if run.respawns != 1 {
-		return nil, fmt.Errorf("seed %d: respawn counter %d", seed, run.respawns)
+	if respawns := run.mets.Total(metrics.Respawns); respawns != 1 {
+		return nil, fmt.Errorf("seed %d: respawn counter %d", seed, respawns)
 	}
-	if run.shrinks != int64(n) {
-		return nil, fmt.Errorf("seed %d: shrink counter %d, want %d", seed, run.shrinks, n)
+	if shrinks := run.mets.Total(metrics.Shrinks); shrinks != int64(n) {
+		return nil, fmt.Errorf("seed %d: shrink counter %d, want %d", seed, shrinks, n)
 	}
-	opt.Collector.Absorb(mets, reg)
 	return run, nil
 }
 
@@ -413,21 +371,16 @@ func runElasticWorld(opt Options, seed int64, mets *metrics.World, reg *obs.Regi
 // mode), each asserting the kill -> respawn -> exactly-once-resumption
 // chain in-run. The table records per-seed facts for EXPERIMENTS.md.
 func runElasticSoak(opt Options) ([]*Table, error) {
-	t := NewTable("E21: elastic soak — kill, respawn, exactly-once resumption under chaos",
-		"seed", "victim", "kill-lap", "laps", "resends", "recovered-lap",
-		"stale-rejected", "shrinks", "elapsed")
-	seeds := 20
-	if opt.Quick {
-		seeds = 6
-	}
-	for s := 0; s < seeds; s++ {
-		seed := opt.Seed + int64(s)
+	t := elasticTable("E21: elastic soak — kill, respawn, exactly-once resumption under chaos")
+	err := opt.eachSeed(6, func(seed int64) error {
 		r, err := runElasticWorld(opt, seed, nil, nil)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			r.addRow(t, seed)
 		}
-		t.Add(seed, r.victim, r.killLap, len(r.laps), r.resends, r.fetched,
-			r.staleRejected, r.shrinks, r.elapsed)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.Note("asserted in-run per seed: victim respawned at gen 2, rank 0 saw every lap exactly once in order,")
 	t.Note("verification laps crossed all %d ranks, recovered state >= kill lap, epilogue shrink returned to full size",

@@ -36,11 +36,10 @@ func ringOnce(opt Options, size int, cfg core.Config, mut func(*mpi.Config)) (*c
 
 // All returns every experiment in DESIGN.md order.
 func All() []Experiment {
-	return []Experiment{
+	return append([]Experiment{
 		e1(), e2(), e3(), e4(), e5(), e6(), e7(), e8(),
 		e9(), e10(), e11(), e12(), e13(), e14(), e15(), e16(), e17(),
-		e18(), e19(), e20(), e21(), e22(), e23(), e24(),
-	}
+	}, soaks...)
 }
 
 // ByID finds an experiment by its identifier ("e1".."e24").
@@ -443,67 +442,20 @@ func e17() Experiment {
 	}
 }
 
-func e18() Experiment {
-	return Experiment{
-		ID: "e18", Title: "Chaos soak under lossy links", PaperRef: "robustness",
-		Run: func(opt Options) ([]*Table, error) {
-			return runChaosSoak(opt)
-		},
-	}
-}
-
-func e19() Experiment {
-	return Experiment{
-		ID: "e19", Title: "Heartbeat detector soak", PaperRef: "Sec. III detector, made real",
-		Run: func(opt Options) ([]*Table, error) {
-			return runHeartbeatSoak(opt)
-		},
-	}
-}
-
-func e20() Experiment {
-	return Experiment{
-		ID: "e20", Title: "SWIM membership scaling soak", PaperRef: "Sec. III detector, at scale",
-		Run: func(opt Options) ([]*Table, error) {
-			return runSwimSoak(opt)
-		},
-	}
-}
-
-func e21() Experiment {
-	return Experiment{
-		ID: "e21", Title: "Elastic shrink/respawn soak", PaperRef: "beyond run-through: ULFM-style repair",
-		Run: func(opt Options) ([]*Table, error) {
-			return runElasticSoak(opt)
-		},
-	}
-}
-
-func e22() Experiment {
-	return Experiment{
-		ID: "e22", Title: "Replication soak: transparent failover", PaperRef: "the other FT strategy: hot replicas vs ABFT",
-		Run: func(opt Options) ([]*Table, error) {
-			return runReplicaSoak(opt)
-		},
-	}
-}
-
-func e23() Experiment {
-	return Experiment{
-		ID: "e23", Title: "Recovery forensics: trace-derived phase decomposition", PaperRef: "recovery time, decomposed causally",
-		Run: func(opt Options) ([]*Table, error) {
-			return runRecoveryForensics(opt)
-		},
-	}
-}
-
-func e24() Experiment {
-	return Experiment{
-		ID: "e24", Title: "Durability soak: chain tail-acks, auto re-replication, replicated collectives", PaperRef: "replication durability under seeded worst-case kills",
-		Run: func(opt Options) ([]*Table, error) {
-			return runDurabilitySoak(opt)
-		},
-	}
+// soaks are the seeded soak experiments, each a sweep of soakWorlds
+// through runWorld.
+var soaks = []Experiment{
+	{ID: "e18", Title: "Chaos soak under lossy links", PaperRef: "robustness", Run: runChaosSoak},
+	{ID: "e19", Title: "Heartbeat detector soak", PaperRef: "Sec. III detector, made real", Run: runHeartbeatSoak},
+	{ID: "e20", Title: "SWIM membership scaling soak", PaperRef: "Sec. III detector, at scale", Run: runSwimSoak},
+	{ID: "e21", Title: "Elastic shrink/respawn soak", PaperRef: "beyond run-through: ULFM-style repair",
+		Run: runElasticSoak},
+	{ID: "e22", Title: "Replication soak: transparent failover", PaperRef: "the other FT strategy: hot replicas vs ABFT",
+		Run: runReplicaSoak},
+	{ID: "e23", Title: "Recovery forensics: trace-derived phase decomposition", PaperRef: "recovery time, decomposed causally",
+		Run: runRecoveryForensics},
+	{ID: "e24", Title: "Durability soak: chain tail-acks, auto re-replication, replicated collectives",
+		PaperRef: "replication durability under seeded worst-case kills", Run: runDurabilitySoak},
 }
 
 // nonRoots lists all comm ranks except 0 (failure candidates when the

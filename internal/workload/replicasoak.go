@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/chaos"
@@ -21,26 +20,24 @@ const ReplicaDemoRanks = replicaRingRanks
 // with R replicas per logical rank in the given replication mode
 // (mpi.ReplFanout or mpi.ReplChain) over the caller's metrics recorder
 // and histogram registry — both sized to ReplicaDemoRanks*R — and returns
-// the one-row result table. This is the entry point behind cmd/ftring's
-// -replicas mode, so a live -obs endpoint scrapes the promotion and
-// dedup counters as a replica is killed mid-run. With refill set, the
-// world re-replicates the killed slot automatically and the run does not
-// return until the group is back at degree R. A non-nil rec records the
-// causal trace (for -trace-out / traceconv -audit). With R == 1 there is
-// no replica to absorb a failure, so the run is failure-free.
+// the one-row result table, R and mode in its title. This is the entry
+// point behind cmd/ftring's -replicas mode, so a live -obs endpoint
+// scrapes the promotion and dedup counters as a replica is killed
+// mid-run. With refill set, the world re-replicates the killed slot
+// automatically and the run does not return until the group is back at
+// degree R. A non-nil rec records the causal trace (for -trace-out /
+// traceconv -audit). With R == 1 there is no replica to absorb a
+// failure, so the run is failure-free, on the plain runtime.
 func RunReplicaDemo(seed int64, r int, mode string, refill bool,
 	rec *trace.Recorder, mets *metrics.World, reg *obs.Registry) (*Table, error) {
-	t := NewTable("replication demo — hot replicas, transparent failover under chaos",
-		"seed", "R", "mode", "victim-phys", "role", "kill-lap", "laps", "promotions",
-		"dedup-drops", "replica-sends", "refills", "elapsed")
+	t := replicaTable(fmt.Sprintf("replication demo — R=%d %s, hot replicas, transparent failover under chaos", r, mode))
 	cfg := replicaCfg{r: r, mode: mode, kill: r >= 2,
-		laps: replicaBaseLaps, chaos: true, autoRefill: refill && r >= 2}
+		laps: replicaBaseLaps, rates: repairRates, autoRefill: refill && r >= 2}
 	run, err := runReplicaWorld(Options{Tracer: rec}, cfg, seed, mets, reg)
 	if err != nil {
 		return nil, err
 	}
-	t.Add(seed, r, mode, run.victim, run.role, run.killLap, run.laps, run.promotions,
-		run.dedupDrops, run.replicaSends, run.refills, run.elapsed)
+	run.addRow(t, seed)
 	return t, nil
 }
 
@@ -73,19 +70,13 @@ const (
 	replicaTagTok       = 1
 )
 
-// replicaRates is the chaos the soak runs under — the elastic-soak mix,
-// so E21 and E22 absorb their kills under identical network weather.
-func replicaRates() chaos.Rates {
-	return chaos.Rates{Drop: 0.05, Dup: 0.05, Corrupt: 0.01}
-}
-
 // replicaCfg selects one replication-world configuration.
 type replicaCfg struct {
 	r     int    // replicas per logical rank
 	mode  string // mpi.ReplFanout or mpi.ReplChain
 	kill  bool   // kill one seeded replica mid-run
 	laps  int
-	chaos bool
+	rates chaos.Rates // network weather; the zero value is a clean network
 	// waitRepair parks the logical-0 replicas between the base and the
 	// final verify laps until the detector has confirmed the kill and any
 	// due promotion has landed. With real (non-oracle) detectors the
@@ -118,17 +109,24 @@ func waitForRepair(mets *metrics.World, needProm bool) {
 
 // replicaRun is the measured outcome of one seeded E22 world.
 type replicaRun struct {
-	victim       int    // physical slot killed (-1 when cfg.kill is false)
-	role         string // "primary" or "standby" (what the victim was)
-	killLap      int
-	laps         int // laps the longest-lived root replica completed
-	promotions   int64
-	dedupDrops   int64
-	replicaSends int64
-	refills      int64
-	validates    int64
-	resends      int64
-	elapsed      time.Duration
+	*soakRun
+	victim  int    // physical slot killed (-1 when cfg.kill is false)
+	role    string // "primary" or "standby" (what the victim was)
+	killLap int
+	laps    int // laps every surviving root replica completed
+}
+
+// replicaTable is the E22 table shape, shared by the soak and the
+// cmd/ftring demo; addRow fills one seed's row.
+func replicaTable(title string) *Table {
+	return NewTable(title, "seed", "victim-phys", "role", "kill-lap", "laps", "promotions",
+		"dedup-drops", "replica-sends", "elapsed")
+}
+
+func (r *replicaRun) addRow(t *Table, seed int64) {
+	total := r.mets.Total
+	t.Add(seed, r.victim, r.role, r.killLap, r.laps, total(metrics.ReplicaPromotions),
+		total(metrics.ReplicaDedupDrops), total(metrics.ReplicaSends), r.Elapsed)
 }
 
 // runReplicaWorld runs one seeded replication ring world and checks the
@@ -140,7 +138,8 @@ type replicaRun struct {
 func runReplicaWorld(opt Options, cfg replicaCfg, seed int64, mets *metrics.World, reg *obs.Registry) (*replicaRun, error) {
 	lsize := replicaRingRanks
 	nphys := lsize * cfg.r
-	run := &replicaRun{victim: -1, killLap: -1, role: "none"}
+	run := &replicaRun{victim: -1, killLap: -1, role: "none", laps: cfg.laps}
+	var victims []int
 	if cfg.kill {
 		run.victim = int(seed) % nphys
 		run.killLap = 2 + int(seed)%8
@@ -148,151 +147,72 @@ func runReplicaWorld(opt Options, cfg replicaCfg, seed int64, mets *metrics.Worl
 		if run.victim < lsize { // prefix-striped: replica 0 of logical l is slot l
 			run.role = "primary"
 		}
-	}
-
-	if mets == nil {
-		mets = metrics.NewWorld(nphys)
-	}
-	if reg == nil {
-		// Always metered: the soak's promotion-latency quantiles come from
-		// this registry even when no collector is attached.
-		reg = obs.NewRegistry(nphys)
-	}
-	opt.Collector.Attach(mets, reg)
-	wopts := []mpi.Option{
-		mpi.WithMetrics(mets),
-		mpi.WithObservability(reg),
-		mpi.WithDeadline(120 * time.Second),
-		mpi.WithReplication(mpi.ReplicationOptions{
-			R: cfg.r, Mode: cfg.mode,
-			AutoRefill: cfg.autoRefill, RefillBackoff: time.Millisecond,
-		}),
-	}
-	if cfg.chaos {
-		wopts = append(wopts, mpi.WithChaos(chaos.NewPlan(seed).Default(replicaRates())))
-	}
-	if opt.Tracer != nil {
-		wopts = append(wopts, mpi.WithTracer(opt.Tracer))
-	}
-	wopts = append(wopts, opt.detectorOption())
-	w, err := mpi.NewWorld(lsize, wopts...)
-	if err != nil {
-		return nil, err
+		victims = []int{run.victim}
 	}
 
 	// Every replica of logical rank 0 records the laps it observed; the
 	// exactly-once assertion below runs per replica record.
-	var mu sync.Mutex
-	rootLaps := map[int][]int64{}
+	root := make(rootLaps, nphys)
+	var opts []mpi.Option
+	if cfg.r > 1 { // one replica is the plain runtime
+		opts = append(opts, mpi.WithReplication(mpi.ReplicationOptions{
+			R: cfg.r, Mode: cfg.mode,
+			AutoRefill: cfg.autoRefill, RefillBackoff: time.Millisecond,
+		}))
+	}
+	var err error
+	run.soakRun, err = opt.runWorld(seed, soakWorld{size: lsize, slots: nphys, rates: cfg.rates,
+		victims: victims, mets: mets, reg: reg, opts: opts,
+		body: func(w *mpi.World) func(*mpi.Proc) error {
+			return func(p *mpi.Proc) error {
+				c := p.World()
+				c.SetErrhandler(mpi.ErrorsReturn)
+				if p.Gen() > 1 {
+					// An automatic refill joins as a warm standby: it cannot replay
+					// the message history its siblings already consumed, so it holds
+					// the slot and restores the failure budget.
+					return nil
+				}
+				me, phys := p.Rank(), p.PhysRank()
 
-	res, err := w.Run(func(p *mpi.Proc) error {
-		c := p.World()
-		c.SetErrhandler(mpi.ErrorsReturn)
-		if p.Gen() > 1 {
-			// An automatic refill joins as a warm standby: it cannot replay
-			// the message history its siblings already consumed, so it holds
-			// the slot and restores the failure budget.
-			return nil
-		}
-		me, L, phys := p.Rank(), p.Size(), p.PhysRank()
-
-		// The entire application: the fault-unaware ring. The replication
-		// layer beneath is what absorbs the kill.
-		buf := make([]byte, 8)
-		for lap := 0; lap < cfg.laps; lap++ {
-			if cfg.kill && phys == run.victim && lap == run.killLap {
-				p.Die()
-			}
-			if cfg.waitRepair && me == 0 && lap == cfg.laps-replicaWaitLaps {
-				waitForRepair(mets, run.role == "primary")
-			}
-			got, err := ringLap(c, replicaTagTok, lap, buf)
-			if err != nil {
-				return err
-			}
-			if me == 0 {
-				mu.Lock()
-				rootLaps[phys] = append(rootLaps[phys], got)
-				mu.Unlock()
-			}
-		}
-		if cfg.autoRefill && cfg.kill {
-			// Epilogue: survivors hold the world open until the automatic
-			// refill has restored every replica group to full degree.
-			for end := time.Now().Add(30 * time.Second); ; time.Sleep(2 * time.Millisecond) {
-				healed := true
-				for l := 0; l < L; l++ {
-					if len(w.LiveReplicas(l)) != cfg.r {
-						healed = false
-						break
+				// The entire application: the fault-unaware ring. The replication
+				// layer beneath is what absorbs the kill.
+				buf := make([]byte, 8)
+				for lap := 0; lap < cfg.laps; lap++ {
+					if cfg.kill && phys == run.victim && lap == run.killLap {
+						p.Die()
+					}
+					if cfg.waitRepair && me == 0 && lap == cfg.laps-replicaWaitLaps {
+						waitForRepair(w.Metrics(), run.role == "primary")
+					}
+					got, err := ringLap(c, replicaTagTok, lap, buf)
+					if err != nil {
+						return err
+					}
+					if me == 0 {
+						root[phys] = append(root[phys], got)
 					}
 				}
-				if healed {
-					break
+				if cfg.autoRefill && cfg.kill {
+					// Epilogue: survivors hold the world open until the automatic
+					// refill has restored every replica group to full degree.
+					return waitHealed(w, cfg.r, nil)
 				}
-				if !time.Now().Before(end) {
-					return fmt.Errorf("phys %d: replica groups not refilled to R=%d", phys, cfg.r)
-				}
+				return nil
 			}
-		}
-		return nil
-	})
+		}})
+	if err == nil {
+		// Zero app-visible failures: every other replica ran the unaware ring
+		// to completion without ever seeing an error (the verdict), and laps
+		// came back exactly once on every surviving root replica.
+		err = root.exactlyOnce(cfg.laps, lsize, victims)
+	}
 	if err != nil {
-		return nil, err
-	}
-	if res.TimedOut {
-		return nil, fmt.Errorf("seed %d: wedged, stuck ranks %v", seed, res.Stuck)
-	}
-	for rank, rr := range res.Ranks {
-		if cfg.kill && rank == run.victim {
-			if !rr.Killed {
-				return nil, fmt.Errorf("seed %d: victim %d not recorded killed", seed, rank)
-			}
-			continue
-		}
-		// Zero app-visible failures: every other replica ran the unaware
-		// ring to completion without ever seeing an error.
-		if rr.Err != nil {
-			return nil, fmt.Errorf("seed %d: phys %d saw the failure: %w", seed, rank, rr.Err)
-		}
-		if !rr.Finished {
-			return nil, fmt.Errorf("seed %d: phys %d did not finish", seed, rank)
-		}
+		return nil, fmt.Errorf("seed %d: %w", seed, err)
 	}
 
-	// Exactly-once per surviving root replica: laps 0,1,2,... complete, in
-	// order. The victim's own record (when it backed logical 0) is a clean
-	// prefix — it died at a lap boundary, never mid-duplicate.
-	full := 0
-	for phys, laps := range rootLaps {
-		for i, lap := range laps {
-			if lap != int64(i) {
-				return nil, fmt.Errorf("seed %d: root replica %d arrival %d carried lap %d — not exactly-once: %v",
-					seed, phys, i, lap, laps)
-			}
-		}
-		if cfg.kill && phys == run.victim {
-			continue
-		}
-		if len(laps) != cfg.laps {
-			return nil, fmt.Errorf("seed %d: root replica %d recorded %d laps, want %d",
-				seed, phys, len(laps), cfg.laps)
-		}
-		full++
-		run.laps = len(laps)
-	}
-	if want := cfg.r - boolInt(cfg.kill && run.victim%lsize == 0); full != want {
-		return nil, fmt.Errorf("seed %d: %d complete root records, want %d", seed, full, want)
-	}
-
-	run.promotions = mets.Total(metrics.ReplicaPromotions)
-	run.dedupDrops = mets.Total(metrics.ReplicaDedupDrops)
-	run.replicaSends = mets.Total(metrics.ReplicaSends)
-	run.refills = mets.Total(metrics.ReplicaRefills)
-	run.validates = mets.Total(metrics.Validates)
-	run.resends = mets.Total(metrics.Resends)
-	run.elapsed = res.Elapsed
-	if cfg.autoRefill && cfg.kill && run.refills == 0 {
+	total := run.mets.Total
+	if cfg.autoRefill && cfg.kill && total(metrics.ReplicaRefills) == 0 {
 		return nil, fmt.Errorf("seed %d: auto re-replication never refilled the killed slot", seed)
 	}
 
@@ -302,24 +222,23 @@ func runReplicaWorld(opt Options, cfg replicaCfg, seed int64, mets *metrics.Worl
 	if cfg.kill && run.role == "primary" {
 		wantProm = 1
 	}
-	if run.promotions != wantProm {
+	if p := total(metrics.ReplicaPromotions); p != wantProm {
 		return nil, fmt.Errorf("seed %d: %d promotions, want %d (victim %d was a %s)",
-			seed, run.promotions, wantProm, run.victim, run.role)
+			seed, p, wantProm, run.victim, run.role)
 	}
 	// Zero recovery protocol: the ABFT counters never move.
-	if run.validates != 0 || run.resends != 0 {
+	if v, rs := total(metrics.Validates), total(metrics.Resends); v != 0 || rs != 0 {
 		return nil, fmt.Errorf("seed %d: app-level recovery ran (validates=%d resends=%d) — replication must absorb the kill",
-			seed, run.validates, run.resends)
+			seed, v, rs)
 	}
 	if cfg.r > 1 && cfg.mode == mpi.ReplFanout {
-		if run.replicaSends == 0 {
+		if total(metrics.ReplicaSends) == 0 {
 			return nil, fmt.Errorf("seed %d: replica_sends is zero with R=%d", seed, cfg.r)
 		}
-		if run.dedupDrops == 0 {
+		if total(metrics.ReplicaDedupDrops) == 0 {
 			return nil, fmt.Errorf("seed %d: replica_dedup_drops is zero with R=%d fan-out", seed, cfg.r)
 		}
 	}
-	opt.Collector.Absorb(mets, reg)
 	return run, nil
 }
 
@@ -333,26 +252,21 @@ func runReplicaSoak(opt Options) ([]*Table, error) {
 	if mode == "" {
 		mode = mpi.ReplFanout
 	}
-	t := NewTable(fmt.Sprintf("E22: replication soak — one replica killed per seed, fault-unaware ring, R=2 %s", mode),
-		"seed", "victim-phys", "role", "kill-lap", "laps", "promotions",
-		"dedup-drops", "replica-sends", "elapsed")
-	seeds := 20
-	if opt.Quick {
-		seeds = 6
-	}
+	t := replicaTable(fmt.Sprintf("E22: replication soak — one replica killed per seed, fault-unaware ring, R=2 %s", mode))
 	lat := latTally{}
-	for s := 0; s < seeds; s++ {
-		seed := opt.Seed + int64(s)
+	err := opt.eachSeed(6, func(seed int64) error {
 		reg := obs.NewRegistry(replicaRingRanks * 2)
 		cfg := replicaCfg{r: 2, mode: mode, kill: true,
-			laps: replicaBaseLaps, chaos: true}
+			laps: replicaBaseLaps, rates: repairRates}
 		r, err := runReplicaWorld(opt, cfg, seed, nil, reg)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			lat.merge(reg)
+			r.addRow(t, seed)
 		}
-		lat.merge(reg)
-		t.Add(seed, r.victim, r.role, r.killLap, r.laps, r.promotions,
-			r.dedupDrops, r.replicaSends, r.elapsed)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.Note("asserted in-run per seed: every surviving replica of rank 0 saw every lap exactly once in order,")
 	t.Note("no rank function ever observed an error, validates=resends=0 (the app has NO recovery protocol),")
@@ -382,68 +296,27 @@ func runReplicaOverhead(opt Options) (*Table, error) {
 		laps = replicaOverheadLaps / 4
 	}
 
-	// R=1 baseline: the plain (non-replicated) runtime path.
-	base, err := runPlainRing(laps)
-	if err != nil {
-		return nil, fmt.Errorf("R=1 baseline: %w", err)
-	}
-	t.Add("R=1 (no replication)", replicaRingRanks, laps, base,
-		float64(base.Microseconds())/float64(laps), 1.0, 0)
-
+	var base time.Duration
 	for _, cfg := range []struct {
 		name string
+		r    int
 		mode string
 	}{
-		{"R=2 fan-out", mpi.ReplFanout},
-		{"R=2 chain", mpi.ReplChain},
+		{"R=1 (no replication)", 1, ""}, // the baseline: the plain runtime path
+		{"R=2 fan-out", 2, mpi.ReplFanout},
+		{"R=2 chain", 2, mpi.ReplChain},
 	} {
-		c := replicaCfg{r: 2, mode: cfg.mode, kill: false, laps: laps, chaos: false}
-		r, err := runReplicaWorld(opt, c, opt.Seed, nil, nil)
+		r, err := runReplicaWorld(opt, replicaCfg{r: cfg.r, mode: cfg.mode, laps: laps}, opt.Seed, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", cfg.name, err)
 		}
-		t.Add(cfg.name, replicaRingRanks*2, laps, r.elapsed,
-			float64(r.elapsed.Microseconds())/float64(laps),
-			float64(r.elapsed)/float64(base), r.replicaSends)
+		if base == 0 {
+			base = r.Elapsed
+		}
+		t.Add(cfg.name, replicaRingRanks*cfg.r, laps, r.Elapsed,
+			float64(r.Elapsed.Microseconds())/float64(laps),
+			float64(r.Elapsed)/float64(base), r.mets.Total(metrics.ReplicaSends))
 	}
 	t.Note("overhead-x vs the plain runtime: the price of every send fanned out and every rank duplicated")
 	return t, nil
-}
-
-// runPlainRing times the identical fault-unaware ring on the plain
-// (non-replicated) runtime — the honest R=1 baseline for E22b.
-func runPlainRing(laps int) (time.Duration, error) {
-	n := replicaRingRanks
-	w, err := mpi.NewWorld(n, mpi.WithDeadline(120*time.Second))
-	if err != nil {
-		return 0, err
-	}
-	res, err := w.Run(func(p *mpi.Proc) error {
-		c := p.World()
-		c.SetErrhandler(mpi.ErrorsReturn)
-		buf := make([]byte, 8)
-		for lap := 0; lap < laps; lap++ {
-			if _, err := ringLap(c, replicaTagTok, lap, buf); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	for rank, rr := range res.Ranks {
-		if rr.Err != nil {
-			return 0, fmt.Errorf("rank %d: %w", rank, rr.Err)
-		}
-	}
-	return res.Elapsed, nil
-}
-
-// boolInt is 1 when b is true (table/assertion arithmetic helper).
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

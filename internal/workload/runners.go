@@ -302,9 +302,7 @@ func runLargeN(opt Options) ([]*Table, error) {
 
 // soakRates is the E18 fault mix — the acceptance-criteria 10% drop, 5%
 // duplication, 1% payload corruption on every link.
-func soakRates() chaos.Rates {
-	return chaos.Rates{Drop: 0.10, Dup: 0.05, Corrupt: 0.01}
-}
+var soakRates = chaos.Rates{Drop: 0.10, Dup: 0.05, Corrupt: 0.01}
 
 // latTally merges latency histograms family-by-family across runs.
 type latTally map[obs.Family]obs.HistSnapshot
@@ -388,39 +386,6 @@ func ringLap(c *mpi.Comm, tag, lap int, buf []byte) (int64, error) {
 	return int64(binary.LittleEndian.Uint64(pl)), nil
 }
 
-// soakTally aggregates one workload's results across the seed sweep,
-// including the merged latency histograms of every run.
-type soakTally struct {
-	ok, runs                       int
-	dropped, duplicated, corrupted int
-	retried, deduped, rejected     int64
-	elapsed                        time.Duration
-	lat                            latTally
-}
-
-func (s *soakTally) absorb(ok bool, plan *chaos.Plan, mets *metrics.World, reg *obs.Registry, elapsed time.Duration) {
-	s.runs++
-	if ok {
-		s.ok++
-	}
-	s.dropped += plan.Count(chaos.EvDrop)
-	s.duplicated += plan.Count(chaos.EvDup)
-	s.corrupted += plan.Count(chaos.EvCorrupt)
-	s.retried += mets.Total(metrics.FramesRetried)
-	s.deduped += mets.Total(metrics.FramesDeduped)
-	s.rejected += mets.Total(metrics.FramesRejected)
-	s.elapsed += elapsed
-	if s.lat == nil {
-		s.lat = latTally{}
-	}
-	s.lat.merge(reg)
-}
-
-func (s *soakTally) addRow(t *Table, workload string) {
-	t.Add(workload, s.runs, s.ok, s.dropped, s.duplicated, s.corrupted,
-		s.retried, s.deduped, s.rejected, s.elapsed)
-}
-
 // runChaosSoak sweeps seeds over three workloads — the full FT ring,
 // validate_all with a pre-failed rank, and the lowest-alive election —
 // each on a fabric injecting the soakRates fault mix on every link. A run
@@ -434,166 +399,123 @@ func runChaosSoak(opt Options) ([]*Table, error) {
 		"retried", "deduped", "rejected", "elapsed")
 	tLat := NewTable("E18b: latency quantiles under chaos (merged over seeds)",
 		"workload", "family", "samples", "p50", "p95", "p99", "max")
-	nSeeds := 20
-	if opt.Quick {
-		nSeeds = 4
-	}
-
-	var ring, validate, elect soakTally
-	for s := 0; s < nSeeds; s++ {
-		seed := opt.Seed + int64(s)
-
+	opt.Detector = mpi.DetectorOracle // the soak measures the network, not detection
+	const n = 4
+	rows := []soakRow{
 		// Workload 1: the paper's full FT ring with validate_all termination.
-		{
-			const n, iters = 4, 8
-			plan := chaos.NewPlan(seed).Default(soakRates())
-			mets := metrics.NewWorld(n)
-			reg := obs.NewRegistry(n)
-			opt.Collector.Attach(mets, reg)
-			report, res, err := core.Run(mpi.Config{
-				Size: n, Deadline: 60 * time.Second, Metrics: mets, Chaos: plan, Obs: reg,
-			}, core.Config{Iters: iters, Variant: core.VariantFull, Termination: core.TermValidateAll})
-			if err != nil {
-				return nil, fmt.Errorf("ring seed %d: %w", seed, err)
-			}
-			ok := len(report.Rank(0).RootValues) == iters
-			for _, v := range report.Rank(0).RootValues {
-				ok = ok && v == int64(n) // each marker absorbed exactly once per rank
-			}
-			for _, rr := range res.Ranks {
-				ok = ok && rr.Err == nil && rr.Finished
-			}
-			ring.absorb(ok, plan, mets, reg, res.Elapsed)
-			opt.Collector.Absorb(mets, reg)
-		}
-
+		{"ft ring (Fig. 5)", func(int64) soakWorld {
+			return ringWorld(n, soakRates, core.Config{Termination: core.TermValidateAll})
+		}},
 		// Workload 2: validate_all consensus with one pre-failed rank.
-		{
-			const n = 4
-			plan := chaos.NewPlan(seed).Default(soakRates())
-			mets := metrics.NewWorld(n)
-			reg := obs.NewRegistry(n)
-			opt.Collector.Attach(mets, reg)
-			w, err := mpi.NewWorld(n, mpi.WithDeadline(60*time.Second),
-				mpi.WithMetrics(mets), mpi.WithChaos(plan), mpi.WithObservability(reg))
-			if err != nil {
-				return nil, err
-			}
-			counts := make([]int, n)
-			res, err := w.Run(func(p *mpi.Proc) error {
-				c := p.World()
-				c.SetErrhandler(mpi.ErrorsReturn)
-				if p.Rank() == n-1 {
-					p.Die()
-				}
-				for p.Registry().AliveCount() > n-1 {
-					time.Sleep(time.Millisecond)
-				}
-				cnt, verr := c.ValidateAll()
-				if verr != nil {
-					return verr
-				}
-				counts[p.Rank()] = cnt
-				return nil
-			})
-			if err != nil {
-				return nil, fmt.Errorf("validate seed %d: %w", seed, err)
-			}
-			ok := true
-			for rank := 0; rank < n-1; rank++ {
-				ok = ok && res.Ranks[rank].Err == nil && counts[rank] == 1
-			}
-			validate.absorb(ok, plan, mets, reg, res.Elapsed)
-			opt.Collector.Absorb(mets, reg)
-		}
-
+		{"validate_all", func(int64) soakWorld {
+			return decideWorld(n, soakRates, n-1, dieFirst(n-1), validateAll, 1)
+		}},
 		// Workload 3: Chang-Roberts ring election after the lowest rank
 		// dies — unlike the message-free Fig. 12 scan, its circulating
 		// tokens give the chaos fabric traffic to attack.
-		{
-			const n = 4
-			plan := chaos.NewPlan(seed).Default(soakRates())
-			mets := metrics.NewWorld(n)
-			reg := obs.NewRegistry(n)
-			opt.Collector.Attach(mets, reg)
-			w, err := mpi.NewWorld(n, mpi.WithDeadline(60*time.Second),
-				mpi.WithMetrics(mets), mpi.WithChaos(plan), mpi.WithObservability(reg))
-			if err != nil {
-				return nil, err
-			}
-			elected := make([]int, n)
-			res, err := w.Run(func(p *mpi.Proc) error {
-				c := p.World()
-				c.SetErrhandler(mpi.ErrorsReturn)
-				if p.Rank() == 0 {
-					p.Die()
-				}
-				for p.Registry().AliveCount() > n-1 {
-					time.Sleep(time.Millisecond)
-				}
-				leader, eerr := election.ChangRoberts(p, c)
-				if eerr != nil {
-					return eerr
-				}
-				elected[p.Rank()] = leader
-				return nil
-			})
-			if err != nil {
-				return nil, fmt.Errorf("election seed %d: %w", seed, err)
-			}
-			ok := true
-			for rank := 1; rank < n; rank++ {
-				ok = ok && res.Ranks[rank].Err == nil && elected[rank] == 1
-			}
-			elect.absorb(ok, plan, mets, reg, res.Elapsed)
-			opt.Collector.Absorb(mets, reg)
-		}
+		{"election", func(int64) soakWorld {
+			return decideWorld(n, soakRates, 0, dieFirst(0), election.ChangRoberts, 1)
+		}},
 	}
-
-	ring.addRow(t, "ft ring (Fig. 5)")
-	validate.addRow(t, "validate_all")
-	elect.addRow(t, "election")
+	err := opt.runTallied(t, tLat, []metrics.Counter{metrics.FramesDropped, metrics.FramesDuplicated,
+		metrics.FramesCorrupted, metrics.FramesRetried, metrics.FramesDeduped, metrics.FramesRejected}, rows)
+	if err != nil {
+		return nil, err
+	}
 	t.Note("ok must equal seeds: every run completes with exact-once app-level delivery")
 	t.Note("rejected = corrupted frames caught by the end-to-end CRC before reaching matching")
-	ring.lat.addRows(tLat, "ft ring (Fig. 5)")
-	validate.lat.addRows(tLat, "validate_all")
-	elect.lat.addRows(tLat, "election")
 	tLat.Note("retry_backoff/chaos_delay sample the reliability sublayer pacing and injected jitter")
 	return []*Table{t, tLat}, nil
 }
 
-// hbTally aggregates one heartbeat-soak workload across the seed sweep.
-type hbTally struct {
-	ok, runs                          int
-	heartbeats, suspicions, falseSusp int64
-	cleared, fences, selfFences       int64
-	confirms                          int64
-	elapsed                           time.Duration
-	lat                               latTally
+// ringWorld is the soaks' full FT ring: n ranks, 8 iterations, cfg's
+// termination and root policy. Each marker must be absorbed exactly once
+// and have crossed every rank alive at the time; a root election may
+// move the absorptions to a new root, and ranks the run killed shrink
+// the crossing count.
+func ringWorld(n int, rates chaos.Rates, cfg core.Config) soakWorld {
+	cfg.Iters, cfg.Variant = 8, core.VariantFull
+	report := core.NewReport(n)
+	return soakWorld{size: n, rates: rates,
+		body: func(*mpi.World) func(*mpi.Proc) error { return core.Body(cfg, report) },
+		check: func(run *soakRun) error {
+			killed := 0
+			for _, rr := range run.Ranks {
+				if rr.Killed {
+					killed++
+				}
+			}
+			seen := map[int64]bool{}
+			for rank := 0; rank < n; rank++ {
+				for marker, v := range report.Rank(rank).RootValues {
+					if seen[marker] {
+						return fmt.Errorf("marker %d absorbed twice", marker)
+					}
+					seen[marker] = true
+					if v < int64(n-killed) || v > int64(n) {
+						return fmt.Errorf("marker %d crossed %d ranks, want %d..%d", marker, v, n-killed, n)
+					}
+				}
+			}
+			if len(seen) != cfg.Iters {
+				return fmt.Errorf("%d of %d markers absorbed", len(seen), cfg.Iters)
+			}
+			return nil
+		}}
 }
 
-func (s *hbTally) absorb(ok bool, mets *metrics.World, reg *obs.Registry, elapsed time.Duration) {
-	s.runs++
-	if ok {
-		s.ok++
+// dieFirst is the prologue that fails victim before the workload starts:
+// the victim dies, every other rank waits until its engine knows.
+func dieFirst(victim int) func(*mpi.Proc) {
+	return func(p *mpi.Proc) {
+		if p.Rank() == victim {
+			p.Die()
+		}
+		mpi.AwaitKnownFailed(p, 1)
 	}
-	s.heartbeats += mets.Total(metrics.Heartbeats)
-	s.suspicions += mets.Total(metrics.Suspicions)
-	s.falseSusp += mets.Total(metrics.FalseSuspicions)
-	s.cleared += mets.Total(metrics.SuspicionsCleared)
-	s.fences += mets.Total(metrics.Fences)
-	s.selfFences += mets.Total(metrics.SelfFences)
-	s.confirms += mets.Total(metrics.Confirms)
-	s.elapsed += elapsed
-	if s.lat == nil {
-		s.lat = latTally{}
-	}
-	s.lat.merge(reg)
 }
 
-func (s *hbTally) addRow(t *Table, workload string) {
-	t.Add(workload, s.runs, s.ok, s.heartbeats, s.suspicions, s.falseSusp,
-		s.cleared, s.fences, s.selfFences, s.confirms, s.elapsed)
+// validateAll is the validate_all workload's decision: the agreed count.
+func validateAll(_ *mpi.Proc, c *mpi.Comm) (int, error) { return c.ValidateAll() }
+
+// decideWorld is the soaks' agreement workload on n ranks, victim the
+// rank it must kill: every rank runs prologue (a scripted death, say;
+// nil for none), then decide, and every rank the run did not kill must
+// have decided the same value — want, unless want is -1.
+func decideWorld(n int, rates chaos.Rates, victim int, prologue func(*mpi.Proc),
+	decide func(*mpi.Proc, *mpi.Comm) (int, error), want int) soakWorld {
+	vals := make([]int, n)
+	return soakWorld{size: n, rates: rates, victims: []int{victim},
+		body: func(*mpi.World) func(*mpi.Proc) error {
+			return func(p *mpi.Proc) error {
+				c := p.World()
+				c.SetErrhandler(mpi.ErrorsReturn)
+				if prologue != nil {
+					prologue(p)
+				}
+				v, err := decide(p, c)
+				if err != nil {
+					return err
+				}
+				vals[p.Rank()] = v
+				return nil
+			}
+		},
+		check: func(run *soakRun) error {
+			agreed := want
+			for rank, rr := range run.Ranks {
+				if rr.Killed {
+					continue
+				}
+				if agreed == -1 {
+					agreed = vals[rank]
+				}
+				if vals[rank] != agreed {
+					return fmt.Errorf("rank %d decided %d, want %d", rank, vals[rank], agreed)
+				}
+			}
+			return nil
+		}}
 }
 
 // hbSoakOptions is the heartbeat tuning for the E19 soak: fast enough to
@@ -631,167 +553,56 @@ func runHeartbeatSoak(opt Options) ([]*Table, error) {
 		"cleared", "fences", "self-fences", "confirms", "elapsed")
 	tLat := NewTable("E19b: detection latency quantiles (merged over seeds)",
 		"workload", "family", "samples", "p50", "p95", "p99", "max")
-	nSeeds := 20
-	if opt.Quick {
-		nSeeds = 4
-	}
 	jitter := chaos.Rates{Delay: 0.25, Jitter: 4 * time.Millisecond}
-
-	var ring, validate, elect hbTally
-	for s := 0; s < nSeeds; s++ {
-		seed := opt.Seed + int64(s)
-
+	opt.Detector, opt.Heartbeat = mpi.DetectorHeartbeat, hbSoakOptions()
+	const n, victim = 4, 2
+	rows := []soakRow{
 		// Workload 1: FT ring, delay jitter on every link, rank 2 killed
 		// after its second receive. RootElect so a falsely fenced root
 		// cannot wedge the run.
-		{
-			const n, iters, victim = 4, 8, 2
-			plan := chaos.NewPlan(seed).Default(jitter)
-			kill := inject.NewPlan().Add(inject.AfterNthRecv(victim, 2))
-			mets := metrics.NewWorld(n)
-			reg := obs.NewRegistry(n)
-			opt.Collector.Attach(mets, reg)
-			report, res, err := core.Run(mpi.Config{
-				Size: n, Deadline: 60 * time.Second, Metrics: mets, Chaos: plan,
-				Obs: reg, Hook: kill.Hook(),
-				Detector: mpi.DetectorHeartbeat, Heartbeat: hbSoakOptions(),
-			}, core.Config{Iters: iters, Variant: core.VariantFull,
-				Termination: core.TermValidateAll, RootPolicy: core.RootElect})
-			if err != nil {
-				return nil, fmt.Errorf("ring seed %d: %w", seed, err)
-			}
-			killed := 0
-			for _, rr := range res.Ranks {
-				if rr.Killed {
-					killed++
-				}
-			}
-			ok := !res.TimedOut && res.Ranks[victim].Killed
-			seen := map[int64]bool{}
-			total := 0
-			for rank := 0; rank < n; rank++ {
-				for marker, v := range report.Rank(rank).RootValues {
-					if seen[marker] {
-						ok = false // a marker absorbed twice
-					}
-					seen[marker] = true
-					total++
-					ok = ok && v >= int64(n-killed) && v <= int64(n)
-				}
-			}
-			ok = ok && total == iters
-			for _, rr := range res.Ranks {
-				if !rr.Killed {
-					ok = ok && rr.Finished && rr.Err == nil
-				}
-			}
-			ring.absorb(ok, mets, reg, res.Elapsed)
-			opt.Collector.Absorb(mets, reg)
-		}
-
+		{"ft ring + jitter + kill", func(int64) soakWorld {
+			sw := ringWorld(n, jitter, core.Config{Termination: core.TermValidateAll, RootPolicy: core.RootElect})
+			sw.victims, sw.killable = []int{victim}, true
+			sw.opts = []mpi.Option{mpi.WithHook(inject.NewPlan().Add(inject.AfterNthRecv(victim, 2)).Hook())}
+			return sw
+		}},
 		// Workload 2: validate_all with rank n-1 fully partitioned from the
 		// start. Its peers falsely suspect it, their fences cannot cross the
 		// partition, and the victim's own ack silence makes it self-fence —
 		// only then may the survivors' agreement count it failed.
-		{
-			const n = 4
+		{"validate_all + partition", func(seed int64) soakWorld {
 			plan := chaos.NewPlan(seed).
 				Partition(n-1, -1, 1, ^uint64(0)).
 				Partition(-1, n-1, 1, ^uint64(0))
 			hb := hbSoakOptions()
 			hb.SelfFenceAfter = 150 * time.Millisecond // beat ARQ escalation (~400ms)
-			mets := metrics.NewWorld(n)
-			reg := obs.NewRegistry(n)
-			opt.Collector.Attach(mets, reg)
-			w, err := mpi.NewWorld(n, mpi.WithDeadline(60*time.Second),
-				mpi.WithMetrics(mets), mpi.WithChaos(plan), mpi.WithObservability(reg),
-				mpi.WithHeartbeat(hb))
-			if err != nil {
-				return nil, err
-			}
-			counts := make([]int, n)
-			res, err := w.Run(func(p *mpi.Proc) error {
-				c := p.World()
-				c.SetErrhandler(mpi.ErrorsReturn)
-				cnt, verr := c.ValidateAll()
-				if verr != nil {
-					return verr
-				}
-				counts[p.Rank()] = cnt
-				return nil
-			})
-			if err != nil {
-				return nil, fmt.Errorf("validate seed %d: %w", seed, err)
-			}
-			ok := !res.TimedOut && res.Ranks[n-1].Killed
-			for rank := 0; rank < n-1; rank++ {
-				rr := res.Ranks[rank]
-				ok = ok && !rr.Killed && rr.Err == nil && counts[rank] == 1
-			}
-			validate.absorb(ok, mets, reg, res.Elapsed)
-			opt.Collector.Absorb(mets, reg)
-		}
-
+			sw := decideWorld(n, chaos.Rates{}, n-1, nil, validateAll, 1)
+			sw.opts = []mpi.Option{mpi.WithChaos(plan), mpi.WithHeartbeat(hb)}
+			return sw
+		}},
 		// Workload 3: Chang-Roberts under jitter with rank 2 dying shortly
 		// after the election starts — tokens it held die with it, and the
 		// re-initiation on (heartbeat-detected) notification must drain the
 		// ring to a leader every survivor agrees on.
-		{
-			const n, victim = 4, 2
-			plan := chaos.NewPlan(seed).Default(jitter)
-			mets := metrics.NewWorld(n)
-			reg := obs.NewRegistry(n)
-			opt.Collector.Attach(mets, reg)
-			w, err := mpi.NewWorld(n, mpi.WithDeadline(60*time.Second),
-				mpi.WithMetrics(mets), mpi.WithChaos(plan), mpi.WithObservability(reg),
-				mpi.WithHeartbeat(hbSoakOptions()))
-			if err != nil {
-				return nil, err
-			}
-			elected := make([]int, n)
-			res, err := w.Run(func(p *mpi.Proc) error {
-				c := p.World()
-				c.SetErrhandler(mpi.ErrorsReturn)
+		{"election + jitter + kill", func(int64) soakWorld {
+			sw := decideWorld(n, jitter, victim, func(p *mpi.Proc) {
 				if p.Rank() == victim {
 					time.Sleep(5 * time.Millisecond)
 					p.Die()
 				}
-				leader, eerr := election.ChangRoberts(p, c)
-				if eerr != nil {
-					return eerr
-				}
-				elected[p.Rank()] = leader
-				return nil
-			})
-			if err != nil {
-				return nil, fmt.Errorf("election seed %d: %w", seed, err)
-			}
-			ok := !res.TimedOut && res.Ranks[victim].Killed
-			leader := -1
-			for rank, rr := range res.Ranks {
-				if rr.Killed {
-					continue
-				}
-				ok = ok && rr.Err == nil && rr.Finished
-				if leader == -1 {
-					leader = elected[rank]
-				}
-				ok = ok && elected[rank] == leader
-			}
-			ok = ok && leader >= 0
-			elect.absorb(ok, mets, reg, res.Elapsed)
-			opt.Collector.Absorb(mets, reg)
-		}
+			}, election.ChangRoberts, -1)
+			sw.killable = true
+			return sw
+		}},
 	}
-
-	ring.addRow(t, "ft ring + jitter + kill")
-	validate.addRow(t, "validate_all + partition")
-	elect.addRow(t, "election + jitter + kill")
+	err := opt.runTallied(t, tLat, []metrics.Counter{metrics.Heartbeats, metrics.Suspicions,
+		metrics.FalseSuspicions, metrics.SuspicionsCleared, metrics.Fences, metrics.SelfFences,
+		metrics.Confirms}, rows)
+	if err != nil {
+		return nil, err
+	}
 	t.Note("ok must equal seeds: every run terminates with the app-level invariant intact")
 	t.Note("false-susp > 0 is expected (jitter, partitions); each one was fenced before being reported")
-	ring.lat.addRows(tLat, "ft ring + jitter + kill")
-	validate.lat.addRows(tLat, "validate_all + partition")
-	elect.lat.addRows(tLat, "election + jitter + kill")
 	tLat.Note("suspicion_latency = ground-truth death to first suspicion; fence_rtt = suspicion to confirmed")
 	return []*Table{t, tLat}, nil
 }

@@ -59,14 +59,26 @@ const swimDetectFloor = 2 * time.Second
 // mid-run, survivors wait for confirmation, and the run records how the
 // detector got there.
 type detectRun struct {
-	samples                    []time.Duration // ground-truth death -> suspicion raised
-	framesPerRankPeriod        float64
-	falseSusp, learns, confirm int64
-	elapsed                    time.Duration
+	*soakRun
+	n       int
+	samples []time.Duration // ground-truth death -> suspicion raised
 }
 
 func (r *detectRun) p50() time.Duration { return durQuantile(r.samples, 0.50) }
 func (r *detectRun) p99() time.Duration { return durQuantile(r.samples, 0.99) }
+
+// framesPerRankPeriod is the control traffic one rank sent per protocol
+// period, averaged over the world and the run.
+func (r *detectRun) framesPerRankPeriod() float64 {
+	periods := float64(r.Elapsed) / float64(swimSoakPeriod)
+	return float64(r.mets.Total(metrics.ControlFrames)) / float64(r.n) / periods
+}
+
+func (r *detectRun) addRow(t *Table, label string) {
+	total := r.mets.Total
+	t.Add(label, r.n, len(r.samples), r.p50(), r.p99(), r.framesPerRankPeriod(),
+		total(metrics.FalseSuspicions), total(metrics.GossipLearns), total(metrics.Confirms), r.Elapsed)
+}
 
 // durQuantile returns the q-quantile of samples (nearest-rank).
 func durQuantile(samples []time.Duration, q float64) time.Duration {
@@ -91,86 +103,53 @@ func durQuantile(samples []time.Duration, q float64) time.Duration {
 // is sampled straight from the registry's suspicion feed, so it works at
 // world sizes past the histogram-registry cap.
 func runDetectionWorld(opt Options, n int, mode string) (*detectRun, error) {
-	mets := metrics.NewWorld(n)
-	reg := opt.newObs(n)
-	opt.Collector.Attach(mets, reg)
-	wopts := []mpi.Option{
-		mpi.WithMetrics(mets),
-		mpi.WithDeadline(120 * time.Second),
-	}
-	if reg != nil {
-		wopts = append(wopts, mpi.WithObservability(reg))
-	}
-	wopts = append(wopts,
-		Options{Detector: mode, Heartbeat: swimSoakBaseline(), Swim: swimSoakOptions()}.detectorOption())
-	w, err := mpi.NewWorld(n, wopts...)
-	if err != nil {
-		return nil, err
-	}
-
-	run := &detectRun{}
+	opt.Detector, opt.Heartbeat, opt.Swim = mode, swimSoakBaseline(), swimSoakOptions()
+	run := &detectRun{n: n}
 	var mu sync.Mutex
-	w.Registry().SubscribeSuspicion(func(ev detector.SuspicionEvent) {
-		if ev.Kind == detector.SuspectRaised && ev.SinceDeath >= 0 {
-			mu.Lock()
-			run.samples = append(run.samples, ev.SinceDeath)
-			mu.Unlock()
-		}
-	})
-
 	victims := []int{n / 4, n / 2, 3 * n / 4}
-	res, err := w.Run(func(p *mpi.Proc) error {
-		c := p.World()
-		c.SetErrhandler(mpi.ErrorsReturn)
-		for _, v := range victims {
-			if p.Rank() == v {
-				// Die after the detector has a few periods of history, so
-				// the latency samples measure detection, not warmup.
-				time.Sleep(5 * swimSoakPeriod)
-				p.Die()
-			}
-		}
-		// Only rank 0 waits for the confirmations; the world (and every
-		// monitor) stays up until all rank functions return, and a
-		// thousand ranks polling in parallel would cost more scheduler
-		// churn than the protocol under measurement.
-		if p.Rank() != 0 {
-			return nil
-		}
-		deadline := time.Now().Add(90 * time.Second)
-		for _, v := range victims {
-			for !p.Registry().Confirmed(v) {
-				if time.Now().After(deadline) {
-					return fmt.Errorf("death of rank %d never confirmed", v)
+	var err error
+	run.soakRun, err = opt.runWorld(opt.Seed, soakWorld{size: n, victims: victims, killable: true,
+		body: func(w *mpi.World) func(*mpi.Proc) error {
+			w.Registry().SubscribeSuspicion(func(ev detector.SuspicionEvent) {
+				if ev.Kind == detector.SuspectRaised && ev.SinceDeath >= 0 {
+					mu.Lock()
+					run.samples = append(run.samples, ev.SinceDeath)
+					mu.Unlock()
 				}
-				time.Sleep(swimSoakPeriod / 4)
+			})
+			return func(p *mpi.Proc) error {
+				c := p.World()
+				c.SetErrhandler(mpi.ErrorsReturn)
+				for _, v := range victims {
+					if p.Rank() == v {
+						// Die after the detector has a few periods of history, so
+						// the latency samples measure detection, not warmup.
+						time.Sleep(5 * swimSoakPeriod)
+						p.Die()
+					}
+				}
+				// Only rank 0 waits for the confirmations; the world (and every
+				// monitor) stays up until all rank functions return, and a
+				// thousand ranks polling in parallel would cost more scheduler
+				// churn than the protocol under measurement.
+				if p.Rank() != 0 {
+					return nil
+				}
+				deadline := time.Now().Add(90 * time.Second)
+				for _, v := range victims {
+					for !p.Registry().Confirmed(v) {
+						if time.Now().After(deadline) {
+							return fmt.Errorf("death of rank %d never confirmed", v)
+						}
+						time.Sleep(swimSoakPeriod / 4)
+					}
+				}
+				return nil
 			}
-		}
-		return nil
-	})
+		}})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("n=%d %s: %w", n, mode, err)
 	}
-	if res.TimedOut {
-		return nil, fmt.Errorf("n=%d %s: detection wedged, stuck ranks %v", n, mode, res.Stuck)
-	}
-	isVictim := map[int]bool{}
-	for _, v := range victims {
-		isVictim[v] = true
-	}
-	for rank, rr := range res.Ranks {
-		if !isVictim[rank] && rr.Err != nil {
-			return nil, fmt.Errorf("n=%d %s: rank %d: %w", n, mode, rank, rr.Err)
-		}
-	}
-
-	periods := float64(res.Elapsed) / float64(swimSoakPeriod)
-	run.framesPerRankPeriod = float64(mets.Total(metrics.ControlFrames)) / float64(n) / periods
-	run.falseSusp = mets.Total(metrics.FalseSuspicions)
-	run.learns = mets.Total(metrics.GossipLearns)
-	run.confirm = mets.Total(metrics.Confirms)
-	run.elapsed = res.Elapsed
-	opt.Collector.Absorb(mets, reg)
 	return run, nil
 }
 
@@ -197,13 +176,9 @@ func runSwimSoak(opt Options) ([]*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mesh baseline: %w", err)
 	}
-	t.Add("heartbeat mesh", meshN, len(mesh.samples), mesh.p50(), mesh.p99(),
-		mesh.framesPerRankPeriod, mesh.falseSusp, mesh.learns, mesh.confirm, mesh.elapsed)
+	mesh.addRow(t, "heartbeat mesh")
 
-	bound := 2 * mesh.p99()
-	if bound < swimDetectFloor {
-		bound = swimDetectFloor
-	}
+	bound := max(2*mesh.p99(), swimDetectFloor)
 
 	sizes := []int{64, 256, 1024}
 	if raceEnabled {
@@ -226,12 +201,11 @@ func runSwimSoak(opt Options) ([]*Table, error) {
 			return nil, fmt.Errorf("swim n=%d: detection p99 %v exceeds %v (2x mesh p99 %v with %v floor) — latency is not flat vs N",
 				n, p99, bound, mesh.p99(), swimDetectFloor)
 		}
-		if r.framesPerRankPeriod > swimFramesPerRankPeriodMax {
+		if f := r.framesPerRankPeriod(); f > swimFramesPerRankPeriodMax {
 			return nil, fmt.Errorf("swim n=%d: %.2f control frames/rank/period exceeds %.1f — traffic is not O(1)",
-				n, r.framesPerRankPeriod, swimFramesPerRankPeriodMax)
+				n, f, swimFramesPerRankPeriodMax)
 		}
-		t.Add("swim", n, len(r.samples), r.p50(), r.p99(),
-			r.framesPerRankPeriod, r.falseSusp, r.learns, r.confirm, r.elapsed)
+		r.addRow(t, "swim")
 	}
 	t.Note("asserted in-run: swim p99 <= max(2 x mesh p99, %v) at every N, frames/rank/period <= %.1f",
 		swimDetectFloor, swimFramesPerRankPeriodMax)

@@ -1,6 +1,6 @@
 // Package workload is the experiment harness behind cmd/ftbench and
 // EXPERIMENTS.md: it programmatically re-runs every experiment in the
-// per-experiment index of DESIGN.md (E1-E20) — one per figure or claim of
+// per-experiment index of DESIGN.md (E1–E24) — one per figure or claim of
 // the paper — and renders the result tables.
 package workload
 
@@ -91,8 +91,8 @@ type Options struct {
 	// live -obs exposition.
 	Collector *Collector
 	// Detector overrides the failure-detection mode of the generic ring
-	// worlds ("" keeps the oracle default). E19 always runs heartbeat
-	// monitors and E20 always runs SWIM monitors regardless.
+	// worlds ("" keeps the oracle default). E18 and E24 always run the
+	// oracle, E19 heartbeat monitors and E20 SWIM monitors, regardless.
 	Detector string
 	// Heartbeat tunes the monitors when Detector is "heartbeat".
 	Heartbeat detector.HeartbeatOptions

@@ -1,9 +1,12 @@
 package workload
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/mpi"
 )
 
 func TestTableRender(t *testing.T) {
@@ -73,231 +76,199 @@ func TestEveryExperimentRunsQuick(t *testing.T) {
 	}
 }
 
-// TestChaosSoakAllSeedsOK is the acceptance gate for the chaos fabric:
-// every seed of every E18 workload must complete with its application
-// invariant intact. Full sweep is 20 seeds x 3 workloads; -short shrinks
-// it to the quick sweep.
-func TestChaosSoakAllSeedsOK(t *testing.T) {
-	opt := Options{Quick: testing.Short(), Seed: 1}
-	tables, err := runChaosSoak(opt)
-	if err != nil {
-		t.Fatal(err)
+// TestSoak is the acceptance gate of every seeded soak but E23 (which
+// runs under TestEveryExperimentRunsQuick): each subtest runs its
+// experiment through ftbench's code path and checks that the sweep was
+// the size it claims and exercised what it claims to. -short shrinks
+// every sweep to its quick size; race builds do too, except E18 and E19.
+func TestSoak(t *testing.T) {
+	for _, tc := range []struct {
+		id        string
+		raceQuick bool // race builds run the quick sweep
+		check     func(t *testing.T, quick bool, tabs []*Table)
+	}{
+		// E18, the chaos fabric: every seed of every workload keeps its
+		// application invariant, and chaos really dropped frames.
+		{"e18", false, func(t *testing.T, quick bool, tabs []*Table) {
+			tallied(t, tabs[0], quick)
+			nonZero(t, tabs[0], 0, 3, "dropped")
+		}},
+		// E19, the heartbeat detector: failures are detected only through
+		// heartbeats, fencing and confirmation (no oracle), and the
+		// detection latency families reach the quantile table.
+		{"e19", false, func(t *testing.T, quick bool, tabs []*Table) {
+			tallied(t, tabs[0], quick)
+			nonZero(t, tabs[0], 0, 3, "heartbeats")
+			nonZero(t, tabs[0], 0, 4, "suspicions")
+			nonZero(t, tabs[0], 0, 9, "confirms")
+			hasValues(t, tabs[1], 1, "suspicion_latency", "fence_rtt")
+		}},
+		// E20, the SWIM detector: the run itself asserts detection p99
+		// flat vs N and O(1) control frames per rank per period. Quick
+		// sweeps end at N=1024, race builds at N=256: under race
+		// instrumentation the N=4096 world measures the instrumentation.
+		{"e20", true, func(t *testing.T, quick bool, tabs []*Table) {
+			rows := tabs[0].Rows
+			if rows[0][0] != "heartbeat mesh" {
+				t.Fatalf("first row should be the mesh baseline\n%s", tabs[0].Render())
+			}
+			wantRows := 4 // mesh + swim at 64, 256, 1024
+			if raceEnabled {
+				wantRows = 3 // race builds cap the sweep at 256
+			}
+			if len(rows) < wantRows {
+				t.Fatalf("want mesh + >=%d swim sizes, got %d rows\n%s", wantRows-1, len(rows), tabs[0].Render())
+			}
+			nonZero(t, tabs[0], 0, 2, "samples")
+			nonZero(t, tabs[0], 0, 8, "confirms")
+			// The swim rows must gossip: confirms reach non-fencing ranks
+			// only through the piggyback channel.
+			nonZero(t, tabs[0], 1, 7, "gossip-learns")
+		}},
+		// E21, elastic worlds: in-run, the victim respawned at generation
+		// 2, rank 0 saw every lap exactly once in order, the verification
+		// laps crossed the reincarnation and the recovered state was at
+		// least as fresh as the kill lap. The sweep must vary the victim.
+		{"e21", true, func(t *testing.T, quick bool, tabs []*Table) {
+			seedRows(t, tabs[0], quick, 20, 6)
+			victims := map[string]bool{}
+			for _, row := range tabs[0].Rows {
+				victims[row[1]] = true
+			}
+			if len(victims) < 2 {
+				t.Fatalf("seeds covered only victim(s) %v — the sweep is not exercising ring positions\n%s",
+					victims, tabs[0].Render())
+			}
+		}},
+		// E22, replication: in-run, every kill is absorbed with zero
+		// recovery protocol in the app. The sweep must kill both roles,
+		// and the overhead table shows R=1 first, then two R=2 rows that
+		// sent replica copies (replication is not free).
+		{"e22", true, func(t *testing.T, quick bool, tabs []*Table) {
+			seedRows(t, tabs[0], quick, 20, 6)
+			hasValues(t, tabs[0], 2, "primary", "standby")
+			ov := tabs[1].Rows
+			if len(ov) != 3 || !strings.Contains(ov[0][0], "R=1") {
+				t.Fatalf("overhead table should be R=1 baseline + two R=2 rows\n%s", tabs[1].Render())
+			}
+			nonZero(t, tabs[1], 1, 6, "replica-sends")
+			hasValues(t, tabs[2], 0, "replica_promotion", "replication_overhead")
+		}},
+		// E24, the durability gauntlet in both replication modes: in-run,
+		// exactly-once delivery, a clean audit, zero app Spawn calls and
+		// every group healed. Kills must land both inside the chain
+		// forward window and mid-collective.
+		{"e24", true, func(t *testing.T, quick bool, tabs []*Table) {
+			seedRows(t, tabs[0], quick, 2*20, 2*4)
+			hasValues(t, tabs[0], 3, "forward-window", "mid-collective")
+			hasValues(t, tabs[1], 0, "rereplication_latency")
+		}},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			e, _ := ByID(tc.id)
+			quick := testing.Short() || (raceEnabled && tc.raceQuick)
+			tabs, err := e.Run(Options{Quick: quick, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.check(t, quick, tabs)
+		})
 	}
-	for _, row := range tables[0].Rows {
-		if row[1] != row[2] {
-			t.Fatalf("workload %q: only %s of %s seeds ok\n%s",
-				row[0], row[2], row[1], tables[0].Render())
-		}
-		if row[3] == "0" {
-			t.Fatalf("workload %q injected no drops — chaos not wired?", row[0])
+}
+
+// tallied checks a tallied soak table: three workload rows, each over the
+// sweep's seed count with ok == seeds.
+func tallied(t *testing.T, tab *Table, quick bool) {
+	t.Helper()
+	seeds := "20"
+	if quick {
+		seeds = "4"
+	}
+	if len(tab.Rows) != 3 {
+		t.Fatalf("want 3 workload rows, got %d\n%s", len(tab.Rows), tab.Render())
+	}
+	for _, row := range tab.Rows {
+		if row[1] != seeds || row[2] != row[1] {
+			t.Fatalf("workload %q: %s of %s seeds ok, want %s\n%s", row[0], row[2], row[1], seeds, tab.Render())
 		}
 	}
 }
 
-// TestHeartbeatSoakAllSeedsOK is the acceptance gate for the heartbeat
-// detector: every seed of every E19 workload must terminate with the
-// application invariant intact, with failures detected only through
-// heartbeats, fencing, and confirmation (no oracle). Full sweep is 20
-// seeds x 3 workloads; -short shrinks it to the quick sweep.
-func TestHeartbeatSoakAllSeedsOK(t *testing.T) {
-	opt := Options{Quick: testing.Short(), Seed: 1}
-	tables, err := runHeartbeatSoak(opt)
-	if err != nil {
-		t.Fatal(err)
+// seedRows checks a per-seed soak table has full rows, or quickRows in
+// quick mode.
+func seedRows(t *testing.T, tab *Table, quick bool, full, quickRows int) {
+	t.Helper()
+	want := full
+	if quick {
+		want = quickRows
 	}
-	for _, row := range tables[0].Rows {
-		if row[1] != row[2] {
-			t.Fatalf("workload %q: only %s of %s seeds ok\n%s",
-				row[0], row[2], row[1], tables[0].Render())
-		}
-		if row[3] == "0" {
-			t.Fatalf("workload %q sent no heartbeats — detector not wired?", row[0])
-		}
-		if row[4] == "0" {
-			t.Fatalf("workload %q raised no suspicions — nothing was detected?", row[0])
-		}
-		if row[9] == "0" {
-			t.Fatalf("workload %q confirmed no failures\n%s", row[0], tables[0].Render())
-		}
+	if len(tab.Rows) != want {
+		t.Fatalf("want %d seed rows, got %d\n%s", want, len(tab.Rows), tab.Render())
 	}
-	// The detection latency families must reach the quantile table.
-	families := map[string]bool{}
-	for _, row := range tables[1].Rows {
-		families[row[1]] = true
-	}
-	for _, want := range []string{"suspicion_latency", "fence_rtt"} {
-		if !families[want] {
-			t.Fatalf("family %q missing from latency table\n%s", want, tables[1].Render())
+}
+
+// nonZero fails when column col of any row from the from'th on reads 0.
+func nonZero(t *testing.T, tab *Table, from, col int, name string) {
+	t.Helper()
+	for _, row := range tab.Rows[from:] {
+		if row[col] == "0" {
+			t.Fatalf("row %q: %s is zero\n%s", row[0], name, tab.Render())
 		}
 	}
 }
 
-// TestSwimSoakDetectionFlat is the acceptance gate for the SWIM
-// detector: E20 must complete with its two in-run assertions intact —
-// detection-latency p99 flat vs N (bounded by the mesh baseline with a
-// floor) and O(1) control frames per rank per period. -short shrinks the
-// sweep to the quick sizes (mesh at 32, swim up to 1024), as does the
-// race detector: `go test -race ./...` runs without -short in CI, and
-// the N=4096 world under race instrumentation measures the
-// instrumentation, not the detector.
-func TestSwimSoakDetectionFlat(t *testing.T) {
-	opt := Options{Quick: testing.Short() || raceEnabled, Seed: 1}
-	tables, err := runSwimSoak(opt)
-	if err != nil {
-		t.Fatal(err)
+// hasValues fails unless every one of want appears in column col.
+func hasValues(t *testing.T, tab *Table, col int, want ...string) {
+	t.Helper()
+	seen := map[string]bool{}
+	for _, row := range tab.Rows {
+		seen[row[col]] = true
 	}
-	rows := tables[0].Rows
-	if rows[0][0] != "heartbeat mesh" {
-		t.Fatalf("first row should be the mesh baseline\n%s", tables[0].Render())
-	}
-	wantRows := 4 // mesh + swim at 64, 256, 1024
-	if raceEnabled {
-		wantRows = 3 // race builds cap the sweep at 256
-	}
-	if len(rows) < wantRows {
-		t.Fatalf("want mesh + >=%d swim sizes, got %d rows\n%s", wantRows-1, len(rows), tables[0].Render())
-	}
-	for _, row := range rows {
-		if row[2] == "0" {
-			t.Fatalf("detector %q at n=%s observed no detection samples\n%s",
-				row[0], row[1], tables[0].Render())
-		}
-		if row[8] == "0" {
-			t.Fatalf("detector %q at n=%s confirmed nothing\n%s",
-				row[0], row[1], tables[0].Render())
-		}
-	}
-	// The swim rows must gossip: confirms reach non-fencing ranks only
-	// through the piggyback channel.
-	for _, row := range rows[1:] {
-		if row[7] == "0" {
-			t.Fatalf("swim at n=%s had no gossip learns\n%s", row[1], tables[0].Render())
+	for _, w := range want {
+		if !seen[w] {
+			t.Fatalf("%q missing from column %d\n%s", w, col, tab.Render())
 		}
 	}
 }
 
-// TestElasticSoak is the acceptance gate for elastic worlds: E21 must
-// complete every seeded run with its in-run assertions intact — the
-// victim respawned at generation 2, rank 0 observed every lap exactly
-// once in order (no loss from the token dying with its holder, no
-// duplicate from the resend), the verification laps crossed the full
-// ring including the reincarnation, and the recovered state was at least
-// as fresh as the kill lap. -short and race builds shrink the sweep from
-// 20 seeds to 6.
-func TestElasticSoak(t *testing.T) {
-	opt := Options{Quick: testing.Short() || raceEnabled, Seed: 1}
-	tables, err := runElasticSoak(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSeeds := 20
-	if opt.Quick {
-		wantSeeds = 6
-	}
-	rows := tables[0].Rows
-	if len(rows) != wantSeeds {
-		t.Fatalf("want %d seed rows, got %d\n%s", wantSeeds, len(rows), tables[0].Render())
-	}
-	victims := map[string]bool{}
-	for _, row := range rows {
-		victims[row[1]] = true
-	}
-	if len(victims) < 2 {
-		t.Fatalf("seeds covered only victim(s) %v — the sweep is not exercising ring positions\n%s",
-			victims, tables[0].Render())
-	}
-}
-
-// TestReplicaSoak is the acceptance gate for replication mode: every
-// seeded E22 run must absorb its injected replica kill with ZERO recovery
-// protocol in the application — the fault-unaware ring completes every
-// lap exactly once, no rank function ever observes an error, the
-// validates/resends counters stay at zero, and a promotion happens
-// exactly when the victim was a primary. The sweep must cover both roles
-// and the overhead table must show R=2 costing more than the R=1
-// baseline (replication is not free — that is the trade E22 documents).
-// -short and race builds shrink the sweep from 20 seeds to 6.
-func TestReplicaSoak(t *testing.T) {
-	opt := Options{Quick: testing.Short() || raceEnabled, Seed: 1}
-	tables, err := runReplicaSoak(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSeeds := 20
-	if opt.Quick {
-		wantSeeds = 6
-	}
-	rows := tables[0].Rows
-	if len(rows) != wantSeeds {
-		t.Fatalf("want %d seed rows, got %d\n%s", wantSeeds, len(rows), tables[0].Render())
-	}
-	roles := map[string]bool{}
-	for _, row := range rows {
-		roles[row[2]] = true
-	}
-	if !roles["primary"] || !roles["standby"] {
-		t.Fatalf("seeds covered only role(s) %v — the sweep must kill both primaries and standbys\n%s",
-			roles, tables[0].Render())
-	}
-	// Overhead table: baseline first, then R=2 rows with overhead-x > 1.
-	ov := tables[1].Rows
-	if len(ov) != 3 || !strings.Contains(ov[0][0], "R=1") {
-		t.Fatalf("overhead table should be R=1 baseline + two R=2 rows\n%s", tables[1].Render())
-	}
-	for _, row := range ov[1:] {
-		if row[6] == "0" {
-			t.Fatalf("config %q recorded no replica sends\n%s", row[0], tables[1].Render())
-		}
-	}
-	// Promotion latency must have reached the quantile table.
-	families := map[string]bool{}
-	for _, row := range tables[2].Rows {
-		families[row[0]] = true
-	}
-	for _, want := range []string{"replica_promotion", "replication_overhead"} {
-		if !families[want] {
-			t.Fatalf("family %q missing from latency table\n%s", want, tables[2].Render())
-		}
-	}
-}
-
-// TestDurabilitySoak is the acceptance gate for the E24 durability
-// gauntlet: every seeded run, in BOTH replication modes, must survive its
-// full kill schedule — a primary felled inside the chain forward window
-// (even chain seeds) or between a Bcast and an Allreduce, a standby of a
-// second group, and a depletion kill of the automatic refill — with
-// exactly-once delivery, a clean conservation audit, zero app Spawn
-// calls, and every replica group healed back to degree R. -short and
-// race builds shrink the sweep from 20 seeds to 4 per mode.
-func TestDurabilitySoak(t *testing.T) {
-	opt := Options{Quick: testing.Short() || raceEnabled, Seed: 1}
-	tables, err := runDurabilitySoak(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRows := 2 * 20
-	if opt.Quick {
-		wantRows = 2 * 4
-	}
-	rows := tables[0].Rows
-	if len(rows) != wantRows {
-		t.Fatalf("want %d seed rows, got %d\n%s", wantRows, len(rows), tables[0].Render())
-	}
-	placements := map[string]bool{}
-	for _, row := range rows {
-		placements[row[3]] = true
-	}
-	if !placements["forward-window"] || !placements["mid-collective"] {
-		t.Fatalf("sweep covered only placement(s) %v — kills must land both inside the chain forward window and mid-collective\n%s",
-			placements, tables[0].Render())
-	}
-	// The re-replication latency must have reached the quantile table.
-	families := map[string]bool{}
-	for _, row := range tables[1].Rows {
-		families[row[0]] = true
-	}
-	if !families["rereplication_latency"] {
-		t.Fatalf("family %q missing from latency table\n%s", "rereplication_latency", tables[1].Render())
+// TestVerdict holds the post-run check every soak world shares to
+// hand-made results.
+func TestVerdict(t *testing.T) {
+	done, killed := mpi.RankResult{Finished: true}, mpi.RankResult{Killed: true}
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name     string
+		res      mpi.RunResult
+		killable bool
+		victims  []int
+		want     string // a substring of the error; "" means the result passes
+	}{
+		{"clean", mpi.RunResult{Ranks: []mpi.RankResult{done, killed, done}}, false, []int{1}, ""},
+		{"timed out names stuck ranks", mpi.RunResult{TimedOut: true, Stuck: []int{2, 3},
+			Ranks: []mpi.RankResult{done, killed, {}, {}}}, false, []int{1}, "stuck ranks [2 3]"},
+		{"victim not killed", mpi.RunResult{Ranks: []mpi.RankResult{done, done}}, false, []int{1}, "victim 1 not killed"},
+		{"survivor unfinished", mpi.RunResult{Ranks: []mpi.RankResult{done, {}}}, false, nil, "rank 1 did not finish"},
+		{"survivor aborted", mpi.RunResult{Ranks: []mpi.RankResult{{Aborted: true}, done}}, false, nil, "rank 0 did not finish"},
+		{"survivor error", mpi.RunResult{Ranks: []mpi.RankResult{done, {Finished: true, Err: boom}}}, false, nil, "rank 1: boom"},
+		{"non-victim killed", mpi.RunResult{Ranks: []mpi.RankResult{done, killed}}, false, nil, "rank 1 killed"},
+		{"killable non-victim", mpi.RunResult{Ranks: []mpi.RankResult{done, killed}}, true, nil, ""},
+		{"killable survivor error", mpi.RunResult{Ranks: []mpi.RankResult{killed, {Err: boom}}}, true, nil, "rank 1: boom"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := verdict(&tc.res, tc.killable, tc.victims)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("verdict = %v, want nil", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("verdict = %v, want an error containing %q", err, tc.want)
+			}
+			if strings.Contains(tc.want, "boom") && !errors.Is(err, boom) {
+				t.Fatalf("verdict = %v does not wrap the rank's error", err)
+			}
+		})
 	}
 }
 
