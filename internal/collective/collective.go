@@ -81,6 +81,23 @@ func (r *roster) recv(c *mpi.Comm, i int) ([]byte, error) {
 	return pl, err
 }
 
+// sendrecv posts the receive from participant index from, sends payload to
+// participant index to, and waits for the receive: the deadlock-free
+// exchange of every round-based algorithm here. The request goes back to
+// the pool.
+func (r *roster) sendrecv(c *mpi.Comm, to int, payload []byte, from int) ([]byte, error) {
+	req := c.IrecvInternal(r.comm[from], r.tag)
+	defer req.Free()
+	if err := r.send(c, to, payload); err != nil {
+		req.Cancel()
+		return nil, err
+	}
+	if _, err := req.Wait(); err != nil {
+		return nil, err
+	}
+	return req.Payload(), nil
+}
+
 // Barrier blocks until all participants arrive — dissemination algorithm,
 // ceil(log2 n) rounds. With a failed participant it returns
 // ErrRankFailStop (possibly at a subset of ranks; see package comment).
@@ -185,15 +202,11 @@ func Allreduce(c *mpi.Comm, contrib []byte, op Op) ([]byte, error) {
 		// Recursive doubling among the pow-sized core.
 		for dist := 1; dist < pow; dist *= 2 {
 			partner := r.me ^ dist
-			req := c.IrecvInternal(r.comm[partner], r.tag)
-			if err := r.send(c, partner, acc); err != nil {
-				req.Cancel()
+			pl, err := r.sendrecv(c, partner, acc, partner)
+			if err != nil {
 				return nil, err
 			}
-			if _, err := req.Wait(); err != nil {
-				return nil, err
-			}
-			acc = op(acc, req.Payload())
+			acc = op(acc, pl)
 		}
 		// Post-phase: return the result to the folded-in ranks.
 		if r.me < rem {
@@ -287,16 +300,12 @@ func Allgather(c *mpi.Comm, contrib []byte) ([][]byte, error) {
 	left := (r.me - 1 + r.n) % r.n
 	blk := r.me
 	for step := 0; step < r.n-1; step++ {
-		req := c.IrecvInternal(r.comm[left], r.tag)
-		if err := r.send(c, right, out[blk]); err != nil {
-			req.Cancel()
-			return nil, err
-		}
-		if _, err := req.Wait(); err != nil {
+		pl, err := r.sendrecv(c, right, out[blk], left)
+		if err != nil {
 			return nil, err
 		}
 		blk = (blk - 1 + r.n) % r.n
-		out[blk] = req.Payload()
+		out[blk] = pl
 	}
 	return out, nil
 }
@@ -318,15 +327,11 @@ func Alltoall(c *mpi.Comm, parts [][]byte) ([][]byte, error) {
 	for step := 1; step < r.n; step++ {
 		sendTo := (r.me + step) % r.n
 		recvFrom := (r.me - step + r.n) % r.n
-		req := c.IrecvInternal(r.comm[recvFrom], r.tag)
-		if err := r.send(c, sendTo, parts[sendTo]); err != nil {
-			req.Cancel()
+		pl, err := r.sendrecv(c, sendTo, parts[sendTo], recvFrom)
+		if err != nil {
 			return nil, err
 		}
-		if _, err := req.Wait(); err != nil {
-			return nil, err
-		}
-		out[recvFrom] = req.Payload()
+		out[recvFrom] = pl
 	}
 	return out, nil
 }

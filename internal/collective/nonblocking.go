@@ -36,12 +36,7 @@ func (r *roster) runBarrier(c *mpi.Comm) error {
 	for dist := 1; dist < r.n; dist *= 2 {
 		to := (r.me + dist) % r.n
 		from := (r.me - dist + r.n) % r.n
-		req := c.IrecvInternal(r.comm[from], r.tag)
-		if err := r.send(c, to, nil); err != nil {
-			req.Cancel()
-			return err
-		}
-		if _, err := req.Wait(); err != nil {
+		if _, err := r.sendrecv(c, to, nil, from); err != nil {
 			return err
 		}
 	}

@@ -59,20 +59,15 @@ func AllgatherBruck(c *mpi.Comm, contrib []byte) ([][]byte, error) {
 		sendCount := min(have, r.n-have)
 		to := (r.me - dist + r.n) % r.n
 		from := (r.me + dist) % r.n
-		req := c.IrecvInternal(r.comm[from], r.tag)
 		payload, err := encodeBlocks(blocks[:sendCount])
 		if err != nil {
-			req.Cancel()
 			return nil, err
 		}
-		if err := r.send(c, to, payload); err != nil {
-			req.Cancel()
+		pl, err := r.sendrecv(c, to, payload, from)
+		if err != nil {
 			return nil, err
 		}
-		if _, err := req.Wait(); err != nil {
-			return nil, err
-		}
-		got, err := decodeBlocks(req.Payload())
+		got, err := decodeBlocks(pl)
 		if err != nil {
 			return nil, err
 		}

@@ -42,8 +42,16 @@ type Message struct {
 const msgHeaderLen = 16
 
 // Encode serializes the message with pad extra payload bytes.
-func (m Message) Encode(pad int) []byte {
-	buf := make([]byte, msgHeaderLen+pad)
+func (m Message) Encode(pad int) []byte { return m.encode(nil, pad) }
+
+// encode serializes into buf's storage when it is large enough. Only the
+// header is written, so padding a reused buffer keeps its zeroes as long as
+// pad does not change.
+func (m Message) encode(buf []byte, pad int) []byte {
+	if cap(buf) < msgHeaderLen+pad {
+		buf = make([]byte, msgHeaderLen+pad)
+	}
+	buf = buf[:msgHeaderLen+pad]
 	binary.LittleEndian.PutUint64(buf[0:], uint64(m.Value))
 	binary.LittleEndian.PutUint64(buf[8:], uint64(m.Marker))
 	return buf

@@ -33,6 +33,10 @@ type node struct {
 	detTo    int          // comm rank the detector is posted to (-1: none)
 	stash    [][]byte     // payloads rescued from retired requests, FIFO
 
+	// enc is the send buffer, reused from hop to hop: Comm.Send copies the
+	// payload whenever the fabric keeps it after Send returns.
+	enc []byte
+
 	stats Stats
 }
 
@@ -116,7 +120,7 @@ func (n *node) runUnaware() error {
 	for i := 0; i < n.cfg.Iters; i++ {
 		if n.me == n.root {
 			msg := Message{Value: 1, Marker: int64(i)}
-			if err := n.c.Send(right, TagRing, msg.Encode(n.cfg.Padding)); err != nil {
+			if err := n.c.Send(right, TagRing, n.encode(msg)); err != nil {
 				return err
 			}
 			pl, _, err := n.c.Recv(left, TagRing)
@@ -138,7 +142,7 @@ func (n *node) runUnaware() error {
 				return err
 			}
 			msg.Value++
-			if err := n.c.Send(right, TagRing, msg.Encode(n.cfg.Padding)); err != nil {
+			if err := n.c.Send(right, TagRing, n.encode(msg)); err != nil {
 				return err
 			}
 		}

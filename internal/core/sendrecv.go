@@ -17,8 +17,9 @@ func (n *node) ftSendRight(msg Message) error {
 }
 
 func (n *node) ftSendRightTag(msg Message, tag int) error {
+	buf := n.encode(msg)
 	for {
-		err := n.c.Send(n.pr, tag, msg.Encode(n.cfg.Padding))
+		err := n.c.Send(n.pr, tag, buf)
 		if err == nil {
 			n.lastSent = msg
 			n.haveSent = true
@@ -52,8 +53,15 @@ func (n *node) resendRight() error {
 	return n.ftSendRightTag(n.lastSent, tag)
 }
 
+// encode serializes msg into the node's reusable send buffer.
+func (n *node) encode(msg Message) []byte {
+	n.enc = msg.encode(n.enc, n.cfg.Padding)
+	return n.enc
+}
+
 // retire atomically disposes of an outstanding receive: a payload that
-// raced in is stashed for in-order processing rather than dropped.
+// raced in is stashed for in-order processing rather than dropped. The
+// request goes back to the pool.
 func (n *node) retire(req *mpi.Request) {
 	if req == nil {
 		return
@@ -61,6 +69,14 @@ func (n *node) retire(req *mpi.Request) {
 	if pl, ok := req.CancelOrPayload(); ok {
 		n.stash = append(n.stash, pl)
 	}
+	req.Free()
+}
+
+// take returns a consumed request's payload and frees the request.
+func take(req *mpi.Request) []byte {
+	pl := req.Payload()
+	req.Free()
+	return pl
 }
 
 // --- the Fig. 9 failure detector -------------------------------------------
@@ -115,19 +131,19 @@ func (n *node) dropDetector() {
 // case. The NoMarker variant skips the staleness check, forwarding
 // duplicates (Fig. 8). The SeparateTag variant additionally listens for
 // retransmissions on TagResend.
+//
+// Receives from the left are posted lazily, at the top of the wait, and
+// only when the loop is about to wait: a consumed or failed receive is
+// freed and left unposted until then, so a clean hop posts one receive
+// and cancels none. A message that arrives meanwhile waits in the
+// engine's unexpected queue, in order.
 func (n *node) ftRecvLeft() (Message, error) {
 	if n.cfg.Variant == VariantNaive {
 		return n.naiveRecvLeft()
 	}
 
-	normal := n.c.Irecv(n.pl, TagRing)
-	normalTo := n.pl
-	var resendRx *mpi.Request
-	resendTo := -1
-	if n.cfg.Variant == VariantSeparateTag {
-		resendRx = n.c.Irecv(n.pl, TagResend)
-		resendTo = n.pl
-	}
+	var normal, resendRx *mpi.Request
+	normalTo, resendTo := -1, -1
 	n.ensureDetector()
 
 	cleanup := func() {
@@ -143,12 +159,28 @@ func (n *node) ftRecvLeft() (Message, error) {
 			pl = n.stash[0]
 			n.stash = n.stash[1:]
 		} else {
+			if normal == nil {
+				normal = n.c.Irecv(n.pl, TagRing)
+				normalTo = n.pl
+			}
+			if resendRx == nil && n.cfg.Variant == VariantSeparateTag {
+				resendRx = n.c.Irecv(n.pl, TagResend)
+				resendTo = n.pl
+			}
 			idx, _, err := mpi.Waitany(normal, n.detector, resendRx)
+			// Waitany consumed the request it returned: take it off the
+			// books, so the loop re-posts it only if it waits again.
+			switch idx {
+			case 0:
+				pl, normal = take(normal), nil
+			case 1:
+				pl, n.detector, n.detTo = take(n.detector), nil, -1
+			case 2:
+				pl, resendRx = take(resendRx), nil
+			}
 			if err != nil {
 				switch idx {
 				case 1: // the failure detector fired: right neighbor died
-					n.detector = nil
-					n.detTo = -1
 					if !mpi.IsRankFailStop(err) {
 						cleanup()
 						return Message{}, err
@@ -202,13 +234,6 @@ func (n *node) ftRecvLeft() (Message, error) {
 							}
 						}
 					}
-					if idx == 0 {
-						normal = n.c.Irecv(n.pl, TagRing)
-						normalTo = n.pl
-					} else {
-						resendRx = n.c.Irecv(n.pl, TagResend)
-						resendTo = n.pl
-					}
 					continue
 
 				default:
@@ -216,22 +241,10 @@ func (n *node) ftRecvLeft() (Message, error) {
 					return Message{}, err
 				}
 			}
-			switch idx {
-			case 0:
-				pl = normal.Payload()
-				normal = n.c.Irecv(n.pl, TagRing) // keep one normal receive armed
-				normalTo = n.pl
-			case 2:
-				pl = resendRx.Payload()
-				resendRx = n.c.Irecv(n.pl, TagResend)
-				resendTo = n.pl
-			case 1:
+			if idx == 1 {
 				// The detector completed with data: the ring shrank so the
 				// right neighbor is (about to be) also our left; preserve
 				// the message and re-arm.
-				pl = n.detector.Payload()
-				n.detector = nil
-				n.detTo = -1
 				n.ensureDetector()
 			}
 		}

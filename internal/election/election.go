@@ -65,7 +65,10 @@ const electionTag = 1<<20 + 7
 // own token: the dead rank may have swallowed the only token still
 // circulating, and Chang-Roberts tolerates duplicate initiations — a
 // smaller token swallows a larger one, so re-initiation can delay but
-// never corrupt the outcome.
+// never corrupt the outcome. It also re-sends the smallest token the
+// caller forwarded: ranks learn of a failure one at a time, so the left
+// neighbor of the dead rank can forward the minimum into it after the
+// minimum's owner has already re-injected it.
 //
 // Every alive member of c must call ChangRoberts concurrently. It returns
 // the elected comm rank.
@@ -109,6 +112,7 @@ func ChangRoberts(p *mpi.Proc, c *mpi.Comm) (int, error) {
 		}
 		return -1, err
 	}
+	best := me // the smallest token this rank has sent on
 	for {
 		pl, _, err := c.Recv(mpi.AnySource, electionTag)
 		if err != nil {
@@ -119,7 +123,11 @@ func ChangRoberts(p *mpi.Proc, c *mpi.Comm) (int, error) {
 				// the ring would never drain. Re-initiate our candidacy —
 				// duplicates are harmless, a lost minimum is not.
 				recognizeAllKnown(c)
-				if err := send(kindToken, me); err != nil {
+				err := send(kindToken, me)
+				if err == nil && best < me {
+					err = send(kindToken, best)
+				}
+				if err != nil {
 					if err == errAlone {
 						return me, nil
 					}
@@ -144,6 +152,7 @@ func ChangRoberts(p *mpi.Proc, c *mpi.Comm) (int, error) {
 				}
 				return me, nil
 			case val < me:
+				best = min(best, val)
 				if err := send(kindToken, val); err != nil && err != errAlone {
 					return -1, err
 				}

@@ -17,10 +17,15 @@ import (
 // index, the unexpected-message index, and this rank's view of failure
 // notifications. All mutable matching state is guarded by mu.
 //
-// Signaling is per-request, not per-engine: a completing request pokes
-// only the waiters registered on it (Request.waiters), so a rank blocked
-// in Wait is not woken by unrelated traffic. Three terminal events can
-// unblock every waiter at once and use closed channels instead:
+// Signaling is per-request, not per-engine: a goroutine blocked in Wait
+// or Waitany parks on ONE channel, registered on each request it waits
+// for (Request.waiters) and in the engine's parked list. A completing
+// request pokes only the channels registered on it, so a rank is not
+// woken by unrelated traffic. Fail-stop, teardown and MPI_Abort set their
+// flag first and then, holding mu, poke every parked channel
+// (wakeParkedLocked). A waiter checks the flags and joins the parked list
+// under one hold of mu, so it either sees the flag or gets the poke. Three
+// more signals serve the agreement, state-fetch and proc waits:
 //
 //   - downCh closes when the rank fail-stops or the world is torn down
 //     (markDead/markClosed);
@@ -54,7 +59,8 @@ type engine struct {
 	mu      sync.Mutex
 	downCh  chan struct{} // closed once dead or closed
 	downOne sync.Once
-	agreeCh chan struct{} // generation channel for agreement waiters; nil until one waits
+	agreeCh chan struct{}   // generation channel for agreement waiters; nil until one waits
+	parked  []chan struct{} // the channel of every goroutine blocked in Wait/Waitany
 
 	posted     postedIndex
 	unexpected unexpectedIndex
@@ -171,6 +177,7 @@ func (e *engine) die() {
 func (e *engine) markDead() {
 	e.mu.Lock()
 	e.dead.Store(true)
+	e.wakeParkedLocked()
 	e.mu.Unlock()
 	e.downOne.Do(func() { close(e.downCh) })
 }
@@ -179,8 +186,37 @@ func (e *engine) markDead() {
 func (e *engine) markClosed() {
 	e.mu.Lock()
 	e.closed.Store(true)
+	e.wakeParkedLocked()
 	e.mu.Unlock()
 	e.downOne.Do(func() { close(e.downCh) })
+}
+
+// parkLocked blocks the calling Wait or Waitany on ch, with mu released,
+// until a completion, fail-stop, teardown or abort pokes it. ch sits in
+// the parked list for exactly that time. Caller holds mu, and holds it
+// again on return.
+func (e *engine) parkLocked(ch chan struct{}) {
+	e.parked = append(e.parked, ch)
+	e.mu.Unlock()
+	<-ch
+	e.mu.Lock()
+	for i, p := range e.parked {
+		if p == ch {
+			last := len(e.parked) - 1
+			e.parked[i] = e.parked[last]
+			e.parked[last] = nil
+			e.parked = e.parked[:last]
+			return
+		}
+	}
+}
+
+// wakeParkedLocked pokes every parked waiter, which then re-checks the
+// dead, closed and aborted flags. Caller holds mu and has set the flag.
+func (e *engine) wakeParkedLocked() {
+	for _, ch := range e.parked {
+		poke(ch)
+	}
 }
 
 // agreeBumpLocked wakes agreement waiters by closing the generation
@@ -443,7 +479,7 @@ func (e *engine) deliver(pkt *transport.Packet) {
 		e.unexpected.add(pkt)
 	}
 	e.mu.Unlock()
-	if pkt.Token != 0 {
+	if pkt.Token != 0 && e.w.stamps() {
 		// The message reached this incarnation's matching layer: merge the
 		// sender's HLC stamp (deliver orders causally after send) and close
 		// the conservation-audit span. Recorded outside mu so the tracer's
@@ -533,12 +569,16 @@ func (e *engine) stampGen(pkt *transport.Packet) {
 // ride the v5 frame header, so every later event — retransmit, chaos
 // fault, fan-out copy, delivery — carries the same identity. Replication
 // pre-assigns one token for a whole fan-out (Token != 0 is preserved).
+// The HLC stamp is taken only when a tracer or obs registry is attached
+// (World.stamps): nothing else reads it, and 0 means "unstamped".
 func (e *engine) sendPacket(pkt *transport.Packet) error {
 	e.stampGen(pkt)
 	if pkt.Kind == transport.KindData && pkt.Token == 0 {
 		pkt.Token = transport.MakeToken(e.rank, e.w.nextTokenSeq(e.rank))
 	}
-	pkt.HLC = e.w.clockOf(e.rank).Now()
+	if e.w.stamps() {
+		pkt.HLC = e.w.clockOf(e.rank).Now()
+	}
 	e.w.metrics.Inc(e.rank, metrics.Sends)
 	e.w.metrics.Add(e.rank, metrics.BytesSent, int64(len(pkt.Payload)))
 	e.w.tracer.RecordMsg(e.rank, trace.SendPosted, pkt.Dst, pkt.Tag, -1, int(e.gen), pkt.Token, pkt.HLC, "")

@@ -27,8 +27,11 @@ import (
 //
 // Removal is eager everywhere (no tombstones), so a *Request popped out
 // of the index is referenced by no index structure and may be pooled and
-// reused immediately. All methods must be called with the owning
-// engine's mutex held.
+// reused immediately. An emptied exact bucket leaves its map, so keys that
+// come and go (every collective call has a fresh tag) cannot grow the map,
+// but its slice goes to a small free list that the next new key takes from:
+// the ring's one receive per hop reuses storage instead of allocating it.
+// All methods must be called with the owning engine's mutex held.
 
 // bucketKey is the (context, source, tag) triple that fully determines
 // matching for non-wildcard operations. It is the hash-bucket key: Go's
@@ -36,6 +39,33 @@ import (
 // all three fields are equal (see FuzzBucketKey).
 type bucketKey struct {
 	ctx, src, tag int
+}
+
+// spareCap bounds each index's free list of emptied bucket slices.
+const spareCap = 8
+
+// spares is a bounded free list of emptied bucket slices. Their elements
+// are all nil (the index clears a slot before it shrinks a bucket), so a
+// spare holds nothing alive.
+type spares[T any] struct{ free [][]T }
+
+// put keeps an emptied bucket's storage unless the list is full.
+func (f *spares[T]) put(q []T) {
+	if len(f.free) < spareCap {
+		f.free = append(f.free, q[:0])
+	}
+}
+
+// get returns a spare empty slice, or nil when there is none.
+func (f *spares[T]) get() []T {
+	n := len(f.free)
+	if n == 0 {
+		return nil
+	}
+	q := f.free[n-1]
+	f.free[n-1] = nil
+	f.free = f.free[:n-1]
+	return q
 }
 
 // isWild reports whether a receive posted with (src, tag) needs the
@@ -48,6 +78,7 @@ func isWild(srcWorld, tag int) bool { return srcWorld == AnySource || tag == Any
 type postedIndex struct {
 	exact map[bucketKey][]*Request // fully-specified receives, FIFO per key
 	wild  map[int][]*Request       // wildcard receives per context, post order
+	spare spares[*Request]         // emptied exact buckets, for the next new key
 	live  int
 	seq   uint64 // post-order stamp source
 }
@@ -67,7 +98,11 @@ func (ix *postedIndex) add(r *Request) {
 		ix.wild[r.ctx] = append(ix.wild[r.ctx], r)
 	} else {
 		k := bucketKey{r.ctx, r.srcWorld, r.tag}
-		ix.exact[k] = append(ix.exact[k], r)
+		q, ok := ix.exact[k]
+		if !ok {
+			q = ix.spare.get()
+		}
+		ix.exact[k] = append(q, r)
 	}
 	ix.live++
 }
@@ -107,6 +142,7 @@ func (ix *postedIndex) popExact(k bucketKey) {
 	q[0] = nil
 	if len(q) == 1 {
 		delete(ix.exact, k)
+		ix.spare.put(q)
 	} else {
 		ix.exact[k] = q[1:]
 	}
@@ -179,6 +215,7 @@ func (ix *postedIndex) collect(pred func(*Request) bool) []*Request {
 		}
 		if len(kept) == 0 {
 			delete(ix.exact, k)
+			ix.spare.put(q)
 		} else {
 			ix.exact[k] = kept
 		}
@@ -230,6 +267,7 @@ type orderList struct {
 type unexpectedIndex struct {
 	exact map[bucketKey][]*uEntry // FIFO per key
 	order map[int]*orderList      // per-context arrival order, for wildcards
+	spare spares[*uEntry]         // emptied exact buckets, for the next new key
 	live  int
 }
 
@@ -244,7 +282,11 @@ func newUnexpectedIndex() unexpectedIndex {
 func (ix *unexpectedIndex) add(pkt *transport.Packet) {
 	e := &uEntry{pkt: pkt}
 	k := bucketKey{pkt.Context, pkt.Src, pkt.Tag}
-	ix.exact[k] = append(ix.exact[k], e)
+	q, ok := ix.exact[k]
+	if !ok {
+		q = ix.spare.get()
+	}
+	ix.exact[k] = append(q, e)
 	ol := ix.order[pkt.Context]
 	if ol == nil {
 		ol = &orderList{}
@@ -314,6 +356,7 @@ func (ix *unexpectedIndex) popExactLocked(k bucketKey, q []*uEntry) {
 	q[0] = nil
 	if len(q) == 1 {
 		delete(ix.exact, k)
+		ix.spare.put(q)
 	} else {
 		ix.exact[k] = q[1:]
 	}
@@ -338,6 +381,7 @@ func (ix *unexpectedIndex) removeFromBucket(e *uEntry) {
 		q[len(q)-1] = nil
 		if len(q) == 1 {
 			delete(ix.exact, k)
+			ix.spare.put(q)
 		} else {
 			ix.exact[k] = q[:len(q)-1]
 		}

@@ -251,6 +251,97 @@ func TestUnexpectedIndexCompaction(t *testing.T) {
 	}
 }
 
+// TestMatchIndexesLeaveNoResidue pushes 10^4 distinct (ctx, src, tag)
+// keys through both indexes, the way fresh collective tags arrive, and
+// empties every bucket by each removal path in turn. An emptied bucket
+// must leave its map (kept empty entries would grow without bound), the
+// free list of bucket slices must stay within its cap, and a drained
+// index holds nothing.
+func TestMatchIndexesLeaveNoResidue(t *testing.T) {
+	const (
+		keys  = 10000
+		batch = 16
+	)
+	posted, unexp := newPostedIndex(), newUnexpectedIndex()
+	check := func(at int) {
+		t.Helper()
+		for k, q := range posted.exact {
+			if len(q) == 0 {
+				t.Fatalf("key %d: empty posted bucket %+v kept", at, k)
+			}
+		}
+		for k, q := range unexp.exact {
+			if len(q) == 0 {
+				t.Fatalf("key %d: empty unexpected bucket %+v kept", at, k)
+			}
+		}
+		if n := len(posted.spare.free); n > spareCap {
+			t.Fatalf("key %d: posted free list %d > cap %d", at, n, spareCap)
+		}
+		if n := len(unexp.spare.free); n > spareCap {
+			t.Fatalf("key %d: unexpected free list %d > cap %d", at, n, spareCap)
+		}
+	}
+	var reqs []*Request
+	for i := 0; i < keys; i++ {
+		ctx, src, tag := i%3, i%5, -i // the tag alone makes every key new
+		r := &Request{srcWorld: src, tag: tag, ctx: ctx}
+		posted.add(r)
+		reqs = append(reqs, r)
+		unexp.add(&transport.Packet{Src: src, Tag: tag, Context: ctx})
+		if len(reqs) < batch {
+			continue
+		}
+		for j, r := range reqs {
+			switch j % 3 {
+			case 0: // a delivery matches it
+				if got := posted.match(r.ctx, r.srcWorld, r.tag); got != r {
+					t.Fatalf("key %d: match returned %p, want %p", i, got, r)
+				}
+			case 1: // Cancel
+				if !posted.remove(r) {
+					t.Fatalf("key %d: remove missed a posted receive", i)
+				}
+			default: // a failure sweep
+				if got := posted.collect(func(q *Request) bool { return q == r }); len(got) != 1 {
+					t.Fatalf("key %d: collect returned %d receives, want 1", i, len(got))
+				}
+			}
+			src, tag := r.srcWorld, r.tag
+			if j%2 == 1 {
+				src = AnySource // the order-list path, then removeFromBucket
+			}
+			if pkt := unexp.take(src, tag, r.ctx); pkt == nil || pkt.Tag != r.tag {
+				t.Fatalf("key %d: take(%d, %d, %d) = %v", i, src, tag, r.ctx, pkt)
+			}
+			check(i)
+		}
+		reqs = reqs[:0]
+	}
+	if posted.live != 0 || unexp.live != 0 || len(posted.exact) != 0 || len(unexp.exact) != 0 {
+		t.Fatalf("drained indexes hold live %d/%d, buckets %d/%d",
+			posted.live, unexp.live, len(posted.exact), len(unexp.exact))
+	}
+	if len(posted.spare.free) == 0 || len(unexp.spare.free) == 0 {
+		t.Fatal("no emptied bucket was kept for reuse")
+	}
+}
+
+// TestRearmedKeyReusesBucket is the ring's receive: the same key posted
+// and matched over and over allocates nothing once the bucket exists.
+func TestRearmedKeyReusesBucket(t *testing.T) {
+	ix := newPostedIndex()
+	r := &Request{srcWorld: 3, tag: 1, ctx: 0}
+	if allocs := testing.AllocsPerRun(100, func() {
+		ix.add(r)
+		if ix.match(0, 3, 1) != r {
+			t.Fatal("match missed the re-armed receive")
+		}
+	}); allocs != 0 {
+		t.Fatalf("%.1f allocations per re-arm, want 0", allocs)
+	}
+}
+
 // FuzzBucketKey checks the hash-bucket key discriminates exactly on the
 // (context, source, tag) triple: two operations share a bucket iff all
 // three fields are equal.

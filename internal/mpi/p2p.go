@@ -217,7 +217,9 @@ func (c *Comm) recvInternal(src, tag int) ([]byte, Status, error) {
 	if err != nil {
 		return nil, st, err
 	}
-	return r.Payload(), st, nil
+	payload := r.Payload()
+	r.Free()
+	return payload, st, nil
 }
 
 // SendInternal exposes internal-context sends to in-repo library packages

@@ -137,6 +137,15 @@ func putWaiter(ch chan struct{}) {
 	waiterPool.Put(ch)
 }
 
+// poke hands a waiter its wake-up token without blocking: the channel has
+// room for one, and a second token would say nothing the first did not.
+func poke(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
 // addWaiterLocked registers ch for the completion signal. Caller holds
 // eng.mu.
 func (r *Request) addWaiterLocked(ch chan struct{}) {
@@ -187,10 +196,7 @@ func (r *Request) completeLocked(err error, st Status, payload []byte) {
 	r.status = st
 	r.payload = payload
 	for _, ch := range r.waiters {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
+		poke(ch)
 	}
 	r.waiters = nil
 }
@@ -236,9 +242,10 @@ func (r *Request) CancelOrPayload() ([]byte, bool) {
 
 // Wait blocks until the request completes and returns its status and
 // error. Waiting again on a completed request returns the same result.
-// The wait parks on a per-request channel: completions of OTHER requests
-// on the same rank do not wake it. Fail-stop, teardown and abort are
-// delivered through closed channels (engine.downCh, World.abortCh).
+// The wait parks on one channel, registered on the request and in the
+// engine's parked list: completions of OTHER requests on the same rank do
+// not wake it, and fail-stop, teardown and abort poke it through the
+// parked list (engine.wakeParkedLocked).
 func (r *Request) Wait() (Status, error) {
 	e := r.eng
 	var waitStart time.Time
@@ -261,13 +268,7 @@ func (r *Request) Wait() (Status, error) {
 		}
 		ch := getWaiter()
 		r.addWaiterLocked(ch)
-		e.mu.Unlock()
-		select {
-		case <-ch:
-		case <-e.downCh:
-		case <-e.w.abortCh:
-		}
-		e.mu.Lock()
+		e.parkLocked(ch)
 		r.dropWaiterLocked(ch)
 		putWaiter(ch)
 	}
@@ -398,13 +399,7 @@ func Waitany(reqs ...*Request) (int, Status, error) {
 				r.addWaiterLocked(ch)
 			}
 		}
-		e.mu.Unlock()
-		select {
-		case <-ch:
-		case <-e.downCh:
-		case <-e.w.abortCh:
-		}
-		e.mu.Lock()
+		e.parkLocked(ch)
 		for _, r := range reqs {
 			if r != nil {
 				r.dropWaiterLocked(ch)

@@ -201,3 +201,50 @@ func TestRankErrorFormatting(t *testing.T) {
 		t.Fatal("RankError unwrap broken")
 	}
 }
+
+// TestFreedRequestComesBackClean frees requests retired both ways the
+// ring retires them (consumed by Waitany, disposed of by CancelOrPayload)
+// and checks that whatever the pool hands out next carries no stale
+// completion state, and that the pool does hand the freed ones back.
+func TestFreedRequestComesBackClean(t *testing.T) {
+	const rounds = 50
+	res := runWorld(t, 2, func(p *Proc) error {
+		c := p.World()
+		if p.Rank() == 0 {
+			for i := 0; i < rounds; i++ {
+				if err := c.Send(1, 1, []byte("a")); err != nil {
+					return err
+				}
+				if err := c.Send(1, 2, []byte("b")); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		reused := 0
+		for i := 0; i < rounds; i++ {
+			a, b := c.Irecv(0, 1), c.Irecv(0, 2)
+			if _, _, err := Waitany(a, b); err != nil {
+				return err
+			}
+			a.CancelOrPayload()
+			b.CancelOrPayload()
+			a.Free()
+			b.Free()
+			for k := 0; k < 2; k++ {
+				r := newRequest(p.eng, c, reqRecv)
+				if r.done || r.consumed || r.waiters != nil || r.payload != nil || r.err != nil {
+					return fmt.Errorf("round %d: pooled request is stale: %+v", i, r)
+				}
+				if r == a || r == b {
+					reused++
+				}
+			}
+		}
+		if reused == 0 {
+			return errors.New("the pool never handed back a freed request")
+		}
+		return nil
+	})
+	requireNoRankErrors(t, res)
+}

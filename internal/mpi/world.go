@@ -135,7 +135,7 @@ type World struct {
 
 	aborted       atomic.Bool
 	abortVal      atomic.Int64
-	abortCh       chan struct{} // closed on Abort; waiters select on it
+	abortCh       chan struct{} // closed on Abort; agreement, state and proc waits select on it
 	abortOnce     sync.Once
 	completionSeq atomic.Uint64 // request-completion order for Waitany
 	startOnce     sync.Once
@@ -167,6 +167,10 @@ func (w *World) eng(i int) *engine { return w.engines[i].Load() }
 // clockOf returns the slot's hybrid logical clock (shared across
 // incarnations).
 func (w *World) clockOf(i int) *trace.HLC { return &w.clocks[i] }
+
+// stamps reports whether messages carry HLC stamps: only the tracer and
+// the obs registry read them, so a world with neither skips the clock.
+func (w *World) stamps() bool { return w.tracer != nil || w.obs != nil }
 
 // nextTokenSeq issues the slot's next per-origin message sequence for
 // causal-token assignment.
@@ -413,13 +417,21 @@ func (w *World) Kill(rank int) {
 func (w *World) abortCode() int { return int(w.abortVal.Load()) }
 
 // abort tears the world down with the given code (MPI_Abort semantics):
-// every rank unwinds at its next (or current) MPI call. Blocked waiters
-// learn about it through the closed abortCh.
+// every rank unwinds at its next (or current) MPI call. Goroutines parked
+// in Wait/Waitany are poked through each engine's parked list, after the
+// flag is set; the other blocked waiters learn of it through the closed
+// abortCh.
 func (w *World) abort(code int) {
 	if w.aborted.CompareAndSwap(false, true) {
 		w.abortVal.Store(int64(code))
 	}
 	w.abortOnce.Do(func() { close(w.abortCh) })
+	for i := range w.engines {
+		e := w.eng(i)
+		e.mu.Lock()
+		e.wakeParkedLocked()
+		e.mu.Unlock()
+	}
 	w.registry.BroadcastWaiters()
 }
 

@@ -129,8 +129,9 @@ type Packet struct {
 	// HLC is the sender's hybrid-logical-clock stamp at send time
 	// (internal/trace.HLC encoding: physical µs << 12 | logical). The
 	// receiving engine merges it into its own clock, so deliver stamps are
-	// numerically after send stamps without synchronized clocks. 0 means
-	// "unstamped".
+	// numerically after send stamps without synchronized clocks. Only a
+	// world with a tracer or an obs registry stamps it; elsewhere it stays 0,
+	// which means "unstamped".
 	HLC uint64
 	// Token is the causal message identity: origin physical rank << 48 |
 	// per-origin sequence, assigned ONCE where a data message enters the
