@@ -274,8 +274,20 @@ func (w *World) captureSeed(slot int) *procSeed {
 // launchRankLocked starts (or restarts) the rank function for a slot on a
 // fresh goroutine, recording its outcome in out. Caller holds runMu and
 // has already accounted for the goroutine in runWG and active.
+//
+// A seeded proc is built and seeded here, under runMu, not on the new
+// goroutine: newProc makes its world communicator reachable from the
+// engine, and a revive (which only runs under runMu: a second refill's
+// Spawn) repairs every reachable communicator. Seeding after that point
+// would race the repair and could undo it.
 func (w *World) launchRankLocked(rank int, seed *procSeed, out *RankResult) {
 	w.finished[rank].Store(false)
+	var seeded *Proc
+	if seed != nil {
+		seeded = newProc(w, rank)
+		seed.apply(seeded)
+		w.procs[rank].Store(seeded)
+	}
 	go func() {
 		defer func() {
 			r := recover()
@@ -301,11 +313,11 @@ func (w *World) launchRankLocked(rank int, seed *procSeed, out *RankResult) {
 				}
 			}
 		}()
-		p := newProc(w, rank)
-		if seed != nil {
-			seed.apply(p)
+		p := seeded
+		if p == nil {
+			p = newProc(w, rank)
+			w.procs[rank].Store(p)
 		}
-		w.procs[rank].Store(p)
 		out.Err = w.runFn(p)
 		out.Finished = true
 	}()

@@ -746,3 +746,51 @@ func TestLateFailureNoticeAfterRevive(t *testing.T) {
 		})
 	requireNoRankErrors(t, res)
 }
+
+// TestRefillSeedsBeforeNextRevive: two refills back to back, the second
+// reviving a slot while the first one's reincarnation is still being
+// launched. The second revive repairs every communicator the first
+// reincarnation's engine can reach; the first reincarnation's seed must
+// already be in place then, or the two write its world communicator
+// concurrently (under -race: a data race) and the seed can undo the
+// repair. The reincarnations touch no engine lock before the checks, so
+// nothing but the launch itself orders the seed before the revive.
+func TestRefillSeedsBeforeNextRevive(t *testing.T) {
+	for round := 0; round < 5; round++ {
+		release := make(chan struct{})
+		_, res := runElastic(t, 4, []Option{WithElastic(ElasticOptions{})},
+			func(w *World, p *Proc) error {
+				c := p.World()
+				switch {
+				case p.Rank() >= 2 && p.Gen() == 1:
+					p.Die()
+				case p.Rank() >= 2: // a reincarnation
+					<-release
+					if got := c.collMembers; len(got) != 4 {
+						return fmt.Errorf("reincarnation %v: collective members %v, want all 4", p.ID(), got)
+					}
+				case p.Rank() == 1:
+					<-release
+				case p.Rank() == 0:
+					defer close(release)
+					for _, slot := range []int{2, 3} {
+						if err := pollUntil("death", func() (bool, error) {
+							return w.registry.Confirmed(slot), nil
+						}); err != nil {
+							return err
+						}
+					}
+					for _, slot := range []int{2, 3} {
+						if _, err := w.Spawn(slot); err != nil {
+							return err
+						}
+					}
+				}
+				return nil
+			})
+		requireNoRankErrors(t, res)
+		if len(res.Respawns) != 2 {
+			t.Fatalf("round %d: respawns %+v", round, res.Respawns)
+		}
+	}
+}

@@ -30,6 +30,19 @@
 // the earliest deadline of all links and is parked whenever nothing is
 // unacknowledged (retry.go).
 //
+// Locking: the fabric's mu is a read-write lock over the link tables (tx,
+// rx, dead), and every link has a mutex of its own. Per-frame work — a
+// Send's sequencing, watch, an ack, a delivery, ReleaseAck, LinkRTO —
+// holds the table lock for reading plus the one link's lock, so frames on
+// different links never wait for each other. Creating a link, PeerDown,
+// PeerUp, escalation, Close and the retry scan hold the table lock for
+// writing, which excludes every link lock: a purge is atomic across all
+// links. The order is table, then link; no path holds two link locks, and
+// none holds either lock across a call out of the layer (the inner Send,
+// the upstream deliver, an observer, the ack gate, OnAckRetire, escalate),
+// because over the synchronous Local fabric those re-enter the layer on
+// the same goroutine, where a read lock deadlocks once a writer queues.
+//
 // Layering: reliable wraps chaos, which wraps the base fabric. The
 // reliable fabric intentionally does NOT implement transport.NonRetaining:
 // the mpi world therefore makes a defensive copy of every user payload
@@ -142,14 +155,6 @@ func (e Event) String() string {
 	return fmt.Sprintf("%s %d->%d seq=%d attempt=%d", e.Kind, e.Src, e.Dst, e.Seq, e.Attempt)
 }
 
-// ackKey identifies one acknowledgement owed on a directional link: the
-// sender, the receiver, and the ARQ sequence number of the frame whose
-// ack is being withheld by the ack gate.
-type ackKey struct {
-	src, dst int
-	seq      uint64
-}
-
 // pending is one unacknowledged outbound frame. It lives by value in
 // txLink.inflight, so recording a frame allocates nothing. Times are
 // readings of Fabric.now.
@@ -177,13 +182,14 @@ const (
 	lateAsync = 8
 )
 
-// txLink is the sender half of one directional link.
+// txLink is the sender half of one directional link. Its fields are
+// guarded by mu under the fabric's read lock, or by the write lock alone.
 type txLink struct {
+	mu       sync.Mutex
 	nextSeq  uint64
 	inflight map[uint64]pending
-	// unacked is len(inflight), readable without the fabric lock: Send
-	// looks at it after the inner Send to learn whether the ack already
-	// came back.
+	// unacked is len(inflight), readable without a lock: Send looks at it
+	// after the inner Send to learn whether the ack already came back.
 	unacked atomic.Int32
 	// late is the link's late score (see lateAsync). Only Send writes it,
 	// outside the lock; two Sends racing on one link may lose a step.
@@ -196,11 +202,16 @@ type txLink struct {
 }
 
 // rxLink is the receiver half: frames are deduplicated against next and
-// held, and delivered upstream strictly in sequence order.
+// held, and delivered upstream strictly in sequence order. Locked like
+// txLink.
 type rxLink struct {
+	mu       sync.Mutex
 	next     uint64 // the next sequence number to deliver upstream
 	held     map[uint64]*transport.Packet
-	draining bool // one goroutine at a time drains held, preserving order
+	draining bool // one goroutine at a time delivers, preserving order
+	// deferred holds the frames whose acks the ack gate withholds until
+	// ReleaseAck; made on the first one.
+	deferred map[uint64]struct{}
 }
 
 // Fabric is the reliability sublayer. Wrap it around a (possibly chaotic)
@@ -235,11 +246,10 @@ type Fabric struct {
 	// Start to drive the estimator and the backoff schedule by hand.
 	now func() int64
 
-	mu       sync.Mutex
-	tx       map[[2]int]*txLink
-	rx       map[[2]int]*rxLink
-	dead     map[int]bool // peers purged by PeerDown or escalation
-	deferred map[ackKey]struct{}
+	mu   sync.RWMutex // the link tables; see the package comment
+	tx   map[[2]int]*txLink
+	rx   map[[2]int]*rxLink
+	dead map[int]bool // peers purged by PeerDown or escalation
 
 	retry retryState
 
@@ -252,14 +262,13 @@ type Fabric struct {
 func Wrap(inner transport.Fabric, opts Options) *Fabric {
 	epoch := time.Now()
 	f := &Fabric{
-		inner:    inner,
-		opts:     opts.withDefaults(),
-		now:      func() int64 { return int64(time.Since(epoch)) },
-		tx:       make(map[[2]int]*txLink),
-		rx:       make(map[[2]int]*rxLink),
-		dead:     make(map[int]bool),
-		deferred: make(map[ackKey]struct{}),
-		done:     make(chan struct{}),
+		inner: inner,
+		opts:  opts.withDefaults(),
+		now:   func() int64 { return int64(time.Since(epoch)) },
+		tx:    make(map[[2]int]*txLink),
+		rx:    make(map[[2]int]*rxLink),
+		dead:  make(map[int]bool),
+		done:  make(chan struct{}),
 	}
 	f.retry.init()
 	return f
@@ -299,25 +308,17 @@ func (f *Fabric) sendAck(src, dst int, seq uint64) {
 // deferred for that frame (already released, purged, or never gated) the
 // call is a no-op.
 func (f *Fabric) ReleaseAck(src, dst int, seq uint64) {
-	key := ackKey{src: src, dst: dst, seq: seq}
-	f.mu.Lock()
-	_, owed := f.deferred[key]
-	delete(f.deferred, key)
-	f.mu.Unlock()
+	owed := false
+	f.mu.RLock()
+	if rx := f.rx[[2]int{src, dst}]; rx != nil {
+		rx.mu.Lock()
+		_, owed = rx.deferred[seq]
+		delete(rx.deferred, seq)
+		rx.mu.Unlock()
+	}
+	f.mu.RUnlock()
 	if owed {
 		f.sendAck(src, dst, seq)
-	}
-}
-
-// dropDeferredLocked discards deferred acks touching rank in either
-// direction. Callers hold f.mu. The sender-side inflight state those acks
-// would have retired is purged by the same PeerDown/PeerUp call, so no
-// retransmission can be stranded by the dropped entries.
-func (f *Fabric) dropDeferredLocked(rank int) {
-	for key := range f.deferred {
-		if key.src == rank || key.dst == rank {
-			delete(f.deferred, key)
-		}
 	}
 }
 
@@ -346,14 +347,12 @@ func (f *Fabric) Close() error {
 	f.closing.Do(func() { close(f.done) })
 	f.wg.Wait()
 	f.mu.Lock()
-	f.deferred = make(map[ackKey]struct{})
 	var purged []Event
 	for key, tx := range f.tx {
 		purged = f.purgeTxLocked(purged, key, tx)
 	}
 	for key, rx := range f.rx {
-		purged = f.appendRxPurges(purged, key, rx)
-		delete(f.rx, key)
+		purged = f.purgeRxLocked(purged, key, rx)
 	}
 	f.mu.Unlock()
 	for _, ev := range purged {
@@ -364,8 +363,8 @@ func (f *Fabric) Close() error {
 
 // purgeTxLocked discards a tx link — its sequence numbers, its round-trip
 // estimate and its unacknowledged frames — and collects one EvPurged per
-// frame. Callers hold f.mu; the events must be emitted after it is
-// released.
+// frame. Callers hold f.mu for writing; the events must be emitted after
+// it is released.
 func (f *Fabric) purgeTxLocked(evs []Event, key [2]int, tx *txLink) []Event {
 	for seq, p := range tx.inflight {
 		evs = append(evs, Event{
@@ -384,15 +383,19 @@ func (f *Fabric) purgeTxLocked(evs []Event, key [2]int, tx *txLink) []Event {
 	return evs
 }
 
-// appendRxPurges collects one EvPurged per acknowledged-but-undelivered
-// frame of an rx link being discarded (held for resequencing when the
-// link state died). Callers hold f.mu.
-func (f *Fabric) appendRxPurges(evs []Event, key [2]int, rx *rxLink) []Event {
+// purgeRxLocked discards an rx link — its watermark, its withheld acks and
+// the frames it held for resequencing — and collects one EvPurged per held
+// (acknowledged but undelivered) frame. Callers hold f.mu for writing.
+func (f *Fabric) purgeRxLocked(evs []Event, key [2]int, rx *rxLink) []Event {
 	for seq, p := range rx.held {
 		evs = append(evs, Event{
 			Kind: EvPurged, Src: key[0], Dst: key[1], Seq: seq, Token: p.Token,
 		})
 	}
+	// A goroutine still draining the link holds rx: leave it nothing to
+	// deliver, the frames are reported purged.
+	clear(rx.held)
+	delete(f.rx, key)
 	return evs
 }
 
@@ -424,7 +427,6 @@ func (f *Fabric) emitFrame(kind EventKind, dst int, seq uint64, pkt *transport.P
 func (f *Fabric) PeerDown(rank int) {
 	f.mu.Lock()
 	f.dead[rank] = true
-	f.dropDeferredLocked(rank)
 	var purged []Event
 	for key, tx := range f.tx {
 		if key[1] == rank || key[0] == rank {
@@ -432,9 +434,13 @@ func (f *Fabric) PeerDown(rank int) {
 		}
 	}
 	for key, rx := range f.rx {
-		if key[0] == rank {
-			purged = f.appendRxPurges(purged, key, rx)
-			delete(f.rx, key)
+		switch rank {
+		case key[0]:
+			purged = f.purgeRxLocked(purged, key, rx)
+		case key[1]:
+			// The acks the dead peer still owes would retire frames the tx
+			// purge above has already reported.
+			rx.deferred = nil
 		}
 	}
 	f.mu.Unlock()
@@ -458,7 +464,6 @@ func (f *Fabric) PeerDown(rank int) {
 func (f *Fabric) PeerUp(rank int) {
 	f.mu.Lock()
 	delete(f.dead, rank)
-	f.dropDeferredLocked(rank)
 	var purged []Event
 	for key, tx := range f.tx {
 		if key[0] == rank || key[1] == rank {
@@ -467,14 +472,58 @@ func (f *Fabric) PeerUp(rank int) {
 	}
 	for key, rx := range f.rx {
 		if key[0] == rank || key[1] == rank {
-			purged = f.appendRxPurges(purged, key, rx)
-			delete(f.rx, key)
+			purged = f.purgeRxLocked(purged, key, rx)
 		}
 	}
 	f.mu.Unlock()
 	for _, ev := range purged {
 		f.emit(ev)
 	}
+}
+
+// lockTx returns the link src -> dst, creating it on first use, with f.mu
+// held for reading and the link locked; or nil, with nothing held, if dst
+// is dead. Only a new link takes the write lock.
+func (f *Fabric) lockTx(src, dst int) *txLink {
+	key := [2]int{src, dst}
+	f.mu.RLock()
+	for !f.dead[dst] {
+		if tx := f.tx[key]; tx != nil {
+			tx.mu.Lock()
+			return tx
+		}
+		f.mu.RUnlock()
+		f.mu.Lock()
+		if f.tx[key] == nil && !f.dead[dst] {
+			f.tx[key] = &txLink{inflight: make(map[uint64]pending)}
+		}
+		f.mu.Unlock()
+		f.mu.RLock()
+	}
+	f.mu.RUnlock()
+	return nil
+}
+
+// lockRx is lockTx for the receiver half of src -> dst: nil if src is
+// dead, so that stragglers from a fail-stop peer are dropped.
+func (f *Fabric) lockRx(src, dst int) *rxLink {
+	key := [2]int{src, dst}
+	f.mu.RLock()
+	for !f.dead[src] {
+		if rx := f.rx[key]; rx != nil {
+			rx.mu.Lock()
+			return rx
+		}
+		f.mu.RUnlock()
+		f.mu.Lock()
+		if f.rx[key] == nil && !f.dead[src] {
+			f.rx[key] = &rxLink{next: 1, held: make(map[uint64]*transport.Packet)}
+		}
+		f.mu.Unlock()
+		f.mu.RLock()
+	}
+	f.mu.RUnlock()
+	return nil
 }
 
 // Send stamps the packet with the link's next sequence number and its
@@ -497,20 +546,13 @@ func (f *Fabric) Send(pkt *transport.Packet) error {
 	}
 	pkt.Crc = transport.PayloadCrc(pkt.Payload)
 	now := f.now()
-	f.mu.Lock()
-	if f.dead[pkt.Dst] {
-		f.mu.Unlock()
+	tx := f.lockTx(pkt.Src, pkt.Dst)
+	if tx == nil {
 		// Fail-stop peer: silent drop per the Fabric contract, but
 		// observable — the trace audit accounts the message as mail to a
 		// known-dead destination rather than an unexplained loss.
 		f.emitFrame(EvDeadDrop, pkt.Dst, 0, pkt)
 		return nil
-	}
-	key := [2]int{pkt.Src, pkt.Dst}
-	tx := f.tx[key]
-	if tx == nil {
-		tx = &txLink{inflight: make(map[uint64]pending)}
-		f.tx[key] = tx
 	}
 	tx.nextSeq++
 	pkt.Seq = tx.nextSeq
@@ -519,7 +561,8 @@ func (f *Fabric) Send(pkt *transport.Packet) error {
 		tx.timedSeq = pkt.Seq
 	}
 	tx.unacked.Add(1)
-	f.mu.Unlock()
+	tx.mu.Unlock()
+	f.mu.RUnlock()
 	err := f.inner.Send(pkt)
 	// Over a synchronous fabric the ack has already retired the frame (in
 	// chain mode too: the engine releases a gated ack inside delivery), so
@@ -541,18 +584,21 @@ func (f *Fabric) Send(pkt *transport.Packet) error {
 }
 
 // watch hands the frame seq of tx to the retry goroutine, unless its ack
-// arrived meanwhile. On a synchronous link the frame is probably lost and
-// its deadline is kept to the microsecond; on an asynchronous one the ack
-// is probably on its way and the deadline is left to a timer.
+// arrived meanwhile (or a purge took it). On a synchronous link the frame
+// is probably lost and its deadline is kept to the microsecond; on an
+// asynchronous one the ack is probably on its way and the deadline is left
+// to a timer.
 func (f *Fabric) watch(tx *txLink, seq uint64, precise bool) {
-	f.mu.Lock()
+	f.mu.RLock()
+	tx.mu.Lock()
 	p, inflight := tx.inflight[seq]
 	if inflight {
 		p.watched = true
 		tx.inflight[seq] = p
 		f.retry.watched.Add(1)
 	}
-	f.mu.Unlock()
+	tx.mu.Unlock()
+	f.mu.RUnlock()
 	if inflight {
 		f.retry.serve(p.nextRetry, precise)
 	}
@@ -565,8 +611,9 @@ func (f *Fabric) watch(tx *txLink, seq uint64, precise bool) {
 // that frame is paid once per level in stack growth of a new rank.
 func (f *Fabric) onAck(ack *transport.Packet) {
 	var retired *transport.Packet
-	f.mu.Lock()
+	f.mu.RLock()
 	if tx := f.tx[[2]int{ack.Dst, ack.Src}]; tx != nil {
+		tx.mu.Lock()
 		// Only the ack that finds the frame inflight retires it: a
 		// duplicate or late ack finds nothing and reports nothing.
 		if p, ok := tx.inflight[ack.Seq]; ok {
@@ -585,18 +632,80 @@ func (f *Fabric) onAck(ack *transport.Packet) {
 				}
 			}
 		}
+		tx.mu.Unlock()
 	}
-	f.mu.Unlock()
+	f.mu.RUnlock()
 	if retired != nil && f.onAckRetire != nil {
 		f.onAckRetire(retired)
 	}
 }
 
+// What rxLink.admit decided about a frame, as bits.
+const (
+	rxAck     = 1 << iota // acknowledge it now
+	rxDup                 // a duplicate: report it and deliver nothing
+	rxDeliver             // next in order and nobody draining: deliver it now
+)
+
+// admit decides everything about an arriving frame in one critical
+// section: duplicate or fresh, ack sent or withheld by the gate, delivered
+// now or held for whoever drains. Callers hold the link locked.
+func (rx *rxLink) admit(pkt *transport.Packet, gated bool) int {
+	seq := pkt.Seq
+	if seq < rx.next || rx.held[seq] != nil {
+		// A retransmission. Normally re-acked (the previous ack may have
+		// been lost) — but if the original's ack is still gate-deferred,
+		// stay silent: the upper layer has not released the frame yet, and
+		// acking the duplicate would defeat the gate.
+		if _, owed := rx.deferred[seq]; owed {
+			return rxDup
+		}
+		return rxDup | rxAck
+	}
+	v := rxAck
+	if gated {
+		if rx.deferred == nil {
+			rx.deferred = make(map[uint64]struct{})
+		}
+		rx.deferred[seq] = struct{}{}
+		v = 0
+	}
+	if seq != rx.next || rx.draining {
+		rx.held[seq] = pkt // the draining goroutine will deliver it in order
+		return v
+	}
+	rx.next++
+	rx.draining = true
+	return v | rxDeliver
+}
+
+// drain delivers the frames held behind one just delivered, in order,
+// until the next one is missing. The caller set rx.draining.
+func (f *Fabric) drain(rx *rxLink, dst int) {
+	for {
+		f.mu.RLock()
+		rx.mu.Lock()
+		p := rx.held[rx.next]
+		if p == nil {
+			rx.draining = false
+		} else {
+			delete(rx.held, rx.next)
+			rx.next++
+		}
+		rx.mu.Unlock()
+		f.mu.RUnlock()
+		if p == nil {
+			return
+		}
+		f.deliver(dst, p)
+	}
+}
+
 // onDeliver is the receive path: acks retire inflight frames; sequenced
 // frames are CRC-checked, acknowledged, deduplicated, and released
-// upstream strictly in order. No fabric lock is held while calling the
-// inner Send (the ack) or the upstream deliver — over the synchronous
-// Local fabric both re-enter this layer on the same goroutine.
+// upstream strictly in order. No lock is held while calling the inner
+// Send (the ack) or the upstream deliver — over the synchronous Local
+// fabric both re-enter this layer on the same goroutine.
 func (f *Fabric) onDeliver(dst int, pkt *transport.Packet) {
 	if pkt.Kind == transport.KindControl {
 		// Control frames carry the heartbeat sequence in Seq, not an ARQ
@@ -623,80 +732,25 @@ func (f *Fabric) onDeliver(dst int, pkt *transport.Packet) {
 	// The ack gate runs before any lock: it may consult upper-layer state
 	// (replication group shape) but must not re-enter the fabric.
 	gated := f.ackGate != nil && f.ackGate(dst, pkt)
-	akey := ackKey{src: pkt.Src, dst: dst, seq: pkt.Seq}
-
-	key := [2]int{pkt.Src, dst}
-	f.mu.Lock()
-	if f.dead[pkt.Src] {
-		f.mu.Unlock()
+	rx := f.lockRx(pkt.Src, dst)
+	if rx == nil {
 		return // straggler from a fail-stop peer
 	}
-	rx := f.rx[key]
-	if rx == nil {
-		rx = &rxLink{next: 1, held: make(map[uint64]*transport.Packet)}
-		f.rx[key] = rx
-	}
-	dup := pkt.Seq < rx.next || rx.held[pkt.Seq] != nil
-	withhold := false
-	if dup {
-		// A retransmission. Normally re-acked (the previous ack may have
-		// been lost) — but if the original's ack is still gate-deferred,
-		// stay silent: the upper layer has not released the frame yet, and
-		// acking the duplicate would defeat the gate.
-		_, withhold = f.deferred[akey]
-	} else if gated {
-		f.deferred[akey] = struct{}{}
-		withhold = true
-	}
-	if dup {
-		f.mu.Unlock()
-		if !withhold {
-			// Ack before anything else: re-acking is what stops the retries.
-			f.sendAck(pkt.Src, dst, pkt.Seq)
-		}
-		f.emitFrame(EvDedup, dst, pkt.Seq, pkt)
-		return
-	}
-	f.mu.Unlock()
-
-	if !withhold {
-		// Ack first, before delivery: a lost ack is repaired by the dup
-		// path above when the retransmission arrives.
+	v := rx.admit(pkt, gated)
+	rx.mu.Unlock()
+	f.mu.RUnlock()
+	if v&rxAck != 0 {
+		// Ack before anything else: re-acking a duplicate is what stops the
+		// retries, and a lost ack of a fresh frame is repaired when its
+		// retransmission arrives as a duplicate.
 		f.sendAck(pkt.Src, dst, pkt.Seq)
 	}
-
-	f.mu.Lock()
-	// Re-look up the link: a PeerDown/PeerUp between the two critical
-	// sections may have purged and recreated it.
-	rx = f.rx[key]
-	if rx == nil {
-		rx = &rxLink{next: 1, held: make(map[uint64]*transport.Packet)}
-		f.rx[key] = rx
-	}
-	if pkt.Seq < rx.next || rx.held[pkt.Seq] != nil {
-		// Raced with a concurrent delivery of the same frame between the
-		// two critical sections; treat as the duplicate it is.
-		f.mu.Unlock()
+	if v&rxDup != 0 {
 		f.emitFrame(EvDedup, dst, pkt.Seq, pkt)
 		return
 	}
-	rx.held[pkt.Seq] = pkt
-	if rx.draining {
-		f.mu.Unlock()
-		return // the draining goroutine will pick it up in order
-	}
-	rx.draining = true
-	for {
-		p := rx.held[rx.next]
-		if p == nil {
-			rx.draining = false
-			f.mu.Unlock()
-			return
-		}
-		delete(rx.held, rx.next)
-		rx.next++
-		f.mu.Unlock()
-		f.deliver(dst, p)
-		f.mu.Lock()
+	if v&rxDeliver != 0 {
+		f.deliver(dst, pkt)
+		f.drain(rx, dst)
 	}
 }

@@ -353,18 +353,24 @@ func TestUnsequencedPassThrough(t *testing.T) {
 	}
 }
 
+// frameKey names one frame: its link and its ARQ sequence number.
+type frameKey struct {
+	src, dst int
+	seq      uint64
+}
+
 // retireLog counts ack-retire callbacks per (src, dst, seq).
 type retireLog struct {
 	mu    sync.Mutex
-	fired map[ackKey]int
+	fired map[frameKey]int
 }
 
 func (r *retireLog) record(pkt *transport.Packet) {
 	r.mu.Lock()
 	if r.fired == nil {
-		r.fired = make(map[ackKey]int)
+		r.fired = make(map[frameKey]int)
 	}
-	r.fired[ackKey{src: pkt.Src, dst: pkt.Dst, seq: pkt.Seq}]++
+	r.fired[frameKey{src: pkt.Src, dst: pkt.Dst, seq: pkt.Seq}]++
 	r.mu.Unlock()
 }
 
@@ -393,7 +399,7 @@ func (r *retireLog) waitExactlyOnce(t *testing.T, n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for seq := uint64(1); seq <= uint64(n); seq++ {
-		if c := r.fired[ackKey{src: 0, dst: 1, seq: seq}]; c != 1 {
+		if c := r.fired[frameKey{src: 0, dst: 1, seq: seq}]; c != 1 {
 			t.Fatalf("frame seq %d retired %d times, want exactly once", seq, c)
 		}
 	}

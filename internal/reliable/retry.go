@@ -55,7 +55,7 @@ const (
 )
 
 // retryState is what Send, the ack path and the retry goroutine share
-// outside the fabric lock. A Send whose ack comes back inside the inner
+// outside the fabric's locks. A Send whose ack comes back inside the inner
 // Send touches none of it.
 type retryState struct {
 	// watched counts the inflight frames whose Send returned without an
@@ -135,7 +135,7 @@ func (r *retryState) serve(due int64, precise bool) {
 // retryLoop is the retransmitter: one goroutine that serves the earliest
 // deadline of all links, retransmitting overdue frames with exponential
 // backoff and escalating links whose budget is exhausted. Sends and
-// escalations run outside the fabric lock.
+// escalations run outside the fabric's locks.
 func (f *Fabric) retryLoop() {
 	defer f.wg.Done()
 	r := &f.retry
@@ -210,8 +210,8 @@ func (f *Fabric) sleepTowardsDeadline() (closed bool) {
 }
 
 // retryBatch is the retry goroutine's scratch space: what one scan decided
-// under the fabric lock and carries out after releasing it. Reused across
-// scans so a retransmission allocates nothing.
+// under the fabric's write lock and carries out after releasing it. Reused
+// across scans so a retransmission allocates nothing.
 type retryBatch struct {
 	resend      []*transport.Packet
 	retries     []Event // retries[i] reports resend[i]
@@ -264,7 +264,8 @@ func (f *Fabric) retransmitOverdue() {
 
 // retransmitLinkLocked is retransmitOverdue for one link. It returns the
 // earliest due time among the frames the link keeps inflight. Callers hold
-// f.mu.
+// f.mu for writing, which lets an escalation mark the peer dead and purge
+// its links in the same pass.
 func (f *Fabric) retransmitLinkLocked(b *retryBatch, key [2]int, tx *txLink, now int64) int64 {
 	next := int64(math.MaxInt64)
 	for seq, p := range tx.inflight {
