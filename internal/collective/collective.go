@@ -26,48 +26,29 @@ import (
 	"repro/internal/mpi"
 )
 
-// roster is the resolved participant view for one collective call.
+// roster is the participant view of one collective call, with its tag.
+// It is a value, and comm is the communicator's cached view (see
+// mpi.CollView): shared and read-only.
 type roster struct {
-	members []int // world ranks, comm-rank order
-	comm    []int // comm ranks, same order
-	me      int   // my index in members
-	n       int
-	tag     int
+	comm []int // participants' comm ranks, in comm-rank order
+	me   int   // my index in comm
+	n    int
+	tag  int
 }
 
-// newRoster snapshots the communicator's collective participants and
-// verifies the collective is currently permitted. Collectives operate on
-// *indices within the participant list* so that algorithms are oblivious
-// to gaps left by validated failures.
-func newRoster(c *mpi.Comm) (*roster, error) {
-	// The collective sequence number is consumed BEFORE the gate check:
-	// every alive member calls the same collectives in the same program
-	// order even when some of them return errors, so a rank whose call
-	// errors at entry must still advance its tag to stay aligned with the
-	// ranks whose call proceeds.
-	tag := c.NextCollTag()
-	if err := c.CollectiveOK(); err != nil {
-		return nil, err
+// newRoster opens a collective call: one mpi.Comm.CollEnter consumes the
+// tag, applies the Section II gate and hands back the participant view.
+// Collectives operate on *indices within the participant list* so that
+// algorithms are oblivious to gaps left by validated failures.
+func newRoster(c *mpi.Comm) (roster, error) {
+	tag, v, err := c.CollEnter()
+	if err != nil {
+		return roster{}, err
 	}
-	members := c.CollMembers()
-	r := &roster{members: members, n: len(members), me: -1, tag: tag}
-	r.comm = make([]int, len(members))
-	group := c.Group()
-	worldToComm := make(map[int]int, len(group))
-	for cr, wr := range group {
-		worldToComm[wr] = cr
+	if v.Me < 0 {
+		return roster{}, fmt.Errorf("collective: rank %d excluded from participants %v", c.Rank(), v.World)
 	}
-	myWorld := group[c.Rank()]
-	for i, wr := range members {
-		r.comm[i] = worldToComm[wr]
-		if wr == myWorld {
-			r.me = i
-		}
-	}
-	if r.me < 0 {
-		return nil, fmt.Errorf("collective: rank %d excluded from participants %v", c.Rank(), members)
-	}
-	return r, nil
+	return roster{comm: v.Comm, me: v.Me, n: len(v.Comm), tag: tag}, nil
 }
 
 // send transmits to participant index i on the collective's tag.
@@ -130,7 +111,14 @@ func (r *roster) indexOfComm(commRank int) (int, error) {
 	return -1, fmt.Errorf("collective: root %d is not a participant: %w", commRank, mpi.ErrInvalidRank)
 }
 
-// Op combines two reduction operands (associative, commutative).
+// Op combines two reduction operands (associative, commutative) and
+// returns the result. Like the inoutvec of an MPI user function, the
+// first operand is the accumulator: the predefined operators combine into
+// a's own storage and return it (truncated to the shorter operand), and
+// never write b. A user Op may do the same or return fresh storage. The
+// collectives pass only their private accumulator as a, never a received
+// payload: on a retaining fabric a delivered payload can be the sender's
+// buffer, still held for retransmission.
 type Op func(a, b []byte) []byte
 
 // Reduce combines every participant's contribution with op, delivering
@@ -175,9 +163,8 @@ func Allreduce(c *mpi.Comm, contrib []byte, op Op) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	acc := append([]byte(nil), contrib...)
 	if r.n == 1 {
-		return acc, nil
+		return append([]byte(nil), contrib...), nil
 	}
 	// Largest power of two <= n.
 	pow := 1
@@ -186,41 +173,35 @@ func Allreduce(c *mpi.Comm, contrib []byte, op Op) ([]byte, error) {
 	}
 	rem := r.n - pow
 	// Pre-phase: ranks >= pow send their contribution to (me - pow) and
-	// sit out; partners fold it in.
+	// sit out until the result comes back; partners fold it in.
 	if r.me >= pow {
-		if err := r.send(c, r.me-pow, acc); err != nil {
+		if err := r.send(c, r.me-pow, contrib); err != nil {
 			return nil, err
 		}
-	} else {
-		if r.me < rem {
-			pl, err := r.recv(c, r.me+pow)
-			if err != nil {
-				return nil, err
-			}
-			acc = op(acc, pl)
-		}
-		// Recursive doubling among the pow-sized core.
-		for dist := 1; dist < pow; dist *= 2 {
-			partner := r.me ^ dist
-			pl, err := r.sendrecv(c, partner, acc, partner)
-			if err != nil {
-				return nil, err
-			}
-			acc = op(acc, pl)
-		}
-		// Post-phase: return the result to the folded-in ranks.
-		if r.me < rem {
-			if err := r.send(c, r.me+pow, acc); err != nil {
-				return nil, err
-			}
-		}
+		return r.recv(c, r.me-pow)
 	}
-	if r.me >= pow {
-		pl, err := r.recv(c, r.me-pow)
+	acc := append([]byte(nil), contrib...)
+	if r.me < rem {
+		pl, err := r.recv(c, r.me+pow)
 		if err != nil {
 			return nil, err
 		}
-		acc = pl
+		acc = op(acc, pl)
+	}
+	// Recursive doubling among the pow-sized core.
+	for dist := 1; dist < pow; dist *= 2 {
+		partner := r.me ^ dist
+		pl, err := r.sendrecv(c, partner, acc, partner)
+		if err != nil {
+			return nil, err
+		}
+		acc = op(acc, pl)
+	}
+	// Post-phase: return the result to the folded-in ranks.
+	if r.me < rem {
+		if err := r.send(c, r.me+pow, acc); err != nil {
+			return nil, err
+		}
 	}
 	return acc, nil
 }
@@ -349,7 +330,7 @@ func Scan(c *mpi.Comm, contrib []byte, op Op) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		acc = op(pl, acc)
+		acc = op(acc, pl)
 	}
 	if r.me < r.n-1 {
 		if err := r.send(c, r.me+1, acc); err != nil {

@@ -53,44 +53,47 @@ func DecodeFloat64s(b []byte) ([]float64, error) {
 	return out, nil
 }
 
-// int64Op lifts an elementwise int64 operator to an Op. Mismatched
-// lengths truncate to the shorter side (MPI would call this erroneous; we
-// keep it total to stay panic-free in reduction trees).
+// int64Op lifts an elementwise int64 operator to an Op that combines in
+// place: each element of a is decoded, combined with b's and written back
+// over the little-endian bytes of a, which is returned — no decoded
+// vectors, no fresh result. Mismatched lengths truncate to the shorter
+// side (MPI would call this erroneous; we keep it total to stay
+// panic-free in reduction trees), and a ragged operand returns a as is.
 func int64Op(f func(a, b int64) int64) Op {
 	return func(a, b []byte) []byte {
-		av, errA := DecodeInt64s(a)
-		bv, errB := DecodeInt64s(b)
-		if errA != nil || errB != nil {
+		if len(a)%8 != 0 || len(b)%8 != 0 {
 			return a
 		}
-		n := min(len(av), len(bv))
-		out := make([]int64, n)
-		for i := 0; i < n; i++ {
-			out[i] = f(av[i], bv[i])
+		n := min(len(a), len(b))
+		for i := 0; i < n; i += 8 {
+			x := int64(binary.LittleEndian.Uint64(a[i:]))
+			y := int64(binary.LittleEndian.Uint64(b[i:]))
+			binary.LittleEndian.PutUint64(a[i:], uint64(f(x, y)))
 		}
-		return EncodeInt64s(out)
+		return a[:n]
 	}
 }
 
-// float64Op lifts an elementwise float64 operator to an Op.
+// float64Op lifts an elementwise float64 operator to an in-place Op, as
+// int64Op does.
 func float64Op(f func(a, b float64) float64) Op {
 	return func(a, b []byte) []byte {
-		av, errA := DecodeFloat64s(a)
-		bv, errB := DecodeFloat64s(b)
-		if errA != nil || errB != nil {
+		if len(a)%8 != 0 || len(b)%8 != 0 {
 			return a
 		}
-		n := min(len(av), len(bv))
-		out := make([]float64, n)
-		for i := 0; i < n; i++ {
-			out[i] = f(av[i], bv[i])
+		n := min(len(a), len(b))
+		for i := 0; i < n; i += 8 {
+			x := math.Float64frombits(binary.LittleEndian.Uint64(a[i:]))
+			y := math.Float64frombits(binary.LittleEndian.Uint64(b[i:]))
+			binary.LittleEndian.PutUint64(a[i:], math.Float64bits(f(x, y)))
 		}
-		return EncodeFloat64s(out)
+		return a[:n]
 	}
 }
 
 // Predefined reduction operators, mirroring MPI_SUM / MPI_MIN / MPI_MAX
-// over int64 and float64 vectors.
+// over int64 and float64 vectors. Each combines into its first operand
+// (see Op).
 var (
 	// SumInt64 adds int64 vectors elementwise (MPI_SUM).
 	SumInt64 = int64Op(func(a, b int64) int64 { return a + b })

@@ -42,14 +42,19 @@ type Comm struct {
 	// collMembers is the participant list for collective operations: the
 	// group minus ranks recognized by the last ValidateAll. Only
 	// ValidateAll may shrink it (validate_clear re-enables only
-	// point-to-point, per the paper). Guarded by eng.mu.
+	// point-to-point, per the paper). It is replaced, never edited, and
+	// only through setCollMembersLocked, which also rebuilds collComm and
+	// collMe: together the three are the participant view CollEnter hands
+	// out. Guarded by eng.mu.
 	collMembers []int
+	collComm    []int // comm rank of each collMembers entry
+	collMe      int   // this rank's index in collMembers, -1 if excluded
 	// validateEpoch counts completed ValidateAll operations. Guarded by eng.mu.
 	validateEpoch int
 
 	// collSeq sequences collective operations into the internal tag
 	// space. Guarded by eng.mu: ValidateAll resynchronizes it (possibly
-	// from the IvalidateAll driver goroutine), see NextCollTag.
+	// from the IvalidateAll driver goroutine), see CollEnter.
 	collSeq int
 	// validateSeq allocates agreement instances. Guarded by eng.mu:
 	// elastic respawn reads it cross-rank to compute the newcomer's join
@@ -77,7 +82,6 @@ func newComm(p *Proc, group []int, ctxP2P, ctxInternal int) *Comm {
 		ctxInternal: ctxInternal,
 		errh:        ErrorsAreFatal,
 		recognized:  make(map[int]bool),
-		collMembers: append([]int(nil), group...),
 	}
 	for i, wr := range group {
 		c.indexOf[wr] = i
@@ -85,6 +89,7 @@ func newComm(p *Proc, group []int, ctxP2P, ctxInternal int) *Comm {
 			c.myRank = i
 		}
 	}
+	c.setCollMembersLocked(func(int) bool { return true }) // c is not shared yet
 	// Register with the engine so a peer's revival can repair recognition
 	// and collective membership on every communicator that contains it.
 	c.eng.mu.Lock()
@@ -312,6 +317,10 @@ func (c *Comm) CollMembers() []int {
 func (c *Comm) CollectiveOK() error {
 	c.eng.mu.Lock()
 	defer c.eng.mu.Unlock()
+	return c.collGateLocked()
+}
+
+func (c *Comm) collGateLocked() error {
 	for _, wr := range c.collMembers {
 		if c.eng.knownFailed[wr] {
 			return failStop(wr)
@@ -320,15 +329,79 @@ func (c *Comm) CollectiveOK() error {
 	return nil
 }
 
-// NextCollTag allocates the internal tag for the next collective
-// operation. MPI requires all members to invoke collectives in the same
-// order, which keeps these sequence numbers aligned across ranks; after
-// a failure, ValidateAll re-aligns them (see collSeqEpochStride).
-func (c *Comm) NextCollTag() int {
+// CollView is the participant view of one collective call: the agreed
+// participants in comm-rank order, as world ranks and as comm ranks, and
+// the caller's index among them (-1 if it was excluded). Collective
+// algorithms work on indices into this list, so they are oblivious to the
+// gaps validated failures leave. A view is never edited — a repair
+// installs a new one — so a collective may keep it, lock-free, for the
+// whole call; it must not modify the slices.
+type CollView struct {
+	World []int
+	Comm  []int
+	Me    int
+}
+
+// CollEnter opens a collective operation on c in one hold of the engine
+// lock. It consumes the collective's internal tag, applies the Section II
+// gate (ErrRankFailStop while a participant is known-failed and not yet
+// excluded by a ValidateAll), and returns the participant view cached on
+// the communicator.
+//
+// The tag is consumed even when the gate refuses: every alive member calls
+// the same collectives in the same program order even when some of them
+// return errors, so a rank whose call errors at entry must still advance
+// its tag to stay aligned with the ranks whose call proceeds. After a
+// failure, ValidateAll re-aligns the sequence (see collSeqEpochStride).
+func (c *Comm) CollEnter() (tag int, v CollView, err error) {
 	c.eng.mu.Lock()
 	defer c.eng.mu.Unlock()
 	c.collSeq++
-	return c.collSeq
+	if err := c.collGateLocked(); err != nil {
+		return c.collSeq, CollView{}, err
+	}
+	return c.collSeq, CollView{World: c.collMembers, Comm: c.collComm, Me: c.collMe}, nil
+}
+
+// setCollMembersLocked replaces the collective participant list with the
+// group members keep accepts, in comm-rank order, and rebuilds the view
+// derived from it. Every change of membership goes through here: the list
+// is replaced, never edited, so views already handed out stay valid. A
+// list of every member shares the immutable group; otherwise the world
+// and comm ranks share one allocation. Caller holds eng.mu, or owns c
+// exclusively.
+func (c *Comm) setCollMembersLocked(keep func(worldRank int) bool) {
+	n := 0
+	for _, wr := range c.group {
+		if keep(wr) {
+			n++
+		}
+	}
+	own := n < len(c.group)
+	size := n
+	if own {
+		size = 2 * n
+	}
+	buf := make([]int, size)
+	world, comm := c.group, buf[:n:n]
+	if own {
+		world = buf[n:]
+	}
+	me, i := -1, 0
+	for cr, wr := range c.group {
+		if !keep(wr) {
+			continue
+		}
+		if own {
+			world[i] = wr
+		}
+		comm[i] = cr
+		if cr == c.myRank {
+			me = i
+		}
+		i++
+	}
+	c.collMembers, c.collComm, c.collMe = world, comm, me
 }
 
 // --- communicator management -------------------------------------------------

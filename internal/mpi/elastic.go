@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/metrics"
@@ -62,7 +63,8 @@ func (s *procSeed) apply(p *Proc) {
 		wc.recognized[r] = true
 	}
 	if s.collMembers != nil {
-		wc.collMembers = append([]int(nil), s.collMembers...)
+		// The proc is not published yet.
+		wc.setCollMembersLocked(func(wr int) bool { return slices.Contains(s.collMembers, wr) })
 	}
 }
 
@@ -249,7 +251,7 @@ func (w *World) captureSeed(slot int) *procSeed {
 			validateEpoch: p.worldComm.validateEpoch,
 			collSeq:       p.worldComm.collSeq,
 			recognized:    make(map[int]bool, len(p.worldComm.recognized)),
-			collMembers:   append([]int(nil), p.worldComm.collMembers...),
+			collMembers:   p.worldComm.collMembers, // replaced, never edited
 		}
 		for r := range p.worldComm.recognized {
 			if r != slot {

@@ -64,6 +64,9 @@ type engine struct {
 
 	posted     postedIndex
 	unexpected unexpectedIndex
+	// completions numbers this engine's request completions, so Waitany
+	// can return the earliest of several completed requests. Guarded by mu.
+	completions uint64
 
 	// knownFailed is this engine's failure-notification view: which world
 	// ranks this rank has been told are dead. With zero notification delay
@@ -320,18 +323,7 @@ func (e *engine) onPeerRevive(p int) {
 			continue
 		}
 		delete(c.recognized, p)
-		keep := make(map[int]bool, len(c.collMembers)+1)
-		for _, wr := range c.collMembers {
-			keep[wr] = true
-		}
-		keep[p] = true
-		members := make([]int, 0, len(keep))
-		for _, wr := range c.group {
-			if keep[wr] {
-				members = append(members, wr)
-			}
-		}
-		c.collMembers = members
+		c.setCollMembersLocked(func(wr int) bool { return wr == p || c.collMemberLocked(wr) })
 	}
 	e.agree.viewSeq++
 	e.agreeBumpLocked()

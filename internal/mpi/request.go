@@ -58,7 +58,7 @@ type Request struct {
 	consumed     bool    // returned by a Waitany/Waitall already
 	observedHook bool    // HookAfterRecv already fired for this completion
 	kind         reqKind // one byte, among the flags: see waiter0
-	doneSeq      uint64  // world-wide completion order, for Waitany fairness
+	doneSeq      uint64  // the engine's completion order, for Waitany fairness
 	err          error
 	status       Status
 	payload      []byte
@@ -191,7 +191,8 @@ func (r *Request) completeLocked(err error, st Status, payload []byte) {
 		return
 	}
 	r.done = true
-	r.doneSeq = r.eng.w.completionSeq.Add(1)
+	r.eng.completions++
+	r.doneSeq = r.eng.completions
 	r.err = err
 	r.status = st
 	r.payload = payload
@@ -328,6 +329,8 @@ func (r *Request) Test() (bool, Status, error) {
 // the right neighbor and the arrival of the next ring buffer can both be
 // pending, and handling them in completion order keeps recovery
 // (resending the held buffer) ahead of fresh progress deterministically.
+// Completion order is kept per engine (one rank's incarnation), which is
+// why every request passed must belong to the same one.
 //
 // One signal channel is registered on every still-pending request, so a
 // completion wakes this waiter alone — not every blocked goroutine on
@@ -411,7 +414,9 @@ func Waitany(reqs ...*Request) (int, Status, error) {
 
 // Testany is the non-blocking Waitany (MPI_Testany): if some non-nil,
 // unconsumed request has completed, it is consumed and returned;
-// otherwise ok is false and nothing is consumed.
+// otherwise ok is false and nothing is consumed. Only requests of the
+// first non-nil request's engine are considered: completion order is kept
+// per engine.
 func Testany(reqs ...*Request) (ok bool, idx int, st Status, err error) {
 	var e *engine
 	for _, r := range reqs {

@@ -85,6 +85,53 @@ func TestWaitsomeReturnsBatch(t *testing.T) {
 	requireNoRankErrors(t, res)
 }
 
+// TestWaitanyReturnsEarliestCompletion: with several requests already
+// complete, Waitany hands them out in the order they completed, not in
+// index order. Rank 0 answers the four posted receives out of order, and a
+// fifth is cancelled after all of them.
+func TestWaitanyReturnsEarliestCompletion(t *testing.T) {
+	sendOrder := []int{4, 2, 1, 3} // tags; receive i waits for tag i+1
+	res := runWorld(t, 2, func(p *Proc) error {
+		c := p.World()
+		if p.Rank() == 0 {
+			if _, _, err := c.Recv(1, 0); err != nil { // every receive is posted
+				return err
+			}
+			for _, tag := range sendOrder {
+				if err := c.Send(1, tag, []byte{byte(tag)}); err != nil {
+					return err
+				}
+			}
+			return c.Send(1, 9, nil)
+		}
+		reqs := []*Request{c.Irecv(0, 1), c.Irecv(0, 2), c.Irecv(0, 3), c.Irecv(0, 4), c.Irecv(0, 5)}
+		if err := c.Send(0, 0, nil); err != nil {
+			return err
+		}
+		// The Local fabric delivers in send order, so once tag 9 is here
+		// the four answers have completed their receives.
+		if _, _, err := c.Recv(0, 9); err != nil {
+			return err
+		}
+		reqs[4].Cancel()
+		for _, want := range []int{3, 1, 0, 2, 4} {
+			idx, st, err := Waitany(reqs...)
+			if idx != want {
+				return fmt.Errorf("waitany returned %d (tag %d), want %d", idx, st.Tag, want)
+			}
+			if want == 4 {
+				if !errors.Is(err, ErrCancelled) {
+					return fmt.Errorf("cancelled receive completed with %v", err)
+				}
+			} else if err != nil || st.Tag != want+1 {
+				return fmt.Errorf("receive %d: tag %d, err %v", idx, st.Tag, err)
+			}
+		}
+		return nil
+	})
+	requireNoRankErrors(t, res)
+}
+
 func TestWaitallCollectsFirstError(t *testing.T) {
 	res := runWorld(t, 2, func(p *Proc) error {
 		c := p.World()

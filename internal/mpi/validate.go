@@ -102,13 +102,7 @@ func (c *Comm) applyValidateDecision(decision []int) {
 	// The participant list is rebuilt from the agreed decision alone (not
 	// from locally recognized ranks) so that every alive member computes
 	// the identical list.
-	members := make([]int, 0, len(c.group)-len(decision))
-	for _, wr := range c.group {
-		if !dec[wr] {
-			members = append(members, wr)
-		}
-	}
-	c.collMembers = members
+	c.setCollMembersLocked(func(wr int) bool { return !dec[wr] })
 	c.validateEpoch++
 	// Re-align the collective tag sequence across ranks: members of a
 	// failed collective epoch may have consumed different tag counts.

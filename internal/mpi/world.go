@@ -133,13 +133,12 @@ type World struct {
 	// the caller's payload to Send without a defensive copy.
 	nonRetaining bool
 
-	aborted       atomic.Bool
-	abortVal      atomic.Int64
-	abortCh       chan struct{} // closed on Abort; agreement, state and proc waits select on it
-	abortOnce     sync.Once
-	completionSeq atomic.Uint64 // request-completion order for Waitany
-	startOnce     sync.Once
-	started       bool
+	aborted   atomic.Bool
+	abortVal  atomic.Int64
+	abortCh   chan struct{} // closed on Abort; agreement, state and proc waits select on it
+	abortOnce sync.Once
+	startOnce sync.Once
+	started   bool
 
 	// Run-lifecycle state shared with Spawn. runMu guards every field
 	// below; the invariant that makes WaitGroup reuse safe is that rank
