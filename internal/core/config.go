@@ -114,6 +114,13 @@ type Config struct {
 	RootPolicy RootPolicy
 	// Padding adds payload bytes to every ring message for size sweeps.
 	Padding int
+
+	// stamp and verify are seams for this package's tests: stamp may write
+	// the padding of every encoded ring message before it is sent, and
+	// verify checks every received ring payload before its buffer is
+	// released. Nil everywhere else.
+	stamp  func(msg []byte)
+	verify func(pl []byte) error
 }
 
 // Stats is one rank's account of the run, used by the scenario tests and

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -130,19 +131,57 @@ func TestScenarioFig7Resend(t *testing.T) {
 	}
 }
 
+// runFig8Schedule runs a 4-rank, 4-lap ring of the given variant through
+// the Figure 8 failure: P2 dies right after forwarding lap 1 to P3 (its
+// 2nd send), so the original reaches P3 while P1's detector triggers a
+// resend of lap 1.
+//
+// The schedule is pinned, not timed. The notices of P2's death reach the
+// other ranks one at a time, and lap 1 can travel P3 -> P0 -> (lap 2) ->
+// P1 before P1 hears of it. P1 would then take lap 2 first and resend lap
+// 2, not lap 1, leaving no duplicate at all. So the root's send of lap 2
+// waits until P1 and P3 know P2 is dead.
+func runFig8Schedule(t *testing.T, v Variant) (*Report, *mpi.RunResult) {
+	t.Helper()
+	const ranks = 4
+	kill := inject.NewPlan().Add(inject.AfterNthSend(2, 2)).Hook()
+	var (
+		procs     [ranks]atomic.Pointer[mpi.Proc]
+		rootSends atomic.Int32
+	)
+	hook := func(ev mpi.HookEvent) mpi.Action {
+		if ev.Rank == 0 && ev.Point == mpi.HookBeforeSend && ev.Tag == TagRing && rootSends.Add(1) == 3 {
+			for _, r := range []int{1, 3} {
+				mpi.AwaitKnownFailed(procs[r].Load(), 1)
+			}
+		}
+		return kill(ev)
+	}
+	w, err := mpi.NewWorld(ranks, mpi.WithHook(hook), mpi.WithDeadline(30*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := NewReport(ranks)
+	body := Body(Config{Iters: 4, Variant: v}, report)
+	res, err := w.Run(func(p *mpi.Proc) error {
+		procs[p.Rank()].Store(p) // before the rank's first send, so before the root's third
+		return body(p)
+	})
+	if err != nil {
+		t.Fatalf("ring run failed: %v", err)
+	}
+	if !res.Ranks[2].Killed {
+		t.Fatalf("rank 2 should have been killed: %+v", res.Ranks[2])
+	}
+	return report, res
+}
+
 // TestScenarioFig8Duplicates reproduces Figure 8: without the iteration
 // marker, P1's resend after P2's death is indistinguishable from the next
 // iteration's buffer and gets forwarded — the same ring iteration
 // completes more than once.
 func TestScenarioFig8Duplicates(t *testing.T) {
-	// Kill P2 right after it forwards iteration 1 to P3 (its 2nd send):
-	// the original reaches P3 while P1's detector triggers a resend.
-	plan := inject.NewPlan().Add(inject.AfterNthSend(2, 2))
-	report, res := runRing(t, 4, Config{Iters: 4, Variant: VariantNoMarker},
-		func(m *mpi.Config) { m.Hook = plan.Hook() })
-	if !res.Ranks[2].Killed {
-		t.Fatalf("rank 2 should have been killed: %+v", res.Ranks[2])
-	}
+	report, _ := runFig8Schedule(t, VariantNoMarker)
 	if report.TotalDupsForwarded() < 1 {
 		t.Fatalf("expected at least one duplicate forwarded (Fig. 8), got %d",
 			report.TotalDupsForwarded())
@@ -153,12 +192,7 @@ func TestScenarioFig8Duplicates(t *testing.T) {
 // the marker check enabled (Fig. 10): the duplicate is detected and
 // dropped, and the root absorbs every iteration exactly once.
 func TestScenarioFig10Dedup(t *testing.T) {
-	plan := inject.NewPlan().Add(inject.AfterNthSend(2, 2))
-	report, res := runRing(t, 4, Config{Iters: 4, Variant: VariantFull},
-		func(m *mpi.Config) { m.Hook = plan.Hook() })
-	if !res.Ranks[2].Killed {
-		t.Fatalf("rank 2 should have been killed: %+v", res.Ranks[2])
-	}
+	report, res := runFig8Schedule(t, VariantFull)
 	for _, rank := range []int{0, 1, 3} {
 		if !res.Ranks[rank].Finished || res.Ranks[rank].Err != nil {
 			t.Fatalf("rank %d did not complete: %+v", rank, res.Ranks[rank])

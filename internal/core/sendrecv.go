@@ -56,6 +56,9 @@ func (n *node) resendRight() error {
 // encode serializes msg into the node's reusable send buffer.
 func (n *node) encode(msg Message) []byte {
 	n.enc = msg.encode(n.enc, n.cfg.Padding)
+	if n.cfg.stamp != nil {
+		n.cfg.stamp(n.enc)
+	}
 	return n.enc
 }
 
@@ -72,11 +75,12 @@ func (n *node) retire(req *mpi.Request) {
 	req.Free()
 }
 
-// take returns a consumed request's payload and frees the request.
-func take(req *mpi.Request) []byte {
-	pl := req.Payload()
-	req.Free()
-	return pl
+// release hands a consumed receive back once its payload has been read,
+// buffer included when the fabric pooled it (Request.Release).
+func release(req *mpi.Request) {
+	if req != nil {
+		req.Release()
+	}
 }
 
 // --- the Fig. 9 failure detector -------------------------------------------
@@ -153,6 +157,7 @@ func (n *node) ftRecvLeft() (Message, error) {
 
 	for {
 		var pl []byte
+		var got *mpi.Request // the receive pl came from; released once pl is decoded
 		if len(n.stash) > 0 {
 			// A message rescued from a retired request: process it first —
 			// it was delivered before anything the live requests hold.
@@ -172,13 +177,14 @@ func (n *node) ftRecvLeft() (Message, error) {
 			// books, so the loop re-posts it only if it waits again.
 			switch idx {
 			case 0:
-				pl, normal = take(normal), nil
+				got, normal = normal, nil
 			case 1:
-				pl, n.detector, n.detTo = take(n.detector), nil, -1
+				got, n.detector, n.detTo = n.detector, nil, -1
 			case 2:
-				pl, resendRx = take(resendRx), nil
+				got, resendRx = resendRx, nil
 			}
 			if err != nil {
+				release(got) // a failed receive holds no payload
 				switch idx {
 				case 1: // the failure detector fired: right neighbor died
 					if !mpi.IsRankFailStop(err) {
@@ -241,6 +247,7 @@ func (n *node) ftRecvLeft() (Message, error) {
 					return Message{}, err
 				}
 			}
+			pl = got.Payload()
 			if idx == 1 {
 				// The detector completed with data: the ring shrank so the
 				// right neighbor is (about to be) also our left; preserve
@@ -250,6 +257,13 @@ func (n *node) ftRecvLeft() (Message, error) {
 		}
 
 		msg, err := DecodeMessage(pl)
+		if err == nil && n.cfg.verify != nil {
+			err = n.cfg.verify(pl)
+		}
+		// Message is two integers: nothing refers to pl any more, so its
+		// buffer can go back to the fabric's pool. A stashed payload (got
+		// nil) stays with the garbage collector.
+		release(got)
 		if err != nil {
 			cleanup()
 			return Message{}, err

@@ -487,10 +487,13 @@ func (e *engine) deliver(pkt *transport.Packet) {
 	}
 }
 
-// completeRecvLocked finishes a receive with the packet's payload.
+// completeRecvLocked finishes a receive with the packet's payload. The
+// payload's pool mark rides along, so the one consumer that knows it is
+// done with the bytes can give them back (Request.Release).
 func (e *engine) completeRecvLocked(r *Request, pkt *transport.Packet) {
 	st := Status{Source: r.comm.rankOf(pkt.Src), Tag: pkt.Tag, Len: len(pkt.Payload)}
 	r.completeLocked(nil, st, pkt.Payload)
+	r.pooled = pkt.Pooled()
 	e.w.metrics.Inc(e.rank, metrics.Recvs)
 	e.w.metrics.Add(e.rank, metrics.BytesRecv, int64(len(pkt.Payload)))
 }

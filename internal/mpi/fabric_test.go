@@ -342,21 +342,29 @@ func TestPartitionEscalatesToFailStop(t *testing.T) {
 // --- micro-benchmarks ---------------------------------------------------------
 
 func BenchmarkPingPongLocal(b *testing.B) {
-	benchPingPong(b, nil)
+	benchPingPong(b, nil, 64)
 }
 
 func BenchmarkPingPongTCP(b *testing.B) {
-	benchPingPong(b, transport.NewTCP(2))
+	benchPingPong(b, transport.NewTCP(2), 64)
 }
 
-func benchPingPong(b *testing.B, fab transport.Fabric) {
+// BenchmarkPingPongTCPLarge moves ring.tcp.large's payload (64 KiB of
+// padding plus the 16 B message) through Recv, which hands the bytes to its
+// caller and never gives the read buffer back: every read takes a fresh
+// buffer, the cost of a TCP consumer that does not release.
+func BenchmarkPingPongTCPLarge(b *testing.B) {
+	benchPingPong(b, transport.NewTCP(2), 64<<10+16)
+}
+
+func benchPingPong(b *testing.B, fab transport.Fabric, size int) {
 	b.Helper()
 	b.ReportAllocs()
 	w, err := NewWorld(2, WithFabric(fab), WithDeadline(5*time.Minute))
 	if err != nil {
 		b.Fatal(err)
 	}
-	payload := make([]byte, 64)
+	payload := make([]byte, size)
 	if _, err := w.Run(func(p *Proc) error {
 		c := p.World()
 		c.SetErrhandler(ErrorsReturn)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/transport"
 )
 
 // Special rank and tag values, mirroring MPI_PROC_NULL, MPI_ANY_SOURCE
@@ -58,6 +59,7 @@ type Request struct {
 	consumed     bool    // returned by a Waitany/Waitall already
 	observedHook bool    // HookAfterRecv already fired for this completion
 	kind         reqKind // one byte, among the flags: see waiter0
+	pooled       bool    // payload is a pooled transport read: Release may return it
 	doneSeq      uint64  // the engine's completion order, for Waitany fairness
 	err          error
 	status       Status
@@ -105,8 +107,25 @@ func newRequest(e *engine, c *Comm, kind reqKind) *Request {
 // unfreed requests are garbage-collected — but hot paths (Recv, the ring
 // library) use it to keep the steady state allocation-free. The caller
 // must not touch the request after Free; extract Payload/Result first.
-// Freeing a pending or waited-on request is a no-op.
-func (r *Request) Free() {
+// The payload stays valid: it now belongs to whoever extracted it, and is
+// garbage-collected. Freeing a pending or waited-on request is a no-op.
+func (r *Request) Free() { r.free(false) }
+
+// Release is Free for a consumer that is also done with the payload: a
+// payload the TCP fabric read into a pooled buffer (transport.Packet's
+// Pooled mark, copied onto the request at completion) goes back to the
+// transport's pool, so the next frame of its size allocates nothing.
+// After Release the caller must not touch the request, nor any slice
+// Payload returned. Only a consumer that knows no reference to the bytes
+// survives may call it; the ring does, after decoding its two integers.
+// Anything that hands the bytes on (Recv, the collectives, agreement,
+// state transfer) frees instead. A payload that was never marked — every
+// Local one, which is the sender's defensive copy or, with ARQ, its
+// retransmit buffer — is left to the garbage collector as Free leaves it.
+func (r *Request) Release() { r.free(true) }
+
+// free implements Free and Release.
+func (r *Request) free(releasePayload bool) {
 	e := r.eng
 	if e == nil {
 		return
@@ -116,6 +135,9 @@ func (r *Request) Free() {
 	e.mu.Unlock()
 	if busy {
 		return
+	}
+	if releasePayload && r.pooled {
+		transport.PutPayload(r.payload)
 	}
 	*r = Request{}
 	requestPool.Put(r)
@@ -232,6 +254,7 @@ func (r *Request) CancelOrPayload() ([]byte, bool) {
 	defer e.mu.Unlock()
 	if r.done {
 		if r.err == nil && r.isRecv && r.status.Source != ProcNull && r.payload != nil {
+			r.pooled = false // the caller keeps the bytes: never release them
 			return r.payload, true
 		}
 		return nil, false

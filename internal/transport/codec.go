@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 )
 
 // Binary wire format for the TCP fabric (CodecBinary).
@@ -126,9 +129,13 @@ func AppendFrame(dst []byte, pkt *Packet) ([]byte, error) {
 
 // ReadFrame reads one binary frame from r. hdr must be a scratch slice of
 // at least FrameHeaderSize bytes (reused across calls by the read loop).
-// The returned packet's payload is freshly allocated: ownership passes to
-// the caller, which may retain it indefinitely (the matching engine queues
-// payloads on the unexpected list).
+// The returned packet's payload is read into a buffer from the payload
+// pool, and the packet is marked Pooled, unless the payload is empty or
+// larger than maxPooledCap. Ownership passes to the caller, which may
+// retain the payload indefinitely (the matching engine queues payloads on
+// the unexpected list) and leave it to the garbage collector, or hand it
+// back with PutPayload once nothing references it. A frame that fails its
+// read or its CRC returns its buffer before returning the error.
 func ReadFrame(r io.Reader, hdr []byte) (*Packet, error) {
 	hdr = hdr[:FrameHeaderSize]
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -160,14 +167,16 @@ func ReadFrame(r io.Reader, hdr []byte) (*Packet, error) {
 		Token:    binary.LittleEndian.Uint64(hdr[58:66]),
 	}
 	if plen > 0 {
-		pkt.Payload = make([]byte, plen)
+		pkt.Payload, pkt.pooled = getPayload(int(plen))
 		if _, err := io.ReadFull(r, pkt.Payload); err != nil {
+			pkt.ReleasePayload()
 			return nil, err
 		}
 	}
 	fcrc := crc32.Checksum(hdr[:frameCrcOffset], crcTable)
 	fcrc = crc32.Update(fcrc, crcTable, pkt.Payload)
 	if got := binary.LittleEndian.Uint32(hdr[frameCrcOffset:FrameHeaderSize]); got != fcrc {
+		pkt.ReleasePayload()
 		return nil, fmt.Errorf("%w: frame crc mismatch (want %#x, got %#x)", ErrFrameCorrupt, fcrc, got)
 	}
 	return pkt, nil
@@ -182,19 +191,56 @@ func ReadFrame(r io.Reader, hdr []byte) (*Packet, error) {
 //     and the writer releases it after the bytes reach the socket — the
 //     packet itself is never retained, so callers may reuse payloads the
 //     moment Send returns.
-//   - payload buffers: backing store for Packet.ClonePooled, used by
-//     buffering fabrics (Latency) when the inner fabric is NonRetaining.
+//   - payload buffers: the receive side. ReadFrame reads every payload
+//     into one and marks the packet (Packet.Pooled), so a consumer that is
+//     done with the bytes can hand them back (PutPayload; the ring does so
+//     through mpi's Request.Release) and the next frame of that size
+//     allocates nothing. Packet.ClonePooled, which the Latency fabric uses
+//     on the path to a NonRetaining inner fabric, draws from the same
+//     pool. Buffers come in size classes, four per power of two, from
+//     16 B to maxPooledCap; a larger payload is allocated exactly and left
+//     to the garbage collector.
 //
 // The release contract is explicit: whoever takes a buffer out of a pool
-// owns it and must put it back exactly once, and only once nothing else
-// can reference it.
+// owns it and must put it back at most once, and only once nothing else
+// can reference it. A buffer that is never put back is merely collected,
+// so every consumer that cannot prove the last reference (the collectives,
+// agreement, state transfer, a Recv that hands the bytes to its caller)
+// simply does not release.
 
 // frameBuf is a pooled, reusable frame encoding buffer.
 type frameBuf struct{ b []byte }
 
 // maxPooledCap caps what is returned to the pools, so one giant message
 // doesn't pin a giant buffer forever.
-const maxPooledCap = 1 << 20
+const maxPooledCap = 1 << maxPayloadShift
+
+// The payload size classes: four per power of two, 16, 20, 24, 28, 32,
+// 40, ... up to maxPooledCap. Rounding a payload up to its class adds
+// less than a quarter (ring.tcp.large's 65 552 B frame lands in 80 KiB,
+// not 128 KiB), which bounds what a read costs a consumer that never
+// hands its buffer back and so allocates, and zeroes, a class on every
+// frame.
+const (
+	minPayloadShift = 4 // the smallest class is 1<<minPayloadShift
+	maxPayloadShift = 20
+	payloadClasses  = 4*(maxPayloadShift-minPayloadShift) + 1
+)
+
+// classSize is the capacity of size class k.
+func classSize(k int) int { return (4 + k&3) << (k>>2 + minPayloadShift - 2) }
+
+// classOf returns the smallest size class that holds n bytes, for
+// n <= maxPooledCap.
+func classOf(n int) int {
+	if n <= 1<<minPayloadShift {
+		return 0
+	}
+	x := uint(n - 1)
+	h := bits.Len(x) - 1     // x's top bit, at least minPayloadShift
+	top := int(x >> (h - 2)) // x's top three bits, 4..7
+	return 4*(h-minPayloadShift) + top - 3
+}
 
 var framePool = sync.Pool{
 	New: func() any { return &frameBuf{b: make([]byte, 0, 4096)} },
@@ -215,49 +261,81 @@ func putFrameBuf(fb *frameBuf) {
 	framePool.Put(fb)
 }
 
-var payloadPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 1024); return &b },
-}
+// payloadPools holds one pool per size class. A pool stores a pointer to
+// the first byte of each buffer: a pointer goes into an interface without
+// allocating, so a Put costs nothing, and the class gives the capacity
+// back on Get. Storing a *[]byte instead would need a heap slice header
+// per Put.
+var payloadPools [payloadClasses]sync.Pool
 
-// getPayload returns a pooled byte slice of length n.
-func getPayload(n int) []byte {
-	p := payloadPool.Get().(*[]byte)
-	if cap(*p) < n {
-		*p = make([]byte, n)
+// released[k] says a buffer of class k has been put back at least once.
+// Until then a Get can only miss, and a miss walks every P's share of the
+// pool, so getPayload skips it: a class whose consumers never release
+// costs one make per read, as it did before reads were pooled.
+var released [payloadClasses]atomic.Bool
+
+// getPayload returns a length-n slice and whether it belongs to a size
+// class, i.e. may go back through PutPayload. Payloads above maxPooledCap
+// are allocated exactly.
+func getPayload(n int) (b []byte, pooled bool) {
+	if n > maxPooledCap {
+		return make([]byte, n), false
 	}
-	return (*p)[:n]
+	k := classOf(n)
+	if released[k].Load() {
+		if p, _ := payloadPools[k].Get().(*byte); p != nil {
+			return unsafe.Slice(p, classSize(k))[:n], true
+		}
+	}
+	return make([]byte, n, classSize(k)), true
 }
 
-// putPayload returns a payload buffer obtained from getPayload.
-func putPayload(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledCap {
+// PutPayload hands a pooled payload back. The caller must pass only a
+// buffer the pool handed out, the payload of a packet marked Pooled or of
+// a ClonePooled clone, must own it and must hold the last reference to
+// it: nothing may read or write it afterwards. The capacity check below
+// only turns away a slice that fits no class (an outsized payload); it
+// cannot tell where a slice came from.
+func PutPayload(b []byte) {
+	c := cap(b)
+	if c == 0 || c > maxPooledCap {
 		return
 	}
-	b = b[:0]
-	payloadPool.Put(&b)
+	k := classOf(c)
+	if classSize(k) != c {
+		return
+	}
+	if !released[k].Load() {
+		released[k].Store(true)
+	}
+	payloadPools[k].Put(unsafe.SliceData(b[:c]))
 }
 
 // ClonePooled returns a deep copy of the packet whose payload storage
-// comes from an internal pool. The clone is only valid until
+// comes from the payload pool. The clone is only valid until
 // ReleasePayload is called; callers must guarantee nothing retains the
 // clone's payload past that point. Buffering fabrics use it on the path
 // to a NonRetaining inner fabric, where the payload's lifetime provably
-// ends when the inner Send returns.
+// ends when the inner Send returns. The clone is not marked Pooled: the
+// fabric that cloned it releases it, not the receiver.
 func (p *Packet) ClonePooled() *Packet {
 	q := *p
+	q.pooled = false
 	if p.Payload != nil {
-		q.Payload = getPayload(len(p.Payload))
+		q.Payload, _ = getPayload(len(p.Payload))
 		copy(q.Payload, p.Payload)
 	}
 	return &q
 }
 
-// ReleasePayload returns a ClonePooled payload to the pool and nils it.
-// Calling it on a packet whose payload is still referenced elsewhere is a
-// use-after-free class bug; only call it on clones you created.
+// ReleasePayload returns a pooled payload to the pool and nils it. Call it
+// only on a ClonePooled clone or a packet ReadFrame marked Pooled, and
+// only while you own its payload: releasing a payload that is still
+// referenced elsewhere is a use-after-free class bug.
 func (p *Packet) ReleasePayload() {
 	if p.Payload != nil {
-		putPayload(p.Payload)
+		PutPayload(p.Payload)
 		p.Payload = nil
+		p.pooled = false
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -50,6 +51,14 @@ func gobRoundTrip(t *testing.T, p *Packet) *Packet {
 	return &q
 }
 
+// wire returns the fields of p that travel in a frame. The pool mark is
+// in-memory only: ReadFrame sets it, an encoded packet never has it.
+func wire(p *Packet) Packet {
+	q := *p
+	q.pooled = false
+	return q
+}
+
 // TestBinaryCodecMatchesGob is the property test of the new wire format:
 // for random packets, binary round trip == gob round trip == original.
 func TestBinaryCodecMatchesGob(t *testing.T) {
@@ -69,12 +78,16 @@ func TestBinaryCodecMatchesGob(t *testing.T) {
 			t.Fatalf("read frame: %v", err)
 		}
 		fromGob := gobRoundTrip(t, p)
-		if !reflect.DeepEqual(fromBinary, fromGob) {
+		if !reflect.DeepEqual(wire(fromBinary), wire(fromGob)) {
 			t.Fatalf("codecs disagree:\nbinary: %+v\ngob:    %+v", fromBinary, fromGob)
 		}
-		if !reflect.DeepEqual(fromBinary, p) {
+		if !reflect.DeepEqual(wire(fromBinary), wire(p)) {
 			t.Fatalf("round trip changed the packet:\ngot  %+v\nwant %+v", fromBinary, p)
 		}
+		if fromBinary.Pooled() != (len(p.Payload) > 0) {
+			t.Fatalf("pool mark %v on a %d-byte payload", fromBinary.Pooled(), len(p.Payload))
+		}
+		fromBinary.ReleasePayload()
 	}
 }
 
@@ -100,9 +113,10 @@ func TestBinaryCodecStream(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(got, w) {
+		if !reflect.DeepEqual(wire(got), wire(w)) {
 			t.Fatalf("frame %d: got %+v want %+v", i, got, w)
 		}
+		got.ReleasePayload()
 	}
 	if _, err := ReadFrame(r, hdr[:]); err != io.EOF {
 		t.Fatalf("trailing read: %v, want io.EOF", err)
@@ -211,9 +225,10 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}
-		if !reflect.DeepEqual(p, q) {
+		if !reflect.DeepEqual(wire(p), wire(q)) {
 			t.Fatalf("round trip changed the packet:\ngot  %+v\nwant %+v", q, p)
 		}
+		q.ReleasePayload()
 	})
 }
 
@@ -321,9 +336,10 @@ func BenchmarkGobEncode(b *testing.B) {
 }
 
 // BenchmarkFrameDecode measures the binary decoder against an in-memory
-// stream.
+// stream. Nothing releases the decoded payloads, so every read takes a
+// fresh buffer, as it does for a TCP consumer that keeps the bytes.
 func BenchmarkFrameDecode(b *testing.B) {
-	for _, size := range []int{16, 1024} {
+	for _, size := range []int{16, 1024, 64<<10 + 16} {
 		b.Run(byteSizeName(size), func(b *testing.B) {
 			frame, err := AppendFrame(nil, benchPacket(size))
 			if err != nil {
@@ -344,7 +360,10 @@ func BenchmarkFrameDecode(b *testing.B) {
 }
 
 func byteSizeName(n int) string {
-	if n >= 1024 {
+	switch {
+	case n > 1024:
+		return fmt.Sprintf("%dB", n)
+	case n == 1024:
 		return "1KiB"
 	}
 	return "16B"

@@ -165,6 +165,7 @@ func (t *TCP) readLoop(rank int, conn net.Conn) {
 			return // peer closed, world shut down, or corrupt stream
 		}
 		if t.closed.Load() {
+			pkt.ReleasePayload() // never delivered: nobody else holds it
 			return
 		}
 		t.deliver(pkt.Dst, pkt)

@@ -16,7 +16,9 @@
 //     length, frame crc — see codec.go) followed by the raw payload,
 //     encoded with encoding/binary
 //     into sync.Pool-backed buffers so the steady-state send path does
-//     not allocate.
+//     not allocate. The read side fills payloads from a size-classed
+//     pool too, and marks them (Packet.Pooled) so that the consumer that
+//     finishes with one can give it back (PutPayload).
 //
 // Both fabrics preserve FIFO ordering per (source, destination) pair, the
 // ordering MPI guarantees per (source, tag, communicator). A Latency
@@ -113,10 +115,15 @@ type Packet struct {
 	Tag     int
 	Context int
 	Kind    Kind
-	SrcGen  uint32 // generation of the sending incarnation (0 = unstamped)
-	DstGen  uint32 // generation of the intended destination incarnation (0 = unstamped)
-	Seq     uint64 // per-(src,dst) sequence number, assigned by the reliability sublayer
-	Crc     uint32 // end-to-end CRC-32C of Payload (0 = unchecked); see PayloadCrc
+	// pooled marks a payload ReadFrame took from the payload pool: the
+	// packet's owner may hand it back (PutPayload). It is in-memory only,
+	// never on the wire, and sits in the padding after Kind so that Packet
+	// stays 112 bytes, in the allocator's 112-byte size class (not 128).
+	pooled bool
+	SrcGen uint32 // generation of the sending incarnation (0 = unstamped)
+	DstGen uint32 // generation of the intended destination incarnation (0 = unstamped)
+	Seq    uint64 // per-(src,dst) sequence number, assigned by the reliability sublayer
+	Crc    uint32 // end-to-end CRC-32C of Payload (0 = unchecked); see PayloadCrc
 	// RepSeq is the replication-mode logical-channel sequence number,
 	// stamped identically by every sender replica on each data message of a
 	// (logical dst, context, tag) channel so receivers can drop the fan-out
@@ -143,6 +150,12 @@ type Packet struct {
 	Payload []byte
 }
 
+// Pooled reports whether the payload came from the payload pool through
+// ReadFrame, so that whoever ends up owning it may return it with
+// PutPayload once nothing references it. Packets built in memory (the
+// Local fabric, Clone, ClonePooled) are never marked.
+func (p *Packet) Pooled() bool { return p.pooled }
+
 // TokenBits is the per-origin sequence width of Packet.Token; the origin
 // physical rank occupies the bits above it.
 const TokenBits = 48
@@ -162,6 +175,7 @@ func TokenSeq(tok uint64) uint64 { return tok & (1<<TokenBits - 1) }
 // (latency, TCP) use it so callers may reuse payload buffers.
 func (p *Packet) Clone() *Packet {
 	q := *p
+	q.pooled = false
 	if p.Payload != nil {
 		q.Payload = make([]byte, len(p.Payload))
 		copy(q.Payload, p.Payload)
