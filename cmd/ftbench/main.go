@@ -7,7 +7,7 @@
 //	ftbench -list          # show the experiment index
 //	ftbench -json out.json # also write aggregated counters + quantiles
 //	ftbench -obs :9464     # live /metrics while the suite runs
-//	ftbench -exp e1 -detector heartbeat   # ring experiments without the oracle
+//	ftbench -exp e1 -detector swim        # ring experiments without the oracle
 //	ftbench -exp e20 -quick               # SWIM scaling soak, CI sizes
 //	ftbench -exp e21 -quick               # elastic shrink/respawn soak
 //	ftbench -exp e22 -quick               # replication soak: transparent failover
@@ -38,9 +38,7 @@ func main() {
 		jsonOut = flag.String("json", "", "write aggregated metrics JSON to this file (\"-\" = stdout)")
 		obsAddr = flag.String("obs", "", "serve live /metrics for the world currently running")
 
-		detMode    = flag.String("detector", "", "failure detection for the generic ring worlds: oracle|heartbeat|swim (\"\" = oracle; E19 always uses heartbeat, E20 swim)")
-		hbInterval = flag.Duration("hb-interval", 0, "heartbeat ping interval (0 = default 2ms; with -detector heartbeat)")
-		hbTimeout  = flag.Duration("hb-timeout", 0, "heartbeat suspicion timeout (0 = 8x interval; with -detector heartbeat)")
+		detMode    = flag.String("detector", "", "failure detection for the generic ring worlds: oracle|swim (\"\" = oracle; E19 and E20 always use swim)")
 		swPeriod   = flag.Duration("swim-period", 0, "SWIM protocol period (0 = default; with -detector swim)")
 		swIndirect = flag.Int("swim-indirect", 0, "SWIM indirect-probe fanout k (0 = default; with -detector swim)")
 		agreeMode  = flag.String("agreement", "", "validate_all tree fan-out for the generic ring worlds: coordinator (every member a child of the lowest alive rank) | tree (two children per rank) (\"\" = coordinator)")
@@ -77,7 +75,6 @@ func main() {
 	opt := workload.Options{
 		Quick: *quick, Seed: *seed,
 		Detector:  *detMode,
-		Heartbeat: ftmpi.HeartbeatOptions{Interval: *hbInterval, Timeout: *hbTimeout},
 		Swim:      ftmpi.SwimOptions{Period: *swPeriod, IndirectK: *swIndirect},
 		Agreement: *agreeMode,
 		RepMode:   *repMode,

@@ -12,9 +12,7 @@
 //	ftring -n 16 -random-failures 3 -seed 7       # seeded random schedule
 //	ftring -n 8 -chaos -chaos-drop 0.1            # lossy links, reliability on
 //	ftring -n 4 -chaos-partition 0:1:1:0          # blackhole 0->1 until escalation
-//	ftring -n 4 -detector heartbeat -kill 2:recv:2  # real detection, no oracle
-//	ftring -n 4 -detector heartbeat -hb-interval 5ms -hb-timeout 40ms -kill 2:recv:2
-//	ftring -n 16 -detector swim -kill 5:recv:2      # gossip detection, O(1) traffic
+//	ftring -n 16 -detector swim -kill 5:recv:2      # real detection, no oracle: probes, gossip, fencing
 //	ftring -n 16 -detector swim -swim-period 8ms -agreement tree -term validate-all -kill 5:recv:3
 //	ftring -elastic -seed 3                         # elastic repair demo: kill, respawn, resume
 //	ftring -elastic -obs 127.0.0.1:9464 -obs-linger 5s   # scrape respawn/shrink counters
@@ -43,31 +41,29 @@ import (
 
 func main() {
 	var (
-		n        = flag.Int("n", 8, "number of ranks")
-		iters    = flag.Int("iters", 16, "ring iterations (the paper's max_iter)")
-		variant  = flag.String("variant", "full", "receive design: unaware|naive|no-marker|separate-tag|full")
-		term     = flag.String("term", "root-bcast", "termination: none|root-bcast|validate-all")
-		rootPol  = flag.String("root", "abort", "root policy: abort|elect")
-		kills    killFlags
-		randomF  = flag.Int("random-failures", 0, "kill this many random non-root ranks")
-		seed     = flag.Int64("seed", 1, "seed for -random-failures")
-		fabric   = flag.String("transport", "local", "fabric: local|tcp|latency")
-		latency  = flag.Duration("latency", 100*time.Microsecond, "per-hop delay for -transport latency")
-		deadline = flag.Duration("deadline", 15*time.Second, "watchdog (0 = none)")
-		padding  = flag.Int("padding", 0, "extra payload bytes per message")
-		doTrace  = flag.Bool("trace", false, "print the event timeline")
-		doStats  = flag.Bool("stats", true, "print per-rank statistics")
-		traceOut = flag.String("trace-out", "", "stream the event timeline as JSONL to this file (see cmd/traceconv)")
-		obsAddr  = flag.String("obs", "", "serve /metrics, /debug/vars, /debug/pprof on this address (e.g. 127.0.0.1:9464)")
-		obsHold  = flag.Duration("obs-linger", 0, "keep the -obs endpoint up this long after the run (for scrapers)")
-		elastic  = flag.Bool("elastic", false, "run the elastic repair demo instead of the ring: a seeded victim dies holding the token, AutoRespawn reincarnates its slot at the next generation, the ring resumes exactly-once at full size (fixed world size; honors -seed, -obs, -stats)")
+		n         = flag.Int("n", 8, "number of ranks")
+		iters     = flag.Int("iters", 16, "ring iterations (the paper's max_iter)")
+		variant   = flag.String("variant", "full", "receive design: unaware|naive|no-marker|separate-tag|full")
+		term      = flag.String("term", "root-bcast", "termination: none|root-bcast|validate-all")
+		rootPol   = flag.String("root", "abort", "root policy: abort|elect")
+		kills     killFlags
+		randomF   = flag.Int("random-failures", 0, "kill this many random non-root ranks")
+		seed      = flag.Int64("seed", 1, "seed for -random-failures")
+		fabric    = flag.String("transport", "local", "fabric: local|tcp|latency")
+		latency   = flag.Duration("latency", 100*time.Microsecond, "per-hop delay for -transport latency")
+		deadline  = flag.Duration("deadline", 15*time.Second, "watchdog (0 = none)")
+		padding   = flag.Int("padding", 0, "extra payload bytes per message")
+		doTrace   = flag.Bool("trace", false, "print the event timeline")
+		doStats   = flag.Bool("stats", true, "print per-rank statistics")
+		traceOut  = flag.String("trace-out", "", "stream the event timeline as JSONL to this file (see cmd/traceconv)")
+		obsAddr   = flag.String("obs", "", "serve /metrics, /debug/vars, /debug/pprof on this address (e.g. 127.0.0.1:9464)")
+		obsHold   = flag.Duration("obs-linger", 0, "keep the -obs endpoint up this long after the run (for scrapers)")
+		elastic   = flag.Bool("elastic", false, "run the elastic repair demo instead of the ring: a seeded victim dies holding the token, AutoRespawn reincarnates its slot at the next generation, the ring resumes exactly-once at full size (fixed world size; honors -seed, -obs, -stats)")
 		replicas  = flag.Int("replicas", 0, "run the replication demo with this many hot replicas per logical rank: a seeded replica is killed mid-run and a standby is promoted without the fault-unaware ring ever noticing (fixed logical ring size; honors -seed, -obs, -stats, -trace-out; R=1 runs failure-free)")
 		repMode   = flag.String("rep-mode", "fanout", "replication propagation mode for -replicas: fanout|chain (chain relays through the primary with tail-acked durability)")
 		repRefill = flag.Bool("rep-refill", true, "with -replicas, automatically re-replicate the killed slot (the run waits until the group is back at full degree)")
 
-		detMode    = flag.String("detector", "oracle", "failure detection: oracle|heartbeat|swim")
-		hbInterval = flag.Duration("hb-interval", 0, "heartbeat ping interval (0 = default 2ms; with -detector heartbeat)")
-		hbTimeout  = flag.Duration("hb-timeout", 0, "heartbeat suspicion timeout (0 = 8x interval; with -detector heartbeat)")
+		detMode    = flag.String("detector", "oracle", "failure detection: oracle|swim")
 		swPeriod   = flag.Duration("swim-period", 0, "SWIM protocol period (0 = default; with -detector swim)")
 		swIndirect = flag.Int("swim-indirect", 0, "SWIM indirect-probe fanout k (0 = default; with -detector swim)")
 		agreeMode  = flag.String("agreement", "", "validate_all fan-out: coordinator (all children of the root) | tree (binary) (\"\" = coordinator)")
@@ -169,9 +165,6 @@ func main() {
 		Size: *n, Deadline: *deadline, Hook: plan.Hook(),
 		Tracer: rec, Metrics: mets, Obs: reg, Chaos: chaosPlan,
 		Detector: *detMode,
-		Heartbeat: ftmpi.HeartbeatOptions{
-			Interval: *hbInterval, Timeout: *hbTimeout,
-		},
 		Swim: ftmpi.SwimOptions{
 			Period: *swPeriod, IndirectK: *swIndirect,
 		},

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/detector"
 	"repro/internal/membership"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
@@ -207,8 +206,8 @@ const (
 	ObsRetryBackoff   = obs.RetryBackoff
 	ObsChaosDelay     = obs.ChaosDelay
 	ObsNotifyLatency  = obs.NotifyLatency
-	// ObsSuspicionLatency times ground-truth death to the first heartbeat
-	// suspicion raised against the dead rank.
+	// ObsSuspicionLatency times ground-truth death to the first suspicion
+	// a SWIM monitor raised against the dead rank (DetectorSwim only).
 	ObsSuspicionLatency = obs.SuspicionLatency
 	// ObsFenceRTT times a raised suspicion to its confirmed failure.
 	ObsFenceRTT = obs.FenceRTT
@@ -245,13 +244,11 @@ const (
 	// from the in-process ground-truth registry (the paper's assumed
 	// perfect detector).
 	DetectorOracle = mpi.DetectorOracle
-	// DetectorHeartbeat detects failures by missed heartbeats over the
-	// live fabric, with fencing preserving fail-stop accuracy.
-	DetectorHeartbeat = mpi.DetectorHeartbeat
-	// DetectorSwim detects failures SWIM-style: one randomized probe per
-	// period with k indirect probes through relays, and membership events
-	// disseminated epidemically as gossip piggybacked on control frames —
-	// O(1) per-rank traffic at any world size.
+	// DetectorSwim detects failures SWIM-style over the live fabric: one
+	// randomized probe per period with k indirect probes through relays,
+	// and membership events disseminated epidemically as gossip
+	// piggybacked on control frames — O(1) per-rank traffic at any world
+	// size — with fencing preserving fail-stop accuracy.
 	DetectorSwim = mpi.DetectorSwim
 )
 
@@ -350,12 +347,8 @@ func WithChaos(plan *ChaosPlan) Option { return mpi.WithChaos(plan) }
 func WithReliability(opts ReliableOptions) Option { return mpi.WithReliability(opts) }
 
 // WithDetector selects the failure-detection mode: DetectorOracle (the
-// default) or DetectorHeartbeat.
+// default) or DetectorSwim.
 func WithDetector(mode string) Option { return mpi.WithDetector(mode) }
-
-// WithHeartbeat selects the heartbeat detector and tunes its monitors;
-// zero option fields take defaults.
-func WithHeartbeat(opts HeartbeatOptions) Option { return mpi.WithHeartbeat(opts) }
 
 // WithSwim selects the SWIM membership detector and tunes its monitors;
 // zero option fields take defaults.
@@ -425,10 +418,6 @@ type (
 	// over an asynchronous one (TCP, Latency) deadlines are kept by a
 	// timer, so a loss costs the timeout rounded up to 1-2ms.
 	ReliableOptions = reliable.Options
-	// HeartbeatOptions tunes the heartbeat detector's monitors (see
-	// WithHeartbeat): ping interval, suspicion timeout, phi threshold,
-	// and the self-fence horizon.
-	HeartbeatOptions = detector.HeartbeatOptions
 	// SwimOptions tunes the SWIM detector's monitors (see WithSwim):
 	// protocol period, probe timeout, indirect-probe fanout, suspicion
 	// timeout, gossip retransmission budget, and the self-fence horizon.

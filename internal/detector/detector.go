@@ -12,10 +12,10 @@
 //     known everywhere). An optional notification delay models detection
 //     latency without ever violating accuracy.
 //
-//   - Heartbeat (see Heartbeat in heartbeat.go): perfection is *built*
-//     out of an unreliable detector plus fencing. Ranks exchange
-//     heartbeats over the live (possibly chaotic) fabric; a missed
-//     deadline moves a peer to Suspected — an unreliable, possibly wrong
+//   - Monitored (membership.Swim feeding the Fencer of fence.go):
+//     perfection is *built* out of an unreliable detector plus fencing.
+//     Ranks probe each other over the live (possibly chaotic) fabric; an
+//     unanswered probe moves a peer to Suspected — an unreliable, possibly wrong
 //     verdict — and a fencing protocol (fence.go) then forces the suspect
 //     to fail-stop before anyone is told it failed. Only Confirm, which
 //     requires ground-truth death, fires the failure subscribers, so
@@ -49,7 +49,7 @@ type State int
 const (
 	// Alive means the rank has not failed and is not suspected.
 	Alive State = iota
-	// Suspected means some peer's (unreliable) heartbeat monitor has
+	// Suspected means some peer's (unreliable) monitor has
 	// raised suspicion, but the rank has not been confirmed dead. A
 	// suspected rank may still be healthy — suspicion never reaches the
 	// application; it only triggers fencing.
@@ -84,8 +84,8 @@ type SuspicionKind int
 const (
 	// SuspectRaised means an observer newly suspects a rank.
 	SuspectRaised SuspicionKind = iota
-	// SuspectCleared means an observer withdrew its suspicion (a
-	// heartbeat arrived after all) — a false suspicion that resolved
+	// SuspectCleared means an observer withdrew its suspicion (alive
+	// evidence arrived after all) — a false suspicion that resolved
 	// without fencing.
 	SuspectCleared
 	// SuspectConfirmed means the suspected rank was confirmed dead and
@@ -177,7 +177,7 @@ func (r *Registry) Size() int {
 // delivery of subscriber notifications, modelling failure-detection latency.
 // Zero (the default) delivers notifications synchronously from Kill. The
 // delay applies only in oracle mode; with the confirm gate on, detection
-// latency is real (heartbeat timeout + fencing), not modelled.
+// latency is real (probe timeout + fencing), not modelled.
 func (r *Registry) SetNotifyDelay(d time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -194,7 +194,7 @@ func (r *Registry) SetNotifyObserver(fn func(rank int, latency time.Duration)) {
 	r.notifyObs = fn
 }
 
-// SetConfirmGate switches the registry into heartbeat mode: Kill records
+// SetConfirmGate switches the registry into monitored mode: Kill records
 // ground-truth death (and fires death hooks) but defers the failure
 // Subscribers until Confirm promotes the rank. Call before Subscribe/Kill.
 func (r *Registry) SetConfirmGate(on bool) {
@@ -377,8 +377,8 @@ func (r *Registry) Suspect(rank, by int) bool {
 	return true
 }
 
-// ClearSuspect withdraws observer `by`'s suspicion of `rank` (a heartbeat
-// arrived after all). Returns true when a live suspicion was cleared.
+// ClearSuspect withdraws observer `by`'s suspicion of `rank` (alive
+// evidence arrived after all). Returns true when a live suspicion was cleared.
 func (r *Registry) ClearSuspect(rank, by int) bool {
 	r.mu.Lock()
 	if rank < 0 || rank >= len(r.failed) {

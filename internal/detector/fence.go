@@ -6,10 +6,9 @@ import (
 )
 
 // Fencing converts a monitor's unreliable suspicion into the fail-stop
-// failures the run-through stabilization machinery requires. Heartbeat
-// (this package) and membership.Swim differ only in how they RAISE a
-// suspicion; everything after that is the Fencer below. The rule that
-// restores strong accuracy:
+// failures the run-through stabilization machinery requires. The monitor
+// (membership.Swim) decides when to RAISE a suspicion; everything after
+// that is the Fencer below. The rule that restores strong accuracy:
 //
 //  1. A suspicion never reaches the application. It only arms a fence.
 //  2. A fenced rank kills itself FIRST and acks SECOND, so a fence ack
@@ -18,7 +17,7 @@ import (
 //  3. A rank that is ground-truth dead (injected kill, self-fence, or a
 //     fence that got through while the ack path is cut) is confirmed by
 //     the fencer's resend loop directly from the registry.
-//  4. A rank none of whose probes or heartbeats are acknowledged by
+//  4. A rank none of whose probes are acknowledged by
 //     anyone past the self-fence deadline kills itself — the escape hatch
 //     for total isolation, where no fence notice can reach it. The sole
 //     survivor is exempt: when every peer is already ground-truth dead,
@@ -69,7 +68,7 @@ type fenceState struct {
 // it holds against suspects, and the self-fence deadline on its own
 // acknowledgments. The owning monitor calls Arm when it gives up on a
 // peer, Alive on any direct evidence the peer lives, Acked when one of
-// its own probes or heartbeats is acknowledged, Drive once per tick, and
+// its own probes is acknowledged, Drive once per tick, and
 // routes inbound OpFence / OpFenceAck frames to OnFence / OnFenceAck.
 //
 // The Fencer has its own lock and never calls out (registry, send, hooks)
@@ -93,8 +92,8 @@ type Fencer struct {
 }
 
 // SendFunc transmits one control frame. It is called without any monitor
-// or fencer lock held and may be invoked concurrently. Heartbeat frames
-// carry a nil payload; SWIM frames carry the gossip envelope.
+// or fencer lock held and may be invoked concurrently. SWIM frames carry
+// the gossip envelope.
 type SendFunc func(to int, op ControlOp, seq uint64, payload []byte)
 
 // NewFencer builds rank's fencer. hooks is read at call time, so the
@@ -157,7 +156,7 @@ func (f *Fencer) Alive(p int, now time.Time) {
 	}
 }
 
-// Acked records that one of this rank's own probes or heartbeats was
+// Acked records that one of this rank's own probes was
 // acknowledged at now (or that the monitor starts at now), which
 // restarts the self-fence deadline.
 func (f *Fencer) Acked(now time.Time) {
@@ -264,7 +263,7 @@ func (f *Fencer) confirm(p, gen int, rtt time.Duration) {
 }
 
 // selfFenceDueLocked reports whether this rank must fence itself: none of
-// its probes or heartbeats have been acknowledged for selfFenceAfter
+// its probes have been acknowledged for selfFenceAfter
 // while at least one peer is still alive to miss them. Caller holds mu.
 func (f *Fencer) selfFenceDueLocked(now time.Time) bool {
 	if f.selfFenced || now.Sub(f.lastAck) < f.selfFenceAfter {

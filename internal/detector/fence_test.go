@@ -8,7 +8,7 @@ import (
 // fenceEnv is one Fencer (rank 0 of a 2-rank world unless a case says
 // otherwise) on a ManualClock, with every outbound frame and hook call
 // recorded. No monitor is involved: the cases below are the fencing
-// protocol's contract, stated once for both monitors that use it.
+// protocol's contract, stated apart from the SWIM monitor that uses it.
 type fenceEnv struct {
 	clock  *ManualClock
 	reg    *Registry

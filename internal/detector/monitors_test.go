@@ -11,65 +11,29 @@ import (
 	"repro/internal/membership"
 )
 
-// The heartbeat mesh and SWIM differ in how they raise a suspicion and
-// share everything after it (detector.Fencer). The tests in this file
-// are about what happens after — fence, drain, confirm, self-fence — so
-// each runs against both monitors, on a ManualClock: no test here waits
-// on a real timer.
-
-// monitor is what the tests need from either implementation.
-type monitor interface {
-	Start()
-	Stop()
-	Tick(now time.Time) bool
-	OnControl(from int, op detector.ControlOp, seq uint64, payload []byte)
-}
-
-// monitorKind builds one flavour of monitor and speaks its wire format.
-// Both tick every step (1 ms), give up on a peer after 5 ms of silence,
-// resend fences every 2 ms and self-fence after 50 ms.
-type monitorKind struct {
-	name string
-	mk   func(reg *detector.Registry, rank, n int, clock detector.Clock, send detector.SendFunc) (monitor, *detector.FenceHooks)
-	// aliveOp is a frame whose receipt proves its sender alive, and
-	// payload the body of a frame `from` sends about itself (nil for the
-	// heartbeat mesh, whose frames are empty).
-	aliveOp detector.ControlOp
-	payload func(from int) []byte
-}
+// A monitor raises a suspicion; everything after it — fence, drain,
+// confirm, self-fence — is the detector.Fencer. The tests in this file
+// are about what happens after, so they drive the Fencer through its one
+// monitor, membership.Swim, on a ManualClock: no test here waits on a
+// real timer. A test that names its monitor does so as the subtest
+// "swim".
 
 const (
 	step      = time.Millisecond
 	selfFence = 50 * time.Millisecond
 )
 
-var monitors = []monitorKind{
-	{
-		name: "heartbeat",
-		mk: func(reg *detector.Registry, rank, n int, clock detector.Clock, send detector.SendFunc) (monitor, *detector.FenceHooks) {
-			hb := detector.NewHeartbeat(reg, rank, n, detector.HeartbeatOptions{
-				Interval: step, Timeout: 5 * step, FenceResend: 2 * step,
-				SelfFenceAfter: selfFence, Clock: clock,
-			}, send)
-			return hb, &hb.Hooks.FenceHooks
-		},
-		aliveOp: detector.OpPing,
-		payload: func(from int) []byte { return nil },
-	},
-	{
-		name: "swim",
-		mk: func(reg *detector.Registry, rank, n int, clock detector.Clock, send detector.SendFunc) (monitor, *detector.FenceHooks) {
-			sw := membership.NewSwim(reg, rank, n, membership.Options{
-				Period: 4 * step, SuspectAfter: 5 * step, FenceResend: 2 * step, // the pump ticks at Period/4
-				SelfFenceAfter: selfFence, Seed: 42, Clock: clock,
-			}, send)
-			return sw, &sw.Hooks.FenceHooks
-		},
-		aliveOp: detector.OpProbe,
-		payload: func(from int) []byte {
-			return membership.Envelope{Origin: from, Target: from}.Encode()
-		},
-	},
+// swimOpts: a monitor ticks every step (the pump runs at Period/4),
+// suspects a peer whose probe is unanswered after 5 ms, resends fences
+// every 2 ms and self-fences after 50 ms.
+var swimOpts = membership.Options{
+	Period: 4 * step, SuspectAfter: 5 * step, FenceResend: 2 * step,
+	SelfFenceAfter: selfFence, Seed: 42,
+}
+
+// aliveFrom is the body of a frame `from` sends about itself.
+func aliveFrom(from int) []byte {
+	return membership.Envelope{Origin: from, Target: from}.Encode()
 }
 
 // frame is one outbound control frame.
@@ -89,8 +53,7 @@ func (f frame) fencing() bool { return f.op == detector.OpFence || f.op == detec
 type testNet struct {
 	clock *detector.ManualClock
 	reg   *detector.Registry
-	ms    []monitor
-	hooks []*detector.FenceHooks
+	ms    []*membership.Swim
 	cut   func(f frame) bool
 	hold  func(f frame) bool
 
@@ -99,15 +62,17 @@ type testNet struct {
 	parked []frame
 }
 
-func newTestNet(kind monitorKind, n int) *testNet {
+func newTestNet(n int) *testNet {
 	p := &testNet{
 		clock: detector.NewManualClock(time.Unix(1000, 0)), reg: detector.New(n),
-		ms: make([]monitor, n), hooks: make([]*detector.FenceHooks, n), fences: map[int]int{},
+		ms: make([]*membership.Swim, n), fences: map[int]int{},
 	}
 	p.reg.SetConfirmGate(true)
+	opts := swimOpts
+	opts.Clock = p.clock
 	for rank := 0; rank < n; rank++ {
 		from := rank
-		p.ms[rank], p.hooks[rank] = kind.mk(p.reg, rank, n, p.clock,
+		p.ms[rank] = membership.NewSwim(p.reg, rank, n, opts,
 			func(to int, op detector.ControlOp, seq uint64, payload []byte) {
 				f := frame{from: from, to: to, op: op, seq: seq, payload: payload}
 				p.mu.Lock()
@@ -177,25 +142,19 @@ func (p *testNet) release(op detector.ControlOp) {
 	}
 }
 
-func forBothMonitors(t *testing.T, run func(t *testing.T, kind monitorKind)) {
-	for _, kind := range monitors {
-		t.Run(kind.name, func(t *testing.T) { run(t, kind) })
-	}
-}
-
 // --- a suspicion's life, one observer -----------------------------------------
 
 // soloObserver is rank 0 of a 2-rank world whose frames go nowhere: rank 1
 // never ticks and the test plays it by hand. It returns once rank 0 has
 // suspected the silent rank 1, which puts the first fence on the wire.
-func soloObserver(t *testing.T, kind monitorKind) (p *testNet, fromPeer func(op detector.ControlOp)) {
-	p = newTestNet(kind, 2)
+func soloObserver(t *testing.T) (p *testNet, fromPeer func(op detector.ControlOp)) {
+	p = newTestNet(2)
 	p.cut = func(f frame) bool { return true }
 	p.roundsUntil(t, 100, "silent rank not suspected", func() bool { return p.reg.Suspected(1) }, 0)
 	if got := p.fencesFrom(0); got != 1 {
 		t.Fatalf("want exactly one fence on the wire, got %d", got)
 	}
-	return p, func(op detector.ControlOp) { p.ms[0].OnControl(1, op, 1, kind.payload(1)) }
+	return p, func(op detector.ControlOp) { p.ms[0].OnControl(1, op, 1, aliveFrom(1)) }
 }
 
 // TestFenceInFlightSupersedesClear pins the fix for the suspect/clear/
@@ -206,9 +165,9 @@ func soloObserver(t *testing.T, kind monitorKind) (p *testNet, fromPeer func(op 
 // not be visible while the fence is in flight: the fence drains,
 // resolving to Confirm if it lands.
 func TestFenceInFlightSupersedesClear(t *testing.T) {
-	forBothMonitors(t, func(t *testing.T, kind monitorKind) {
-		p, fromPeer := soloObserver(t, kind)
-		fromPeer(kind.aliveOp) // the late frame, while that fence is in flight
+	t.Run("swim", func(t *testing.T) {
+		p, fromPeer := soloObserver(t)
+		fromPeer(detector.OpProbe) // the late frame, while that fence is in flight
 		if !p.reg.Suspected(1) {
 			t.Fatal("alive evidence cleared a suspicion whose fence is in flight")
 		}
@@ -233,13 +192,19 @@ func TestFenceInFlightSupersedesClear(t *testing.T) {
 }
 
 // TestDrainedFenceClearsWhenLost is the other leg of the race fix: when
-// the in-flight fence is lost (chaos drop), the deferred clear must win —
-// after one full resend period with the suspect still alive, the
-// suspicion is withdrawn, no resend goes out, and nobody dies.
+// the in-flight fence is lost (chaos drop), the late alive evidence must
+// win — after one full resend period with the suspect still alive, the
+// suspicion is cleared, no resend goes out, and nobody dies.
 func TestDrainedFenceClearsWhenLost(t *testing.T) {
-	forBothMonitors(t, func(t *testing.T, kind monitorKind) {
-		p, fromPeer := soloObserver(t, kind) // suspect + fence out (and lost)
-		fromPeer(kind.aliveOp)
+	t.Run("swim", func(t *testing.T) {
+		p, fromPeer := soloObserver(t) // suspect + fence out (and lost)
+		var cleared atomic.Bool
+		p.reg.SubscribeSuspicion(func(ev detector.SuspicionEvent) {
+			if ev.Kind == detector.SuspectCleared && ev.Rank == 1 {
+				cleared.Store(true)
+			}
+		})
+		fromPeer(detector.OpProbe)
 		if !p.reg.Suspected(1) {
 			t.Fatal("suspicion dropped while fence in flight")
 		}
@@ -249,7 +214,7 @@ func TestDrainedFenceClearsWhenLost(t *testing.T) {
 		if got := p.fencesFrom(0); got != 1 {
 			t.Fatalf("draining fence was resent: 1 -> %d", got)
 		}
-		if p.reg.Suspected(1) {
+		if p.reg.Suspected(1) || !cleared.Load() {
 			t.Fatal("lost fence never released the suspicion")
 		}
 		if p.reg.FailedCount() != 0 {
@@ -260,37 +225,89 @@ func TestDrainedFenceClearsWhenLost(t *testing.T) {
 
 // --- whole worlds --------------------------------------------------------------
 
-// TestSilentRankFencedBeforeReported: rank 1's outbound goes dark for good
-// (a one-way partition) but fences still reach it and its fence acks get
-// out — accuracy demands it is killed by the fence BEFORE anyone is told
-// it failed, and nobody else is harmed.
-func TestSilentRankFencedBeforeReported(t *testing.T) {
-	forBothMonitors(t, func(t *testing.T, kind monitorKind) {
-		var silent atomic.Bool
-		p := newTestNet(kind, 4)
-		p.cut = func(f frame) bool { return silent.Load() && f.from == 1 && f.op != detector.OpFenceAck }
-		deadBeforeNotify := true
-		p.reg.Subscribe(func(rank int) {
-			if rank == 1 && !p.reg.Failed(1) {
-				deadBeforeNotify = false
-			}
-		})
-		for i := 0; i < 200; i++ {
-			p.round() // a healthy net: nobody is suspected, nobody dies
-		}
-		if p.reg.FailedCount() != 0 || p.reg.Suspected(0) || p.reg.Suspected(1) {
-			t.Fatalf("unhealthy before the partition: failed %v", p.reg.Snapshot())
-		}
-		silent.Store(true)
-		p.roundsUntil(t, 400, "partitioned rank never fenced and confirmed",
-			func() bool { return p.reg.Confirmed(1) })
-		if !deadBeforeNotify {
-			t.Fatal("rank reported failed before ground-truth death")
-		}
-		if p.reg.FailedCount() != 1 {
-			t.Fatalf("collateral deaths: %v", p.reg.Snapshot())
+// silenceRank1 runs a healthy 4-rank net — nobody is suspected, nobody
+// dies — then cuts every frame rank 1 sends for which keep is false (a
+// one-way partition: frames still reach it) and runs until rank 1 is
+// confirmed. Accuracy demands it was killed by a fence BEFORE anyone was
+// told it failed, and nobody else was harmed.
+func silenceRank1(t *testing.T, p *testNet, keep func(f frame) bool) {
+	t.Helper()
+	var silent atomic.Bool
+	p.cut = func(f frame) bool { return silent.Load() && f.from == 1 && !keep(f) }
+	deadBeforeNotify := true
+	p.reg.Subscribe(func(rank int) {
+		if rank == 1 && !p.reg.Failed(1) {
+			deadBeforeNotify = false
 		}
 	})
+	for i := 0; i < 200; i++ {
+		p.round()
+	}
+	if p.reg.FailedCount() != 0 || p.reg.Suspected(0) || p.reg.Suspected(1) {
+		t.Fatalf("unhealthy before the partition: failed %v", p.reg.Snapshot())
+	}
+	silent.Store(true)
+	p.roundsUntil(t, 400, "partitioned rank never fenced and confirmed",
+		func() bool { return p.reg.Confirmed(1) })
+	if !deadBeforeNotify {
+		t.Fatal("rank reported failed before ground-truth death")
+	}
+	if p.reg.FailedCount() != 1 {
+		t.Fatalf("collateral deaths: %v", p.reg.Snapshot())
+	}
+}
+
+// TestSilentRankFencedBeforeReported: rank 1's outbound goes dark for
+// good, but fences still reach it and its fence acks get out. Accuracy
+// demands it is killed by the fence BEFORE anyone is told it failed, and
+// nobody else is harmed.
+func TestSilentRankFencedBeforeReported(t *testing.T) {
+	t.Run("swim", func(t *testing.T) {
+		silenceRank1(t, newTestNet(4), func(f frame) bool { return f.op == detector.OpFenceAck })
+	})
+}
+
+// TestFenceKillsSilentRankAckPath: the same one-way partition, seen from
+// the ack path. Its peers' suspicion is false (rank 1 is alive), the
+// fence kills it, and the fence ack confirms the death with a measured
+// fence RTT — long before rank 1's own silence would make it fence
+// itself.
+func TestFenceKillsSilentRankAckPath(t *testing.T) {
+	p := newTestNet(4)
+	var rtts atomic.Int32
+	for _, m := range p.ms {
+		m.Hooks.FenceRTT = func(by, target int, rtt time.Duration) { rtts.Add(1) }
+	}
+	p.ms[1].Hooks.SelfFence = func(int) { t.Error("the fence should have beaten the self-fence") }
+	var mu sync.Mutex
+	var falseRaise, confirmed bool
+	p.reg.SubscribeSuspicion(func(ev detector.SuspicionEvent) {
+		mu.Lock()
+		defer mu.Unlock()
+		if ev.Rank == 1 && ev.Kind == detector.SuspectRaised && ev.SinceDeath < 0 {
+			falseRaise = true
+		}
+		if ev.Rank == 1 && ev.Kind == detector.SuspectConfirmed {
+			confirmed = true
+		}
+	})
+	silenceRank1(t, p, func(f frame) bool { return f.op == detector.OpFenceAck })
+	mu.Lock()
+	defer mu.Unlock()
+	if !falseRaise || !confirmed {
+		t.Fatalf("suspicion lifecycle incomplete: raised-while-alive=%v confirmed=%v", falseRaise, confirmed)
+	}
+	if rtts.Load() != 1 {
+		t.Fatalf("FenceRTT fired %d times, want 1 (from the ack path)", rtts.Load())
+	}
+}
+
+// TestFenceConfirmsAcrossCutAckLink: rank 1's entire outbound is cut, so
+// the fence gets through but its ack cannot. The fencers must still
+// converge by confirming from the registry's ground truth on a later
+// tick.
+func TestFenceConfirmsAcrossCutAckLink(t *testing.T) {
+	silenceRank1(t, newTestNet(4), func(frame) bool { return false })
 }
 
 // TestSelfFenceOnIsolation: a rank cut off in both directions, with live
@@ -298,13 +315,13 @@ func TestSilentRankFencedBeforeReported(t *testing.T) {
 // unacknowledged past the deadline; the survivors confirm it from ground
 // truth.
 func TestSelfFenceOnIsolation(t *testing.T) {
-	forBothMonitors(t, func(t *testing.T, kind monitorKind) {
+	t.Run("swim", func(t *testing.T) {
 		var isolated atomic.Bool
-		p := newTestNet(kind, 4)
+		p := newTestNet(4)
 		p.cut = func(f frame) bool { return isolated.Load() && (f.from == 1 || f.to == 1) }
 		var selfFenced [4]atomic.Bool
-		for r, h := range p.hooks {
-			h.SelfFence = func(rank int) { selfFenced[r].Store(rank == r) }
+		for r, m := range p.ms {
+			m.Hooks.SelfFence = func(rank int) { selfFenced[r].Store(rank == r) }
 		}
 		for i := 0; i < 40; i++ {
 			p.round()
@@ -325,8 +342,8 @@ func TestSelfFenceOnIsolation(t *testing.T) {
 // silence is expected and the survivor must not fence itself however far
 // past the deadline the clock runs.
 func TestSoleSurvivorDoesNotSelfFence(t *testing.T) {
-	forBothMonitors(t, func(t *testing.T, kind monitorKind) {
-		p := newTestNet(kind, 2)
+	t.Run("swim", func(t *testing.T) {
+		p := newTestNet(2)
 		p.reg.Kill(1)
 		for i := 0; i < int(6*selfFence/step); i++ {
 			p.round()
@@ -341,15 +358,14 @@ func TestSoleSurvivorDoesNotSelfFence(t *testing.T) {
 // stalled rank while every fence and fence ack is still in flight. One
 // fence kills it; all three acks come back, and exactly one of them
 // confirms anything. A fence that confirms nothing must not record a
-// fence_rtt sample — the heartbeat monitor's ack path used to, SWIM's and
-// both ground-truth paths did not.
+// fence_rtt sample.
 func TestOnlyTheWinningFenceRecordsRTT(t *testing.T) {
-	const n, victim = 4, 3
-	forBothMonitors(t, func(t *testing.T, kind monitorKind) {
-		p := newTestNet(kind, n)
+	t.Run("swim", func(t *testing.T) {
+		const n, victim = 4, 3
+		p := newTestNet(n)
 		var rtts atomic.Int32
-		for _, h := range p.hooks {
-			h.FenceRTT = func(by, target int, rtt time.Duration) { rtts.Add(1) }
+		for _, m := range p.ms {
+			m.Hooks.FenceRTT = func(by, target int, rtt time.Duration) { rtts.Add(1) }
 		}
 		p.cut = func(f frame) bool { return f.from == victim && !f.fencing() }
 		p.hold = frame.fencing
@@ -387,9 +403,9 @@ func TestOnlyTheWinningFenceRecordsRTT(t *testing.T) {
 // followed by that rank's death without a fresh SuspectRaised in between
 // (no rank is killed by a fence its observer had withdrawn).
 func TestFenceClearRaceStress(t *testing.T) {
-	forBothMonitors(t, func(t *testing.T, kind monitorKind) {
+	t.Run("swim", func(t *testing.T) {
 		var drop atomic.Bool
-		p := newTestNet(kind, 2)
+		p := newTestNet(2)
 		p.cut = func(f frame) bool { return drop.Load() && f.from == 1 && !f.fencing() }
 		var mu sync.Mutex
 		suspected := false // rank 0's current view of rank 1, per events
@@ -442,10 +458,10 @@ func TestFenceClearRaceStress(t *testing.T) {
 // historically leak-prone state — and checks the goroutine count settles
 // back to the baseline.
 func TestMonitorStartStopNoGoroutineLeak(t *testing.T) {
-	forBothMonitors(t, func(t *testing.T, kind monitorKind) {
+	t.Run("swim", func(t *testing.T) {
 		baseline := runtime.NumGoroutine()
 		for i := 0; i < 100; i++ {
-			p := newTestNet(kind, 2)
+			p := newTestNet(2)
 			p.cut = func(f frame) bool { return true }
 			p.ms[0].Start()
 			p.roundsUntil(t, 100, "fence never armed", func() bool { return p.reg.Suspected(1) }, 0)

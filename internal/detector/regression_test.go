@@ -7,8 +7,8 @@ import (
 )
 
 // Regression tests for the registry's delayed-notify timer. The
-// fence/clear race, self-fence and start/stop leak regressions run against
-// both monitors in monitors_test.go.
+// fence/clear race, self-fence and start/stop leak regressions run on the
+// SWIM monitor in monitors_test.go.
 
 // TestRegistryCloseStopsPendingNotify pins the oracle-mode timer leak:
 // Kill with a NotifyDelay used to arm a bare time.AfterFunc that outlived

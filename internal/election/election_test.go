@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/detector"
+	"repro/internal/membership"
 	"repro/internal/mpi"
 	"repro/internal/mpitest"
 )
@@ -166,7 +166,7 @@ func TestChangRobertsSurvivesMidElectionDeath(t *testing.T) {
 	}
 }
 
-// TestChangRobertsSurvivesSuspectFenceGapDeath is the heartbeat-detector
+// TestChangRobertsSurvivesSuspectFenceGapDeath is the SWIM-detector
 // variant: the victim is partitioned (so its peers falsely suspect it,
 // and their fences can never arrive), then dies inside the gap between
 // suspicion and fence-ack. Survivors' tokens routed through the victim
@@ -177,12 +177,12 @@ func TestChangRobertsSurvivesSuspectFenceGapDeath(t *testing.T) {
 	plan := chaos.NewPlan(23).
 		Partition(victim, -1, 1, ^uint64(0)).
 		Partition(-1, victim, 1, ^uint64(0))
-	hb := detector.HeartbeatOptions{
-		Interval:       2 * time.Millisecond,
-		Timeout:        25 * time.Millisecond,
+	sw := membership.Options{
+		Period:         2 * time.Millisecond,
+		SuspectAfter:   15 * time.Millisecond,
 		SelfFenceAfter: 2 * time.Second, // the scripted death must win
 	}
-	w, err := mpi.NewWorld(n, mpi.WithChaos(plan), mpi.WithHeartbeat(hb),
+	w, err := mpi.NewWorld(n, mpi.WithChaos(plan), mpi.WithSwim(sw),
 		mpi.WithDeadline(60*time.Second))
 	if err != nil {
 		t.Fatal(err)

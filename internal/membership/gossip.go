@@ -1,18 +1,17 @@
 // Package membership implements a SWIM-style membership protocol
-// (Das, Gupta & Motivala 2002) as an alternative failure-detection mode
-// for the run-through stabilization runtime: instead of the heartbeat
+// (Das, Gupta & Motivala 2002), the runtime's network failure detector
+// (the oracle is the other mode): instead of an all-to-all heartbeat
 // mesh's O(N²) pings per interval, each rank probes ONE randomized peer
 // per protocol period, falls back to k indirect probes via relays on
 // timeout, and disseminates suspect/alive/confirm events epidemically by
 // piggybacking a bounded gossip buffer on the control frames it was
 // sending anyway — O(1) control traffic per rank per period.
 //
-// Accuracy is NOT weakened relative to the heartbeat detector: suspicion
-// feeds the same fencing protocol (a suspect is killed before anyone is
-// told it failed) and the same confirm-gated Registry. A falsely
-// suspected rank refutes by bumping its incarnation and gossiping alive;
-// the refutation drains the pending fence exactly like a late heartbeat
-// does in the mesh detector.
+// Accuracy comes from detector.Fencer: a suspect is killed before anyone
+// is told it failed, and only the confirm-gated Registry reports a
+// failure. A falsely suspected rank refutes by bumping its incarnation
+// and gossiping alive; the refutation drains the pending fence like any
+// other late alive evidence.
 package membership
 
 import (

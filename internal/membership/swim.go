@@ -117,9 +117,9 @@ type probe struct {
 
 // Swim is one rank's SWIM-style membership monitor: randomized probes,
 // indirect probes and gossip raise suspicion; what follows a suspicion —
-// fence, drain, confirm, self-fence — is the same detector.Fencer the
-// heartbeat monitor uses. Construct with NewSwim, wire inbound control
-// packets to OnControl, and bracket the run with Start/Stop.
+// fence, drain, confirm, self-fence — is a detector.Fencer. Construct
+// with NewSwim, wire inbound control packets to OnControl, and bracket
+// the run with Start/Stop.
 type Swim struct {
 	reg   *detector.Registry
 	rank  int

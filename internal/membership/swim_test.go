@@ -178,12 +178,18 @@ func TestSwimGossipSpreadsConfirm(t *testing.T) {
 // gossip (bumped incarnation) or by direct alive evidence draining the
 // fence — and nobody dies.
 func TestSwimRefutationClearsSuspicion(t *testing.T) {
+	var cleared atomic.Bool
 	var silent atomic.Bool
 	p := newSwimNet(t, 5, swimTestOpts, func(from, to int, op detector.ControlOp) bool {
 		if op == detector.OpFence {
 			return true // fences lose the race for this test
 		}
 		return silent.Load() && from == 1
+	})
+	p.reg.SubscribeSuspicion(func(ev detector.SuspicionEvent) {
+		if ev.Kind == detector.SuspectCleared && ev.Rank == 1 {
+			cleared.Store(true)
+		}
 	})
 	for i := 0; i < 40; i++ {
 		p.round()
@@ -199,7 +205,7 @@ func TestSwimRefutationClearsSuspicion(t *testing.T) {
 	for i := 0; i < 400 && p.reg.Suspected(1); i++ {
 		p.round()
 	}
-	if p.reg.Suspected(1) {
+	if p.reg.Suspected(1) || !cleared.Load() {
 		t.Fatal("suspicion never cleared after the silence lifted")
 	}
 	if p.reg.FailedCount() != 0 {
@@ -212,8 +218,8 @@ func TestSwimRefutationClearsSuspicion(t *testing.T) {
 }
 
 // TestSwimControlTrafficPerRankIsFlat pins the scaling claim that
-// justifies SWIM over the heartbeat mesh: frames sent per rank per
-// protocol period stay bounded by a small constant as N grows.
+// justifies SWIM over an all-to-all heartbeat mesh: frames sent per rank
+// per protocol period stay bounded by a small constant as N grows.
 func TestSwimControlTrafficPerRankIsFlat(t *testing.T) {
 	perRank := func(n int) float64 {
 		p := newSwimNet(t, n, swimTestOpts, nil)

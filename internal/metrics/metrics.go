@@ -64,15 +64,13 @@ const (
 	// LinkEscalations counts links whose retry budget was exhausted,
 	// demoting the peer to fail-stop via the detector.
 	LinkEscalations
-	// Heartbeats counts heartbeat pings sent by each rank's monitor.
-	Heartbeats
 	// Suspicions counts suspicions raised by each rank's monitor.
 	Suspicions
 	// FalseSuspicions counts suspicions raised against ranks that were
 	// still alive at the time (chaos delay or partition induced).
 	FalseSuspicions
-	// SuspicionsCleared counts suspicions withdrawn when a late heartbeat
-	// arrived before the fence completed.
+	// SuspicionsCleared counts suspicions withdrawn when late alive
+	// evidence arrived before the fence completed.
 	SuspicionsCleared
 	// Fences counts fence notices sent (including resends).
 	Fences
@@ -81,8 +79,8 @@ const (
 	// Confirms counts suspected ranks confirmed dead by each observer.
 	Confirms
 	// ControlFrames counts every failure-detection control frame sent
-	// (heartbeats, probes, fences, acks) — the quantity the SWIM mode
-	// keeps O(1) per rank per protocol period where the mesh pays O(N).
+	// (probes, relay requests, acks, fences) — the quantity SWIM keeps
+	// O(1) per rank per protocol period.
 	ControlFrames
 	// SwimProbes counts direct SWIM probes launched.
 	SwimProbes
@@ -140,7 +138,7 @@ var counterNames = [numCounters]string{
 	"frames_dropped", "frames_duplicated", "frames_corrupted",
 	"frames_delayed", "frames_reordered", "frames_retried",
 	"frames_rejected", "frames_deduped", "link_escalations",
-	"heartbeats", "suspicions", "false_suspicions", "suspicions_cleared",
+	"suspicions", "false_suspicions", "suspicions_cleared",
 	"fences", "self_fences", "confirms",
 	"control_frames", "swim_probes", "swim_indirect_probes",
 	"swim_probe_timeouts", "gossip_events", "gossip_learns",

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/membership"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -136,9 +137,9 @@ func (w *World) Spawn(slot int) (int, error) {
 //
 //  1. build the replacement engine, seeding its failure view from the
 //     registry's confirmed deaths (minus the slot itself);
-//  2. clear survivors' monitor state for the slot (stale inter-arrival
-//     estimators and pending fences must not instantly re-suspect the
-//     newcomer) while the registry still says "failed";
+//  2. clear survivors' monitor state for the slot (a stale probe or
+//     pending fence must not instantly re-suspect the newcomer) while
+//     the registry still says "failed";
 //  3. build the slot's replacement monitor — the old incarnation's pump
 //     exited at death and is not restartable;
 //  4. install the replacement engine, arming the generation fence: from
@@ -185,18 +186,14 @@ func (w *World) join(slot int) (int, *procSeed) {
 		w.repl.seedRepState(slot, e2)
 	}
 
-	for i := 0; i < w.size; i++ {
-		if i == slot || w.registry.Failed(i) {
-			continue
+	var mon *membership.Swim
+	if w.swim != nil {
+		for i := 0; i < w.size; i++ {
+			if i != slot && !w.registry.Failed(i) {
+				w.monitor(i).Resume(slot)
+			}
 		}
-		if m := w.monAt(i); m != nil {
-			m.Resume(slot)
-		}
-	}
-
-	var mon monitor
-	if w.newMonitor != nil {
-		mon = w.newMonitor(slot)
+		mon = w.newSwim(slot)
 	}
 
 	w.engines[slot].Store(e2)
@@ -206,7 +203,7 @@ func (w *World) join(slot int) (int, *procSeed) {
 	}
 
 	if mon != nil {
-		w.setMonitor(slot, mon)
+		w.swim.mons[slot].Store(mon)
 	}
 
 	// Revive and capture are one step to anyone entering an agreement

@@ -389,7 +389,7 @@ func (e *engine) deliver(pkt *transport.Packet) {
 		// dead-rank guard: the monitor is the "NIC", which keeps answering
 		// fence notices after the process died so a fencer across a
 		// half-open link can still learn of the death.
-		if m := e.w.monAt(e.rank); m != nil {
+		if m := e.w.monitor(e.rank); m != nil {
 			m.OnControl(pkt.Src, detector.ControlOp(pkt.Tag), pkt.Seq, pkt.Payload)
 		}
 		return

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/detector"
 	"repro/internal/membership"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -63,22 +62,12 @@ func WithNotifyDelay(d time.Duration) Option {
 }
 
 // WithDetector selects the failure-detection mode: DetectorOracle (the
-// default — failures are known the instant they are injected),
-// DetectorHeartbeat (failures are detected by missed heartbeats and
-// converted to fail-stop by fencing before being reported), or
-// DetectorSwim (SWIM-style randomized probing with gossip dissemination,
-// O(1) control traffic per rank).
+// default — failures are known the instant they are injected) or
+// DetectorSwim (failures are detected by SWIM-style randomized probing
+// with gossip dissemination, O(1) control traffic per rank, and converted
+// to fail-stop by fencing before being reported).
 func WithDetector(mode string) Option {
 	return func(cfg *Config) { cfg.Detector = mode }
-}
-
-// WithHeartbeat selects the heartbeat detector and tunes its monitors;
-// zero option fields take the detector package defaults.
-func WithHeartbeat(opts detector.HeartbeatOptions) Option {
-	return func(cfg *Config) {
-		cfg.Detector = DetectorHeartbeat
-		cfg.Heartbeat = opts
-	}
 }
 
 // WithSwim selects the SWIM membership detector and tunes its monitors;

@@ -41,17 +41,13 @@ type Config struct {
 	Deadline time.Duration
 	// NotifyDelay delays failure notifications to surviving ranks,
 	// modelling failure-detection latency. Zero delivers synchronously.
-	// Oracle mode only: with the heartbeat detector, detection latency is
-	// real (heartbeat timeout plus fencing), not modelled, and this field
-	// is ignored.
+	// Oracle mode only: with SWIM, detection latency is real (probe
+	// timeout plus fencing), not modelled, and this field is ignored.
 	NotifyDelay time.Duration
 	// Detector selects the failure-detection mode: DetectorOracle (the
-	// default, also selected by ""), DetectorHeartbeat, or DetectorSwim.
-	// See the mode constants in heartbeat.go and swim.go.
+	// default, also selected by "") or DetectorSwim. See the mode
+	// constants in swim.go.
 	Detector string
-	// Heartbeat tunes the heartbeat monitors when Detector is
-	// DetectorHeartbeat; zero fields take the detector package defaults.
-	Heartbeat detector.HeartbeatOptions
 	// Swim tunes the SWIM monitors when Detector is DetectorSwim; zero
 	// fields take the membership package defaults.
 	Swim membership.Options
@@ -115,10 +111,9 @@ type World struct {
 	lsize     int        // logical rank count (== size unless replicated)
 	repl      *replState // replica-group state; nil outside replication mode
 
-	// monitors holds each slot's detector monitor and newMonitor builds a
-	// replacement at respawn; both are nil in oracle mode (monitor.go).
-	monitors   []atomic.Pointer[monitor]
-	newMonitor func(rank int) monitor
+	// swim is the SWIM detector: each slot's monitor and what a respawn
+	// needs to build the next one. Nil in oracle mode (swim.go).
+	swim *swimState
 
 	// Causal tracing state, owned by the World (not the engine) so it
 	// survives elastic reincarnation: a respawned slot inherits its
@@ -198,10 +193,10 @@ func newWorldFromConfig(cfg Config) (*World, error) {
 		return nil, fmt.Errorf("%w: world size %d", ErrInvalidArg, cfg.Size)
 	}
 	switch cfg.Detector {
-	case "", DetectorOracle, DetectorHeartbeat, DetectorSwim:
+	case "", DetectorOracle, DetectorSwim:
 	default:
-		return nil, fmt.Errorf("%w: unknown detector mode %q (want %q, %q or %q)",
-			ErrInvalidArg, cfg.Detector, DetectorOracle, DetectorHeartbeat, DetectorSwim)
+		return nil, fmt.Errorf("%w: unknown detector mode %q (want %q or %q)",
+			ErrInvalidArg, cfg.Detector, DetectorOracle, DetectorSwim)
 	}
 	switch cfg.Agreement {
 	case "", AgreementCoordinator, AgreementTree:
@@ -292,7 +287,7 @@ func newWorldFromConfig(cfg Config) (*World, error) {
 	if cfg.NotifyDelay > 0 {
 		w.registry.SetNotifyDelay(cfg.NotifyDelay)
 	}
-	w.initMonitors(cfg.Detector, cfg.Heartbeat, cfg.Swim)
+	w.initSwim(cfg.Detector, cfg.Swim)
 	if cfg.Obs != nil {
 		w.registry.SetNotifyObserver(func(rank int, lat time.Duration) {
 			w.obs.Observe(rank, obs.NotifyLatency, lat)
@@ -514,8 +509,8 @@ func (w *World) Run(fn func(p *Proc) error) (*RunResult, error) {
 		if startErr != nil {
 			return
 		}
-		if w.monitors != nil {
-			// Monitored modes (heartbeat or SWIM): ground-truth death
+		if w.swim != nil {
+			// Monitored mode (SWIM): ground-truth death
 			// unwinds the victim immediately — it IS dead, whatever its
 			// peers believe — while the survivors' notifications wait for
 			// the detection/fencing pipeline to Confirm the failure.

@@ -36,7 +36,7 @@ const (
 	// NotifyLatency times failure detection: Registry.Kill to subscriber
 	// notification delivery.
 	NotifyLatency
-	// SuspicionLatency times heartbeat detection: ground-truth death to
+	// SuspicionLatency times SWIM detection: ground-truth death to
 	// the first suspicion raised against the dead rank.
 	SuspicionLatency
 	// FenceRTT times the fencing protocol: suspicion raised to the

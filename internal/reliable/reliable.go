@@ -708,7 +708,7 @@ func (f *Fabric) drain(rx *rxLink, dst int) {
 // fabric both re-enter this layer on the same goroutine.
 func (f *Fabric) onDeliver(dst int, pkt *transport.Packet) {
 	if pkt.Kind == transport.KindControl {
-		// Control frames carry the heartbeat sequence in Seq, not an ARQ
+		// Control frames carry the probe sequence in Seq, not an ARQ
 		// sequence: pass them up before any sequencing or dead-peer check
 		// (a "dead" verdict here may be exactly what the detector is busy
 		// disproving or confirming).

@@ -76,13 +76,13 @@ const (
 	FrameDedup
 	// LinkEscalated marks a peer demoted to fail-stop after retry exhaustion.
 	LinkEscalated
-	// Suspected marks a heartbeat monitor raising suspicion of a peer.
+	// Suspected marks a SWIM monitor raising suspicion of a peer.
 	Suspected
-	// SuspectCleared marks a suspicion withdrawn (a heartbeat arrived).
+	// SuspectCleared marks a suspicion withdrawn (alive evidence arrived).
 	SuspectCleared
 	// FenceSent marks a fence notice ordered at a suspected peer.
 	FenceSent
-	// SelfFenced marks a rank fencing itself (heartbeat acks stale).
+	// SelfFenced marks a rank fencing itself (probe acks stale).
 	SelfFenced
 	// Confirmed marks a suspected peer confirmed dead (fence ack or
 	// ground truth), releasing the failure notification.

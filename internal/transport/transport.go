@@ -51,12 +51,13 @@ const (
 	// payload, are never acknowledged themselves, and are consumed by the
 	// reliability fabric before packets reach the engine.
 	KindAck
-	// KindControl is failure-detection control traffic (heartbeat pings
-	// and acks, fence notices and acks). The operation travels in Tag and
-	// the heartbeat sequence in Seq; the payload is empty. Control frames
-	// bypass the reliability sublayer entirely — they ARE the liveness
-	// signal, so retransmitting them would defeat their purpose — and are
-	// routed to the per-rank heartbeat monitor, not the matching engine.
+	// KindControl is failure-detection control traffic (SWIM probes and
+	// acks, fence notices and acks). The operation travels in Tag, the
+	// protocol sequence in Seq and the gossip envelope in the payload.
+	// Control frames bypass the reliability sublayer entirely — they ARE
+	// the liveness signal, so retransmitting them would defeat their
+	// purpose — and are routed to the per-rank SWIM monitor, not the
+	// matching engine.
 	KindControl
 	// KindState is elastic-world state-recovery traffic: a respawned rank
 	// requesting (and a survivor serving) an application state snapshot

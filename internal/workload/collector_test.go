@@ -23,7 +23,7 @@ import (
 func TestCollectorCoversAllFamilies(t *testing.T) {
 	c := NewCollector()
 	opt := Options{Quick: true, Seed: 1, Collector: c}
-	if _, err := runDetectionWorld(opt, 16, mpi.DetectorSwim); err != nil {
+	if _, err := runDetectionWorld(opt, 16); err != nil {
 		t.Fatal(err)
 	}
 	// Seed 1 kills physical slot 1 — a primary, so the run exercises a

@@ -20,8 +20,7 @@ import (
 func ringOnce(opt Options, size int, cfg core.Config, mut func(*mpi.Config)) (*core.Report, *mpi.RunResult, *metrics.World, error) {
 	mets := metrics.NewWorld(size)
 	mcfg := mpi.Config{Size: size, Deadline: 60 * time.Second, Metrics: mets,
-		Detector: opt.Detector, Heartbeat: opt.Heartbeat,
-		Swim: opt.Swim, Agreement: opt.Agreement}
+		Detector: opt.Detector, Swim: opt.Swim, Agreement: opt.Agreement}
 	if reg := opt.newObs(size); reg != nil {
 		mcfg.Obs = reg
 		opt.Collector.Attach(mets, reg)
@@ -446,7 +445,7 @@ func e17() Experiment {
 // through runWorld.
 var soaks = []Experiment{
 	{ID: "e18", Title: "Chaos soak under lossy links", PaperRef: "robustness", Run: runChaosSoak},
-	{ID: "e19", Title: "Heartbeat detector soak", PaperRef: "Sec. III detector, made real", Run: runHeartbeatSoak},
+	{ID: "e19", Title: "SWIM detector soak", PaperRef: "Sec. III detector, made real", Run: runDetectorSoak},
 	{ID: "e20", Title: "SWIM membership scaling soak", PaperRef: "Sec. III detector, at scale", Run: runSwimSoak},
 	{ID: "e21", Title: "Elastic shrink/respawn soak", PaperRef: "beyond run-through: ULFM-style repair",
 		Run: runElasticSoak},

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/detector"
 	"repro/internal/inject"
 	"repro/internal/membership"
 	"repro/internal/mpi"
@@ -73,7 +72,7 @@ func runRecoveryForensics(opt Options) ([]*Table, error) {
 		"detect-p50", "agree-p50", "repair-p50", "resume-p50",
 		"total-p50", "total-p95", "unaccounted")
 	repairs := []string{"resend", "respawn", "promotion"}
-	detectors := []string{mpi.DetectorOracle, mpi.DetectorHeartbeat, mpi.DetectorSwim}
+	detectors := []string{mpi.DetectorOracle, mpi.DetectorSwim}
 	for _, repair := range repairs {
 		for _, det := range detectors {
 			var tally recoveryTally
@@ -116,21 +115,16 @@ func runRecoveryWorld(opt Options, repair, det string, seed int64, rec *trace.Re
 	// but small next to the 120s world deadlines.
 	opt.Tracer = rec
 	opt.Detector = det
-	opt.Heartbeat = hbSoakOptions()
 	opt.Swim = swimSoakOptions()
 	switch repair {
 	case "resend":
 		return runResendRecovery(opt, seed)
 	case "respawn":
 		// The elastic world respawns ANY confirmed-dead slot, so a false
-		// suspicion (a reincarnation's first heartbeats delayed under CI
+		// suspicion (a reincarnation's first probe acks delayed under CI
 		// load) becomes respawn churn, not just a mislabeled row. Run
 		// these cells' monitors with wide margins; the longer detection
 		// phase lands honestly in the table.
-		opt.Heartbeat = detector.HeartbeatOptions{
-			Interval: 5 * time.Millisecond, Timeout: 150 * time.Millisecond,
-			SelfFenceAfter: 10 * time.Second,
-		}
 		opt.Swim = membership.Options{
 			Period: 40 * time.Millisecond, SelfFenceAfter: 10 * time.Second, Seed: 7,
 		}

@@ -10,9 +10,9 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/collective"
 	"repro/internal/core"
-	"repro/internal/detector"
 	"repro/internal/election"
 	"repro/internal/inject"
+	"repro/internal/membership"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/obs"
@@ -518,43 +518,45 @@ func decideWorld(n int, rates chaos.Rates, victim int, prologue func(*mpi.Proc),
 		}}
 }
 
-// hbSoakOptions is the heartbeat tuning for the E19 soak: fast enough to
-// keep the sweep short, with the self-fence horizon pushed out so only
-// the partition workload (which tunes it down) ever self-fences.
-func hbSoakOptions() detector.HeartbeatOptions {
-	return detector.HeartbeatOptions{
-		Interval:       2 * time.Millisecond,
-		Timeout:        30 * time.Millisecond,
+// detectSoakOptions is the SWIM tuning for the E19 soak: fast enough to
+// keep the sweep short, a suspicion timeout wide enough that the 4 ms
+// delay jitter rarely fences a healthy rank, and the self-fence horizon
+// pushed out so only the partition workload (which tunes it down) ever
+// self-fences.
+func detectSoakOptions() membership.Options {
+	return membership.Options{
+		Period:         2 * time.Millisecond,
+		SuspectAfter:   15 * time.Millisecond,
 		SelfFenceAfter: 2 * time.Second,
 	}
 }
 
-// runHeartbeatSoak sweeps seeds over three workloads running on the
-// heartbeat detector — no oracle shortcut anywhere:
+// runDetectorSoak sweeps seeds over three workloads running on the SWIM
+// detector — no oracle shortcut anywhere:
 //
 //  1. the full FT ring under delay jitter with a scripted mid-run kill
-//     (detection happens through missed heartbeats while the jitter makes
-//     the monitors earn their keep),
+//     (detection happens through unanswered probes while the jitter
+//     makes the monitors earn their keep),
 //  2. validate_all with a scheduled full partition of one healthy rank
 //     (a guaranteed FALSE suspicion whose fences can never arrive — the
 //     victim must self-fence before anyone may report it failed), and
 //  3. the Chang-Roberts election with a victim dying mid-election.
 //
-// Delay jitter can make the phi estimator falsely suspect a healthy rank;
-// that is not a bug but the detector's contract at work — the fence kills
-// the suspect before the failure is reported, so the app only ever sees
+// Delay jitter can make a probe time out on a healthy rank; that is not
+// a bug but the detector's contract at work — the fence kills the
+// suspect before the failure is reported, so the app only ever sees
 // fail-stop. The ok-criteria therefore tolerate extra fenced ranks but
 // never a wrong answer: markers absorbed exactly once, survivors agree,
 // and nobody unfenced is reported failed (Registry.Confirm panics the
 // world on an accuracy violation, so mere completion certifies it).
-func runHeartbeatSoak(opt Options) ([]*Table, error) {
-	t := NewTable("E19: heartbeat soak — delay jitter, kills, scheduled partitions",
-		"workload", "seeds", "ok", "heartbeats", "suspicions", "false-susp",
+func runDetectorSoak(opt Options) ([]*Table, error) {
+	t := NewTable("E19: SWIM detector soak — delay jitter, kills, scheduled partitions",
+		"workload", "seeds", "ok", "swim_probes", "suspicions", "false-susp",
 		"cleared", "fences", "self-fences", "confirms", "elapsed")
 	tLat := NewTable("E19b: detection latency quantiles (merged over seeds)",
 		"workload", "family", "samples", "p50", "p95", "p99", "max")
 	jitter := chaos.Rates{Delay: 0.25, Jitter: 4 * time.Millisecond}
-	opt.Detector, opt.Heartbeat = mpi.DetectorHeartbeat, hbSoakOptions()
+	opt.Detector, opt.Swim = mpi.DetectorSwim, detectSoakOptions()
 	const n, victim = 4, 2
 	rows := []soakRow{
 		// Workload 1: FT ring, delay jitter on every link, rank 2 killed
@@ -574,15 +576,15 @@ func runHeartbeatSoak(opt Options) ([]*Table, error) {
 			plan := chaos.NewPlan(seed).
 				Partition(n-1, -1, 1, ^uint64(0)).
 				Partition(-1, n-1, 1, ^uint64(0))
-			hb := hbSoakOptions()
-			hb.SelfFenceAfter = 150 * time.Millisecond // beat ARQ escalation (~400ms)
+			swim := detectSoakOptions()
+			swim.SelfFenceAfter = 150 * time.Millisecond // beat ARQ escalation (~400ms)
 			sw := decideWorld(n, chaos.Rates{}, n-1, nil, validateAll, 1)
-			sw.opts = []mpi.Option{mpi.WithChaos(plan), mpi.WithHeartbeat(hb)}
+			sw.opts = []mpi.Option{mpi.WithChaos(plan), mpi.WithSwim(swim)}
 			return sw
 		}},
 		// Workload 3: Chang-Roberts under jitter with rank 2 dying shortly
 		// after the election starts — tokens it held die with it, and the
-		// re-initiation on (heartbeat-detected) notification must drain the
+		// re-initiation on (SWIM-detected) notification must drain the
 		// ring to a leader every survivor agrees on.
 		{"election + jitter + kill", func(int64) soakWorld {
 			sw := decideWorld(n, jitter, victim, func(p *mpi.Proc) {
@@ -595,7 +597,7 @@ func runHeartbeatSoak(opt Options) ([]*Table, error) {
 			return sw
 		}},
 	}
-	err := opt.runTallied(t, tLat, []metrics.Counter{metrics.Heartbeats, metrics.Suspicions,
+	err := opt.runTallied(t, tLat, []metrics.Counter{metrics.SwimProbes, metrics.Suspicions,
 		metrics.FalseSuspicions, metrics.SuspicionsCleared, metrics.Fences, metrics.SelfFences,
 		metrics.Confirms}, rows)
 	if err != nil {

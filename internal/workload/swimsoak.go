@@ -12,9 +12,7 @@ import (
 	"repro/internal/mpi"
 )
 
-// swimSoakPeriod is the protocol period shared by every E20 world; the
-// heartbeat baseline uses it as its ping interval so "frames per rank
-// per period" means the same wall-clock budget in both rows.
+// swimSoakPeriod is the protocol period shared by every E20 world.
 const swimSoakPeriod = 16 * time.Millisecond
 
 // swimSoakOptions is the SWIM tuning for the E20 soak.
@@ -26,27 +24,15 @@ func swimSoakOptions() membership.Options {
 	}
 }
 
-// swimSoakBaseline is the heartbeat-mesh tuning the swim rows are judged
-// against, at the same protocol period.
-func swimSoakBaseline() detector.HeartbeatOptions {
-	return detector.HeartbeatOptions{
-		Interval:       swimSoakPeriod,
-		Timeout:        3 * swimSoakPeriod,
-		SelfFenceAfter: 5 * time.Second,
-	}
-}
-
 // swimFramesPerRankPeriodMax is the in-test O(1) bound on swim control
 // traffic: one probe, roughly one ack, the occasional indirect relay and
-// fence — per rank per protocol period, independent of world size. The
-// mesh baseline pays N-1 pings per interval and exists in the table to
-// show exactly that contrast.
+// fence — per rank per protocol period, independent of world size (an
+// all-to-all heartbeat mesh pays N-1 pings per interval).
 const swimFramesPerRankPeriodMax = 8.0
 
-// swimDetectFloor is the absolute detection-latency ceiling used when
-// the mesh baseline is itself fast: swim p99 must stay under
-// max(2 x mesh p99, floor) at EVERY world size — a bound independent of
-// N is what "flat vs N" means operationally. The floor is generous
+// swimDetectFloor is the detection-latency ceiling: swim p99 must stay
+// under it at EVERY world size — a bound independent of N is what "flat
+// vs N" means operationally. The bound is generous
 // because the large worlds run thousands of probe loops on however few
 // cores CI has: measured detection at N=4096 is ~170ms alone but
 // ~750ms with a full test suite competing for one core, and that
@@ -74,9 +60,9 @@ func (r *detectRun) framesPerRankPeriod() float64 {
 	return float64(r.mets.Total(metrics.ControlFrames)) / float64(r.n) / periods
 }
 
-func (r *detectRun) addRow(t *Table, label string) {
+func (r *detectRun) addRow(t *Table) {
 	total := r.mets.Total
-	t.Add(label, r.n, len(r.samples), r.p50(), r.p99(), r.framesPerRankPeriod(),
+	t.Add(r.n, len(r.samples), r.p50(), r.p99(), r.framesPerRankPeriod(),
 		total(metrics.FalseSuspicions), total(metrics.GossipLearns), total(metrics.Confirms), r.Elapsed)
 }
 
@@ -97,13 +83,12 @@ func durQuantile(samples []time.Duration, q float64) time.Duration {
 	return sorted[idx]
 }
 
-// runDetectionWorld runs one n-rank world under the given detector mode,
-// kills three spread-out ranks after a short warmup, and has every
+// runDetectionWorld runs one n-rank SWIM world, kills three spread-out ranks after a short warmup, and has every
 // survivor wait until all three deaths are confirmed. Suspicion latency
 // is sampled straight from the registry's suspicion feed, so it works at
 // world sizes past the histogram-registry cap.
-func runDetectionWorld(opt Options, n int, mode string) (*detectRun, error) {
-	opt.Detector, opt.Heartbeat, opt.Swim = mode, swimSoakBaseline(), swimSoakOptions()
+func runDetectionWorld(opt Options, n int) (*detectRun, error) {
+	opt.Detector, opt.Swim = mpi.DetectorSwim, swimSoakOptions()
 	run := &detectRun{n: n}
 	var mu sync.Mutex
 	victims := []int{n / 4, n / 2, 3 * n / 4}
@@ -148,38 +133,22 @@ func runDetectionWorld(opt Options, n int, mode string) (*detectRun, error) {
 			}
 		}})
 	if err != nil {
-		return nil, fmt.Errorf("n=%d %s: %w", n, mode, err)
+		return nil, fmt.Errorf("n=%d: %w", n, err)
 	}
 	return run, nil
 }
 
-// runSwimSoak is E20: the SWIM detector scaled across world sizes, with
-// a same-period heartbeat mesh as the baseline. Two properties are
-// asserted in-run, not just tabulated:
+// runSwimSoak is E20: the SWIM detector scaled across world sizes. Two
+// properties are asserted in-run, not just tabulated:
 //
-//   - detection latency stays flat as N grows: every swim row's p99 must
-//     land under max(2 x mesh p99, swimDetectFloor) — a bound that does
-//     not scale with N;
+//   - detection latency stays flat as N grows: every row's p99 must land
+//     under swimDetectFloor — a bound that does not scale with N;
 //   - control traffic per rank is O(1): frames/rank/period must stay
-//     under swimFramesPerRankPeriodMax at every N, while the mesh
-//     baseline's column visibly grows as N-1.
+//     under swimFramesPerRankPeriodMax at every N.
 func runSwimSoak(opt Options) ([]*Table, error) {
 	t := NewTable("E20: SWIM soak — detection latency and per-rank control traffic vs N",
-		"detector", "ranks", "samples", "detect-p50", "detect-p99",
+		"ranks", "samples", "detect-p50", "detect-p99",
 		"frames/rank/period", "false-susp", "gossip-learns", "confirms", "elapsed")
-
-	meshN := 64
-	if opt.Quick {
-		meshN = 32 // the N^2 mesh is the expensive row under -race CI
-	}
-	mesh, err := runDetectionWorld(opt, meshN, mpi.DetectorHeartbeat)
-	if err != nil {
-		return nil, fmt.Errorf("mesh baseline: %w", err)
-	}
-	mesh.addRow(t, "heartbeat mesh")
-
-	bound := max(2*mesh.p99(), swimDetectFloor)
-
 	sizes := []int{64, 256, 1024}
 	if raceEnabled {
 		// The race detector multiplies scheduler and memory cost by an
@@ -193,22 +162,22 @@ func runSwimSoak(opt Options) ([]*Table, error) {
 		sizes = append(sizes, 4096)
 	}
 	for _, n := range sizes {
-		r, err := runDetectionWorld(opt, n, mpi.DetectorSwim)
+		r, err := runDetectionWorld(opt, n)
 		if err != nil {
-			return nil, fmt.Errorf("swim n=%d: %w", n, err)
+			return nil, fmt.Errorf("swim %w", err)
 		}
-		if p99 := r.p99(); p99 > bound {
-			return nil, fmt.Errorf("swim n=%d: detection p99 %v exceeds %v (2x mesh p99 %v with %v floor) — latency is not flat vs N",
-				n, p99, bound, mesh.p99(), swimDetectFloor)
+		if p99 := r.p99(); p99 > swimDetectFloor {
+			return nil, fmt.Errorf("swim n=%d: detection p99 %v exceeds %v — latency is not flat vs N",
+				n, p99, swimDetectFloor)
 		}
 		if f := r.framesPerRankPeriod(); f > swimFramesPerRankPeriodMax {
 			return nil, fmt.Errorf("swim n=%d: %.2f control frames/rank/period exceeds %.1f — traffic is not O(1)",
 				n, f, swimFramesPerRankPeriodMax)
 		}
-		r.addRow(t, "swim")
+		r.addRow(t)
 	}
-	t.Note("asserted in-run: swim p99 <= max(2 x mesh p99, %v) at every N, frames/rank/period <= %.1f",
+	t.Note("asserted in-run: p99 <= %v at every N, frames/rank/period <= %.1f",
 		swimDetectFloor, swimFramesPerRankPeriodMax)
-	t.Note("mesh frames/rank/period grows as N-1; swim's stays constant — the point of the gossip detector")
+	t.Note("frames/rank/period stays constant as N grows — an all-to-all heartbeat mesh pays N-1 (EXPERIMENTS.md E20)")
 	return []*Table{t}, nil
 }

@@ -10,7 +10,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/detector"
 	"repro/internal/membership"
 	"repro/internal/mpi"
 	"repro/internal/obs"
@@ -92,10 +91,8 @@ type Options struct {
 	Collector *Collector
 	// Detector overrides the failure-detection mode of the generic ring
 	// worlds ("" keeps the oracle default). E18 and E24 always run the
-	// oracle, E19 heartbeat monitors and E20 SWIM monitors, regardless.
+	// oracle, E19 and E20 SWIM monitors, regardless.
 	Detector string
-	// Heartbeat tunes the monitors when Detector is "heartbeat".
-	Heartbeat detector.HeartbeatOptions
 	// Swim tunes the monitors when Detector is "swim".
 	Swim membership.Options
 	// Agreement selects the validate_all fan-out for the generic ring
@@ -114,7 +111,7 @@ type Options struct {
 // detectorOption carries o's detector mode and monitor tunings into a
 // world ("" keeps the oracle default; the tunings of other modes are inert).
 func (o Options) detectorOption() mpi.Option {
-	return func(c *mpi.Config) { c.Detector, c.Heartbeat, c.Swim = o.Detector, o.Heartbeat, o.Swim }
+	return func(c *mpi.Config) { c.Detector, c.Swim = o.Detector, o.Swim }
 }
 
 // obsMaxRanks caps the world size that gets a histogram registry: each

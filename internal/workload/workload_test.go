@@ -93,12 +93,12 @@ func TestSoak(t *testing.T) {
 			tallied(t, tabs[0], quick)
 			nonZero(t, tabs[0], 0, 3, "dropped")
 		}},
-		// E19, the heartbeat detector: failures are detected only through
-		// heartbeats, fencing and confirmation (no oracle), and the
-		// detection latency families reach the quantile table.
+		// E19, the SWIM detector: failures are detected only through
+		// probes, fencing and confirmation (no oracle), and the detection
+		// latency families reach the quantile table.
 		{"e19", false, func(t *testing.T, quick bool, tabs []*Table) {
 			tallied(t, tabs[0], quick)
-			nonZero(t, tabs[0], 0, 3, "heartbeats")
+			nonZero(t, tabs[0], 0, 3, "swim_probes")
 			nonZero(t, tabs[0], 0, 4, "suspicions")
 			nonZero(t, tabs[0], 0, 9, "confirms")
 			hasValues(t, tabs[1], 1, "suspicion_latency", "fence_rtt")
@@ -108,22 +108,18 @@ func TestSoak(t *testing.T) {
 		// sweeps end at N=1024, race builds at N=256: under race
 		// instrumentation the N=4096 world measures the instrumentation.
 		{"e20", true, func(t *testing.T, quick bool, tabs []*Table) {
-			rows := tabs[0].Rows
-			if rows[0][0] != "heartbeat mesh" {
-				t.Fatalf("first row should be the mesh baseline\n%s", tabs[0].Render())
-			}
-			wantRows := 4 // mesh + swim at 64, 256, 1024
+			wantRows := 3 // N = 64, 256, 1024
 			if raceEnabled {
-				wantRows = 3 // race builds cap the sweep at 256
+				wantRows = 2 // race builds cap the sweep at 256
 			}
-			if len(rows) < wantRows {
-				t.Fatalf("want mesh + >=%d swim sizes, got %d rows\n%s", wantRows-1, len(rows), tabs[0].Render())
+			if len(tabs[0].Rows) < wantRows {
+				t.Fatalf("want >=%d world sizes, got %d rows\n%s", wantRows, len(tabs[0].Rows), tabs[0].Render())
 			}
-			nonZero(t, tabs[0], 0, 2, "samples")
-			nonZero(t, tabs[0], 0, 8, "confirms")
-			// The swim rows must gossip: confirms reach non-fencing ranks
-			// only through the piggyback channel.
-			nonZero(t, tabs[0], 1, 7, "gossip-learns")
+			nonZero(t, tabs[0], 0, 1, "samples")
+			nonZero(t, tabs[0], 0, 7, "confirms")
+			// Confirms reach non-fencing ranks only through the piggyback
+			// channel, so every row must gossip.
+			nonZero(t, tabs[0], 0, 6, "gossip-learns")
 		}},
 		// E21, elastic worlds: in-run, the victim respawned at generation
 		// 2, rank 0 saw every lap exactly once in order, the verification
