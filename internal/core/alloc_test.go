@@ -6,6 +6,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -43,6 +44,47 @@ func TestCleanHopAllocations(t *testing.T) {
 	t.Logf("%.2f allocations per steady-state hop", perHop)
 	if perHop > maxAlloc {
 		t.Fatalf("%.2f allocations per clean hop, want at most %.1f", perHop, maxAlloc)
+	}
+}
+
+// TestChainHopAllocations guards the replicated hop: an 8-rank
+// fault-unaware ring with two chain replicas per rank over ARQ, on the
+// Local fabric (the ring.local.chain2 benchmark's world). A logical hop
+// delivers to two replicas, and neither delivery may copy the packet to
+// rewrite its source (12.3 allocations per hop when each did). Measured
+// like TestCleanHopAllocations: two worlds that differ only in lap count.
+// How often a frame finds its receive not yet posted, and queues as an
+// unexpected message, depends on the schedule; on a loaded machine it adds
+// up to half an allocation per hop. It only ever adds, so the least of
+// three measurements is the hop's own cost.
+func TestChainHopAllocations(t *testing.T) {
+	const (
+		ranks    = 8
+		short    = 200
+		long     = 2200
+		maxAlloc = 10.5
+	)
+	mallocs := func(laps int) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		report, _, err := Run(mpi.Config{
+			Size: ranks, Deadline: 30 * time.Second, Reliable: true,
+			Replication: &mpi.ReplicationOptions{R: 2, Mode: mpi.ReplChain},
+		}, Config{Iters: laps, Variant: VariantUnaware})
+		runtime.ReadMemStats(&m1)
+		if err != nil || len(report.Rank(0).RootValues) != laps {
+			t.Fatalf("%d-lap chain ring did not complete cleanly: %v", laps, err)
+		}
+		return m1.Mallocs - m0.Mallocs
+	}
+	mallocs(short) // warm the pools and the runtime
+	perHop := math.Inf(1)
+	for range 3 {
+		perHop = min(perHop, (float64(mallocs(long))-float64(mallocs(short)))/float64((long-short)*ranks))
+	}
+	t.Logf("%.2f allocations per steady-state replicated hop", perHop)
+	if perHop > maxAlloc {
+		t.Fatalf("%.2f allocations per replicated hop, want at most %.1f", perHop, maxAlloc)
 	}
 }
 

@@ -445,10 +445,16 @@ func (e *engine) deliver(pkt *transport.Packet) {
 		}
 		return // packets to a dead rank vanish
 	}
+	// Matching (and everything above it: posted sources, statuses, the
+	// unexpected index, the trace) speaks logical ranks. In a replicated
+	// world src is the sender's logical rank while pkt.Src keeps naming the
+	// replica that sent it: the reliability layer retains the packet for
+	// retransmission and ack bookkeeping and must not see it mutated.
+	src := pkt.Src
 	if e.w.repl != nil {
-		lsrc := e.w.logicalOf(pkt.Src)
+		src = e.w.logicalOf(pkt.Src)
 		if pkt.RepSeq != 0 {
-			k := repChan{peer: lsrc, ctx: pkt.Context, tag: pkt.Tag}
+			k := repChan{peer: src, ctx: pkt.Context, tag: pkt.Tag}
 			if pkt.RepSeq < e.repNext[k] {
 				e.mu.Unlock()
 				e.w.metrics.Inc(e.rank, metrics.ReplicaDedupDrops)
@@ -457,18 +463,11 @@ func (e *engine) deliver(pkt *transport.Packet) {
 			}
 			e.repNext[k] = pkt.RepSeq + 1
 		}
-		// Matching (and everything above it: posted sources, statuses, the
-		// unexpected index) speaks logical ranks. Rewrite Src on a shallow
-		// clone — the reliability layer retains the original packet for
-		// retransmission bookkeeping and must not see it mutated.
-		q := *pkt
-		q.Src = lsrc
-		pkt = &q
 	}
-	if r := e.posted.match(pkt.Context, pkt.Src, pkt.Tag); r != nil {
-		e.completeRecvLocked(r, pkt)
+	if r := e.posted.match(pkt.Context, src, pkt.Tag); r != nil {
+		e.completeRecvLocked(r, pkt, src)
 	} else {
-		e.unexpected.add(pkt)
+		e.unexpected.add(pkt, src)
 	}
 	e.mu.Unlock()
 	if pkt.Token != 0 && e.w.stamps() {
@@ -477,7 +476,7 @@ func (e *engine) deliver(pkt *transport.Packet) {
 		// the conservation-audit span. Recorded outside mu so the tracer's
 		// sink never runs under the matching lock.
 		hlc := e.w.clockOf(e.rank).Observe(pkt.HLC)
-		e.w.tracer.RecordMsg(e.rank, trace.Delivered, pkt.Src, pkt.Tag, -1, int(e.gen), pkt.Token, hlc, "")
+		e.w.tracer.RecordMsg(e.rank, trace.Delivered, src, pkt.Tag, -1, int(e.gen), pkt.Token, hlc, "")
 		if pkt.HLC != 0 && e.w.obs != nil {
 			e2e := time.Duration(trace.HLCPhysical(hlc)-trace.HLCPhysical(pkt.HLC)) * time.Microsecond
 			if e2e >= 0 {
@@ -487,11 +486,12 @@ func (e *engine) deliver(pkt *transport.Packet) {
 	}
 }
 
-// completeRecvLocked finishes a receive with the packet's payload. The
-// payload's pool mark rides along, so the one consumer that knows it is
-// done with the bytes can give them back (Request.Release).
-func (e *engine) completeRecvLocked(r *Request, pkt *transport.Packet) {
-	st := Status{Source: r.comm.rankOf(pkt.Src), Tag: pkt.Tag, Len: len(pkt.Payload)}
+// completeRecvLocked finishes a receive with the payload of a packet from
+// the world rank src (logical in a replicated world). The payload's pool
+// mark rides along, so the one consumer that knows it is done with the
+// bytes can give them back (Request.Release).
+func (e *engine) completeRecvLocked(r *Request, pkt *transport.Packet, src int) {
+	st := Status{Source: r.comm.rankOf(src), Tag: pkt.Tag, Len: len(pkt.Payload)}
 	r.completeLocked(nil, st, pkt.Payload)
 	r.pooled = pkt.Pooled()
 	e.w.metrics.Inc(e.rank, metrics.Recvs)
@@ -518,8 +518,8 @@ func (e *engine) postRecv(r *Request) {
 			return
 		}
 	}
-	if pkt := e.unexpected.take(r.srcWorld, r.tag, r.ctx); pkt != nil {
-		e.completeRecvLocked(r, pkt)
+	if pkt, src := e.unexpected.take(r.srcWorld, r.tag, r.ctx); pkt != nil {
+		e.completeRecvLocked(r, pkt, src)
 		return
 	}
 	// A directed receive from a known-failed, unrecognized rank can never

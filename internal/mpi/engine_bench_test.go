@@ -74,10 +74,10 @@ func BenchmarkPostedMatchLinear(b *testing.B) {
 }
 
 // fillUnexpected queues keys×depth packets in per-source blocks.
-func fillUnexpected(add func(*transport.Packet), keys, depth int) {
+func fillUnexpected(add func(*transport.Packet, int), keys, depth int) {
 	for s := 0; s < keys; s++ {
 		for d := 0; d < depth; d++ {
-			add(&transport.Packet{Src: s, Tag: 0, Context: 0})
+			add(&transport.Packet{Src: s, Tag: 0, Context: 0}, s)
 		}
 	}
 }
@@ -90,11 +90,11 @@ func BenchmarkUnexpectedTakeIndexed(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				src := i % shape.keys
-				pkt := ix.take(src, 0, 0)
+				pkt, _ := ix.take(src, 0, 0)
 				if pkt == nil {
 					b.Fatal("indexed take returned nil")
 				}
-				ix.add(pkt)
+				ix.add(pkt, src)
 			}
 		})
 	}
@@ -108,11 +108,11 @@ func BenchmarkUnexpectedTakeLinear(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				src := i % shape.keys
-				pkt := ref.take(src, 0, 0)
+				pkt, _ := ref.take(src, 0, 0)
 				if pkt == nil {
 					b.Fatal("linear take returned nil")
 				}
-				ref.add(pkt)
+				ref.add(pkt, src)
 			}
 		})
 	}

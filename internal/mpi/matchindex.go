@@ -249,17 +249,35 @@ func (ix *postedIndex) collect(pred func(*Request) bool) []*Request {
 // --- unexpected packets ------------------------------------------------------
 
 // uEntry is one queued unexpected packet. Entries live in an exact bucket
-// AND the per-context arrival-order list; the taken flag tombstones the
-// order-list reference when the bucket path consumed the packet (entries
-// are index-owned and never reused, so tombstoning is safe here).
+// AND the per-context arrival-order list. Taking a packet unlinks its
+// entry from the bucket at once but leaves the order-list reference as a
+// tombstone, which the next compaction drops: the entry's gen moves on, so
+// a reference made under an older gen is dead. That lets an entry be
+// reused by the next add as soon as its packet is taken.
+//
+// src is the source the packet matches as: its logical rank in a
+// replicated world, where pkt.Src names the physical replica that sent it
+// and stays untouched (the reliability layer may still hold the packet).
+// It and gen are 32 bits so the entry stays in the 16-byte size class; a
+// tombstone is compacted away long before gen could wrap.
 type uEntry struct {
-	pkt   *transport.Packet
-	taken bool
+	pkt *transport.Packet
+	src int32
+	gen uint32
 }
+
+// orderRef is an order-list reference to an entry as queued under gen.
+type orderRef struct {
+	e   *uEntry
+	gen uint32
+}
+
+// queued reports whether the entry still holds the packet r was made for.
+func (r orderRef) queued() bool { return r.e.gen == r.gen }
 
 // orderList is one context's arrival-order list with its tombstone count.
 type orderList struct {
-	entries []*uEntry
+	entries []orderRef
 	stale   int // taken entries not yet compacted away
 }
 
@@ -268,8 +286,25 @@ type unexpectedIndex struct {
 	exact map[bucketKey][]*uEntry // FIFO per key
 	order map[int]*orderList      // per-context arrival order, for wildcards
 	spare spares[*uEntry]         // emptied exact buckets, for the next new key
-	live  int
+	// spareEntry and then free hold taken entries for the next add, and
+	// spareOrder an emptied order list with its storage for the next new
+	// context: a queue that fills and drains in turn, as a lagging
+	// replica's does, allocates only when it grows past what it held
+	// before. A queue that never holds more than one packet needs no free
+	// slice at all.
+	spareEntry *uEntry
+	free       []*uEntry
+	spareOrder *orderList
+	live       int
 }
+
+// shiftMax is the longest unexpected bucket whose head is taken by
+// shifting the rest down; a longer one is sliced, which keeps deep queues
+// O(1) per take.
+const shiftMax = 8
+
+// freeEntries bounds the free list of entries (4 KB of them).
+const freeEntries = 256
 
 func newUnexpectedIndex() unexpectedIndex {
 	return unexpectedIndex{
@@ -278,10 +313,20 @@ func newUnexpectedIndex() unexpectedIndex {
 	}
 }
 
-// add queues a packet in arrival order.
-func (ix *unexpectedIndex) add(pkt *transport.Packet) {
-	e := &uEntry{pkt: pkt}
-	k := bucketKey{pkt.Context, pkt.Src, pkt.Tag}
+// add queues a packet from src in arrival order.
+func (ix *unexpectedIndex) add(pkt *transport.Packet, src int) {
+	var e *uEntry
+	if e = ix.spareEntry; e != nil {
+		ix.spareEntry = nil
+	} else if n := len(ix.free); n > 0 {
+		e = ix.free[n-1]
+		ix.free[n-1] = nil
+		ix.free = ix.free[:n-1]
+	} else {
+		e = new(uEntry)
+	}
+	e.pkt, e.src = pkt, int32(src)
+	k := bucketKey{pkt.Context, src, pkt.Tag}
 	q, ok := ix.exact[k]
 	if !ok {
 		q = ix.spare.get()
@@ -289,89 +334,118 @@ func (ix *unexpectedIndex) add(pkt *transport.Packet) {
 	ix.exact[k] = append(q, e)
 	ol := ix.order[pkt.Context]
 	if ol == nil {
-		ol = &orderList{}
+		if ol = ix.spareOrder; ol != nil {
+			ix.spareOrder = nil
+		} else {
+			ol = &orderList{}
+		}
 		ix.order[pkt.Context] = ol
 	}
-	ol.entries = append(ol.entries, e)
+	ol.entries = append(ol.entries, orderRef{e, e.gen})
 	ix.live++
 }
 
+// release ends an entry's hold on its packet, turning every order-list
+// reference to it into a tombstone, and keeps it for the next add.
+func (ix *unexpectedIndex) release(e *uEntry) {
+	e.pkt = nil
+	e.gen++
+	ix.live--
+	switch {
+	case ix.spareEntry == nil:
+		ix.spareEntry = e
+	case len(ix.free) < freeEntries:
+		ix.free = append(ix.free, e)
+	}
+}
+
 // take finds, removes and returns the earliest-arrived packet matching
-// the receive criteria, or nil.
-func (ix *unexpectedIndex) take(srcWorld, tag, ctx int) *transport.Packet {
+// the receive criteria and the source it was queued from, or nil.
+func (ix *unexpectedIndex) take(srcWorld, tag, ctx int) (*transport.Packet, int) {
 	if !isWild(srcWorld, tag) {
 		k := bucketKey{ctx, srcWorld, tag}
 		q := ix.exact[k]
 		if len(q) == 0 {
-			return nil
+			return nil, 0
 		}
-		e := q[0]
+		pkt := q[0].pkt
 		ix.popExactLocked(k, q)
-		return e.pkt
+		return pkt, srcWorld
 	}
 	ol := ix.order[ctx]
 	if ol == nil {
-		return nil
+		return nil, 0
 	}
-	for i, e := range ol.entries {
-		if e.taken {
-			continue
-		}
-		if (tag == AnyTag || tag == e.pkt.Tag) && (srcWorld == AnySource || srcWorld == e.pkt.Src) {
-			ix.removeFromBucket(e)
+	for i, r := range ol.entries {
+		if r.queued() && r.e.matches(srcWorld, tag) {
+			pkt, src := r.e.pkt, int(r.e.src)
+			ix.removeFromBucket(r.e)
 			ix.removeOrderAt(ctx, i)
-			return e.pkt
+			ix.release(r.e)
+			return pkt, src
 		}
 	}
-	return nil
+	return nil, 0
 }
 
-// probe reports the earliest matching packet without removing it.
-func (ix *unexpectedIndex) probe(srcWorld, tag, ctx int) *transport.Packet {
+// probe reports the earliest matching packet and its source without
+// removing it.
+func (ix *unexpectedIndex) probe(srcWorld, tag, ctx int) (*transport.Packet, int) {
 	if !isWild(srcWorld, tag) {
 		if q := ix.exact[bucketKey{ctx, srcWorld, tag}]; len(q) > 0 {
-			return q[0].pkt
+			return q[0].pkt, srcWorld
 		}
-		return nil
+		return nil, 0
 	}
 	ol := ix.order[ctx]
 	if ol == nil {
-		return nil
+		return nil, 0
 	}
-	for _, e := range ol.entries {
-		if e.taken {
-			continue
-		}
-		if (tag == AnyTag || tag == e.pkt.Tag) && (srcWorld == AnySource || srcWorld == e.pkt.Src) {
-			return e.pkt
+	for _, r := range ol.entries {
+		if r.queued() && r.e.matches(srcWorld, tag) {
+			return r.e.pkt, int(r.e.src)
 		}
 	}
-	return nil
+	return nil, 0
 }
 
-// popExactLocked consumes the head of bucket k (already fetched as q) and
-// tombstones its order-list reference.
+// matches reports whether a wildcard receive (srcWorld, tag) takes e.
+func (e *uEntry) matches(srcWorld, tag int) bool {
+	return (tag == AnyTag || tag == e.pkt.Tag) && (srcWorld == AnySource || srcWorld == int(e.src))
+}
+
+// popExactLocked consumes the head of bucket k (already fetched as q),
+// tombstoning its order-list reference.
 func (ix *unexpectedIndex) popExactLocked(k bucketKey, q []*uEntry) {
 	e := q[0]
-	q[0] = nil
-	if len(q) == 1 {
+	switch {
+	case len(q) == 1:
+		q[0] = nil
 		delete(ix.exact, k)
 		ix.spare.put(q)
-	} else {
+	case len(q) <= shiftMax:
+		// Keep the storage: slicing the head off would shrink the capacity,
+		// and a bucket that alternates between one and two packets would
+		// reallocate on every other arrival.
+		copy(q, q[1:])
+		q[len(q)-1] = nil
+		ix.exact[k] = q[:len(q)-1]
+	default:
+		q[0] = nil
 		ix.exact[k] = q[1:]
 	}
-	e.taken = true
-	ix.live--
-	if ol := ix.order[e.pkt.Context]; ol != nil {
+	ctx := e.pkt.Context
+	ix.release(e)
+	if ol := ix.order[ctx]; ol != nil {
 		ol.stale++
-		ix.maybeCompactOrder(e.pkt.Context)
+		ix.maybeCompactOrder(ctx)
 	}
 }
 
 // removeFromBucket unlinks an entry found via the order list from its
 // exact bucket. The caller accounts for the order-list side.
 func (ix *unexpectedIndex) removeFromBucket(e *uEntry) {
-	k := bucketKey{e.pkt.Context, e.pkt.Src, e.pkt.Tag}
+	k := bucketKey{e.pkt.Context, int(e.src), e.pkt.Tag}
 	q := ix.exact[k]
 	for i, p := range q {
 		if p != e {
@@ -385,21 +459,19 @@ func (ix *unexpectedIndex) removeFromBucket(e *uEntry) {
 		} else {
 			ix.exact[k] = q[:len(q)-1]
 		}
-		break
+		return
 	}
-	e.taken = true
-	ix.live--
 }
 
-// removeOrderAt drops the entry at position i, which the caller already
-// unlinked from its bucket.
+// removeOrderAt drops the reference at position i, whose entry the caller
+// already unlinked from its bucket.
 func (ix *unexpectedIndex) removeOrderAt(ctx, i int) {
 	ol := ix.order[ctx]
 	copy(ol.entries[i:], ol.entries[i+1:])
-	ol.entries[len(ol.entries)-1] = nil
+	ol.entries[len(ol.entries)-1] = orderRef{}
 	ol.entries = ol.entries[:len(ol.entries)-1]
 	if len(ol.entries) == 0 {
-		delete(ix.order, ctx)
+		ix.dropOrder(ctx, ol)
 	}
 }
 
@@ -411,17 +483,23 @@ func (ix *unexpectedIndex) maybeCompactOrder(ctx int) {
 		return
 	}
 	kept := ol.entries[:0]
-	for _, e := range ol.entries {
-		if !e.taken {
-			kept = append(kept, e)
+	for _, r := range ol.entries {
+		if r.queued() {
+			kept = append(kept, r)
 		}
 	}
-	for i := len(kept); i < len(ol.entries); i++ {
-		ol.entries[i] = nil
-	}
+	clear(ol.entries[len(kept):])
 	ol.entries = kept
 	ol.stale = 0
 	if len(kept) == 0 {
-		delete(ix.order, ctx)
+		ix.dropOrder(ctx, ol)
 	}
+}
+
+// dropOrder takes a context's emptied order list out of the map and keeps
+// it as the spare.
+func (ix *unexpectedIndex) dropOrder(ctx int, ol *orderList) {
+	delete(ix.order, ctx)
+	ol.stale = 0
+	ix.spareOrder = ol
 }

@@ -60,34 +60,46 @@ func (l *linearPosted) collect(pred func(*Request) bool) []*Request {
 }
 
 // linearUnexpected is the reference unexpected-message queue: arrival
-// order, first match wins.
+// order, first match wins, each packet queued with the source it matches as.
 type linearUnexpected struct {
-	q []*transport.Packet
+	q []linearEntry
 }
 
-func (l *linearUnexpected) add(pkt *transport.Packet) { l.q = append(l.q, pkt) }
-
-func (l *linearUnexpected) take(srcWorld, tag, ctx int) *transport.Packet {
-	for i, pkt := range l.q {
-		if pkt.Context == ctx &&
-			(tag == AnyTag || tag == pkt.Tag) &&
-			(srcWorld == AnySource || srcWorld == pkt.Src) {
-			l.q = append(l.q[:i], l.q[i+1:]...)
-			return pkt
-		}
-	}
-	return nil
+type linearEntry struct {
+	pkt *transport.Packet
+	src int
 }
 
-func (l *linearUnexpected) probe(srcWorld, tag, ctx int) *transport.Packet {
-	for _, pkt := range l.q {
-		if pkt.Context == ctx &&
-			(tag == AnyTag || tag == pkt.Tag) &&
-			(srcWorld == AnySource || srcWorld == pkt.Src) {
-			return pkt
+func (l *linearUnexpected) add(pkt *transport.Packet, src int) {
+	l.q = append(l.q, linearEntry{pkt, src})
+}
+
+func (l *linearUnexpected) find(srcWorld, tag, ctx int) int {
+	for i, e := range l.q {
+		if e.pkt.Context == ctx &&
+			(tag == AnyTag || tag == e.pkt.Tag) &&
+			(srcWorld == AnySource || srcWorld == e.src) {
+			return i
 		}
 	}
-	return nil
+	return -1
+}
+
+func (l *linearUnexpected) take(srcWorld, tag, ctx int) (*transport.Packet, int) {
+	i := l.find(srcWorld, tag, ctx)
+	if i < 0 {
+		return nil, 0
+	}
+	e := l.q[i]
+	l.q = append(l.q[:i], l.q[i+1:]...)
+	return e.pkt, e.src
+}
+
+func (l *linearUnexpected) probe(srcWorld, tag, ctx int) (*transport.Packet, int) {
+	if i := l.find(srcWorld, tag, ctx); i >= 0 {
+		return l.q[i].pkt, l.q[i].src
+	}
+	return nil, 0
 }
 
 // randSrcTag draws a (src, tag) pair, wildcarded with probability ~1/4
@@ -170,7 +182,10 @@ func TestPostedIndexMatchesLinearReference(t *testing.T) {
 
 // TestUnexpectedIndexMatchesLinearReference does the same for the
 // unexpected-packet side: arrivals, takes and probes must agree with the
-// arrival-order linear scan packet-for-packet.
+// arrival-order linear scan packet-for-packet. Every packet is queued from
+// a source other than its Src, the way a replicated world queues a
+// replica's packet under the sender's logical rank, so matching on
+// pkt.Src anywhere in the index fails it.
 func TestUnexpectedIndexMatchesLinearReference(t *testing.T) {
 	const (
 		rounds = 200
@@ -186,26 +201,29 @@ func TestUnexpectedIndexMatchesLinearReference(t *testing.T) {
 		for step := 0; step < steps; step++ {
 			switch op := rng.Intn(10); {
 			case op < 5: // packet arrives
+				src := rng.Intn(nSrc)
 				pkt := &transport.Packet{
-					Src: rng.Intn(nSrc), Tag: rng.Intn(nTag), Context: rng.Intn(nCtx),
+					Src: src + nSrc, Tag: rng.Intn(nTag), Context: rng.Intn(nCtx),
 				}
-				ix.add(pkt)
-				ref.add(pkt)
+				ix.add(pkt, src)
+				ref.add(pkt, src)
 			case op < 8: // a receive is posted and shops the queue
 				src, tag := randSrcTag(rng, nSrc, nTag)
 				ctx := rng.Intn(nCtx)
-				got, want := ix.take(src, tag, ctx), ref.take(src, tag, ctx)
-				if got != want {
-					t.Fatalf("round %d step %d: take(%d,%d,%d) = %p, reference %p",
-						round, step, src, tag, ctx, got, want)
+				got, gotSrc := ix.take(src, tag, ctx)
+				want, wantSrc := ref.take(src, tag, ctx)
+				if got != want || gotSrc != wantSrc {
+					t.Fatalf("round %d step %d: take(%d,%d,%d) = %p from %d, reference %p from %d",
+						round, step, src, tag, ctx, got, gotSrc, want, wantSrc)
 				}
 			default: // Iprobe
 				src, tag := randSrcTag(rng, nSrc, nTag)
 				ctx := rng.Intn(nCtx)
-				got, want := ix.probe(src, tag, ctx), ref.probe(src, tag, ctx)
-				if got != want {
-					t.Fatalf("round %d step %d: probe(%d,%d,%d) = %p, reference %p",
-						round, step, src, tag, ctx, got, want)
+				got, gotSrc := ix.probe(src, tag, ctx)
+				want, wantSrc := ref.probe(src, tag, ctx)
+				if got != want || gotSrc != wantSrc {
+					t.Fatalf("round %d step %d: probe(%d,%d,%d) = %p from %d, reference %p from %d",
+						round, step, src, tag, ctx, got, gotSrc, want, wantSrc)
 				}
 			}
 			if ix.live != len(ref.q) {
@@ -225,20 +243,21 @@ func TestUnexpectedIndexCompaction(t *testing.T) {
 	for i := 0; i < n; i++ {
 		for _, ctx := range []int{0, 1} {
 			pkt := &transport.Packet{Src: i % 3, Tag: 0, Context: ctx}
-			ix.add(pkt)
-			ref.add(pkt)
+			ix.add(pkt, pkt.Src)
+			ref.add(pkt, pkt.Src)
 		}
 	}
 	// Exact takes in ctx 0 tombstone its order list past the compaction
 	// threshold; ctx 1 must be untouched.
 	for i := 0; i < n-10; i++ {
-		got, want := ix.take(i%3, 0, 0), ref.take(i%3, 0, 0)
-		if got != want {
+		got, _ := ix.take(i%3, 0, 0)
+		if want, _ := ref.take(i%3, 0, 0); got != want {
 			t.Fatalf("exact take %d: %p, reference %p", i, got, want)
 		}
 	}
 	for {
-		got, want := ix.take(AnySource, AnyTag, 1), ref.take(AnySource, AnyTag, 1)
+		got, _ := ix.take(AnySource, AnyTag, 1)
+		want, _ := ref.take(AnySource, AnyTag, 1)
 		if got != want {
 			t.Fatalf("wildcard drain: %p, reference %p", got, want)
 		}
@@ -246,8 +265,42 @@ func TestUnexpectedIndexCompaction(t *testing.T) {
 			break
 		}
 	}
-	if rest := ix.take(AnySource, AnyTag, 0); rest == nil || rest != ref.take(AnySource, AnyTag, 0) {
+	rest, _ := ix.take(AnySource, AnyTag, 0)
+	if want, _ := ref.take(AnySource, AnyTag, 0); rest == nil || rest != want {
 		t.Fatalf("ctx 0 leftovers diverged")
+	}
+}
+
+// TestUnexpectedQueueReusesEntries: a queue that fills and drains in turn,
+// as a lagging replica's does, reuses its entries, its bucket storage and
+// its order list. Once it has held its largest backlog it allocates
+// nothing, whether its packets are taken by source or by wildcard.
+func TestUnexpectedQueueReusesEntries(t *testing.T) {
+	ix := newUnexpectedIndex()
+	pkts := make([]*transport.Packet, 8*shiftMax)
+	for i := range pkts {
+		pkts[i] = &transport.Packet{Src: i % 8, Tag: 0, Context: 0}
+	}
+	cycle := func() {
+		for _, p := range pkts {
+			ix.add(p, p.Src)
+		}
+		for i, p := range pkts {
+			src := p.Src
+			if i%3 == 2 {
+				src = AnySource
+			}
+			if got, _ := ix.take(src, 0, 0); got == nil {
+				t.Fatalf("take %d (src %d) found nothing", i, src)
+			}
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("a refill of %d packets allocates %.1f objects, want 0", len(pkts), allocs)
+	}
+	if ix.live != 0 || len(ix.exact) != 0 {
+		t.Fatalf("drained index holds live %d in %d buckets", ix.live, len(ix.exact))
 	}
 }
 
@@ -281,6 +334,9 @@ func TestMatchIndexesLeaveNoResidue(t *testing.T) {
 		if n := len(unexp.spare.free); n > spareCap {
 			t.Fatalf("key %d: unexpected free list %d > cap %d", at, n, spareCap)
 		}
+		if n := len(unexp.free); n > freeEntries {
+			t.Fatalf("key %d: %d free entries > cap %d", at, n, freeEntries)
+		}
 	}
 	var reqs []*Request
 	for i := 0; i < keys; i++ {
@@ -288,7 +344,7 @@ func TestMatchIndexesLeaveNoResidue(t *testing.T) {
 		r := &Request{srcWorld: src, tag: tag, ctx: ctx}
 		posted.add(r)
 		reqs = append(reqs, r)
-		unexp.add(&transport.Packet{Src: src, Tag: tag, Context: ctx})
+		unexp.add(&transport.Packet{Src: src, Tag: tag, Context: ctx}, src)
 		if len(reqs) < batch {
 			continue
 		}
@@ -311,7 +367,7 @@ func TestMatchIndexesLeaveNoResidue(t *testing.T) {
 			if j%2 == 1 {
 				src = AnySource // the order-list path, then removeFromBucket
 			}
-			if pkt := unexp.take(src, tag, r.ctx); pkt == nil || pkt.Tag != r.tag {
+			if pkt, _ := unexp.take(src, tag, r.ctx); pkt == nil || pkt.Tag != r.tag {
 				t.Fatalf("key %d: take(%d, %d, %d) = %v", i, src, tag, r.ctx, pkt)
 			}
 			check(i)

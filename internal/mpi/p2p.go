@@ -189,8 +189,8 @@ func (c *Comm) Iprobe(src, tag int) (bool, Status, error) {
 	}
 	c.eng.mu.Lock()
 	defer c.eng.mu.Unlock()
-	if pkt := c.eng.unexpected.probe(srcWorld, tag, c.ctxP2P); pkt != nil {
-		return true, Status{Source: c.rankOf(pkt.Src), Tag: pkt.Tag, Len: len(pkt.Payload)}, nil
+	if pkt, src := c.eng.unexpected.probe(srcWorld, tag, c.ctxP2P); pkt != nil {
+		return true, Status{Source: c.rankOf(src), Tag: pkt.Tag, Len: len(pkt.Payload)}, nil
 	}
 	return false, Status{}, nil
 }

@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,8 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/reliable"
+	"repro/internal/trace"
+	"repro/internal/transport"
 )
 
 // chainCarriers are the two ways a chain world confirms receipt: explicit
@@ -475,5 +478,125 @@ func TestReplicationAutoRefill(t *testing.T) {
 				t.Fatalf("replica group of logical 0 after refill: %v", live)
 			}
 		})
+	}
+}
+
+// unchangedFabric is the base fabric of a world under test: it checks that
+// delivery leaves every data packet it carries field for field as it was
+// handed over. Below the reliability layer that packet is the one the ARQ
+// keeps for retransmission.
+type unchangedFabric struct {
+	transport.Fabric
+	changed atomic.Int64
+	first   atomic.Value
+}
+
+func (u *unchangedFabric) Send(pkt *transport.Packet) error {
+	if pkt.Kind != transport.KindData {
+		return u.Fabric.Send(pkt)
+	}
+	before := *pkt
+	err := u.Fabric.Send(pkt) // Local: delivered by the time it returns
+	after := *pkt
+	same := len(after.Payload) == len(before.Payload) &&
+		(len(before.Payload) == 0 || &after.Payload[0] == &before.Payload[0])
+	before.Payload, after.Payload = nil, nil
+	if !same || !reflect.DeepEqual(after, before) {
+		if u.changed.Add(1) == 1 {
+			u.first.Store(fmt.Sprintf("sent %+v, after delivery %+v", before, after))
+		}
+	}
+	return err
+}
+
+// TestReplicatedDeliveryKeepsBothIdentities: in a chain world over ARQ the
+// receiving side speaks logical ranks — Status.Source of a directed and of
+// an AnySource receive, posted before or after the frame arrived, Iprobe's
+// status and the trace's Delivered event — while the packet below keeps
+// the physical replica that sent it: the ack retires the frame at that
+// replica (its outbox drains through OnAckRetire's physical Src) and
+// delivery changes no field of it. Only the second replica of logical rank
+// 1 sends, so the physical source is never the logical one.
+func TestReplicatedDeliveryKeepsBothIdentities(t *testing.T) {
+	const lsize, r = 3, 2
+	base := &unchangedFabric{Fabric: transport.NewLocal()}
+	rec := trace.New(0)
+	w, res := runRepl(t, lsize, r, ReplChain, []Option{
+		WithFabric(base), WithTracer(rec), WithReliability(reliable.Options{}),
+	}, func(w *World, p *Proc) error {
+		c := p.World()
+		want := func(what string, st Status) error {
+			if st.Source != 1 {
+				return fmt.Errorf("phys %d: %s reports source %d, want logical 1", p.PhysRank(), what, st.Source)
+			}
+			return nil
+		}
+		switch {
+		case p.Rank() == 1 && p.PhysRank() == 1+lsize:
+			for tag := 10; tag <= 11; tag++ {
+				if err := c.Send(0, tag, []byte{byte(tag)}); err != nil {
+					return err
+				}
+			}
+			if _, _, err := c.Recv(0, 20); err != nil { // the receiver posted tag 12
+				return err
+			}
+			return c.Send(0, 12, []byte{12})
+		case p.Rank() == 0:
+			posted := c.Irecv(AnySource, 12)
+			for {
+				ok, st, err := c.Iprobe(AnySource, 10)
+				if err != nil {
+					return err
+				}
+				if ok {
+					if err := want("Iprobe", st); err != nil {
+						return err
+					}
+					break
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			if _, st, err := c.Recv(AnySource, 10); err != nil {
+				return err
+			} else if err := want("AnySource Recv of a queued message", st); err != nil {
+				return err
+			}
+			if _, st, err := c.Recv(1, 11); err != nil {
+				return err
+			} else if err := want("directed Recv", st); err != nil {
+				return err
+			}
+			if err := c.Send(1, 20, nil); err != nil {
+				return err
+			}
+			st, err := posted.Wait()
+			if err != nil {
+				return err
+			}
+			return want("AnySource Irecv posted before the send", st)
+		}
+		return nil
+	})
+	requireNoRankErrors(t, res)
+	if n := base.changed.Load(); n != 0 {
+		t.Fatalf("delivery changed %d data packets; first: %v", n, base.first.Load())
+	}
+	requireChainOutboxEmpty(t, w)
+	delivered := 0
+	for _, ev := range rec.Events() {
+		if ev.Kind != trace.Delivered {
+			continue
+		}
+		delivered++
+		if ev.Peer >= lsize {
+			t.Errorf("phys %d: Delivered event names physical source %d", ev.Rank, ev.Peer)
+		}
+		if w.logicalOf(ev.Rank) == 0 && ev.Tag >= 10 && ev.Tag <= 12 && ev.Peer != 1 {
+			t.Errorf("phys %d: tag %d Delivered from %d, want logical 1", ev.Rank, ev.Tag, ev.Peer)
+		}
+	}
+	if delivered < 2*3 { // both replicas of logical 0 take tags 10 to 12
+		t.Fatalf("%d Delivered events, want at least 6", delivered)
 	}
 }

@@ -60,18 +60,32 @@ func (l *frameLedger) exactlyOnce(tok uint64) error {
 	return nil
 }
 
-// TestPurgeIsAtomicAcrossLinks: Sends and deliveries run on every link
-// touching rank k, with the ack gate withholding half of the acks for a
-// while, as PeerDown(k)/PeerUp(k) toggle under them. Whatever the
-// interleaving,
-//   - every frame leaves its sender exactly one way: retired by an ack
-//     through OnAckRetire, purged from the inflight table (EvPurged), or
-//     dropped at Send because k was dead;
-//   - a frame that reaches the fabric after PeerDown(k) returned is not
-//     delivered upstream before the next PeerUp(k) is called;
-//   - no ack withheld for a frame to or from k survives PeerDown(k).
-func TestPurgeIsAtomicAcrossLinks(t *testing.T) {
-	const k = 2
+// churn is a run of traffic over links touching rank k while
+// PeerDown(k)/PeerUp(k) toggle under it and the ack gate withholds the
+// acks of even tags until a goroutine of its own releases them. run checks
+// the three properties TestPurgeIsAtomicAcrossLinks states.
+type churn struct {
+	k     int
+	links [][2]int
+	opts  Options
+	// toggles is the least number of PeerDown/PeerUp rounds; the toggling
+	// goes on until the other goroutines are done.
+	toggles int
+	// blackhole, if not -1, is a destination none of whose frames arrives:
+	// the run lasts until the retry scan has escalated it.
+	blackhole int
+	// fresh, if not 0, is how many never-used ranks a goroutine of its own
+	// brings in one by one (a frame from each to the next), from one past
+	// the largest rank of links: the directory grows while the rest runs.
+	fresh int
+}
+
+// churnOutcome counts the ways frames left their senders in one run.
+type churnOutcome struct{ sent, retired, purged, deadDrop int }
+
+func (c churn) run(t *testing.T) churnOutcome {
+	t.Helper()
+	k := c.k
 	// epoch is odd from the return of PeerDown(k) to just before the next
 	// PeerUp(k). Every frame copy on the wire carries, in Context, the
 	// epoch it reached the fabric in.
@@ -80,18 +94,26 @@ func TestPurgeIsAtomicAcrossLinks(t *testing.T) {
 		if pkt.Kind != transport.KindData {
 			return []*transport.Packet{pkt}
 		}
-		c := pkt.Clone()
-		c.Context = int(epoch.Load())
-		c.Token |= wireCopy
-		return []*transport.Packet{c}
+		if pkt.Dst == c.blackhole {
+			return nil
+		}
+		cp := pkt.Clone()
+		cp.Context = int(epoch.Load())
+		cp.Token |= wireCopy
+		return []*transport.Packet{cp}
 	}}
-	opts := fastOpts()
-	opts.MaxRetries = 1 << 20 // orphaned frames from k retry until PeerUp, never escalate
-	f := Wrap(inner, opts)
+	f := Wrap(inner, c.opts)
 	ledger := newFrameLedger()
 	f.OnAckRetire(ledger.retire)
 	f.Observe(ledger.observe)
 	f.SetAckGate(func(_ int, pkt *transport.Packet) bool { return pkt.Tag%2 == 0 })
+	escalated := make(chan int, 8)
+	f.Escalate(func(peer int) {
+		select {
+		case escalated <- peer:
+		default:
+		}
+	})
 
 	// Withheld acks are released by a goroutine of their own, so that some
 	// are still owed when PeerDown runs. The buffer lets a few dozen queue
@@ -125,51 +147,79 @@ func TestPurgeIsAtomicAcrossLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	links := [][2]int{{0, k}, {k, 0}, {1, k}, {k, 1}, {0, 1}}
-	stop := make(chan struct{})
-	var senders sync.WaitGroup
-	var sent [5][]uint64
-	for i, l := range links {
+	start, stop := make(chan struct{}), make(chan struct{})
+	var senders, bounded sync.WaitGroup
+	sent := make([][]uint64, len(c.links)+1)
+	send := func(i, src, dst int, n uint64) {
+		tok := uint64(i+1)<<32 | n
+		sent[i] = append(sent[i], tok)
+		_ = f.Send(&transport.Packet{Src: src, Dst: dst, Tag: int(n), Token: tok, Payload: []byte{byte(n)}})
+		runtime.Gosched() // let the toggling goroutine in
+	}
+	for i, l := range c.links {
 		senders.Add(1)
 		go func() {
 			defer senders.Done()
+			<-start
 			for n := uint64(1); ; n++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				tok := uint64(i+1)<<32 | n
-				sent[i] = append(sent[i], tok)
-				_ = f.Send(&transport.Packet{Src: l[0], Dst: l[1], Tag: int(n), Token: tok, Payload: []byte{byte(n)}})
-				runtime.Gosched() // let the toggling goroutine in
+				send(i, l[0], l[1], n)
 			}
 		}()
 	}
-
-	// owedTo snapshots the withheld acks on links touching k.
-	owedTo := func() map[frameKey]bool {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		owed := make(map[frameKey]bool)
-		for key, rx := range f.rx {
-			if key[0] == k || key[1] == k {
-				for seq := range rx.deferred {
-					owed[frameKey{src: key[0], dst: key[1], seq: seq}] = true
+	if c.fresh > 0 {
+		base := 0
+		for _, l := range c.links {
+			base = max(base, l[0]+1, l[1]+1)
+		}
+		bounded.Add(1)
+		go func() {
+			defer bounded.Done()
+			<-start
+			for n := 1; n <= c.fresh; n++ {
+				send(len(c.links), base+n-1, base+n, uint64(n))
+			}
+		}()
+	}
+	if c.blackhole >= 0 {
+		bounded.Add(1)
+		go func() {
+			defer bounded.Done()
+			deadline := time.After(10 * time.Second)
+			for {
+				select {
+				case peer := <-escalated:
+					if peer == c.blackhole {
+						return
+					}
+				case <-deadline:
+					t.Errorf("rank %d was never escalated", c.blackhole)
+					return
 				}
 			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { bounded.Wait(); close(done) }()
+	finished := func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
 		}
-		return owed
 	}
-	rounds := 1000
-	if testing.Short() {
-		rounds = 200
-	}
-	for round := 0; round < rounds; round++ {
-		before := owedTo()
+
+	close(start)
+	for round := 0; round < c.toggles || !finished(); round++ {
+		before := owedOn(f, k)
 		f.PeerDown(k)
 		epoch.Add(1)
-		for key := range owedTo() {
+		for key := range owedOn(f, k) {
 			// A frame toward k that was already on the wire may still be
 			// admitted; it is a new entry, never one from before.
 			if key.src == k || before[key] {
@@ -184,44 +234,70 @@ func TestPurgeIsAtomicAcrossLinks(t *testing.T) {
 	}
 	close(stop)
 	senders.Wait()
+	f.Close() // stops the retry loop, whose retransmissions deliver too
 	close(releases)
 	releaser.Wait()
-	f.Close()
 
 	if n := violations.Load(); n != 0 {
 		t.Fatalf("%d deliveries from k while it was down; first: %v", n, firstViolation.Load())
 	}
-	total := 0
-	for i := range links {
+	var out churnOutcome
+	for i := range sent {
 		for _, tok := range sent[i] {
 			if err := ledger.exactlyOnce(tok); err != nil {
 				t.Fatal(err)
 			}
 		}
-		total += len(sent[i])
+		out.sent += len(sent[i])
 	}
 	ledger.mu.Lock()
 	defer ledger.mu.Unlock()
+	out.retired, out.purged, out.deadDrop = len(ledger.retired), len(ledger.purged), len(ledger.deadDrop)
+	return out
+}
+
+// TestPurgeIsAtomicAcrossLinks: Sends and deliveries run on every link
+// touching rank k, with the ack gate withholding half of the acks for a
+// while, as PeerDown(k)/PeerUp(k) toggle under them. Whatever the
+// interleaving,
+//   - every frame leaves its sender exactly one way: retired by an ack
+//     through OnAckRetire, purged from the inflight table (EvPurged), or
+//     dropped at Send because k was dead;
+//   - a frame that reaches the fabric after PeerDown(k) returned is not
+//     delivered upstream before the next PeerUp(k) is called;
+//   - no ack withheld for a frame to or from k survives PeerDown(k).
+func TestPurgeIsAtomicAcrossLinks(t *testing.T) {
+	const k = 2
+	opts := fastOpts()
+	opts.MaxRetries = 1 << 20 // orphaned frames from k retry until PeerUp, never escalate
+	rounds := 1000
+	if testing.Short() {
+		rounds = 200
+	}
+	out := churn{
+		k: k, links: [][2]int{{0, k}, {k, 0}, {1, k}, {k, 1}, {0, 1}},
+		opts: opts, toggles: rounds, blackhole: -1,
+	}.run(t)
 	t.Logf("%d frames over %d rounds: %d retired, %d purged, %d dropped at Send",
-		total, rounds, len(ledger.retired), len(ledger.purged), len(ledger.deadDrop))
-	if len(ledger.retired) == 0 || len(ledger.purged) == 0 || len(ledger.deadDrop) == 0 {
+		out.sent, rounds, out.retired, out.purged, out.deadDrop)
+	if out.retired == 0 || out.purged == 0 || out.deadDrop == 0 {
 		t.Fatal("the run did not exercise every way out of the sender")
 	}
 }
 
-// arqState counts what the link tables hold: links, unacknowledged frames,
+// arqState counts what the directory holds: links, unacknowledged frames,
 // frames held for resequencing and withheld acks.
 func arqState(f *Fabric) (links, inflight, held, deferred int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, tx := range f.tx {
+	var txs, rxs int
+	eachLink(f, func(_, _ int, tx *txLink) {
+		txs++
 		inflight += len(tx.inflight)
-	}
-	for _, rx := range f.rx {
+	}, func(_, _ int, rx *rxLink) {
+		rxs++
 		held += len(rx.held)
 		deferred += len(rx.deferred)
-	}
-	return max(len(f.tx), len(f.rx)), inflight, held, deferred
+	})
+	return max(txs, rxs), inflight, held, deferred
 }
 
 // TestArqStateBounded pushes 10⁴ frames over every link of a 3-rank world

@@ -30,18 +30,22 @@
 // the earliest deadline of all links and is parked whenever nothing is
 // unacknowledged (retry.go).
 //
-// Locking: the fabric's mu is a read-write lock over the link tables (tx,
-// rx, dead), and every link has a mutex of its own. Per-frame work — a
-// Send's sequencing, watch, an ack, a delivery, ReleaseAck, LinkRTO —
-// holds the table lock for reading plus the one link's lock, so frames on
-// different links never wait for each other. Creating a link, PeerDown,
-// PeerUp, escalation, Close and the retry scan hold the table lock for
-// writing, which excludes every link lock: a purge is atomic across all
-// links. The order is table, then link; no path holds two link locks, and
-// none holds either lock across a call out of the layer (the inner Send,
-// the upstream deliver, an observer, the ack gate, OnAckRetire, escalate),
+// Locking: the links live in a directory (directory.go) that per-frame
+// work reads without a lock, and every link has a mutex of its own.
+// Per-frame work — a Send's sequencing, watch, an ack, a delivery,
+// ReleaseAck, LinkRTO — finds its link with atomic loads and a scan of a
+// rank's few peers and holds only that link's lock, so frames on
+// different links share no lock and no written cache line. Creating a
+// link, PeerDown, PeerUp, escalation, Close and the retry scan serialize on
+// the writer mutex wmu, which no per-frame work takes. A purge publishes
+// the dead flag before it touches a link and marks each purged link gone
+// under the link's lock; per-frame work checks gone after taking the lock
+// and treats a gone link as absent, so it sees every link whole or purged.
+// The order is wmu, then one link; no path holds two link locks, and none
+// holds a lock across a call out of the layer (the inner Send, the
+// upstream deliver, an observer, the ack gate, OnAckRetire, escalate),
 // because over the synchronous Local fabric those re-enter the layer on
-// the same goroutine, where a read lock deadlocks once a writer queues.
+// the same goroutine.
 //
 // Layering: reliable wraps chaos, which wraps the base fabric. The
 // reliable fabric intentionally does NOT implement transport.NonRetaining:
@@ -183,9 +187,11 @@ const (
 )
 
 // txLink is the sender half of one directional link. Its fields are
-// guarded by mu under the fabric's read lock, or by the write lock alone.
+// guarded by mu.
 type txLink struct {
 	mu       sync.Mutex
+	peer     int  // the destination; fixed
+	gone     bool // purged: the link is out of the directory, treat it as absent
 	nextSeq  uint64
 	inflight map[uint64]pending
 	// unacked is len(inflight), readable without a lock: Send looks at it
@@ -206,6 +212,8 @@ type txLink struct {
 // txLink.
 type rxLink struct {
 	mu       sync.Mutex
+	peer     int    // the source; fixed
+	gone     bool   // purged, as txLink.gone
 	next     uint64 // the next sequence number to deliver upstream
 	held     map[uint64]*transport.Packet
 	draining bool // one goroutine at a time delivers, preserving order
@@ -246,10 +254,8 @@ type Fabric struct {
 	// Start to drive the estimator and the backoff schedule by hand.
 	now func() int64
 
-	mu   sync.RWMutex // the link tables; see the package comment
-	tx   map[[2]int]*txLink
-	rx   map[[2]int]*rxLink
-	dead map[int]bool // peers purged by PeerDown or escalation
+	wmu sync.Mutex // serializes the directory's writers; see the package comment
+	dir atomic.Pointer[directory]
 
 	retry retryState
 
@@ -265,11 +271,9 @@ func Wrap(inner transport.Fabric, opts Options) *Fabric {
 		inner: inner,
 		opts:  opts.withDefaults(),
 		now:   func() int64 { return int64(time.Since(epoch)) },
-		tx:    make(map[[2]int]*txLink),
-		rx:    make(map[[2]int]*rxLink),
-		dead:  make(map[int]bool),
 		done:  make(chan struct{}),
 	}
+	f.dir.Store(&directory{})
 	f.retry.init()
 	return f
 }
@@ -309,14 +313,11 @@ func (f *Fabric) sendAck(src, dst int, seq uint64) {
 // call is a no-op.
 func (f *Fabric) ReleaseAck(src, dst int, seq uint64) {
 	owed := false
-	f.mu.RLock()
-	if rx := f.rx[[2]int{src, dst}]; rx != nil {
-		rx.mu.Lock()
+	if rx := f.findRx(src, dst); rx != nil {
 		_, owed = rx.deferred[seq]
 		delete(rx.deferred, seq)
 		rx.mu.Unlock()
 	}
-	f.mu.RUnlock()
 	if owed {
 		f.sendAck(src, dst, seq)
 	}
@@ -346,57 +347,14 @@ func (f *Fabric) Start(deliver transport.DeliverFunc) error {
 func (f *Fabric) Close() error {
 	f.closing.Do(func() { close(f.done) })
 	f.wg.Wait()
-	f.mu.Lock()
-	var purged []Event
-	for key, tx := range f.tx {
-		purged = f.purgeTxLocked(purged, key, tx)
-	}
-	for key, rx := range f.rx {
-		purged = f.purgeRxLocked(purged, key, rx)
-	}
-	f.mu.Unlock()
+	all := func(int, int) bool { return true }
+	f.wmu.Lock()
+	purged := f.purgeLocked(nil, all, all)
+	f.wmu.Unlock()
 	for _, ev := range purged {
 		f.emit(ev)
 	}
 	return f.inner.Close()
-}
-
-// purgeTxLocked discards a tx link — its sequence numbers, its round-trip
-// estimate and its unacknowledged frames — and collects one EvPurged per
-// frame. Callers hold f.mu for writing; the events must be emitted after
-// it is released.
-func (f *Fabric) purgeTxLocked(evs []Event, key [2]int, tx *txLink) []Event {
-	for seq, p := range tx.inflight {
-		evs = append(evs, Event{
-			Kind: EvPurged, Src: key[0], Dst: key[1],
-			Seq: seq, Attempt: int(p.attempts), Token: p.pkt.Token,
-		})
-		if p.watched {
-			f.retry.watched.Add(-1)
-		}
-	}
-	// A Send that is between its inner Send and its look at the link
-	// still holds tx: leave it nothing to find.
-	clear(tx.inflight)
-	tx.unacked.Store(0)
-	delete(f.tx, key)
-	return evs
-}
-
-// purgeRxLocked discards an rx link — its watermark, its withheld acks and
-// the frames it held for resequencing — and collects one EvPurged per held
-// (acknowledged but undelivered) frame. Callers hold f.mu for writing.
-func (f *Fabric) purgeRxLocked(evs []Event, key [2]int, rx *rxLink) []Event {
-	for seq, p := range rx.held {
-		evs = append(evs, Event{
-			Kind: EvPurged, Src: key[0], Dst: key[1], Seq: seq, Token: p.Token,
-		})
-	}
-	// A goroutine still draining the link holds rx: leave it nothing to
-	// deliver, the frames are reported purged.
-	clear(rx.held)
-	delete(f.rx, key)
-	return evs
 }
 
 // emit reports a reliability event to the observer.
@@ -425,28 +383,32 @@ func (f *Fabric) emitFrame(kind EventKind, dst int, seq uint64, pkt *transport.P
 // receiver). Partially resequenced inbound state is released. The mpi
 // world calls it from its detector subscription.
 func (f *Fabric) PeerDown(rank int) {
-	f.mu.Lock()
-	f.dead[rank] = true
-	var purged []Event
-	for key, tx := range f.tx {
-		if key[1] == rank || key[0] == rank {
-			purged = f.purgeTxLocked(purged, key, tx)
-		}
-	}
-	for key, rx := range f.rx {
-		switch rank {
-		case key[0]:
-			purged = f.purgeRxLocked(purged, key, rx)
-		case key[1]:
-			// The acks the dead peer still owes would retire frames the tx
-			// purge above has already reported.
-			rx.deferred = nil
-		}
-	}
-	f.mu.Unlock()
+	f.wmu.Lock()
+	purged := f.peerDownLocked(nil, rank)
+	f.wmu.Unlock()
 	for _, ev := range purged {
 		f.emit(ev)
 	}
+}
+
+// peerDownLocked is PeerDown with f.wmu held: the dead flag goes up before
+// any link is purged, so per-frame work that finds a purged link and looks
+// again sees the peer dead.
+func (f *Fabric) peerDownLocked(evs []Event, rank int) []Event {
+	r := f.growLocked(rank).ranks[rank]
+	r.dead.Store(true)
+	// The acks the dead peer still owes would retire frames the tx purge
+	// below reports.
+	if row := r.rx.Load(); row != nil {
+		for _, rx := range *row {
+			rx.mu.Lock()
+			rx.deferred = nil
+			rx.mu.Unlock()
+		}
+	}
+	return f.purgeLocked(evs,
+		func(src, dst int) bool { return src == rank || dst == rank },
+		func(src, _ int) bool { return src == rank })
 }
 
 // PeerUp reverses PeerDown for a revived peer: the dead flag is cleared
@@ -462,68 +424,15 @@ func (f *Fabric) PeerDown(rank int) {
 // calling PeerUp: purging rx dedup while the fence still reports the old
 // generation would let such a frame be re-accepted.
 func (f *Fabric) PeerUp(rank int) {
-	f.mu.Lock()
-	delete(f.dead, rank)
-	var purged []Event
-	for key, tx := range f.tx {
-		if key[0] == rank || key[1] == rank {
-			purged = f.purgeTxLocked(purged, key, tx)
-		}
-	}
-	for key, rx := range f.rx {
-		if key[0] == rank || key[1] == rank {
-			purged = f.purgeRxLocked(purged, key, rx)
-		}
-	}
-	f.mu.Unlock()
+	touches := func(src, dst int) bool { return src == rank || dst == rank }
+	f.wmu.Lock()
+	r := f.growLocked(rank).ranks[rank]
+	purged := f.purgeLocked(nil, touches, touches)
+	r.dead.Store(false)
+	f.wmu.Unlock()
 	for _, ev := range purged {
 		f.emit(ev)
 	}
-}
-
-// lockTx returns the link src -> dst, creating it on first use, with f.mu
-// held for reading and the link locked; or nil, with nothing held, if dst
-// is dead. Only a new link takes the write lock.
-func (f *Fabric) lockTx(src, dst int) *txLink {
-	key := [2]int{src, dst}
-	f.mu.RLock()
-	for !f.dead[dst] {
-		if tx := f.tx[key]; tx != nil {
-			tx.mu.Lock()
-			return tx
-		}
-		f.mu.RUnlock()
-		f.mu.Lock()
-		if f.tx[key] == nil && !f.dead[dst] {
-			f.tx[key] = &txLink{inflight: make(map[uint64]pending)}
-		}
-		f.mu.Unlock()
-		f.mu.RLock()
-	}
-	f.mu.RUnlock()
-	return nil
-}
-
-// lockRx is lockTx for the receiver half of src -> dst: nil if src is
-// dead, so that stragglers from a fail-stop peer are dropped.
-func (f *Fabric) lockRx(src, dst int) *rxLink {
-	key := [2]int{src, dst}
-	f.mu.RLock()
-	for !f.dead[src] {
-		if rx := f.rx[key]; rx != nil {
-			rx.mu.Lock()
-			return rx
-		}
-		f.mu.RUnlock()
-		f.mu.Lock()
-		if f.rx[key] == nil && !f.dead[src] {
-			f.rx[key] = &rxLink{next: 1, held: make(map[uint64]*transport.Packet)}
-		}
-		f.mu.Unlock()
-		f.mu.RLock()
-	}
-	f.mu.RUnlock()
-	return nil
 }
 
 // Send stamps the packet with the link's next sequence number and its
@@ -562,7 +471,6 @@ func (f *Fabric) Send(pkt *transport.Packet) error {
 	}
 	tx.unacked.Add(1)
 	tx.mu.Unlock()
-	f.mu.RUnlock()
 	err := f.inner.Send(pkt)
 	// Over a synchronous fabric the ack has already retired the frame (in
 	// chain mode too: the engine releases a gated ack inside delivery), so
@@ -589,7 +497,6 @@ func (f *Fabric) Send(pkt *transport.Packet) error {
 // asynchronous one the ack is probably on its way and the deadline is left
 // to a timer.
 func (f *Fabric) watch(tx *txLink, seq uint64, precise bool) {
-	f.mu.RLock()
 	tx.mu.Lock()
 	p, inflight := tx.inflight[seq]
 	if inflight {
@@ -598,7 +505,6 @@ func (f *Fabric) watch(tx *txLink, seq uint64, precise bool) {
 		f.retry.watched.Add(1)
 	}
 	tx.mu.Unlock()
-	f.mu.RUnlock()
 	if inflight {
 		f.retry.serve(p.nextRetry, precise)
 	}
@@ -611,9 +517,7 @@ func (f *Fabric) watch(tx *txLink, seq uint64, precise bool) {
 // that frame is paid once per level in stack growth of a new rank.
 func (f *Fabric) onAck(ack *transport.Packet) {
 	var retired *transport.Packet
-	f.mu.RLock()
-	if tx := f.tx[[2]int{ack.Dst, ack.Src}]; tx != nil {
-		tx.mu.Lock()
+	if tx := f.findTx(ack.Dst, ack.Src); tx != nil {
 		// Only the ack that finds the frame inflight retires it: a
 		// duplicate or late ack finds nothing and reports nothing.
 		if p, ok := tx.inflight[ack.Seq]; ok {
@@ -634,7 +538,6 @@ func (f *Fabric) onAck(ack *transport.Packet) {
 		}
 		tx.mu.Unlock()
 	}
-	f.mu.RUnlock()
 	if retired != nil && f.onAckRetire != nil {
 		f.onAckRetire(retired)
 	}
@@ -683,7 +586,6 @@ func (rx *rxLink) admit(pkt *transport.Packet, gated bool) int {
 // until the next one is missing. The caller set rx.draining.
 func (f *Fabric) drain(rx *rxLink, dst int) {
 	for {
-		f.mu.RLock()
 		rx.mu.Lock()
 		p := rx.held[rx.next]
 		if p == nil {
@@ -693,7 +595,6 @@ func (f *Fabric) drain(rx *rxLink, dst int) {
 			rx.next++
 		}
 		rx.mu.Unlock()
-		f.mu.RUnlock()
 		if p == nil {
 			return
 		}
@@ -738,7 +639,6 @@ func (f *Fabric) onDeliver(dst int, pkt *transport.Packet) {
 	}
 	v := rx.admit(pkt, gated)
 	rx.mu.Unlock()
-	f.mu.RUnlock()
 	if v&rxAck != 0 {
 		// Ack before anything else: re-acking a duplicate is what stops the
 		// retries, and a lost ack of a fresh frame is repaired when its

@@ -80,12 +80,13 @@ func fastOpts() Options {
 
 // inflightFrames counts the unacknowledged frames of the link src -> dst.
 func inflightFrames(f *Fabric, src, dst int) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if tx := f.tx[[2]int{src, dst}]; tx != nil {
-		return len(tx.inflight)
-	}
-	return 0
+	n := 0
+	eachLink(f, func(s, d int, tx *txLink) {
+		if s == src && d == dst {
+			n = len(tx.inflight)
+		}
+	}, nil)
+	return n
 }
 
 // assertInOrderTags checks upstream delivery carries tags 0..n-1 exactly

@@ -55,7 +55,7 @@ const (
 )
 
 // retryState is what Send, the ack path and the retry goroutine share
-// outside the fabric's locks. A Send whose ack comes back inside the inner
+// outside the links' locks. A Send whose ack comes back inside the inner
 // Send touches none of it.
 type retryState struct {
 	// watched counts the inflight frames whose Send returned without an
@@ -68,11 +68,11 @@ type retryState struct {
 	// microsecond, timerDue among those of asynchronous links, which it
 	// leaves to a timer (txLink.late tells the two apart). Everybody only
 	// ever lowers them, except the scan, which resets both before it reads
-	// the link tables and lowers them to the minimum over what it found.
+	// the directory and lowers them to the minimum over what it found.
 	// They can therefore be too early (the frame one stood for was
 	// acknowledged; the scan it triggers finds nothing and corrects it) but
-	// never too late: a frame watched before the reset is in the tables
-	// when the scan takes the lock, one watched after it lowers the new
+	// never too late: a frame watched before the reset is on its link when
+	// the scan takes that link's lock, one watched after it lowers the new
 	// value.
 	spinDue, timerDue atomic.Int64
 	state             atomic.Int32
@@ -210,7 +210,7 @@ func (f *Fabric) sleepTowardsDeadline() (closed bool) {
 }
 
 // retryBatch is the retry goroutine's scratch space: what one scan decided
-// under the fabric's write lock and carries out after releasing it. Reused
+// under the writer mutex and carries out after releasing it. Reused
 // across scans so a retransmission allocates nothing.
 type retryBatch struct {
 	resend      []*transport.Packet
@@ -222,7 +222,9 @@ type retryBatch struct {
 // retransmitOverdue makes one pass over the inflight tables: every overdue
 // frame is retransmitted and rescheduled with its backoff doubled, a link
 // whose frame ran out of budget is escalated, and the two deadlines become
-// the exact minima over what is left.
+// the exact minima over what is left. The pass holds the writer mutex, so
+// no link comes or goes under it, but it locks one link at a time: traffic
+// on the other links goes on.
 func (f *Fabric) retransmitOverdue() {
 	r := &f.retry
 	b := &r.batch
@@ -231,16 +233,31 @@ func (f *Fabric) retransmitOverdue() {
 	r.spinDue.Store(math.MaxInt64)
 	r.timerDue.Store(math.MaxInt64)
 	spinDue, timerDue := int64(math.MaxInt64), int64(math.MaxInt64)
-	f.mu.Lock()
-	for key, tx := range f.tx {
-		due := f.retransmitLinkLocked(b, key, tx, now)
-		if tx.late.Load() < lateAsync {
-			spinDue = min(spinDue, due)
-		} else {
-			timerDue = min(timerDue, due)
+	f.wmu.Lock()
+	for src, r := range f.dir.Load().ranks {
+		row := r.tx.Load()
+		if row == nil {
+			continue
+		}
+		for _, tx := range *row {
+			tx.mu.Lock()
+			if tx.gone { // an escalation earlier in this pass purged it
+				tx.mu.Unlock()
+				continue
+			}
+			due, escalated := f.retransmitLinkLocked(b, src, tx, now)
+			tx.mu.Unlock()
+			switch {
+			case escalated:
+				b.purged = f.peerDownLocked(b.purged, tx.peer)
+			case tx.late.Load() < lateAsync:
+				spinDue = min(spinDue, due)
+			default:
+				timerDue = min(timerDue, due)
+			}
 		}
 	}
-	f.mu.Unlock()
+	f.wmu.Unlock()
 	lower(&r.spinDue, spinDue)
 	lower(&r.timerDue, timerDue)
 	for i, pkt := range b.resend {
@@ -251,7 +268,6 @@ func (f *Fabric) retransmitOverdue() {
 		f.emit(ev)
 	}
 	for _, ev := range b.escalations {
-		f.PeerDown(ev.Dst) // purge every link touching the demoted peer
 		f.emit(ev)
 		if f.escalate != nil {
 			f.escalate(ev.Dst)
@@ -263,10 +279,10 @@ func (f *Fabric) retransmitOverdue() {
 }
 
 // retransmitLinkLocked is retransmitOverdue for one link. It returns the
-// earliest due time among the frames the link keeps inflight. Callers hold
-// f.mu for writing, which lets an escalation mark the peer dead and purge
-// its links in the same pass.
-func (f *Fabric) retransmitLinkLocked(b *retryBatch, key [2]int, tx *txLink, now int64) int64 {
+// earliest due time among the frames the link keeps inflight, or reports
+// that a frame ran out of budget: the caller then demotes the destination,
+// which purges the link. Callers hold the link's lock under f.wmu.
+func (f *Fabric) retransmitLinkLocked(b *retryBatch, src int, tx *txLink, now int64) (due int64, escalated bool) {
 	next := int64(math.MaxInt64)
 	for seq, p := range tx.inflight {
 		if p.nextRetry > now {
@@ -279,17 +295,14 @@ func (f *Fabric) retransmitLinkLocked(b *retryBatch, key [2]int, tx *txLink, now
 		}
 		if int(p.charged) > f.opts.MaxRetries {
 			// The peer is being demoted to fail-stop: every frame to it is
-			// undeliverable, not just the overdue one. Account the
-			// abandoned inflight frames before the link state vanishes
-			// (the PeerDown that follows purges the peer's other links).
+			// undeliverable, not just the overdue one. The purge that
+			// follows accounts for the abandoned inflight frames.
 			tx.inflight[seq] = p // the purge reports the attempt count
 			b.escalations = append(b.escalations, Event{
-				Kind: EvEscalate, Src: key[0], Dst: key[1],
+				Kind: EvEscalate, Src: src, Dst: tx.peer,
 				Seq: seq, Attempt: int(p.attempts), Token: p.pkt.Token,
 			})
-			f.dead[key[1]] = true
-			b.purged = f.purgeTxLocked(b.purged, key, tx)
-			return math.MaxInt64
+			return math.MaxInt64, true
 		}
 		// The first retry waits one more timeout, each later one twice as
 		// long as the one before.
@@ -303,9 +316,9 @@ func (f *Fabric) retransmitLinkLocked(b *retryBatch, key [2]int, tx *txLink, now
 		tx.inflight[seq] = p
 		b.resend = append(b.resend, p.pkt)
 		b.retries = append(b.retries, Event{
-			Kind: EvRetry, Src: key[0], Dst: key[1],
+			Kind: EvRetry, Src: src, Dst: tx.peer,
 			Seq: seq, Attempt: int(p.attempts), Token: p.pkt.Token, Backoff: p.backoff,
 		})
 	}
-	return next
+	return next, false
 }

@@ -50,8 +50,7 @@ func (e *rttEstimator) observe(rtt time.Duration) {
 
 // rtoLocked is the link's retransmission timeout: SRTT + 4*RTTVAR, or
 // initialRTO before the first sample, no less than RetryBase and no more
-// than RetryMax. A nil link has no samples. Callers hold the link's lock
-// under f.mu's read lock, or f.mu for writing.
+// than RetryMax. A nil link has no samples. Callers hold the link's lock.
 func (f *Fabric) rtoLocked(tx *txLink) time.Duration {
 	rto := initialRTO
 	if tx != nil && tx.rtt.sampled {
@@ -63,11 +62,8 @@ func (f *Fabric) rtoLocked(tx *txLink) time.Duration {
 // LinkRTO returns the current retransmission timeout of the link
 // src -> dst: what a frame sent now waits before its first retry.
 func (f *Fabric) LinkRTO(src, dst int) time.Duration {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	tx := f.tx[[2]int{src, dst}]
+	tx := f.findTx(src, dst)
 	if tx != nil {
-		tx.mu.Lock()
 		defer tx.mu.Unlock()
 	}
 	return f.rtoLocked(tx)

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 )
 
 // Local is an in-memory fabric: Send invokes the delivery callback
@@ -16,10 +17,14 @@ import (
 // is handed to the destination engine, which may hold the payload on its
 // unexpected-message queue indefinitely, so callers must not reuse or
 // pool-release a payload after Send.
+//
+// Send takes no lock: it reads the delivery callback and the closed flag
+// atomically, so senders on different ranks share nothing here. The mutex
+// only keeps a second Start from installing a second callback.
 type Local struct {
-	mu      sync.RWMutex
-	deliver DeliverFunc
-	closed  bool
+	mu      sync.Mutex
+	deliver atomic.Pointer[DeliverFunc]
+	closed  atomic.Bool
 }
 
 // NewLocal creates an in-memory fabric.
@@ -29,36 +34,31 @@ func NewLocal() *Local { return &Local{} }
 func (l *Local) Start(deliver DeliverFunc) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.deliver != nil {
+	if l.deliver.Load() != nil {
 		return errors.New("transport: Local.Start called twice")
 	}
 	if deliver == nil {
 		return errors.New("transport: nil delivery callback")
 	}
-	l.deliver = deliver
+	l.deliver.Store(&deliver)
 	return nil
 }
 
 // Send delivers the packet synchronously.
 func (l *Local) Send(pkt *Packet) error {
-	l.mu.RLock()
-	deliver := l.deliver
-	closed := l.closed
-	l.mu.RUnlock()
-	if closed {
+	if l.closed.Load() {
 		return nil // packets into a torn-down world vanish, like the network
 	}
+	deliver := l.deliver.Load()
 	if deliver == nil {
 		return errors.New("transport: Local.Send before Start")
 	}
-	deliver(pkt.Dst, pkt)
+	(*deliver)(pkt.Dst, pkt)
 	return nil
 }
 
 // Close marks the fabric closed; subsequent sends are dropped.
 func (l *Local) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.closed = true
+	l.closed.Store(true)
 	return nil
 }
