@@ -29,6 +29,13 @@ func TestObservabilityTaps(t *testing.T) {
 		right := (p.Rank() + 1) % n
 		left := (p.Rank() + n - 1) % n
 		// One ring exchange: everyone sends right, receives from left.
+		// Rank 0's left neighbour sends only once rank 0 is parked in Wait,
+		// so that at least one Wait finds its receive not yet done, the
+		// only case recv_wait records; on the synchronous Local fabric
+		// every message could otherwise be delivered before its Wait.
+		if right == 0 {
+			awaitParked(t, w.eng(0))
+		}
 		sreq := c.Isend(right, 7, []byte{byte(p.Rank())})
 		rreq := c.Irecv(left, 7)
 		if _, err := rreq.Wait(); err != nil {

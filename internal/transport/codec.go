@@ -93,16 +93,28 @@ var ErrFrameCorrupt = errors.New("transport: corrupt frame")
 func fitsInt32(v int) bool { return int(int32(v)) == v }
 
 // AppendFrame appends the binary encoding of pkt (header + payload) to dst
-// and returns the extended slice. It allocates only if dst lacks capacity,
-// so steady-state senders can reuse a pooled buffer via GetFrameBuf.
+// and returns the extended slice. It allocates only if dst lacks capacity.
+// The TCP fabric does not use it: it writes the header from
+// putFrameHeader and the payload in place, without building the frame.
 func AppendFrame(dst []byte, pkt *Packet) ([]byte, error) {
+	n := len(dst)
+	dst = append(dst, make([]byte, FrameHeaderSize)...)
+	if err := putFrameHeader((*[FrameHeaderSize]byte)(dst[n:]), pkt); err != nil {
+		return dst[:n], err
+	}
+	return append(dst, pkt.Payload...), nil
+}
+
+// putFrameHeader encodes the frame header of pkt into hdr, its frame CRC
+// computed over the header and pkt.Payload, so that hdr followed by the
+// payload is the frame AppendFrame builds.
+func putFrameHeader(hdr *[FrameHeaderSize]byte, pkt *Packet) error {
 	if len(pkt.Payload) > MaxFramePayload {
-		return dst, fmt.Errorf("transport: payload %d exceeds frame limit %d", len(pkt.Payload), MaxFramePayload)
+		return fmt.Errorf("transport: payload %d exceeds frame limit %d", len(pkt.Payload), MaxFramePayload)
 	}
 	if !fitsInt32(pkt.Src) || !fitsInt32(pkt.Dst) || !fitsInt32(pkt.Tag) || !fitsInt32(pkt.Context) {
-		return dst, fmt.Errorf("transport: packet field out of int32 range: %s", pkt)
+		return fmt.Errorf("transport: packet field out of int32 range: %s", pkt)
 	}
-	var hdr [FrameHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], frameMagic)
 	hdr[4] = frameVersion
 	hdr[5] = byte(pkt.Kind)
@@ -122,9 +134,7 @@ func AppendFrame(dst []byte, pkt *Packet) ([]byte, error) {
 	fcrc := crc32.Checksum(hdr[:frameCrcOffset], crcTable)
 	fcrc = crc32.Update(fcrc, crcTable, pkt.Payload)
 	binary.LittleEndian.PutUint32(hdr[frameCrcOffset:FrameHeaderSize], fcrc)
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, pkt.Payload...)
-	return dst, nil
+	return nil
 }
 
 // ReadFrame reads one binary frame from r. hdr must be a scratch slice of
@@ -182,24 +192,18 @@ func ReadFrame(r io.Reader, hdr []byte) (*Packet, error) {
 	return pkt, nil
 }
 
-// --- pooled buffers ----------------------------------------------------------
+// --- pooled payload buffers --------------------------------------------------
 //
-// Two pools back the hot paths:
-//
-//   - frame buffers: send-side scratch holding one encoded frame. The TCP
-//     Send path encodes into one, hands it to the per-connection writer,
-//     and the writer releases it after the bytes reach the socket — the
-//     packet itself is never retained, so callers may reuse payloads the
-//     moment Send returns.
-//   - payload buffers: the receive side. ReadFrame reads every payload
-//     into one and marks the packet (Packet.Pooled), so a consumer that is
-//     done with the bytes can hand them back (PutPayload; the ring does so
-//     through mpi's Request.Release) and the next frame of that size
-//     allocates nothing. Packet.ClonePooled, which the Latency fabric uses
-//     on the path to a NonRetaining inner fabric, draws from the same
-//     pool. Buffers come in size classes, four per power of two, from
-//     16 B to maxPooledCap; a larger payload is allocated exactly and left
-//     to the garbage collector.
+// The receive side reads every payload into a buffer from a size-classed
+// pool and marks the packet (Packet.Pooled), so a consumer that is done
+// with the bytes can hand them back (PutPayload; the ring does so through
+// mpi's Request.Release) and the next frame of that size allocates
+// nothing. Packet.ClonePooled, which the Latency fabric uses on the path
+// to a NonRetaining inner fabric, draws from the same pool. Buffers come
+// in size classes, four per power of two, from 16 B to maxPooledCap; a
+// larger payload is allocated exactly and left to the garbage collector.
+// The send side needs no pool: TCP.Send writes the caller's payload
+// straight to the socket.
 //
 // The release contract is explicit: whoever takes a buffer out of a pool
 // owns it and must put it back at most once, and only once nothing else
@@ -207,9 +211,6 @@ func ReadFrame(r io.Reader, hdr []byte) (*Packet, error) {
 // so every consumer that cannot prove the last reference (the collectives,
 // agreement, state transfer, a Recv that hands the bytes to its caller)
 // simply does not release.
-
-// frameBuf is a pooled, reusable frame encoding buffer.
-type frameBuf struct{ b []byte }
 
 // maxPooledCap caps what is returned to the pools, so one giant message
 // doesn't pin a giant buffer forever.
@@ -240,25 +241,6 @@ func classOf(n int) int {
 	h := bits.Len(x) - 1     // x's top bit, at least minPayloadShift
 	top := int(x >> (h - 2)) // x's top three bits, 4..7
 	return 4*(h-minPayloadShift) + top - 3
-}
-
-var framePool = sync.Pool{
-	New: func() any { return &frameBuf{b: make([]byte, 0, 4096)} },
-}
-
-// getFrameBuf takes an empty frame buffer from the pool.
-func getFrameBuf() *frameBuf {
-	fb := framePool.Get().(*frameBuf)
-	fb.b = fb.b[:0]
-	return fb
-}
-
-// putFrameBuf returns a frame buffer to the pool.
-func putFrameBuf(fb *frameBuf) {
-	if cap(fb.b) > maxPooledCap {
-		return // let the outlier be collected
-	}
-	framePool.Put(fb)
 }
 
 // payloadPools holds one pool per size class. A pool stores a pointer to

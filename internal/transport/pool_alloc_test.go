@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net"
 	"runtime"
 	"testing"
 )
@@ -93,5 +94,51 @@ func TestFailedReadReturnsItsBuffer(t *testing.T) {
 				t.Fatalf("%d bytes allocated per failed read: the payload buffer was not returned", per)
 			}
 		})
+	}
+}
+
+// TestTCPSendAllocatesNothing: in steady state TCP.Send of a 16 B and of
+// a 64 KiB payload allocates nothing: the header is encoded into the
+// connection's scratch and the payload goes to the socket from the
+// caller's buffer. The receiver is a bare socket that discards what it
+// reads, so the read loop's Packet is not counted.
+func TestTCPSendAllocatesNothing(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		buf := make([]byte, 64<<10)
+		for {
+			if _, err := c.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	f := NewTCP(2)
+	if err := f.Start(func(int, *Packet) {}); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	f.conns[1].addr = ln.Addr().String() // before the first Send dials it
+	for _, size := range []int{16, 64 << 10} {
+		pkt := &Packet{Src: 0, Dst: 1, Tag: 1, Payload: make([]byte, size)}
+		send := func() {
+			if err := f.Send(pkt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 100; i++ {
+			send() // dial, and grow the backlog buffers if a burst needs them
+		}
+		if a := testing.AllocsPerRun(500, send); a != 0 {
+			t.Errorf("TCP.Send of %d B: %.1f allocations per send, want 0", size, a)
+		}
 	}
 }

@@ -17,17 +17,25 @@ import (
 // fabric through a real network stack, which is what the E15 transport
 // experiment compares.
 //
-// Ordering: one outbound connection exists per destination and frames are
-// handed to its writer goroutine in Send order, so packets from any given
-// source to a destination are FIFO — the ordering the matching engine
-// requires.
+// Ordering: one outbound connection exists per destination and Send
+// writes to it under the connection's mutex, either to the socket or
+// behind the bytes already waiting in its backlog, so packets from any
+// given source to a destination are FIFO — the ordering the matching
+// engine requires.
 //
-// Concurrency: there is no global send lock. Send touches only the
-// per-destination connection state, so sends to distinct destinations
-// proceed in parallel. Send encodes the frame into a pooled buffer and
-// enqueues it on the connection's writer, which coalesces whatever is
-// queued into one buffered write and flushes explicitly once the queue is
-// empty.
+// Sending: Send never waits on a peer. It encodes only the frame header
+// (the frame CRC covers the payload too) and, when nothing is waiting
+// ahead of it, makes one non-blocking writev of header and payload, so
+// the payload is copied once, by the kernel. Whatever the socket does not
+// take is copied to the connection's backlog, and a flusher goroutine,
+// started only then, drains it with blocking writes and exits once it is
+// empty. Frames sent meanwhile queue behind it, so a burst, or many
+// senders fanning in on one destination, shares its writes. There is no
+// global send lock: sends to distinct destinations proceed in parallel.
+//
+// Receiving: one read loop per inbound connection reads through a small
+// buffer; a payload larger than it is read straight from the socket into
+// its pooled buffer.
 type TCP struct {
 	n int
 
@@ -39,8 +47,8 @@ type TCP struct {
 	conns     []*tcpConn
 	deliver   DeliverFunc // written once in Start, before any reader starts
 
-	wg        sync.WaitGroup // accept + read loops
-	wgWriters sync.WaitGroup // per-connection write loops
+	wg      sync.WaitGroup // accept + read loops
+	flushWg sync.WaitGroup // backlog flushers
 
 	errMu sync.Mutex
 	errs  []error // enriched dial/accept/read failures, see Errors
@@ -83,20 +91,28 @@ type tcpConn struct {
 
 	mu    sync.Mutex
 	state connState
-	conn  net.Conn
+	conn  *net.TCPConn
+	vw    vecWriter
 
-	// Encoded frames travel Send -> writeLoop here.
-	frames chan *frameBuf
-	done   chan struct{}
+	hdr [FrameHeaderSize]byte // the header of the frame being sent
+
+	// backlog holds, in Send order, the bytes the socket has not taken
+	// yet. While flushing, a flusher owns the socket and drains the
+	// backlog; spare is the buffer it last wrote, reused as the next
+	// backlog.
+	backlog  []byte
+	spare    []byte
+	flushing bool
 }
 
 // NewTCP creates a TCP fabric for n ranks. Listeners are created in
 // Start.
 func NewTCP(n int) *TCP { return &TCP{n: n} }
 
-// NonRetainingSend marks that TCP.Send copies everything it needs (into
-// an encoded frame) before returning: callers may immediately reuse or
-// release the packet and its payload.
+// NonRetainingSend marks that TCP.Send keeps no reference to the packet
+// or its payload once it returns: the bytes are in the kernel or copied to
+// the connection's backlog, so callers may immediately reuse or release
+// them.
 func (t *TCP) NonRetainingSend() {}
 
 // Start opens one loopback listener per rank and begins accepting.
@@ -122,12 +138,7 @@ func (t *TCP) Start(deliver DeliverFunc) error {
 			return fmt.Errorf("transport: listen for rank %d: %w", i, err)
 		}
 		t.listeners[i] = ln
-		t.conns[i] = &tcpConn{
-			rank:   i,
-			addr:   ln.Addr().String(),
-			frames: make(chan *frameBuf, 256),
-			done:   make(chan struct{}),
-		}
+		t.conns[i] = &tcpConn{rank: i, addr: ln.Addr().String()}
 		t.wg.Add(1)
 		go t.acceptLoop(i, ln)
 	}
@@ -153,7 +164,10 @@ func (t *TCP) acceptLoop(rank int, ln net.Listener) {
 func (t *TCP) readLoop(rank int, conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
-	br := bufio.NewReaderSize(conn, 64<<10)
+	// A small buffer batches the reads of small frames; bufio hands a
+	// read at least this large straight to the socket, so a bigger payload
+	// lands in its pooled buffer without a staging copy.
+	br := bufio.NewReaderSize(conn, 4<<10)
 	var hdr [FrameHeaderSize]byte
 	for {
 		pkt, err := ReadFrame(br, hdr[:])
@@ -173,11 +187,12 @@ func (t *TCP) readLoop(rank int, conn net.Conn) {
 }
 
 // Send frames the packet onto the cached connection to pkt.Dst, dialing on
-// first use. Sends racing Close, and sends to destinations whose endpoint
-// is already torn down (dial failure, broken connection), are dropped
-// silently: fail-stop semantics are the engine's concern, and packets to
-// dead ranks vanish as a real network would deliver them to a dead
-// process.
+// first use. It never waits on the peer: what the socket does not take at
+// once waits in the connection's backlog. Sends racing Close, and sends to
+// destinations whose endpoint is already torn down (dial failure, broken
+// connection), are dropped silently: fail-stop semantics are the engine's
+// concern, and packets to dead ranks vanish as a real network would
+// deliver them to a dead process.
 func (t *TCP) Send(pkt *Packet) error {
 	if !t.started.Load() {
 		return errors.New("transport: TCP.Send before Start")
@@ -189,32 +204,46 @@ func (t *TCP) Send(pkt *Packet) error {
 		return nil
 	}
 	tc := t.conns[pkt.Dst]
-	fb := getFrameBuf()
-	b, err := AppendFrame(fb.b, pkt)
-	if err != nil {
-		putFrameBuf(fb)
-		return err // malformed packet: a caller bug, not a network condition
-	}
-	fb.b = b
-	if !tc.ensureDialed(t, pkt.Src) {
-		putFrameBuf(fb)
-		return nil // torn-down destination or racing Close: silent drop
-	}
-	select {
-	case tc.frames <- fb:
-		return nil
-	case <-tc.done:
-		putFrameBuf(fb)
-		return nil // closed while waiting: silent drop
-	}
-}
-
-// ensureDialed dials the destination on first use and starts its write
-// loop. It reports whether the connection is usable. src is the sending
-// rank, used only to contextualize a dial failure.
-func (tc *tcpConn) ensureDialed(t *TCP, src int) bool {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
+	// The header goes into the connection's scratch: one on the stack
+	// would escape to the heap through the CRC.
+	if err := putFrameHeader(&tc.hdr, pkt); err != nil {
+		return err // malformed packet: a caller bug, not a network condition
+	}
+	// Checked again under the lock: Close waits only for the flushers
+	// started before it took each connection's lock.
+	if t.closed.Load() || !tc.dialLocked(t, pkt.Src) {
+		return nil // torn-down destination or racing Close: silent drop
+	}
+	if tc.flushing {
+		tc.backlog = append(tc.backlog, tc.hdr[:]...)
+		tc.backlog = append(tc.backlog, pkt.Payload...)
+		return nil
+	}
+	n, err := tc.vw.tryWrite(tc.hdr[:], pkt.Payload)
+	if err != nil {
+		tc.state = connDown // peer torn down: drop this and every later frame
+		return nil
+	}
+	if n == FrameHeaderSize+len(pkt.Payload) {
+		return nil
+	}
+	if n < FrameHeaderSize {
+		tc.backlog = append(tc.backlog, tc.hdr[n:]...)
+		n = FrameHeaderSize
+	}
+	tc.backlog = append(tc.backlog, pkt.Payload[n-FrameHeaderSize:]...)
+	tc.flushing = true
+	t.flushWg.Add(1)
+	go t.flushLoop(tc)
+	return nil
+}
+
+// dialLocked dials the destination on first use and reports whether the
+// connection is usable. src is the sending rank, used only to
+// contextualize a dial failure.
+func (tc *tcpConn) dialLocked(t *TCP, src int) bool {
 	switch tc.state {
 	case connUp:
 		return true
@@ -222,80 +251,44 @@ func (tc *tcpConn) ensureDialed(t *TCP, src int) bool {
 		return false
 	}
 	conn, err := net.Dial("tcp", tc.addr)
+	if err == nil {
+		tc.conn = conn.(*net.TCPConn)
+		err = tc.vw.init(tc.conn)
+	}
 	if err != nil {
 		tc.state = connDown
 		t.recordErr(fmt.Errorf("transport: dial rank %d -> rank %d (%s): %w", src, tc.rank, tc.addr, err))
 		return false
 	}
-	tc.conn = conn
 	tc.state = connUp
-	t.wgWriters.Add(1)
-	go t.writeLoop(tc, conn)
 	return true
 }
 
-// writeLoop drains the frame queue onto the socket. Queued frames are
-// coalesced into one buffered write and flushed explicitly once the queue
-// is momentarily empty — small ring messages share syscalls without ever
-// sitting unflushed.
-func (t *TCP) writeLoop(tc *tcpConn, conn net.Conn) {
-	defer t.wgWriters.Done()
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	for {
-		select {
-		case <-tc.done:
-			t.drainAndFlush(tc, bw)
-			return
-		case fb := <-tc.frames:
-			_, err := bw.Write(fb.b)
-			putFrameBuf(fb)
-			// Coalesce whatever else is already queued.
-			for more := err == nil; more; {
-				select {
-				case fb := <-tc.frames:
-					_, err = bw.Write(fb.b)
-					putFrameBuf(fb)
-					more = err == nil
-				default:
-					more = false
-				}
-			}
-			if err == nil {
-				err = bw.Flush()
-			}
-			if err != nil {
-				// Peer torn down: keep consuming frames so senders never
-				// block on a dead destination (silent-drop semantics).
-				for {
-					select {
-					case fb := <-tc.frames:
-						putFrameBuf(fb)
-					case <-tc.done:
-						return
-					}
-				}
-			}
+// flushLoop drains the connection's backlog with blocking writes, each
+// taking everything queued so far, and exits once it is empty. A failed
+// write (peer torn down, or Close's write deadline passed) drops the rest.
+func (t *TCP) flushLoop(tc *tcpConn) {
+	defer t.flushWg.Done()
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	for len(tc.backlog) > 0 && tc.state == connUp {
+		buf, conn := tc.backlog, tc.conn
+		tc.backlog, tc.spare = tc.spare[:0], nil
+		tc.mu.Unlock()
+		_, err := conn.Write(buf)
+		tc.mu.Lock()
+		if cap(buf) <= maxPooledCap {
+			tc.spare = buf[:0] // a giant burst does not pin its buffer
+		}
+		if err != nil {
+			tc.state = connDown
 		}
 	}
+	tc.backlog = tc.backlog[:0]
+	tc.flushing = false
 }
 
-// drainAndFlush performs the graceful-shutdown write: everything already
-// queued is written and flushed (bounded by the write deadline Close set)
-// before the writer exits.
-func (t *TCP) drainAndFlush(tc *tcpConn, bw *bufio.Writer) {
-	for {
-		select {
-		case fb := <-tc.frames:
-			_, _ = bw.Write(fb.b)
-			putFrameBuf(fb)
-		default:
-			_ = bw.Flush()
-			return
-		}
-	}
-}
-
-// Close shuts down the fabric: writers drain and flush their queues, then
+// Close shuts down the fabric: flushers drain their backlogs, then
 // listeners and connections are torn down and the accept/read loops are
 // awaited. Sends racing Close are dropped silently.
 func (t *TCP) Close() error {
@@ -305,8 +298,8 @@ func (t *TCP) Close() error {
 	t.mu.Lock()
 	conns, listeners := t.conns, t.listeners
 	t.mu.Unlock()
-	// Phase 1: stop the writers gracefully. Readers are still alive, so a
-	// final flush cannot block indefinitely; the write deadline bounds the
+	// Phase 1: let the flushers drain. Readers are still alive, so a
+	// backlog cannot wait forever; the write deadline bounds the
 	// pathological case of a reader that already died.
 	for _, tc := range conns {
 		if tc == nil {
@@ -316,10 +309,9 @@ func (t *TCP) Close() error {
 		if tc.state == connUp {
 			_ = tc.conn.SetWriteDeadline(time.Now().Add(200 * time.Millisecond))
 		}
-		close(tc.done)
 		tc.mu.Unlock()
 	}
-	t.wgWriters.Wait()
+	t.flushWg.Wait()
 	// Phase 2: tear down sockets and wait for the accept/read loops.
 	for _, ln := range listeners {
 		if ln != nil {

@@ -13,12 +13,14 @@
 //     binary frames: a fixed 74-byte little-endian header (magic,
 //     version, kind, src, dst, tag, context, srcgen, dstgen, seq,
 //     payload crc, repseq, repepoch, hlc, token, payload
-//     length, frame crc — see codec.go) followed by the raw payload,
-//     encoded with encoding/binary
-//     into sync.Pool-backed buffers so the steady-state send path does
-//     not allocate. The read side fills payloads from a size-classed
-//     pool too, and marks them (Packet.Pooled) so that the consumer that
-//     finishes with one can give it back (PutPayload).
+//     length, frame crc — see codec.go) followed by the raw payload.
+//     Send encodes only the header and writes header and payload to the
+//     socket in one non-blocking gather write, without copying the
+//     payload or allocating; what the socket does not take waits in a
+//     per-connection backlog that a short-lived flusher drains, so Send
+//     never waits on a peer. The read side fills payloads from a
+//     size-classed pool, and marks them (Packet.Pooled) so that the
+//     consumer that finishes with one can give it back (PutPayload).
 //
 // Both fabrics preserve FIFO ordering per (source, destination) pair, the
 // ordering MPI guarantees per (source, tag, communicator). A Latency
@@ -173,7 +175,7 @@ func TokenOrigin(tok uint64) int { return int(tok >> TokenBits) }
 func TokenSeq(tok uint64) uint64 { return tok & (1<<TokenBits - 1) }
 
 // Clone returns a deep copy of the packet. Fabrics that buffer packets
-// (latency, TCP) use it so callers may reuse payload buffers.
+// (Latency, chaos) use it so callers may reuse payload buffers.
 func (p *Packet) Clone() *Packet {
 	q := *p
 	q.pooled = false
@@ -199,8 +201,9 @@ type DeliverFunc func(dst int, pkt *Packet)
 // (headers and payload) before returning. Callers may immediately reuse
 // the packet and its payload, and buffering wrappers may clone through
 // the payload pool (Packet.ClonePooled) and release the clone as soon as
-// the inner Send returns. TCP implements it: the frame is fully encoded
-// inside Send. Local does not: it delivers the packet pointer into the
+// the inner Send returns. TCP implements it: when Send returns, the
+// frame is in the kernel or copied to the connection's backlog. Local
+// does not: it delivers the packet pointer into the
 // destination engine, which retains the payload.
 type NonRetaining interface {
 	// NonRetainingSend is a marker method; it performs no action.
