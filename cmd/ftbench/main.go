@@ -13,7 +13,6 @@
 //	ftbench -exp e22 -quick               # replication soak: transparent failover
 //	ftbench -exp e23 -quick               # recovery forensics: traced phase decomposition
 //	ftbench -exp e24 -quick               # durability soak: tail-acks, auto re-replication
-//	ftbench -exp e22 -rep-mode chain      # replication kill sweep over the chain relay
 //	ftbench -exp e1 -detector swim -agreement tree   # gossip detection + tree votes
 package main
 
@@ -42,16 +41,8 @@ func main() {
 		swPeriod   = flag.Duration("swim-period", 0, "SWIM protocol period (0 = default; with -detector swim)")
 		swIndirect = flag.Int("swim-indirect", 0, "SWIM indirect-probe fanout k (0 = default; with -detector swim)")
 		agreeMode  = flag.String("agreement", "", "validate_all tree fan-out for the generic ring worlds: coordinator (every member a child of the lowest alive rank) | tree (two children per rank) (\"\" = coordinator)")
-		repMode    = flag.String("rep-mode", "", "replication propagation mode for the E22 kill sweep: fanout|chain (\"\" = fanout; E24 always runs both)")
 	)
 	flag.Parse()
-	switch *repMode {
-	case "", ftmpi.ReplFanout, ftmpi.ReplChain:
-	default:
-		fmt.Fprintf(os.Stderr, "ftbench: unknown -rep-mode %q: valid modes are %q, %q\n",
-			*repMode, ftmpi.ReplFanout, ftmpi.ReplChain)
-		os.Exit(2)
-	}
 
 	if *list {
 		for _, e := range workload.All() {
@@ -77,7 +68,6 @@ func main() {
 		Detector:  *detMode,
 		Swim:      ftmpi.SwimOptions{Period: *swPeriod, IndirectK: *swIndirect},
 		Agreement: *agreeMode,
-		RepMode:   *repMode,
 	}
 	if *jsonOut != "" || *obsAddr != "" {
 		opt.Collector = workload.NewCollector()

@@ -17,7 +17,6 @@
 //	ftring -elastic -seed 3                         # elastic repair demo: kill, respawn, resume
 //	ftring -elastic -obs 127.0.0.1:9464 -obs-linger 5s   # scrape respawn/shrink counters
 //	ftring -replicas 2 -seed 3                      # replication demo: a replica dies, failover is invisible
-//	ftring -replicas 2 -rep-mode chain -seed 3      # chain relay with tail-acks instead of sender fan-out
 //	ftring -replicas 2 -rep-refill=false            # leave the killed slot empty (no auto re-replication)
 //	ftring -replicas 2 -obs 127.0.0.1:9464 -obs-linger 5s   # scrape promotion/dedup/refill counters
 package main
@@ -60,7 +59,6 @@ func main() {
 		obsHold   = flag.Duration("obs-linger", 0, "keep the -obs endpoint up this long after the run (for scrapers)")
 		elastic   = flag.Bool("elastic", false, "run the elastic repair demo instead of the ring: a seeded victim dies holding the token, AutoRespawn reincarnates its slot at the next generation, the ring resumes exactly-once at full size (fixed world size; honors -seed, -obs, -stats)")
 		replicas  = flag.Int("replicas", 0, "run the replication demo with this many hot replicas per logical rank: a seeded replica is killed mid-run and a standby is promoted without the fault-unaware ring ever noticing (fixed logical ring size; honors -seed, -obs, -stats, -trace-out; R=1 runs failure-free)")
-		repMode   = flag.String("rep-mode", "fanout", "replication propagation mode for -replicas: fanout|chain (chain relays through the primary with tail-acked durability)")
 		repRefill = flag.Bool("rep-refill", true, "with -replicas, automatically re-replicate the killed slot (the run waits until the group is back at full degree)")
 
 		detMode    = flag.String("detector", "oracle", "failure detection: oracle|swim")
@@ -149,12 +147,6 @@ func main() {
 		*n = workload.ElasticDemoRanks
 	}
 	if *replicas > 0 {
-		switch *repMode {
-		case ftmpi.ReplFanout, ftmpi.ReplChain:
-		default:
-			fatal(fmt.Errorf("unknown -rep-mode %q: valid modes are %q, %q",
-				*repMode, ftmpi.ReplFanout, ftmpi.ReplChain))
-		}
 		// Replication worlds meter every physical slot: logical ring size
 		// times the replication degree.
 		*n = workload.ReplicaDemoRanks * *replicas
@@ -187,7 +179,7 @@ func main() {
 		return
 	}
 	if *replicas > 0 {
-		runReplicaDemo(*seed, *replicas, *repMode, *repRefill, rec, mets, reg, *doStats, obsSrv, *obsHold)
+		runReplicaDemo(*seed, *replicas, *repRefill, rec, mets, reg, *doStats, obsSrv, *obsHold)
 		if jsonl != nil {
 			if cerr := jsonl.Close(); cerr != nil {
 				fatal(cerr)
@@ -310,12 +302,12 @@ func runElasticDemo(seed int64, n int, mets *ftmpi.Metrics, reg *ftmpi.ObsRegist
 // standby is promoted and the app never sees an error) over ftring's own
 // metrics recorder and histogram registry, so -obs and -stats expose the
 // promotion/dedup counters and the replica_promotion latency family.
-func runReplicaDemo(seed int64, r int, mode string, refill bool, rec *ftmpi.Tracer,
+func runReplicaDemo(seed int64, r int, refill bool, rec *ftmpi.Tracer,
 	mets *ftmpi.Metrics, reg *ftmpi.ObsRegistry,
 	doStats bool, obsSrv *ftmpi.ObsServer, obsHold time.Duration) {
-	fmt.Printf("replication demo (seed %d): %d logical ranks x %d replicas (%s mode) under chaos, one replica killed mid-run\n",
-		seed, workload.ReplicaDemoRanks, r, mode)
-	table, err := workload.RunReplicaDemo(seed, r, mode, refill, rec, mets, reg)
+	fmt.Printf("replication demo (seed %d): %d logical ranks x %d replicas under chaos, one replica killed mid-run\n",
+		seed, workload.ReplicaDemoRanks, r)
+	table, err := workload.RunReplicaDemo(seed, r, refill, rec, mets, reg)
 	if err != nil {
 		fmt.Printf("RESULT: replication soak FAILED: %v\n", err)
 	} else {

@@ -99,25 +99,15 @@ func WithElastic(opts ElasticOptions) Option { return mpi.WithElastic(opts) }
 
 // ReplicationOptions enables hot-replica fault tolerance (see
 // WithReplication): every logical rank is backed by R physical replicas
-// with transparent failover.
+// with transparent failover. Sends chain through the destination's
+// primary, and every replica confirms receipt with its ARQ ack.
 type ReplicationOptions = mpi.ReplicationOptions
-
-// Replication propagation modes (ReplicationOptions.Mode).
-const (
-	// ReplFanout sends one physical copy to every live replica of the
-	// destination (the default); receivers drop duplicates by sequence.
-	ReplFanout = mpi.ReplFanout
-	// ReplChain sends one copy to the destination's primary, which relays
-	// to its standbys — cheaper uplink, but a primary dying mid-relay can
-	// lose the frame for its standbys.
-	ReplChain = mpi.ReplChain
-)
 
 // WithReplication enables replication mode: NewWorld's size parameter is
 // interpreted as the LOGICAL rank count and the world is expanded to
 // size*R physical slots. Replica deaths are absorbed by promoting a
 // standby; the application observes a failure only when a logical rank's
-// last replica dies.
+// last replica dies. It implies the reliability layer (WithReliability).
 func WithReplication(opts ReplicationOptions) Option { return mpi.WithReplication(opts) }
 
 // --- fault injection hooks ---------------------------------------------------
@@ -227,7 +217,7 @@ const (
 	// standby's promotion to primary of the logical rank.
 	ObsReplicaPromotion = obs.ReplicaPromotion
 	// ObsReplicationOverhead times the extra send work replication adds:
-	// the fan-out copies beyond the first on each logical send.
+	// a primary's forwards of each received frame to its standbys.
 	ObsReplicationOverhead = obs.ReplicationOverhead
 	// ObsMessageE2ELatency times a data message from its origin's HLC send
 	// stamp to its acceptance by the destination matching layer.

@@ -12,14 +12,14 @@ import (
 )
 
 // runReplicated builds a replicated world (lsize logical ranks, degree r,
-// the given replication mode and validate_all topology) and runs fn on
-// every physical replica. It does NOT assert per-rank success — callers
-// exempt their designated victim.
-func runReplicated(t *testing.T, lsize, r int, mode, agree string, fn func(w *mpi.World, p *mpi.Proc) error) (*mpi.World, *mpi.RunResult) {
+// the given validate_all topology) and runs fn on every physical replica.
+// It does NOT assert per-rank success — callers exempt their designated
+// victim.
+func runReplicated(t *testing.T, lsize, r int, agree string, fn func(w *mpi.World, p *mpi.Proc) error) (*mpi.World, *mpi.RunResult) {
 	t.Helper()
 	w, err := mpi.NewWorld(lsize,
 		mpi.WithDeadline(60*time.Second),
-		mpi.WithReplication(mpi.ReplicationOptions{R: r, Mode: mode}),
+		mpi.WithReplication(mpi.ReplicationOptions{R: r}),
 		mpi.WithAgreement(agree),
 		mpi.WithMetrics(metrics.NewWorld(lsize*r)),
 	)
@@ -36,28 +36,23 @@ func runReplicated(t *testing.T, lsize, r int, mode, agree string, fn func(w *mp
 	return w, res
 }
 
-// replCases crosses both replication modes with both validate_all
-// topologies: promotion must be collective-transparent under each.
-var replCases = []struct{ mode, agree string }{
-	{mpi.ReplFanout, mpi.AgreementCoordinator},
-	{mpi.ReplFanout, mpi.AgreementTree},
-	{mpi.ReplChain, mpi.AgreementCoordinator},
-	{mpi.ReplChain, mpi.AgreementTree},
-}
+// replCases are the validate_all topologies a chain-replicated world runs
+// under: promotion must be collective-transparent under each.
+var replCases = []string{mpi.AgreementCoordinator, mpi.AgreementTree}
 
 // TestCollectivesSurvivePrimaryKill is the replica-group-aware collective
 // property: the PRIMARY of a logical rank dies while the other
 // participants are already inside the lap's collectives, and the
 // promotion happens entirely below the collective layer — every
 // surviving physical rank completes all laps of Bcast + Allreduce +
-// Barrier with correct values and no error, in both replication modes
-// and both agreement topologies.
+// Barrier with correct values and no error, in both agreement
+// topologies.
 func TestCollectivesSurvivePrimaryKill(t *testing.T) {
-	for _, tc := range replCases {
-		t.Run(tc.mode+"/"+tc.agree, func(t *testing.T) {
+	for _, agree := range replCases {
+		t.Run("chain/"+agree, func(t *testing.T) {
 			const laps = 6
 			victim := 1 // primary of logical 1 (L=3, R=2: group {1, 4})
-			w, res := runReplicated(t, 3, 2, tc.mode, tc.agree, func(w *mpi.World, p *mpi.Proc) error {
+			w, res := runReplicated(t, 3, 2, agree, func(w *mpi.World, p *mpi.Proc) error {
 				c := p.World()
 				for lap := 0; lap < laps; lap++ {
 					if lap == 2 && p.PhysRank() == victim {
@@ -112,11 +107,11 @@ func TestCollectivesSurvivePrimaryKill(t *testing.T) {
 // FIRST attempt: a retry would mean a rank-fail-stop error leaked through
 // the promotion, which is exactly the regression this guards against.
 func TestRecoveryVariantsUnderReplication(t *testing.T) {
-	for _, tc := range replCases {
-		t.Run(tc.mode+"/"+tc.agree, func(t *testing.T) {
+	for _, agree := range replCases {
+		t.Run("chain/"+agree, func(t *testing.T) {
 			victim := 2 // primary of logical 2 (L=3, R=2: group {2, 5})
 			var retries atomic.Int32
-			w, res := runReplicated(t, 3, 2, tc.mode, tc.agree, func(w *mpi.World, p *mpi.Proc) error {
+			w, res := runReplicated(t, 3, 2, agree, func(w *mpi.World, p *mpi.Proc) error {
 				c := p.World()
 				attempt := 0
 				err := RecoveryBlock(c, 2, func() error {

@@ -123,10 +123,9 @@ const (
 	// promoted primary because the old primary died before every group
 	// member confirmed receipt — the tail-ack protocol's repair action.
 	ChainResends
-	// ChainAcks counts chain-mode receipt confirmations retired at the
-	// original sender, attributed to the confirming replica — whichever
-	// carrier brought them: the replica's ARQ ack, or a KindChainAck frame
-	// in a world without the reliability sublayer.
+	// ChainAcks counts replica receipt confirmations (ARQ acks of
+	// replicated data frames) retired at the original sender, attributed
+	// to the confirming replica.
 	ChainAcks
 	numCounters
 )

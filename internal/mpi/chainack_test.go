@@ -45,14 +45,14 @@ func (c *censusFabric) Send(pkt *transport.Packet) error {
 	return c.Fabric.Send(pkt)
 }
 
-// TestChainArqFrameCensus: with the reliability layer a failure-free chain
-// send costs data frames and their acks, nothing else. Each of the R
+// TestChainArqFrameCensus: a failure-free replicated send costs data
+// frames and their ARQ acks, nothing else. Each of the R
 // sender replicas reaches the primary, which forwards to R-1 standbys:
 // R*R data frames, R*R acks, and every ack is one receipt confirmation.
 func TestChainArqFrameCensus(t *testing.T) {
 	const lsize, r, laps = 3, 2, 50
 	census := &censusFabric{Fabric: transport.NewLocal()}
-	w, res := runRepl(t, lsize, r, ReplChain, []Option{
+	w, res := runRepl(t, lsize, r, []Option{
 		WithFabric(census),
 		// No frame is lost, so a retransmission could only come from a
 		// descheduled goroutine outliving the retry timer; rule it out.
@@ -61,13 +61,13 @@ func TestChainArqFrameCensus(t *testing.T) {
 	requireNoRankErrors(t, res)
 
 	const sends = lsize * laps // logical sends: every rank forwards the token once a lap
-	for kind, want := range map[transport.Kind]int64{
-		transport.KindData:     sends * r * r,
-		transport.KindAck:      sends * r * r,
-		transport.KindChainAck: 0,
-	} {
+	for kind := range census.kinds {
+		want := int64(0) // no frame of any other kind
+		if k := transport.Kind(kind); k == transport.KindData || k == transport.KindAck {
+			want = sends * r * r
+		}
 		if got := census.kinds[kind].Load(); got != want {
-			t.Errorf("%s frames: %d, want %d (%d logical sends, R=%d)", kind, got, want, sends, r)
+			t.Errorf("%s frames: %d, want %d (%d logical sends, R=%d)", transport.Kind(kind), got, want, sends, r)
 		}
 	}
 	if got := w.Metrics().Total(metrics.ChainAcks); got != sends*r*r {
@@ -88,7 +88,7 @@ func TestChainOutboxBoundedUnderLoss(t *testing.T) {
 	}
 	var peak atomic.Int64
 	ring := replRing(laps, -1, 0)
-	w, res := runRepl(t, 3, 2, ReplChain, []Option{
+	w, res := runRepl(t, 3, 2, []Option{
 		WithChaos(chaos.NewPlan(7).Default(chaos.Rates{Drop: 0.02})),
 		WithReliability(reliable.Options{RetryBase: 500 * time.Microsecond, RetryMax: 4 * time.Millisecond, MaxRetries: 40}),
 	}, func(w *World, p *Proc) error {
@@ -147,7 +147,7 @@ func TestChainOutboxBoundedUnderLoss(t *testing.T) {
 // membership.
 func TestChainOutboxNeverWaitsOnTheDead(t *testing.T) {
 	const lsize, r, sendsPerDeath = 8, 8, 100
-	w, err := NewWorld(lsize, WithReplication(ReplicationOptions{R: r, Mode: ReplChain}))
+	w, err := NewWorld(lsize, WithReplication(ReplicationOptions{R: r}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestChainOutboxNeverWaitsOnTheDead(t *testing.T) {
 // replica.
 func TestGroupSnapshotHammer(t *testing.T) {
 	const lsize, r, changes = 3, 4, 4000
-	w, err := NewWorld(lsize, WithReplication(ReplicationOptions{R: r, Mode: ReplChain}))
+	w, err := NewWorld(lsize, WithReplication(ReplicationOptions{R: r}))
 	if err != nil {
 		t.Fatal(err)
 	}

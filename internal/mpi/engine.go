@@ -81,15 +81,15 @@ type engine struct {
 	// tag) channel — identically on every sender replica, since replicas
 	// execute identical programs — and repNext tracks the next acceptable
 	// inbound number per (logical src, ctx, tag), which is what drops the
-	// fan-out duplicates. Guarded by mu; nil maps outside replication mode.
+	// duplicates. Guarded by mu; nil maps outside replication mode.
 	repSeq  map[repChan]uint32
 	repNext map[repChan]uint32
 
-	// chainPend is the chain-mode tail-ack outbox: every chain send this
-	// engine originated that some live replica of the destination group
-	// has not yet confirmed (chainConfirm). A primary death re-sends the
-	// surviving entries to the promoted successor. Guarded by mu; nil
-	// outside chain mode.
+	// chainPend is the tail-ack outbox: every replicated send this engine
+	// originated that some live replica of the destination group has not
+	// yet confirmed (chainConfirm). A primary death re-sends the surviving
+	// entries to the promoted successor. Guarded by mu; nil outside
+	// replication mode.
 	chainPend map[chainKey]chainPending
 
 	// comms lists every communicator created by this incarnation's proc,
@@ -138,9 +138,7 @@ func newEngine(w *World, rank int, gen uint32) *engine {
 	if w.repl != nil {
 		e.repSeq = make(map[repChan]uint32)
 		e.repNext = make(map[repChan]uint32)
-		if w.repl.mode == ReplChain {
-			e.chainPend = make(map[chainKey]chainPending)
-		}
+		e.chainPend = make(map[chainKey]chainPending)
 	}
 	e.agree.init()
 	return e
@@ -402,36 +400,21 @@ func (e *engine) deliver(pkt *transport.Packet) {
 		e.deliverState(pkt)
 		return
 	}
-	if pkt.Kind == transport.KindChainAck {
-		// The explicit confirmation carrier of a chain world without ARQ.
-		e.chainConfirm(pkt.Src, pkt.Context, pkt.Tag, pkt.RepSeq)
-		return
-	}
-	if e.w.repl != nil && e.w.repl.mode == ReplChain &&
-		pkt.Kind == transport.KindData && pkt.RepSeq != 0 && !e.dead.Load() {
-		primary := e.w.repl.isPrimary(e.rank)
-		if primary {
-			// Chain mode: the group's primary relays the frame to its standbys
-			// before consuming its own copy. Forwards from a freshly promoted
-			// primary can duplicate the old primary's — RepSeq dedup absorbs it.
-			e.chainForward(pkt)
-		}
-		// Tail-ack protocol: every replica — primary or forwarded-to standby
-		// — confirms its own receipt to the origin sender, even for a copy
-		// the RepSeq dedup below will drop (the re-send may exist precisely
-		// because the previous confirmation was lost). A death inside
-		// chainForward skips it: the sender's outbox and ARQ keep racing the
-		// corpse honestly.
-		switch {
-		case e.dead.Load():
-		case e.w.reliable == nil:
-			e.sendChainAck(pkt)
-		case primary:
-			// The ARQ ack is the confirmation. A standby's went out when the
-			// frame arrived; the primary's was withheld by the ack gate until
-			// now, when the frame has been forwarded and the ack no longer
-			// overstates chain durability. Only a primary is ever gated, and
-			// it stays primary until it dies, so nobody else owes a release.
+	if e.w.repl != nil && pkt.Kind == transport.KindData && pkt.RepSeq != 0 &&
+		!e.dead.Load() && e.w.repl.isPrimary(e.rank) {
+		// The group's primary relays the frame to its standbys before
+		// consuming its own copy. Forwards from a freshly promoted primary
+		// can duplicate the old primary's — RepSeq dedup absorbs it.
+		e.chainForward(pkt)
+		// Tail-ack protocol: every replica's ARQ ack is its receipt
+		// confirmation to the origin sender. A standby's went out when the
+		// frame arrived; the primary's was withheld by the ack gate until
+		// now, when the frame has been forwarded and the ack no longer
+		// overstates chain durability. Only a primary is ever gated, and it
+		// stays primary until it dies, so nobody else owes a release. A
+		// death inside chainForward skips it: the sender's outbox and ARQ
+		// keep racing the corpse honestly.
+		if !e.dead.Load() {
 			e.w.releaseChainAck(e.rank, pkt)
 		}
 	}
@@ -459,7 +442,7 @@ func (e *engine) deliver(pkt *transport.Packet) {
 				e.mu.Unlock()
 				e.w.metrics.Inc(e.rank, metrics.ReplicaDedupDrops)
 				e.w.tracer.RecordMsg(e.rank, trace.ReplicaDedup, pkt.Src, pkt.Tag, -1, int(e.gen), pkt.Token, 0, "")
-				return // fan-out duplicate: an earlier replica's copy won
+				return // duplicate: an earlier replica's copy won
 			}
 			e.repNext[k] = pkt.RepSeq + 1
 		}
@@ -562,8 +545,8 @@ func (e *engine) stampGen(pkt *transport.Packet) {
 // (origin rank + per-origin sequence, owned by the World so reincarnations
 // never reuse a predecessor's tokens) and the sender's HLC stamp. Both
 // ride the v5 frame header, so every later event — retransmit, chaos
-// fault, fan-out copy, delivery — carries the same identity. Replication
-// pre-assigns one token for a whole fan-out (Token != 0 is preserved).
+// fault, chain forward, delivery — carries the same identity. Replication
+// pre-assigns the token it keeps for a re-send (Token != 0 is preserved).
 // The HLC stamp is taken only when a tracer or obs registry is attached
 // (World.stamps): nothing else reads it, and 0 means "unstamped".
 func (e *engine) sendPacket(pkt *transport.Packet) error {

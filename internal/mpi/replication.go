@@ -18,9 +18,9 @@ import (
 // philosophy to the paper's ABFT ring. Instead of the application
 // recognizing failures and repairing its own protocol (re-entry,
 // validate_all, counter repair), every logical rank is backed by R
-// physical replicas that all execute the rank function. Sends fan out to
-// every live replica of the destination (or travel via the primary in
-// chain mode), receivers drop the duplicates by a replication sequence
+// physical replicas that all execute the rank function. Every send goes
+// to the destination's primary, which forwards it down the chain to the
+// standbys; receivers drop the duplicates by a replication sequence
 // number, and a replica's death is absorbed by promoting a standby —
 // the application never observes a failure until a logical rank's LAST
 // replica dies, at which point the normal fail-stop path takes over.
@@ -30,17 +30,12 @@ import (
 // backed by physical slots {l, l+L, l+2L, ...}. Replica 0 of every
 // logical rank therefore occupies the physical slot with the same index,
 // which keeps logical ids valid indices into every physical-sized table.
-const (
-	// ReplFanout sends one physical copy to every live replica of the
-	// destination (the default). No loss window: any surviving replica has
-	// every message the sender produced.
-	ReplFanout = "fanout"
-	// ReplChain sends one copy to the destination's primary, which
-	// forwards to its standbys. Cheaper on the sender's uplink, but a
-	// primary that acknowledges a frame and dies before forwarding loses
-	// it for the standbys — chain mode trades a loss window for bandwidth.
-	ReplChain = "chain"
-)
+
+// ReplChain names replication's only propagation protocol, chain over ARQ.
+//
+// Deprecated: it remains so that existing ReplicationOptions{Mode:
+// ReplChain} literals keep compiling; leave Mode empty instead.
+const ReplChain = "chain"
 
 // ReplicationOptions configures replication mode (WithReplication).
 type ReplicationOptions struct {
@@ -48,8 +43,11 @@ type ReplicationOptions struct {
 	// 1 is a valid (if pointless) degree and matches the unreplicated
 	// baseline for overhead measurements.
 	R int
-	// Mode selects the propagation shape: ReplFanout (default, also
-	// selected by "") or ReplChain.
+	// Mode must be "" or ReplChain; anything else is ErrInvalidArg.
+	//
+	// Deprecated: replication has one propagation protocol, so there is
+	// nothing to select. The field remains only so that existing
+	// Mode: ReplChain literals keep compiling.
 	Mode string
 	// AutoRefill makes the world heal depleted replica groups itself:
 	// every detector-confirmed replica death schedules a Spawn-driven
@@ -82,7 +80,7 @@ type chainKey struct {
 	repSeq uint32
 }
 
-// chainPending is one unconfirmed chain-mode send: the payload kept for a
+// chainPending is one unconfirmed chain send: the payload kept for a
 // promotion-triggered re-send, the causal token that keeps the re-send
 // the SAME message for the conservation audit, and the replicas whose
 // receipt confirmation is still owed. It lives by value in the outbox
@@ -114,25 +112,23 @@ type groupView struct {
 // holding it.
 type replState struct {
 	w     *World
-	r     int    // replication degree
-	mode  string // ReplFanout or ReplChain
-	lsize int    // logical world size
+	r     int // replication degree
+	lsize int // logical world size
 	opts  ReplicationOptions
 
 	table atomic.Pointer[[]groupView] // indexed by logical rank; replaced whole, never edited
 
 	mu      sync.Mutex
 	refills int // automatic refills launched (budget bookkeeping)
+
+	closed chan struct{} // closed when Run tears the world down
 }
 
 // newReplState lays out lsize replica groups of degree opts.R over the
 // physical slot table.
 func newReplState(w *World, lsize int, opts ReplicationOptions) *replState {
-	r, mode := opts.R, opts.Mode
-	if mode == "" {
-		mode = ReplFanout
-	}
-	s := &replState{w: w, r: r, mode: mode, lsize: lsize, opts: opts}
+	r := opts.R
+	s := &replState{w: w, r: r, lsize: lsize, opts: opts, closed: make(chan struct{})}
 	table := make([]groupView, lsize)
 	all := ^uint64(0) >> (maxReplicas - uint(r))
 	for l := range table {
@@ -351,21 +347,16 @@ func (w *World) notifyRevive(slot int) {
 	}
 }
 
-// replSend fans one logical data message out to the physical replicas
-// of logical destination ldst: every live replica in fanout mode, the
-// primary in chain mode. Each copy carries the same replication sequence
-// number — sender replicas execute identical programs and stamp
-// identical sequences, so receivers drop the duplicates by RepSeq alone.
-// Must be called with no engine lock held.
+// replSend sends one logical data message to the primary of logical
+// destination ldst, which forwards it down the chain to the standbys.
+// Every sender replica stamps the same replication sequence number — they
+// execute identical programs — so receivers drop the duplicates by RepSeq
+// alone. Must be called with no engine lock held.
 func (e *engine) replSend(ldst, tag, ctx int, payload []byte) error {
 	w := e.w
-	chain := w.repl.mode == ReplChain
-	var kept []byte
-	if chain {
-		kept = make([]byte, len(payload))
-		copy(kept, payload)
-	}
-	// Targets, epoch and the outbox wait set all come from ONE snapshot of
+	kept := make([]byte, len(payload))
+	copy(kept, payload)
+	// Target, epoch and the outbox wait set all come from ONE snapshot of
 	// the destination group, loaded under e.mu together with the outbox
 	// insertion. handleDeath publishes the new table before pruneChainAcks
 	// takes e.mu, so either the prune finds this entry or this load finds
@@ -380,60 +371,45 @@ func (e *engine) replSend(ldst, tag, ctx int, payload []byte) error {
 	k := repChan{peer: ldst, ctx: ctx, tag: tag}
 	e.repSeq[k]++ // starts at 1: 0 on the wire means "unstamped"
 	seq := e.repSeq[k]
-	// One causal token for the whole fan-out: every physical copy is the
-	// same logical message, so the deduplicated losers and the delivered
-	// winner reconcile to one identity in the conservation audit.
+	// One causal token per logical message: the primary's forwards and any
+	// promotion re-send carry it too, so the deduplicated copies and the
+	// delivered one reconcile to one identity in the conservation audit.
 	// (sendPacket assigns tokens only when unset, so this survives it.)
 	tok := transport.MakeToken(e.rank, w.nextTokenSeq(e.rank))
-	targets := g.live
-	if chain {
-		// The outbox entry exists BEFORE the copy enters the fabric: over
-		// the synchronous Local fabric the confirmations can arrive inside
-		// the Send call below, and they must find the entry to retire.
-		e.chainPend[chainKey{ldst: ldst, ctx: ctx, tag: tag, repSeq: seq}] =
-			chainPending{payload: kept, tok: tok, waiting: g.mask}
-		primary := [1]int{g.primary} // the primary forwards to the standbys
-		targets = primary[:]
-	}
+	// The outbox entry exists BEFORE the copy enters the fabric: over the
+	// synchronous Local fabric the confirmations can arrive inside the Send
+	// call below, and they must find the entry to retire.
+	e.chainPend[chainKey{ldst: ldst, ctx: ctx, tag: tag, repSeq: seq}] =
+		chainPending{payload: kept, tok: tok, waiting: g.mask}
 	e.mu.Unlock()
-	var start time.Time
-	var firstErr error
-	for i, phys := range targets {
-		buf := payload
-		if !w.nonRetaining {
-			// Retaining fabrics (Local, and anything layered on it) keep the
-			// payload pointer, so every physical copy needs its own buffer.
-			buf = make([]byte, len(payload))
-			copy(buf, payload)
-		}
-		if i == 1 && w.obs != nil {
-			start = time.Now() // overhead clock: copies beyond the first
-		}
-		pkt := &transport.Packet{
-			Src: e.rank, Dst: phys, Tag: tag, Context: ctx,
-			Kind: transport.KindData, Payload: buf,
-			RepSeq: seq, RepEpoch: g.epoch, Token: tok,
-		}
-		if err := e.sendPacket(pkt); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if i > 0 {
-			w.metrics.Inc(e.rank, metrics.ReplicaSends)
-		}
+	buf := payload
+	if !w.nonRetaining {
+		// Retaining fabrics (Local, and anything layered on it) keep the
+		// payload pointer, so the copy on the wire needs its own buffer.
+		buf = make([]byte, len(payload))
+		copy(buf, payload)
 	}
-	if len(targets) > 1 && w.obs != nil {
-		w.obs.Observe(e.rank, obs.ReplicationOverhead, time.Since(start))
-	}
-	return firstErr
+	return e.sendPacket(&transport.Packet{
+		Src: e.rank, Dst: g.primary, Tag: tag, Context: ctx,
+		Kind: transport.KindData, Payload: buf,
+		RepSeq: seq, RepEpoch: g.epoch, Token: tok,
+	})
 }
 
-// chainForward relays a chain-mode data frame from the group's primary
+// chainForward relays a replicated data frame from the group's primary
 // to its live standbys, preserving the original sender's identity and
 // generation stamp (re-stamping with the forwarder's would trip the
-// receiver's generation fence against the true source). Runs on the
-// delivery goroutine with no engine lock held.
+// receiver's generation fence against the true source). The forwards are
+// the extra fabric work replication adds to a send, so their time is the
+// ReplicationOverhead sample. Runs on the delivery goroutine with no
+// engine lock held.
 func (e *engine) chainForward(pkt *transport.Packet) {
 	w := e.w
+	var start time.Time
+	if w.obs != nil {
+		start = time.Now()
+	}
+	forwarded := false
 	for _, sib := range w.repl.livePhys(e.arank()) {
 		if sib == e.rank {
 			continue
@@ -460,60 +436,45 @@ func (e *engine) chainForward(pkt *transport.Packet) {
 		}
 		_ = w.fabric.Send(&fwd)
 		w.metrics.Inc(e.rank, metrics.ReplicaSends)
+		forwarded = true
+	}
+	if forwarded && w.obs != nil {
+		w.obs.Observe(e.rank, obs.ReplicationOverhead, time.Since(start))
 	}
 }
 
 // --- chain tail-acks ---------------------------------------------------------
 //
-// Chain mode's loss window: a primary that accepted a frame and died
+// The chain's loss window: a primary that accepted a frame and died
 // before chainForward completed would commit a frame the standbys never
-// see. The tail-ack protocol closes it sender-side: every chain send is
-// held in a per-sender outbox until EVERY live replica of the destination
-// group has confirmed receipt; a primary death re-sends the unconfirmed
-// entries (same RepSeq, same causal token) to the promoted survivor,
-// which re-forwards down the chain.
+// see. The tail-ack protocol closes it sender-side: every replicated send
+// is held in a per-sender outbox until EVERY live replica of the
+// destination group has confirmed receipt; a primary death re-sends the
+// unconfirmed entries (same RepSeq, same causal token) to the promoted
+// survivor, which re-forwards down the chain.
 //
-// The confirmation has two carriers and one entry point (chainConfirm):
-//
-//   - With the reliability layer, the replica's ARQ ack IS the
-//     confirmation. The ack gate withholds the primary's ack until it has
-//     forwarded the frame, a forward keeps the original sender's Src so
-//     the standby's ack also lands on the sender's link state, and the
-//     layer's ack-retire callback hands each acked frame to
-//     World.chainFrameAcked. No frame beyond data and its ack is sent.
-//   - Without it there is no ack to ride, so every replica sends an
-//     explicit KindChainAck frame per delivered data frame, which
-//     engine.deliver hands to chainConfirm.
+// A replicated world always runs over the reliability layer, and the
+// replica's ARQ ack IS the confirmation. The ack gate withholds the
+// primary's ack until it has forwarded the frame, a forward keeps the
+// original sender's Src so the standby's ack also lands on the sender's
+// link state, and the layer's ack-retire callback hands each acked frame
+// to World.chainFrameAcked. No frame beyond data and its ack is sent.
 
-// chainFrameAcked is the reliability layer's ack-retire callback in chain
-// mode: the replica pkt.Dst holds pkt, so it leaves the wait set of the
-// sender's outbox entry. A forwarded frame carries its original sender in
-// Src, so the same rule covers primaries and standbys.
+// chainFrameAcked is the reliability layer's ack-retire callback in a
+// replicated world: the replica pkt.Dst holds pkt, so it leaves the wait
+// set of the sender's outbox entry. A forwarded frame carries its
+// original sender in Src, so the same rule covers primaries and standbys.
 func (w *World) chainFrameAcked(pkt *transport.Packet) {
 	if pkt.Kind == transport.KindData && pkt.RepSeq != 0 {
 		w.eng(pkt.Src).chainConfirm(pkt.Dst, pkt.Context, pkt.Tag, pkt.RepSeq)
 	}
 }
 
-// sendChainAck confirms receipt of a chain data frame to its ORIGINAL
-// sender (pkt.Src survives the chain forward untouched) in a world built
-// without the reliability layer. The frame carries no causal token: it is
-// protocol overhead, not a message the conservation audit tracks.
-func (e *engine) sendChainAck(pkt *transport.Packet) {
-	w := e.w
-	ack := &transport.Packet{
-		Src: e.rank, Dst: pkt.Src, Tag: pkt.Tag, Context: pkt.Context,
-		Kind: transport.KindChainAck, RepSeq: pkt.RepSeq,
-		SrcGen: e.gen, DstGen: w.genOf(pkt.Src),
-	}
-	_ = w.fabric.Send(ack)
-}
-
-// chainConfirm retires one replica's receipt confirmation, whichever
-// carrier brought it, from this sender's matching outbox entry; the entry
-// is released once every awaited replica has confirmed. A confirmation
-// for an entry already released (a re-send's second confirmation) still
-// counts: ChainAcks is confirmations retired, per confirming replica.
+// chainConfirm retires one replica's receipt confirmation from this
+// sender's matching outbox entry; the entry is released once every
+// awaited replica has confirmed. A confirmation for an entry already
+// released (a re-send's second confirmation) still counts: ChainAcks is
+// confirmations retired, per confirming replica.
 func (e *engine) chainConfirm(replica, ctx, tag int, repSeq uint32) {
 	w := e.w
 	w.metrics.Inc(replica, metrics.ChainAcks)
@@ -537,11 +498,8 @@ func (e *engine) chainRetireLocked(k chainKey, ent chainPending, bit uint64) {
 
 // pruneChainAcks removes a dead physical slot from every sender's
 // chain-outbox wait sets (a corpse will never confirm), releasing entries
-// it was the last holdout of. No-op outside chain mode.
+// it was the last holdout of.
 func (s *replState) pruneChainAcks(f int) {
-	if s.mode != ReplChain {
-		return
-	}
 	w := s.w
 	l, bit := f%s.lsize, s.replicaBit(f)
 	for i := 0; i < w.size; i++ {
@@ -565,9 +523,6 @@ func (s *replState) pruneChainAcks(f int) {
 // standbys that missed the old primary's forward. Replicas that already
 // hold the frame dedup-drop it and re-confirm. Called with no locks held.
 func (s *replState) resendChainPending(l, promoted int) {
-	if s.mode != ReplChain {
-		return
-	}
 	w := s.w
 	epoch := s.group(l).epoch
 	for i := 0; i < w.size; i++ {
@@ -643,8 +598,8 @@ func (s *replState) scheduleRefill(slot int) {
 }
 
 // refill retries Spawn(slot) with backoff until the slot is reoccupied,
-// someone else revived it, or the attempt budget runs out (teardown and
-// budget refusals surface as Spawn errors and simply exhaust the loop).
+// someone else revived it, the run tears down, or the attempt budget runs
+// out (budget refusals surface as Spawn errors and exhaust the loop).
 // deathAt anchors the rereplication_latency observation: confirm-to-heal.
 func (s *replState) refill(slot int, deathAt time.Time) {
 	w := s.w
@@ -652,15 +607,21 @@ func (s *replState) refill(slot int, deathAt time.Time) {
 	if backoff <= 0 {
 		backoff = 2 * time.Millisecond
 	}
+	wait := s.opts.RefillDelay
 	for attempt := 0; attempt < refillAttempts; attempt++ {
-		if attempt == 0 {
-			if s.opts.RefillDelay > 0 {
-				time.Sleep(s.opts.RefillDelay)
-			}
-		} else {
-			time.Sleep(backoff)
+		if attempt > 0 {
+			wait = backoff
 			if backoff < 500*time.Millisecond {
 				backoff *= 2
+			}
+		}
+		if wait > 0 {
+			t := time.NewTimer(wait)
+			select {
+			case <-t.C:
+			case <-s.closed:
+				t.Stop()
+				return // the run is over: nothing is left to heal
 			}
 		}
 		if !w.registry.Confirmed(slot) {

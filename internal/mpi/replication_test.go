@@ -4,36 +4,25 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/reliable"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
-// chainCarriers are the two ways a chain world confirms receipt: explicit
-// KindChainAck frames in a world without the reliability layer, the ARQ
-// ack itself in a world with it. Chain-mode tests run on both.
-var chainCarriers = []struct {
-	name string
-	opts []Option
-}{
-	{"explicit", nil},
-	{"arq", []Option{WithReliability(reliable.Options{})}},
-}
-
 // runRepl builds a replicated world of lsize logical ranks at degree r
 // and runs fn on every PHYSICAL replica (all replicas of a logical rank
 // execute the same function, distinguishable only via PhysRank/Gen).
-func runRepl(t *testing.T, lsize, r int, mode string, opts []Option, fn func(w *World, p *Proc) error) (*World, *RunResult) {
+func runRepl(t *testing.T, lsize, r int, opts []Option, fn func(w *World, p *Proc) error) (*World, *RunResult) {
 	t.Helper()
 	all := append([]Option{
 		WithDeadline(60 * time.Second),
-		WithReplication(ReplicationOptions{R: r, Mode: mode}),
+		WithReplication(ReplicationOptions{R: r}),
 		WithMetrics(metrics.NewWorld(lsize * r)),
 	}, opts...)
 	w, err := NewWorld(lsize, all...)
@@ -93,13 +82,15 @@ func TestReplicationWorldShape(t *testing.T) {
 	if _, err := NewWorld(2, WithReplication(ReplicationOptions{R: 0})); !errors.Is(err, ErrInvalidArg) {
 		t.Fatalf("R=0 accepted: %v", err)
 	}
-	if _, err := NewWorld(2, WithReplication(ReplicationOptions{R: 2, Mode: "quorum"})); !errors.Is(err, ErrInvalidArg) {
-		t.Fatalf("bad mode accepted: %v", err)
+	for _, mode := range []string{"quorum", "fanout"} {
+		if _, err := NewWorld(2, WithReplication(ReplicationOptions{R: 2, Mode: mode})); !errors.Is(err, ErrInvalidArg) {
+			t.Fatalf("mode %q accepted: %v", mode, err)
+		}
 	}
 
 	seenPhys := make(map[int]bool)
 	var mu sync.Mutex
-	w, res := runRepl(t, 3, 2, ReplFanout, nil, func(w *World, p *Proc) error {
+	w, res := runRepl(t, 3, 2, nil, func(w *World, p *Proc) error {
 		if p.Rank() != p.PhysRank()%3 {
 			return fmt.Errorf("rank %d / phys %d: logical mapping broken", p.Rank(), p.PhysRank())
 		}
@@ -127,7 +118,7 @@ func TestReplicationWorldShape(t *testing.T) {
 func TestReplicationTransparentFailover(t *testing.T) {
 	const laps = 20
 	victim := 1 // primary of logical 1 (L=3, R=2: group {1, 4})
-	w, res := runRepl(t, 3, 2, ReplFanout, nil, replRing(laps, victim, 5))
+	w, res := runRepl(t, 3, 2, nil, replRing(laps, victim, 5))
 
 	if !res.Ranks[victim].Killed {
 		t.Fatalf("victim %d not recorded killed: %+v", victim, res.Ranks[victim])
@@ -145,10 +136,10 @@ func TestReplicationTransparentFailover(t *testing.T) {
 		t.Fatalf("promotions: %d, want 1", got)
 	}
 	if mets.Total(metrics.ReplicaSends) == 0 {
-		t.Fatal("no replica fan-out sends counted")
+		t.Fatal("no chain forwards counted")
 	}
 	if mets.Total(metrics.ReplicaDedupDrops) == 0 {
-		t.Fatal("no duplicate drops counted — fan-out copies were not deduped")
+		t.Fatal("no duplicate drops counted — the sender replicas' copies were not deduped")
 	}
 	// Zero app-visible recovery: no validate rounds, no app resends.
 	if v, r := mets.Total(metrics.Validates), mets.Total(metrics.Resends); v != 0 || r != 0 {
@@ -161,7 +152,7 @@ func TestReplicationTransparentFailover(t *testing.T) {
 func TestReplicationStandbyDeathInvisible(t *testing.T) {
 	const laps = 12
 	victim := 4 // standby of logical 1
-	w, res := runRepl(t, 3, 2, ReplFanout, nil, replRing(laps, victim, 3))
+	w, res := runRepl(t, 3, 2, nil, replRing(laps, victim, 3))
 	for phys, rr := range res.Ranks {
 		if phys != victim && (rr.Err != nil || rr.Killed) {
 			t.Fatalf("phys %d saw the failure: %+v", phys, rr)
@@ -176,7 +167,7 @@ func TestReplicationStandbyDeathInvisible(t *testing.T) {
 // dies the failure escalates to the ordinary fail-stop path under the
 // LOGICAL rank id, and validate_all agrees on it.
 func TestReplicationLastReplicaFailStop(t *testing.T) {
-	_, res := runRepl(t, 3, 2, ReplFanout, nil, func(w *World, p *Proc) error {
+	_, res := runRepl(t, 3, 2, nil, func(w *World, p *Proc) error {
 		c := p.World()
 		if p.Rank() == 2 {
 			p.Die() // both replicas: the logical rank is extinguished
@@ -214,27 +205,30 @@ func TestReplicationLastReplicaFailStop(t *testing.T) {
 
 // TestReplicationChainMode: chain propagation delivers exactly once (the
 // primary relays to standbys, duplicates are dropped), and a TAIL
-// (standby) death neither promotes nor surfaces.
+// (standby) death neither promotes nor surfaces. The replicas confirm
+// receipt with their ARQ acks, so every outbox drains.
 func TestReplicationChainMode(t *testing.T) {
-	for _, carrier := range chainCarriers {
-		t.Run(carrier.name, func(t *testing.T) {
-			const laps = 12
-			victim := 5 // standby of logical 2 (L=3: groups {0,3} {1,4} {2,5})
-			w, res := runRepl(t, 3, 2, ReplChain, carrier.opts, replRing(laps, victim, 4))
-			for phys, rr := range res.Ranks {
-				if phys != victim && (rr.Err != nil || rr.Killed) {
-					t.Fatalf("phys %d saw the failure: %+v", phys, rr)
-				}
+	t.Run("arq", func(t *testing.T) {
+		const laps = 12
+		victim := 5 // standby of logical 2 (L=3: groups {0,3} {1,4} {2,5})
+		w, res := runRepl(t, 3, 2, nil, replRing(laps, victim, 4))
+		for phys, rr := range res.Ranks {
+			if phys != victim && (rr.Err != nil || rr.Killed) {
+				t.Fatalf("phys %d saw the failure: %+v", phys, rr)
 			}
-			mets := w.Metrics()
-			if got := mets.Total(metrics.ReplicaPromotions); got != 0 {
-				t.Fatalf("promotions: %d, want 0 for a tail death", got)
-			}
-			if mets.Total(metrics.ReplicaSends) == 0 {
-				t.Fatal("no chain forwards counted")
-			}
-		})
-	}
+		}
+		mets := w.Metrics()
+		if got := mets.Total(metrics.ReplicaPromotions); got != 0 {
+			t.Fatalf("promotions: %d, want 0 for a tail death", got)
+		}
+		if mets.Total(metrics.ReplicaSends) == 0 {
+			t.Fatal("no chain forwards counted")
+		}
+		if w.reliable == nil || mets.Total(metrics.ChainAcks) == 0 {
+			t.Fatal("replication built no ARQ layer, or no ack confirmed a replica's receipt")
+		}
+		requireChainOutboxEmpty(t, w)
+	})
 }
 
 // TestReplicationSpawnRefillsGroup: with elastic repair enabled, Spawn
@@ -243,7 +237,7 @@ func TestReplicationChainMode(t *testing.T) {
 func TestReplicationSpawnRefillsGroup(t *testing.T) {
 	const laps = 8
 	victim := 2 // standby of logical 0 (L=2, R=2: group {0, 2})
-	w, res := runRepl(t, 2, 2, ReplFanout,
+	w, res := runRepl(t, 2, 2,
 		[]Option{WithElastic(ElasticOptions{})},
 		func(w *World, p *Proc) error {
 			if p.Gen() > 1 {
@@ -363,7 +357,7 @@ func TestSpawnRacesShrink(t *testing.T) {
 }
 
 // runReplOpts is runRepl with full control over the replication options
-// (refill knobs, mode) instead of just (R, mode).
+// (refill knobs) instead of just R.
 func runReplOpts(t *testing.T, lsize int, ropts ReplicationOptions, opts []Option, fn func(w *World, p *Proc) error) (*World, *RunResult) {
 	t.Helper()
 	all := append([]Option{
@@ -397,42 +391,39 @@ func runReplOpts(t *testing.T, lsize int, ropts ReplicationOptions, opts []Optio
 // right value) and no double-delivery (RepSeq dedup absorbs any copy the
 // dying primary did manage to forward).
 func TestChainForwardWindowKill(t *testing.T) {
-	for _, carrier := range chainCarriers {
-		t.Run(carrier.name, func(t *testing.T) {
-			const laps = 12
-			var fires atomic.Int32
-			hook := func(ev HookEvent) Action {
-				// Kill the primary of logical 1 immediately before its third
-				// standby forward. The promoted standby shares the logical rank,
-				// so fire exactly once (Add, not a == comparison on Load).
-				if ev.Point == HookChainForward && ev.Rank == 1 && fires.Add(1) == 3 {
-					return ActKill
-				}
-				return ActNone
+	t.Run("arq", func(t *testing.T) {
+		const laps = 12
+		var fires atomic.Int32
+		hook := func(ev HookEvent) Action {
+			// Kill the primary of logical 1 immediately before its third
+			// standby forward. The promoted standby shares the logical rank,
+			// so fire exactly once (Add, not a == comparison on Load).
+			if ev.Point == HookChainForward && ev.Rank == 1 && fires.Add(1) == 3 {
+				return ActKill
 			}
-			opts := append([]Option{WithHook(hook)}, carrier.opts...)
-			w, res := runRepl(t, 3, 2, ReplChain, opts, replRing(laps, -1, 0))
-			for phys, rr := range res.Ranks {
-				if phys == 1 {
-					continue // the forward-window victim
-				}
-				if rr.Err != nil || rr.Killed {
-					t.Fatalf("phys %d saw the failure: %+v", phys, rr)
-				}
+			return ActNone
+		}
+		w, res := runRepl(t, 3, 2, []Option{WithHook(hook)}, replRing(laps, -1, 0))
+		for phys, rr := range res.Ranks {
+			if phys == 1 {
+				continue // the forward-window victim
 			}
-			mets := w.Metrics()
-			if got := mets.Total(metrics.ReplicaPromotions); got != 1 {
-				t.Fatalf("promotions: %d, want exactly 1", got)
+			if rr.Err != nil || rr.Killed {
+				t.Fatalf("phys %d saw the failure: %+v", phys, rr)
 			}
-			if got := mets.Total(metrics.ChainResends); got == 0 {
-				t.Fatal("no chain resends: the unconfirmed outbox entry was not replayed")
-			}
-			if mets.Total(metrics.ChainAcks) == 0 {
-				t.Fatal("no chain acks counted")
-			}
-			requireChainOutboxEmpty(t, w)
-		})
-	}
+		}
+		mets := w.Metrics()
+		if got := mets.Total(metrics.ReplicaPromotions); got != 1 {
+			t.Fatalf("promotions: %d, want exactly 1", got)
+		}
+		if got := mets.Total(metrics.ChainResends); got == 0 {
+			t.Fatal("no chain resends: the unconfirmed outbox entry was not replayed")
+		}
+		if mets.Total(metrics.ChainAcks) == 0 {
+			t.Fatal("no chain acks counted")
+		}
+		requireChainOutboxEmpty(t, w)
+	})
 }
 
 // TestReplicationAutoRefill: with AutoRefill the world itself heals a
@@ -440,44 +431,69 @@ func TestChainForwardWindowKill(t *testing.T) {
 // Spawn anywhere in the rank function. The refilled incarnation joins as
 // a warm standby at generation 2 and the group is back at full degree.
 func TestReplicationAutoRefill(t *testing.T) {
-	for _, mode := range []string{ReplFanout, ReplChain} {
-		t.Run(mode, func(t *testing.T) {
-			const laps = 8
-			victim := 2 // standby of logical 0 (L=2, R=2: group {0, 2})
-			w, res := runReplOpts(t, 2,
-				ReplicationOptions{R: 2, Mode: mode, AutoRefill: true, RefillBackoff: time.Millisecond},
-				nil,
-				func(w *World, p *Proc) error {
-					if p.Gen() > 1 {
-						return nil // warm standby: hold the slot, no history replay
-					}
-					if err := replRing(laps, victim, 3)(w, p); err != nil {
-						return err
-					}
-					if p.PhysRank() != 0 {
-						return nil
-					}
-					return pollUntil("replica group auto-refilled", func() (bool, error) {
-						return len(w.LiveReplicas(0)) == 2 && w.Registry().Generation(victim) == 2, nil
-					})
-				})
-			for phys, rr := range res.Ranks {
-				if phys != victim && rr.Err != nil {
-					t.Fatalf("phys %d: %v", phys, rr.Err)
+	t.Run("chain", func(t *testing.T) {
+		const laps = 8
+		victim := 2 // standby of logical 0 (L=2, R=2: group {0, 2})
+		w, res := runReplOpts(t, 2,
+			ReplicationOptions{R: 2, AutoRefill: true, RefillBackoff: time.Millisecond},
+			nil,
+			func(w *World, p *Proc) error {
+				if p.Gen() > 1 {
+					return nil // warm standby: hold the slot, no history replay
 				}
+				if err := replRing(laps, victim, 3)(w, p); err != nil {
+					return err
+				}
+				if p.PhysRank() != 0 {
+					return nil
+				}
+				return pollUntil("replica group auto-refilled", func() (bool, error) {
+					return len(w.LiveReplicas(0)) == 2 && w.Registry().Generation(victim) == 2, nil
+				})
+			})
+		for phys, rr := range res.Ranks {
+			if phys != victim && rr.Err != nil {
+				t.Fatalf("phys %d: %v", phys, rr.Err)
 			}
-			if len(res.Respawns) != 1 || res.Respawns[0].Slot != victim {
-				t.Fatalf("respawns: %+v", res.Respawns)
+		}
+		if len(res.Respawns) != 1 || res.Respawns[0].Slot != victim {
+			t.Fatalf("respawns: %+v", res.Respawns)
+		}
+		mets := w.Metrics()
+		if got := mets.Total(metrics.ReplicaRefills); got != 1 {
+			t.Fatalf("replica_refills: %d, want 1", got)
+		}
+		live := w.LiveReplicas(0)
+		if len(live) != 2 || live[0] != 0 || live[1] != victim {
+			t.Fatalf("replica group of logical 0 after refill: %v", live)
+		}
+	})
+}
+
+// TestRefillStopsAtTeardown: a refill still waiting out its delay or
+// backoff when Run returns must not outlive the run. The victim dies at
+// once and every other replica returns, so Run ends before the refill's
+// first attempt, and that attempt would be refused anyway.
+func TestRefillStopsAtTeardown(t *testing.T) {
+	before := runtime.NumGoroutine()
+	_, res := runReplOpts(t, 2,
+		ReplicationOptions{R: 2, AutoRefill: true, RefillDelay: 5 * time.Millisecond},
+		nil,
+		func(w *World, p *Proc) error {
+			if p.PhysRank() == 3 {
+				p.Die()
 			}
-			mets := w.Metrics()
-			if got := mets.Total(metrics.ReplicaRefills); got != 1 {
-				t.Fatalf("replica_refills: %d, want 1", got)
-			}
-			live := w.LiveReplicas(0)
-			if len(live) != 2 || live[0] != 0 || live[1] != victim {
-				t.Fatalf("replica group of logical 0 after refill: %v", live)
-			}
+			return nil
 		})
+	if !res.Ranks[3].Killed {
+		t.Fatalf("victim 3 not killed: %+v", res.Ranks[3])
+	}
+	for end := time.Now().Add(50 * time.Millisecond); runtime.NumGoroutine() > before && time.Now().Before(end); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines 50ms after Run, %d before the world:\n%s", n, before, buf[:runtime.Stack(buf, true)])
 	}
 }
 
@@ -521,9 +537,7 @@ func TestReplicatedDeliveryKeepsBothIdentities(t *testing.T) {
 	const lsize, r = 3, 2
 	base := &unchangedFabric{Fabric: transport.NewLocal()}
 	rec := trace.New(0)
-	w, res := runRepl(t, lsize, r, ReplChain, []Option{
-		WithFabric(base), WithTracer(rec), WithReliability(reliable.Options{}),
-	}, func(w *World, p *Proc) error {
+	w, res := runRepl(t, lsize, r, []Option{WithFabric(base), WithTracer(rec)}, func(w *World, p *Proc) error {
 		c := p.World()
 		want := func(what string, st Status) error {
 			if st.Source != 1 {

@@ -63,8 +63,8 @@ type Config struct {
 	// what lets the runtime survive the injected faults.
 	Chaos *chaos.Plan
 	// Reliable enables the reliability sublayer (sequence numbers, acks,
-	// dedup, bounded retransmission with fail-stop escalation) even
-	// without a chaos plan.
+	// dedup, bounded retransmission with fail-stop escalation). Chaos or
+	// Replication implies it: replicas confirm receipt through its acks.
 	Reliable bool
 	// ReliableOptions tunes the reliability sublayer; zero fields take
 	// the package defaults.
@@ -210,11 +210,9 @@ func newWorldFromConfig(cfg Config) (*World, error) {
 			return nil, fmt.Errorf("%w: replication degree %d (want 1..%d)",
 				ErrInvalidArg, cfg.Replication.R, maxReplicas)
 		}
-		switch cfg.Replication.Mode {
-		case "", ReplFanout, ReplChain:
-		default:
-			return nil, fmt.Errorf("%w: unknown replication mode %q (want %q or %q)",
-				ErrInvalidArg, cfg.Replication.Mode, ReplFanout, ReplChain)
+		if m := cfg.Replication.Mode; m != "" && m != ReplChain {
+			return nil, fmt.Errorf("%w: replication mode %q: chain is the only protocol (leave Mode empty)",
+				ErrInvalidArg, m)
 		}
 		// Size is the logical rank count; the physical world is R times
 		// larger. Everything below (registry, engines, monitors, fabric
@@ -240,7 +238,7 @@ func newWorldFromConfig(cfg Config) (*World, error) {
 		chaosFab = chaos.Wrap(fabric, cfg.Chaos)
 		fabric = chaosFab
 	}
-	if cfg.Chaos != nil || cfg.Reliable {
+	if cfg.Chaos != nil || cfg.Reliable || cfg.Replication != nil {
 		relFab = reliable.Wrap(fabric, cfg.ReliableOptions)
 		fabric = relFab
 	}
@@ -268,18 +266,16 @@ func newWorldFromConfig(cfg Config) (*World, error) {
 	}
 	if cfg.Replication != nil {
 		w.repl = newReplState(w, lsize, *cfg.Replication)
-		if relFab != nil && w.repl.mode == ReplChain {
-			// Tail-ack: a chain primary's hop-level ARQ ack for a fresh data
-			// frame is withheld until the engine has forwarded the frame
-			// down the chain (deliver releases it), so an ack never claims
-			// durability the standbys don't have yet — which is what lets
-			// every replica's ack double as its receipt confirmation.
-			relFab.SetAckGate(func(dst int, pkt *transport.Packet) bool {
-				return pkt.Kind == transport.KindData && pkt.RepSeq != 0 &&
-					w.repl.isPrimary(dst)
-			})
-			relFab.OnAckRetire(w.chainFrameAcked)
-		}
+		// Tail-ack: a primary's hop-level ARQ ack for a fresh data frame is
+		// withheld until the engine has forwarded the frame down the chain
+		// (deliver releases it), so an ack never claims durability the
+		// standbys don't have yet — which is what lets every replica's ack
+		// double as its receipt confirmation.
+		relFab.SetAckGate(func(dst int, pkt *transport.Packet) bool {
+			return pkt.Kind == transport.KindData && pkt.RepSeq != 0 &&
+				w.repl.isPrimary(dst)
+		})
+		relFab.OnAckRetire(w.chainFrameAcked)
 	}
 	if cfg.Agreement == AgreementTree {
 		w.treeArity = 2
@@ -310,8 +306,8 @@ func newWorldFromConfig(cfg Config) (*World, error) {
 
 // releaseChainAck releases the gate-deferred hop-level ARQ ack for a
 // chain data frame delivered to dst. ReleaseAck is idempotent, so this
-// is a cheap no-op when nothing was deferred (fanout mode, control
-// traffic, already released).
+// is a cheap no-op when nothing was deferred (unreplicated worlds,
+// control traffic, already released).
 func (w *World) releaseChainAck(dst int, pkt *transport.Packet) {
 	if w.reliable != nil {
 		w.reliable.ReleaseAck(pkt.Src, dst, pkt.Seq)
@@ -604,6 +600,9 @@ func (w *World) Run(fn func(p *Proc) error) (*RunResult, error) {
 	w.runMu.Lock()
 	w.closing = true
 	w.runMu.Unlock()
+	if w.repl != nil {
+		close(w.repl.closed) // refills waiting out a backoff give up
+	}
 	for i := 0; i < w.size; i++ {
 		w.eng(i).markClosed()
 	}

@@ -61,8 +61,8 @@ const (
 	// primary of the logical rank.
 	ReplicaPromotion
 	// ReplicationOverhead times the extra fabric work a replicated send
-	// pays beyond its first physical copy (the fan-out or chain-forward
-	// cost, the failure-free price of replication).
+	// pays beyond its first physical copy (the primary's chain forwards to
+	// its standbys, the failure-free price of replication).
 	ReplicationOverhead
 	// MessageE2ELatency times one data message from its origin's send
 	// stamp to its acceptance by the destination matching layer, computed

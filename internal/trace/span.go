@@ -164,8 +164,8 @@ type AuditReport struct {
 	// impossible message identities (a stamping or decoding bug).
 	OrphanDelivers []uint64
 	// LossKinds tallies the accounted-loss events by kind across the
-	// stream (delivered messages' losses included: a dropped fan-out copy
-	// of a delivered message still shows up here).
+	// stream (delivered messages' losses included: a deduplicated replica
+	// copy of a delivered message still shows up here).
 	LossKinds map[Kind]int
 }
 

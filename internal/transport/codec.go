@@ -157,6 +157,9 @@ func ReadFrame(r io.Reader, hdr []byte) (*Packet, error) {
 	if hdr[4] != frameVersion {
 		return nil, fmt.Errorf("%w: unknown version %d", ErrFrameCorrupt, hdr[4])
 	}
+	if Kind(hdr[5]) >= kindEnd {
+		return nil, fmt.Errorf("%w: unknown kind %d", ErrFrameCorrupt, hdr[5])
+	}
 	plen := binary.LittleEndian.Uint32(hdr[66:70])
 	if plen > MaxFramePayload {
 		return nil, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrFrameCorrupt, plen, MaxFramePayload)

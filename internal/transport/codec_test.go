@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -144,6 +145,17 @@ func TestReadFrameRejectsCorruption(t *testing.T) {
 	if err := corrupt(func(b []byte) { b[4] = 99 }); err == nil {
 		t.Fatal("bad version accepted")
 	}
+	// An undefined kind is refused even in a frame whose CRC holds: it
+	// would otherwise reach the engine as user data.
+	for _, kind := range []Kind{6, 255} {
+		frame, err := AppendFrame(nil, &Packet{Src: 1, Dst: 2, Tag: 3, Kind: kind, Payload: []byte("ok")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadFrame(bytes.NewReader(frame), hdr[:]); !errors.Is(err, ErrFrameCorrupt) {
+			t.Fatalf("kind %d: ReadFrame returned %v, want ErrFrameCorrupt", kind, err)
+		}
+	}
 	if err := corrupt(func(b []byte) { b[66], b[67], b[68], b[69] = 0xff, 0xff, 0xff, 0xff }); err == nil {
 		t.Fatal("oversized payload length accepted")
 	}
@@ -222,6 +234,13 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		}
 		var hdr [FrameHeaderSize]byte
 		q, err := ReadFrame(bytes.NewReader(frame), hdr[:])
+		if Kind(kind) >= kindEnd {
+			// An undefined kind encodes, but the decoder refuses it.
+			if !errors.Is(err, ErrFrameCorrupt) {
+				t.Fatalf("kind %d decoded: %v", kind, err)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}

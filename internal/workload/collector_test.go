@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
-	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -27,17 +26,16 @@ func TestCollectorCoversAllFamilies(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Seed 1 kills physical slot 1 — a primary, so the run exercises a
-	// promotion and its latency sample, not just the fan-out counters.
-	rcfg := replicaCfg{r: 2, mode: mpi.ReplFanout, kill: true,
-		laps: replicaBaseLaps, rates: repairRates}
+	// promotion and its latency sample, not just the chain counters.
+	rcfg := replicaCfg{r: 2, kill: true, laps: replicaBaseLaps, rates: repairRates}
 	if _, err := runReplicaWorld(opt, rcfg, 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	// One chain-mode durability world with a forward-window kill (seed 2
-	// is even) lights the tail-ack counters (chain_acks, a guaranteed
+	// One durability world with a forward-window kill (seed 2 is even)
+	// lights the tail-ack counters (chain_acks, a guaranteed
 	// chain_resends) and the auto re-replication pipeline (replica_refills
 	// + rereplication_latency samples).
-	if _, err := runDurabilityWorld(opt, mpi.ReplChain, 2, nil); err != nil {
+	if _, err := runDurabilityWorld(opt, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if c.Runs() < 3 {

@@ -131,7 +131,7 @@ func runRecoveryWorld(opt Options, repair, det string, seed int64, rec *trace.Re
 		_, err := runElasticWorld(opt, seed, nil, nil)
 		return err
 	case "promotion":
-		cfg := replicaCfg{r: 2, mode: mpi.ReplFanout, kill: true,
+		cfg := replicaCfg{r: 2, kill: true,
 			laps: replicaBaseLaps, rates: repairRates,
 			waitRepair: det != mpi.DetectorOracle}
 		_, err := runReplicaWorld(opt, cfg, seed, nil, nil)

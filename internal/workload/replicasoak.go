@@ -8,6 +8,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/obs"
+	"repro/internal/reliable"
 	"repro/internal/trace"
 )
 
@@ -17,10 +18,9 @@ import (
 const ReplicaDemoRanks = replicaRingRanks
 
 // RunReplicaDemo runs one seeded replication world (the E22 protocol)
-// with R replicas per logical rank in the given replication mode
-// (mpi.ReplFanout or mpi.ReplChain) over the caller's metrics recorder
+// with R replicas per logical rank over the caller's metrics recorder
 // and histogram registry — both sized to ReplicaDemoRanks*R — and returns
-// the one-row result table, R and mode in its title. This is the entry
+// the one-row result table, R in its title. This is the entry
 // point behind cmd/ftring's -replicas mode, so a live -obs endpoint
 // scrapes the promotion and dedup counters as a replica is killed
 // mid-run. With refill set, the world re-replicates the killed slot
@@ -28,10 +28,10 @@ const ReplicaDemoRanks = replicaRingRanks
 // degree R. A non-nil rec records the causal trace (for -trace-out /
 // traceconv -audit). With R == 1 there is no replica to absorb a
 // failure, so the run is failure-free, on the plain runtime.
-func RunReplicaDemo(seed int64, r int, mode string, refill bool,
+func RunReplicaDemo(seed int64, r int, refill bool,
 	rec *trace.Recorder, mets *metrics.World, reg *obs.Registry) (*Table, error) {
-	t := replicaTable(fmt.Sprintf("replication demo — R=%d %s, hot replicas, transparent failover under chaos", r, mode))
-	cfg := replicaCfg{r: r, mode: mode, kill: r >= 2,
+	t := replicaTable(fmt.Sprintf("replication demo — R=%d, hot replicas, transparent failover under chaos", r))
+	cfg := replicaCfg{r: r, kill: r >= 2,
 		laps: replicaBaseLaps, rates: repairRates, autoRefill: refill && r >= 2}
 	run, err := runReplicaWorld(Options{Tracer: rec}, cfg, seed, mets, reg)
 	if err != nil {
@@ -44,8 +44,9 @@ func RunReplicaDemo(seed int64, r int, mode string, refill bool,
 // E22 — the replication soak. The paper's answer to failure is an ABFT
 // protocol: the application recognizes failures, resends past corpses and
 // deduplicates by marker. Replication is the opposite trade: each logical
-// rank is backed by R hot replicas, every send fans out to all of them,
-// receives are deduplicated below the matching layer, and a replica death
+// rank is backed by R hot replicas, every send chains through the
+// destination's primary to all of them, receives are deduplicated below
+// the matching layer, and a replica death
 // promotes a standby — so the application needs NO recovery protocol at
 // all. E22 proves that claim by running the fault-UNAWARE ring (plain
 // Send/Recv, fixed peers, no RecognizeLocal, no resend, no validate) over
@@ -72,9 +73,8 @@ const (
 
 // replicaCfg selects one replication-world configuration.
 type replicaCfg struct {
-	r     int    // replicas per logical rank
-	mode  string // mpi.ReplFanout or mpi.ReplChain
-	kill  bool   // kill one seeded replica mid-run
+	r     int  // replicas per logical rank
+	kill  bool // kill one seeded replica mid-run
 	laps  int
 	rates chaos.Rates // network weather; the zero value is a clean network
 	// waitRepair parks the logical-0 replicas between the base and the
@@ -153,11 +153,12 @@ func runReplicaWorld(opt Options, cfg replicaCfg, seed int64, mets *metrics.Worl
 	// Every replica of logical rank 0 records the laps it observed; the
 	// exactly-once assertion below runs per replica record.
 	root := make(rootLaps, nphys)
-	var opts []mpi.Option
-	if cfg.r > 1 { // one replica is the plain runtime
+	// One replica is the plain runtime, over the ARQ a replicated world
+	// implies, so that an R=1 baseline prices replication alone.
+	opts := []mpi.Option{mpi.WithReliability(reliable.Options{})}
+	if cfg.r > 1 {
 		opts = append(opts, mpi.WithReplication(mpi.ReplicationOptions{
-			R: cfg.r, Mode: cfg.mode,
-			AutoRefill: cfg.autoRefill, RefillBackoff: time.Millisecond,
+			R: cfg.r, AutoRefill: cfg.autoRefill, RefillBackoff: time.Millisecond,
 		}))
 	}
 	var err error
@@ -231,12 +232,14 @@ func runReplicaWorld(opt Options, cfg replicaCfg, seed int64, mets *metrics.Worl
 		return nil, fmt.Errorf("seed %d: app-level recovery ran (validates=%d resends=%d) — replication must absorb the kill",
 			seed, v, rs)
 	}
-	if cfg.r > 1 && cfg.mode == mpi.ReplFanout {
+	// Every sender replica reaches the primary and the primary forwards
+	// both copies, so standbys receive forwards and drop duplicates.
+	if cfg.r > 1 {
 		if total(metrics.ReplicaSends) == 0 {
 			return nil, fmt.Errorf("seed %d: replica_sends is zero with R=%d", seed, cfg.r)
 		}
 		if total(metrics.ReplicaDedupDrops) == 0 {
-			return nil, fmt.Errorf("seed %d: replica_dedup_drops is zero with R=%d fan-out", seed, cfg.r)
+			return nil, fmt.Errorf("seed %d: replica_dedup_drops is zero with R=%d", seed, cfg.r)
 		}
 	}
 	return run, nil
@@ -244,20 +247,14 @@ func runReplicaWorld(opt Options, cfg replicaCfg, seed int64, mets *metrics.Worl
 
 // runReplicaSoak is E22: twenty seeded replication runs (six in quick
 // mode), each asserting transparent failover of the fault-unaware ring,
-// followed by the failure-free overhead table (R=1 baseline vs R=2
-// fan-out vs R=2 chain) and the promotion-latency quantiles merged over
-// the sweep.
+// followed by the failure-free overhead table (R=1 baseline vs R=2) and
+// the promotion-latency quantiles merged over the sweep.
 func runReplicaSoak(opt Options) ([]*Table, error) {
-	mode := opt.RepMode
-	if mode == "" {
-		mode = mpi.ReplFanout
-	}
-	t := replicaTable(fmt.Sprintf("E22: replication soak — one replica killed per seed, fault-unaware ring, R=2 %s", mode))
+	t := replicaTable("E22: replication soak — one replica killed per seed, fault-unaware ring, R=2")
 	lat := latTally{}
 	err := opt.eachSeed(6, func(seed int64) error {
 		reg := obs.NewRegistry(replicaRingRanks * 2)
-		cfg := replicaCfg{r: 2, mode: mode, kill: true,
-			laps: replicaBaseLaps, rates: repairRates}
+		cfg := replicaCfg{r: 2, kill: true, laps: replicaBaseLaps, rates: repairRates}
 		r, err := runReplicaWorld(opt, cfg, seed, nil, reg)
 		if err == nil {
 			lat.merge(reg)
@@ -279,15 +276,15 @@ func runReplicaSoak(opt Options) ([]*Table, error) {
 
 	tLat := lat.table("E22c: replication latency quantiles (merged over seeds)",
 		obs.ReplicaPromotion, obs.ReplicationOverhead, obs.NotifyLatency, obs.SendComplete)
-	tLat.Note("replica_promotion = detector Confirm to standby promoted; replication_overhead = extra fan-out copies per send")
+	tLat.Note("replica_promotion = detector Confirm to standby promoted; replication_overhead = a primary's forwards to its standbys")
 	return []*Table{t, tOv, tLat}, nil
 }
 
 // runReplicaOverhead measures what replication costs when nothing fails:
 // the same ring, same lap count, no chaos and no kill, over the plain
-// world (the R=1 baseline), R=2 fan-out and R=2 chain. This is the other
-// half of the FT-strategy trade: replication buys app-invisible failover
-// with every message sent R times and every rank run R times.
+// world (the R=1 baseline) and R=2, both over ARQ. This is the other half
+// of the FT-strategy trade: replication buys app-invisible failover with
+// every message delivered R times and every rank run R times.
 func runReplicaOverhead(opt Options) (*Table, error) {
 	t := NewTable("E22b: failure-free overhead — same ring, same laps, no faults",
 		"config", "phys-ranks", "laps", "elapsed", "us/lap", "overhead-x", "replica-sends")
@@ -300,13 +297,11 @@ func runReplicaOverhead(opt Options) (*Table, error) {
 	for _, cfg := range []struct {
 		name string
 		r    int
-		mode string
 	}{
-		{"R=1 (no replication)", 1, ""}, // the baseline: the plain runtime path
-		{"R=2 fan-out", 2, mpi.ReplFanout},
-		{"R=2 chain", 2, mpi.ReplChain},
+		{"R=1 (no replication)", 1}, // the baseline: the plain runtime path
+		{"R=2", 2},
 	} {
-		r, err := runReplicaWorld(opt, replicaCfg{r: cfg.r, mode: cfg.mode, laps: laps}, opt.Seed, nil, nil)
+		r, err := runReplicaWorld(opt, replicaCfg{r: cfg.r, laps: laps}, opt.Seed, nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", cfg.name, err)
 		}
@@ -317,6 +312,6 @@ func runReplicaOverhead(opt Options) (*Table, error) {
 			float64(r.Elapsed.Microseconds())/float64(laps),
 			float64(r.Elapsed)/float64(base), r.mets.Total(metrics.ReplicaSends))
 	}
-	t.Note("overhead-x vs the plain runtime: the price of every send fanned out and every rank duplicated")
+	t.Note("overhead-x vs the plain runtime over the same ARQ: the price of every send forwarded and every rank duplicated")
 	return t, nil
 }

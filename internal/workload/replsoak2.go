@@ -13,12 +13,12 @@ import (
 )
 
 // E24 — the replication DURABILITY soak. E22 proved transparent failover
-// for the easy kills: a replica dies at a lap boundary and the fan-out
-// absorbs it. This soak attacks the three durability gaps that survive
+// for the easy kills: a replica dies at a lap boundary and the replica
+// group absorbs it. This soak attacks the three durability gaps that survive
 // E22:
 //
-//  1. The chain forward window. In ReplChain mode the primary relays each
-//     accepted frame to its standbys; killing it between acceptance and
+//  1. The chain forward window. The primary relays each accepted frame
+//     to its standbys; killing it between acceptance and
 //     relay used to lose a frame the SENDER believed delivered (its ARQ
 //     saw the link-level ack). The tail-ack protocol closes this: the
 //     sender holds every chain send in an outbox until all live group
@@ -55,10 +55,10 @@ type durRun struct {
 	standbyVictim int    // physical slot of the standby victim
 }
 
-// runDurabilityWorld runs one seeded E24 world in the given replication
-// mode and checks the durability contract end to end, its causal trace
-// included; its histograms land in reg.
-func runDurabilityWorld(opt Options, mode string, seed int64, reg *obs.Registry) (*durRun, error) {
+// runDurabilityWorld runs one seeded E24 world and checks the durability
+// contract end to end, its causal trace included; its histograms land in
+// reg.
+func runDurabilityWorld(opt Options, seed int64, reg *obs.Registry) (*durRun, error) {
 	opt.Tracer = trace.New(0)
 	lsize, r := durRingRanks, durR
 	nphys := lsize * r
@@ -71,11 +71,11 @@ func runDurabilityWorld(opt Options, mode string, seed int64, reg *obs.Registry)
 	run.primVictim = int(seed) % lsize // primary of logical l is phys l
 	run.standbyVictim = lsize + (run.primVictim+1)%lsize
 	standbyKillLap := 2 + int(seed)%6
-	// Primary kill placement: in chain mode, even seeds kill inside the
-	// forward window (the tail-ack gap); odd seeds — and all fan-out
-	// seeds — kill between a Bcast and the Allreduce of a collective
-	// phase, so the promotion lands mid-collective for the other ranks.
-	forwardWindowKill := mode == mpi.ReplChain && seed%2 == 0
+	// Primary kill placement: even seeds kill inside the forward window
+	// (the tail-ack gap); odd seeds kill between a Bcast and the Allreduce
+	// of a collective phase, so the promotion lands mid-collective for the
+	// other ranks.
+	forwardWindowKill := seed%2 == 0
 	forwardKillOrdinal := int32(2 + seed%4)
 	collKillLap := durCollEvery - 1 + (int(seed)%2)*durCollEvery // lap 2 or 5
 	run.killPlacement = "mid-collective"
@@ -86,7 +86,7 @@ func runDurabilityWorld(opt Options, mode string, seed int64, reg *obs.Registry)
 	var fired atomic.Int32
 	var forwards atomic.Int32
 	opts := []mpi.Option{mpi.WithReplication(mpi.ReplicationOptions{
-		R: r, Mode: mode, AutoRefill: true, RefillBackoff: time.Millisecond,
+		R: r, AutoRefill: true, RefillBackoff: time.Millisecond,
 	})}
 	if forwardWindowKill {
 		opts = append(opts, mpi.WithHook(func(ev mpi.HookEvent) mpi.Action {
@@ -225,13 +225,11 @@ func runDurabilityWorld(opt Options, mode string, seed int64, reg *obs.Registry)
 	if v, rs := total(metrics.Validates), total(metrics.Resends); v != 0 || rs != 0 {
 		return nil, fmt.Errorf("app-level recovery ran (validates=%d resends=%d)", v, rs)
 	}
-	if mode == mpi.ReplChain {
-		if total(metrics.ChainAcks) == 0 {
-			return nil, fmt.Errorf("chain mode sent no chain acks")
-		}
-		if forwardWindowKill && total(metrics.ChainResends) == 0 {
-			return nil, fmt.Errorf("forward-window kill produced no chain resend: the outbox replay did not run")
-		}
+	if total(metrics.ChainAcks) == 0 {
+		return nil, fmt.Errorf("no chain acks: no replica confirmed receipt")
+	}
+	if forwardWindowKill && total(metrics.ChainResends) == 0 {
+		return nil, fmt.Errorf("forward-window kill produced no chain resend: the outbox replay did not run")
 	}
 	if _, err := auditTrace(opt, opt.Tracer); err != nil {
 		return nil, err
@@ -239,39 +237,37 @@ func runDurabilityWorld(opt Options, mode string, seed int64, reg *obs.Registry)
 	return run, nil
 }
 
-// runDurabilitySoak is E24: twenty seeds (four in quick mode) per
-// replication mode, each a full durability gauntlet with an in-run
-// conservation audit, followed by the re-replication latency quantiles.
+// runDurabilitySoak is E24: twenty seeds (four in quick mode), each a
+// full durability gauntlet with an in-run conservation audit, followed by
+// the re-replication latency quantiles.
 func runDurabilitySoak(opt Options) ([]*Table, error) {
 	t := NewTable("E24: durability soak — tail-acked chain, auto re-replication, replicated collectives",
-		"mode", "seed", "prim-victim", "kill-placement", "standby-victim", "laps",
+		"seed", "prim-victim", "kill-placement", "standby-victim", "laps",
 		"promotions", "refills", "chain-resends", "chain-acks", "elapsed")
 	opt.Detector = mpi.DetectorOracle // durability, not detection: E23 runs promotion under the monitors
 	lat := latTally{}
-	for _, mode := range []string{mpi.ReplFanout, mpi.ReplChain} {
-		err := opt.eachSeed(4, func(seed int64) error {
-			reg := obs.NewRegistry(durRingRanks * durR)
-			run, err := runDurabilityWorld(opt, mode, seed, reg)
-			if err != nil {
-				return fmt.Errorf("e24 %s seed %d: %w", mode, seed, err)
-			}
-			lat.merge(reg)
-			total := run.mets.Total
-			t.Add(mode, seed, run.primVictim, run.killPlacement, run.standbyVictim, durLaps,
-				total(metrics.ReplicaPromotions), total(metrics.ReplicaRefills),
-				total(metrics.ChainResends), total(metrics.ChainAcks), run.Elapsed)
-			return nil
-		})
+	err := opt.eachSeed(4, func(seed int64) error {
+		reg := obs.NewRegistry(durRingRanks * durR)
+		run, err := runDurabilityWorld(opt, seed, reg)
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("e24 seed %d: %w", seed, err)
 		}
+		lat.merge(reg)
+		total := run.mets.Total
+		t.Add(seed, run.primVictim, run.killPlacement, run.standbyVictim, durLaps,
+			total(metrics.ReplicaPromotions), total(metrics.ReplicaRefills),
+			total(metrics.ChainResends), total(metrics.ChainAcks), run.Elapsed)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.Note("asserted in-run per seed: every lap exactly-once, conservation audit unaccounted=0, causality clean,")
 	t.Note("promotions=1, refills=3 (primary victim heals twice, standby victim once) with ZERO app Spawn calls,")
 	t.Note("every replica group back at degree R by the epilogue, validates=resends=0")
-	t.Note("forward-window kills (chain, even seeds) additionally assert chain-resends>0: the tail-ack outbox replayed")
+	t.Note("forward-window kills (even seeds) additionally assert chain-resends>0: the tail-ack outbox replayed")
 
-	tLat := lat.table("E24b: durability latency quantiles (merged over seeds, both modes)",
+	tLat := lat.table("E24b: durability latency quantiles (merged over seeds)",
 		obs.RereplicationLatency, obs.ReplicaPromotion, obs.RecoveryTotal)
 	tLat.Note("rereplication_latency = detector confirm of the lost replica to the automatic Spawn restoring the slot")
 	return []*Table{t, tLat}, nil

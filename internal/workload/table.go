@@ -98,10 +98,6 @@ type Options struct {
 	// Agreement selects the validate_all fan-out for the generic ring
 	// worlds ("" keeps the coordinator default).
 	Agreement string
-	// RepMode selects the replication propagation mode of the E22 kill
-	// sweep: mpi.ReplFanout or mpi.ReplChain ("" keeps the fanout
-	// default). E24 always sweeps both modes regardless.
-	RepMode string
 	// Tracer, when non-nil, records every world's causal event stream
 	// (E23's recovery forensics run one recorder per seeded world and
 	// audit it for message conservation).
