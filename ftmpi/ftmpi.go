@@ -99,8 +99,8 @@ func WithElastic(opts ElasticOptions) Option { return mpi.WithElastic(opts) }
 
 // ReplicationOptions enables hot-replica fault tolerance (see
 // WithReplication): every logical rank is backed by R physical replicas
-// with transparent failover. Sends chain through the destination's
-// primary, and every replica confirms receipt with its ARQ ack.
+// with transparent failover. Replica i of a sender sends to replica i of
+// the destination, and every replica confirms receipt with its ARQ ack.
 type ReplicationOptions = mpi.ReplicationOptions
 
 // WithReplication enables replication mode: NewWorld's size parameter is
@@ -217,7 +217,7 @@ const (
 	// standby's promotion to primary of the logical rank.
 	ObsReplicaPromotion = obs.ReplicaPromotion
 	// ObsReplicationOverhead times the extra send work replication adds:
-	// a primary's forwards of each received frame to its standbys.
+	// a standby's copy of each send to its mirror replica.
 	ObsReplicationOverhead = obs.ReplicationOverhead
 	// ObsMessageE2ELatency times a data message from its origin's HLC send
 	// stamp to its acceptance by the destination matching layer.

@@ -43,11 +43,10 @@ type Trigger interface {
 
 // numPoints is the number of hook points the runtime defines; ordinals
 // live in one array slot per point.
-const numPoints = int(mpi.HookChainForward) + 1
+const numPoints = int(mpi.HookCheckpoint) + 1
 
 // rankCounts holds one rank's event ordinals, one per hook point. Atomic
-// because replicas of a logical rank, and the delivery goroutine at
-// HookChainForward, report events under the same rank.
+// because replicas of a logical rank report events under the same rank.
 type rankCounts [numPoints]atomic.Int64
 
 // armed is a trigger with its fired-once flag.

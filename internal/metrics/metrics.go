@@ -105,27 +105,31 @@ const (
 	// StaleGenRejected counts frames rejected by the engine's generation
 	// fence: traffic stamped for (or by) a dead incarnation of a slot.
 	StaleGenRejected
-	// ReplicaSends counts physical copies fanned out (or chain-forwarded)
-	// to replicas of a logical destination beyond what a non-replicated
-	// send would have cost — the wire amplification of replication mode.
+	// ReplicaSends counts the copies a sender group puts on the wire
+	// beyond the one a non-replicated send costs: every standby's copy to
+	// its mirror, and the primary's copies to destination replicas whose
+	// mirror sender is gone — the wire amplification of replication mode.
+	// A failure-free run counts R-1 per logical send.
 	ReplicaSends
 	// ReplicaPromotions counts standby replicas promoted to primary after
 	// the death of a group member (transparent failover events).
 	ReplicaPromotions
-	// ReplicaDedupDrops counts fan-out duplicates suppressed by the
-	// receiver's replication-sequence tracking.
+	// ReplicaDedupDrops counts replicated copies suppressed by the
+	// receiver's replication-sequence tracking: a replay or an orphan copy
+	// of a message the replica already holds. A failure-free run has none.
 	ReplicaDedupDrops
 	// ReplicaRefills counts replica-group slots automatically respawned by
 	// the world after a detector confirm dropped the group below R
 	// (re-replication events, as opposed to app-requested Spawns).
 	ReplicaRefills
-	// ChainResends counts chain-outbox entries re-sent to a freshly
-	// promoted primary because the old primary died before every group
-	// member confirmed receipt — the tail-ack protocol's repair action.
+	// ChainResends counts outbox entries the primary replayed to a
+	// destination replica whose mirror sender died before that replica
+	// confirmed them — the tail-ack protocol's repair action.
 	ChainResends
 	// ChainAcks counts replica receipt confirmations (ARQ acks of
-	// replicated data frames) retired at the original sender, attributed
-	// to the confirming replica.
+	// replicated data frames) retired in the sender group's outboxes,
+	// attributed to the confirming replica: R per failure-free logical
+	// send.
 	ChainAcks
 	numCounters
 )

@@ -16,8 +16,8 @@ import (
 )
 
 // requireChainOutboxEmpty fails if a live engine still holds an
-// unconfirmed chain send. (A dead sender keeps whatever it had: nobody
-// confirms to a corpse, and nobody re-sends from one.)
+// unconfirmed replicated send. (A dead sender keeps whatever it had:
+// nobody confirms to a corpse, and nobody replays from one.)
 func requireChainOutboxEmpty(t *testing.T, w *World) {
 	t.Helper()
 	for i := 0; i < w.size; i++ {
@@ -26,10 +26,10 @@ func requireChainOutboxEmpty(t *testing.T, w *World) {
 			continue
 		}
 		e.mu.Lock()
-		n := len(e.chainPend)
+		n := int(e.rep.queued.Load())
 		e.mu.Unlock()
 		if n != 0 {
-			t.Fatalf("phys %d: %d chain sends still unconfirmed after the run", i, n)
+			t.Fatalf("phys %d: %d replicated sends still unconfirmed after the run", i, n)
 		}
 	}
 }
@@ -46,9 +46,10 @@ func (c *censusFabric) Send(pkt *transport.Packet) error {
 }
 
 // TestChainArqFrameCensus: a failure-free replicated send costs data
-// frames and their ARQ acks, nothing else. Each of the R
-// sender replicas reaches the primary, which forwards to R-1 standbys:
-// R*R data frames, R*R acks, and every ack is one receipt confirmation.
+// frames and their ARQ acks, nothing else. Each of the R sender replicas
+// sends to its mirror replica of the destination and nobody forwards: R
+// data frames and R acks per logical send, and every ack is one receipt
+// confirmation.
 func TestChainArqFrameCensus(t *testing.T) {
 	const lsize, r, laps = 3, 2, 50
 	census := &censusFabric{Fabric: transport.NewLocal()}
@@ -64,25 +65,33 @@ func TestChainArqFrameCensus(t *testing.T) {
 	for kind := range census.kinds {
 		want := int64(0) // no frame of any other kind
 		if k := transport.Kind(kind); k == transport.KindData || k == transport.KindAck {
-			want = sends * r * r
+			want = sends * r
 		}
 		if got := census.kinds[kind].Load(); got != want {
 			t.Errorf("%s frames: %d, want %d (%d logical sends, R=%d)", transport.Kind(kind), got, want, sends, r)
 		}
 	}
-	if got := w.Metrics().Total(metrics.ChainAcks); got != sends*r*r {
-		t.Errorf("chain_acks: %d, want %d: one confirmation per acked data frame", got, sends*r*r)
+	mets := w.Metrics()
+	if got := mets.Total(metrics.ChainAcks); got != sends*r {
+		t.Errorf("chain_acks: %d, want %d: one confirmation per acked data frame", got, sends*r)
+	}
+	if got := mets.Total(metrics.ReplicaSends); got != sends*(r-1) {
+		t.Errorf("replica_sends: %d, want %d: the standbys' copies", got, sends*(r-1))
+	}
+	if got := mets.Total(metrics.ReplicaDedupDrops); got != 0 {
+		t.Errorf("replica_dedup_drops: %d, want 0: every replica receives each message once", got)
 	}
 	requireChainOutboxEmpty(t, w)
 }
 
-// TestChainOutboxBoundedUnderLoss: under 2% frame loss a confirmation can
-// be late by a retransmission, so a sender's outbox holds the sends of
-// that interval — a depth set by retry time over lap time, not by how
-// long the run is. The bound is some ten times what the interval explains
-// on a two-core box and far below the lap count a leak would reach.
+// TestChainOutboxBoundedUnderLoss: under 2% frame loss the two replica
+// planes drift apart, each held up by its own retransmissions, and the
+// plane ahead keeps every send until the plane behind has delivered it
+// too. The drift is a random walk that grows with the run; the outbox
+// window bounds it, so no replica ever holds more than outboxWindow
+// entries, however long the run is.
 func TestChainOutboxBoundedUnderLoss(t *testing.T) {
-	laps, bound := 10000, 1000
+	laps, bound := 10000, outboxWindow
 	if testing.Short() {
 		laps = 3000
 	}
@@ -106,7 +115,7 @@ func TestChainOutboxBoundedUnderLoss(t *testing.T) {
 				default:
 				}
 				e.mu.Lock()
-				n := int64(len(e.chainPend))
+				n := int64(e.rep.queued.Load())
 				e.mu.Unlock()
 				for old := peak.Load(); n > old && !peak.CompareAndSwap(old, n); old = peak.Load() {
 				}
@@ -120,7 +129,7 @@ func TestChainOutboxBoundedUnderLoss(t *testing.T) {
 				e := w.eng(p.PhysRank())
 				e.mu.Lock()
 				defer e.mu.Unlock()
-				return len(e.chainPend) == 0, nil
+				return int(e.rep.queued.Load()) == 0, nil
 			})
 		}
 		close(stop)
@@ -142,9 +151,9 @@ func TestChainOutboxBoundedUnderLoss(t *testing.T) {
 // bug: a send used to pick its target, its epoch and its wait set from
 // three separately locked reads of the group, so a death landing between
 // them (after pruneChainAcks had swept the outbox) recorded an entry that
-// waited on a corpse forever. Confirmations are swallowed here, so every
-// entry stays where it was recorded and can be checked against the final
-// membership.
+// waited on a corpse forever. Only replica 0 of one sender sends, so the
+// standbys of every destination never confirm: the entries stay where they
+// were recorded and can be checked against the final membership.
 func TestChainOutboxNeverWaitsOnTheDead(t *testing.T) {
 	const lsize, r, sendsPerDeath = 8, 8, 100
 	w, err := NewWorld(lsize, WithReplication(ReplicationOptions{R: r}))
@@ -156,6 +165,10 @@ func TestChainOutboxNeverWaitsOnTheDead(t *testing.T) {
 	}
 	defer w.fabric.Close()
 
+	// Entries nobody confirms would fill the outbox window and block the
+	// sender: start its count so far below the window that it never fills.
+	sender := w.eng(0)
+	sender.rep.queued.Store(-1 << 30)
 	var sent atomic.Int64
 	done := make(chan struct{})
 	go func() {
@@ -171,7 +184,6 @@ func TestChainOutboxNeverWaitsOnTheDead(t *testing.T) {
 			}
 		}
 	}()
-	sender := w.eng(0)
 	for running := true; running; {
 		select {
 		case <-done:
@@ -188,9 +200,11 @@ func TestChainOutboxNeverWaitsOnTheDead(t *testing.T) {
 
 	sender.mu.Lock()
 	defer sender.mu.Unlock()
-	for k, ent := range sender.chainPend {
-		if stale := ent.waiting &^ w.repl.group(k.ldst).mask; stale != 0 {
-			t.Fatalf("entry %+v waits on dead replicas %#b of logical %d", k, stale, k.ldst)
+	for k, oc := range sender.rep.out {
+		for i, ent := range oc.pending() {
+			if stale := ent.waiting &^ w.repl.group(k.peer).mask; stale != 0 {
+				t.Fatalf("entry %d of %+v waits on dead replicas %#b of logical %d", oc.base+uint32(i)+1, k, stale, k.peer)
+			}
 		}
 	}
 }

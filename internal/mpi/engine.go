@@ -32,8 +32,9 @@ import (
 //   - World.abortCh closes on MPI_Abort;
 //   - agreeCh is a generation channel for the agreement service: it is
 //     closed on every agreement-relevant state change (vote/decide
-//     arrival, failure notification) and made afresh by the next waiter,
-//     waking only the rare waiters inside validate_all.
+//     arrival, failure notification, promotion, a replica's wildcard pin
+//     or its ack) and made afresh by the next waiter, waking only the
+//     rare waiters inside validate_all or a replicated wildcard receive.
 //
 // The dead/closed flags are additionally mirrored in atomics so that
 // checkAlive — called at the top of every user-facing operation — never
@@ -41,7 +42,9 @@ import (
 //
 // Lock discipline: an engine's methods never call another engine or the
 // fabric while holding mu. Cross-rank delivery locks exactly one engine at
-// a time, so there is no lock-ordering cycle by construction.
+// a time, so there is no lock-ordering cycle by construction. In a
+// replicated world rep.sendMu comes before mu and is held across the
+// fabric sends of one replica; nothing a delivery runs takes a sendMu.
 type engine struct {
 	w    *World
 	rank int
@@ -76,21 +79,9 @@ type engine struct {
 	// logical rank's last death is recorded here.
 	knownFailed []bool
 
-	// repSeq/repNext are replication mode's logical-channel sequence
-	// state: repSeq numbers outbound data messages per (logical dst, ctx,
-	// tag) channel — identically on every sender replica, since replicas
-	// execute identical programs — and repNext tracks the next acceptable
-	// inbound number per (logical src, ctx, tag), which is what drops the
-	// duplicates. Guarded by mu; nil maps outside replication mode.
-	repSeq  map[repChan]uint32
-	repNext map[repChan]uint32
-
-	// chainPend is the tail-ack outbox: every replicated send this engine
-	// originated that some live replica of the destination group has not
-	// yet confirmed (chainConfirm). A primary death re-sends the surviving
-	// entries to the promoted successor. Guarded by mu; nil outside
-	// replication mode.
-	chainPend map[chainKey]chainPending
+	// rep is this replica's replication state; nil outside replication
+	// mode.
+	rep *replica
 
 	// comms lists every communicator created by this incarnation's proc,
 	// so a peer's revival can repair recognition and collective membership
@@ -136,9 +127,11 @@ func newEngine(w *World, rank int, gen uint32) *engine {
 		stateWaiters: make(map[uint64]*stateWaiter),
 	}
 	if w.repl != nil {
-		e.repSeq = make(map[repChan]uint32)
-		e.repNext = make(map[repChan]uint32)
-		e.chainPend = make(map[chainKey]chainPending)
+		e.rep = &replica{
+			out:     make(map[repChan]*outChan),
+			repNext: make(map[repChan]uint32),
+			wildSeq: make(map[int]uint64),
+		}
 	}
 	e.agree.init()
 	return e
@@ -181,6 +174,7 @@ func (e *engine) markDead() {
 	e.wakeParkedLocked()
 	e.mu.Unlock()
 	e.downOne.Do(func() { close(e.downCh) })
+	e.dropHeld(trace.DeadDrop)
 }
 
 // markClosed wakes any lingering internal waiters at world teardown.
@@ -190,6 +184,7 @@ func (e *engine) markClosed() {
 	e.wakeParkedLocked()
 	e.mu.Unlock()
 	e.downOne.Do(func() { close(e.downCh) })
+	e.dropHeld(trace.FramePurged)
 }
 
 // parkLocked blocks the calling Wait or Waitany on ch, with mu released,
@@ -351,12 +346,16 @@ func (e *engine) knownFailedSnapshotLocked() []int {
 // staleGen reports whether the packet was stamped for (or by) a different
 // incarnation than the ones currently installed. Generation 0 means
 // "unstamped" (frames from fabrics or tests that predate elastic worlds)
-// and is always accepted.
+// and is always accepted. A replicated data message belongs to its
+// logical sender, not to the replica incarnation that sent the copy: a
+// dead replica's last copy may arrive after its slot was refilled, its
+// sender group may count it delivered already, and RepSeq drops it if
+// this replica holds it.
 func (e *engine) staleGen(pkt *transport.Packet) (bool, string) {
 	if pkt.DstGen != 0 && pkt.DstGen != e.gen {
 		return true, fmt.Sprintf("dstgen=%d have=%d", pkt.DstGen, e.gen)
 	}
-	if pkt.SrcGen != 0 && pkt.Src >= 0 && pkt.Src < e.w.size {
+	if pkt.SrcGen != 0 && pkt.Src >= 0 && pkt.Src < e.w.size && pkt.RepSeq == 0 {
 		if g := e.w.genOf(pkt.Src); pkt.SrcGen != g {
 			return true, fmt.Sprintf("srcgen=%d current=%d", pkt.SrcGen, g)
 		}
@@ -375,10 +374,6 @@ func (e *engine) deliver(pkt *transport.Packet) {
 	if stale, why := e.staleGen(pkt); stale {
 		e.w.metrics.Inc(e.rank, metrics.StaleGenRejected)
 		e.w.tracer.RecordMsg(e.rank, trace.StaleGenDrop, pkt.Src, pkt.Tag, -1, int(e.gen), pkt.Token, 0, why)
-		// A gate-deferred hop ack for this frame must still be released:
-		// the drop is deliberate and accounted, and leaving the sender's
-		// ARQ retrying a fenced frame would escalate an innocent link.
-		e.w.releaseChainAck(e.rank, pkt)
 		return
 	}
 	if pkt.Kind == transport.KindControl {
@@ -400,24 +395,6 @@ func (e *engine) deliver(pkt *transport.Packet) {
 		e.deliverState(pkt)
 		return
 	}
-	if e.w.repl != nil && pkt.Kind == transport.KindData && pkt.RepSeq != 0 &&
-		!e.dead.Load() && e.w.repl.isPrimary(e.rank) {
-		// The group's primary relays the frame to its standbys before
-		// consuming its own copy. Forwards from a freshly promoted primary
-		// can duplicate the old primary's — RepSeq dedup absorbs it.
-		e.chainForward(pkt)
-		// Tail-ack protocol: every replica's ARQ ack is its receipt
-		// confirmation to the origin sender. A standby's went out when the
-		// frame arrived; the primary's was withheld by the ack gate until
-		// now, when the frame has been forwarded and the ack no longer
-		// overstates chain durability. Only a primary is ever gated, and it
-		// stays primary until it dies, so nobody else owes a release. A
-		// death inside chainForward skips it: the sender's outbox and ARQ
-		// keep racing the corpse honestly.
-		if !e.dead.Load() {
-			e.w.releaseChainAck(e.rank, pkt)
-		}
-	}
 	e.mu.Lock()
 	if e.dead.Load() || e.closed.Load() {
 		e.mu.Unlock()
@@ -436,23 +413,48 @@ func (e *engine) deliver(pkt *transport.Packet) {
 	src := pkt.Src
 	if e.w.repl != nil {
 		src = e.w.logicalOf(pkt.Src)
-		if pkt.RepSeq != 0 {
-			k := repChan{peer: src, ctx: pkt.Context, tag: pkt.Tag}
-			if pkt.RepSeq < e.repNext[k] {
-				e.mu.Unlock()
-				e.w.metrics.Inc(e.rank, metrics.ReplicaDedupDrops)
-				e.w.tracer.RecordMsg(e.rank, trace.ReplicaDedup, pkt.Src, pkt.Tag, -1, int(e.gen), pkt.Token, 0, "")
-				return // duplicate: an earlier replica's copy won
-			}
-			e.repNext[k] = pkt.RepSeq + 1
-		}
 	}
+	var released []*transport.Packet
+	if e.w.repl != nil && pkt.RepSeq != 0 {
+		k := repChan{peer: src, ctx: pkt.Context, tag: pkt.Tag}
+		switch e.replOrderLocked(k, pkt) {
+		case replDup:
+			e.mu.Unlock()
+			e.w.metrics.Inc(e.rank, metrics.ReplicaDedupDrops)
+			e.w.tracer.RecordMsg(e.rank, trace.ReplicaDedup, pkt.Src, pkt.Tag, -1, int(e.gen), pkt.Token, 0, "")
+			return // duplicate: a copy of a message this replica holds
+		case replHeld:
+			e.mu.Unlock()
+			return // ahead of its channel: matched when the gap fills
+		}
+		e.matchLocked(pkt, src)
+		if len(e.rep.held) != 0 {
+			released = e.releaseHeldLocked(k)
+		}
+	} else {
+		e.matchLocked(pkt, src)
+	}
+	e.mu.Unlock()
+	e.delivered(pkt, src)
+	for _, p := range released {
+		e.delivered(p, src)
+	}
+}
+
+// matchLocked hands an accepted packet from the world rank src (logical
+// in a replicated world) to the posted receive it matches, or queues it as
+// unexpected. Caller holds mu.
+func (e *engine) matchLocked(pkt *transport.Packet, src int) {
 	if r := e.posted.match(pkt.Context, src, pkt.Tag); r != nil {
 		e.completeRecvLocked(r, pkt, src)
 	} else {
 		e.unexpected.add(pkt, src)
 	}
-	e.mu.Unlock()
+}
+
+// delivered records that a packet from the world rank src reached this
+// incarnation's matching layer. Called with no lock held.
+func (e *engine) delivered(pkt *transport.Packet, src int) {
 	if pkt.Token != 0 && e.w.stamps() {
 		// The message reached this incarnation's matching layer: merge the
 		// sender's HLC stamp (deliver orders causally after send) and close
@@ -545,8 +547,9 @@ func (e *engine) stampGen(pkt *transport.Packet) {
 // (origin rank + per-origin sequence, owned by the World so reincarnations
 // never reuse a predecessor's tokens) and the sender's HLC stamp. Both
 // ride the v5 frame header, so every later event — retransmit, chaos
-// fault, chain forward, delivery — carries the same identity. Replication
-// pre-assigns the token it keeps for a re-send (Token != 0 is preserved).
+// fault, replica copy, delivery — carries the same identity. Replication
+// pre-assigns the token its copies and replays share (Token != 0 is
+// preserved).
 // The HLC stamp is taken only when a tracer or obs registry is attached
 // (World.stamps): nothing else reads it, and 0 means "unstamped".
 func (e *engine) sendPacket(pkt *transport.Packet) error {

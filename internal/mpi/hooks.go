@@ -25,14 +25,6 @@ const (
 	// HookCheckpoint fires at application-defined points via
 	// Proc.Checkpoint(label).
 	HookCheckpoint
-	// HookChainForward fires on a replication-chain primary immediately
-	// before it forwards an accepted data frame to one live standby (once
-	// per standby). Unlike every other point it runs on the DELIVERY
-	// goroutine, not the rank's own: an ActKill verdict fells the primary
-	// via the registry (no panic) and aborts the remaining forwards —
-	// which is exactly the chain loss window the tail-ack protocol closes,
-	// so soaks can seed kills inside it deterministically.
-	HookChainForward
 )
 
 // String names the hook point.
@@ -46,8 +38,6 @@ func (p HookPoint) String() string {
 		return "after-recv"
 	case HookCheckpoint:
 		return "checkpoint"
-	case HookChainForward:
-		return "chain-forward"
 	default:
 		return fmt.Sprintf("HookPoint(%d)", int(p))
 	}

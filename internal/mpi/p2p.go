@@ -50,8 +50,8 @@ func (c *Comm) send(dst, tag, ctx int, payload []byte) error {
 		return failStop(wr)
 	}
 	if c.proc.w.repl != nil {
-		// Replication mode: wr is a LOGICAL destination; fan the message out
-		// to its live physical replicas (replSend makes the per-copy
+		// Replication mode: wr is a LOGICAL destination; send this replica's
+		// copy to its mirror replica there (replSend makes the per-copy
 		// defensive copies itself).
 		if err := c.eng.replSend(wr, tag, ctx, payload); err != nil {
 			return err
@@ -139,6 +139,11 @@ func (c *Comm) irecv(src, tag, ctx int) *Request {
 			c.eng.mu.Unlock()
 			return r
 		}
+	}
+	if c.proc.w.repl != nil && isWild(r.srcWorld, tag) {
+		// Replicas must match a wildcard alike: the primary pins what it
+		// matched, a standby waits for the pin (resolveWild).
+		c.eng.resolveWild(r)
 	}
 	c.proc.w.tracer.Record(c.proc.rank, trace.RecvPosted, src, tag, -1, "")
 	c.eng.postRecv(r)

@@ -1,9 +1,9 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,12 +18,15 @@ import (
 // philosophy to the paper's ABFT ring. Instead of the application
 // recognizing failures and repairing its own protocol (re-entry,
 // validate_all, counter repair), every logical rank is backed by R
-// physical replicas that all execute the rank function. Every send goes
-// to the destination's primary, which forwards it down the chain to the
-// standbys; receivers drop the duplicates by a replication sequence
-// number, and a replica's death is absorbed by promoting a standby —
-// the application never observes a failure until a logical rank's LAST
-// replica dies, at which point the normal fail-stop path takes over.
+// physical replicas that all execute the rank function. Replicas are
+// mirror-paired: replica i of a sender sends to replica i of the
+// destination, so every replica receives each message once, and a copy
+// crosses over only to a destination replica whose mirror sender is gone
+// (the sender group's primary covers it). Receivers drop the duplicates a
+// failover replays by a replication sequence number, and a replica's death
+// is absorbed by promoting a standby — the application never observes a
+// failure until a logical rank's LAST replica dies, at which point the
+// normal fail-stop path takes over.
 //
 // Physical layout is prefix-striped: a world of L logical ranks at
 // replication degree R has N = L*R physical slots, and logical rank l is
@@ -31,7 +34,8 @@ import (
 // logical rank therefore occupies the physical slot with the same index,
 // which keeps logical ids valid indices into every physical-sized table.
 
-// ReplChain names replication's only propagation protocol, chain over ARQ.
+// ReplChain is the one value ReplicationOptions.Mode accepts besides "".
+// It names nothing: replication has one protocol, mirror pairing over ARQ.
 //
 // Deprecated: it remains so that existing ReplicationOptions{Mode:
 // ReplChain} literals keep compiling; leave Mode empty instead.
@@ -43,11 +47,12 @@ type ReplicationOptions struct {
 	// 1 is a valid (if pointless) degree and matches the unreplicated
 	// baseline for overhead measurements.
 	R int
-	// Mode must be "" or ReplChain; anything else is ErrInvalidArg.
+	// Mode is ignored, except that anything other than "" or ReplChain is
+	// ErrInvalidArg.
 	//
-	// Deprecated: replication has one propagation protocol, so there is
-	// nothing to select. The field remains only so that existing
-	// Mode: ReplChain literals keep compiling.
+	// Deprecated: replication has one propagation protocol, mirror
+	// pairing, so there is nothing to select. The field remains only so
+	// that existing Mode: ReplChain literals keep compiling.
 	Mode string
 	// AutoRefill makes the world heal depleted replica groups itself:
 	// every detector-confirmed replica death schedules a Spawn-driven
@@ -70,26 +75,220 @@ type ReplicationOptions struct {
 	MaxRefills int
 }
 
-// chainKey identifies one chain-outbox entry: a logical data message the
-// sender must see confirmed by every live replica of the destination
-// group before it can forget the payload.
-type chainKey struct {
-	ldst   int // logical destination rank
-	ctx    int
-	tag    int
-	repSeq uint32
-}
-
-// chainPending is one unconfirmed chain send: the payload kept for a
-// promotion-triggered re-send, the causal token that keeps the re-send
-// the SAME message for the conservation audit, and the replicas whose
-// receipt confirmation is still owed. It lives by value in the outbox
-// map, so the payload copy is the entry's only allocation.
+// chainPending is one unconfirmed replicated send: the payload kept for an
+// orphan replay, the causal token that keeps the replay the SAME message
+// for the conservation audit, and the replicas whose receipt confirmation
+// is still owed.
 type chainPending struct {
 	payload []byte
 	tok     uint64
 	waiting uint64 // bit i set <=> replica i of the destination group still owes its confirmation
 }
+
+// outChan is one logical outbound channel (logical destination, ctx, tag)
+// of a sender replica, and its part of the tail-ack outbox.
+type outChan struct {
+	seq uint32 // the last RepSeq stamped
+	// pend[head:] holds the entries of RepSeq base+1 onwards, oldest first.
+	// The oldest is unconfirmed; a later one confirmed first stays in
+	// place, retired (waiting 0), until those before it are.
+	base uint32
+	head int
+	pend []chainPending
+	// conf holds, per destination replica index, the highest RepSeq that
+	// replica confirmed before this replica stamped it: a replica lagging
+	// behind its group stamps messages the others' copies already got
+	// confirmed, and those are born without the confirming replica's bit.
+	conf []uint32
+}
+
+// pending returns the channel's outbox entries, oldest first.
+func (oc *outChan) pending() []chainPending { return oc.pend[oc.head:] }
+
+// record enters the message just stamped (RepSeq seq) in the outbox, unless
+// nobody owes a confirmation and nothing before it is pending. It returns
+// how many entries it added.
+func (oc *outChan) record(seq uint32, ent chainPending) int {
+	if oc.head == len(oc.pend) {
+		oc.base, oc.head, oc.pend = seq-1, 0, oc.pend[:0]
+		if ent.waiting == 0 {
+			return 0
+		}
+	} else if oc.head >= 64 && 2*oc.head >= len(oc.pend) {
+		n := copy(oc.pend, oc.pend[oc.head:]) // the retired front is dead space
+		oc.pend, oc.head = oc.pend[:n], 0
+	}
+	oc.pend = append(oc.pend, ent)
+	return 1
+}
+
+// entry returns the outbox entry of RepSeq seq, or nil if none is pending.
+func (oc *outChan) entry(seq uint32) *chainPending {
+	if seq <= oc.base || seq > oc.base+uint32(len(oc.pend)-oc.head) {
+		return nil
+	}
+	if ent := &oc.pend[oc.head+int(seq-oc.base-1)]; ent.waiting != 0 {
+		return ent
+	}
+	return nil
+}
+
+// retire clears the bits of replicas that confirmed from the entry of
+// RepSeq seq, if it is pending, and drops the retired entries at the front.
+// It returns how many it dropped.
+func (oc *outChan) retire(seq uint32, bits uint64) int {
+	if ent := oc.entry(seq); ent != nil {
+		if ent.waiting &^= bits; ent.waiting == 0 {
+			ent.payload = nil
+		}
+	}
+	return oc.trim()
+}
+
+// trim drops the retired entries at the front of the outbox and returns how
+// many it dropped.
+func (oc *outChan) trim() int {
+	k := 0
+	for ; oc.head < len(oc.pend) && oc.pend[oc.head].waiting == 0; k++ {
+		oc.pend[oc.head] = chainPending{}
+		oc.head++
+	}
+	oc.base += uint32(k)
+	return k
+}
+
+// pinKey names one wildcard receive of a replica's program: its context
+// and its ordinal among the wildcard receives posted on that context.
+type pinKey struct {
+	ctx int
+	n   uint64
+}
+
+// pinVal is how a primary resolved a wildcard receive: the communicator
+// rank and tag of the message it matched, or src AnySource when the
+// receive failed or was cancelled.
+type pinVal struct{ src, tag int }
+
+// replica is an engine's replication state.
+type replica struct {
+	// out/repNext are the logical-channel state: out numbers outbound data
+	// messages per (logical dst, ctx, tag) channel — identically on every
+	// sender replica, since replicas execute identical programs — and holds
+	// each channel's part of the tail-ack outbox: the sends some live
+	// replica of the destination group has not confirmed yet. repNext
+	// tracks the next acceptable inbound number per (logical src, ctx,
+	// tag), which is what drops the duplicates a failover sends. Guarded
+	// by the engine's mu, like every field up to sendMu.
+	out     map[repChan]*outChan
+	repNext map[repChan]uint32
+	// held keeps the messages that arrived ahead of an earlier one of
+	// their channel (replOrderLocked), until it arrives.
+	held map[heldKey]*transport.Packet
+	// queued counts the outbox entries of all channels; it is written under
+	// mu and read without it by a sender checking outboxWindow. outboxFull
+	// is set while a sender waits for room.
+	queued     atomic.Int32
+	outboxFull bool
+	// lastChan and lastOut cache the channel out found last.
+	lastChan repChan
+	lastOut  *outChan
+
+	// wildSeq numbers the wildcard receives this replica posted, per
+	// context; pins holds the resolutions a primary sent for a standby's
+	// wildcard receives, until the standby posts them; pinOwed counts, per
+	// standby, the pins this primary sent that the standby has not acked.
+	wildSeq map[int]uint64
+	pins    map[pinKey]pinVal
+	pinOwed map[int]int
+
+	// sendMu serializes this replica's replicated sends with its orphan
+	// replays (fenceLocked), so that no send overtakes a replay on any
+	// channel. fenced is the epoch of this replica's group the replica last
+	// fenced for, covered the destination replica indexes it sends to as
+	// the primary because their mirror sender is gone. Both guarded by
+	// sendMu.
+	sendMu  sync.Mutex
+	fenced  uint32
+	covered uint64
+}
+
+// heldKey names a message held ahead of its channel: the channel
+// (logical source, ctx, tag) and its RepSeq.
+type heldKey struct {
+	ch  repChan
+	seq uint32
+}
+
+// What replOrderLocked decided about an arriving replicated message.
+const (
+	replNext = iota // the channel's next message: match it
+	replDup         // a copy of a message this replica holds: drop it
+	replHeld        // ahead of an earlier message: held until that arrives
+)
+
+// replOrderLocked admits a replicated message of channel k in RepSeq
+// order. Copies of one message reach a replica over several links after a
+// failover (the dead mirror sender's last copies, the primary's replay and
+// its orphan copies), so a later message can overtake an earlier one;
+// taking it would make the replica's dedup drop the earlier one for good.
+// The later one waits instead. A reincarnation joins mid-stream as a warm
+// standby that never receives, so it takes whatever comes next. Caller
+// holds mu.
+func (e *engine) replOrderLocked(k repChan, pkt *transport.Packet) int {
+	next := e.rep.repNext[k]
+	switch {
+	case pkt.RepSeq < next:
+		return replDup
+	case e.gen == 1 && pkt.RepSeq > max(next, 1):
+		hk := heldKey{k, pkt.RepSeq}
+		if e.rep.held[hk] != nil {
+			return replDup
+		}
+		if e.rep.held == nil {
+			e.rep.held = make(map[heldKey]*transport.Packet)
+		}
+		e.rep.held[hk] = pkt
+		return replHeld
+	}
+	e.rep.repNext[k] = pkt.RepSeq + 1
+	return replNext
+}
+
+// releaseHeldLocked matches the messages of channel k held behind the one
+// just matched, in order, and returns them. Caller holds mu.
+func (e *engine) releaseHeldLocked(k repChan) []*transport.Packet {
+	var released []*transport.Packet
+	for {
+		next := e.rep.repNext[k]
+		pkt := e.rep.held[heldKey{k, next}]
+		if pkt == nil {
+			return released
+		}
+		delete(e.rep.held, heldKey{k, next})
+		e.rep.repNext[k] = next + 1
+		e.matchLocked(pkt, k.peer)
+		released = append(released, pkt)
+	}
+}
+
+// dropHeld empties the replica's held messages when it dies or the world
+// ends and records each as the accounted loss kind for the audit: they
+// never reach matching. Called with no lock held.
+func (e *engine) dropHeld(kind trace.Kind) {
+	if e.rep == nil {
+		return
+	}
+	e.mu.Lock()
+	held := e.rep.held
+	e.rep.held = nil
+	e.mu.Unlock()
+	for _, pkt := range held {
+		e.w.tracer.RecordMsg(e.rank, kind, pkt.Src, pkt.Tag, -1, int(e.gen), pkt.Token, 0, "")
+	}
+}
+
+// ctxPin is the KindState context of a wildcard pin (see state.go).
+const ctxPin = -5
 
 // maxReplicas bounds the replication degree: replica sets are bitmasks
 // over the replica index.
@@ -100,8 +299,12 @@ const maxReplicas = 64
 // new live slice, so readers keep and range over what they loaded without
 // a lock.
 type groupView struct {
-	live    []int  // live physical slots in replica-index order; shared, read-only
-	mask    uint64 // bit i set <=> replica i (physical slot l + i*lsize) is live
+	live []int  // live physical slots in replica-index order; shared, read-only
+	mask uint64 // bit i set <=> replica i (physical slot l + i*lsize) is live
+	// running has bit i set while replica i runs the rank function: an
+	// original incarnation that is alive. A refill joins the mask as a
+	// warm standby that never sends, so it is never a mirror sender.
+	running uint64
 	primary int    // current primary physical slot (-1 when all dead)
 	epoch   uint32 // bumped on every membership change, stamped on the wire
 }
@@ -132,7 +335,7 @@ func newReplState(w *World, lsize int, opts ReplicationOptions) *replState {
 	table := make([]groupView, lsize)
 	all := ^uint64(0) >> (maxReplicas - uint(r))
 	for l := range table {
-		table[l] = groupView{live: s.slotsOf(l, all), mask: all, primary: l} // replica 0 leads
+		table[l] = groupView{live: s.slotsOf(l, all), mask: all, running: all, primary: l} // replica 0 leads
 	}
 	s.table.Store(&table)
 	return s
@@ -177,6 +380,7 @@ func (s *replState) handleDeath(f int) bool {
 	g := *s.group(l)
 	if bit := s.replicaBit(f); g.mask&bit != 0 {
 		g.mask &^= bit
+		g.running &^= bit
 		g.live = s.slotsOf(l, g.mask)
 		g.epoch++
 		if g.primary == f {
@@ -191,8 +395,7 @@ func (s *replState) handleDeath(f int) bool {
 	}
 	s.mu.Unlock()
 
-	// Drop the corpse from every sender's chain-outbox wait sets first, so
-	// the promotion re-send below skips entries the survivors already hold.
+	// Drop the corpse from every sender's outbox wait sets and pin ledgers.
 	// The new table is already published: see replSend for why that order
 	// keeps a corpse out of entries recorded from now on.
 	s.pruneChainAcks(f)
@@ -201,8 +404,8 @@ func (s *replState) handleDeath(f int) bool {
 		s.scheduleRefill(f)
 		return false
 	}
+	w := s.w
 	if promoted >= 0 {
-		w := s.w
 		w.metrics.Inc(promoted, metrics.ReplicaPromotions)
 		if lat, ok := w.registry.SinceDeath(f); ok {
 			w.obs.Observe(promoted, obs.ReplicaPromotion, lat)
@@ -212,20 +415,21 @@ func (s *replState) handleDeath(f int) bool {
 		}
 		w.tracer.RecordMsg(promoted, trace.Promoted, f, -1, -1, int(w.genOf(promoted)), 0, 0,
 			fmt.Sprintf("primary of logical %d (replacing %d)", l, f))
-		// A standby that just became primary may be parked in an
-		// agreement waiting to take over the root role; roll every
-		// engine's agreement channel so it re-evaluates.
+		// A standby that just became primary may be parked in an agreement
+		// waiting to take over the root role, or in a wildcard receive
+		// waiting for the dead primary's pin; roll every engine's agreement
+		// channel so it re-evaluates.
 		for i := 0; i < w.size; i++ {
 			e := w.eng(i)
 			e.mu.Lock()
 			e.agreeBumpLocked()
 			e.mu.Unlock()
 		}
-		// Tail-ack repair: any chain frame the dead primary accepted (or
-		// was sent) but whose group-wide receipt is still unconfirmed is
-		// re-sent to the new primary, which re-forwards down the chain.
-		s.resendChainPending(l, promoted)
 	}
+	// Tail-ack repair: the primary takes over the destination replicas the
+	// dead one was the mirror sender of, and replays what they still owe a
+	// confirmation for, before any send of its own can overtake the replay.
+	w.eng(g.primary).fence()
 	s.scheduleRefill(f)
 	return true
 }
@@ -347,232 +551,462 @@ func (w *World) notifyRevive(slot int) {
 	}
 }
 
-// replSend sends one logical data message to the primary of logical
-// destination ldst, which forwards it down the chain to the standbys.
-// Every sender replica stamps the same replication sequence number — they
-// execute identical programs — so receivers drop the duplicates by RepSeq
-// alone. Must be called with no engine lock held.
+// replSend sends one logical data message to logical destination ldst:
+// to the destination replica with this replica's own index (its mirror)
+// and, on the group's primary, to every destination replica whose mirror
+// sender is gone. Every sender replica stamps the same replication sequence
+// number — they execute identical programs — so a receiver drops the
+// copies a failover duplicates by RepSeq alone. The message enters the
+// outbox until every live destination replica confirmed it. Must be called
+// with no engine lock held.
 func (e *engine) replSend(ldst, tag, ctx int, payload []byte) error {
-	w := e.w
-	kept := make([]byte, len(payload))
-	copy(kept, payload)
-	// Target, epoch and the outbox wait set all come from ONE snapshot of
+	w, s := e.w, e.w.repl
+	if e.rep.queued.Load() >= outboxWindow {
+		e.awaitOutbox()
+	}
+	e.rep.sendMu.Lock()
+	defer e.rep.sendMu.Unlock()
+	src := s.group(e.arank())
+	if src.epoch != e.rep.fenced {
+		e.fenceLocked(src)
+	}
+	// Targets, epoch and the outbox wait set all come from ONE snapshot of
 	// the destination group, loaded under e.mu together with the outbox
 	// insertion. handleDeath publishes the new table before pruneChainAcks
 	// takes e.mu, so either the prune finds this entry or this load finds
 	// the corpse already gone: an entry never waits on a replica that was
 	// dead when it was recorded.
 	e.mu.Lock()
-	g := w.repl.group(ldst)
+	g := s.group(ldst)
 	if g.primary < 0 {
 		e.mu.Unlock()
 		return failStop(ldst)
 	}
 	k := repChan{peer: ldst, ctx: ctx, tag: tag}
-	e.repSeq[k]++ // starts at 1: 0 on the wire means "unstamped"
-	seq := e.repSeq[k]
-	// One causal token per logical message: the primary's forwards and any
-	// promotion re-send carry it too, so the deduplicated copies and the
-	// delivered one reconcile to one identity in the conservation audit.
-	// (sendPacket assigns tokens only when unset, so this survives it.)
+	oc := e.outChanLocked(k)
+	oc.seq++ // starts at 1: 0 on the wire means "unstamped"
+	seq := oc.seq
+	// One causal token per logical message: every replica's copy and any
+	// replay carry it, so the deduplicated copies and the delivered one
+	// reconcile to one identity in the conservation audit. (sendPacket
+	// assigns tokens only when unset, so this survives it.)
 	tok := transport.MakeToken(e.rank, w.nextTokenSeq(e.rank))
-	// The outbox entry exists BEFORE the copy enters the fabric: over the
+	waiting := g.mask
+	for m := waiting; m != 0; m &= m - 1 {
+		if j := bits.TrailingZeros64(m); oc.conf[j] >= seq {
+			waiting &^= 1 << uint(j)
+		}
+	}
+	// The outbox entry exists BEFORE the copies enter the fabric: over the
 	// synchronous Local fabric the confirmations can arrive inside the Send
-	// call below, and they must find the entry to retire.
-	e.chainPend[chainKey{ldst: ldst, ctx: ctx, tag: tag, repSeq: seq}] =
-		chainPending{payload: kept, tok: tok, waiting: g.mask}
+	// calls below, and they must find the entry to retire. An entry that
+	// waits on a replica this send does not reach outlives the send and
+	// keeps a copy of the payload, which the caller may reuse once Send
+	// returns. Otherwise (this replica lags its group) the entry holds the
+	// caller's payload and is usually retired when the sends return; only a
+	// replay reads the payload, and a replay needs sendMu.
+	own := s.replicaBit(e.rank)
+	targets := g.mask & (own | e.rep.covered)
+	var kept []byte
+	lent := waiting != 0 && waiting&^targets == 0
+	if lent {
+		kept = payload
+	} else if waiting != 0 {
+		kept = append([]byte(nil), payload...)
+	}
+	e.rep.queued.Add(int32(oc.record(seq, chainPending{payload: kept, tok: tok, waiting: waiting})))
 	e.mu.Unlock()
+	// Every copy but the primary's to its own mirror is one replication
+	// puts on the wire beyond the unreplicated send, and its time is the
+	// ReplicationOverhead sample.
+	primary := src.primary == e.rank
+	var start time.Time
+	var err error
+	for m := targets; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m)
+		extra := !primary || 1<<uint(j) != own
+		if extra && w.obs != nil && start.IsZero() {
+			start = time.Now()
+		}
+		if serr := e.sendCopy(ldst+j*s.lsize, tag, ctx, payload, seq, g.epoch, tok); serr != nil && err == nil {
+			err = serr
+		}
+		if extra {
+			w.metrics.Inc(e.rank, metrics.ReplicaSends)
+		}
+	}
+	if !start.IsZero() {
+		w.obs.Observe(e.rank, obs.ReplicationOverhead, time.Since(start))
+	}
+	if lent {
+		e.mu.Lock()
+		if ent := oc.entry(seq); ent != nil {
+			ent.payload = append([]byte(nil), payload...)
+		}
+		e.mu.Unlock()
+	}
+	return err
+}
+
+// outboxWindow bounds how far a sender replica runs ahead of its group:
+// the replica planes run at their own pace, and the one ahead keeps every
+// message until the one behind has delivered it too, so without a bound its
+// outbox would grow with the drift between the planes. A send waits while
+// this many entries are queued. The replica behind never waits on the one
+// ahead (what it sends is confirmed already), so the wait always ends.
+const outboxWindow = 256
+
+// awaitOutbox blocks the sender until its outbox is below the window.
+// Called with no lock held.
+func (e *engine) awaitOutbox() {
+	e.mu.Lock()
+	for e.rep.queued.Load() >= outboxWindow {
+		e.rep.outboxFull = true
+		e.waitStateLocked()
+	}
+	e.mu.Unlock()
+}
+
+// dequeuedLocked accounts for n entries leaving the outbox, and wakes a
+// sender waiting for room. Caller holds mu.
+func (e *engine) dequeuedLocked(n int) {
+	if n == 0 {
+		return
+	}
+	if e.rep.queued.Add(int32(-n)) < outboxWindow && e.rep.outboxFull {
+		e.rep.outboxFull = false
+		e.agreeBumpLocked()
+	}
+}
+
+// sendCopy puts one replica's copy of a replicated message on the wire.
+func (e *engine) sendCopy(dst, tag, ctx int, payload []byte, seq, epoch uint32, tok uint64) error {
 	buf := payload
-	if !w.nonRetaining {
+	if !e.w.nonRetaining {
 		// Retaining fabrics (Local, and anything layered on it) keep the
-		// payload pointer, so the copy on the wire needs its own buffer.
+		// payload pointer, so every copy on the wire needs its own buffer.
 		buf = make([]byte, len(payload))
 		copy(buf, payload)
 	}
 	return e.sendPacket(&transport.Packet{
-		Src: e.rank, Dst: g.primary, Tag: tag, Context: ctx,
+		Src: e.rank, Dst: dst, Tag: tag, Context: ctx,
 		Kind: transport.KindData, Payload: buf,
-		RepSeq: seq, RepEpoch: g.epoch, Token: tok,
+		RepSeq: seq, RepEpoch: epoch, Token: tok,
 	})
 }
 
-// chainForward relays a replicated data frame from the group's primary
-// to its live standbys, preserving the original sender's identity and
-// generation stamp (re-stamping with the forwarder's would trip the
-// receiver's generation fence against the true source). The forwards are
-// the extra fabric work replication adds to a send, so their time is the
-// ReplicationOverhead sample. Runs on the delivery goroutine with no
-// engine lock held.
-func (e *engine) chainForward(pkt *transport.Packet) {
-	w := e.w
-	var start time.Time
-	if w.obs != nil {
-		start = time.Now()
+// outChanLocked returns the outbound channel k, made on first use. Caller
+// holds mu.
+func (e *engine) outChanLocked(k repChan) *outChan {
+	if e.rep.lastOut != nil && e.rep.lastChan == k {
+		return e.rep.lastOut // a ring sends on one channel, and is confirmed on it
 	}
-	forwarded := false
-	for _, sib := range w.repl.livePhys(e.arank()) {
-		if sib == e.rank {
-			continue
-		}
-		if w.hook != nil && w.hook(HookEvent{
-			Rank: e.arank(), Point: HookChainForward, Peer: w.logicalOf(sib), Tag: pkt.Tag,
-		}) == ActKill {
-			// The injected death lands INSIDE the forward window: the frame
-			// is accepted here but not (fully) forwarded — the loss the
-			// tail-ack protocol repairs. fireHook's die() would panic the
-			// delivering goroutine, which is not this rank's own, so the
-			// kill goes through the registry instead.
-			w.registry.Kill(e.rank)
-		}
-		if e.dead.Load() {
-			return // died mid-forward: remaining standbys rely on the re-send
-		}
-		fwd := *pkt
-		fwd.Dst = sib
-		fwd.DstGen = w.genOf(sib)
-		if !w.nonRetaining && pkt.Payload != nil {
-			fwd.Payload = make([]byte, len(pkt.Payload))
-			copy(fwd.Payload, pkt.Payload)
-		}
-		_ = w.fabric.Send(&fwd)
-		w.metrics.Inc(e.rank, metrics.ReplicaSends)
-		forwarded = true
+	oc := e.rep.out[k]
+	if oc == nil {
+		oc = &outChan{conf: make([]uint32, e.w.repl.r)}
+		e.rep.out[k] = oc
 	}
-	if forwarded && w.obs != nil {
-		w.obs.Observe(e.rank, obs.ReplicationOverhead, time.Since(start))
-	}
+	e.rep.lastChan, e.rep.lastOut = k, oc
+	return oc
 }
 
-// --- chain tail-acks ---------------------------------------------------------
-//
-// The chain's loss window: a primary that accepted a frame and died
-// before chainForward completed would commit a frame the standbys never
-// see. The tail-ack protocol closes it sender-side: every replicated send
-// is held in a per-sender outbox until EVERY live replica of the
-// destination group has confirmed receipt; a primary death re-sends the
-// unconfirmed entries (same RepSeq, same causal token) to the promoted
-// survivor, which re-forwards down the chain.
-//
-// A replicated world always runs over the reliability layer, and the
-// replica's ARQ ack IS the confirmation. The ack gate withholds the
-// primary's ack until it has forwarded the frame, a forward keeps the
-// original sender's Src so the standby's ack also lands on the sender's
-// link state, and the layer's ack-retire callback hands each acked frame
-// to World.chainFrameAcked. No frame beyond data and its ack is sent.
-
-// chainFrameAcked is the reliability layer's ack-retire callback in a
-// replicated world: the replica pkt.Dst holds pkt, so it leaves the wait
-// set of the sender's outbox entry. A forwarded frame carries its
-// original sender in Src, so the same rule covers primaries and standbys.
-func (w *World) chainFrameAcked(pkt *transport.Packet) {
-	if pkt.Kind == transport.KindData && pkt.RepSeq != 0 {
-		w.eng(pkt.Src).chainConfirm(pkt.Dst, pkt.Context, pkt.Tag, pkt.RepSeq)
+// fence takes the replica's send lock and fences it (fenceLocked) if its
+// group changed since it last did. handleDeath calls it on the group's
+// primary, which may not send again for a while: the destination replicas
+// it just took over must not wait for its next send to get their replay.
+func (e *engine) fence() {
+	e.rep.sendMu.Lock()
+	if src := e.w.repl.group(e.arank()); src.epoch != e.rep.fenced {
+		e.fenceLocked(src)
 	}
+	e.rep.sendMu.Unlock()
 }
 
-// chainConfirm retires one replica's receipt confirmation from this
-// sender's matching outbox entry; the entry is released once every
-// awaited replica has confirmed. A confirmation for an entry already
-// released (a re-send's second confirmation) still counts: ChainAcks is
-// confirmations retired, per confirming replica.
-func (e *engine) chainConfirm(replica, ctx, tag int, repSeq uint32) {
-	w := e.w
-	w.metrics.Inc(replica, metrics.ChainAcks)
-	k := chainKey{ldst: w.logicalOf(replica), ctx: ctx, tag: tag, repSeq: repSeq}
+// fenceLocked brings the replica's orphan coverage up to its group's
+// current membership. On the primary, every destination replica index
+// whose mirror sender no longer runs is covered; one that is newly covered
+// gets, on every channel in RepSeq order, every outbox entry it has not
+// confirmed: the mirror sender may have died with them in flight, or
+// before it got to send them. The replay reuses each entry's RepSeq and
+// causal token, so a replica that already holds the message dedup-drops
+// it and the audit reconciles all copies to one span. Holding sendMu is
+// the fence: a send that sees the new membership runs after the replay, so
+// a later RepSeq never reaches the orphan first, where it would make the
+// receiver's dedup drop the replay. Caller holds sendMu.
+func (e *engine) fenceLocked(src *groupView) {
+	s := e.w.repl
+	e.rep.fenced = src.epoch
+	if e.dead.Load() {
+		return // a later death notification fences the next primary
+	}
+	var orphans uint64
+	if src.primary == e.rank {
+		orphans = ^src.running & (^uint64(0) >> (maxReplicas - uint(s.r)))
+	}
+	fresh := orphans &^ e.rep.covered
+	e.rep.covered = orphans
+	if fresh == 0 {
+		return
+	}
+	// Collect the channels' entries under mu; the replay sends without it.
+	type item struct {
+		k   repChan
+		seq uint32
+		ent chainPending
+	}
+	var items []item
 	e.mu.Lock()
-	if ent, ok := e.chainPend[k]; ok {
-		e.chainRetireLocked(k, ent, w.repl.replicaBit(replica))
+	for k, oc := range e.rep.out {
+		for i, ent := range oc.pending() {
+			if ent.waiting&fresh != 0 {
+				items = append(items, item{k, oc.base + uint32(i) + 1, ent})
+			}
+		}
 	}
 	e.mu.Unlock()
-}
-
-// chainRetireLocked clears one replica's bit from an outbox entry and
-// releases the entry when nobody is awaited any more. Caller holds mu.
-func (e *engine) chainRetireLocked(k chainKey, ent chainPending, bit uint64) {
-	if ent.waiting &^= bit; ent.waiting == 0 {
-		delete(e.chainPend, k)
-	} else {
-		e.chainPend[k] = ent
+	for _, it := range items {
+		epoch := s.group(it.k.peer).epoch
+		for m := it.ent.waiting & fresh; m != 0; m &= m - 1 {
+			// sendCopy copies the kept payload: the fabric (and ultimately the
+			// application) may retain and mutate delivered buffers, and the
+			// outbox copy must stay intact for a later replay.
+			dst := it.k.peer + bits.TrailingZeros64(m)*s.lsize
+			_ = e.sendCopy(dst, it.k.tag, it.k.ctx, it.ent.payload, it.seq, epoch, it.ent.tok)
+			e.w.metrics.Inc(e.rank, metrics.ChainResends)
+		}
 	}
 }
 
-// pruneChainAcks removes a dead physical slot from every sender's
-// chain-outbox wait sets (a corpse will never confirm), releasing entries
-// it was the last holdout of.
+// --- tail-acks -----------------------------------------------------------------
+//
+// A sender replica dies with copies in flight, or before it sent them, and
+// its mirror destination replica never gets them. The tail-ack protocol
+// closes that window sender-side: every replicated send is held in the
+// outbox of every running sender replica until EVERY live replica of the
+// destination group has confirmed receipt, and the group's primary replays
+// the unconfirmed entries to the replicas the dead sender was the mirror
+// of (fenceLocked).
+//
+// A replicated world always runs over the reliability layer, and the
+// replica's ARQ ack IS the confirmation: the layer's ack-retire callback
+// hands every frame acked in link order to World.replFrameAcked, which
+// retires the confirming replica in the outbox of every running replica
+// of the sender group. No frame beyond data and its ack is sent.
+
+// replFrameAcked is the reliability layer's ack-retire callback in a
+// replicated world. A data frame's destination replica holds the message,
+// so it leaves the sender group's wait sets; a pin's standby holds the pin.
+func (w *World) replFrameAcked(pkt *transport.Packet) {
+	switch {
+	case pkt.Kind == transport.KindData && pkt.RepSeq != 0:
+		w.repl.confirm(pkt.Src, pkt.Dst, repChan{peer: w.logicalOf(pkt.Dst), ctx: pkt.Context, tag: pkt.Tag}, pkt.RepSeq)
+	case pkt.Kind == transport.KindState && pkt.Context == ctxPin:
+		w.eng(pkt.Src).pinAcked(pkt.Dst)
+	}
+}
+
+// confirm retires destination replica dst's receipt of message repSeq on
+// channel k (logical destination, ctx, tag) from the outbox of every
+// running replica of sender's group; a replica that has no entry for it
+// keeps the confirmation in its channel's watermark. ChainAcks counts
+// confirmations, one per confirming replica.
+func (s *replState) confirm(sender, dst int, k repChan, repSeq uint32) {
+	w := s.w
+	w.metrics.Inc(dst, metrics.ChainAcks)
+	ls, j := w.logicalOf(sender), dst/s.lsize
+	for m := s.group(ls).running; m != 0; m &= m - 1 {
+		e := w.eng(ls + bits.TrailingZeros64(m)*s.lsize)
+		e.mu.Lock()
+		if oc := e.outChanLocked(k); repSeq <= oc.seq {
+			e.dequeuedLocked(oc.retire(repSeq, 1<<uint(j)))
+		} else if oc.conf[j] < repSeq {
+			oc.conf[j] = repSeq
+		}
+		e.mu.Unlock()
+	}
+}
+
+// pruneChainAcks removes a dead physical slot from every sender's outbox
+// wait sets (a corpse will never confirm), releasing entries it was the
+// last holdout of, and forgives the pins its primary still waits on.
 func (s *replState) pruneChainAcks(f int) {
 	w := s.w
 	l, bit := f%s.lsize, s.replicaBit(f)
 	for i := 0; i < w.size; i++ {
 		e := w.eng(i)
 		e.mu.Lock()
-		for k, ent := range e.chainPend {
-			if k.ldst == l && ent.waiting&bit != 0 {
-				e.chainRetireLocked(k, ent, bit)
+		for k, oc := range e.rep.out {
+			if k.peer != l {
+				continue
 			}
+			for x := range oc.pending() {
+				if ent := &oc.pend[oc.head+x]; ent.waiting&bit != 0 {
+					if ent.waiting &^= bit; ent.waiting == 0 {
+						ent.payload = nil
+					}
+				}
+			}
+			e.dequeuedLocked(oc.trim())
+		}
+		if e.rep.pinOwed[f] != 0 {
+			delete(e.rep.pinOwed, f)
+			e.agreeBumpLocked()
 		}
 		e.mu.Unlock()
 	}
 }
 
-// resendChainPending re-sends every still-unconfirmed chain-outbox entry
-// addressed to logical rank l to its freshly promoted primary, in RepSeq
-// order per channel (a standby that accepted X+1 would dedup-drop a
-// later-arriving X). The re-send reuses the original causal token — it
-// is the same message, and the audit reconciles all copies to one span —
-// and the promoted primary re-forwards it chain-style, which also covers
-// standbys that missed the old primary's forward. Replicas that already
-// hold the frame dedup-drop it and re-confirm. Called with no locks held.
-func (s *replState) resendChainPending(l, promoted int) {
-	w := s.w
-	epoch := s.group(l).epoch
-	for i := 0; i < w.size; i++ {
-		e := w.eng(i)
-		if e.dead.Load() {
-			continue
-		}
-		type item struct {
-			k   chainKey
-			ent chainPending
-		}
-		var items []item
-		e.mu.Lock()
-		for k, ent := range e.chainPend {
-			if k.ldst == l {
-				items = append(items, item{k, ent})
+// --- wildcard pins -------------------------------------------------------------
+//
+// Mirror-paired replicas receive each message on their own schedule, so a
+// wildcard receive (AnySource or AnyTag) could match different messages on
+// different replicas. The primary decides: when its wildcard receive is
+// first reported to the program, it pins the match (communicator source
+// and tag) to every running standby through the ARQ, and returns only when
+// each holds the pin. A standby's wildcard receive waits for the pin of the
+// same ordinal and becomes a directed receive of that source and tag: the
+// next message on that channel, which is the one the primary took, since
+// the replicas consume every channel in the same order. A standby promoted
+// while it waits resolves the receive itself, and pins it when it reports.
+
+// resolveWild numbers a wildcard receive about to be posted. On a standby
+// it waits for the primary's pin of that ordinal and narrows the receive to
+// the pinned source and tag. Called on the rank's goroutine with no lock
+// held; panics like Wait if the rank dies or the world ends meanwhile.
+func (e *engine) resolveWild(r *Request) {
+	e.mu.Lock()
+	n := e.rep.wildSeq[r.ctx] + 1
+	e.rep.wildSeq[r.ctx] = n
+	r.pin = n
+	for {
+		// A pin the dead primary sent still binds a promoted standby: the
+		// primary's receive returned, and what it did next may depend on it.
+		if p, ok := e.rep.pins[pinKey{r.ctx, n}]; ok {
+			delete(e.rep.pins, pinKey{r.ctx, n})
+			if wr, err := r.comm.WorldRank(p.src); err == nil {
+				r.srcWorld, r.tag = wr, p.tag
 			}
+			break
 		}
+		if e.w.repl.isPrimary(e.rank) {
+			break
+		}
+		e.waitStateLocked()
+	}
+	e.mu.Unlock()
+}
+
+// waitStateLocked parks on the agreement channel until the next state
+// change, and panics like Wait if the rank died or the world ended. Caller
+// holds mu, and holds it again on return.
+func (e *engine) waitStateLocked() {
+	e.checkAliveLocked()
+	ch := e.agreeWaitLocked()
+	e.mu.Unlock()
+	select {
+	case <-ch:
+	case <-e.downCh:
+	case <-e.w.abortCh:
+	}
+	e.mu.Lock()
+	e.checkAliveLocked()
+}
+
+// checkAliveLocked is checkAlive for a caller holding mu: it releases mu
+// before it panics, so the caller must not unlock in a defer.
+func (e *engine) checkAliveLocked() {
+	switch {
+	case e.dead.Load():
 		e.mu.Unlock()
-		if len(items) == 0 {
-			continue
-		}
-		sort.Slice(items, func(a, b int) bool {
-			ka, kb := items[a].k, items[b].k
-			if ka.ctx != kb.ctx {
-				return ka.ctx < kb.ctx
-			}
-			if ka.tag != kb.tag {
-				return ka.tag < kb.tag
-			}
-			return ka.repSeq < kb.repSeq
-		})
-		for _, it := range items {
-			// Fresh payload copy per re-send: the fabric (and ultimately the
-			// application) may retain and mutate delivered buffers, and the
-			// outbox copy must stay intact for a second promotion.
-			cp := make([]byte, len(it.ent.payload))
-			copy(cp, it.ent.payload)
-			pkt := &transport.Packet{
-				Src: e.rank, Dst: promoted, Tag: it.k.tag, Context: it.k.ctx,
-				Kind: transport.KindData, Payload: cp,
-				RepSeq: it.k.repSeq, RepEpoch: epoch, Token: it.ent.tok,
-			}
-			_ = e.sendPacket(pkt)
-			w.metrics.Inc(e.rank, metrics.ChainResends)
-		}
+		panic(killedPanic{rank: e.rank})
+	case e.closed.Load():
+		e.mu.Unlock()
+		panic(closedPanic{})
+	case e.w.aborted.Load():
+		e.mu.Unlock()
+		panic(abortPanic{code: e.w.abortCode()})
 	}
 }
 
-// --- automatic re-replication ------------------------------------------------
+// pinWild sends the resolution of wildcard receive r, its n-th on its
+// context, to every running standby if this replica is the primary, and
+// waits until each has acked the pin or died. st and err are what the
+// receive reported to the program. Called on the rank's goroutine with no
+// lock held.
+func (e *engine) pinWild(r *Request, n uint64, st Status, err error) {
+	w, s := e.w, e.w.repl
+	if !s.isPrimary(e.rank) {
+		return // a standby's receive was pinned; a primary pins
+	}
+	src, tag := AnySource, r.tag
+	if err == nil && st.Source != ProcNull {
+		src, tag = st.Source, st.Tag
+	}
+	var body []byte
+	for _, v := range [...]int64{int64(r.ctx), int64(n), int64(src), int64(tag)} {
+		body = binary.AppendVarint(body, v)
+	}
+	// The standbys come from a snapshot loaded under mu, like replSend's:
+	// a standby that dies later has its debt forgiven by pruneChainAcks.
+	l := e.arank()
+	var standbys []int
+	e.mu.Lock()
+	if g := s.group(l); g.primary == e.rank {
+		standbys = s.slotsOf(l, g.running&^s.replicaBit(e.rank))
+	}
+	if len(standbys) > 0 && e.rep.pinOwed == nil {
+		e.rep.pinOwed = make(map[int]int)
+	}
+	for _, p := range standbys {
+		e.rep.pinOwed[p]++
+	}
+	e.mu.Unlock()
+	for _, p := range standbys {
+		pkt := &transport.Packet{Src: e.rank, Dst: p, Kind: transport.KindState, Context: ctxPin, Payload: body}
+		e.stampGen(pkt)
+		_ = w.fabric.Send(pkt)
+	}
+	e.mu.Lock()
+	for _, p := range standbys {
+		for e.rep.pinOwed[p] > 0 {
+			e.waitStateLocked()
+		}
+	}
+	e.mu.Unlock()
+}
+
+// pinAcked records that standby p acked one of this primary's pins.
+func (e *engine) pinAcked(p int) {
+	e.mu.Lock()
+	if e.rep.pinOwed[p] > 0 {
+		e.rep.pinOwed[p]--
+		e.agreeBumpLocked()
+	}
+	e.mu.Unlock()
+}
+
+// deliverPin stores a primary's pin for the standby's wildcard receive of
+// that ordinal. Malformed pins are dropped.
+func (e *engine) deliverPin(pkt *transport.Packet) {
+	var v [4]int64
+	b := pkt.Payload
+	for i := range v {
+		var n int
+		if v[i], n = binary.Varint(b); n <= 0 {
+			return
+		}
+		b = b[n:]
+	}
+	e.mu.Lock()
+	if e.rep.pins == nil {
+		e.rep.pins = make(map[pinKey]pinVal)
+	}
+	e.rep.pins[pinKey{ctx: int(v[0]), n: uint64(v[1])}] = pinVal{src: int(v[2]), tag: int(v[3])}
+	e.agreeBumpLocked()
+	e.mu.Unlock()
+}
+
+// --- automatic re-replication// --- automatic re-replication ------------------------------------------------
 
 // refillAttempts bounds one refill goroutine's Spawn retries; combined
 // with the backoff doubling it spans several seconds of transient
@@ -637,9 +1071,9 @@ func (s *replState) refill(slot int, deathAt time.Time) {
 
 // seedRepState copies the most advanced surviving sibling's replication
 // sequence state into a reincarnation's still-unpublished engine: repNext
-// fences inbound frames the group already consumed (late forwards and
+// fences inbound frames the group already consumed (late copies and
 // retransmits of old laps dedup-drop instead of queueing stale state),
-// and repSeq keeps outbound numbering continuous if the incarnation ever
+// and the outbound numbering stays continuous if the incarnation ever
 // sends after recovering application state. Called from join before the
 // engine is installed, so no frame can race the seeding.
 func (s *replState) seedRepState(slot int, e2 *engine) {
@@ -653,14 +1087,14 @@ func (s *replState) seedRepState(slot int, e2 *engine) {
 			continue
 		}
 		e.mu.Lock()
-		for k, v := range e.repSeq {
-			if v > e2.repSeq[k] {
-				e2.repSeq[k] = v
+		for k, oc := range e.rep.out {
+			if oc2 := e2.outChanLocked(k); oc.seq > oc2.seq {
+				oc2.seq = oc.seq
 			}
 		}
-		for k, v := range e.repNext {
-			if v > e2.repNext[k] {
-				e2.repNext[k] = v
+		for k, v := range e.rep.repNext {
+			if v > e2.rep.repNext[k] {
+				e2.rep.repNext[k] = v
 			}
 		}
 		e.mu.Unlock()

@@ -136,15 +136,15 @@ func TestReplicationTransparentFailover(t *testing.T) {
 		t.Fatalf("promotions: %d, want 1", got)
 	}
 	if mets.Total(metrics.ReplicaSends) == 0 {
-		t.Fatal("no chain forwards counted")
-	}
-	if mets.Total(metrics.ReplicaDedupDrops) == 0 {
-		t.Fatal("no duplicate drops counted — the sender replicas' copies were not deduped")
+		t.Fatal("no standby copies counted")
 	}
 	// Zero app-visible recovery: no validate rounds, no app resends.
 	if v, r := mets.Total(metrics.Validates), mets.Total(metrics.Resends); v != 0 || r != 0 {
 		t.Fatalf("validates=%d resends=%d, want 0/0 (replication must hide the failure)", v, r)
 	}
+	// The promoted standby took over the dead primary's mirror and every
+	// live replica confirmed every message.
+	requireChainOutboxEmpty(t, w)
 }
 
 // TestReplicationStandbyDeathInvisible: a STANDBY dying must not even
@@ -203,10 +203,10 @@ func TestReplicationLastReplicaFailStop(t *testing.T) {
 	}
 }
 
-// TestReplicationChainMode: chain propagation delivers exactly once (the
-// primary relays to standbys, duplicates are dropped), and a TAIL
-// (standby) death neither promotes nor surfaces. The replicas confirm
-// receipt with their ARQ acks, so every outbox drains.
+// TestReplicationChainMode: mirror pairing delivers exactly once (replica
+// i sends to replica i), and a standby death neither promotes nor
+// surfaces. The replicas confirm receipt with their ARQ acks, so every
+// outbox drains.
 func TestReplicationChainMode(t *testing.T) {
 	t.Run("arq", func(t *testing.T) {
 		const laps = 12
@@ -222,7 +222,7 @@ func TestReplicationChainMode(t *testing.T) {
 			t.Fatalf("promotions: %d, want 0 for a tail death", got)
 		}
 		if mets.Total(metrics.ReplicaSends) == 0 {
-			t.Fatal("no chain forwards counted")
+			t.Fatal("no standby copies counted")
 		}
 		if w.reliable == nil || mets.Total(metrics.ChainAcks) == 0 {
 			t.Fatal("replication built no ARQ layer, or no ack confirmed a replica's receipt")
@@ -379,51 +379,77 @@ func runReplOpts(t *testing.T, lsize int, ropts ReplicationOptions, opts []Optio
 	return w, res
 }
 
-// TestChainForwardWindowKill is the tail-ack regression: the primary of a
-// logical rank is killed INSIDE the chain forward window — after
-// accepting a data frame, before relaying it to its standby — via the
-// deterministic HookChainForward placement. Without the sender-side chain
-// outbox the relayed frame is simply gone (the sender's ARQ saw the
-// primary's link-level ack, the standby never saw the frame) and the ring
-// wedges. With it, the promotion re-sends the unconfirmed entry to the
-// promoted standby under the same RepSeq, so the fault-unaware ring
-// completes exactly once: no drop (every lap's token arrives with the
-// right value) and no double-delivery (RepSeq dedup absorbs any copy the
-// dying primary did manage to forward).
-func TestChainForwardWindowKill(t *testing.T) {
-	t.Run("arq", func(t *testing.T) {
-		const laps = 12
-		var fires atomic.Int32
-		hook := func(ev HookEvent) Action {
-			// Kill the primary of logical 1 immediately before its third
-			// standby forward. The promoted standby shares the logical rank,
-			// so fire exactly once (Add, not a == comparison on Load).
-			if ev.Point == HookChainForward && ev.Rank == 1 && fires.Add(1) == 3 {
-				return ActKill
+// lossyLink drops the data frames of one physical link once armed: the
+// sender's ARQ keeps them unacknowledged, in flight, until the link is
+// purged.
+type lossyLink struct {
+	transport.Fabric
+	src, dst int
+	armed    atomic.Bool
+}
+
+func (l *lossyLink) Send(pkt *transport.Packet) error {
+	if l.armed.Load() && pkt.Kind == transport.KindData && pkt.Src == l.src && pkt.Dst == l.dst {
+		return nil
+	}
+	return l.Fabric.Send(pkt)
+}
+
+// TestSenderKillReplaysInFlight is the tail-ack regression: the primary of
+// logical 1 sends a lap's token while its copy to its mirror (the primary
+// of logical 2) is lost on the wire, waits until its standby has sent the
+// same lap, and dies with the copy still in flight: the ARQ retransmits it
+// until the death purges the link. The promoted standby takes the orphaned
+// replica over and replays the outbox entry that replica never confirmed,
+// under the same RepSeq, so the fault-unaware ring completes exactly once
+// on every surviving replica: every lap's token arrives with the right
+// value, and no copy is delivered twice.
+func TestSenderKillReplaysInFlight(t *testing.T) {
+	const lsize, laps, killLap = 3, 12, 4
+	const victim, sibling = 1, 1 + lsize
+	link := &lossyLink{Fabric: transport.NewLocal(), src: victim, dst: victim + 1}
+	ring := replRing(laps, -1, 0)
+	w, res := runRepl(t, lsize, 2, []Option{WithFabric(link)}, func(w *World, p *Proc) error {
+		if p.PhysRank() != victim {
+			return ring(w, p)
+		}
+		c := p.World()
+		for lap := 0; lap < laps; lap++ {
+			pl, _, err := c.Recv(0, lap)
+			if err != nil {
+				return err
 			}
-			return ActNone
-		}
-		w, res := runRepl(t, 3, 2, []Option{WithHook(hook)}, replRing(laps, -1, 0))
-		for phys, rr := range res.Ranks {
-			if phys == 1 {
-				continue // the forward-window victim
+			link.armed.Store(lap == killLap)
+			if err := c.Send(2, lap, pl); err != nil {
+				return err
 			}
-			if rr.Err != nil || rr.Killed {
-				t.Fatalf("phys %d saw the failure: %+v", phys, rr)
+			if lap == killLap {
+				if err := pollUntil("standby sent the lap", func() (bool, error) {
+					return w.Metrics().Get(sibling, metrics.Sends) > killLap, nil
+				}); err != nil {
+					return err
+				}
+				p.Die()
 			}
 		}
-		mets := w.Metrics()
-		if got := mets.Total(metrics.ReplicaPromotions); got != 1 {
-			t.Fatalf("promotions: %d, want exactly 1", got)
-		}
-		if got := mets.Total(metrics.ChainResends); got == 0 {
-			t.Fatal("no chain resends: the unconfirmed outbox entry was not replayed")
-		}
-		if mets.Total(metrics.ChainAcks) == 0 {
-			t.Fatal("no chain acks counted")
-		}
-		requireChainOutboxEmpty(t, w)
+		return nil
 	})
+	for phys, rr := range res.Ranks {
+		if phys != victim && (rr.Err != nil || rr.Killed) {
+			t.Fatalf("phys %d saw the failure: %+v", phys, rr)
+		}
+	}
+	if !res.Ranks[victim].Killed {
+		t.Fatalf("victim %d not killed: %+v", victim, res.Ranks[victim])
+	}
+	mets := w.Metrics()
+	if got := mets.Total(metrics.ReplicaPromotions); got != 1 {
+		t.Fatalf("promotions: %d, want exactly 1", got)
+	}
+	if got := mets.Total(metrics.ChainResends); got == 0 {
+		t.Fatal("no chain resends: the unconfirmed outbox entry was not replayed")
+	}
+	requireChainOutboxEmpty(t, w)
 }
 
 // TestReplicationAutoRefill: with AutoRefill the world itself heals a
@@ -525,14 +551,15 @@ func (u *unchangedFabric) Send(pkt *transport.Packet) error {
 	return err
 }
 
-// TestReplicatedDeliveryKeepsBothIdentities: in a chain world over ARQ the
-// receiving side speaks logical ranks — Status.Source of a directed and of
-// an AnySource receive, posted before or after the frame arrived, Iprobe's
-// status and the trace's Delivered event — while the packet below keeps
-// the physical replica that sent it: the ack retires the frame at that
-// replica (its outbox drains through OnAckRetire's physical Src) and
-// delivery changes no field of it. Only the second replica of logical rank
-// 1 sends, so the physical source is never the logical one.
+// TestReplicatedDeliveryKeepsBothIdentities: in a replicated world over
+// ARQ the receiving side speaks logical ranks — Status.Source of a directed
+// and of an AnySource receive, posted before or after the frame arrived,
+// Iprobe's status and the trace's Delivered event — while the packet below
+// keeps the physical replica that sent it: the ack retires the frame at
+// that replica (its outbox drains through OnAckRetire's physical Src) and
+// delivery changes no field of it. Both replicas of logical 1 run the same
+// program, as the replication contract requires; replica 1 of logical 0
+// hears from replica 1 of logical 1, physical 4, never from slot 1.
 func TestReplicatedDeliveryKeepsBothIdentities(t *testing.T) {
 	const lsize, r = 3, 2
 	base := &unchangedFabric{Fabric: transport.NewLocal()}
@@ -545,8 +572,8 @@ func TestReplicatedDeliveryKeepsBothIdentities(t *testing.T) {
 			}
 			return nil
 		}
-		switch {
-		case p.Rank() == 1 && p.PhysRank() == 1+lsize:
+		switch p.Rank() {
+		case 1:
 			for tag := 10; tag <= 11; tag++ {
 				if err := c.Send(0, tag, []byte{byte(tag)}); err != nil {
 					return err
@@ -556,7 +583,7 @@ func TestReplicatedDeliveryKeepsBothIdentities(t *testing.T) {
 				return err
 			}
 			return c.Send(0, 12, []byte{12})
-		case p.Rank() == 0:
+		case 0:
 			posted := c.Irecv(AnySource, 12)
 			for {
 				ok, st, err := c.Iprobe(AnySource, 10)
@@ -602,15 +629,17 @@ func TestReplicatedDeliveryKeepsBothIdentities(t *testing.T) {
 		if ev.Kind != trace.Delivered {
 			continue
 		}
-		delivered++
 		if ev.Peer >= lsize {
 			t.Errorf("phys %d: Delivered event names physical source %d", ev.Rank, ev.Peer)
 		}
-		if w.logicalOf(ev.Rank) == 0 && ev.Tag >= 10 && ev.Tag <= 12 && ev.Peer != 1 {
-			t.Errorf("phys %d: tag %d Delivered from %d, want logical 1", ev.Rank, ev.Tag, ev.Peer)
+		if ev.Rank == lsize && ev.Tag >= 10 && ev.Tag <= 12 {
+			if ev.Peer != 1 {
+				t.Errorf("phys %d: tag %d Delivered from %d, want logical 1", ev.Rank, ev.Tag, ev.Peer)
+			}
+			delivered++
 		}
 	}
-	if delivered < 2*3 { // both replicas of logical 0 take tags 10 to 12
-		t.Fatalf("%d Delivered events, want at least 6", delivered)
+	if delivered != 3 { // replica 1 of logical 0 takes tags 10 to 12 from physical 4
+		t.Fatalf("%d Delivered events of tags 10 to 12 at physical %d, want 3", delivered, lsize)
 	}
 }

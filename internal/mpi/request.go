@@ -44,7 +44,6 @@ type Request struct {
 
 	// Matching criteria for posted receives; srcWorld is a world rank or
 	// AnySource.
-	isRecv   bool
 	srcWorld int
 	tag      int
 	ctx      int
@@ -54,7 +53,12 @@ type Request struct {
 	// earliest-posted matching receive wins (MPI non-overtaking).
 	postSeq uint64
 
+	// pin is the ordinal of a replicated wildcard receive among those its
+	// replica posted on ctx, until the pin is owed no more (0 otherwise).
+	pin uint64
+
 	// Completion state, guarded by eng.mu.
+	isRecv       bool
 	done         bool
 	consumed     bool    // returned by a Waitany/Waitall already
 	observedHook bool    // HookAfterRecv already fired for this completion
@@ -232,12 +236,14 @@ func (r *Request) completeLocked(err error, st Status, payload []byte) {
 func (r *Request) Cancel() {
 	e := r.eng
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if r.done {
-		return
+	if !r.done {
+		e.removePostedLocked(r)
+		r.completeLocked(ErrCancelled, Status{Source: ProcNull}, nil)
 	}
-	e.removePostedLocked(r)
-	r.completeLocked(ErrCancelled, Status{Source: ProcNull}, nil)
+	pin, st, err := r.pin, r.status, r.err
+	r.pin = 0
+	e.mu.Unlock()
+	r.observed(false, pin, st, err)
 }
 
 // CancelOrPayload atomically retires a receive request: if it has
@@ -251,17 +257,45 @@ func (r *Request) Cancel() {
 func (r *Request) CancelOrPayload() ([]byte, bool) {
 	e := r.eng
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if r.done {
-		if r.err == nil && r.isRecv && r.status.Source != ProcNull && r.payload != nil {
-			r.pooled = false // the caller keeps the bytes: never release them
-			return r.payload, true
-		}
-		return nil, false
+	var payload []byte
+	if !r.done {
+		e.removePostedLocked(r)
+		r.completeLocked(ErrCancelled, Status{Source: ProcNull}, nil)
+	} else if r.err == nil && r.isRecv && r.status.Source != ProcNull && r.payload != nil {
+		r.pooled = false // the caller keeps the bytes: never release them
+		payload = r.payload
 	}
-	e.removePostedLocked(r)
-	r.completeLocked(ErrCancelled, Status{Source: ProcNull}, nil)
-	return nil, false
+	pin, st, err := r.pin, r.status, r.err
+	r.pin = 0
+	e.mu.Unlock()
+	r.observed(false, pin, st, err)
+	return payload, payload != nil
+}
+
+// observeLocked marks a completion as reported to the program. It returns
+// whether the HookAfterRecv kill point is owed, and the ordinal of the
+// wildcard pin a replicated primary still owes its standbys (0: none).
+// Caller holds eng.mu.
+func (r *Request) observeLocked() (hook bool, pin uint64) {
+	if r.isRecv && r.err == nil && !r.observedHook {
+		r.observedHook = true
+		hook = r.status.Source != ProcNull
+	}
+	pin, r.pin = r.pin, 0
+	return hook, pin
+}
+
+// observed pays, with no lock held, what reporting the completion owes:
+// first the wildcard pin, so that a standby holds it before the receive
+// returns, then the hook, which may kill the rank.
+func (r *Request) observed(hook bool, pin uint64, st Status, err error) {
+	e := r.eng
+	if pin != 0 {
+		e.pinWild(r, pin, st, err)
+	}
+	if hook {
+		e.w.fireHook(e, HookEvent{Rank: e.arank(), Point: HookAfterRecv, Peer: r.srcWorld, Tag: st.Tag})
+	}
 }
 
 // Wait blocks until the request completes and returns its status and
@@ -301,17 +335,12 @@ func (r *Request) Wait() (Status, error) {
 		panic(killedPanic{rank: e.rank})
 	}
 	st, err := r.status, r.err
-	observed := r.isRecv && err == nil && !r.observedHook
-	if observed {
-		r.observedHook = true
-	}
+	hook, pin := r.observeLocked()
 	e.mu.Unlock()
 	if !waitStart.IsZero() {
 		e.w.obs.Observe(e.rank, obs.RecvWait, time.Since(waitStart))
 	}
-	if observed && st.Source != ProcNull {
-		e.w.fireHook(e, HookEvent{Rank: e.arank(), Point: HookAfterRecv, Peer: r.srcWorld, Tag: st.Tag})
-	}
+	r.observed(hook, pin, st, err)
 	return st, err
 }
 
@@ -329,14 +358,9 @@ func (r *Request) Test() (bool, Status, error) {
 		return false, Status{}, nil
 	}
 	st, err := r.status, r.err
-	observed := r.isRecv && err == nil && !r.observedHook
-	if observed {
-		r.observedHook = true
-	}
+	hook, pin := r.observeLocked()
 	e.mu.Unlock()
-	if observed && st.Source != ProcNull {
-		e.w.fireHook(e, HookEvent{Rank: e.arank(), Point: HookAfterRecv, Peer: r.srcWorld, Tag: st.Tag})
-	}
+	r.observed(hook, pin, st, err)
 	return true, st, err
 }
 
@@ -405,14 +429,9 @@ func Waitany(reqs ...*Request) (int, Status, error) {
 			r := reqs[best]
 			r.consumed = true
 			st, err := r.status, r.err
-			observed := r.isRecv && err == nil && !r.observedHook
-			if observed {
-				r.observedHook = true
-			}
+			hook, pin := r.observeLocked()
 			e.mu.Unlock()
-			if observed && st.Source != ProcNull {
-				e.w.fireHook(e, HookEvent{Rank: e.arank(), Point: HookAfterRecv, Peer: r.srcWorld, Tag: st.Tag})
-			}
+			r.observed(hook, pin, st, err)
 			return best, st, err
 		}
 		if remaining == 0 {
@@ -472,14 +491,9 @@ func Testany(reqs ...*Request) (ok bool, idx int, st Status, err error) {
 	r := reqs[best]
 	r.consumed = true
 	st, err = r.status, r.err
-	observed := r.isRecv && err == nil && !r.observedHook
-	if observed {
-		r.observedHook = true
-	}
+	hook, pin := r.observeLocked()
 	e.mu.Unlock()
-	if observed && st.Source != ProcNull {
-		e.w.fireHook(e, HookEvent{Rank: e.arank(), Point: HookAfterRecv, Peer: r.srcWorld, Tag: st.Tag})
-	}
+	r.observed(hook, pin, st, err)
 	return true, best, st, err
 }
 

@@ -211,7 +211,7 @@ func newWorldFromConfig(cfg Config) (*World, error) {
 				ErrInvalidArg, cfg.Replication.R, maxReplicas)
 		}
 		if m := cfg.Replication.Mode; m != "" && m != ReplChain {
-			return nil, fmt.Errorf("%w: replication mode %q: chain is the only protocol (leave Mode empty)",
+			return nil, fmt.Errorf("%w: replication mode %q: mirror pairing is the only protocol (leave Mode empty)",
 				ErrInvalidArg, m)
 		}
 		// Size is the logical rank count; the physical world is R times
@@ -266,16 +266,9 @@ func newWorldFromConfig(cfg Config) (*World, error) {
 	}
 	if cfg.Replication != nil {
 		w.repl = newReplState(w, lsize, *cfg.Replication)
-		// Tail-ack: a primary's hop-level ARQ ack for a fresh data frame is
-		// withheld until the engine has forwarded the frame down the chain
-		// (deliver releases it), so an ack never claims durability the
-		// standbys don't have yet — which is what lets every replica's ack
-		// double as its receipt confirmation.
-		relFab.SetAckGate(func(dst int, pkt *transport.Packet) bool {
-			return pkt.Kind == transport.KindData && pkt.RepSeq != 0 &&
-				w.repl.isPrimary(dst)
-		})
-		relFab.OnAckRetire(w.chainFrameAcked)
+		// Tail-ack: every replica's ARQ ack of a replicated frame is its
+		// receipt confirmation, and of a wildcard pin its hold of the pin.
+		relFab.OnAckRetire(w.replFrameAcked)
 	}
 	if cfg.Agreement == AgreementTree {
 		w.treeArity = 2
@@ -302,16 +295,6 @@ func newWorldFromConfig(cfg Config) (*World, error) {
 		w.engines[i].Store(newEngine(w, i, 1))
 	}
 	return w, nil
-}
-
-// releaseChainAck releases the gate-deferred hop-level ARQ ack for a
-// chain data frame delivered to dst. ReleaseAck is idempotent, so this
-// is a cheap no-op when nothing was deferred (unreplicated worlds,
-// control traffic, already released).
-func (w *World) releaseChainAck(dst int, pkt *transport.Packet) {
-	if w.reliable != nil {
-		w.reliable.ReleaseAck(pkt.Src, dst, pkt.Seq)
-	}
 }
 
 // onChaosEvent maps an injected network fault to metrics counters and a

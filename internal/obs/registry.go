@@ -61,8 +61,9 @@ const (
 	// primary of the logical rank.
 	ReplicaPromotion
 	// ReplicationOverhead times the extra fabric work a replicated send
-	// pays beyond its first physical copy (the primary's chain forwards to
-	// its standbys, the failure-free price of replication).
+	// pays beyond its first physical copy (a standby's send to its mirror,
+	// and the primary's copies to orphaned replicas: the failure-free
+	// price of replication is the standbys' sends).
 	ReplicationOverhead
 	// MessageE2ELatency times one data message from its origin's send
 	// stamp to its acceptance by the destination matching layer, computed

@@ -184,8 +184,8 @@ func (f *Fabric) lockRx(src, dst int) *rxLink {
 }
 
 // purgeTx discards a tx link — its sequence numbers, its round-trip
-// estimate and its unacknowledged frames — marks it gone and collects one
-// EvPurged per frame. The caller holds f.wmu and takes the link out of its
+// estimate, its unacknowledged frames and those acknowledged ahead of a
+// gap — marks it gone and collects one EvPurged per frame. The caller holds f.wmu and takes the link out of its
 // row; the events must be emitted after f.wmu is released.
 func (f *Fabric) purgeTx(evs []Event, src int, tx *txLink) []Event {
 	tx.mu.Lock()
@@ -199,6 +199,11 @@ func (f *Fabric) purgeTx(evs []Event, src int, tx *txLink) []Event {
 			f.retry.watched.Add(-1)
 		}
 	}
+	// A frame acked ahead of a gap is lost with the gap: no retire.
+	for seq, pkt := range tx.early {
+		evs = append(evs, Event{Kind: EvPurged, Src: src, Dst: tx.peer, Seq: seq, Token: pkt.Token})
+	}
+	tx.early = nil
 	// A Send that is between its inner Send and its look at the link
 	// still holds tx: leave it nothing to find.
 	clear(tx.inflight)
@@ -207,22 +212,28 @@ func (f *Fabric) purgeTx(evs []Event, src int, tx *txLink) []Event {
 	return evs
 }
 
-// purgeRx discards an rx link — its watermark, its withheld acks and the
-// frames it held for resequencing — marks it gone and collects one
-// EvPurged per held (acknowledged but undelivered) frame. Called like
-// purgeTx.
+// purgeRx discards an rx link — its watermark and the frames it held
+// behind a gap — marks it gone and collects one EvPurged per frame it
+// drops (acknowledged but undelivered). Called like purgeTx.
 func (f *Fabric) purgeRx(evs []Event, dst int, rx *rxLink) []Event {
 	rx.mu.Lock()
 	defer rx.mu.Unlock()
-	for seq, p := range rx.held {
-		evs = append(evs, Event{
-			Kind: EvPurged, Src: rx.peer, Dst: dst, Seq: seq, Token: p.Token,
-		})
+	// A goroutine still draining the link holds rx, and delivers the frames
+	// held in order behind the one it is delivering: they are acked, and
+	// once every frame before them is too, their sender counts them
+	// delivered (OnAckRetire). Only the frames behind a gap are lost.
+	kept := rx.next
+	for rx.draining && rx.held[kept] != nil {
+		kept++
 	}
-	// A goroutine still draining the link holds rx: leave it nothing to
-	// deliver, the frames are reported purged.
-	clear(rx.held)
-	rx.deferred = nil
+	for seq, p := range rx.held {
+		if seq >= kept {
+			evs = append(evs, Event{
+				Kind: EvPurged, Src: rx.peer, Dst: dst, Seq: seq, Token: p.Token,
+			})
+			delete(rx.held, seq)
+		}
+	}
 	rx.gone = true
 	return evs
 }

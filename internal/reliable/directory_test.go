@@ -32,25 +32,12 @@ func eachLink(f *Fabric, onTx func(src, dst int, tx *txLink), onRx func(src, dst
 	}
 }
 
-// owedOn snapshots the withheld acks on links touching k.
-func owedOn(f *Fabric, k int) map[frameKey]bool {
-	owed := make(map[frameKey]bool)
-	eachLink(f, nil, func(src, dst int, rx *rxLink) {
-		if src == k || dst == k {
-			for seq := range rx.deferred {
-				owed[frameKey{src: src, dst: dst, seq: seq}] = true
-			}
-		}
-	})
-	return owed
-}
-
 // TestDirectoryGrowsUnderChurn runs TestPurgeIsAtomicAcrossLinks's churn
 // on a fresh fabric whose ranks all lie beyond the directory's initial
 // size, so the directory grows while Sends, deliveries, PeerDown/PeerUp of
 // k and the escalation of a blackholed destination run: every link is
 // created racing them, and a goroutine keeps bringing never-used ranks in
-// until the escalation is through. The three properties must hold.
+// until the escalation is through. The properties must hold.
 func TestDirectoryGrowsUnderChurn(t *testing.T) {
 	const fresh = 200 // ranks 42 to 242: the directory doubles three times more
 	rounds := 8

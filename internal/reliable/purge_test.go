@@ -61,9 +61,9 @@ func (l *frameLedger) exactlyOnce(tok uint64) error {
 }
 
 // churn is a run of traffic over links touching rank k while
-// PeerDown(k)/PeerUp(k) toggle under it and the ack gate withholds the
-// acks of even tags until a goroutine of its own releases them. run checks
-// the three properties TestPurgeIsAtomicAcrossLinks states.
+// PeerDown(k)/PeerUp(k) toggle under it and the first copy of every frame
+// with an even tag is lost, so that acks come back ahead of gaps. run
+// checks the properties TestPurgeIsAtomicAcrossLinks states.
 type churn struct {
 	k     int
 	links [][2]int
@@ -90,12 +90,23 @@ func (c churn) run(t *testing.T) churnOutcome {
 	// PeerUp(k). Every frame copy on the wire carries, in Context, the
 	// epoch it reached the fabric in.
 	var epoch atomic.Int64
+	var lostMu sync.Mutex
+	lost := make(map[uint64]bool)
 	inner := &fakeFabric{mangle: func(pkt *transport.Packet) []*transport.Packet {
 		if pkt.Kind != transport.KindData {
 			return []*transport.Packet{pkt}
 		}
 		if pkt.Dst == c.blackhole {
 			return nil
+		}
+		if pkt.Tag%2 == 0 {
+			lostMu.Lock()
+			first := !lost[pkt.Token]
+			lost[pkt.Token] = true
+			lostMu.Unlock()
+			if first {
+				return nil // the retransmission fills the gap
+			}
 		}
 		cp := pkt.Clone()
 		cp.Context = int(epoch.Load())
@@ -106,7 +117,6 @@ func (c churn) run(t *testing.T) churnOutcome {
 	ledger := newFrameLedger()
 	f.OnAckRetire(ledger.retire)
 	f.Observe(ledger.observe)
-	f.SetAckGate(func(_ int, pkt *transport.Packet) bool { return pkt.Tag%2 == 0 })
 	escalated := make(chan int, 8)
 	f.Escalate(func(peer int) {
 		select {
@@ -115,31 +125,12 @@ func (c churn) run(t *testing.T) churnOutcome {
 		}
 	})
 
-	// Withheld acks are released by a goroutine of their own, so that some
-	// are still owed when PeerDown runs. The buffer lets a few dozen queue
-	// up behind it; a delivery that finds it full releases its ack itself.
-	releases := make(chan frameKey, 64)
-	var releaser sync.WaitGroup
-	releaser.Add(1)
-	go func() {
-		defer releaser.Done()
-		for key := range releases {
-			f.ReleaseAck(key.src, key.dst, key.seq)
-		}
-	}()
 	var violations atomic.Int64
 	var firstViolation atomic.Value
 	deliver := func(dst int, pkt *transport.Packet) {
 		if e := int64(pkt.Context); pkt.Src == k && e%2 == 1 && epoch.Load() == e {
 			if violations.Add(1) == 1 {
 				firstViolation.Store(fmt.Sprintf("frame %d->%d seq %d entered after PeerDown and was delivered before PeerUp", pkt.Src, dst, pkt.Seq))
-			}
-		}
-		if pkt.Tag%2 == 0 {
-			select {
-			case releases <- frameKey{src: pkt.Src, dst: dst, seq: pkt.Seq}:
-			default:
-				f.ReleaseAck(pkt.Src, dst, pkt.Seq)
 			}
 		}
 	}
@@ -216,16 +207,8 @@ func (c churn) run(t *testing.T) churnOutcome {
 
 	close(start)
 	for round := 0; round < c.toggles || !finished(); round++ {
-		before := owedOn(f, k)
 		f.PeerDown(k)
 		epoch.Add(1)
-		for key := range owedOn(f, k) {
-			// A frame toward k that was already on the wire may still be
-			// admitted; it is a new entry, never one from before.
-			if key.src == k || before[key] {
-				t.Fatalf("round %d: withheld ack %+v survived PeerDown(%d)", round, key, k)
-			}
-		}
 		for i := 0; i < 1+round%8; i++ {
 			runtime.Gosched()
 		}
@@ -235,8 +218,6 @@ func (c churn) run(t *testing.T) churnOutcome {
 	close(stop)
 	senders.Wait()
 	f.Close() // stops the retry loop, whose retransmissions deliver too
-	close(releases)
-	releaser.Wait()
 
 	if n := violations.Load(); n != 0 {
 		t.Fatalf("%d deliveries from k while it was down; first: %v", n, firstViolation.Load())
@@ -257,15 +238,15 @@ func (c churn) run(t *testing.T) churnOutcome {
 }
 
 // TestPurgeIsAtomicAcrossLinks: Sends and deliveries run on every link
-// touching rank k, with the ack gate withholding half of the acks for a
-// while, as PeerDown(k)/PeerUp(k) toggle under them. Whatever the
-// interleaving,
+// touching rank k, with half of the frames lost once so that acks come
+// back ahead of gaps, as PeerDown(k)/PeerUp(k) toggle under them. Whatever
+// the interleaving,
 //   - every frame leaves its sender exactly one way: retired by an ack
-//     through OnAckRetire, purged from the inflight table (EvPurged), or
-//     dropped at Send because k was dead;
+//     through OnAckRetire, purged from the link (EvPurged: unacknowledged,
+//     or acknowledged ahead of a gap), or dropped at Send because k was
+//     dead;
 //   - a frame that reaches the fabric after PeerDown(k) returned is not
-//     delivered upstream before the next PeerUp(k) is called;
-//   - no ack withheld for a frame to or from k survives PeerDown(k).
+//     delivered upstream before the next PeerUp(k) is called.
 func TestPurgeIsAtomicAcrossLinks(t *testing.T) {
 	const k = 2
 	opts := fastOpts()
@@ -285,26 +266,26 @@ func TestPurgeIsAtomicAcrossLinks(t *testing.T) {
 	}
 }
 
-// arqState counts what the directory holds: links, unacknowledged frames,
-// frames held for resequencing and withheld acks.
-func arqState(f *Fabric) (links, inflight, held, deferred int) {
+// arqState counts what the directory holds: links, unacknowledged frames
+// and frames acknowledged ahead of a gap, and frames held for
+// resequencing.
+func arqState(f *Fabric) (links, inflight, held int) {
 	var txs, rxs int
 	eachLink(f, func(_, _ int, tx *txLink) {
 		txs++
-		inflight += len(tx.inflight)
+		inflight += len(tx.inflight) + len(tx.early)
 	}, func(_, _ int, rx *rxLink) {
 		rxs++
 		held += len(rx.held)
-		deferred += len(rx.deferred)
 	})
-	return max(txs, rxs), inflight, held, deferred
+	return max(txs, rxs), inflight, held
 }
 
 // TestArqStateBounded pushes 10⁴ frames over every link of a 3-rank world
-// on the Local fabric, with every ack withheld by the gate and released on
-// delivery, then 10³ more per link through a chaos wrap that injects
-// nothing: once the traffic is over, no frame is left inflight or held, no
-// ack is owed, and there is one entry per link.
+// on the Local fabric, with an ack-retire callback, then 10³ more per link
+// through a chaos wrap that injects nothing: once the traffic is over, no
+// frame is left inflight, acknowledged ahead of a gap or held, and there
+// is one entry per link.
 func TestArqStateBounded(t *testing.T) {
 	const n = 3
 	fabrics := map[string]struct {
@@ -317,12 +298,9 @@ func TestArqStateBounded(t *testing.T) {
 	for name, fc := range fabrics {
 		t.Run(name, func(t *testing.T) {
 			f := Wrap(fc.inner, Options{})
-			f.SetAckGate(func(int, *transport.Packet) bool { return true })
+			f.OnAckRetire(func(*transport.Packet) {})
 			var delivered atomic.Int64
-			if err := f.Start(func(dst int, pkt *transport.Packet) {
-				delivered.Add(1)
-				f.ReleaseAck(pkt.Src, dst, pkt.Seq)
-			}); err != nil {
+			if err := f.Start(func(int, *transport.Packet) { delivered.Add(1) }); err != nil {
 				t.Fatal(err)
 			}
 			defer f.Close()
@@ -344,15 +322,15 @@ func TestArqStateBounded(t *testing.T) {
 			wg.Wait()
 			deadline := time.Now().Add(5 * time.Second)
 			for {
-				links, inflight, held, deferred := arqState(f)
-				if inflight == 0 && held == 0 && deferred == 0 {
+				links, inflight, held := arqState(f)
+				if inflight == 0 && held == 0 {
 					if links > n*n {
 						t.Fatalf("%d link entries for %d ranks", links, n)
 					}
 					break
 				}
 				if time.Now().After(deadline) {
-					t.Fatalf("state left after the traffic: %d inflight, %d held, %d withheld acks", inflight, held, deferred)
+					t.Fatalf("state left after the traffic: %d inflight or early, %d held", inflight, held)
 				}
 				time.Sleep(time.Millisecond)
 			}

@@ -17,11 +17,12 @@
 // deliver it in order". Upper layers that need exactly that fact subscribe
 // to it instead of sending a confirmation stream of their own: the
 // ack-retire callback (OnAckRetire) hands the retired packet to the upper
-// layer once, when its ack removes it from the inflight table, and the ack
-// gate (SetAckGate/ReleaseAck) lets the receiving side decide when that
-// ack may be sent. Replication chain mode builds its tail-ack on the pair:
-// the primary's ack is withheld until it has forwarded the frame, and
-// every replica's ack retires that replica from the sender's outbox.
+// layer once, when its ack removes it from the inflight table and every
+// earlier frame of the link has been acked too. A frame acked ahead of a
+// gap waits for the gap: the receiver holds it only behind the missing
+// frame, and both are lost if the sender dies before the gap is filled.
+// Replication builds its tail-ack on it: every replica's retired frame
+// retires that replica from its sender group's outboxes.
 //
 // Retransmission is paced per link: each directional link estimates its
 // round trip from the acks of frames it did not retransmit and waits
@@ -33,7 +34,7 @@
 // Locking: the links live in a directory (directory.go) that per-frame
 // work reads without a lock, and every link has a mutex of its own.
 // Per-frame work — a Send's sequencing, watch, an ack, a delivery,
-// ReleaseAck, LinkRTO — finds its link with atomic loads and a scan of a
+// LinkRTO — finds its link with atomic loads and a scan of a
 // rank's few peers and holds only that link's lock, so frames on
 // different links share no lock and no written cache line. Creating a
 // link, PeerDown, PeerUp, escalation, Close and the retry scan serialize on
@@ -43,7 +44,7 @@
 // and treats a gone link as absent, so it sees every link whole or purged.
 // The order is wmu, then one link; no path holds two link locks, and none
 // holds a lock across a call out of the layer (the inner Send, the
-// upstream deliver, an observer, the ack gate, OnAckRetire, escalate),
+// upstream deliver, an observer, OnAckRetire, escalate),
 // because over the synchronous Local fabric those re-enter the layer on
 // the same goroutine.
 //
@@ -205,6 +206,11 @@ type txLink struct {
 	// sample (0 = none). One frame is timed at a time, so with a window of
 	// frames in flight most acks read no clock.
 	timedSeq uint64
+	// retired is the link's ack-retire watermark: every frame up to it
+	// went to the ack-retire callback. early holds the frames acked ahead
+	// of a gap, until the gap is acked. Both stay zero without a callback.
+	retired uint64
+	early   map[uint64]*transport.Packet
 }
 
 // rxLink is the receiver half: frames are deduplicated against next and
@@ -217,9 +223,6 @@ type rxLink struct {
 	next     uint64 // the next sequence number to deliver upstream
 	held     map[uint64]*transport.Packet
 	draining bool // one goroutine at a time delivers, preserving order
-	// deferred holds the frames whose acks the ack gate withholds until
-	// ReleaseAck; made on the first one.
-	deferred map[uint64]struct{}
 }
 
 // Fabric is the reliability sublayer. Wrap it around a (possibly chaotic)
@@ -235,19 +238,13 @@ type Fabric struct {
 	escalate func(peer int)
 	// onEvent, if set (before Start), observes every reliability action.
 	onEvent func(Event)
-	// ackGate, if set (before Start), is consulted for every FRESH
-	// sequenced data frame before its ack is sent. Returning true defers
-	// the ack: the frame is still delivered upstream, but the sender keeps
-	// retransmitting until the upper layer calls ReleaseAck — replication
-	// chain mode uses this to withhold the primary's hop ack until the
-	// frame has been forwarded down the chain. The gate runs without any
-	// fabric lock held and must not re-enter the fabric.
-	ackGate func(dst int, pkt *transport.Packet) bool
 	// onAckRetire, if set (before Start), receives every frame an ack
-	// removes from the inflight table: exactly once per frame, with no
-	// fabric lock held, and never for a frame that was purged instead
-	// (PeerDown, PeerUp, escalation, Close). The packet is the one handed to
-	// Send and is read-only. The callback must not re-enter the fabric.
+	// removes from the inflight table: exactly once per frame, in the
+	// link's sequence order, with no fabric lock held, and never for a
+	// frame that was purged instead (PeerDown, PeerUp, escalation, Close)
+	// or acked ahead of a gap the purge left open. The packet is the one
+	// handed to Send and is read-only. The callback must not re-enter the
+	// fabric.
 	onAckRetire func(pkt *transport.Packet)
 
 	// now reads a monotonic clock in nanoseconds. Tests replace it before
@@ -285,9 +282,6 @@ func (f *Fabric) Escalate(fn func(peer int)) { f.escalate = fn }
 // callback must not re-enter the fabric.
 func (f *Fabric) Observe(fn func(Event)) { f.onEvent = fn }
 
-// SetAckGate registers the deferred-ack predicate. Call before Start.
-func (f *Fabric) SetAckGate(fn func(dst int, pkt *transport.Packet) bool) { f.ackGate = fn }
-
 // OnAckRetire registers the ack-retire callback. Call before Start.
 func (f *Fabric) OnAckRetire(fn func(pkt *transport.Packet)) { f.onAckRetire = fn }
 
@@ -305,22 +299,6 @@ func (f *Fabric) sendAck(src, dst int, seq uint64) {
 	*ack = transport.Packet{Src: dst, Dst: src, Kind: transport.KindAck, Seq: seq}
 	_ = f.inner.Send(ack)
 	ackPool.Put(ack)
-}
-
-// ReleaseAck sends the acknowledgement previously withheld by the ack
-// gate for the frame (src -> dst, seq). It is idempotent: if no ack is
-// deferred for that frame (already released, purged, or never gated) the
-// call is a no-op.
-func (f *Fabric) ReleaseAck(src, dst int, seq uint64) {
-	owed := false
-	if rx := f.findRx(src, dst); rx != nil {
-		_, owed = rx.deferred[seq]
-		delete(rx.deferred, seq)
-		rx.mu.Unlock()
-	}
-	if owed {
-		f.sendAck(src, dst, seq)
-	}
 }
 
 // Inner returns the wrapped fabric.
@@ -395,17 +373,7 @@ func (f *Fabric) PeerDown(rank int) {
 // any link is purged, so per-frame work that finds a purged link and looks
 // again sees the peer dead.
 func (f *Fabric) peerDownLocked(evs []Event, rank int) []Event {
-	r := f.growLocked(rank).ranks[rank]
-	r.dead.Store(true)
-	// The acks the dead peer still owes would retire frames the tx purge
-	// below reports.
-	if row := r.rx.Load(); row != nil {
-		for _, rx := range *row {
-			rx.mu.Lock()
-			rx.deferred = nil
-			rx.mu.Unlock()
-		}
-	}
+	f.growLocked(rank).ranks[rank].dead.Store(true)
 	return f.purgeLocked(evs,
 		func(src, dst int) bool { return src == rank || dst == rank },
 		func(src, _ int) bool { return src == rank })
@@ -472,8 +440,7 @@ func (f *Fabric) Send(pkt *transport.Packet) error {
 	tx.unacked.Add(1)
 	tx.mu.Unlock()
 	err := f.inner.Send(pkt)
-	// Over a synchronous fabric the ack has already retired the frame (in
-	// chain mode too: the engine releases a gated ack inside delivery), so
+	// Over a synchronous fabric the ack has already retired the frame, so
 	// a clean hop ends here and the retry goroutine stays parked. A frame
 	// still unacknowledged was lost, or travels an asynchronous fabric:
 	// the retry goroutine has to watch its deadline.
@@ -511,17 +478,18 @@ func (f *Fabric) watch(tx *txLink, seq uint64, precise bool) {
 }
 
 // onAck retires the frame an ack names from its link's inflight table and
-// hands it to the ack-retire callback. It is a function of its own to keep
-// its locals out of onDeliver's frame: over the synchronous Local fabric
-// deliveries nest (a delivery sends, which delivers), and every byte of
-// that frame is paid once per level in stack growth of a new rank.
+// hands it, and any frame acked early that it was the gap of, to the
+// ack-retire callback. It is a function of its own to keep its locals out
+// of onDeliver's frame: over the synchronous Local fabric deliveries nest
+// (a delivery sends, which delivers), and every byte of that frame is
+// paid once per level in stack growth of a new rank.
 func (f *Fabric) onAck(ack *transport.Packet) {
 	var retired *transport.Packet
+	var behind []*transport.Packet
 	if tx := f.findTx(ack.Dst, ack.Src); tx != nil {
 		// Only the ack that finds the frame inflight retires it: a
 		// duplicate or late ack finds nothing and reports nothing.
 		if p, ok := tx.inflight[ack.Seq]; ok {
-			retired = p.pkt
 			delete(tx.inflight, ack.Seq)
 			tx.unacked.Add(-1)
 			if p.watched {
@@ -535,51 +503,65 @@ func (f *Fabric) onAck(ack *transport.Packet) {
 					tx.rtt.observe(time.Duration(f.now() - p.sentAt))
 				}
 			}
+			if f.onAckRetire != nil {
+				retired, behind = tx.retireLocked(ack.Seq, p.pkt)
+			}
 		}
 		tx.mu.Unlock()
 	}
-	if retired != nil && f.onAckRetire != nil {
+	if retired != nil {
 		f.onAckRetire(retired)
+		for _, pkt := range behind {
+			f.onAckRetire(pkt)
+		}
 	}
 }
 
-// What rxLink.admit decided about a frame, as bits.
+// retireLocked advances the ack-retire watermark over the frame seq just
+// acked: it returns the frame, and the early frames it was the gap of, if
+// every earlier frame is acked, and keeps it in early otherwise. Every
+// frame up to nextSeq is inflight until acked, so seq is next in order
+// exactly when it follows the watermark. Caller holds the link locked.
+func (tx *txLink) retireLocked(seq uint64, pkt *transport.Packet) (*transport.Packet, []*transport.Packet) {
+	if seq != tx.retired+1 {
+		if tx.early == nil {
+			tx.early = make(map[uint64]*transport.Packet)
+		}
+		tx.early[seq] = pkt
+		return nil, nil
+	}
+	tx.retired = seq
+	var behind []*transport.Packet
+	for p := tx.early[seq+1]; p != nil; p = tx.early[tx.retired+1] {
+		delete(tx.early, tx.retired+1)
+		tx.retired++
+		behind = append(behind, p)
+	}
+	return pkt, behind
+}
+
+// What rxLink.admit decided about a frame; every frame is acked.
 const (
-	rxAck     = 1 << iota // acknowledge it now
-	rxDup                 // a duplicate: report it and deliver nothing
-	rxDeliver             // next in order and nobody draining: deliver it now
+	rxHold    = iota // fresh, held for whoever drains
+	rxDup            // a duplicate: report it and deliver nothing
+	rxDeliver        // next in order and nobody draining: deliver it now
 )
 
 // admit decides everything about an arriving frame in one critical
-// section: duplicate or fresh, ack sent or withheld by the gate, delivered
-// now or held for whoever drains. Callers hold the link locked.
-func (rx *rxLink) admit(pkt *transport.Packet, gated bool) int {
+// section: duplicate or fresh, delivered now or held for whoever drains.
+// Callers hold the link locked.
+func (rx *rxLink) admit(pkt *transport.Packet) int {
 	seq := pkt.Seq
 	if seq < rx.next || rx.held[seq] != nil {
-		// A retransmission. Normally re-acked (the previous ack may have
-		// been lost) — but if the original's ack is still gate-deferred,
-		// stay silent: the upper layer has not released the frame yet, and
-		// acking the duplicate would defeat the gate.
-		if _, owed := rx.deferred[seq]; owed {
-			return rxDup
-		}
-		return rxDup | rxAck
-	}
-	v := rxAck
-	if gated {
-		if rx.deferred == nil {
-			rx.deferred = make(map[uint64]struct{})
-		}
-		rx.deferred[seq] = struct{}{}
-		v = 0
+		return rxDup
 	}
 	if seq != rx.next || rx.draining {
 		rx.held[seq] = pkt // the draining goroutine will deliver it in order
-		return v
+		return rxHold
 	}
 	rx.next++
 	rx.draining = true
-	return v | rxDeliver
+	return rxDeliver
 }
 
 // drain delivers the frames held behind one just delivered, in order,
@@ -630,26 +612,20 @@ func (f *Fabric) onDeliver(dst int, pkt *transport.Packet) {
 		f.emitFrame(EvReject, dst, pkt.Seq, pkt)
 		return
 	}
-	// The ack gate runs before any lock: it may consult upper-layer state
-	// (replication group shape) but must not re-enter the fabric.
-	gated := f.ackGate != nil && f.ackGate(dst, pkt)
 	rx := f.lockRx(pkt.Src, dst)
 	if rx == nil {
 		return // straggler from a fail-stop peer
 	}
-	v := rx.admit(pkt, gated)
+	v := rx.admit(pkt)
 	rx.mu.Unlock()
-	if v&rxAck != 0 {
-		// Ack before anything else: re-acking a duplicate is what stops the
-		// retries, and a lost ack of a fresh frame is repaired when its
-		// retransmission arrives as a duplicate.
-		f.sendAck(pkt.Src, dst, pkt.Seq)
-	}
-	if v&rxDup != 0 {
+	// Ack before anything else: re-acking a duplicate is what stops the
+	// retries, and a lost ack of a fresh frame is repaired when its
+	// retransmission arrives as a duplicate.
+	f.sendAck(pkt.Src, dst, pkt.Seq)
+	switch v {
+	case rxDup:
 		f.emitFrame(EvDedup, dst, pkt.Seq, pkt)
-		return
-	}
-	if v&rxDeliver != 0 {
+	case rxDeliver:
 		f.deliver(dst, pkt)
 		f.drain(rx, dst)
 	}

@@ -541,52 +541,77 @@ func TestAckRetireNeverForPurgedFrames(t *testing.T) {
 	}
 }
 
-// TestAckRetireWaitsForReleaseAck: while the ack gate withholds a frame's
-// ack the sender has no confirmation, however often it retransmits; the
-// callback fires once ReleaseAck lets the ack out.
-func TestAckRetireWaitsForReleaseAck(t *testing.T) {
-	inner := &fakeFabric{}
-	f := Wrap(inner, fastOpts())
-	var log retireLog
-	f.OnAckRetire(log.record)
-	f.SetAckGate(func(dst int, pkt *transport.Packet) bool { return dst == 1 })
-	var retries int
-	var evMu sync.Mutex
-	f.Observe(func(e Event) {
-		if e.Kind == EvRetry {
-			evMu.Lock()
-			retries++
-			evMu.Unlock()
-		}
-	})
-	s := &sink{}
-	if err := f.Start(s.deliver); err != nil {
-		t.Fatal(err)
+// TestAckRetireInLinkOrder: a frame acked while an earlier one of its link
+// is still unacknowledged is not retired until the gap is: the retransmitted
+// first frame retires all three, in sequence order. If the link is purged
+// before the gap is filled, the frames acked behind it are
+// reported purged and never retired.
+func TestAckRetireInLinkOrder(t *testing.T) {
+	for _, fill := range []bool{true, false} {
+		t.Run(map[bool]string{true: "gap filled", false: "gap purged"}[fill], func(t *testing.T) {
+			var mu sync.Mutex
+			copies := 0
+			inner := &fakeFabric{mangle: func(pkt *transport.Packet) []*transport.Packet {
+				mu.Lock()
+				defer mu.Unlock()
+				if pkt.Kind == transport.KindData && pkt.Seq == 1 {
+					if copies++; copies == 1 || !fill {
+						return nil // the first frame's first copy is lost (every copy, unfilled)
+					}
+				}
+				return []*transport.Packet{pkt}
+			}}
+			f := Wrap(inner, fastOpts())
+			var order []uint64
+			retired := make(chan struct{}, 3)
+			f.OnAckRetire(func(pkt *transport.Packet) {
+				mu.Lock()
+				order = append(order, pkt.Seq)
+				mu.Unlock()
+				retired <- struct{}{}
+			})
+			purged := make(chan uint64, 8)
+			f.Observe(func(e Event) {
+				if e.Kind == EvPurged {
+					purged <- e.Seq
+				}
+			})
+			if err := f.Start(func(int, *transport.Packet) {}); err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			for i := 0; i < 3; i++ {
+				if err := f.Send(&transport.Packet{Src: 0, Dst: 1, Tag: i, Payload: []byte{byte(i)}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !fill {
+				f.PeerDown(1)
+				got := map[uint64]bool{<-purged: true, <-purged: true, <-purged: true}
+				if len(got) != 3 {
+					t.Fatalf("purged %v, want frames 1 to 3 once each", got)
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if len(order) != 0 {
+					t.Fatalf("retired %v behind a gap the purge left open", order)
+				}
+				return
+			}
+			for i := 0; i < 3; i++ {
+				select {
+				case <-retired:
+				case <-time.After(5 * time.Second):
+					t.Fatal("the retransmission never retired the link")
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
+				t.Fatalf("retired in order %v, want [1 2 3]", order)
+			}
+		})
 	}
-	defer f.Close()
-	if err := f.Send(&transport.Packet{Src: 0, Dst: 1, Payload: []byte("gated")}); err != nil {
-		t.Fatal(err)
-	}
-	s.waitFor(t, 1) // delivered upstream at once; only the ack is withheld
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		evMu.Lock()
-		n := retries
-		evMu.Unlock()
-		if n >= 2 {
-			break // retransmissions reached the receiver and stayed unacked
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("gated frame was never retransmitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if c := log.total(); c != 0 {
-		t.Fatalf("ack-retire fired %d times before ReleaseAck", c)
-	}
-	f.ReleaseAck(0, 1, 1)
-	f.ReleaseAck(0, 1, 1) // idempotent: no second ack, no second callback
-	log.waitExactlyOnce(t, 1)
 }
 
 // TestAckRoundTripAllocatesNothing pins the clean Send -> deliver -> ack

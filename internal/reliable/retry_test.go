@@ -44,18 +44,15 @@ func TestRetryLoopIdleCostsNothing(t *testing.T) {
 
 // TestCleanPathNeverWakesTheRetryLoop: over the synchronous Local fabric
 // a frame's ack is back before Send returns, so ten thousand sends leave
-// the retry goroutine parked — also when an ack gate withholds every ack
-// and the upper layer releases it from inside the delivery, which is what
-// replication chain mode does on every hop.
+// the retry goroutine parked — also with an ack-retire callback, which is
+// what replication runs on every hop.
 func TestCleanPathNeverWakesTheRetryLoop(t *testing.T) {
-	for _, gated := range []bool{false, true} {
+	for _, retire := range []bool{false, true} {
 		f := Wrap(transport.NewLocal(), Options{})
-		deliver := func(int, *transport.Packet) {}
-		if gated {
-			f.SetAckGate(func(int, *transport.Packet) bool { return true })
-			deliver = func(dst int, pkt *transport.Packet) { f.ReleaseAck(pkt.Src, dst, pkt.Seq) }
+		if retire {
+			f.OnAckRetire(func(*transport.Packet) {})
 		}
-		if err := f.Start(deliver); err != nil {
+		if err := f.Start(func(int, *transport.Packet) {}); err != nil {
 			t.Fatal(err)
 		}
 		awaitLoopState(t, f, loopParked)
@@ -65,10 +62,10 @@ func TestCleanPathNeverWakesTheRetryLoop(t *testing.T) {
 			}
 		}
 		if w, s := f.retry.wakes.Load(), f.retry.scans.Load(); w != 0 || s != 0 {
-			t.Fatalf("gated=%v: 10000 clean sends caused %d wake-ups and %d scans, want none", gated, w, s)
+			t.Fatalf("retire=%v: 10000 clean sends caused %d wake-ups and %d scans, want none", retire, w, s)
 		}
 		if n := f.retry.watched.Load(); n != 0 {
-			t.Fatalf("gated=%v: %d frames left for the retry goroutine to watch", gated, n)
+			t.Fatalf("retire=%v: %d frames left for the retry goroutine to watch", retire, n)
 		}
 		f.Close()
 	}

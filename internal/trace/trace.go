@@ -112,8 +112,8 @@ const (
 	// DeadDrop marks a frame vanishing at a dead or closed destination
 	// engine — the fail-stop analogue of mail to a dead letterbox.
 	DeadDrop
-	// ReplicaDedup marks a replication fan-out duplicate suppressed by
-	// the logical-channel sequence (RepSeq) below the matching layer.
+	// ReplicaDedup marks a replicated copy suppressed by the
+	// logical-channel sequence (RepSeq) below the matching layer.
 	ReplicaDedup
 	// FramePurged marks an inflight frame abandoned by the reliability
 	// sublayer when its link was torn down (peer death, peer reset, or

@@ -26,12 +26,12 @@ func TestCollectorCoversAllFamilies(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Seed 1 kills physical slot 1 — a primary, so the run exercises a
-	// promotion and its latency sample, not just the chain counters.
+	// promotion and its latency sample, not just the tail-ack counters.
 	rcfg := replicaCfg{r: 2, kill: true, laps: replicaBaseLaps, rates: repairRates}
 	if _, err := runReplicaWorld(opt, rcfg, 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	// One durability world with a forward-window kill (seed 2 is even)
+	// One durability world with a sender-in-flight kill (seed 2 is even)
 	// lights the tail-ack counters (chain_acks, a guaranteed
 	// chain_resends) and the auto re-replication pipeline (replica_refills
 	// + rereplication_latency samples).

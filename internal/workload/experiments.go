@@ -453,7 +453,7 @@ var soaks = []Experiment{
 		Run: runReplicaSoak},
 	{ID: "e23", Title: "Recovery forensics: trace-derived phase decomposition", PaperRef: "recovery time, decomposed causally",
 		Run: runRecoveryForensics},
-	{ID: "e24", Title: "Durability soak: chain tail-acks, auto re-replication, replicated collectives",
+	{ID: "e24", Title: "Durability soak: mirror-pair tail-acks, auto re-replication, replicated collectives",
 		PaperRef: "replication durability under seeded worst-case kills", Run: runDurabilitySoak},
 }
 

@@ -44,11 +44,10 @@ func RunReplicaDemo(seed int64, r int, refill bool,
 // E22 — the replication soak. The paper's answer to failure is an ABFT
 // protocol: the application recognizes failures, resends past corpses and
 // deduplicates by marker. Replication is the opposite trade: each logical
-// rank is backed by R hot replicas, every send chains through the
-// destination's primary to all of them, receives are deduplicated below
-// the matching layer, and a replica death
-// promotes a standby — so the application needs NO recovery protocol at
-// all. E22 proves that claim by running the fault-UNAWARE ring (plain
+// rank is backed by R hot replicas, replica i of a sender sends to
+// replica i of the destination, the copies a failover replays are
+// deduplicated below the matching layer, and a replica death promotes a
+// standby — so the application needs NO recovery protocol at all. E22 proves that claim by running the fault-UNAWARE ring (plain
 // Send/Recv, fixed peers, no RecognizeLocal, no resend, no validate) over
 // an R=2 replicated world under chaos, killing one replica per seed:
 //
@@ -150,6 +149,13 @@ func runReplicaWorld(opt Options, cfg replicaCfg, seed int64, mets *metrics.Worl
 		victims = []int{run.victim}
 	}
 
+	// A replicated run with a kill is audited: a caller that records the
+	// trace itself audits it itself.
+	var audit *trace.Recorder
+	if cfg.kill && opt.Tracer == nil {
+		audit = trace.New(0)
+		opt.Tracer = audit
+	}
 	// Every replica of logical rank 0 records the laps it observed; the
 	// exactly-once assertion below runs per replica record.
 	root := make(rootLaps, nphys)
@@ -232,14 +238,28 @@ func runReplicaWorld(opt Options, cfg replicaCfg, seed int64, mets *metrics.Worl
 		return nil, fmt.Errorf("seed %d: app-level recovery ran (validates=%d resends=%d) — replication must absorb the kill",
 			seed, v, rs)
 	}
-	// Every sender replica reaches the primary and the primary forwards
-	// both copies, so standbys receive forwards and drop duplicates.
+	// Mirror pairing: replica i of a sender sends to replica i of the
+	// destination. Without a failure every sender replica puts exactly one
+	// copy of each logical send on the wire, so the standbys' copies are
+	// R-1 of every R physical sends and no replica ever sees a duplicate.
+	// A kill moves copies to the promoted primary and replays what the
+	// orphaned replica never confirmed; the conservation audit accounts for
+	// every one of them.
 	if cfg.r > 1 {
-		if total(metrics.ReplicaSends) == 0 {
+		sends, extra := total(metrics.Sends), total(metrics.ReplicaSends)
+		switch {
+		case extra == 0:
 			return nil, fmt.Errorf("seed %d: replica_sends is zero with R=%d", seed, cfg.r)
+		case !cfg.kill && extra*int64(cfg.r) != sends*int64(cfg.r-1):
+			return nil, fmt.Errorf("seed %d: replica_sends %d of %d sends, want (R-1)/R with R=%d", seed, extra, sends, cfg.r)
+		case !cfg.kill && total(metrics.ReplicaDedupDrops)+total(metrics.ChainResends) != 0:
+			return nil, fmt.Errorf("seed %d: %d dedup drops and %d chain resends without a failure, want none",
+				seed, total(metrics.ReplicaDedupDrops), total(metrics.ChainResends))
 		}
-		if total(metrics.ReplicaDedupDrops) == 0 {
-			return nil, fmt.Errorf("seed %d: replica_dedup_drops is zero with R=%d", seed, cfg.r)
+	}
+	if audit != nil {
+		if _, err := auditTrace(opt, audit); err != nil {
+			return nil, fmt.Errorf("seed %d: %w", seed, err)
 		}
 	}
 	return run, nil
@@ -267,7 +287,7 @@ func runReplicaSoak(opt Options) ([]*Table, error) {
 	}
 	t.Note("asserted in-run per seed: every surviving replica of rank 0 saw every lap exactly once in order,")
 	t.Note("no rank function ever observed an error, validates=resends=0 (the app has NO recovery protocol),")
-	t.Note("promotions=1 iff the victim was a primary")
+	t.Note("promotions=1 iff the victim was a primary, replica-sends>0, conservation audit unaccounted=0")
 
 	tOv, err := runReplicaOverhead(opt)
 	if err != nil {
@@ -276,7 +296,7 @@ func runReplicaSoak(opt Options) ([]*Table, error) {
 
 	tLat := lat.table("E22c: replication latency quantiles (merged over seeds)",
 		obs.ReplicaPromotion, obs.ReplicationOverhead, obs.NotifyLatency, obs.SendComplete)
-	tLat.Note("replica_promotion = detector Confirm to standby promoted; replication_overhead = a primary's forwards to its standbys")
+	tLat.Note("replica_promotion = detector Confirm to standby promoted; replication_overhead = a standby's copy to its mirror")
 	return []*Table{t, tOv, tLat}, nil
 }
 
@@ -312,6 +332,7 @@ func runReplicaOverhead(opt Options) (*Table, error) {
 			float64(r.Elapsed.Microseconds())/float64(laps),
 			float64(r.Elapsed)/float64(base), r.mets.Total(metrics.ReplicaSends))
 	}
-	t.Note("overhead-x vs the plain runtime over the same ARQ: the price of every send forwarded and every rank duplicated")
+	t.Note("overhead-x vs the plain runtime over the same ARQ: the price of every rank and every send duplicated")
+	t.Note("asserted in-run for R=2: replica-sends = (R-1)/R of all sends, zero dedup drops and chain resends")
 	return t, nil
 }

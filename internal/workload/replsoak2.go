@@ -17,14 +17,16 @@ import (
 // group absorbs it. This soak attacks the three durability gaps that survive
 // E22:
 //
-//  1. The chain forward window. The primary relays each accepted frame
-//     to its standbys; killing it between acceptance and
-//     relay used to lose a frame the SENDER believed delivered (its ARQ
-//     saw the link-level ack). The tail-ack protocol closes this: the
-//     sender holds every chain send in an outbox until all live group
-//     members confirm, and a promotion replays the unconfirmed entries.
-//     E24 seeds kills INSIDE the window via the deterministic
-//     HookChainForward placement.
+//  1. A sender replica dying with messages its mirror never got. Replica i
+//     of a sender sends only to replica i of the destination, and the two
+//     replica planes run at their own pace, so when a sender replica dies
+//     its sibling may already have sent messages the dead one never will.
+//     The tail-ack protocol closes this: every replicated send is held in
+//     the sender group's outboxes until all live destination replicas
+//     confirm, and the promoted primary replays the unconfirmed entries to
+//     the orphaned replica. E24 kills the primary victim right after a ring
+//     send once its sibling is a lap ahead (the sender-in-flight
+//     placement), so the replay has entries to replay on every such seed.
 //  2. Collectives over replica groups. A primary dies while every other
 //     participant is inside a Bcast/Allreduce; the promotion must happen
 //     below the collective layer with no aborted op.
@@ -51,7 +53,7 @@ const (
 type durRun struct {
 	*soakRun
 	primVictim    int    // physical slot of the primary victim
-	killPlacement string // "forward-window" or "mid-collective"
+	killPlacement string // "sender-in-flight" or "mid-collective"
 	standbyVictim int    // physical slot of the standby victim
 }
 
@@ -71,46 +73,30 @@ func runDurabilityWorld(opt Options, seed int64, reg *obs.Registry) (*durRun, er
 	run.primVictim = int(seed) % lsize // primary of logical l is phys l
 	run.standbyVictim = lsize + (run.primVictim+1)%lsize
 	standbyKillLap := 2 + int(seed)%6
-	// Primary kill placement: even seeds kill inside the forward window
-	// (the tail-ack gap); odd seeds kill between a Bcast and the Allreduce
+	// Primary kill placement: even seeds kill the victim right after its
+	// ring send of an early lap, once its sibling has sent the next lap:
+	// the sibling's outbox then holds entries the victim's mirror never got
+	// (the tail-ack gap). Odd seeds kill between a Bcast and the Allreduce
 	// of a collective phase, so the promotion lands mid-collective for the
 	// other ranks.
-	forwardWindowKill := seed%2 == 0
-	forwardKillOrdinal := int32(2 + seed%4)
+	// The sibling gets ahead in its own replica plane, which the standby
+	// victim belongs to: the lap it waits for must come before that death.
+	inFlightKill := seed%2 == 0
+	inFlightKillLap := min(1, standbyKillLap-2)
 	collKillLap := durCollEvery - 1 + (int(seed)%2)*durCollEvery // lap 2 or 5
 	run.killPlacement = "mid-collective"
-	if forwardWindowKill {
-		run.killPlacement = "forward-window"
+	if inFlightKill {
+		run.killPlacement = "sender-in-flight"
 	}
+	// sent[p] is the number of ring laps physical slot p has sent.
+	sent := make([]atomic.Int32, nphys)
 
-	var fired atomic.Int32
-	var forwards atomic.Int32
 	opts := []mpi.Option{mpi.WithReplication(mpi.ReplicationOptions{
 		R: r, AutoRefill: true, RefillBackoff: time.Millisecond,
 	})}
-	if forwardWindowKill {
-		opts = append(opts, mpi.WithHook(func(ev mpi.HookEvent) mpi.Action {
-			// Fell the primary of the victim logical rank immediately
-			// before its Nth standby forward — the frame is accepted but
-			// not yet relayed. Fire once: the promoted standby (and any
-			// refill) shares the logical rank.
-			if ev.Point == mpi.HookChainForward && ev.Rank == run.primVictim {
-				if forwards.Add(1) == forwardKillOrdinal && fired.Add(1) == 1 {
-					return mpi.ActKill
-				}
-			}
-			return mpi.ActNone
-		}))
-	}
-	// Both victims die; their refills are reported under Respawns. A
-	// forward-window kill fires on the delivery goroutine and can find the
-	// primary's function already in its epilogue, so that slot may end
-	// killed or finished.
+	// Both victims die; their refills are reported under Respawns.
 	victims := []int{run.primVictim, run.standbyVictim}
 	sw := soakWorld{size: lsize, slots: nphys, rates: repairRates, opts: opts, victims: victims, reg: reg}
-	if forwardWindowKill {
-		sw.victims, sw.killable = victims[1:], true
-	}
 	root := make(rootLaps, nphys)
 	var watcherDone chan struct{}
 	sw.body = func(w *mpi.World) func(*mpi.Proc) error {
@@ -150,8 +136,18 @@ func runDurabilityWorld(opt Options, seed int64, reg *obs.Registry) (*durRun, er
 				if err != nil {
 					return err
 				}
+				sent[phys].Add(1)
 				if me == 0 {
 					root[phys] = append(root[phys], got)
+				}
+				if inFlightKill && phys == run.primVictim && lap == inFlightKillLap {
+					// The replica planes run independently, so the sibling gets
+					// one lap ahead while the victim waits here.
+					sibling := phys + lsize
+					for end := time.Now().Add(10 * time.Second); sent[sibling].Load() <= int32(lap+1) && time.Now().Before(end); {
+						time.Sleep(100 * time.Microsecond)
+					}
+					p.Die()
 				}
 				// Collective phase every durCollEvery laps: Bcast + Allreduce
 				// over the replica groups.
@@ -168,7 +164,7 @@ func runDurabilityWorld(opt Options, seed int64, reg *obs.Registry) (*durRun, er
 					if string(got) != string(want) {
 						return fmt.Errorf("lap %d Bcast got %q, want %q", lap, got, want)
 					}
-					if !forwardWindowKill && phys == run.primVictim && lap == collKillLap {
+					if !inFlightKill && phys == run.primVictim && lap == collKillLap {
 						p.Die() // others are entering the Allreduce: mid-collective promotion
 					}
 					sum, aerr := collective.Allreduce(c,
@@ -228,8 +224,8 @@ func runDurabilityWorld(opt Options, seed int64, reg *obs.Registry) (*durRun, er
 	if total(metrics.ChainAcks) == 0 {
 		return nil, fmt.Errorf("no chain acks: no replica confirmed receipt")
 	}
-	if forwardWindowKill && total(metrics.ChainResends) == 0 {
-		return nil, fmt.Errorf("forward-window kill produced no chain resend: the outbox replay did not run")
+	if inFlightKill && total(metrics.ChainResends) == 0 {
+		return nil, fmt.Errorf("sender-in-flight kill produced no chain resend: the outbox replay did not run")
 	}
 	if _, err := auditTrace(opt, opt.Tracer); err != nil {
 		return nil, err
@@ -241,7 +237,7 @@ func runDurabilityWorld(opt Options, seed int64, reg *obs.Registry) (*durRun, er
 // full durability gauntlet with an in-run conservation audit, followed by
 // the re-replication latency quantiles.
 func runDurabilitySoak(opt Options) ([]*Table, error) {
-	t := NewTable("E24: durability soak — tail-acked chain, auto re-replication, replicated collectives",
+	t := NewTable("E24: durability soak — tail-acked mirror pairs, auto re-replication, replicated collectives",
 		"seed", "prim-victim", "kill-placement", "standby-victim", "laps",
 		"promotions", "refills", "chain-resends", "chain-acks", "elapsed")
 	opt.Detector = mpi.DetectorOracle // durability, not detection: E23 runs promotion under the monitors
@@ -265,7 +261,7 @@ func runDurabilitySoak(opt Options) ([]*Table, error) {
 	t.Note("asserted in-run per seed: every lap exactly-once, conservation audit unaccounted=0, causality clean,")
 	t.Note("promotions=1, refills=3 (primary victim heals twice, standby victim once) with ZERO app Spawn calls,")
 	t.Note("every replica group back at degree R by the epilogue, validates=resends=0")
-	t.Note("forward-window kills (even seeds) additionally assert chain-resends>0: the tail-ack outbox replayed")
+	t.Note("sender-in-flight kills (even seeds) additionally assert chain-resends>0: the tail-ack outbox replayed")
 
 	tLat := lat.table("E24b: durability latency quantiles (merged over seeds)",
 		obs.RereplicationLatency, obs.ReplicaPromotion, obs.RecoveryTotal)

@@ -152,11 +152,11 @@ func TestSoak(t *testing.T) {
 		}},
 		// E24, the durability gauntlet: in-run,
 		// exactly-once delivery, a clean audit, zero app Spawn calls and
-		// every group healed. Kills must land both inside the chain
-		// forward window and mid-collective.
+		// every group healed. Kills must land both on a sender with
+		// messages its mirror never got and mid-collective.
 		{"e24", true, func(t *testing.T, quick bool, tabs []*Table) {
 			seedRows(t, tabs[0], quick, 20, 4)
-			hasValues(t, tabs[0], 2, "forward-window", "mid-collective")
+			hasValues(t, tabs[0], 2, "sender-in-flight", "mid-collective")
 			hasValues(t, tabs[1], 0, "rereplication_latency")
 		}},
 	} {
