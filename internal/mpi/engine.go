@@ -128,9 +128,10 @@ func newEngine(w *World, rank int, gen uint32) *engine {
 	}
 	if w.repl != nil {
 		e.rep = &replica{
-			out:     make(map[repChan]*outChan),
-			repNext: make(map[repChan]uint32),
-			wildSeq: make(map[int]uint64),
+			out:      make(map[repChan]*outChan),
+			repNext:  make(map[repChan]uint32),
+			wildSeq:  make(map[int]uint64),
+			pinAwait: -1,
 		}
 	}
 	e.agree.init()
@@ -486,13 +487,23 @@ func (e *engine) completeRecvLocked(r *Request, pkt *transport.Packet, src int) 
 // postRecv installs a receive request: satisfy it from the unexpected
 // queue if possible; otherwise fail it immediately when the source can
 // never produce a message (failed unrecognized source, or AnySource with
-// an unrecognized failure in the communicator); otherwise queue it.
+// an unrecognized failure in the communicator); otherwise queue it. A
+// replica first numbers a wildcard receive, and a standby holds back what
+// waits for a wildcard pin (holdLocked).
 func (e *engine) postRecv(r *Request) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.dead.Load() {
 		panic(killedPanic{rank: e.rank}) // deferred unlock still runs
 	}
+	if e.rep != nil && e.holdLocked(r) {
+		return
+	}
+	e.postLocked(r)
+}
+
+// postLocked is postRecv for a caller holding mu.
+func (e *engine) postLocked(r *Request) {
 	// An AnySource receive fails while ANY unrecognized failure exists in
 	// the communicator, even if a matching message is already queued: the
 	// application cannot know whether the message it would get is the one

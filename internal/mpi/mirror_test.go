@@ -4,9 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/transport"
 )
 
 // TestReplayKeepsChannelOrder: one logical sender streams 10³ back-to-back
@@ -95,71 +98,204 @@ func replayOrder(t *testing.T, opts []Option, victim, at, n int) {
 
 // TestWildcardPinsOneOrder: logical ranks 1 and 2 race 10³ messages each
 // into logical 0's AnySource loop. Mirror pairing hands every receiver
-// replica the two streams in its own interleaving; the primary's pins make
+// replica the two streams in its own interleaving; the decider's pins make
 // every replica take the same source sequence, also when the receiver's
-// primary dies mid-loop and its promoted standby resolves the rest itself.
-// Each source's messages still arrive in the order they were sent.
+// primary dies mid-loop with a receive matched but not yet reported, and
+// its standby resolves the rest itself. At R=3 the primary dies while the
+// pin of that receive has reached its first standby and is lost on the way
+// to the second: the first, now the decider, must pass it on. Each
+// source's messages still arrive in the order they were sent.
 func TestWildcardPinsOneOrder(t *testing.T) {
-	const n, victim = 1000, 0
-	for _, kill := range []bool{false, true} {
-		t.Run(map[bool]string{false: "clean", true: "primary-killed"}[kill], func(t *testing.T) {
-			var mu sync.Mutex
-			got := make(map[int][]int)
-			record := func(phys int, srcs []int) {
-				mu.Lock()
-				got[phys] = srcs
-				mu.Unlock()
-			}
-			_, res := runRepl(t, 3, 2, nil, func(w *World, p *Proc) error {
-				c := p.World()
-				if p.Rank() != 0 {
-					buf := make([]byte, 4)
-					for i := range n {
-						binary.LittleEndian.PutUint32(buf, uint32(i))
-						if err := c.Send(0, 5, buf); err != nil {
-							return err
-						}
-					}
-					return nil
-				}
-				srcs := make([]int, 0, 2*n)
-				next := map[int]int{1: 0, 2: 0}
-				for i := range 2 * n {
-					if kill && p.PhysRank() == victim && i == n {
-						record(victim, srcs)
-						p.Die()
-					}
-					pl, st, err := c.Recv(AnySource, 5)
-					if err != nil {
-						return err
-					}
-					if v := int(binary.LittleEndian.Uint32(pl)); v != next[st.Source] {
-						return fmt.Errorf("phys %d: message %d from %d, want %d", p.PhysRank(), v, st.Source, next[st.Source])
-					}
-					next[st.Source]++
-					srcs = append(srcs, st.Source)
-				}
-				record(p.PhysRank(), srcs)
-				return nil
+	for _, r := range []int{2, 3} {
+		for _, kill := range []bool{false, true} {
+			t.Run(fmt.Sprintf("R%d/%s", r, map[bool]string{false: "clean", true: "primary-killed"}[kill]), func(t *testing.T) {
+				wildcardOrder(t, r, kill)
 			})
-			for phys, rr := range res.Ranks {
-				if (!kill || phys != victim) && (rr.Err != nil || rr.Killed) {
-					t.Fatalf("phys %d saw the failure: %+v", phys, rr)
+		}
+	}
+	t.Run("cancel", wildcardCancel)
+}
+
+// pinDropFabric loses every pin batch from src to dst once drop is set.
+type pinDropFabric struct {
+	transport.Fabric
+	src, dst int
+	drop     atomic.Bool
+}
+
+func (f *pinDropFabric) Send(pkt *transport.Packet) error {
+	if f.drop.Load() && pkt.Src == f.src && pkt.Dst == f.dst && pkt.Kind == transport.KindState && pkt.Context == ctxPin {
+		return nil
+	}
+	return f.Fabric.Send(pkt)
+}
+
+// wildcardOrder runs one case of TestWildcardPinsOneOrder at replication
+// degree r over three logical ranks.
+func wildcardOrder(t *testing.T, r int, kill bool) {
+	const n, lsize, victim = 1000, 3, 0
+	var mu sync.Mutex
+	got := make(map[int][]int)
+	record := func(phys int, srcs []int) {
+		mu.Lock()
+		got[phys] = srcs
+		mu.Unlock()
+	}
+	last := victim + (r-1)*lsize
+	fab := &pinDropFabric{Fabric: transport.NewLocal(), src: victim, dst: last}
+	_, res := runRepl(t, lsize, r, []Option{WithFabric(fab)}, func(w *World, p *Proc) error {
+		c := p.World()
+		if p.Rank() != 0 {
+			buf := make([]byte, 4)
+			for i := range n {
+				binary.LittleEndian.PutUint32(buf, uint32(i))
+				if err := c.Send(0, 5, buf); err != nil {
+					return err
 				}
 			}
-			standby := got[victim+3]
-			if len(standby) != 2*n {
-				t.Fatalf("standby took %d messages, want %d", len(standby), 2*n)
+			return nil
+		}
+		killNow := kill && p.PhysRank() == victim
+		srcs := make([]int, 0, 2*n)
+		next := map[int]int{1: 0, 2: 0}
+		for i := range 2 * n {
+			if killNow && i == n && r > 2 {
+				fab.drop.Store(true)
 			}
-			primary := got[victim]
-			if want := map[bool]int{false: 2 * n, true: n}[kill]; len(primary) != want {
-				t.Fatalf("primary took %d messages, want %d", len(primary), want)
+			req := c.Irecv(AnySource, 5)
+			if killNow && i == n {
+				// Matched, its pin on the way (at R=3, held by the first
+				// standby, lost to the second), never reported.
+				e := w.eng(victim)
+				if err := pollUntil("pin under way", func() (bool, error) {
+					e.mu.Lock()
+					defer e.mu.Unlock()
+					return req.done && (r == 2 || e.rep.pinAwait == last), nil
+				}); err != nil {
+					return err
+				}
+				record(victim, srcs)
+				p.Die()
 			}
-			for i := range primary {
-				if primary[i] != standby[i] {
-					t.Fatalf("wildcard receive %d: primary took source %d, standby %d", i+1, primary[i], standby[i])
+			st, err := req.Wait()
+			if err != nil {
+				return err
+			}
+			pl := req.Payload()
+			if v := int(binary.LittleEndian.Uint32(pl)); v != next[st.Source] {
+				return fmt.Errorf("phys %d: message %d from %d, want %d", p.PhysRank(), v, st.Source, next[st.Source])
+			}
+			next[st.Source]++
+			srcs = append(srcs, st.Source)
+		}
+		record(p.PhysRank(), srcs)
+		return nil
+	})
+	for phys, rr := range res.Ranks {
+		if (!kill || phys != victim) && (rr.Err != nil || rr.Killed) {
+			t.Fatalf("phys %d saw the failure: %+v", phys, rr)
+		}
+	}
+	want := got[victim+lsize]
+	if len(want) != 2*n {
+		t.Fatalf("replica 1 took %d messages, want %d", len(want), 2*n)
+	}
+	for i := 0; i < r; i++ {
+		phys := victim + i*lsize
+		srcs := got[phys]
+		if n := map[bool]int{false: 2 * n, true: n}[kill && phys == victim]; len(srcs) != n {
+			t.Fatalf("phys %d took %d messages, want %d", phys, len(srcs), n)
+		}
+		for k := range srcs {
+			if srcs[k] != want[k] {
+				t.Fatalf("wildcard receive %d: phys %d took source %d, phys %d took %d", k+1, phys, srcs[k], victim+lsize, want[k])
+			}
+		}
+	}
+}
+
+// wildcardCancel: logical 0 posts an AnySource receive and cancels it. Its
+// primary cancels before any message is there; its standby cancels once
+// the message is already queued on it. The standby must not take it: both
+// replicas report the receive cancelled, and the next AnySource receive
+// takes the message on both.
+func wildcardCancel(t *testing.T) {
+	cancelled := make(chan struct{})
+	var mu sync.Mutex
+	got := make(map[int]string)
+	_, res := runRepl(t, 2, 2, nil, func(w *World, p *Proc) error {
+		c := p.World()
+		if p.Rank() == 1 {
+			if p.PhysRank() == 1 {
+				<-cancelled // the primary's message comes after the primary's cancel
+			}
+			return c.Send(0, 5, []byte{42})
+		}
+		if p.PhysRank() == 2 {
+			if err := pollUntil("message queued", func() (bool, error) {
+				ok, _, err := c.Iprobe(AnySource, 5)
+				return ok, err
+			}); err != nil {
+				return err
+			}
+		}
+		req := c.Irecv(AnySource, 5)
+		pl, took := req.CancelOrPayload()
+		if p.PhysRank() == 0 {
+			close(cancelled)
+		}
+		next, _, err := c.Recv(AnySource, 5)
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		got[p.PhysRank()] = fmt.Sprintf("cancel took %v %v, next %v", took, pl, next)
+		mu.Unlock()
+		return nil
+	})
+	for phys, rr := range res.Ranks {
+		if rr.Err != nil || rr.Killed {
+			t.Fatalf("phys %d: %+v", phys, rr)
+		}
+	}
+	if want := "cancel took false [], next [42]"; got[0] != want || got[2] != want {
+		t.Fatalf("primary: %s; standby: %s; want %s on both", got[0], got[2], want)
+	}
+}
+
+// TestWildcardWaitAcrossOutboxWindow: logical 0 posts an AnySource receive,
+// makes 300 replicated sends (more than the outbox window) to logical 1,
+// which answers only after receiving them all, and then waits. A standby
+// that blocked in Irecv until its pin came would send nothing; its
+// primary's outbox, waiting on the confirmations of the standby's mirror,
+// would fill, and the two would wait for each other.
+func TestWildcardWaitAcrossOutboxWindow(t *testing.T) {
+	const sends = 300
+	_, res := runRepl(t, 2, 2, []Option{WithDeadline(20 * time.Second)}, func(w *World, p *Proc) error {
+		c := p.World()
+		if p.Rank() == 1 {
+			for range sends {
+				if _, _, err := c.Recv(0, 7); err != nil {
+					return err
 				}
 			}
-		})
+			return c.Send(0, 9, []byte{1})
+		}
+		req := c.Irecv(AnySource, 9)
+		for range sends {
+			if err := c.Send(1, 7, []byte{0}); err != nil {
+				return err
+			}
+		}
+		st, err := req.Wait()
+		if err == nil && st.Source != 1 {
+			err = fmt.Errorf("answer from %d, want 1", st.Source)
+		}
+		return err
+	})
+	for phys, rr := range res.Ranks {
+		if rr.Err != nil || rr.Killed {
+			t.Fatalf("phys %d: %+v", phys, rr)
+		}
 	}
 }

@@ -140,11 +140,6 @@ func (c *Comm) irecv(src, tag, ctx int) *Request {
 			return r
 		}
 	}
-	if c.proc.w.repl != nil && isWild(r.srcWorld, tag) {
-		// Replicas must match a wildcard alike: the primary pins what it
-		// matched, a standby waits for the pin (resolveWild).
-		c.eng.resolveWild(r)
-	}
 	c.proc.w.tracer.Record(c.proc.rank, trace.RecvPosted, src, tag, -1, "")
 	c.eng.postRecv(r)
 	return r

@@ -164,10 +164,23 @@ type pinKey struct {
 	n   uint64
 }
 
-// pinVal is how a primary resolved a wildcard receive: the communicator
-// rank and tag of the message it matched, or src AnySource when the
-// receive failed or was cancelled.
-type pinVal struct{ src, tag int }
+// pin is how the decider's wildcard receive n on context ctx completed:
+// matched the message of communicator rank src and tag tag, cancelled, or
+// failed with failStop(f) and status (src, tag).
+type pin struct {
+	ctx      int
+	n        uint64
+	outcome  int
+	src, tag int
+	f        int
+}
+
+// Pin outcomes.
+const (
+	pinMatched = iota
+	pinCancelled
+	pinFailed
+)
 
 // replica is an engine's replication state.
 type replica struct {
@@ -189,17 +202,24 @@ type replica struct {
 	// is set while a sender waits for room.
 	queued     atomic.Int32
 	outboxFull bool
-	// lastChan and lastOut cache the channel out found last.
-	lastChan repChan
-	lastOut  *outChan
 
-	// wildSeq numbers the wildcard receives this replica posted, per
-	// context; pins holds the resolutions a primary sent for a standby's
-	// wildcard receives, until the standby posts them; pinOwed counts, per
-	// standby, the pins this primary sent that the standby has not acked.
-	wildSeq map[int]uint64
-	pins    map[pinKey]pinVal
-	pinOwed map[int]int
+	// Wildcard pins. wildSeq numbers the wildcard receives this replica
+	// posted, per context. On a standby, pins holds the pins received for
+	// receives not posted yet, pinLog the last batch received (what the
+	// replica re-sends if it becomes the decider), and holds, per context,
+	// the receives held back for a pin, in post order; nHolds counts them.
+	// On the decider, pinOut queues the pins not sent yet; pinBusy is set
+	// while a sendPins goroutine runs, pinBatch numbers its batches and
+	// pinAwait is the standby whose ack it waits for (-1: none).
+	wildSeq  map[int]uint64
+	pins     map[pinKey]pin
+	pinLog   []pin
+	holds    map[int][]*Request
+	nHolds   int
+	pinOut   []pin
+	pinBusy  bool
+	pinBatch int
+	pinAwait int
 
 	// sendMu serializes this replica's replicated sends with its orphan
 	// replays (fenceLocked), so that no send overtakes a replay on any
@@ -286,9 +306,6 @@ func (e *engine) dropHeld(kind trace.Kind) {
 		e.w.tracer.RecordMsg(e.rank, kind, pkt.Src, pkt.Tag, -1, int(e.gen), pkt.Token, 0, "")
 	}
 }
-
-// ctxPin is the KindState context of a wildcard pin (see state.go).
-const ctxPin = -5
 
 // maxReplicas bounds the replication degree: replica sets are bitmasks
 // over the replica index.
@@ -377,6 +394,7 @@ func (s *replState) handleDeath(f int) bool {
 	l := f % s.lsize
 	promoted := -1
 	s.mu.Lock()
+	decided := s.decider(l) == f
 	g := *s.group(l)
 	if bit := s.replicaBit(f); g.mask&bit != 0 {
 		g.mask &^= bit
@@ -399,6 +417,9 @@ func (s *replState) handleDeath(f int) bool {
 	// The new table is already published: see replSend for why that order
 	// keeps a corpse out of entries recorded from now on.
 	s.pruneChainAcks(f)
+	if d := s.decider(l); decided && d >= 0 {
+		s.w.eng(d).becomeDecider()
+	}
 
 	if g.primary < 0 {
 		s.scheduleRefill(f)
@@ -416,8 +437,7 @@ func (s *replState) handleDeath(f int) bool {
 		w.tracer.RecordMsg(promoted, trace.Promoted, f, -1, -1, int(w.genOf(promoted)), 0, 0,
 			fmt.Sprintf("primary of logical %d (replacing %d)", l, f))
 		// A standby that just became primary may be parked in an agreement
-		// waiting to take over the root role, or in a wildcard receive
-		// waiting for the dead primary's pin; roll every engine's agreement
+		// waiting to take over the root role; roll every engine's agreement
 		// channel so it re-evaluates.
 		for i := 0; i < w.size; i++ {
 			e := w.eng(i)
@@ -698,15 +718,11 @@ func (e *engine) sendCopy(dst, tag, ctx int, payload []byte, seq, epoch uint32, 
 // outChanLocked returns the outbound channel k, made on first use. Caller
 // holds mu.
 func (e *engine) outChanLocked(k repChan) *outChan {
-	if e.rep.lastOut != nil && e.rep.lastChan == k {
-		return e.rep.lastOut // a ring sends on one channel, and is confirmed on it
-	}
 	oc := e.rep.out[k]
 	if oc == nil {
 		oc = &outChan{conf: make([]uint32, e.w.repl.r)}
 		e.rep.out[k] = oc
 	}
-	e.rep.lastChan, e.rep.lastOut = k, oc
 	return oc
 }
 
@@ -794,14 +810,11 @@ func (e *engine) fenceLocked(src *groupView) {
 // of the sender group. No frame beyond data and its ack is sent.
 
 // replFrameAcked is the reliability layer's ack-retire callback in a
-// replicated world. A data frame's destination replica holds the message,
-// so it leaves the sender group's wait sets; a pin's standby holds the pin.
+// replicated world: a data frame's destination replica holds the message,
+// so it leaves the sender group's wait sets.
 func (w *World) replFrameAcked(pkt *transport.Packet) {
-	switch {
-	case pkt.Kind == transport.KindData && pkt.RepSeq != 0:
+	if pkt.Kind == transport.KindData && pkt.RepSeq != 0 {
 		w.repl.confirm(pkt.Src, pkt.Dst, repChan{peer: w.logicalOf(pkt.Dst), ctx: pkt.Context, tag: pkt.Tag}, pkt.RepSeq)
-	case pkt.Kind == transport.KindState && pkt.Context == ctxPin:
-		w.eng(pkt.Src).pinAcked(pkt.Dst)
 	}
 }
 
@@ -828,7 +841,7 @@ func (s *replState) confirm(sender, dst int, k repChan, repSeq uint32) {
 
 // pruneChainAcks removes a dead physical slot from every sender's outbox
 // wait sets (a corpse will never confirm), releasing entries it was the
-// last holdout of, and forgives the pins its primary still waits on.
+// last holdout of, and lets its decider off the pin ack it waits for.
 func (s *replState) pruneChainAcks(f int) {
 	w := s.w
 	l, bit := f%s.lsize, s.replicaBit(f)
@@ -848,8 +861,8 @@ func (s *replState) pruneChainAcks(f int) {
 			}
 			e.dequeuedLocked(oc.trim())
 		}
-		if e.rep.pinOwed[f] != 0 {
-			delete(e.rep.pinOwed, f)
+		if e.rep.pinAwait == f {
+			e.rep.pinAwait = -1
 			e.agreeBumpLocked()
 		}
 		e.mu.Unlock()
@@ -860,40 +873,348 @@ func (s *replState) pruneChainAcks(f int) {
 //
 // Mirror-paired replicas receive each message on their own schedule, so a
 // wildcard receive (AnySource or AnyTag) could match different messages on
-// different replicas. The primary decides: when its wildcard receive is
-// first reported to the program, it pins the match (communicator source
-// and tag) to every running standby through the ARQ, and returns only when
-// each holds the pin. A standby's wildcard receive waits for the pin of the
-// same ordinal and becomes a directed receive of that source and tag: the
-// next message on that channel, which is the one the primary took, since
-// the replicas consume every channel in the same order. A standby promoted
-// while it waits resolves the receive itself, and pins it when it reports.
+// different replicas. One replica decides: the lowest-index running one
+// (the primary, unless the primary is a refill, which does not run the
+// program). When one of its wildcard receives completes (matched,
+// cancelled or failed), it pins the outcome to every running standby, and
+// its program sees the completion only once each standby has stored the
+// pin. A standby holds its wildcard receive back until the pin arrives: a
+// match pin turns it into a directed receive of the pinned source and tag,
+// which takes the next message on that channel (the one the decider took,
+// since replicas consume every channel in the same order); a cancel or
+// failure pin completes it the same way. A later receive that the held
+// wildcard could match waits behind it, so the earlier-posted receive
+// matches first, as on the decider; any other is posted at once.
+//
+// Nothing here makes a standby wait where its program would not: Irecv
+// returns at once, and the decider sends a pin when its receive completes,
+// not when its program reports it. A standby's Wait on a held receive waits
+// only for a completion that precedes, on the decider, the completion of
+// the same receive.
+//
+// The decider sends each batch of pins to one standby at a time, in
+// replica-index order, and waits for each one's ack before the next gets
+// it. So a standby holding a pin knows every lower-index one holds it too,
+// and the replica that takes over when the decider dies, the lowest-index
+// running one, holds every pin another replica may have acted on. It
+// re-sends the last batch it received (earlier batches reached every
+// standby before the next began) and resolves the receives it holds for
+// lack of a pin itself.
 
-// resolveWild numbers a wildcard receive about to be posted. On a standby
-// it waits for the primary's pin of that ordinal and narrows the receive to
-// the pinned source and tag. Called on the rank's goroutine with no lock
-// held; panics like Wait if the rank dies or the world ends meanwhile.
-func (e *engine) resolveWild(r *Request) {
-	e.mu.Lock()
-	n := e.rep.wildSeq[r.ctx] + 1
-	e.rep.wildSeq[r.ctx] = n
-	r.pin = n
-	for {
-		// A pin the dead primary sent still binds a promoted standby: the
-		// primary's receive returned, and what it did next may depend on it.
-		if p, ok := e.rep.pins[pinKey{r.ctx, n}]; ok {
-			delete(e.rep.pins, pinKey{r.ctx, n})
-			if wr, err := r.comm.WorldRank(p.src); err == nil {
-				r.srcWorld, r.tag = wr, p.tag
+// ctxPin and ctxPinAck are the KindState contexts of a wildcard pin batch
+// and of its ack (see state.go); both carry the batch number in Tag.
+const (
+	ctxPin    = -5
+	ctxPinAck = -6
+)
+
+// decider returns the physical slot that resolves logical rank l's
+// wildcard receives: its lowest-index running replica (-1: none).
+func (s *replState) decider(l int) int {
+	m := s.group(l).running
+	if m == 0 {
+		return -1
+	}
+	return l + bits.TrailingZeros64(m)*s.lsize
+}
+
+// holdLocked prepares a receive for posting on a replica: it numbers a
+// wildcard receive and, on a standby, resolves it by its pin. It reports
+// true when the receive must not be posted now: a pin completed it, or it
+// waits for a pin (a standby's wildcard with none yet, or a receive such a
+// wildcard could match). Caller holds mu.
+func (e *engine) holdLocked(r *Request) bool {
+	if isWild(r.srcWorld, r.tag) {
+		n := e.rep.wildSeq[r.ctx] + 1
+		e.rep.wildSeq[r.ctx] = n
+		r.pin = n
+		if e.applyPinLocked(r) {
+			if r.done {
+				return true
 			}
+		} else if e.w.repl.decider(e.arank()) != e.rank {
+			e.holdRecvLocked(r)
+			return true
+		}
+	}
+	if e.rep.nHolds > 0 && behindWild(r, e.rep.holds[r.ctx]) {
+		e.holdRecvLocked(r)
+		return true
+	}
+	return false
+}
+
+// holdRecvLocked appends r to the receives its context holds back. Caller
+// holds mu.
+func (e *engine) holdRecvLocked(r *Request) {
+	if e.rep.holds == nil {
+		e.rep.holds = make(map[int][]*Request)
+	}
+	r.held = true
+	e.rep.holds[r.ctx] = append(e.rep.holds[r.ctx], r)
+	e.rep.nHolds++
+}
+
+// unholdLocked removes a held receive that is being cancelled. Caller
+// holds mu.
+func (e *engine) unholdLocked(r *Request) {
+	list := e.rep.holds[r.ctx]
+	for i, x := range list {
+		if x == r {
+			e.rep.holds[r.ctx] = append(list[:i], list[i+1:]...)
 			break
 		}
-		if e.w.repl.isPrimary(e.rank) {
+	}
+	r.held = false
+	e.rep.nHolds--
+}
+
+// behindWild reports whether the directed receive r could match a message
+// that a wildcard in list, not resolved yet, could match too.
+func behindWild(r *Request, list []*Request) bool {
+	for _, w := range list {
+		if isWild(w.srcWorld, w.tag) &&
+			(w.srcWorld == AnySource || w.srcWorld == r.srcWorld) && (w.tag == AnyTag || w.tag == r.tag) {
+			return true
+		}
+	}
+	return false
+}
+
+// applyPinLocked resolves the standby's wildcard receive r by its pin, if
+// that has arrived: a match pin narrows r to the pinned source and tag, a
+// cancel or failure pin completes it. It reports whether r had a pin.
+// Caller holds mu.
+func (e *engine) applyPinLocked(r *Request) bool {
+	k := pinKey{r.ctx, r.pin}
+	p, ok := e.rep.pins[k]
+	if !ok {
+		return false
+	}
+	delete(e.rep.pins, k)
+	r.pin = 0
+	switch p.outcome {
+	case pinMatched:
+		wr, err := r.comm.WorldRank(p.src)
+		if err != nil {
+			r.completeLocked(err, Status{}, nil)
 			break
 		}
+		r.srcWorld, r.tag = wr, p.tag
+	case pinCancelled:
+		r.completeLocked(ErrCancelled, Status{Source: ProcNull}, nil)
+	default:
+		r.completeLocked(failStop(p.f), Status{Source: p.src, Tag: p.tag}, nil)
+	}
+	return true
+}
+
+// releaseLocked posts, in order, the receives context ctx holds back that
+// nothing holds back any more: a wildcard whose pin arrived, and a receive
+// no earlier unresolved wildcard could match. A replica that has just
+// become the decider posts them all, its unresolved wildcards as such.
+// Caller holds mu.
+func (e *engine) releaseLocked(ctx int, decide bool) {
+	list := e.rep.holds[ctx]
+	kept := list[:0]
+	for _, r := range list {
+		if isWild(r.srcWorld, r.tag) {
+			e.applyPinLocked(r)
+		}
+		if !r.done && !decide && (isWild(r.srcWorld, r.tag) || behindWild(r, kept)) {
+			kept = append(kept, r)
+			continue
+		}
+		r.held = false
+		e.rep.nHolds--
+		if !r.done {
+			e.postLocked(r)
+		}
+	}
+	clear(list[len(kept):])
+	if len(kept) == 0 {
+		delete(e.rep.holds, ctx)
+	} else {
+		e.rep.holds[ctx] = kept
+	}
+}
+
+// pinLocked queues the pin of the decider's wildcard receive r, which has
+// just completed, for the running standbys. Caller holds mu.
+func (e *engine) pinLocked(r *Request) {
+	s := e.w.repl
+	p := pin{ctx: r.ctx, n: r.pin, src: r.status.Source, tag: r.status.Tag}
+	r.pin = 0
+	if s.group(e.arank()).running&^s.replicaBit(e.rank) == 0 {
+		return // no standby runs the program
+	}
+	switch {
+	case r.err == ErrCancelled:
+		p.outcome = pinCancelled
+	case r.err != nil:
+		p.outcome, p.f = pinFailed, FailedRankOf(r.err)
+	}
+	r.pinSent = true
+	e.rep.pinOut = append(e.rep.pinOut, p)
+	e.kickPinsLocked()
+}
+
+// kickPinsLocked starts the pin sender if pins are queued and none runs.
+// Caller holds mu.
+func (e *engine) kickPinsLocked() {
+	if len(e.rep.pinOut) > 0 && !e.rep.pinBusy {
+		e.rep.pinBusy = true
+		go e.sendPins()
+	}
+}
+
+// sendPins sends the queued pins to the running standbys, a batch at a
+// time, one standby at a time in replica-index order, each acking the
+// batch before the next gets it. It runs on its own goroutine until no pin
+// is queued or the replica is gone.
+func (e *engine) sendPins() {
+	s := e.w.repl
+	l := e.arank()
+	e.mu.Lock()
+	for len(e.rep.pinOut) > 0 && e.serving() {
+		batch := e.rep.pinOut
+		e.rep.pinOut = nil
+		e.rep.pinBatch++
+		for _, p := range s.slotsOf(l, s.group(l).running&^s.replicaBit(e.rank)) {
+			if !e.serving() {
+				break // a dead decider sends nothing more
+			}
+			e.rep.pinAwait = p
+			pkt := &transport.Packet{Src: e.rank, Dst: p, Tag: e.rep.pinBatch, Kind: transport.KindState,
+				Context: ctxPin, Payload: encodePins(batch)}
+			e.mu.Unlock()
+			e.stampGen(pkt)
+			_ = e.w.fabric.Send(pkt)
+			e.mu.Lock()
+			// A standby that dies is let off: pruneChainAcks clears pinAwait,
+			// or the death was published before this check.
+			for e.rep.pinAwait == p && e.serving() && s.group(l).running&s.replicaBit(p) != 0 {
+				ch := e.agreeWaitLocked()
+				e.mu.Unlock()
+				select {
+				case <-ch:
+				case <-e.downCh:
+				case <-e.w.abortCh:
+				}
+				e.mu.Lock()
+			}
+		}
+	}
+	e.rep.pinBusy, e.rep.pinAwait = false, -1
+	e.agreeBumpLocked()
+	e.mu.Unlock()
+}
+
+// serving reports whether the replica is alive and its world running.
+func (e *engine) serving() bool {
+	return !e.dead.Load() && !e.closed.Load() && !e.w.aborted.Load()
+}
+
+// awaitPins blocks the decider's program until every queued pin reached
+// every running standby. Called with no lock held; panics like Wait if the
+// rank dies or the world ends meanwhile.
+func (e *engine) awaitPins() {
+	e.mu.Lock()
+	for e.rep.pinBusy {
 		e.waitStateLocked()
 	}
 	e.mu.Unlock()
+}
+
+// pinAcked records standby p's ack of the decider's pin batch.
+func (e *engine) pinAcked(p, batch int) {
+	e.mu.Lock()
+	if e.rep.pinAwait == p && e.rep.pinBatch == batch {
+		e.rep.pinAwait = -1
+		e.agreeBumpLocked()
+	}
+	e.mu.Unlock()
+}
+
+// deliverPin stores a batch of the decider's pins on a standby, releases
+// the receives they resolve, and acks the batch. A pin for a receive the
+// standby has resolved already is a re-sent one and is dropped; a batch
+// that reaches a replica that has become the decider is a dead decider's
+// and is dropped whole (the replica took over with what it held).
+func (e *engine) deliverPin(pkt *transport.Packet) {
+	batch, ok := decodePins(pkt.Payload)
+	e.mu.Lock()
+	if e.dead.Load() || e.closed.Load() {
+		e.mu.Unlock()
+		return
+	}
+	if ok && e.w.repl.decider(e.arank()) != e.rank {
+		if e.rep.pins == nil {
+			e.rep.pins = make(map[pinKey]pin)
+		}
+		e.rep.pinLog = batch
+		for _, p := range batch {
+			e.rep.pins[pinKey{p.ctx, p.n}] = p
+		}
+		for _, p := range batch {
+			if e.rep.nHolds > 0 {
+				e.releaseLocked(p.ctx, false)
+			}
+			if p.n <= e.rep.wildSeq[p.ctx] {
+				delete(e.rep.pins, pinKey{p.ctx, p.n}) // applied, or applied before
+			}
+		}
+		e.agreeBumpLocked()
+	}
+	e.mu.Unlock()
+	ack := &transport.Packet{Src: e.rank, Dst: pkt.Src, Tag: pkt.Tag, Kind: transport.KindState, Context: ctxPinAck}
+	e.stampGen(ack)
+	_ = e.w.fabric.Send(ack)
+}
+
+// becomeDecider makes this replica resolve its group's wildcard receives
+// after the decider died: it re-sends the last batch of pins it received,
+// which the dead decider may not have finished sending to every standby,
+// and posts the receives it holds, resolving those no pin covers itself.
+func (e *engine) becomeDecider() {
+	e.mu.Lock()
+	if !e.dead.Load() {
+		e.rep.pinOut = append(e.rep.pinOut, e.rep.pinLog...)
+		e.rep.pinLog = nil
+		for ctx := range e.rep.holds {
+			e.releaseLocked(ctx, true)
+		}
+		e.kickPinsLocked()
+		e.agreeBumpLocked()
+	}
+	e.mu.Unlock()
+}
+
+// encodePins serializes a pin batch as varints.
+func encodePins(batch []pin) []byte {
+	var b []byte
+	for _, p := range batch {
+		for _, v := range [...]int64{int64(p.ctx), int64(p.n), int64(p.outcome), int64(p.src), int64(p.tag), int64(p.f)} {
+			b = binary.AppendVarint(b, v)
+		}
+	}
+	return b
+}
+
+// decodePins parses a pin batch; ok is false if it is malformed.
+func decodePins(b []byte) (batch []pin, ok bool) {
+	for len(b) > 0 {
+		var v [6]int64
+		for i := range v {
+			var n int
+			if v[i], n = binary.Varint(b); n <= 0 {
+				return nil, false
+			}
+			b = b[n:]
+		}
+		batch = append(batch, pin{ctx: int(v[0]), n: uint64(v[1]), outcome: int(v[2]), src: int(v[3]), tag: int(v[4]), f: int(v[5])})
+	}
+	return batch, true
 }
 
 // waitStateLocked parks on the agreement channel until the next state
@@ -928,85 +1249,7 @@ func (e *engine) checkAliveLocked() {
 	}
 }
 
-// pinWild sends the resolution of wildcard receive r, its n-th on its
-// context, to every running standby if this replica is the primary, and
-// waits until each has acked the pin or died. st and err are what the
-// receive reported to the program. Called on the rank's goroutine with no
-// lock held.
-func (e *engine) pinWild(r *Request, n uint64, st Status, err error) {
-	w, s := e.w, e.w.repl
-	if !s.isPrimary(e.rank) {
-		return // a standby's receive was pinned; a primary pins
-	}
-	src, tag := AnySource, r.tag
-	if err == nil && st.Source != ProcNull {
-		src, tag = st.Source, st.Tag
-	}
-	var body []byte
-	for _, v := range [...]int64{int64(r.ctx), int64(n), int64(src), int64(tag)} {
-		body = binary.AppendVarint(body, v)
-	}
-	// The standbys come from a snapshot loaded under mu, like replSend's:
-	// a standby that dies later has its debt forgiven by pruneChainAcks.
-	l := e.arank()
-	var standbys []int
-	e.mu.Lock()
-	if g := s.group(l); g.primary == e.rank {
-		standbys = s.slotsOf(l, g.running&^s.replicaBit(e.rank))
-	}
-	if len(standbys) > 0 && e.rep.pinOwed == nil {
-		e.rep.pinOwed = make(map[int]int)
-	}
-	for _, p := range standbys {
-		e.rep.pinOwed[p]++
-	}
-	e.mu.Unlock()
-	for _, p := range standbys {
-		pkt := &transport.Packet{Src: e.rank, Dst: p, Kind: transport.KindState, Context: ctxPin, Payload: body}
-		e.stampGen(pkt)
-		_ = w.fabric.Send(pkt)
-	}
-	e.mu.Lock()
-	for _, p := range standbys {
-		for e.rep.pinOwed[p] > 0 {
-			e.waitStateLocked()
-		}
-	}
-	e.mu.Unlock()
-}
-
-// pinAcked records that standby p acked one of this primary's pins.
-func (e *engine) pinAcked(p int) {
-	e.mu.Lock()
-	if e.rep.pinOwed[p] > 0 {
-		e.rep.pinOwed[p]--
-		e.agreeBumpLocked()
-	}
-	e.mu.Unlock()
-}
-
-// deliverPin stores a primary's pin for the standby's wildcard receive of
-// that ordinal. Malformed pins are dropped.
-func (e *engine) deliverPin(pkt *transport.Packet) {
-	var v [4]int64
-	b := pkt.Payload
-	for i := range v {
-		var n int
-		if v[i], n = binary.Varint(b); n <= 0 {
-			return
-		}
-		b = b[n:]
-	}
-	e.mu.Lock()
-	if e.rep.pins == nil {
-		e.rep.pins = make(map[pinKey]pinVal)
-	}
-	e.rep.pins[pinKey{ctx: int(v[0]), n: uint64(v[1])}] = pinVal{src: int(v[2]), tag: int(v[3])}
-	e.agreeBumpLocked()
-	e.mu.Unlock()
-}
-
-// --- automatic re-replication// --- automatic re-replication ------------------------------------------------
+// --- automatic re-replication ------------------------------------------------
 
 // refillAttempts bounds one refill goroutine's Spawn retries; combined
 // with the backoff doubling it spans several seconds of transient

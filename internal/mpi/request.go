@@ -54,11 +54,14 @@ type Request struct {
 	postSeq uint64
 
 	// pin is the ordinal of a replicated wildcard receive among those its
-	// replica posted on ctx, until the pin is owed no more (0 otherwise).
+	// replica posted on ctx, until its pin is sent (the decider) or applied
+	// (a standby); 0 otherwise. See "wildcard pins" in replication.go.
 	pin uint64
 
 	// Completion state, guarded by eng.mu.
 	isRecv       bool
+	held         bool // a standby holds it back for a wildcard pin: not posted yet
+	pinSent      bool // the decider queued its pin: reporting waits for the standbys
 	done         bool
 	consumed     bool    // returned by a Waitany/Waitall already
 	observedHook bool    // HookAfterRecv already fired for this completion
@@ -222,6 +225,9 @@ func (r *Request) completeLocked(err error, st Status, payload []byte) {
 	r.err = err
 	r.status = st
 	r.payload = payload
+	if r.pin != 0 {
+		r.eng.pinLocked(r)
+	}
 	for _, ch := range r.waiters {
 		poke(ch)
 	}
@@ -236,14 +242,11 @@ func (r *Request) completeLocked(err error, st Status, payload []byte) {
 func (r *Request) Cancel() {
 	e := r.eng
 	e.mu.Lock()
-	if !r.done {
-		e.removePostedLocked(r)
-		r.completeLocked(ErrCancelled, Status{Source: ProcNull}, nil)
-	}
-	pin, st, err := r.pin, r.status, r.err
-	r.pin = 0
+	r.cancelLocked()
+	pinned := r.pinSent
+	r.pinSent = false
 	e.mu.Unlock()
-	r.observed(false, pin, st, err)
+	r.observed(false, pinned, Status{})
 }
 
 // CancelOrPayload atomically retires a receive request: if it has
@@ -258,40 +261,56 @@ func (r *Request) CancelOrPayload() ([]byte, bool) {
 	e := r.eng
 	e.mu.Lock()
 	var payload []byte
-	if !r.done {
-		e.removePostedLocked(r)
-		r.completeLocked(ErrCancelled, Status{Source: ProcNull}, nil)
-	} else if r.err == nil && r.isRecv && r.status.Source != ProcNull && r.payload != nil {
+	if r.cancelLocked(); r.err == nil && r.isRecv && r.status.Source != ProcNull && r.payload != nil {
 		r.pooled = false // the caller keeps the bytes: never release them
 		payload = r.payload
 	}
-	pin, st, err := r.pin, r.status, r.err
-	r.pin = 0
+	pinned := r.pinSent
+	r.pinSent = false
 	e.mu.Unlock()
-	r.observed(false, pin, st, err)
+	r.observed(false, pinned, Status{})
 	return payload, payload != nil
 }
 
+// cancelLocked completes a pending request with ErrCancelled. A standby's
+// wildcard receive that waits for its pin waits for it first: the decider
+// may have matched it, and then so must the standby. Caller holds eng.mu.
+func (r *Request) cancelLocked() {
+	e := r.eng
+	for r.held && isWild(r.srcWorld, r.tag) {
+		e.waitStateLocked()
+	}
+	if r.done {
+		return
+	}
+	if r.held {
+		e.unholdLocked(r)
+	} else {
+		e.removePostedLocked(r)
+	}
+	r.completeLocked(ErrCancelled, Status{Source: ProcNull}, nil)
+}
+
 // observeLocked marks a completion as reported to the program. It returns
-// whether the HookAfterRecv kill point is owed, and the ordinal of the
-// wildcard pin a replicated primary still owes its standbys (0: none).
-// Caller holds eng.mu.
-func (r *Request) observeLocked() (hook bool, pin uint64) {
+// whether the HookAfterRecv kill point is owed, and whether the receive's
+// wildcard pin may still be on its way to the standbys. Caller holds
+// eng.mu.
+func (r *Request) observeLocked() (hook, pinned bool) {
 	if r.isRecv && r.err == nil && !r.observedHook {
 		r.observedHook = true
 		hook = r.status.Source != ProcNull
 	}
-	pin, r.pin = r.pin, 0
-	return hook, pin
+	pinned, r.pinSent = r.pinSent, false
+	return hook, pinned
 }
 
 // observed pays, with no lock held, what reporting the completion owes:
-// first the wildcard pin, so that a standby holds it before the receive
-// returns, then the hook, which may kill the rank.
-func (r *Request) observed(hook bool, pin uint64, st Status, err error) {
+// first the wildcard pin, so that every standby holds it before the
+// receive returns, then the hook, which may kill the rank.
+func (r *Request) observed(hook, pinned bool, st Status) {
 	e := r.eng
-	if pin != 0 {
-		e.pinWild(r, pin, st, err)
+	if pinned {
+		e.awaitPins()
 	}
 	if hook {
 		e.w.fireHook(e, HookEvent{Rank: e.arank(), Point: HookAfterRecv, Peer: r.srcWorld, Tag: st.Tag})
@@ -335,12 +354,12 @@ func (r *Request) Wait() (Status, error) {
 		panic(killedPanic{rank: e.rank})
 	}
 	st, err := r.status, r.err
-	hook, pin := r.observeLocked()
+	hook, pinned := r.observeLocked()
 	e.mu.Unlock()
 	if !waitStart.IsZero() {
 		e.w.obs.Observe(e.rank, obs.RecvWait, time.Since(waitStart))
 	}
-	r.observed(hook, pin, st, err)
+	r.observed(hook, pinned, st)
 	return st, err
 }
 
@@ -358,9 +377,9 @@ func (r *Request) Test() (bool, Status, error) {
 		return false, Status{}, nil
 	}
 	st, err := r.status, r.err
-	hook, pin := r.observeLocked()
+	hook, pinned := r.observeLocked()
 	e.mu.Unlock()
-	r.observed(hook, pin, st, err)
+	r.observed(hook, pinned, st)
 	return true, st, err
 }
 
@@ -429,9 +448,9 @@ func Waitany(reqs ...*Request) (int, Status, error) {
 			r := reqs[best]
 			r.consumed = true
 			st, err := r.status, r.err
-			hook, pin := r.observeLocked()
+			hook, pinned := r.observeLocked()
 			e.mu.Unlock()
-			r.observed(hook, pin, st, err)
+			r.observed(hook, pinned, st)
 			return best, st, err
 		}
 		if remaining == 0 {
@@ -491,9 +510,9 @@ func Testany(reqs ...*Request) (ok bool, idx int, st Status, err error) {
 	r := reqs[best]
 	r.consumed = true
 	st, err = r.status, r.err
-	hook, pin := r.observeLocked()
+	hook, pinned := r.observeLocked()
 	e.mu.Unlock()
-	r.observed(hook, pin, st, err)
+	r.observed(hook, pinned, st)
 	return true, best, st, err
 }
 

@@ -21,7 +21,7 @@ import (
 // the same discipline as the rest of the runtime.
 
 // Internal context ids for the state protocol (world p2p contexts are
-// >= 0, control is -2, a replica's wildcard pin is ctxPin).
+// >= 0, control is -2, a replica's wildcard pins are ctxPin and ctxPinAck).
 const (
 	ctxStateReq = -3
 	ctxStateRep = -4
@@ -124,12 +124,14 @@ func (p *Proc) FetchState(peer int) ([]byte, error) {
 
 // deliverState routes a KindState frame: requests are answered with the
 // provider's serialization (presence byte 1) or a bare absence byte;
-// replies complete the matching waiter; a replica's wildcard pin is stored
-// for its standby's receive. Runs on delivery goroutines.
+// replies complete the matching waiter; a replica's wildcard pins and their
+// acks go to the replication layer. Runs on delivery goroutines.
 func (e *engine) deliverState(pkt *transport.Packet) {
 	switch pkt.Context {
 	case ctxPin:
 		e.deliverPin(pkt)
+	case ctxPinAck:
+		e.pinAcked(pkt.Src, pkt.Tag)
 	case ctxStateReq:
 		e.mu.Lock()
 		if e.dead.Load() || e.closed.Load() {

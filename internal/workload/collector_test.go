@@ -3,9 +3,13 @@ package workload
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -38,8 +42,13 @@ func TestCollectorCoversAllFamilies(t *testing.T) {
 	if _, err := runDurabilityWorld(opt, 2, nil); err != nil {
 		t.Fatal(err)
 	}
-	if c.Runs() < 3 {
-		t.Fatalf("collector absorbed %d worlds, want 3", c.Runs())
+	// Mirror pairing duplicates a message only when a failover does, and
+	// the worlds above leave it to timing; this one makes it certain.
+	if err := runFailoverDuplicate(opt); err != nil {
+		t.Fatal(err)
+	}
+	if c.Runs() < 4 {
+		t.Fatalf("collector absorbed %d worlds, want 4", c.Runs())
 	}
 
 	var buf bytes.Buffer
@@ -88,6 +97,54 @@ func TestCollectorCoversAllFamilies(t *testing.T) {
 	if out.Counters["gossip_decode_errors"] != 0 {
 		t.Errorf("%d gossip decode errors on a clean fabric", out.Counters["gossip_decode_errors"])
 	}
+}
+
+// runFailoverDuplicate runs a replicated world whose failover certainly
+// duplicates a message: logical 0's primary sends to logical 1 and dies
+// once logical 1's primary took the message; its standby sends only after
+// the death is handled, so it also covers logical 1's primary, which
+// drops that second copy by its replication sequence.
+func runFailoverDuplicate(opt Options) error {
+	var took atomic.Bool
+	wait := func(what string, done func() bool) error {
+		for end := time.Now().Add(soakDeadline); !done(); time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(end) {
+				return fmt.Errorf("timed out waiting for %s", what)
+			}
+		}
+		return nil
+	}
+	_, err := opt.runWorld(1, soakWorld{size: 2, slots: 4, victims: []int{0},
+		opts: []mpi.Option{mpi.WithReplication(mpi.ReplicationOptions{R: 2})},
+		body: func(w *mpi.World) func(*mpi.Proc) error {
+			return func(p *mpi.Proc) error {
+				c := p.World()
+				c.SetErrhandler(mpi.ErrorsReturn)
+				if p.Rank() == 1 {
+					_, _, err := c.Recv(0, 1)
+					if p.PhysRank() == 1 {
+						took.Store(true)
+					}
+					return err
+				}
+				if p.PhysRank() == 2 {
+					if err := wait("the primary's death", func() bool { return len(w.LiveReplicas(0)) == 1 }); err != nil {
+						return err
+					}
+				}
+				if err := c.Send(1, 1, []byte{1}); err != nil {
+					return err
+				}
+				if p.PhysRank() == 0 {
+					if err := wait("the receiver's primary", took.Load); err != nil {
+						return err
+					}
+					p.Die()
+				}
+				return nil
+			}
+		}})
+	return err
 }
 
 // TestCollectorEmitsAuditBlock: the -json audit summary appears exactly
