@@ -16,34 +16,63 @@ import (
 	"repro/internal/transport"
 )
 
-// TestCleanHopAllocations guards the failure-free cost of the Fig. 9
-// receive: a steady-state hop of an 8-rank Local ring allocates the
-// packet and the fabric's payload copy, and nothing else. Two worlds that
-// differ only in lap count are measured whole; their difference is the
-// steady state, with set-up, warm-up and termination cancelled out.
-func TestCleanHopAllocations(t *testing.T) {
-	const (
-		ranks    = 8
-		short    = 200
-		long     = 2200
-		maxAlloc = 2.1 // packet + payload copy, and a little tolerance
-	)
-	mallocs := func(laps int) uint64 {
+// steadyHop measures what one steady-state hop of a ring costs in stat:
+// two worlds that differ only in lap count are measured whole, after a
+// warm-up run, and their difference per hop is the steady state, with
+// set-up, warm-up and termination cancelled out. world returns a fresh
+// world configuration for every run.
+func steadyHop(t *testing.T, world func() mpi.Config, short, long, pad int, stat func(*runtime.MemStats) uint64) float64 {
+	t.Helper()
+	var ranks int
+	run := func(laps int) uint64 {
+		mcfg := world()
+		ranks = mcfg.Size
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		report, res, err := Run(mpi.Config{Size: ranks, Deadline: 30 * time.Second},
-			Config{Iters: laps, Variant: VariantFull})
+		report, res, err := Run(mcfg, Config{Iters: laps, Variant: VariantFull, Padding: pad})
 		runtime.ReadMemStats(&m1)
 		if err != nil || res.FinishedCount() != ranks || len(report.Rank(0).RootValues) != laps {
 			t.Fatalf("%d-lap ring did not complete cleanly: %v", laps, err)
 		}
-		return m1.Mallocs - m0.Mallocs
+		return stat(&m1) - stat(&m0)
 	}
-	mallocs(short) // warm the pools and the runtime
-	perHop := (float64(mallocs(long)) - float64(mallocs(short))) / float64((long-short)*ranks)
+	run(short) // warm the pools and the runtime
+	return (float64(run(long)) - float64(run(short))) / float64((long-short)*ranks)
+}
+
+func mallocs(m *runtime.MemStats) uint64    { return m.Mallocs }
+func allocBytes(m *runtime.MemStats) uint64 { return m.TotalAlloc }
+
+// TestCleanHopAllocations guards the failure-free cost of the Fig. 9
+// receive: a steady-state hop of an 8-rank Local ring allocates nothing.
+// The sender builds its packet from the packet and payload pools, the
+// receiving engine hands the packet back once the payload is on the
+// request, and the ring hands the payload back once it has decoded it.
+// A hop that allocates its packet and payload copy reads 2.
+func TestCleanHopAllocations(t *testing.T) {
+	const maxAlloc = 0.1
+	world := func() mpi.Config { return mpi.Config{Size: 8, Deadline: 30 * time.Second} }
+	perHop := steadyHop(t, world, 200, 2200, 0, mallocs)
 	t.Logf("%.2f allocations per steady-state hop", perHop)
 	if perHop > maxAlloc {
 		t.Fatalf("%.2f allocations per clean hop, want at most %.1f", perHop, maxAlloc)
+	}
+}
+
+// TestTCPSmallHopAllocations guards the same hop over TCP with
+// ring.tcp.small's 16 B messages: the sender lends TCP.Send a packet
+// struct it takes back, the read loop takes its packet and payload from
+// the pools, and the engine and the ring hand them back, so a hop
+// allocates nothing. A hop that allocates both packets reads 2.
+func TestTCPSmallHopAllocations(t *testing.T) {
+	const maxAlloc = 0.1
+	world := func() mpi.Config {
+		return mpi.Config{Size: 8, Fabric: transport.NewTCP(8), Deadline: time.Minute}
+	}
+	perHop := steadyHop(t, world, 200, 2200, 0, mallocs)
+	t.Logf("%.3f allocations per steady-state 16 B TCP hop", perHop)
+	if perHop > maxAlloc {
+		t.Fatalf("%.3f allocations per 16 B TCP hop, want at most %.1f", perHop, maxAlloc)
 	}
 }
 
@@ -53,7 +82,8 @@ func TestCleanHopAllocations(t *testing.T) {
 // is two replica sends — each a wire copy and a packet, and the outbox's
 // payload copy on the replica ahead of the other — and two deliveries,
 // neither of which may copy the packet to rewrite its source (about 5
-// allocations per hop, 7 when a delivery clones the packet). Measured like
+// allocations per hop, 7 when a delivery clones the packet). The ARQ
+// retains its packets, so none of them is pooled. Measured like
 // TestCleanHopAllocations: two worlds that differ only in lap count. How often a frame finds its
 // receive not yet posted, and queues as an unexpected message, depends on
 // the schedule; on a loaded machine it adds up to half an allocation per
@@ -66,7 +96,7 @@ func TestChainHopAllocations(t *testing.T) {
 		long     = 2200
 		maxAlloc = 6.5
 	)
-	mallocs := func(laps int) uint64 {
+	count := func(laps int) uint64 {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		report, _, err := Run(mpi.Config{
@@ -79,10 +109,10 @@ func TestChainHopAllocations(t *testing.T) {
 		}
 		return m1.Mallocs - m0.Mallocs
 	}
-	mallocs(short) // warm the pools and the runtime
+	count(short) // warm the pools and the runtime
 	perHop := math.Inf(1)
 	for range 3 {
-		perHop = min(perHop, (float64(mallocs(long))-float64(mallocs(short)))/float64((long-short)*ranks))
+		perHop = min(perHop, (float64(count(long))-float64(count(short)))/float64((long-short)*ranks))
 	}
 	t.Logf("%.2f allocations per steady-state replicated hop", perHop)
 	if perHop > maxAlloc {
@@ -93,29 +123,15 @@ func TestChainHopAllocations(t *testing.T) {
 // TestTCPLargeHopAllocations guards the pooled receive path: a steady-state
 // hop of an 8-rank TCP ring carrying ring.tcp.large's 64 KiB padding reads
 // its payload into a pooled buffer that the ring hands back after
-// decoding, so the hop allocates a packet and some bookkeeping but no
-// payload (~75 KB per hop when every read allocated its own). Measured
-// like TestCleanHopAllocations: two worlds that differ only in lap count.
+// decoding, and its packet from the packet pool, so the hop allocates a
+// few bytes of bookkeeping (~75 KB per hop when every read allocates its
+// own payload, ~360 B when it allocates its own packet).
 func TestTCPLargeHopAllocations(t *testing.T) {
-	const (
-		ranks    = 8
-		short    = 50
-		long     = 450
-		maxBytes = 2048
-	)
-	bytes := func(laps int) uint64 {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		report, res, err := Run(mpi.Config{Size: ranks, Fabric: transport.NewTCP(ranks), Deadline: time.Minute},
-			Config{Iters: laps, Variant: VariantFull, Padding: 64 << 10})
-		runtime.ReadMemStats(&m1)
-		if err != nil || res.FinishedCount() != ranks || len(report.Rank(0).RootValues) != laps {
-			t.Fatalf("%d-lap TCP ring did not complete cleanly: %v", laps, err)
-		}
-		return m1.TotalAlloc - m0.TotalAlloc
+	const maxBytes = 512
+	world := func() mpi.Config {
+		return mpi.Config{Size: 8, Fabric: transport.NewTCP(8), Deadline: time.Minute}
 	}
-	bytes(short) // warm the pools and the runtime
-	perHop := (float64(bytes(long)) - float64(bytes(short))) / float64((long-short)*ranks)
+	perHop := steadyHop(t, world, 50, 450, 64<<10, allocBytes)
 	t.Logf("%.0f bytes allocated per steady-state 64 KiB TCP hop", perHop)
 	if perHop > maxBytes {
 		t.Fatalf("%.0f bytes allocated per 64 KiB TCP hop, want at most %d", perHop, maxBytes)
@@ -130,7 +146,8 @@ func TestHotStructSizeClasses(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("struct sizes pinned for 64-bit platforms")
 	}
-	// One Packet is allocated per delivered frame. 112 B is a size class;
+	// A Packet comes from a pool, but a cold pool, or a consumer that
+	// keeps its packet, allocates one per frame. 112 B is a size class;
 	// a field appended after Payload (rather than in the padding after
 	// Kind) moves every packet into the 128 B class: +16 B per hop.
 	if got := unsafe.Sizeof(transport.Packet{}); got != 112 {

@@ -367,6 +367,13 @@ func (e *engine) staleGen(pkt *transport.Packet) (bool, string) {
 // deliver accepts an inbound packet. It runs on the sender's goroutine
 // (Local fabric) or a fabric reader goroutine (TCP), never on this rank's
 // own goroutine while it holds mu.
+//
+// A data packet marked Pooled is this engine's from here on: a drop hands
+// it back whole, and matching recycles its struct once the payload is on
+// a request (completeRecvLocked) — possibly on the receiver's goroutine,
+// as soon as mu is released, for a packet queued as unexpected. So
+// nothing of the packet is read after matching: what delivered needs is
+// read before.
 func (e *engine) deliver(pkt *transport.Packet) {
 	// Generation fence: frames addressed to a dead incarnation of this
 	// slot, or stamped by a dead incarnation of the sender, are rejected
@@ -375,6 +382,7 @@ func (e *engine) deliver(pkt *transport.Packet) {
 	if stale, why := e.staleGen(pkt); stale {
 		e.w.metrics.Inc(e.rank, metrics.StaleGenRejected)
 		e.w.tracer.RecordMsg(e.rank, trace.StaleGenDrop, pkt.Src, pkt.Tag, -1, int(e.gen), pkt.Token, 0, why)
+		pkt.Release()
 		return
 	}
 	if pkt.Kind == transport.KindControl {
@@ -404,6 +412,7 @@ func (e *engine) deliver(pkt *transport.Packet) {
 			// conservation audit would flag every frame that raced a death.
 			e.w.tracer.RecordMsg(e.rank, trace.DeadDrop, pkt.Src, pkt.Tag, -1, int(e.gen), pkt.Token, 0, "")
 		}
+		pkt.Release()
 		return // packets to a dead rank vanish
 	}
 	// Matching (and everything above it: posted sources, statuses, the
@@ -415,7 +424,8 @@ func (e *engine) deliver(pkt *transport.Packet) {
 	if e.w.repl != nil {
 		src = e.w.logicalOf(pkt.Src)
 	}
-	var released []*transport.Packet
+	arr := arrival{tag: pkt.Tag, token: pkt.Token, hlc: pkt.HLC}
+	var released []arrival
 	if e.w.repl != nil && pkt.RepSeq != 0 {
 		k := repChan{peer: src, ctx: pkt.Context, tag: pkt.Tag}
 		switch e.replOrderLocked(k, pkt) {
@@ -423,6 +433,7 @@ func (e *engine) deliver(pkt *transport.Packet) {
 			e.mu.Unlock()
 			e.w.metrics.Inc(e.rank, metrics.ReplicaDedupDrops)
 			e.w.tracer.RecordMsg(e.rank, trace.ReplicaDedup, pkt.Src, pkt.Tag, -1, int(e.gen), pkt.Token, 0, "")
+			pkt.Release()
 			return // duplicate: a copy of a message this replica holds
 		case replHeld:
 			e.mu.Unlock()
@@ -436,15 +447,16 @@ func (e *engine) deliver(pkt *transport.Packet) {
 		e.matchLocked(pkt, src)
 	}
 	e.mu.Unlock()
-	e.delivered(pkt, src)
-	for _, p := range released {
-		e.delivered(p, src)
+	e.delivered(arr, src)
+	for _, a := range released {
+		e.delivered(a, src)
 	}
 }
 
 // matchLocked hands an accepted packet from the world rank src (logical
 // in a replicated world) to the posted receive it matches, or queues it as
-// unexpected. Caller holds mu.
+// unexpected. Either way the caller must not touch pkt afterwards. Caller
+// holds mu.
 func (e *engine) matchLocked(pkt *transport.Packet, src int) {
 	if r := e.posted.match(pkt.Context, src, pkt.Tag); r != nil {
 		e.completeRecvLocked(r, pkt, src)
@@ -453,18 +465,25 @@ func (e *engine) matchLocked(pkt *transport.Packet, src int) {
 	}
 }
 
-// delivered records that a packet from the world rank src reached this
+// arrival is what delivered needs of a matched packet, read before
+// matching may recycle the packet.
+type arrival struct {
+	tag        int
+	token, hlc uint64
+}
+
+// delivered records that a message from the world rank src reached this
 // incarnation's matching layer. Called with no lock held.
-func (e *engine) delivered(pkt *transport.Packet, src int) {
-	if pkt.Token != 0 && e.w.stamps() {
+func (e *engine) delivered(a arrival, src int) {
+	if a.token != 0 && e.w.stamps() {
 		// The message reached this incarnation's matching layer: merge the
 		// sender's HLC stamp (deliver orders causally after send) and close
 		// the conservation-audit span. Recorded outside mu so the tracer's
 		// sink never runs under the matching lock.
-		hlc := e.w.clockOf(e.rank).Observe(pkt.HLC)
-		e.w.tracer.RecordMsg(e.rank, trace.Delivered, src, pkt.Tag, -1, int(e.gen), pkt.Token, hlc, "")
-		if pkt.HLC != 0 && e.w.obs != nil {
-			e2e := time.Duration(trace.HLCPhysical(hlc)-trace.HLCPhysical(pkt.HLC)) * time.Microsecond
+		hlc := e.w.clockOf(e.rank).Observe(a.hlc)
+		e.w.tracer.RecordMsg(e.rank, trace.Delivered, src, a.tag, -1, int(e.gen), a.token, hlc, "")
+		if a.hlc != 0 && e.w.obs != nil {
+			e2e := time.Duration(trace.HLCPhysical(hlc)-trace.HLCPhysical(a.hlc)) * time.Microsecond
 			if e2e >= 0 {
 				e.w.obs.Observe(e.rank, obs.MessageE2ELatency, e2e)
 			}
@@ -475,13 +494,18 @@ func (e *engine) delivered(pkt *transport.Packet, src int) {
 // completeRecvLocked finishes a receive with the payload of a packet from
 // the world rank src (logical in a replicated world). The payload's pool
 // mark rides along, so the one consumer that knows it is done with the
-// bytes can give them back (Request.Release).
+// bytes can give them back (Request.Release), and a marked packet's
+// struct goes back to its pool here: nothing references it once its
+// payload is on the request. Caller holds mu.
 func (e *engine) completeRecvLocked(r *Request, pkt *transport.Packet, src int) {
 	st := Status{Source: r.comm.rankOf(src), Tag: pkt.Tag, Len: len(pkt.Payload)}
 	r.completeLocked(nil, st, pkt.Payload)
 	r.pooled = pkt.Pooled()
 	e.w.metrics.Inc(e.rank, metrics.Recvs)
 	e.w.metrics.Add(e.rank, metrics.BytesRecv, int64(len(pkt.Payload)))
+	if r.pooled {
+		transport.PutPacket(pkt)
+	}
 }
 
 // postRecv installs a receive request: satisfy it from the unexpected

@@ -59,19 +59,33 @@ func (c *Comm) send(dst, tag, ctx int, payload []byte) error {
 		c.proc.w.fireHook(c.eng, HookEvent{Rank: c.proc.rank, Point: HookAfterSend, Peer: wr, Tag: tag})
 		return nil
 	}
-	// A NonRetaining fabric copies everything it needs inside Send, so the
-	// caller's payload can be handed over zero-copy. Retaining fabrics
-	// (Local) keep the slice queued at the destination indefinitely, so a
-	// defensive copy is required to honor Send's value semantics.
-	buf := payload
-	if !c.proc.w.nonRetaining {
-		buf = make([]byte, len(payload))
-		copy(buf, payload)
+	// Who holds the packet after Send decides how it is built (see
+	// "Buffer ownership" in the transport package). A NonRetaining fabric
+	// (TCP) copies everything it needs inside Send: it gets the caller's
+	// payload zero-copy in a struct lent from the packet pool. A HandsOff
+	// fabric (bare Local) hands the packet to the receiver, which queues
+	// the payload indefinitely: it gets a marked packet whose defensive
+	// copy comes from the payload pool, and the receiving engine and the
+	// ring's Request.Release hand both back. Any other fabric may keep
+	// the packet (ARQ retains it for retransmission): it gets a defensive
+	// copy nobody recycles.
+	w := c.proc.w
+	var pkt *transport.Packet
+	switch {
+	case w.nonRetaining:
+		pkt = transport.GetPacket()
+		pkt.Payload = payload
+	case w.handsOff:
+		pkt = transport.NewPooled(payload)
+	default:
+		pkt = &transport.Packet{Payload: make([]byte, len(payload))}
+		copy(pkt.Payload, payload)
 	}
-	err = c.eng.sendPacket(&transport.Packet{
-		Src: c.eng.rank, Dst: wr, Tag: tag, Context: ctx,
-		Kind: transport.KindData, Payload: buf,
-	})
+	pkt.Src, pkt.Dst, pkt.Tag, pkt.Context, pkt.Kind = c.eng.rank, wr, tag, ctx, transport.KindData
+	err = c.eng.sendPacket(pkt)
+	if w.nonRetaining {
+		transport.PutPacket(pkt)
+	}
 	if err != nil {
 		return err
 	}

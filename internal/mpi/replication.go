@@ -275,9 +275,10 @@ func (e *engine) replOrderLocked(k repChan, pkt *transport.Packet) int {
 }
 
 // releaseHeldLocked matches the messages of channel k held behind the one
-// just matched, in order, and returns them. Caller holds mu.
-func (e *engine) releaseHeldLocked(k repChan) []*transport.Packet {
-	var released []*transport.Packet
+// just matched, in order, and returns what delivered needs of them.
+// Caller holds mu.
+func (e *engine) releaseHeldLocked(k repChan) []arrival {
+	var released []arrival
 	for {
 		next := e.rep.repNext[k]
 		pkt := e.rep.held[heldKey{k, next}]
@@ -286,8 +287,8 @@ func (e *engine) releaseHeldLocked(k repChan) []*transport.Packet {
 		}
 		delete(e.rep.held, heldKey{k, next})
 		e.rep.repNext[k] = next + 1
+		released = append(released, arrival{tag: pkt.Tag, token: pkt.Token, hlc: pkt.HLC})
 		e.matchLocked(pkt, k.peer)
-		released = append(released, pkt)
 	}
 }
 
@@ -304,6 +305,7 @@ func (e *engine) dropHeld(kind trace.Kind) {
 	e.mu.Unlock()
 	for _, pkt := range held {
 		e.w.tracer.RecordMsg(e.rank, kind, pkt.Src, pkt.Tag, -1, int(e.gen), pkt.Token, 0, "")
+		pkt.Release()
 	}
 }
 

@@ -66,7 +66,7 @@ type Request struct {
 	consumed     bool    // returned by a Waitany/Waitall already
 	observedHook bool    // HookAfterRecv already fired for this completion
 	kind         reqKind // one byte, among the flags: see waiter0
-	pooled       bool    // payload is a pooled transport read: Release may return it
+	pooled       bool    // payload is in a pooled transport buffer: Release may return it
 	doneSeq      uint64  // the engine's completion order, for Waitany fairness
 	err          error
 	status       Status
@@ -119,15 +119,16 @@ func newRequest(e *engine, c *Comm, kind reqKind) *Request {
 func (r *Request) Free() { r.free(false) }
 
 // Release is Free for a consumer that is also done with the payload: a
-// payload the TCP fabric read into a pooled buffer (transport.Packet's
-// Pooled mark, copied onto the request at completion) goes back to the
-// transport's pool, so the next frame of its size allocates nothing.
-// After Release the caller must not touch the request, nor any slice
-// Payload returned. Only a consumer that knows no reference to the bytes
-// survives may call it; the ring does, after decoding its two integers.
-// Anything that hands the bytes on (Recv, the collectives, agreement,
-// state transfer) frees instead. A payload that was never marked — every
-// Local one, which is the sender's defensive copy or, with ARQ, its
+// payload in a pooled buffer (transport.Packet's Pooled mark, copied onto
+// the request at completion: a TCP read, or the sender's defensive copy
+// on the bare Local fabric) goes back to the transport's pool, so the
+// next message of its size allocates nothing. After Release the caller
+// must not touch the request, nor any slice Payload returned. Only a
+// consumer that knows no reference to the bytes survives may call it; the
+// ring does, after decoding its two integers. Anything that hands the
+// bytes on (Recv, the collectives, agreement, state transfer) frees
+// instead. A payload that was never marked — with ARQ, chaos, Latency or
+// any other wrapper around Local it is the sender's defensive copy or
 // retransmit buffer — is left to the garbage collector as Free leaves it.
 func (r *Request) Release() { r.free(true) }
 

@@ -123,10 +123,11 @@ type World struct {
 	clocks  []trace.HLC
 	tokSeqs []atomic.Uint64
 
-	// nonRetaining records that the fabric copies everything it needs
-	// inside Send (transport.NonRetaining), so the p2p send path may hand
-	// the caller's payload to Send without a defensive copy.
+	// nonRetaining and handsOff record the fabric's ownership markers
+	// (transport.NonRetaining, transport.HandsOff), which decide how the
+	// p2p send path builds its packet (Comm.send).
 	nonRetaining bool
+	handsOff     bool
 
 	aborted   atomic.Bool
 	abortVal  atomic.Int64
@@ -243,9 +244,10 @@ func newWorldFromConfig(cfg Config) (*World, error) {
 		fabric = relFab
 	}
 	// The reliability fabric retains packets for retransmission, so it is
-	// never NonRetaining: the p2p path's defensive payload copy is exactly
-	// what hands it an ownable buffer.
+	// neither NonRetaining nor HandsOff: the p2p path's defensive payload
+	// copy is exactly what hands it an ownable buffer.
 	_, nonRetaining := fabric.(transport.NonRetaining)
+	_, handsOff := fabric.(transport.HandsOff)
 	w := &World{
 		size:         cfg.Size,
 		registry:     detector.New(cfg.Size),
@@ -257,6 +259,7 @@ func newWorldFromConfig(cfg Config) (*World, error) {
 		deadline:     cfg.Deadline,
 		reliable:     relFab,
 		nonRetaining: nonRetaining,
+		handsOff:     handsOff,
 		abortCh:      make(chan struct{}),
 		elastic:      cfg.Elastic,
 		spawning:     make(map[int]bool),

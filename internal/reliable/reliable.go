@@ -285,20 +285,17 @@ func (f *Fabric) Observe(fn func(Event)) { f.onEvent = fn }
 // OnAckRetire registers the ack-retire callback. Call before Start.
 func (f *Fabric) OnAckRetire(fn func(pkt *transport.Packet)) { f.onAckRetire = fn }
 
-// ackPool recycles ack packets. sendAck may release one as soon as the
-// inner Send returns because no fabric keeps an ack's pointer past that
-// point: Local delivers synchronously into the peer's onDeliver, which
-// keeps nothing of an ack; chaos and Latency clone what they hold back;
-// TCP encodes inside Send.
-var ackPool = sync.Pool{New: func() any { return new(transport.Packet) }}
-
 // sendAck acknowledges frame seq of the link src -> dst (the ack travels
-// dst -> src).
+// dst -> src). The ack is an unmarked packet borrowed from the packet
+// pool, returned as soon as the inner Send returns because no fabric
+// keeps an ack's pointer past that point: Local delivers synchronously
+// into the peer's onDeliver, which keeps nothing of an ack; chaos and
+// Latency clone what they hold back; TCP encodes inside Send.
 func (f *Fabric) sendAck(src, dst int, seq uint64) {
-	ack := ackPool.Get().(*transport.Packet)
-	*ack = transport.Packet{Src: dst, Dst: src, Kind: transport.KindAck, Seq: seq}
+	ack := transport.GetPacket()
+	ack.Src, ack.Dst, ack.Kind, ack.Seq = dst, src, transport.KindAck, seq
 	_ = f.inner.Send(ack)
-	ackPool.Put(ack)
+	transport.PutPacket(ack)
 }
 
 // Inner returns the wrapped fabric.
@@ -600,6 +597,7 @@ func (f *Fabric) onDeliver(dst int, pkt *transport.Packet) {
 	}
 	if pkt.Kind == transport.KindAck {
 		f.onAck(pkt)
+		pkt.Release() // a pooled read (TCP): nothing keeps an ack
 		return
 	}
 	if pkt.Seq == 0 {
@@ -610,10 +608,12 @@ func (f *Fabric) onDeliver(dst int, pkt *transport.Packet) {
 		// Corrupted above the wire codec (or a codec-less fabric). No ack:
 		// the sender's retransmission carries the intact original.
 		f.emitFrame(EvReject, dst, pkt.Seq, pkt)
+		pkt.Release()
 		return
 	}
 	rx := f.lockRx(pkt.Src, dst)
 	if rx == nil {
+		pkt.Release()
 		return // straggler from a fail-stop peer
 	}
 	v := rx.admit(pkt)
@@ -625,6 +625,7 @@ func (f *Fabric) onDeliver(dst int, pkt *transport.Packet) {
 	switch v {
 	case rxDup:
 		f.emitFrame(EvDedup, dst, pkt.Seq, pkt)
+		pkt.Release()
 	case rxDeliver:
 		f.deliver(dst, pkt)
 		f.drain(rx, dst)

@@ -139,13 +139,15 @@ func putFrameHeader(hdr *[FrameHeaderSize]byte, pkt *Packet) error {
 
 // ReadFrame reads one binary frame from r. hdr must be a scratch slice of
 // at least FrameHeaderSize bytes (reused across calls by the read loop).
-// The returned packet's payload is read into a buffer from the payload
-// pool, and the packet is marked Pooled, unless the payload is empty or
-// larger than maxPooledCap. Ownership passes to the caller, which may
+// The returned packet comes from the packet pool, its payload is read
+// into a buffer from the payload pool (exactly sized above maxPooledCap),
+// and it is marked Pooled. Ownership passes to the caller, which may
 // retain the payload indefinitely (the matching engine queues payloads on
 // the unexpected list) and leave it to the garbage collector, or hand it
-// back with PutPayload once nothing references it. A frame that fails its
-// read or its CRC returns its buffer before returning the error.
+// back with PutPayload once nothing references it; the struct goes back
+// with PutPacket once its header has been read. A frame that fails its
+// read or its CRC returns its packet and buffer before returning the
+// error.
 func ReadFrame(r io.Reader, hdr []byte) (*Packet, error) {
 	hdr = hdr[:FrameHeaderSize]
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -164,7 +166,8 @@ func ReadFrame(r io.Reader, hdr []byte) (*Packet, error) {
 	if plen > MaxFramePayload {
 		return nil, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrFrameCorrupt, plen, MaxFramePayload)
 	}
-	pkt := &Packet{
+	pkt := GetPacket()
+	*pkt = Packet{
 		Kind:     Kind(hdr[5]),
 		Src:      int(int32(binary.LittleEndian.Uint32(hdr[6:10]))),
 		Dst:      int(int32(binary.LittleEndian.Uint32(hdr[10:14]))),
@@ -178,42 +181,91 @@ func ReadFrame(r io.Reader, hdr []byte) (*Packet, error) {
 		RepEpoch: binary.LittleEndian.Uint32(hdr[46:50]),
 		HLC:      binary.LittleEndian.Uint64(hdr[50:58]),
 		Token:    binary.LittleEndian.Uint64(hdr[58:66]),
+		pooled:   true,
 	}
 	if plen > 0 {
-		pkt.Payload, pkt.pooled = getPayload(int(plen))
+		pkt.Payload, _ = getPayload(int(plen))
 		if _, err := io.ReadFull(r, pkt.Payload); err != nil {
-			pkt.ReleasePayload()
+			pkt.Release()
 			return nil, err
 		}
 	}
 	fcrc := crc32.Checksum(hdr[:frameCrcOffset], crcTable)
 	fcrc = crc32.Update(fcrc, crcTable, pkt.Payload)
 	if got := binary.LittleEndian.Uint32(hdr[frameCrcOffset:FrameHeaderSize]); got != fcrc {
-		pkt.ReleasePayload()
+		pkt.Release()
 		return nil, fmt.Errorf("%w: frame crc mismatch (want %#x, got %#x)", ErrFrameCorrupt, fcrc, got)
 	}
 	return pkt, nil
 }
 
-// --- pooled payload buffers --------------------------------------------------
+// --- pooled packets and payload buffers --------------------------------------
 //
-// The receive side reads every payload into a buffer from a size-classed
-// pool and marks the packet (Packet.Pooled), so a consumer that is done
-// with the bytes can hand them back (PutPayload; the ring does so through
-// mpi's Request.Release) and the next frame of that size allocates
-// nothing. Packet.ClonePooled, which the Latency fabric uses on the path
-// to a NonRetaining inner fabric, draws from the same pool. Buffers come
-// in size classes, four per power of two, from 16 B to maxPooledCap; a
-// larger payload is allocated exactly and left to the garbage collector.
-// The send side needs no pool: TCP.Send writes the caller's payload
-// straight to the socket.
+// The receive side takes every packet from the packet pool, reads its
+// payload into a buffer from a size-classed pool and marks the packet
+// (Packet.Pooled); on a HandsOff fabric (Local) the sender builds the
+// same kind of packet (NewPooled). The engine that delivers a packet's
+// payload to a receive hands the struct back (PutPacket), and a consumer
+// that is done with the bytes hands them back (PutPayload; the ring does
+// so through mpi's Request.Release), so the next packet of that size
+// allocates nothing. Packet.ClonePooled, which the Latency fabric uses on
+// the path to a NonRetaining inner fabric, draws from the payload pool.
+// Buffers come in size classes, four per power of two, from 16 B to
+// maxPooledCap; a larger payload is allocated exactly and left to the
+// garbage collector. The send side to a NonRetaining fabric needs no
+// payload pool: TCP.Send writes the caller's payload straight to the
+// socket, and the sender lends it a struct it takes back (GetPacket).
 //
-// The release contract is explicit: whoever takes a buffer out of a pool
-// owns it and must put it back at most once, and only once nothing else
-// can reference it. A buffer that is never put back is merely collected,
-// so every consumer that cannot prove the last reference (the collectives,
-// agreement, state transfer, a Recv that hands the bytes to its caller)
-// simply does not release.
+// The release contract is explicit: whoever takes a packet or buffer out
+// of a pool owns it and must put it back at most once, and only once
+// nothing else can reference it. One that is never put back is merely
+// collected, so every consumer that cannot prove the last reference (the
+// collectives, agreement, state transfer, a Recv that hands the bytes to
+// its caller) simply does not release.
+
+// packetPool recycles Packet structs. A packet comes out zeroed: PutPacket
+// clears it, so a stale header or payload reference never survives into
+// its next use.
+var packetPool = sync.Pool{New: func() any { return new(Packet) }}
+
+// GetPacket returns a zeroed, unmarked packet from the packet pool. Its
+// holder hands it back with PutPacket once nothing references it.
+func GetPacket() *Packet { return packetPool.Get().(*Packet) }
+
+// PutPacket clears p and returns it to the packet pool. The payload is
+// not touched: return it separately, if at all. The caller must hold the
+// last reference to p: nothing may read or write it afterwards.
+func PutPacket(p *Packet) {
+	*p = Packet{}
+	packetPool.Put(p)
+}
+
+// NewPooled returns a packet from the packet pool, marked Pooled, whose
+// payload is a copy of b in a buffer from the payload pool: what a sender
+// hands a HandsOff fabric, whose receiver then holds it. An empty b
+// yields an empty, non-nil payload that takes no buffer.
+func NewPooled(b []byte) *Packet {
+	p := GetPacket()
+	p.pooled = true
+	if len(b) == 0 {
+		p.Payload = []byte{}
+		return p
+	}
+	p.Payload, _ = getPayload(len(b))
+	copy(p.Payload, b)
+	return p
+}
+
+// Release hands a packet marked Pooled back whole, payload and struct:
+// what the holder of a packet it drops undelivered calls. It does nothing
+// to an unmarked packet, which may still be held elsewhere (a
+// retransmit buffer, a clone's original).
+func (p *Packet) Release() {
+	if p.pooled {
+		PutPayload(p.Payload)
+		PutPacket(p)
+	}
+}
 
 // maxPooledCap caps what is returned to the pools, so one giant message
 // doesn't pin a giant buffer forever.
@@ -314,9 +366,10 @@ func (p *Packet) ClonePooled() *Packet {
 }
 
 // ReleasePayload returns a pooled payload to the pool and nils it. Call it
-// only on a ClonePooled clone or a packet ReadFrame marked Pooled, and
-// only while you own its payload: releasing a payload that is still
-// referenced elsewhere is a use-after-free class bug.
+// only on a ClonePooled clone or a packet marked Pooled (whose struct is
+// then left to the garbage collector; Release returns both), and only
+// while you own its payload: releasing a payload that is still referenced
+// elsewhere is a use-after-free class bug.
 func (p *Packet) ReleasePayload() {
 	if p.Payload != nil {
 		PutPayload(p.Payload)

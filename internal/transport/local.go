@@ -13,10 +13,11 @@ import (
 // sent by a rank before it is killed remain deliverable — the property the
 // paper's Figure 8 duplicate-message race depends on.
 //
-// Local intentionally does not implement NonRetaining: the packet pointer
+// Local does not implement NonRetaining but HandsOff: the packet pointer
 // is handed to the destination engine, which may hold the payload on its
 // unexpected-message queue indefinitely, so callers must not reuse or
-// pool-release a payload after Send.
+// pool-release a payload, nor touch the packet, after Send. The receiver
+// holds the packet then, and recycles it when it is marked Pooled.
 //
 // Send takes no lock: it reads the delivery callback and the closed flag
 // atomically, so senders on different ranks share nothing here. The mutex
@@ -56,6 +57,10 @@ func (l *Local) Send(pkt *Packet) error {
 	(*deliver)(pkt.Dst, pkt)
 	return nil
 }
+
+// HandsOffSend marks that Local.Send hands the packet pointer to the
+// destination and keeps no reference to it (transport.HandsOff).
+func (*Local) HandsOffSend() {}
 
 // Close marks the fabric closed; subsequent sends are dropped.
 func (l *Local) Close() error {

@@ -17,8 +17,10 @@ import (
 // TestPayloadPoolRoundTripsAllocateNothing: once a class is warm, taking
 // a buffer from the pool and putting it back allocates nothing, a Put
 // included. A pooled read/release round trip (the TCP read loop's) then
-// allocates only the Packet, and so does a ClonePooled/ReleasePayload
-// round trip (the Latency fabric's): neither allocates a payload.
+// allocates nothing either, its packet included, and a ClonePooled/
+// ReleasePayload round trip (the Latency fabric's) allocates only the
+// clone's Packet: neither allocates a payload. Nor does a NewPooled
+// packet handed back whole (the p2p path to the Local fabric).
 func TestPayloadPoolRoundTripsAllocateNothing(t *testing.T) {
 	for _, n := range []int{16, 65552} {
 		if a := testing.AllocsPerRun(100, func() {
@@ -48,9 +50,15 @@ func TestPayloadPoolRoundTripsAllocateNothing(t *testing.T) {
 		if err != nil || !pkt.Pooled() {
 			t.Fatalf("read: %v", err)
 		}
-		pkt.ReleasePayload()
-	}); a > 1 {
-		t.Errorf("pooled read/release: %.1f allocations per round trip, want at most 1 (the Packet)", a)
+		pkt.Release()
+	}); a != 0 {
+		t.Errorf("pooled read/release: %.1f allocations per round trip, want 0", a)
+	}
+
+	if a := testing.AllocsPerRun(100, func() {
+		NewPooled(src.Payload).Release()
+	}); a != 0 {
+		t.Errorf("NewPooled/Release: %.1f allocations per round trip, want 0", a)
 	}
 }
 

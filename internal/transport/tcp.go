@@ -35,7 +35,8 @@ import (
 //
 // Receiving: one read loop per inbound connection reads through a small
 // buffer; a payload larger than it is read straight from the socket into
-// its pooled buffer.
+// its pooled buffer. Each frame arrives as a pooled packet (ReadFrame)
+// that the delivery callback's consumer recycles.
 type TCP struct {
 	n int
 
@@ -179,7 +180,7 @@ func (t *TCP) readLoop(rank int, conn net.Conn) {
 			return // peer closed, world shut down, or corrupt stream
 		}
 		if t.closed.Load() {
-			pkt.ReleasePayload() // never delivered: nobody else holds it
+			pkt.Release() // never delivered: nobody else holds it
 			return
 		}
 		t.deliver(pkt.Dst, pkt)

@@ -18,9 +18,9 @@
 //     socket in one non-blocking gather write, without copying the
 //     payload or allocating; what the socket does not take waits in a
 //     per-connection backlog that a short-lived flusher drains, so Send
-//     never waits on a peer. The read side fills payloads from a
-//     size-classed pool, and marks them (Packet.Pooled) so that the
-//     consumer that finishes with one can give it back (PutPayload).
+//     never waits on a peer. The read side takes each packet from the
+//     packet pool and fills its payload from a size-classed pool, and
+//     marks it (Packet.Pooled) so that its consumer can give both back.
 //
 // Both fabrics preserve FIFO ordering per (source, destination) pair, the
 // ordering MPI guarantees per (source, tag, communicator). A Latency
@@ -28,12 +28,21 @@
 // it models a pipelined link (deadline per packet, not a serial sleep per
 // packet).
 //
-// Buffer ownership: a fabric that implements NonRetaining promises its
-// Send copies everything it needs before returning, so callers (and
-// buffering wrappers like Latency) may reuse or pool-release payloads the
-// moment Send returns. Local deliberately does NOT implement it — it
-// hands the packet pointer straight to the destination engine, which may
-// queue the payload indefinitely.
+// Buffer ownership: a packet marked Pooled belongs to whoever holds it,
+// and its last holder returns it: the struct to the packet pool
+// (PutPacket) and the payload, once nothing references the bytes, to the
+// payload pool (PutPayload; Release does both for a packet dropped
+// whole). Two markers say who holds a packet after Send. A fabric that
+// implements NonRetaining copies everything it needs before Send returns,
+// so the sender still holds the packet and its payload and may reuse or
+// recycle both (TCP). A fabric that implements HandsOff passes the packet
+// pointer itself to the destination's delivery callback, so the receiver
+// holds it (Local): a sender builds it from the pools and marks it
+// (NewPooled), and the receiving engine recycles it. A fabric that
+// implements neither may keep the packet after Send (the reliability
+// layer retains it for retransmission, chaos and Latency may hold it or
+// its clone), so the sender hands it an unmarked packet with a payload of
+// its own, and nobody recycles it.
 package transport
 
 import "fmt"
@@ -108,8 +117,9 @@ type Packet struct {
 	Tag     int
 	Context int
 	Kind    Kind
-	// pooled marks a payload ReadFrame took from the payload pool: the
-	// packet's owner may hand it back (PutPayload). It is in-memory only,
+	// pooled marks a packet whose struct came from the packet pool and
+	// whose payload, if any, came from the payload pool (ReadFrame,
+	// NewPooled): its last holder hands both back. It is in-memory only,
 	// never on the wire, and sits in the padding after Kind so that Packet
 	// stays 112 bytes, in the allocator's 112-byte size class (not 128).
 	pooled bool
@@ -143,10 +153,12 @@ type Packet struct {
 	Payload []byte
 }
 
-// Pooled reports whether the payload came from the payload pool through
-// ReadFrame, so that whoever ends up owning it may return it with
-// PutPayload once nothing references it. Packets built in memory (the
-// Local fabric, Clone, ClonePooled) are never marked.
+// Pooled reports whether the packet came from the pools (ReadFrame on
+// the TCP fabric, NewPooled on the p2p path to a HandsOff fabric), so
+// that whoever ends up holding it returns the struct with PutPacket once
+// it is done with the header, and the payload with PutPayload once
+// nothing references the bytes. Clone and ClonePooled never mark, nor
+// does a packet borrowed with GetPacket.
 func (p *Packet) Pooled() bool { return p.pooled }
 
 // TokenBits is the per-origin sequence width of Packet.Token; the origin
@@ -198,6 +210,21 @@ type DeliverFunc func(dst int, pkt *Packet)
 type NonRetaining interface {
 	// NonRetainingSend is a marker method; it performs no action.
 	NonRetainingSend()
+}
+
+// HandsOff marks a Fabric whose Send passes the packet pointer itself to
+// the destination's delivery callback and keeps no reference to it
+// afterwards, neither to deliver it again nor to read it: once Send is
+// called, the receiver holds the packet. A sender may therefore give it a
+// marked packet from the pools (NewPooled), which the receiving engine
+// recycles, and must not touch the packet after Send. Local implements
+// it. A wrapper must not forward it unless it, too, never reads a packet
+// after handing it on: the reliability layer retains packets for
+// retransmission, and chaos and Latency may deliver a packet later or
+// twice.
+type HandsOff interface {
+	// HandsOffSend is a marker method; it performs no action.
+	HandsOffSend()
 }
 
 // Fabric moves packets between ranks.
