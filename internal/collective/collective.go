@@ -22,6 +22,7 @@ package collective
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/mpi"
 )
@@ -56,27 +57,70 @@ func (r *roster) send(c *mpi.Comm, i int, payload []byte) error {
 	return c.SendInternal(r.comm[i], r.tag, payload)
 }
 
-// recv blocks for a message from participant index i.
+// recv blocks for a message from participant index i, whose bytes are
+// the caller's to keep (mpi.Request.KeepPayload).
 func (r *roster) recv(c *mpi.Comm, i int) ([]byte, error) {
 	pl, _, err := c.RecvInternal(r.comm[i], r.tag)
 	return pl, err
 }
 
-// sendrecv posts the receive from participant index from, sends payload to
-// participant index to, and waits for the receive: the deadlock-free
-// exchange of every round-based algorithm here. The request goes back to
-// the pool.
-func (r *roster) sendrecv(c *mpi.Comm, to int, payload []byte, from int) ([]byte, error) {
+// exchange posts the receive from participant index from, sends payload
+// to participant index to (unless to is negative), and waits for the
+// receive: the deadlock-free exchange of every round-based algorithm
+// here. The completed request is the caller's to consume.
+func (r *roster) exchange(c *mpi.Comm, to int, payload []byte, from int) (*mpi.Request, error) {
 	req := c.IrecvInternal(r.comm[from], r.tag)
-	defer req.Free()
-	if err := r.send(c, to, payload); err != nil {
-		req.Cancel()
-		return nil, err
+	if to >= 0 {
+		if err := r.send(c, to, payload); err != nil {
+			req.Cancel()
+			req.Free()
+			return nil, err
+		}
 	}
 	if _, err := req.Wait(); err != nil {
+		req.Free()
 		return nil, err
 	}
-	return req.Payload(), nil
+	return req, nil
+}
+
+// sendrecv is exchange for a payload the caller keeps.
+func (r *roster) sendrecv(c *mpi.Comm, to int, payload []byte, from int) ([]byte, error) {
+	req, err := r.exchange(c, to, payload, from)
+	if err != nil {
+		return nil, err
+	}
+	return req.KeepPayload(), nil
+}
+
+// fold sends acc to participant index to (unless to is negative), folds
+// the message from participant index from into acc with op, and hands
+// the read back to the pool: a reduction keeps nothing of a received
+// payload but what op wrote into acc. If op returned storage of the
+// payload itself, the payload is kept (Free), never recycled.
+func (r *roster) fold(c *mpi.Comm, to int, acc []byte, from int, op Op) ([]byte, error) {
+	req, err := r.exchange(c, to, acc, from)
+	if err != nil {
+		return nil, err
+	}
+	pl := req.Payload()
+	acc = op(acc, pl)
+	if overlaps(acc, pl) {
+		req.Free()
+	} else {
+		req.Release()
+	}
+	return acc, nil
+}
+
+// overlaps reports whether a and b share memory anywhere up to their
+// capacities.
+func overlaps(a, b []byte) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	pa, pb := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return pa < pb+uintptr(cap(b)) && pb < pa+uintptr(cap(a))
 }
 
 // Barrier blocks until all participants arrive — dissemination algorithm,
@@ -118,7 +162,11 @@ func (r *roster) indexOfComm(commRank int) (int, error) {
 // never write b. A user Op may do the same or return fresh storage. The
 // collectives pass only their private accumulator as a, never a received
 // payload: on a retaining fabric a delivered payload can be the sender's
-// buffer, still held for retransmission.
+// buffer, still held for retransmission. The second operand is lent for
+// the call, as MPI's invec is: b is a received payload, which goes back
+// to the transport's pool when op returns, so an Op must not keep it nor
+// write it. An Op that returns b itself (or any slice of it) is safe: the
+// collective then keeps that payload out of the pool.
 type Op func(a, b []byte) []byte
 
 // Reduce combines every participant's contribution with op, delivering
@@ -145,11 +193,9 @@ func Reduce(c *mpi.Comm, root int, contrib []byte, op Op) ([]byte, error) {
 		}
 		if vrank+bit < r.n {
 			child := (vrank + bit + rootIdx) % r.n
-			pl, err := r.recv(c, child)
-			if err != nil {
+			if acc, err = r.fold(c, -1, acc, child, op); err != nil {
 				return nil, err
 			}
-			acc = op(acc, pl)
 		}
 	}
 	return acc, nil
@@ -182,20 +228,16 @@ func Allreduce(c *mpi.Comm, contrib []byte, op Op) ([]byte, error) {
 	}
 	acc := append([]byte(nil), contrib...)
 	if r.me < rem {
-		pl, err := r.recv(c, r.me+pow)
-		if err != nil {
+		if acc, err = r.fold(c, -1, acc, r.me+pow, op); err != nil {
 			return nil, err
 		}
-		acc = op(acc, pl)
 	}
 	// Recursive doubling among the pow-sized core.
 	for dist := 1; dist < pow; dist *= 2 {
 		partner := r.me ^ dist
-		pl, err := r.sendrecv(c, partner, acc, partner)
-		if err != nil {
+		if acc, err = r.fold(c, partner, acc, partner, op); err != nil {
 			return nil, err
 		}
-		acc = op(acc, pl)
 	}
 	// Post-phase: return the result to the folded-in ranks.
 	if r.me < rem {
@@ -326,11 +368,9 @@ func Scan(c *mpi.Comm, contrib []byte, op Op) ([]byte, error) {
 	}
 	acc := append([]byte(nil), contrib...)
 	if r.me > 0 {
-		pl, err := r.recv(c, r.me-1)
-		if err != nil {
+		if acc, err = r.fold(c, -1, acc, r.me-1, op); err != nil {
 			return nil, err
 		}
-		acc = op(acc, pl)
 	}
 	if r.me < r.n-1 {
 		if err := r.send(c, r.me+1, acc); err != nil {

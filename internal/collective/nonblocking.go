@@ -36,9 +36,11 @@ func (r *roster) runBarrier(c *mpi.Comm) error {
 	for dist := 1; dist < r.n; dist *= 2 {
 		to := (r.me + dist) % r.n
 		from := (r.me - dist + r.n) % r.n
-		if _, err := r.sendrecv(c, to, nil, from); err != nil {
+		req, err := r.exchange(c, to, nil, from)
+		if err != nil {
 			return err
 		}
+		req.Release()
 	}
 	return nil
 }

@@ -63,11 +63,12 @@ func AllgatherBruck(c *mpi.Comm, contrib []byte) ([][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		pl, err := r.sendrecv(c, to, payload, from)
+		req, err := r.exchange(c, to, payload, from)
 		if err != nil {
 			return nil, err
 		}
-		got, err := decodeBlocks(pl)
+		got, err := decodeBlocks(req.Payload()) // copies every block out
+		req.Release()
 		if err != nil {
 			return nil, err
 		}

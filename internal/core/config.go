@@ -145,7 +145,8 @@ type Stats struct {
 	// FinalRoot is the root this rank last considered current.
 	FinalRoot int
 	// RootValues records, per absorbed iteration marker, the value the
-	// root read back — size of the alive ring in failure-free runs.
+	// root read back — size of the alive ring in failure-free runs. It is
+	// nil at a rank that never absorbed a lap.
 	RootValues map[int64]int64
 	// Terminated reports that the rank completed the termination protocol.
 	Terminated bool

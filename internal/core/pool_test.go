@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/aliastest"
 	"repro/internal/chaos"
 	"repro/internal/metrics"
 	"repro/internal/mpi"
@@ -59,7 +60,12 @@ func ringPattern(world int64) (stamp func([]byte), verify func([]byte) error) {
 // in use is soon overwritten: a TCP payload released before its check
 // fails the check, and a Local payload in the pool corrupts a later
 // retransmission, which the end-to-end CRC rejects. Either way the test
-// fails.
+// fails. Beside the rings, the internal consumers of a read run on Local
+// and on TCP (aliastest.Consumers): results of Recv, Sendrecv, Bcast and
+// two Allreduces, one of whose Op returns the received operand, are kept
+// to the end, and 10^3 ValidateAll instances must each agree. Every
+// eighth round's messages are 64 KiB, in the class the third goroutine
+// churns.
 func TestPooledReadsNeverAlias(t *testing.T) {
 	const (
 		ranks = 8
@@ -147,6 +153,20 @@ func TestPooledReadsNeverAlias(t *testing.T) {
 				}
 			}
 		}(int64(i), w.name, w.mcfg)
+	}
+	// The internal consumers of a read, beside the rings: kept results of
+	// Recv, Sendrecv, Bcast and Allreduce, and ValidateAll instances.
+	for name, fab := range map[string]transport.Fabric{
+		"consumers-local": transport.NewLocal(),
+		"consumers-tcp":   transport.NewTCP(6),
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := aliastest.Run(6, fab, aliastest.Consumers(200, 1000)); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		}()
 	}
 	wg.Wait()
 	if plan.Count(chaos.EvDrop) == 0 || plan.Count(chaos.EvDup) == 0 {

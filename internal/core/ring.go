@@ -53,7 +53,6 @@ func Body(cfg Config, report *Report) func(p *mpi.Proc) error {
 			p: p, c: p.World(), cfg: cfg,
 			me: p.Rank(), size: p.Size(), detTo: -1,
 		}
-		n.stats.RootValues = make(map[int64]int64)
 		// Fig. 3 line 10: the one-line change that makes everything else
 		// possible.
 		n.c.SetErrhandler(mpi.ErrorsReturn)
@@ -131,7 +130,7 @@ func (n *node) runUnaware() error {
 			if err != nil {
 				return err
 			}
-			n.stats.RootValues[back.Marker] = back.Value
+			n.absorb(back)
 		} else {
 			pl, _, err := n.c.Recv(left, TagRing)
 			if err != nil {
@@ -177,6 +176,16 @@ func (n *node) mainLoop() error {
 	return nil
 }
 
+// absorb records the value that accumulated around the ring. The map is
+// made, sized for every lap, on the first absorption: only a root ever
+// absorbs, and it then absorbs up to cfg.Iters laps.
+func (n *node) absorb(back Message) {
+	if n.stats.RootValues == nil {
+		n.stats.RootValues = make(map[int64]int64, n.cfg.Iters)
+	}
+	n.stats.RootValues[back.Marker] = back.Value
+}
+
 // rootIteration is the root side of Fig. 3: originate the buffer for the
 // current iteration, then absorb it when it returns.
 func (n *node) rootIteration() error {
@@ -188,8 +197,7 @@ func (n *node) rootIteration() error {
 	if err != nil {
 		return err
 	}
-	// Absorption: record the value that accumulated around the ring.
-	n.stats.RootValues[back.Marker] = back.Value
+	n.absorb(back)
 	n.stats.Iterations++
 	if tr := n.p.Tracer(); tr != nil { // the note is formatted only for a recorder that keeps it
 		tr.Record(n.me, trace.IterDone, -1, -1, int(back.Marker), fmt.Sprintf("value=%d", back.Value))

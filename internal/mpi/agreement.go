@@ -213,12 +213,17 @@ func (e *engine) serveLocked(key agreeKey, in *agreeInst) bool {
 // deliverAgreement handles an inbound agreement packet reactively. Runs
 // on the delivering goroutine; never blocks; sends replies only after
 // releasing the engine lock (lock discipline: one engine lock at a time).
+// The packet is this engine's (a marked one goes back to the pools as
+// soon as it is decoded, into fresh memory), so nothing of it is read
+// afterwards.
 func (e *engine) deliverAgreement(pkt *transport.Packet) {
+	ctx, src := pkt.Context, pkt.Src
 	msg, err := decodeAgree(pkt.Payload)
+	pkt.Release()
 	if err != nil {
 		return // corrupt internal message: drop
 	}
-	key := agreeKey{ctx: pkt.Context, inst: msg.Inst}
+	key := agreeKey{ctx: ctx, inst: msg.Inst}
 
 	var reply *agreeMsg
 	var serve []int // non-nil: serve the instance reactively over this group
@@ -259,7 +264,7 @@ func (e *engine) deliverAgreement(pkt *transport.Packet) {
 		// Reply to the sender's LOGICAL rank: in replication mode the reply
 		// fans out to every replica of it, so a root replica that dies
 		// before reading the reply leaves its successor holding it.
-		e.sendAgreement(pkt.Context, reply, e.w.logicalOf(pkt.Src))
+		e.sendAgreement(ctx, reply, e.w.logicalOf(src))
 	}
 	if serve != nil {
 		go e.serveAgreement(key, serve)
@@ -285,9 +290,10 @@ func (e *engine) serveAgreement(key agreeKey, group []int) {
 // sendAgreement transmits one agreement message to each LOGICAL rank in
 // dsts. The message is encoded once and every frame of the broadcast —
 // per destination, and per live replica of it — carries the same payload
-// slice: no layer writes a payload in place (chaos clones before it flips
-// bits, ARQ and the codecs only read), and deliverAgreement decodes into
-// fresh memory without retaining the frame's bytes.
+// slice, or on bare Local its own pooled copy of it (sendAgreementFrame):
+// no layer writes a payload in place (chaos clones before it flips bits,
+// ARQ and the codecs only read), and deliverAgreement decodes into fresh
+// memory without retaining the frame's bytes.
 //
 // Errors are ignored: a message to a dead rank simply vanishes, and the
 // protocol's liveness rests on the failure detector, not on delivery
@@ -314,13 +320,16 @@ func (e *engine) sendAgreement(ctx int, msg *agreeMsg, dsts ...int) {
 	}
 }
 
+// sendAgreementFrame sends one frame of an agreement message, built like
+// a p2p send's (World.outPacket): on bare Local from the pools, to TCP in
+// a lent struct. A retaining fabric gets the shared payload itself, which
+// nothing writes.
 func (e *engine) sendAgreementFrame(phys, ctx int, payload []byte) {
-	pkt := &transport.Packet{
-		Src: e.rank, Dst: phys, Tag: 0, Context: ctx,
-		Kind: transport.KindAgreement, Payload: payload,
-	}
+	pkt := e.w.outPacket(payload, true)
+	pkt.Src, pkt.Dst, pkt.Context, pkt.Kind = e.rank, phys, ctx, transport.KindAgreement
 	e.stampGen(pkt)
 	_ = e.w.fabric.Send(pkt)
+	e.w.sent(pkt)
 }
 
 // setJoinInst installs the join fence on a freshly spawned incarnation's

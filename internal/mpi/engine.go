@@ -606,3 +606,39 @@ func (e *engine) sendPacket(pkt *transport.Packet) error {
 	e.w.obs.Observe(e.rank, obs.SendComplete, time.Since(start))
 	return err
 }
+
+// outPacket builds the packet that carries payload, the way the fabric's
+// ownership marker asks: who holds the packet after Send decides how it
+// is built (see "Buffer ownership" in the transport package). A
+// NonRetaining fabric (TCP) copies everything it needs inside Send: it
+// gets payload zero-copy in a struct lent from the packet pool, which
+// sent takes back. A HandsOff fabric (bare Local) hands the packet to the
+// receiver, which may queue it indefinitely: it gets a marked packet
+// whose copy of payload comes from the payload pool, and the receiver
+// hands both back. Any other fabric may keep the packet (ARQ retains it
+// for retransmission): it gets an unmarked packet nobody recycles, with a
+// defensive copy of payload unless given says the payload is the
+// packet's to keep.
+func (w *World) outPacket(payload []byte, given bool) *transport.Packet {
+	switch {
+	case w.nonRetaining:
+		pkt := transport.GetPacket()
+		pkt.Payload = payload
+		return pkt
+	case w.handsOff:
+		return transport.NewPooled(payload)
+	case given:
+		return &transport.Packet{Payload: payload}
+	}
+	pkt := &transport.Packet{Payload: make([]byte, len(payload))}
+	copy(pkt.Payload, payload)
+	return pkt
+}
+
+// sent ends a Send of a packet built by outPacket: the struct lent to a
+// NonRetaining fabric goes back to the pool.
+func (w *World) sent(pkt *transport.Packet) {
+	if w.nonRetaining {
+		transport.PutPacket(pkt)
+	}
+}

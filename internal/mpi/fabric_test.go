@@ -350,9 +350,10 @@ func BenchmarkPingPongTCP(b *testing.B) {
 }
 
 // BenchmarkPingPongTCPLarge moves ring.tcp.large's payload (64 KiB of
-// padding plus the 16 B message) through Recv, which hands the bytes to its
-// caller and never gives the read buffer back: every read takes a fresh
-// buffer, the cost of a TCP consumer that does not release.
+// padding plus the 16 B message) through Recv, which hands its caller an
+// exact-size copy and gives the read buffer back to the pool: what a
+// message costs is that copy, 72 KiB once the heap rounds it to whole
+// pages, not a fresh 80 KiB buffer of the read's size class.
 func BenchmarkPingPongTCPLarge(b *testing.B) {
 	benchPingPong(b, transport.NewTCP(2), 64<<10+16)
 }

@@ -1,4 +1,4 @@
-package mpi
+package mpi_test
 
 import (
 	"bytes"
@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/aliastest"
+	"repro/internal/mpi"
 	"repro/internal/transport"
 )
 
@@ -42,8 +44,8 @@ const (
 // recycled while still queued, is overwritten by a later message:
 // every payload is checked when it arrives, and every kept one again
 // at the end.
-func handoffBody(rounds int) func(p *Proc) error {
-	return func(p *Proc) error {
+func handoffBody(rounds int) func(p *mpi.Proc) error {
+	return func(p *mpi.Proc) error {
 		c := p.World()
 		pair := p.Rank() / 2 * 2
 		base := pair * rounds * handoffPaths
@@ -62,7 +64,7 @@ func handoffBody(rounds int) func(p *Proc) error {
 			}
 			return nil
 		}
-		check := func(pl []byte, st Status, tag, i int) error {
+		check := func(pl []byte, st mpi.Status, tag, i int) error {
 			if st.Tag != tag || st.Len != len(pl) || !bytes.Equal(pl, handoffPayload(i)) {
 				return fmt.Errorf("message %d (tag %d): got tag %d len %d payload %x", i, tag, st.Tag, st.Len, pl)
 			}
@@ -165,17 +167,32 @@ func (f *peekFabric) Send(pkt *transport.Packet) error {
 // Iprobe. Every payload must arrive intact, and every kept one must stay
 // intact to the end. The wrapped case puts a fabric that reads each
 // packet after its inner Send around Local: it must see the packet as it
-// was sent, and unmarked.
+// was sent, and unmarked. The consumer cases run the internal consumers
+// of a read (aliastest.Consumers) on Local and on TCP: results of Recv,
+// Sendrecv, Bcast and two Allreduces, one of whose Op returns the
+// received operand, kept to the end, then 10^3 ValidateAll instances.
 func TestHandedOffPayloadsNeverAlias(t *testing.T) {
 	const rounds = 1000 // 2 pairs x 1000 rounds x 5 paths = 10^4 payloads
+	run := func(t *testing.T, n int, fab transport.Fabric, body func(p *mpi.Proc) error) {
+		t.Helper()
+		if err := aliastest.Run(n, fab, body); err != nil {
+			t.Fatal(err)
+		}
+	}
 	t.Run("local", func(t *testing.T) {
-		requireNoRankErrors(t, runWorldOn(t, 4, transport.NewLocal(), handoffBody(rounds)))
+		run(t, 4, transport.NewLocal(), handoffBody(rounds))
 	})
 	t.Run("wrapped-local", func(t *testing.T) {
 		fab := &peekFabric{Fabric: transport.NewLocal()}
-		requireNoRankErrors(t, runWorldOn(t, 4, fab, handoffBody(rounds)))
+		run(t, 4, fab, handoffBody(rounds))
 		if n := fab.bad.Load(); n != 0 {
 			t.Fatalf("%d packets changed, or were marked, under a wrapper that reads them after Send", n)
 		}
+	})
+	t.Run("consumers/local", func(t *testing.T) {
+		run(t, 6, transport.NewLocal(), aliastest.Consumers(200, 1000))
+	})
+	t.Run("consumers/tcp", func(t *testing.T) {
+		run(t, 6, transport.NewTCP(6), aliastest.Consumers(200, 1000))
 	})
 }

@@ -476,9 +476,18 @@ func (ix *unexpectedIndex) removeOrderAt(ctx, i int) {
 }
 
 // maybeCompactOrder rebuilds a context's order list once tombstones
-// outnumber live entries, keeping wildcard scans amortized O(live).
+// outnumber live entries, keeping wildcard scans amortized O(live). A list
+// of tombstones only is reset in place at once, storage and map entry
+// kept: a queue that holds one packet at a time, as a ring's does, then
+// never grows its list, however its taken packets interleave.
 func (ix *unexpectedIndex) maybeCompactOrder(ctx int) {
 	ol := ix.order[ctx]
+	if ol.stale == len(ol.entries) {
+		clear(ol.entries)
+		ol.entries = ol.entries[:0]
+		ol.stale = 0
+		return
+	}
 	if ol.stale < 32 || ol.stale*2 < len(ol.entries) {
 		return
 	}
@@ -491,9 +500,6 @@ func (ix *unexpectedIndex) maybeCompactOrder(ctx int) {
 	clear(ol.entries[len(kept):])
 	ol.entries = kept
 	ol.stale = 0
-	if len(kept) == 0 {
-		ix.dropOrder(ctx, ol)
-	}
 }
 
 // dropOrder takes a context's emptied order list out of the map and keeps

@@ -304,6 +304,30 @@ func TestUnexpectedQueueReusesEntries(t *testing.T) {
 	}
 }
 
+// TestUnexpectedOrderListStaysSmall: a queue that holds one packet at a
+// time, as a ring's does, resets its order list as soon as the packet is
+// taken. 10^4 add/take cycles allocate nothing, and the list never grows
+// past two entries, so a fresh world's first laps cost what its last do.
+func TestUnexpectedOrderListStaysSmall(t *testing.T) {
+	ix := newUnexpectedIndex()
+	pkt := &transport.Packet{Src: 1, Tag: 0, Context: 0}
+	maxCap := 0
+	cycle := func() {
+		ix.add(pkt, pkt.Src)
+		if got, _ := ix.take(pkt.Src, 0, 0); got != pkt {
+			t.Fatalf("take returned %p, want %p", got, pkt)
+		}
+		maxCap = max(maxCap, cap(ix.order[0].entries))
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(10000, cycle); allocs != 0 {
+		t.Fatalf("%.2f allocations per add/take cycle, want 0", allocs)
+	}
+	if maxCap > 2 {
+		t.Fatalf("order list grew to capacity %d, want at most 2", maxCap)
+	}
+}
+
 // TestMatchIndexesLeaveNoResidue pushes 10^4 distinct (ctx, src, tag)
 // keys through both indexes, the way fresh collective tags arrive, and
 // empties every bucket by each removal path in turn. An emptied bucket

@@ -59,33 +59,11 @@ func (c *Comm) send(dst, tag, ctx int, payload []byte) error {
 		c.proc.w.fireHook(c.eng, HookEvent{Rank: c.proc.rank, Point: HookAfterSend, Peer: wr, Tag: tag})
 		return nil
 	}
-	// Who holds the packet after Send decides how it is built (see
-	// "Buffer ownership" in the transport package). A NonRetaining fabric
-	// (TCP) copies everything it needs inside Send: it gets the caller's
-	// payload zero-copy in a struct lent from the packet pool. A HandsOff
-	// fabric (bare Local) hands the packet to the receiver, which queues
-	// the payload indefinitely: it gets a marked packet whose defensive
-	// copy comes from the payload pool, and the receiving engine and the
-	// ring's Request.Release hand both back. Any other fabric may keep
-	// the packet (ARQ retains it for retransmission): it gets a defensive
-	// copy nobody recycles.
 	w := c.proc.w
-	var pkt *transport.Packet
-	switch {
-	case w.nonRetaining:
-		pkt = transport.GetPacket()
-		pkt.Payload = payload
-	case w.handsOff:
-		pkt = transport.NewPooled(payload)
-	default:
-		pkt = &transport.Packet{Payload: make([]byte, len(payload))}
-		copy(pkt.Payload, payload)
-	}
+	pkt := w.outPacket(payload, false)
 	pkt.Src, pkt.Dst, pkt.Tag, pkt.Context, pkt.Kind = c.eng.rank, wr, tag, ctx, transport.KindData
 	err = c.eng.sendPacket(pkt)
-	if w.nonRetaining {
-		transport.PutPacket(pkt)
-	}
+	w.sent(pkt)
 	if err != nil {
 		return err
 	}
@@ -159,7 +137,8 @@ func (c *Comm) irecv(src, tag, ctx int) *Request {
 	return r
 }
 
-// Recv blocks until a matching message arrives and returns its payload.
+// Recv blocks until a matching message arrives and returns its payload,
+// which is the caller's to keep (Request.KeepPayload).
 func (c *Comm) Recv(src, tag int) ([]byte, Status, error) {
 	r := c.Irecv(src, tag)
 	st, err := r.Wait()
@@ -167,9 +146,7 @@ func (c *Comm) Recv(src, tag int) ([]byte, Status, error) {
 		return nil, st, c.herr(err)
 	}
 	c.proc.w.tracer.Record(c.proc.rank, trace.RecvCompleted, st.Source, st.Tag, -1, "")
-	payload := r.Payload()
-	r.Free()
-	return payload, st, nil
+	return r.KeepPayload(), st, nil
 }
 
 // Sendrecv posts the receive, performs the send, then waits for the
@@ -184,9 +161,7 @@ func (c *Comm) Sendrecv(dst, sendTag int, payload []byte, src, recvTag int) ([]b
 	if err != nil {
 		return nil, st, c.herr(err)
 	}
-	got := r.Payload()
-	r.Free()
-	return got, st, nil
+	return r.KeepPayload(), st, nil
 }
 
 // Iprobe reports whether a matching message is queued, without receiving
@@ -231,9 +206,7 @@ func (c *Comm) recvInternal(src, tag int) ([]byte, Status, error) {
 	if err != nil {
 		return nil, st, err
 	}
-	payload := r.Payload()
-	r.Free()
-	return payload, st, nil
+	return r.KeepPayload(), st, nil
 }
 
 // SendInternal exposes internal-context sends to in-repo library packages

@@ -120,17 +120,36 @@ func (r *Request) Free() { r.free(false) }
 
 // Release is Free for a consumer that is also done with the payload: a
 // payload in a pooled buffer (transport.Packet's Pooled mark, copied onto
-// the request at completion: a TCP read, or the sender's defensive copy
-// on the bare Local fabric) goes back to the transport's pool, so the
-// next message of its size allocates nothing. After Release the caller
-// must not touch the request, nor any slice Payload returned. Only a
-// consumer that knows no reference to the bytes survives may call it; the
-// ring does, after decoding its two integers. Anything that hands the
-// bytes on (Recv, the collectives, agreement, state transfer) frees
-// instead. A payload that was never marked — with ARQ, chaos, Latency or
-// any other wrapper around Local it is the sender's defensive copy or
-// retransmit buffer — is left to the garbage collector as Free leaves it.
+// the request at completion: a TCP read, or the sender's pooled copy on
+// the bare Local fabric) goes back to the transport's pool, so the next
+// message of its size allocates nothing. After Release the caller must
+// not touch the request, nor any slice Payload returned. Only a consumer
+// that knows no reference to the bytes survives may call it: the ring
+// after decoding its two integers, a reduction after folding the payload
+// into its accumulator. A consumer that hands the bytes on takes them
+// with KeepPayload instead. A payload that was never marked — with ARQ,
+// chaos, Latency or any other wrapper around Local it is the sender's
+// defensive copy or retransmit buffer — is left to the garbage collector
+// as Free leaves it.
 func (r *Request) Release() { r.free(true) }
+
+// KeepPayload returns a completed receive's payload for the caller to
+// keep, and frees the request: what Recv, Sendrecv and the collectives
+// that hand bytes to their caller return. A payload in a pooled buffer is
+// copied out into a slice of its exact size and the buffer handed back
+// (Release), so no caller ever holds pool memory; an unmarked payload is
+// handed on as it is (Free), with no copy.
+func (r *Request) KeepPayload() []byte {
+	pl := r.payload
+	if !r.pooled {
+		r.Free()
+		return pl
+	}
+	out := make([]byte, len(pl))
+	copy(out, pl)
+	r.Release()
+	return out
+}
 
 // free implements Free and Release.
 func (r *Request) free(releasePayload bool) {

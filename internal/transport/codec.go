@@ -205,23 +205,24 @@ func ReadFrame(r io.Reader, hdr []byte) (*Packet, error) {
 // payload into a buffer from a size-classed pool and marks the packet
 // (Packet.Pooled); on a HandsOff fabric (Local) the sender builds the
 // same kind of packet (NewPooled). The engine that delivers a packet's
-// payload to a receive hands the struct back (PutPacket), and a consumer
-// that is done with the bytes hands them back (PutPayload; the ring does
-// so through mpi's Request.Release), so the next packet of that size
-// allocates nothing. Packet.ClonePooled, which the Latency fabric uses on
-// the path to a NonRetaining inner fabric, draws from the payload pool.
-// Buffers come in size classes, four per power of two, from 16 B to
-// maxPooledCap; a larger payload is allocated exactly and left to the
-// garbage collector. The send side to a NonRetaining fabric needs no
+// payload to a receive hands the struct back (PutPacket), and the
+// consumer hands the bytes back once it is done with them (PutPayload,
+// through mpi's Request.Release: the ring and the reductions after
+// decoding or folding them, a Recv after copying them out for its
+// caller), so the next packet of that size allocates nothing.
+// Packet.ClonePooled, which the Latency fabric uses on the path to a
+// NonRetaining inner fabric, draws from the payload pool. Buffers come in
+// size classes, four per power of two, from 16 B to maxPooledCap; a
+// larger payload is allocated exactly and left to the garbage collector. The send side to a NonRetaining fabric needs no
 // payload pool: TCP.Send writes the caller's payload straight to the
 // socket, and the sender lends it a struct it takes back (GetPacket).
 //
 // The release contract is explicit: whoever takes a packet or buffer out
 // of a pool owns it and must put it back at most once, and only once
 // nothing else can reference it. One that is never put back is merely
-// collected, so every consumer that cannot prove the last reference (the
-// collectives, agreement, state transfer, a Recv that hands the bytes to
-// its caller) simply does not release.
+// collected, so a consumer that cannot prove the last reference (state
+// transfer, control frames, a reduction whose user Op returned the
+// payload itself) simply does not release.
 
 // packetPool recycles Packet structs. A packet comes out zeroed: PutPacket
 // clears it, so a stale header or payload reference never survives into

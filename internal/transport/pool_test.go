@@ -26,12 +26,12 @@ func checkPattern(p *Packet) error {
 	return nil
 }
 
-// TestPooledReadsNeverAlias runs 64 KiB frames between four TCP ranks at
+// pooledFramesNeverAlias runs 64 KiB frames between four TCP ranks at
 // once and holds the last few delivered payloads before releasing them to
 // the pool. A held payload must keep its bytes until it is released, and
 // no two held payloads may share storage: the pool never hands out a
-// buffer that someone still owns.
-func TestPooledReadsNeverAlias(t *testing.T) {
+// buffer that someone still owns. TestPooledReadsNeverAlias runs it.
+func pooledFramesNeverAlias(t *testing.T) {
 	const (
 		ranks  = 4
 		frames = 200

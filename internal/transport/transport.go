@@ -42,7 +42,11 @@
 // implements neither may keep the packet after Send (the reliability
 // layer retains it for retransmission, chaos and Latency may hold it or
 // its clone), so the sender hands it an unmarked packet with a payload of
-// its own, and nobody recycles it.
+// its own, and nobody recycles it. On the receiving side every consumer
+// in the engine hands a marked read back: the ring and the reductions once
+// they have decoded or folded it, agreement once it has decoded it, and a
+// receive that hands the bytes to its caller (Recv, Bcast, Gather, ...)
+// after copying them out, so no caller ever holds pool memory.
 package transport
 
 import "fmt"
