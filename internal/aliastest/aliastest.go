@@ -19,12 +19,12 @@ import (
 	"repro/internal/transport"
 )
 
-// Run runs body on an n-rank world over fab, with errors returned and a
-// one-minute deadline, and reports the first failure of a rank or of the
-// world. A rank whose body fails aborts the world, so that its peers do
-// not wait for it until the deadline.
-func Run(n int, fab transport.Fabric, body func(p *mpi.Proc) error) error {
-	w, err := mpi.NewWorld(n, mpi.WithFabric(fab), mpi.WithDeadline(time.Minute))
+// Run runs body on an n-rank world over fab, with errors returned, a
+// one-minute deadline and the given layers on top, and reports the first
+// failure of a rank or of the world. A rank whose body fails aborts the
+// world, so that its peers do not wait for it until the deadline.
+func Run(n int, fab transport.Fabric, body func(p *mpi.Proc) error, layers ...mpi.Option) error {
+	w, err := mpi.NewWorld(n, append([]mpi.Option{mpi.WithFabric(fab), mpi.WithDeadline(time.Minute)}, layers...)...)
 	if err != nil {
 		return err
 	}

@@ -245,10 +245,13 @@ type link struct {
 }
 
 // Fabric injects the plan's faults into every Send of the wrapped fabric.
-// The receive path is untouched: faults happen "on the wire". It does not
-// implement transport.NonRetaining — held and delayed frames are cloned,
-// but the immediate pass-through path hands the caller's packet to the
-// inner fabric unchanged.
+// The receive path is untouched: faults happen "on the wire". It
+// implements transport.HandsOff: Send takes the packet over. A dropped
+// frame is released; a held or delayed frame is the packet itself; a
+// duplicate is a pooled twin (Packet.CopyPooled); a corrupted frame is a
+// pooled copy with bits flipped, and the original is released, so chaos
+// never writes what it was handed. Everything leaves through
+// transport.SendOwned, so the inner fabric gets what its marker asks for.
 type Fabric struct {
 	inner transport.Fabric
 	plan  *Plan
@@ -275,6 +278,9 @@ func (f *Fabric) Observe(fn func(Event)) { f.onEvent = fn }
 
 // Inner returns the wrapped fabric.
 func (f *Fabric) Inner() transport.Fabric { return f.inner }
+
+// HandsOffSend marks that Send takes the packet over (transport.HandsOff).
+func (*Fabric) HandsOffSend() {}
 
 // Start starts the wrapped fabric. Chaos acts only on the send path, so
 // the delivery callback passes through untouched.
@@ -317,8 +323,8 @@ func (f *Fabric) emit(e Event) {
 }
 
 // Send passes the packet through the fault plan: a scheduled partition or
-// a drop fate discards it; corruption clones it and flips payload bits;
-// duplication sends a clone twice; delay reschedules it; reordering holds
+// a drop fate discards it; corruption copies it and flips payload bits;
+// duplication sends a twin as well; delay reschedules it; reordering holds
 // it until the link's next frame has gone out. Faults compose (a frame can
 // be both corrupted and duplicated). Per the Fabric contract Send never
 // reports injected loss as an error — a chaotic network fails silently.
@@ -326,7 +332,7 @@ func (f *Fabric) Send(pkt *transport.Packet) error {
 	if f.closed.Load() {
 		// The link died under the frame: account the loss so the trace
 		// audit never sees a send silently vanish at teardown.
-		f.emit(Event{Kind: EvDrop, Src: pkt.Src, Dst: pkt.Dst, Seq: pkt.Seq, Token: pkt.Token})
+		f.drop(pkt)
 		return nil
 	}
 	l := f.linkFor(pkt.Src, pkt.Dst)
@@ -343,12 +349,13 @@ func (f *Fabric) Send(pkt *transport.Packet) error {
 			l.mu.Unlock()
 			ev.Kind = EvPartition
 			f.emit(ev)
+			pkt.Release()
 			return f.flushHeld(prevHeld)
 		}
 	}
 	if !l.rates.active() {
 		l.mu.Unlock()
-		if err := f.inner.Send(pkt); err != nil {
+		if err := transport.SendOwned(f.inner, pkt); err != nil {
 			return err
 		}
 		return f.flushHeld(prevHeld)
@@ -386,10 +393,12 @@ func (f *Fabric) Send(pkt *transport.Packet) error {
 		l.mu.Unlock()
 		ev.Kind = EvDrop
 		f.emit(ev)
+		pkt.Release()
 		return f.flushHeld(prevHeld)
 	}
 	if corrupt {
-		cur = cur.Clone()
+		cur = pkt.CopyPooled()
+		pkt.Release()
 		for _, bit := range flips {
 			cur.Payload[bit/8] ^= 1 << (bit % 8)
 		}
@@ -399,9 +408,6 @@ func (f *Fabric) Send(pkt *transport.Packet) error {
 		// timer flushes it if the link goes quiet, so a held frame delays
 		// but never starves (liveness does not depend on retransmits).
 		held := cur
-		if held == pkt {
-			held = pkt.Clone()
-		}
 		l.held = held
 		l.mu.Unlock()
 		ev.Kind = EvReorder
@@ -416,11 +422,7 @@ func (f *Fabric) Send(pkt *transport.Packet) error {
 			}
 			l.mu.Unlock()
 			if still {
-				if f.closed.Load() {
-					f.emit(Event{Kind: EvDrop, Src: held.Src, Dst: held.Dst, Seq: held.Seq, Token: held.Token})
-				} else {
-					_ = f.inner.Send(held)
-				}
+				_ = f.forward(held)
 			}
 		})
 		return f.flushHeld(prevHeld)
@@ -431,47 +433,58 @@ func (f *Fabric) Send(pkt *transport.Packet) error {
 		ev.Kind = EvCorrupt
 		f.emit(ev)
 	}
+	// The twin is taken now: once cur is handed on, it is not chaos's to
+	// read.
+	var twin *transport.Packet
+	if dup {
+		twin = cur.CopyPooled()
+	}
 	if delay > 0 {
 		ev.Kind = EvDelay
 		ev.Delay = delay
 		f.emit(ev)
-		late := cur
-		if late == pkt {
-			late = pkt.Clone()
-		}
 		f.pending.Add(1)
 		time.AfterFunc(delay, func() {
 			defer f.pending.Done()
-			if f.closed.Load() {
-				f.emit(Event{Kind: EvDrop, Src: late.Src, Dst: late.Dst, Seq: late.Seq, Token: late.Token})
-			} else {
-				_ = f.inner.Send(late)
-			}
+			_ = f.forward(cur)
 		})
 	} else {
-		if err := f.inner.Send(cur); err != nil {
+		if err := transport.SendOwned(f.inner, cur); err != nil {
 			return err
 		}
 	}
 	if dup {
 		ev.Kind = EvDup
 		f.emit(ev)
-		if err := f.inner.Send(cur.Clone()); err != nil {
+		if err := transport.SendOwned(f.inner, twin); err != nil {
 			return err
 		}
 	}
 	return f.flushHeld(prevHeld)
 }
 
-// flushHeld releases a frame that was held for reordering, after the
+// flushHeld sends a frame that was held for reordering, after the
 // current frame has been handled — completing the adjacent swap.
 func (f *Fabric) flushHeld(held *transport.Packet) error {
 	if held == nil {
 		return nil
 	}
+	return f.forward(held)
+}
+
+// forward sends a frame chaos held back, or drops it if the fabric closed
+// meanwhile.
+func (f *Fabric) forward(pkt *transport.Packet) error {
 	if f.closed.Load() {
-		f.emit(Event{Kind: EvDrop, Src: held.Src, Dst: held.Dst, Seq: held.Seq, Token: held.Token})
+		f.drop(pkt)
 		return nil
 	}
-	return f.inner.Send(held)
+	return transport.SendOwned(f.inner, pkt)
+}
+
+// drop discards a frame the closed fabric can no longer send, accounting
+// the loss so that the trace audit never sees a send silently vanish.
+func (f *Fabric) drop(pkt *transport.Packet) {
+	f.emit(Event{Kind: EvDrop, Src: pkt.Src, Dst: pkt.Dst, Seq: pkt.Seq, Token: pkt.Token})
+	pkt.Release()
 }

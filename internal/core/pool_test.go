@@ -53,12 +53,14 @@ func ringPattern(world int64) (stamp func([]byte), verify func([]byte) error) {
 // receiver checking each byte before it forwards. One ring runs over TCP,
 // whose read loops fill pooled buffers that the ring releases after
 // decoding. The other runs on the Local fabric with ARQ and chaos (drops
-// and duplicates, no corruption): a Local payload is the sender's
-// retransmit buffer, never marked, so it must never reach the pool. A
-// third goroutine keeps reading 64 KiB frames into pooled buffers of the
-// same size class and handing them back, so a buffer released while still
-// in use is soon overwritten: a TCP payload released before its check
-// fails the check, and a Local payload in the pool corrupts a later
+// and duplicates, no corruption), whose payloads are pooled as well: the
+// ARQ hands each frame down as a pooled copy that the ring releases after
+// decoding, keeps a pooled copy of its own of a lost frame until its ack,
+// and chaos sends a duplicate as a pooled twin. A third goroutine keeps
+// reading 64 KiB frames into pooled buffers of the same size class and
+// handing them back, so a buffer released while still in use is soon
+// overwritten: a payload released before its check fails the check, and
+// a retransmit copy handed back before its ack corrupts its
 // retransmission, which the end-to-end CRC rejects. Either way the test
 // fails. Beside the rings, the internal consumers of a read run on Local
 // and on TCP (aliastest.Consumers): results of Recv, Sendrecv, Bcast and
@@ -174,6 +176,6 @@ func TestPooledReadsNeverAlias(t *testing.T) {
 			plan.Count(chaos.EvDrop), plan.Count(chaos.EvDup))
 	}
 	if rej := local.Total(metrics.FramesRejected); rej != 0 {
-		t.Fatalf("%d frames rejected on Local with ARQ: a retransmit buffer reached the pool", rej)
+		t.Fatalf("%d frames rejected on Local with ARQ: a retransmit copy went back to the pool in use", rej)
 	}
 }

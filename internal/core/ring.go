@@ -122,21 +122,13 @@ func (n *node) runUnaware() error {
 			if err := n.c.Send(right, TagRing, n.encode(msg)); err != nil {
 				return err
 			}
-			pl, _, err := n.c.Recv(left, TagRing)
-			if err != nil {
-				return err
-			}
-			back, err := DecodeMessage(pl)
+			back, err := n.recvUnaware(left)
 			if err != nil {
 				return err
 			}
 			n.absorb(back)
 		} else {
-			pl, _, err := n.c.Recv(left, TagRing)
-			if err != nil {
-				return err
-			}
-			msg, err := DecodeMessage(pl)
+			msg, err := n.recvUnaware(left)
 			if err != nil {
 				return err
 			}
@@ -150,6 +142,23 @@ func (n *node) runUnaware() error {
 		n.p.Metrics().Inc(n.me, metrics.Iterations)
 	}
 	return nil
+}
+
+// recvUnaware is Fig. 2's blocking receive from the left, consuming its
+// read the way the fault-aware ring does: the payload is decoded where it
+// arrived and handed back (Request.Release), where Recv would copy a
+// pooled read out for its caller to keep.
+func (n *node) recvUnaware(left int) (Message, error) {
+	req := n.c.Irecv(left, TagRing)
+	st, err := req.Wait()
+	if err != nil {
+		release(req) // a failed receive holds no payload
+		return Message{}, err
+	}
+	n.p.Tracer().Record(n.me, trace.RecvCompleted, st.Source, st.Tag, -1, "")
+	msg, err := DecodeMessage(req.Payload())
+	release(req)
+	return msg, err
 }
 
 // mainLoop runs Fig. 3's iteration loop, switching into the root role if

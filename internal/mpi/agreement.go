@@ -321,8 +321,8 @@ func (e *engine) sendAgreement(ctx int, msg *agreeMsg, dsts ...int) {
 }
 
 // sendAgreementFrame sends one frame of an agreement message, built like
-// a p2p send's (World.outPacket): on bare Local from the pools, to TCP in
-// a lent struct. A retaining fabric gets the shared payload itself, which
+// a p2p send's (World.outPacket): on bare Local from the pools, to TCP or
+// the reliability layer in a lent struct. A retaining fabric gets the shared payload itself, which
 // nothing writes.
 func (e *engine) sendAgreementFrame(phys, ctx int, payload []byte) {
 	pkt := e.w.outPacket(payload, true)

@@ -417,9 +417,9 @@ func (e *engine) deliver(pkt *transport.Packet) {
 	}
 	// Matching (and everything above it: posted sources, statuses, the
 	// unexpected index, the trace) speaks logical ranks. In a replicated
-	// world src is the sender's logical rank while pkt.Src keeps naming the
-	// replica that sent it: the reliability layer retains the packet for
-	// retransmission and ack bookkeeping and must not see it mutated.
+	// world src is the sender's logical rank, passed beside the packet,
+	// while pkt.Src keeps naming the replica that sent it: the dedup and
+	// held-message traces below report that replica.
 	src := pkt.Src
 	if e.w.repl != nil {
 		src = e.w.logicalOf(pkt.Src)
@@ -610,15 +610,15 @@ func (e *engine) sendPacket(pkt *transport.Packet) error {
 // outPacket builds the packet that carries payload, the way the fabric's
 // ownership marker asks: who holds the packet after Send decides how it
 // is built (see "Buffer ownership" in the transport package). A
-// NonRetaining fabric (TCP) copies everything it needs inside Send: it
-// gets payload zero-copy in a struct lent from the packet pool, which
-// sent takes back. A HandsOff fabric (bare Local) hands the packet to the
-// receiver, which may queue it indefinitely: it gets a marked packet
-// whose copy of payload comes from the payload pool, and the receiver
-// hands both back. Any other fabric may keep the packet (ARQ retains it
-// for retransmission): it gets an unmarked packet nobody recycles, with a
-// defensive copy of payload unless given says the payload is the
-// packet's to keep.
+// NonRetaining fabric (TCP, or the reliability layer, which every ARQ,
+// chaos and replicated world puts on top) copies everything it keeps
+// inside Send: it gets payload zero-copy in a struct lent from the packet
+// pool, which sent takes back. A HandsOff fabric (bare Local) hands the
+// packet to the receiver, which may queue it indefinitely: it gets a
+// marked packet whose copy of payload comes from the payload pool, and
+// the receiver hands both back. Any other fabric (Latency) may keep the
+// packet: it gets an unmarked packet nobody recycles, with a defensive
+// copy of payload unless given says the payload is the packet's to keep.
 func (w *World) outPacket(payload []byte, given bool) *transport.Packet {
 	switch {
 	case w.nonRetaining:

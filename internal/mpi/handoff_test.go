@@ -10,7 +10,9 @@ import (
 	"testing"
 
 	"repro/internal/aliastest"
+	"repro/internal/chaos"
 	"repro/internal/mpi"
+	"repro/internal/reliable"
 	"repro/internal/transport"
 )
 
@@ -168,14 +170,20 @@ func (f *peekFabric) Send(pkt *transport.Packet) error {
 // intact to the end. The wrapped case puts a fabric that reads each
 // packet after its inner Send around Local: it must see the packet as it
 // was sent, and unmarked. The consumer cases run the internal consumers
-// of a read (aliastest.Consumers) on Local and on TCP: results of Recv,
-// Sendrecv, Bcast and two Allreduces, one of whose Op returns the
-// received operand, kept to the end, then 10^3 ValidateAll instances.
+// of a read (aliastest.Consumers): results of Recv, Sendrecv, Bcast and
+// two Allreduces, one of whose Op returns the received operand, kept to
+// the end, then 10^3 ValidateAll instances. They run on Local and on TCP,
+// and on Local under the reliability layer, which hands each frame down
+// as a pooled copy the receiver recycles and keeps a pooled copy of its
+// own of a frame it may retransmit: alone, over chaos that duplicates
+// frames (a pooled twin) and corrupts them (a pooled copy with flipped
+// bits, rejected and retransmitted), and under two mirror-paired replicas
+// per rank.
 func TestHandedOffPayloadsNeverAlias(t *testing.T) {
 	const rounds = 1000 // 2 pairs x 1000 rounds x 5 paths = 10^4 payloads
-	run := func(t *testing.T, n int, fab transport.Fabric, body func(p *mpi.Proc) error) {
+	run := func(t *testing.T, n int, fab transport.Fabric, body func(p *mpi.Proc) error, layers ...mpi.Option) {
 		t.Helper()
-		if err := aliastest.Run(n, fab, body); err != nil {
+		if err := aliastest.Run(n, fab, body, layers...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,5 +202,19 @@ func TestHandedOffPayloadsNeverAlias(t *testing.T) {
 	})
 	t.Run("consumers/tcp", func(t *testing.T) {
 		run(t, 6, transport.NewTCP(6), aliastest.Consumers(200, 1000))
+	})
+	t.Run("consumers/local-arq", func(t *testing.T) {
+		run(t, 6, transport.NewLocal(), aliastest.Consumers(200, 1000), mpi.WithReliability(reliable.Options{}))
+	})
+	t.Run("consumers/local-arq-chaos", func(t *testing.T) {
+		plan := chaos.NewPlan(5).Default(chaos.Rates{Dup: 0.05, Corrupt: 0.02})
+		run(t, 6, transport.NewLocal(), aliastest.Consumers(200, 1000), mpi.WithChaos(plan))
+		if plan.Count(chaos.EvDup) == 0 || plan.Count(chaos.EvCorrupt) == 0 {
+			t.Fatalf("chaos injected %d duplicates and %d corruptions, want some of each",
+				plan.Count(chaos.EvDup), plan.Count(chaos.EvCorrupt))
+		}
+	})
+	t.Run("consumers/local-r2", func(t *testing.T) {
+		run(t, 6, transport.NewLocal(), aliastest.Consumers(200, 1000), mpi.WithReplication(mpi.ReplicationOptions{R: 2}))
 	})
 }

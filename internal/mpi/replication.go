@@ -225,11 +225,14 @@ type replica struct {
 	// replays (fenceLocked), so that no send overtakes a replay on any
 	// channel. fenced is the epoch of this replica's group the replica last
 	// fenced for, covered the destination replica indexes it sends to as
-	// the primary because their mirror sender is gone. Both guarded by
-	// sendMu.
+	// the primary because their mirror sender is gone. lent is the packet
+	// every copy goes out in (sendCopy): reused, it costs a send no trip
+	// through the packet pool, which measured 6% of a replicated Local hop
+	// on two vCPUs. All three guarded by sendMu.
 	sendMu  sync.Mutex
 	fenced  uint32
 	covered uint64
+	lent    transport.Packet
 }
 
 // heldKey names a message held ahead of its channel: the channel
@@ -702,19 +705,21 @@ func (e *engine) dequeuedLocked(n int) {
 }
 
 // sendCopy puts one replica's copy of a replicated message on the wire.
+// A replicated world runs over the reliability layer, which borrows a
+// packet and its payload only until Send returns (transport.NonRetaining),
+// so the copy is the replica's own packet (replica.lent) around the
+// caller's payload, as a send to TCP is a pooled one (World.outPacket).
+// Caller holds sendMu.
 func (e *engine) sendCopy(dst, tag, ctx int, payload []byte, seq, epoch uint32, tok uint64) error {
-	buf := payload
-	if !e.w.nonRetaining {
-		// Retaining fabrics (Local, and anything layered on it) keep the
-		// payload pointer, so every copy on the wire needs its own buffer.
-		buf = make([]byte, len(payload))
-		copy(buf, payload)
-	}
-	return e.sendPacket(&transport.Packet{
+	pkt := &e.rep.lent
+	*pkt = transport.Packet{
 		Src: e.rank, Dst: dst, Tag: tag, Context: ctx,
-		Kind: transport.KindData, Payload: buf,
+		Kind: transport.KindData, Payload: payload,
 		RepSeq: seq, RepEpoch: epoch, Token: tok,
-	})
+	}
+	err := e.sendPacket(pkt)
+	pkt.Payload = nil // the caller's again
+	return err
 }
 
 // outChanLocked returns the outbound channel k, made on first use. Caller
@@ -785,9 +790,8 @@ func (e *engine) fenceLocked(src *groupView) {
 	for _, it := range items {
 		epoch := s.group(it.k.peer).epoch
 		for m := it.ent.waiting & fresh; m != 0; m &= m - 1 {
-			// sendCopy copies the kept payload: the fabric (and ultimately the
-			// application) may retain and mutate delivered buffers, and the
-			// outbox copy must stay intact for a later replay.
+			// The reliability layer copies what it keeps of the entry's
+			// payload, so the outbox copy stays intact for a later replay.
 			dst := it.k.peer + bits.TrailingZeros64(m)*s.lsize
 			_ = e.sendCopy(dst, it.k.tag, it.k.ctx, it.ent.payload, it.seq, epoch, it.ent.tok)
 			e.w.metrics.Inc(e.rank, metrics.ChainResends)
@@ -814,7 +818,7 @@ func (e *engine) fenceLocked(src *groupView) {
 // replFrameAcked is the reliability layer's ack-retire callback in a
 // replicated world: a data frame's destination replica holds the message,
 // so it leaves the sender group's wait sets.
-func (w *World) replFrameAcked(pkt *transport.Packet) {
+func (w *World) replFrameAcked(pkt transport.Packet) {
 	if pkt.Kind == transport.KindData && pkt.RepSeq != 0 {
 		w.repl.confirm(pkt.Src, pkt.Dst, repChan{peer: w.logicalOf(pkt.Dst), ctx: pkt.Context, tag: pkt.Tag}, pkt.RepSeq)
 	}

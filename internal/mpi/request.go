@@ -120,17 +120,18 @@ func (r *Request) Free() { r.free(false) }
 
 // Release is Free for a consumer that is also done with the payload: a
 // payload in a pooled buffer (transport.Packet's Pooled mark, copied onto
-// the request at completion: a TCP read, or the sender's pooled copy on
-// the bare Local fabric) goes back to the transport's pool, so the next
-// message of its size allocates nothing. After Release the caller must
+// the request at completion: a TCP read, the sender's pooled copy on the
+// bare Local fabric, or the reliability layer's on Local with ARQ or
+// chaos) goes back to the transport's pool, so the next message of its
+// size allocates nothing. After Release the caller must
 // not touch the request, nor any slice Payload returned. Only a consumer
 // that knows no reference to the bytes survives may call it: the ring
 // after decoding its two integers, a reduction after folding the payload
 // into its accumulator. A consumer that hands the bytes on takes them
-// with KeepPayload instead. A payload that was never marked — with ARQ,
-// chaos, Latency or any other wrapper around Local it is the sender's
-// defensive copy or retransmit buffer — is left to the garbage collector
-// as Free leaves it.
+// with KeepPayload instead. A payload that was never marked (behind
+// Latency, or any other fabric that may keep what it is sent, it is the
+// sender's defensive copy) is left to the garbage collector as Free
+// leaves it.
 func (r *Request) Release() { r.free(true) }
 
 // KeepPayload returns a completed receive's payload for the caller to

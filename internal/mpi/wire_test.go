@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -146,6 +147,36 @@ func FuzzAgreeDecode(f *testing.F) {
 		again, err := decodeAgree(m.encode())
 		if err != nil || !reflect.DeepEqual(again, m) {
 			t.Fatalf("re-encode of %+v gave %+v, %v", m, again, err)
+		}
+	})
+}
+
+// FuzzDecodePins: arbitrary bytes never panic the wildcard-pin decoder,
+// a decoded batch holds at most one pin per six input bytes (each of its
+// six fields takes at least one), and whatever decodes re-encodes to an
+// equal batch.
+func FuzzDecodePins(f *testing.F) {
+	for _, batch := range [][]pin{
+		nil,
+		{{ctx: 3, n: 1, outcome: pinMatched, src: 2, tag: 7, f: -1}},
+		{{ctx: 1, n: 9, outcome: pinCancelled, src: -1, tag: -1, f: -1},
+			{ctx: 1, n: 10, outcome: pinFailed, src: 5, tag: 0, f: 5}},
+		{{ctx: math.MaxInt32, n: math.MaxUint64, outcome: pinMatched, src: math.MinInt64, tag: math.MaxInt64, f: 0}},
+	} {
+		f.Add(encodePins(batch))
+	}
+	f.Add([]byte{0x80}) // a varint cut short
+	f.Fuzz(func(t *testing.T, data []byte) {
+		batch, ok := decodePins(data)
+		if !ok {
+			return
+		}
+		if 6*len(batch) > len(data) {
+			t.Fatalf("%d pins from %d input bytes", len(batch), len(data))
+		}
+		again, ok := decodePins(encodePins(batch))
+		if !ok || !slices.Equal(again, batch) {
+			t.Fatalf("re-encode of %+v gave %+v, %v", batch, again, ok)
 		}
 	})
 }

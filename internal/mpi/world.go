@@ -243,9 +243,9 @@ func newWorldFromConfig(cfg Config) (*World, error) {
 		relFab = reliable.Wrap(fabric, cfg.ReliableOptions)
 		fabric = relFab
 	}
-	// The reliability fabric retains packets for retransmission, so it is
-	// neither NonRetaining nor HandsOff: the p2p path's defensive payload
-	// copy is exactly what hands it an ownable buffer.
+	// The reliability fabric is NonRetaining, like TCP: it borrows a packet
+	// only until Send returns and keeps a pooled copy of what it may have
+	// to retransmit, so the engine lends it the caller's payload uncopied.
 	_, nonRetaining := fabric.(transport.NonRetaining)
 	_, handsOff := fabric.(transport.HandsOff)
 	w := &World{

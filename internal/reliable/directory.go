@@ -184,8 +184,9 @@ func (f *Fabric) lockRx(src, dst int) *rxLink {
 }
 
 // purgeTx discards a tx link — its sequence numbers, its round-trip
-// estimate, its unacknowledged frames and those acknowledged ahead of a
-// gap — marks it gone and collects one EvPurged per frame. The caller holds f.wmu and takes the link out of its
+// estimate, its unacknowledged frames (handing back the copies it kept)
+// and those acknowledged ahead of a gap — marks it gone and collects one
+// EvPurged per frame. The caller holds f.wmu and takes the link out of its
 // row; the events must be emitted after f.wmu is released.
 func (f *Fabric) purgeTx(evs []Event, src int, tx *txLink) []Event {
 	tx.mu.Lock()
@@ -198,10 +199,13 @@ func (f *Fabric) purgeTx(evs []Event, src int, tx *txLink) []Event {
 		if p.watched {
 			f.retry.watched.Add(-1)
 		}
+		if !p.lent {
+			p.pkt.Release()
+		}
 	}
 	// A frame acked ahead of a gap is lost with the gap: no retire.
-	for seq, pkt := range tx.early {
-		evs = append(evs, Event{Kind: EvPurged, Src: src, Dst: tx.peer, Seq: seq, Token: pkt.Token})
+	for seq, h := range tx.early {
+		evs = append(evs, Event{Kind: EvPurged, Src: src, Dst: tx.peer, Seq: seq, Token: h.Token})
 	}
 	tx.early = nil
 	// A Send that is between its inner Send and its look at the link
@@ -213,8 +217,9 @@ func (f *Fabric) purgeTx(evs []Event, src int, tx *txLink) []Event {
 }
 
 // purgeRx discards an rx link — its watermark and the frames it held
-// behind a gap — marks it gone and collects one EvPurged per frame it
-// drops (acknowledged but undelivered). Called like purgeTx.
+// behind a gap, which go back to the pools — marks it gone and collects
+// one EvPurged per frame it drops (acknowledged but undelivered). Called
+// like purgeTx.
 func (f *Fabric) purgeRx(evs []Event, dst int, rx *rxLink) []Event {
 	rx.mu.Lock()
 	defer rx.mu.Unlock()
@@ -232,6 +237,7 @@ func (f *Fabric) purgeRx(evs []Event, dst int, rx *rxLink) []Event {
 				Kind: EvPurged, Src: rx.peer, Dst: dst, Seq: seq, Token: p.Token,
 			})
 			delete(rx.held, seq)
+			p.Release()
 		}
 	}
 	rx.gone = true

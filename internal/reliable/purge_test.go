@@ -30,7 +30,7 @@ func newFrameLedger() *frameLedger {
 	}
 }
 
-func (l *frameLedger) retire(pkt *transport.Packet) {
+func (l *frameLedger) retire(pkt transport.Packet) {
 	l.mu.Lock()
 	l.retired[pkt.Token]++
 	l.mu.Unlock()
@@ -298,7 +298,7 @@ func TestArqStateBounded(t *testing.T) {
 	for name, fc := range fabrics {
 		t.Run(name, func(t *testing.T) {
 			f := Wrap(fc.inner, Options{})
-			f.OnAckRetire(func(*transport.Packet) {})
+			f.OnAckRetire(func(transport.Packet) {})
 			var delivered atomic.Int64
 			if err := f.Start(func(int, *transport.Packet) { delivered.Add(1) }); err != nil {
 				t.Fatal(err)

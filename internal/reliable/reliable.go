@@ -16,9 +16,9 @@
 // An ack means "the receiver's reliability layer holds this frame and will
 // deliver it in order". Upper layers that need exactly that fact subscribe
 // to it instead of sending a confirmation stream of their own: the
-// ack-retire callback (OnAckRetire) hands the retired packet to the upper
-// layer once, when its ack removes it from the inflight table and every
-// earlier frame of the link has been acked too. A frame acked ahead of a
+// ack-retire callback (OnAckRetire) hands the retired frame's header to
+// the upper layer once, when its ack removes it from the inflight table
+// and every earlier frame of the link has been acked too. A frame acked ahead of a
 // gap waits for the gap: the receiver holds it only behind the missing
 // frame, and both are lost if the sender dies before the gap is filled.
 // Replication builds its tail-ack on it: every replica's retired frame
@@ -48,11 +48,18 @@
 // because over the synchronous Local fabric those re-enter the layer on
 // the same goroutine.
 //
-// Layering: reliable wraps chaos, which wraps the base fabric. The
-// reliable fabric intentionally does NOT implement transport.NonRetaining:
-// the mpi world therefore makes a defensive copy of every user payload
-// before Send, which is precisely what lets this layer retain the packet
-// for retransmission without another copy.
+// Layering: reliable wraps chaos, which wraps the base fabric. The layer
+// is transport.NonRetaining: Send borrows the caller's packet only until
+// it returns, so the mpi world lends it a packet around the caller's own
+// payload, as it lends TCP one. A frame whose ack comes back inside the
+// inner Send (every clean hop over the synchronous Local fabric) is never
+// copied for retransmission. One still unacknowledged when the inner Send
+// returns (lost, or on an asynchronous fabric) gets a marked copy of its
+// own from the pools (Packet.CopyPooled), which its ack or a purge hands
+// back. What goes down goes the way the inner fabric's marker asks: to
+// TCP the caller's packet itself, to Local or chaos a pooled copy they
+// take over (transport.SendOwned). The receiver gets a marked packet,
+// which it recycles.
 package reliable
 
 import (
@@ -164,7 +171,13 @@ func (e Event) String() string {
 // txLink.inflight, so recording a frame allocates nothing. Times are
 // readings of Fabric.now.
 type pending struct {
+	// pkt is the frame. While lent is set it is the packet the caller
+	// handed Send, valid only until that Send returns: Send replaces it by
+	// a pooled copy of its own (watch) before it returns with the frame
+	// still inflight. An own copy is released when the frame leaves the
+	// table; a lent packet never is.
 	pkt       *transport.Packet
+	lent      bool
 	sentAt    int64         // first transmission
 	nextRetry int64         // when the next retransmission is due
 	backoff   time.Duration // wait applied after the latest retry, 0 before the first
@@ -207,10 +220,11 @@ type txLink struct {
 	// frames in flight most acks read no clock.
 	timedSeq uint64
 	// retired is the link's ack-retire watermark: every frame up to it
-	// went to the ack-retire callback. early holds the frames acked ahead
-	// of a gap, until the gap is acked. Both stay zero without a callback.
+	// went to the ack-retire callback. early holds the headers of the
+	// frames acked ahead of a gap, until the gap is acked. Both stay zero
+	// without a callback.
 	retired uint64
-	early   map[uint64]*transport.Packet
+	early   map[uint64]transport.Packet
 }
 
 // rxLink is the receiver half: frames are deduplicated against next and
@@ -231,6 +245,10 @@ type Fabric struct {
 	inner   transport.Fabric
 	opts    Options
 	deliver transport.DeliverFunc
+	// innerNR and innerHO record inner's ownership markers
+	// (transport.NonRetaining, transport.HandsOff), which decide what a
+	// transmission hands it (forward, sendAck).
+	innerNR, innerHO bool
 
 	// escalate, if set (before Start), is invoked — without any fabric
 	// lock held — when a link's retry budget is exhausted. The mpi world
@@ -242,10 +260,11 @@ type Fabric struct {
 	// removes from the inflight table: exactly once per frame, in the
 	// link's sequence order, with no fabric lock held, and never for a
 	// frame that was purged instead (PeerDown, PeerUp, escalation, Close)
-	// or acked ahead of a gap the purge left open. The packet is the one
-	// handed to Send and is read-only. The callback must not re-enter the
-	// fabric.
-	onAckRetire func(pkt *transport.Packet)
+	// or acked ahead of a gap the purge left open. It gets the header of
+	// the packet handed to Send, by value: the packet itself is the
+	// caller's again once Send has returned. The callback must not
+	// re-enter the fabric.
+	onAckRetire func(transport.Packet)
 
 	// now reads a monotonic clock in nanoseconds. Tests replace it before
 	// Start to drive the estimator and the backoff schedule by hand.
@@ -264,11 +283,15 @@ type Fabric struct {
 // Wrap builds a reliability fabric over inner.
 func Wrap(inner transport.Fabric, opts Options) *Fabric {
 	epoch := time.Now()
+	_, innerNR := inner.(transport.NonRetaining)
+	_, innerHO := inner.(transport.HandsOff)
 	f := &Fabric{
-		inner: inner,
-		opts:  opts.withDefaults(),
-		now:   func() int64 { return int64(time.Since(epoch)) },
-		done:  make(chan struct{}),
+		inner:   inner,
+		innerNR: innerNR,
+		innerHO: innerHO,
+		opts:    opts.withDefaults(),
+		now:     func() int64 { return int64(time.Since(epoch)) },
+		done:    make(chan struct{}),
 	}
 	f.dir.Store(&directory{})
 	f.retry.init()
@@ -283,23 +306,49 @@ func (f *Fabric) Escalate(fn func(peer int)) { f.escalate = fn }
 func (f *Fabric) Observe(fn func(Event)) { f.onEvent = fn }
 
 // OnAckRetire registers the ack-retire callback. Call before Start.
-func (f *Fabric) OnAckRetire(fn func(pkt *transport.Packet)) { f.onAckRetire = fn }
+func (f *Fabric) OnAckRetire(fn func(transport.Packet)) { f.onAckRetire = fn }
 
 // sendAck acknowledges frame seq of the link src -> dst (the ack travels
-// dst -> src). The ack is an unmarked packet borrowed from the packet
-// pool, returned as soon as the inner Send returns because no fabric
-// keeps an ack's pointer past that point: Local delivers synchronously
-// into the peer's onDeliver, which keeps nothing of an ack; chaos and
-// Latency clone what they hold back; TCP encodes inside Send.
+// dst -> src). The ack comes from the packet pool. An inner fabric that
+// takes packets over (Local, chaos, which may hold it) gets it marked,
+// and the peer's onDeliver, which keeps nothing of an ack, releases it.
+// Any other gets it lent and gives it back when Send returns: TCP encodes
+// it inside Send, and Latency clones what it holds back.
 func (f *Fabric) sendAck(src, dst int, seq uint64) {
-	ack := transport.GetPacket()
+	var ack *transport.Packet
+	if f.innerHO {
+		ack = transport.NewPooled(nil)
+	} else {
+		ack = transport.GetPacket()
+	}
 	ack.Src, ack.Dst, ack.Kind, ack.Seq = dst, src, transport.KindAck, seq
 	_ = f.inner.Send(ack)
-	transport.PutPacket(ack)
+	if !f.innerHO {
+		transport.PutPacket(ack)
+	}
+}
+
+// forward transmits a packet Send borrows, the way the inner fabric's
+// marker asks (as transport.SendOwned would a copy): a NonRetaining one
+// borrows the packet itself in turn, one that takes packets over gets a
+// pooled copy, and any other, which may keep what it is sent, an unmarked
+// clone.
+func (f *Fabric) forward(pkt *transport.Packet) error {
+	switch {
+	case f.innerNR:
+		return f.inner.Send(pkt)
+	case f.innerHO:
+		return f.inner.Send(pkt.CopyPooled())
+	}
+	return f.inner.Send(pkt.Clone())
 }
 
 // Inner returns the wrapped fabric.
 func (f *Fabric) Inner() transport.Fabric { return f.inner }
+
+// NonRetainingSend marks that Send borrows its packet only until it
+// returns (transport.NonRetaining).
+func (*Fabric) NonRetainingSend() {}
 
 // Start starts the wrapped fabric with this layer's receive path spliced
 // in, and launches the retransmission loop.
@@ -402,9 +451,9 @@ func (f *Fabric) PeerUp(rank int) {
 
 // Send stamps the packet with the link's next sequence number and its
 // end-to-end payload CRC, records it for retransmission, and forwards it.
-// The packet (header and payload) is retained until acknowledged; callers
-// must not mutate it after Send — the mpi world guarantees this by
-// copying user buffers (the fabric is not NonRetaining).
+// It borrows the packet (header and payload) only until it returns
+// (transport.NonRetaining): a frame still unacknowledged then is kept as
+// a pooled copy of its own.
 func (f *Fabric) Send(pkt *transport.Packet) error {
 	select {
 	case <-f.done:
@@ -416,7 +465,7 @@ func (f *Fabric) Send(pkt *transport.Packet) error {
 		// bypasses ARQ (no sequencing, no retransmission — a lost ping is
 		// itself information) and ignores this layer's dead-peer bookkeeping,
 		// because the detector, not the ARQ, owns liveness verdicts.
-		return f.inner.Send(pkt)
+		return f.forward(pkt)
 	}
 	pkt.Crc = transport.PayloadCrc(pkt.Payload)
 	now := f.now()
@@ -430,17 +479,18 @@ func (f *Fabric) Send(pkt *transport.Packet) error {
 	}
 	tx.nextSeq++
 	pkt.Seq = tx.nextSeq
-	tx.inflight[pkt.Seq] = pending{pkt: pkt, sentAt: now, nextRetry: now + int64(f.rtoLocked(tx))}
+	tx.inflight[pkt.Seq] = pending{pkt: pkt, lent: true, sentAt: now, nextRetry: now + int64(f.rtoLocked(tx))}
 	if tx.timedSeq == 0 {
 		tx.timedSeq = pkt.Seq
 	}
 	tx.unacked.Add(1)
 	tx.mu.Unlock()
-	err := f.inner.Send(pkt)
+	err := f.forward(pkt)
 	// Over a synchronous fabric the ack has already retired the frame, so
-	// a clean hop ends here and the retry goroutine stays parked. A frame
-	// still unacknowledged was lost, or travels an asynchronous fabric:
-	// the retry goroutine has to watch its deadline.
+	// a clean hop ends here, with no copy kept and the retry goroutine
+	// parked. A frame still unacknowledged was lost, or travels an
+	// asynchronous fabric: it needs a copy of its own, and the retry
+	// goroutine has to watch its deadline.
 	late := tx.late.Load()
 	if tx.unacked.Load() == 0 {
 		if late > 0 {
@@ -451,21 +501,22 @@ func (f *Fabric) Send(pkt *transport.Packet) error {
 	if late < lateMax {
 		tx.late.Store(late + 1)
 	}
-	f.watch(tx, pkt.Seq, late < lateAsync)
+	f.watch(tx, pkt, late < lateAsync)
 	return err
 }
 
-// watch hands the frame seq of tx to the retry goroutine, unless its ack
-// arrived meanwhile (or a purge took it). On a synchronous link the frame
-// is probably lost and its deadline is kept to the microsecond; on an
-// asynchronous one the ack is probably on its way and the deadline is left
-// to a timer.
-func (f *Fabric) watch(tx *txLink, seq uint64, precise bool) {
+// watch gives the frame pkt, which Send is about to hand back to its
+// caller, a pooled copy of its own in tx's inflight table and hands it to
+// the retry goroutine, unless its ack arrived meanwhile (or a purge took
+// it). On a synchronous link the frame is probably lost and its deadline
+// is kept to the microsecond; on an asynchronous one the ack is probably
+// on its way and the deadline is left to a timer.
+func (f *Fabric) watch(tx *txLink, pkt *transport.Packet, precise bool) {
 	tx.mu.Lock()
-	p, inflight := tx.inflight[seq]
+	p, inflight := tx.inflight[pkt.Seq]
 	if inflight {
-		p.watched = true
-		tx.inflight[seq] = p
+		p.pkt, p.lent, p.watched = pkt.CopyPooled(), false, true
+		tx.inflight[pkt.Seq] = p
 		f.retry.watched.Add(1)
 	}
 	tx.mu.Unlock()
@@ -475,20 +526,20 @@ func (f *Fabric) watch(tx *txLink, seq uint64, precise bool) {
 }
 
 // onAck retires the frame an ack names from its link's inflight table and
-// hands it, and any frame acked early that it was the gap of, to the
-// ack-retire callback. It is a function of its own to keep its locals out
-// of onDeliver's frame: over the synchronous Local fabric deliveries nest
-// (a delivery sends, which delivers), and every byte of that frame is
-// paid once per level in stack growth of a new rank.
+// hands its header, and those of the frames acked early that it was the
+// gap of, to the ack-retire callback. It is a function of its own to keep
+// its locals out of onDeliver's frame: over the synchronous Local fabric
+// deliveries nest (a delivery sends, which delivers), and every byte of
+// that frame is paid once per level in stack growth of a new rank.
 func (f *Fabric) onAck(ack *transport.Packet) {
-	var retired *transport.Packet
-	var behind []*transport.Packet
+	var hdr transport.Packet
+	var retire bool
+	var behind []transport.Packet
 	if tx := f.findTx(ack.Dst, ack.Src); tx != nil {
 		// Only the ack that finds the frame inflight retires it: a
 		// duplicate or late ack finds nothing and reports nothing.
 		if p, ok := tx.inflight[ack.Seq]; ok {
 			delete(tx.inflight, ack.Seq)
-			tx.unacked.Add(-1)
 			if p.watched {
 				f.retry.watched.Add(-1)
 			}
@@ -501,40 +552,55 @@ func (f *Fabric) onAck(ack *transport.Packet) {
 				}
 			}
 			if f.onAckRetire != nil {
-				retired, behind = tx.retireLocked(ack.Seq, p.pkt)
+				retire, behind = tx.retireLocked(ack.Seq, p.pkt, &hdr)
 			}
+			if !p.lent {
+				p.pkt.Release()
+			}
+			// Last: a Send that sees its frame leave returns, and its
+			// caller reuses a lent packet at once.
+			tx.unacked.Add(-1)
 		}
 		tx.mu.Unlock()
 	}
-	if retired != nil {
-		f.onAckRetire(retired)
-		for _, pkt := range behind {
-			f.onAckRetire(pkt)
+	if retire {
+		f.onAckRetire(hdr)
+		for i := range behind {
+			f.onAckRetire(behind[i])
 		}
 	}
 }
 
 // retireLocked advances the ack-retire watermark over the frame seq just
-// acked: it returns the frame, and the early frames it was the gap of, if
-// every earlier frame is acked, and keeps it in early otherwise. Every
+// acked, pkt, and copies its header into hdr: it reports whether the frame
+// retires now, with the early frames it was the gap of, because every
+// earlier frame is acked, and keeps the header in early otherwise. Every
 // frame up to nextSeq is inflight until acked, so seq is next in order
 // exactly when it follows the watermark. Caller holds the link locked.
-func (tx *txLink) retireLocked(seq uint64, pkt *transport.Packet) (*transport.Packet, []*transport.Packet) {
+//
+// It is kept out of onAck, whose frame is on the stack when the callback
+// runs, deep in a nest of Local deliveries (see emitFrame).
+//
+//go:noinline
+func (tx *txLink) retireLocked(seq uint64, pkt, hdr *transport.Packet) (retire bool, behind []transport.Packet) {
+	*hdr = pkt.Header()
 	if seq != tx.retired+1 {
 		if tx.early == nil {
-			tx.early = make(map[uint64]*transport.Packet)
+			tx.early = make(map[uint64]transport.Packet)
 		}
-		tx.early[seq] = pkt
-		return nil, nil
+		tx.early[seq] = *hdr
+		return false, nil
 	}
 	tx.retired = seq
-	var behind []*transport.Packet
-	for p := tx.early[seq+1]; p != nil; p = tx.early[tx.retired+1] {
+	for {
+		h, ok := tx.early[tx.retired+1]
+		if !ok {
+			return true, behind
+		}
 		delete(tx.early, tx.retired+1)
 		tx.retired++
-		behind = append(behind, p)
+		behind = append(behind, h)
 	}
-	return pkt, behind
 }
 
 // What rxLink.admit decided about a frame; every frame is acked.
@@ -611,7 +677,11 @@ func (f *Fabric) onDeliver(dst int, pkt *transport.Packet) {
 		pkt.Release()
 		return
 	}
-	rx := f.lockRx(pkt.Src, dst)
+	// A held frame is the draining goroutine's as soon as the link is
+	// unlocked, and it may deliver and recycle it before the ack is sent:
+	// what the ack needs is read first.
+	src, seq := pkt.Src, pkt.Seq
+	rx := f.lockRx(src, dst)
 	if rx == nil {
 		pkt.Release()
 		return // straggler from a fail-stop peer
@@ -621,10 +691,10 @@ func (f *Fabric) onDeliver(dst int, pkt *transport.Packet) {
 	// Ack before anything else: re-acking a duplicate is what stops the
 	// retries, and a lost ack of a fresh frame is repaired when its
 	// retransmission arrives as a duplicate.
-	f.sendAck(pkt.Src, dst, pkt.Seq)
+	f.sendAck(src, dst, seq)
 	switch v {
 	case rxDup:
-		f.emitFrame(EvDedup, dst, pkt.Seq, pkt)
+		f.emitFrame(EvDedup, dst, seq, pkt)
 		pkt.Release()
 	case rxDeliver:
 		f.deliver(dst, pkt)

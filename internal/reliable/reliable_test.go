@@ -366,7 +366,7 @@ type retireLog struct {
 	fired map[frameKey]int
 }
 
-func (r *retireLog) record(pkt *transport.Packet) {
+func (r *retireLog) record(pkt transport.Packet) {
 	r.mu.Lock()
 	if r.fired == nil {
 		r.fired = make(map[frameKey]int)
@@ -564,7 +564,7 @@ func TestAckRetireInLinkOrder(t *testing.T) {
 			f := Wrap(inner, fastOpts())
 			var order []uint64
 			retired := make(chan struct{}, 3)
-			f.OnAckRetire(func(pkt *transport.Packet) {
+			f.OnAckRetire(func(pkt transport.Packet) {
 				mu.Lock()
 				order = append(order, pkt.Seq)
 				mu.Unlock()
@@ -614,15 +614,24 @@ func TestAckRetireInLinkOrder(t *testing.T) {
 	}
 }
 
+// handsOffFake is a fakeFabric that declares transport.HandsOff, as Local
+// and chaos do: the reliability layer hands it pooled packets it takes
+// over, where a fabric without a marker gets unmarked clones.
+type handsOffFake struct{ *fakeFabric }
+
+func (handsOffFake) HandsOffSend() {}
+
 // TestAckRoundTripAllocatesNothing pins the clean Send -> deliver -> ack
 // -> retire round trip at zero heap allocations with no ack-retire
-// callback registered: the inflight record lives by value in its table
-// and ack packets are pooled. This is the path a lossy but unreplicated
-// world pays on every frame.
+// callback registered, over a fabric that takes its packets over like
+// Local: the inflight record lives by value in its table, the frame that
+// goes down and its ack come from the pools, and the receiver hands both
+// back (the upstream consumer the data frame, the layer the ack). This is
+// the path a lossy but unreplicated world pays on every frame.
 func TestAckRoundTripAllocatesNothing(t *testing.T) {
-	inner := &fakeFabric{}
+	inner := handsOffFake{&fakeFabric{}}
 	f := Wrap(inner, fastOpts())
-	if err := f.Start(func(int, *transport.Packet) {}); err != nil {
+	if err := f.Start(func(_ int, pkt *transport.Packet) { pkt.Release() }); err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
@@ -639,5 +648,79 @@ func TestAckRoundTripAllocatesNothing(t *testing.T) {
 	}
 	if inflight := inflightFrames(f, 0, 1); inflight != 0 {
 		t.Fatalf("%d frames still inflight: the round trip did not complete", inflight)
+	}
+}
+
+// nonRetainingFake is a fakeFabric that declares transport.NonRetaining,
+// as TCP does, and keeps its promise: it delivers a clone, so nothing
+// downstream holds the packet it was handed.
+type nonRetainingFake struct{ *fakeFabric }
+
+func (f nonRetainingFake) Send(pkt *transport.Packet) error { return f.fakeFabric.Send(pkt.Clone()) }
+
+func (nonRetainingFake) NonRetainingSend() {}
+
+// TestSendBorrowsItsPacket pins Send's transport.NonRetaining contract:
+// the caller reuses one packet and one payload buffer for every frame and
+// overwrites both as soon as Send returns, and the fabric loses every
+// frame's first transmission, so each frame reaches the receiver as a
+// retransmission of what the layer kept of it. Every frame must arrive
+// once, in order, with the header and bytes it was sent with, over a
+// fabric that takes its packets over (as Local and chaos do) and over one
+// that copies them inside Send (as TCP does).
+func TestSendBorrowsItsPacket(t *testing.T) {
+	const n = 50
+	payload := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, 1+i%40) }
+	for _, tc := range []struct {
+		name string
+		wrap func(*fakeFabric) transport.Fabric
+	}{
+		{"hands-off", func(f *fakeFabric) transport.Fabric { return handsOffFake{f} }},
+		{"non-retaining", func(f *fakeFabric) transport.Fabric { return nonRetainingFake{f} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			lost := make(map[uint64]bool)
+			inner := &fakeFabric{mangle: func(pkt *transport.Packet) []*transport.Packet {
+				mu.Lock()
+				defer mu.Unlock()
+				if pkt.Kind == transport.KindData && !lost[pkt.Seq] {
+					lost[pkt.Seq] = true
+					return nil // the first transmission is lost
+				}
+				return []*transport.Packet{pkt}
+			}}
+			f := Wrap(tc.wrap(inner), fastOpts())
+			s := &sink{}
+			if err := f.Start(s.deliver); err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			pkt, buf := &transport.Packet{}, make([]byte, 64)
+			for i := 0; i < n; i++ {
+				*pkt = transport.Packet{Src: 0, Dst: 1, Tag: i, Token: uint64(i + 1), Payload: buf[:copy(buf, payload(i))]}
+				if err := f.Send(pkt); err != nil {
+					t.Fatal(err)
+				}
+				// Both are the caller's again.
+				*pkt = transport.Packet{Src: 5, Dst: 7, Tag: -1, Token: 1 << 40}
+				for j := range buf {
+					buf[j] = 0xee
+				}
+			}
+			got := s.waitFor(t, n)
+			assertInOrderTags(t, got, n)
+			for i, p := range got {
+				if p.Src != 0 || p.Dst != 1 || p.Token != uint64(i+1) || !bytes.Equal(p.Payload, payload(i)) {
+					t.Fatalf("frame %d arrived as %s token=%d payload %x, want 0->1 token=%d payload %x",
+						i, p, p.Token, p.Payload, i+1, payload(i))
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(lost) != n {
+				t.Fatalf("%d first transmissions lost, want %d", len(lost), n)
+			}
+		})
 	}
 }

@@ -213,6 +213,9 @@ func (f *Fabric) sleepTowardsDeadline() (closed bool) {
 // under the writer mutex and carries out after releasing it. Reused
 // across scans so a retransmission allocates nothing.
 type retryBatch struct {
+	// resend holds pooled copies of the overdue frames, taken under their
+	// links' locks: an ack may release a frame's own copy, or its Send
+	// return a lent one to the caller, as soon as the lock is dropped.
 	resend      []*transport.Packet
 	retries     []Event // retries[i] reports resend[i]
 	escalations []Event
@@ -261,7 +264,7 @@ func (f *Fabric) retransmitOverdue() {
 	lower(&r.spinDue, spinDue)
 	lower(&r.timerDue, timerDue)
 	for i, pkt := range b.resend {
-		_ = f.inner.Send(pkt) // a failed retransmission is retried like a lost one
+		_ = transport.SendOwned(f.inner, pkt) // a failed retransmission is retried like a lost one
 		f.emit(b.retries[i])
 	}
 	for _, ev := range b.purged {
@@ -314,7 +317,7 @@ func (f *Fabric) retransmitLinkLocked(b *retryBatch, src int, tx *txLink, now in
 		p.nextRetry = now + int64(p.backoff)
 		next = min(next, p.nextRetry)
 		tx.inflight[seq] = p
-		b.resend = append(b.resend, p.pkt)
+		b.resend = append(b.resend, p.pkt.CopyPooled())
 		b.retries = append(b.retries, Event{
 			Kind: EvRetry, Src: src, Dst: tx.peer,
 			Seq: seq, Attempt: int(p.attempts), Token: p.pkt.Token, Backoff: p.backoff,

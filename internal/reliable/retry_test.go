@@ -50,7 +50,7 @@ func TestCleanPathNeverWakesTheRetryLoop(t *testing.T) {
 	for _, retire := range []bool{false, true} {
 		f := Wrap(transport.NewLocal(), Options{})
 		if retire {
-			f.OnAckRetire(func(*transport.Packet) {})
+			f.OnAckRetire(func(transport.Packet) {})
 		}
 		if err := f.Start(func(int, *transport.Packet) {}); err != nil {
 			t.Fatal(err)
@@ -245,7 +245,7 @@ func TestAsyncLinkIsLeftToTheTimer(t *testing.T) {
 	}
 	f := Wrap(inner, Options{})
 	acked := make(chan struct{}, 1)
-	f.OnAckRetire(func(*transport.Packet) { acked <- struct{}{} })
+	f.OnAckRetire(func(transport.Packet) { acked <- struct{}{} })
 	if err := f.Start(func(int, *transport.Packet) {}); err != nil {
 		t.Fatal(err)
 	}

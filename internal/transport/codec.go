@@ -204,18 +204,22 @@ func ReadFrame(r io.Reader, hdr []byte) (*Packet, error) {
 // The receive side takes every packet from the packet pool, reads its
 // payload into a buffer from a size-classed pool and marks the packet
 // (Packet.Pooled); on a HandsOff fabric (Local) the sender builds the
-// same kind of packet (NewPooled). The engine that delivers a packet's
-// payload to a receive hands the struct back (PutPacket), and the
-// consumer hands the bytes back once it is done with them (PutPayload,
-// through mpi's Request.Release: the ring and the reductions after
-// decoding or folding them, a Recv after copying them out for its
-// caller), so the next packet of that size allocates nothing.
+// same kind of packet (NewPooled), and the reliability and chaos layers
+// copy what they keep or hand on into one (CopyPooled). The engine that
+// delivers a packet's payload to a receive hands the struct back
+// (PutPacket), and the consumer hands the bytes back once it is done with
+// them (PutPayload, through mpi's Request.Release: the ring and the
+// reductions after decoding or folding them, a Recv after copying them
+// out for its caller), so the next packet of that size allocates nothing.
 // Packet.ClonePooled, which the Latency fabric uses on the path to a
 // NonRetaining inner fabric, draws from the payload pool. Buffers come in
 // size classes, four per power of two, from 16 B to maxPooledCap; a
-// larger payload is allocated exactly and left to the garbage collector. The send side to a NonRetaining fabric needs no
-// payload pool: TCP.Send writes the caller's payload straight to the
-// socket, and the sender lends it a struct it takes back (GetPacket).
+// larger payload is allocated exactly and left to the garbage collector.
+// The send side to a NonRetaining fabric needs no payload pool of its
+// own: TCP.Send writes the caller's payload straight to the socket, the
+// reliability layer copies it only for a frame still unacknowledged when
+// its inner Send returns, and the sender lends either one a struct it
+// takes back (GetPacket).
 //
 // The release contract is explicit: whoever takes a packet or buffer out
 // of a pool owns it and must put it back at most once, and only once
@@ -259,8 +263,8 @@ func NewPooled(b []byte) *Packet {
 
 // Release hands a packet marked Pooled back whole, payload and struct:
 // what the holder of a packet it drops undelivered calls. It does nothing
-// to an unmarked packet, which may still be held elsewhere (a
-// retransmit buffer, a clone's original).
+// to an unmarked packet, which may still be held elsewhere (a packet its
+// sender lent, a clone's original).
 func (p *Packet) Release() {
 	if p.pooled {
 		PutPayload(p.Payload)
@@ -347,6 +351,25 @@ func PutPayload(b []byte) {
 		released[k].Store(true)
 	}
 	payloadPools[k].Put(unsafe.SliceData(b[:c]))
+}
+
+// CopyPooled returns a marked deep copy of the packet, struct and payload
+// both from the pools: what a fabric keeps of a packet it only borrows,
+// or hands on to a fabric that takes packets over. Its holder hands it
+// back with Release, or on with SendOwned. A nil payload stays nil, and
+// an empty one takes no buffer.
+func (p *Packet) CopyPooled() *Packet {
+	q := GetPacket()
+	*q = *p
+	q.pooled = true
+	switch {
+	case len(p.Payload) > 0:
+		q.Payload, _ = getPayload(len(p.Payload))
+		copy(q.Payload, p.Payload)
+	case p.Payload != nil:
+		q.Payload = []byte{} // not p's storage, which Release would pool
+	}
+	return q
 }
 
 // ClonePooled returns a deep copy of the packet whose payload storage

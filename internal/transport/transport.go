@@ -33,20 +33,24 @@
 // (PutPacket) and the payload, once nothing references the bytes, to the
 // payload pool (PutPayload; Release does both for a packet dropped
 // whole). Two markers say who holds a packet after Send. A fabric that
-// implements NonRetaining copies everything it needs before Send returns,
-// so the sender still holds the packet and its payload and may reuse or
-// recycle both (TCP). A fabric that implements HandsOff passes the packet
-// pointer itself to the destination's delivery callback, so the receiver
-// holds it (Local): a sender builds it from the pools and marks it
-// (NewPooled), and the receiving engine recycles it. A fabric that
-// implements neither may keep the packet after Send (the reliability
-// layer retains it for retransmission, chaos and Latency may hold it or
-// its clone), so the sender hands it an unmarked packet with a payload of
-// its own, and nobody recycles it. On the receiving side every consumer
-// in the engine hands a marked read back: the ring and the reductions once
-// they have decoded or folded it, agreement once it has decoded it, and a
-// receive that hands the bytes to its caller (Recv, Bcast, Gather, ...)
-// after copying them out, so no caller ever holds pool memory.
+// implements NonRetaining borrows the packet only until Send returns and
+// copies what it keeps, so the sender still holds the packet and its
+// payload and may reuse or recycle both: TCP writes it to the socket, and
+// the reliability layer keeps a pooled copy of a frame it may have to
+// retransmit. A fabric that implements HandsOff takes the packet over, so
+// the sender must not touch it after Send: Local passes it to the
+// destination's delivery callback, and chaos holds, duplicates or drops
+// it before it passes it on. A sender hands such a fabric a marked packet
+// built from the pools (NewPooled, CopyPooled), and whoever ends up with
+// it recycles it; SendOwned hands a packet its caller owns to any fabric
+// the way the fabric's marker asks. A fabric that implements neither
+// (Latency) may keep or reread the packet after Send, so it is handed an
+// unmarked packet with a payload of its own, and nobody recycles it. On
+// the receiving side every consumer in the engine hands a marked read
+// back: the ring and the reductions once they have decoded or folded it,
+// agreement once it has decoded it, and a receive that hands the bytes to
+// its caller (Recv, Bcast, Gather, ...) after copying them out, so no
+// caller ever holds pool memory.
 package transport
 
 import "fmt"
@@ -158,11 +162,12 @@ type Packet struct {
 }
 
 // Pooled reports whether the packet came from the pools (ReadFrame on
-// the TCP fabric, NewPooled on the p2p path to a HandsOff fabric), so
-// that whoever ends up holding it returns the struct with PutPacket once
-// it is done with the header, and the payload with PutPayload once
-// nothing references the bytes. Clone and ClonePooled never mark, nor
-// does a packet borrowed with GetPacket.
+// the TCP fabric, NewPooled on the p2p path to a HandsOff fabric,
+// CopyPooled in the reliability and chaos layers), so that whoever ends up
+// holding it returns the struct with PutPacket once it is done with the
+// header, and the payload with PutPayload once nothing references the
+// bytes. Clone and ClonePooled never mark, nor does a packet borrowed with
+// GetPacket.
 func (p *Packet) Pooled() bool { return p.pooled }
 
 // TokenBits is the per-origin sequence width of Packet.Token; the origin
@@ -180,8 +185,9 @@ func TokenOrigin(tok uint64) int { return int(tok >> TokenBits) }
 // TokenSeq extracts the per-origin sequence of a causal token.
 func TokenSeq(tok uint64) uint64 { return tok & (1<<TokenBits - 1) }
 
-// Clone returns a deep copy of the packet. Fabrics that buffer packets
-// (Latency, chaos) use it so callers may reuse payload buffers.
+// Clone returns an unmarked deep copy of the packet, which nobody
+// recycles: what Latency buffers, and what SendOwned hands a fabric that
+// may keep a packet after Send.
 func (p *Packet) Clone() *Packet {
 	q := *p
 	q.pooled = false
@@ -190,6 +196,14 @@ func (p *Packet) Clone() *Packet {
 		copy(q.Payload, p.Payload)
 	}
 	return &q
+}
+
+// Header returns the packet's header by value: every field but the
+// payload, unmarked. It stays valid whatever becomes of the packet.
+func (p *Packet) Header() Packet {
+	h := *p
+	h.Payload, h.pooled = nil, false
+	return h
 }
 
 // String renders the packet header for traces and debugging.
@@ -203,32 +217,63 @@ func (p *Packet) String() string {
 // Local fabric) and must not block indefinitely.
 type DeliverFunc func(dst int, pkt *Packet)
 
-// NonRetaining marks a Fabric whose Send copies everything it needs
-// (headers and payload) before returning. Callers may immediately reuse
-// the packet and its payload, and buffering wrappers may clone through
-// the payload pool (Packet.ClonePooled) and release the clone as soon as
-// the inner Send returns. TCP implements it: when Send returns, the
-// frame is in the kernel or copied to the connection's backlog. Local
-// does not: it delivers the packet pointer into the
-// destination engine, which retains the payload.
+// NonRetaining marks a Fabric whose Send borrows the packet only until
+// it returns, copying everything it needs (headers and payload) to keep.
+// Callers may immediately reuse the packet and its payload, and buffering
+// wrappers may clone through the payload pool (Packet.ClonePooled) and
+// release the clone as soon as the inner Send returns. TCP implements it:
+// when Send returns, the frame is in the kernel or copied to the
+// connection's backlog. So does the reliability layer, which keeps a
+// pooled copy of a frame only while it may have to retransmit it. Local
+// does not: it delivers the packet pointer into the destination engine,
+// which retains the payload.
 type NonRetaining interface {
 	// NonRetainingSend is a marker method; it performs no action.
 	NonRetainingSend()
 }
 
-// HandsOff marks a Fabric whose Send passes the packet pointer itself to
-// the destination's delivery callback and keeps no reference to it
-// afterwards, neither to deliver it again nor to read it: once Send is
-// called, the receiver holds the packet. A sender may therefore give it a
-// marked packet from the pools (NewPooled), which the receiving engine
-// recycles, and must not touch the packet after Send. Local implements
-// it. A wrapper must not forward it unless it, too, never reads a packet
-// after handing it on: the reliability layer retains packets for
-// retransmission, and chaos and Latency may deliver a packet later or
-// twice.
+// HandsOff marks a Fabric whose Send takes the packet over: the sender
+// must not touch it once Send is called. The fabric passes the packet
+// itself on, to the destination's delivery callback or to the fabric
+// below it, at once or after holding it a while, or releases it if it
+// drops it; it never passes one packet on twice, and never reads it after
+// passing it on. A sender may therefore give it a marked packet from the
+// pools (NewPooled, CopyPooled), which the last holder, usually the
+// receiving engine, recycles. Local implements it, and so does chaos,
+// which hands what it is given on through SendOwned. A wrapper must not
+// forward the marker of its inner fabric unless it, too, takes its
+// packets over: Latency clones what it delays and leaves the caller's
+// packet to the caller.
 type HandsOff interface {
 	// HandsOffSend is a marker method; it performs no action.
 	HandsOffSend()
+}
+
+// SendOwned hands f a packet its caller owns and gives up, the way f's
+// marker asks. A HandsOff fabric takes the packet itself. A NonRetaining
+// one borrows it, and the packet is released once Send returns. Any other
+// fabric may keep or reread the packet after Send, so a marked packet
+// reaches it as an unmarked Clone that nobody recycles, and is released.
+// An unmarked packet, which nobody recycles, goes to f as it is.
+func SendOwned(f Fabric, p *Packet) error {
+	if _, ok := f.(HandsOff); ok || !p.pooled {
+		return f.Send(p)
+	}
+	return sendUnowned(f, p)
+}
+
+// sendUnowned is SendOwned to a fabric that does not take packets over:
+// a function of its own, so that SendOwned's frame stays small in the
+// nest of Sends that a hop over Local is.
+func sendUnowned(f Fabric, p *Packet) error {
+	if _, ok := f.(NonRetaining); ok {
+		err := f.Send(p)
+		p.Release()
+		return err
+	}
+	q := p.Clone()
+	p.Release()
+	return f.Send(q)
 }
 
 // Fabric moves packets between ranks.
