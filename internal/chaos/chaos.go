@@ -248,9 +248,8 @@ type link struct {
 // The receive path is untouched: faults happen "on the wire". It
 // implements transport.HandsOff: Send takes the packet over. A dropped
 // frame is released; a held or delayed frame is the packet itself; a
-// duplicate is a pooled twin (Packet.CopyPooled); a corrupted frame is a
-// pooled copy with bits flipped, and the original is released, so chaos
-// never writes what it was handed. Everything leaves through
+// duplicate is a pooled twin (Packet.CopyPooled); a corrupted frame has
+// its bits flipped in place. Everything leaves through
 // transport.SendOwned, so the inner fabric gets what its marker asks for.
 type Fabric struct {
 	inner transport.Fabric
@@ -323,7 +322,7 @@ func (f *Fabric) emit(e Event) {
 }
 
 // Send passes the packet through the fault plan: a scheduled partition or
-// a drop fate discards it; corruption copies it and flips payload bits;
+// a drop fate discards it; corruption flips payload bits;
 // duplication sends a twin as well; delay reschedules it; reordering holds
 // it until the link's next frame has gone out. Faults compose (a frame can
 // be both corrupted and duplicated). Per the Fabric contract Send never
@@ -388,7 +387,6 @@ func (f *Fabric) Send(pkt *transport.Packet) error {
 		}
 	}
 
-	cur := pkt
 	if drop {
 		l.mu.Unlock()
 		ev.Kind = EvDrop
@@ -397,17 +395,15 @@ func (f *Fabric) Send(pkt *transport.Packet) error {
 		return f.flushHeld(prevHeld)
 	}
 	if corrupt {
-		cur = pkt.CopyPooled()
-		pkt.Release()
 		for _, bit := range flips {
-			cur.Payload[bit/8] ^= 1 << (bit % 8)
+			pkt.Payload[bit/8] ^= 1 << (bit % 8)
 		}
 	}
 	if reorder && delay == 0 {
 		// Hold this frame; it goes out after the link's next frame. A
 		// timer flushes it if the link goes quiet, so a held frame delays
 		// but never starves (liveness does not depend on retransmits).
-		held := cur
+		held := pkt
 		l.held = held
 		l.mu.Unlock()
 		ev.Kind = EvReorder
@@ -433,11 +429,11 @@ func (f *Fabric) Send(pkt *transport.Packet) error {
 		ev.Kind = EvCorrupt
 		f.emit(ev)
 	}
-	// The twin is taken now: once cur is handed on, it is not chaos's to
+	// The twin is taken now: once pkt is handed on, it is not chaos's to
 	// read.
 	var twin *transport.Packet
 	if dup {
-		twin = cur.CopyPooled()
+		twin = pkt.CopyPooled()
 	}
 	if delay > 0 {
 		ev.Kind = EvDelay
@@ -446,10 +442,10 @@ func (f *Fabric) Send(pkt *transport.Packet) error {
 		f.pending.Add(1)
 		time.AfterFunc(delay, func() {
 			defer f.pending.Done()
-			_ = f.forward(cur)
+			_ = f.forward(pkt)
 		})
 	} else {
-		if err := transport.SendOwned(f.inner, cur); err != nil {
+		if err := transport.SendOwned(f.inner, pkt); err != nil {
 			return err
 		}
 	}

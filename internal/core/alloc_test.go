@@ -113,9 +113,8 @@ func leastHop(t *testing.T, world func() mpi.Config, cfg Config, ranks, short, l
 // caller's payload, the ARQ hands Local a pooled copy that the receiver
 // recycles, the ack comes back inside the Send so the ARQ keeps no copy,
 // and the ring hands its read back after decoding it: the one allocation
-// left is the outbox's payload copy on the replica ahead of the other
-// (about 1 per hop; 5 when the engine copied every payload for the ARQ to
-// keep, 7 more when a delivery cloned the packet to rewrite its source).
+// left is the outbox's payload copy on the replica ahead of the other,
+// about 1 per hop.
 func TestChainHopAllocations(t *testing.T) {
 	const (
 		ranks    = 8
@@ -140,8 +139,7 @@ func TestChainHopAllocations(t *testing.T) {
 // what it costs without chaos: a pooled copy down, recycled by the
 // receiver. A lost or corrupted one also costs the ARQ a pooled copy it
 // keeps until the ack, a duplicate a pooled twin, and every fault an entry
-// in the plan's log (about 0.25 allocations per hop; 2.3 when the engine
-// copied every payload for the ARQ to keep and chaos cloned what it held).
+// in the plan's log: about 0.25 allocations per hop.
 func TestLossyHopAllocations(t *testing.T) {
 	const (
 		ranks    = 8

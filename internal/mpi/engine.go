@@ -390,10 +390,12 @@ func (e *engine) deliver(pkt *transport.Packet) {
 		// monitor, not the matching engine — and deliberately without a
 		// dead-rank guard: the monitor is the "NIC", which keeps answering
 		// fence notices after the process died so a fencer across a
-		// half-open link can still learn of the death.
+		// half-open link can still learn of the death. The monitor decodes
+		// the payload inside OnControl and keeps none of it.
 		if m := e.w.monitor(e.rank); m != nil {
 			m.OnControl(pkt.Src, detector.ControlOp(pkt.Tag), pkt.Seq, pkt.Payload)
 		}
+		pkt.Release()
 		return
 	}
 	if pkt.Kind == transport.KindAgreement {

@@ -225,14 +225,11 @@ type replica struct {
 	// replays (fenceLocked), so that no send overtakes a replay on any
 	// channel. fenced is the epoch of this replica's group the replica last
 	// fenced for, covered the destination replica indexes it sends to as
-	// the primary because their mirror sender is gone. lent is the packet
-	// every copy goes out in (sendCopy): reused, it costs a send no trip
-	// through the packet pool, which measured 6% of a replicated Local hop
-	// on two vCPUs. All three guarded by sendMu.
+	// the primary because their mirror sender is gone. Both guarded by
+	// sendMu.
 	sendMu  sync.Mutex
 	fenced  uint32
 	covered uint64
-	lent    transport.Packet
 }
 
 // heldKey names a message held ahead of its channel: the channel
@@ -704,21 +701,17 @@ func (e *engine) dequeuedLocked(n int) {
 	}
 }
 
-// sendCopy puts one replica's copy of a replicated message on the wire.
-// A replicated world runs over the reliability layer, which borrows a
-// packet and its payload only until Send returns (transport.NonRetaining),
-// so the copy is the replica's own packet (replica.lent) around the
-// caller's payload, as a send to TCP is a pooled one (World.outPacket).
-// Caller holds sendMu.
+// sendCopy puts one replica's copy of a replicated message on the wire,
+// in a packet built the way every send builds one (World.outPacket): a
+// replicated world runs over the reliability layer, which borrows the
+// packet and the caller's payload only until Send returns. Caller holds
+// sendMu.
 func (e *engine) sendCopy(dst, tag, ctx int, payload []byte, seq, epoch uint32, tok uint64) error {
-	pkt := &e.rep.lent
-	*pkt = transport.Packet{
-		Src: e.rank, Dst: dst, Tag: tag, Context: ctx,
-		Kind: transport.KindData, Payload: payload,
-		RepSeq: seq, RepEpoch: epoch, Token: tok,
-	}
+	pkt := e.w.outPacket(payload, false)
+	pkt.Src, pkt.Dst, pkt.Tag, pkt.Context, pkt.Kind = e.rank, dst, tag, ctx, transport.KindData
+	pkt.RepSeq, pkt.RepEpoch, pkt.Token = seq, epoch, tok
 	err := e.sendPacket(pkt)
-	pkt.Payload = nil // the caller's again
+	e.w.sent(pkt)
 	return err
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/membership"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/transport"
 )
 
 // swimFast is the SWIM tuning used across these tests: tight enough to
@@ -320,12 +322,41 @@ func TestSwimValidateAllSurvivesSuspectFenceGapDeath(t *testing.T) {
 	}
 }
 
+// controlAudit is a Local fabric that checks every marked control frame
+// it delivers went back to the packet pool by the time delivery returned:
+// PutPacket clears a packet, so one that still holds its header was kept.
+// A released packet may be reused at once by another goroutine, which
+// the race detector would report against the check's read, so the check
+// runs only without it.
+type controlAudit struct {
+	*transport.Local
+	marked, kept atomic.Int64
+}
+
+func (a *controlAudit) Start(deliver transport.DeliverFunc) error {
+	return a.Local.Start(func(dst int, pkt *transport.Packet) {
+		if raceEnabled || pkt.Kind != transport.KindControl || !pkt.Pooled() {
+			deliver(dst, pkt)
+			return
+		}
+		src, seq := pkt.Src, pkt.Seq
+		deliver(dst, pkt)
+		a.marked.Add(1)
+		if pkt.Kind == transport.KindControl && pkt.Src == src && pkt.Seq == seq {
+			a.kept.Add(1)
+		}
+	})
+}
+
 // TestSwimFencesPartitionedRank: rank 2 is healthy by its own lights but
 // partitioned, so its peers' suspicion is false. The detector must kill
 // it before reporting it failed, keeping the fail-stop contract intact.
 // Cut one way (its outbound), the fence gets in and kills it; cut both
 // ways, no fence can reach it and its own unacknowledged probes make it
 // fence itself. Either way the survivors then confirm from ground truth.
+// Every control frame crosses the reliability layer and chaos as a pooled
+// copy, which the receiving engine hands back once its monitor has
+// decoded it (controlAudit).
 func TestSwimFencesPartitionedRank(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -342,7 +373,8 @@ func TestSwimFencesPartitionedRank(t *testing.T) {
 				opts.SelfFenceAfter = 120 * time.Millisecond
 			}
 			m := metrics.NewWorld(n)
-			w, err := NewWorld(n, WithChaos(tc.plan), WithSwim(opts),
+			audit := &controlAudit{Local: transport.NewLocal()}
+			w, err := NewWorld(n, WithFabric(audit), WithChaos(tc.plan), WithSwim(opts),
 				WithMetrics(m), WithDeadline(60*time.Second))
 			if err != nil {
 				t.Fatal(err)
@@ -385,6 +417,12 @@ func TestSwimFencesPartitionedRank(t *testing.T) {
 			if m.Total(metrics.Fences) == 0 || m.Total(metrics.Confirms) == 0 {
 				t.Fatalf("fence pipeline incomplete: fences=%d confirms=%d",
 					m.Total(metrics.Fences), m.Total(metrics.Confirms))
+			}
+			if kept := audit.kept.Load(); kept != 0 {
+				t.Fatalf("%d of %d pooled control frames never went back to the pool", kept, audit.marked.Load())
+			}
+			if !raceEnabled && audit.marked.Load() == 0 {
+				t.Fatal("no pooled control frame reached the base fabric")
 			}
 		})
 	}

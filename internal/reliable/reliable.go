@@ -245,10 +245,10 @@ type Fabric struct {
 	inner   transport.Fabric
 	opts    Options
 	deliver transport.DeliverFunc
-	// innerNR and innerHO record inner's ownership markers
-	// (transport.NonRetaining, transport.HandsOff), which decide what a
-	// transmission hands it (forward, sendAck).
-	innerNR, innerHO bool
+	// innerNR records that inner borrows what it is sent
+	// (transport.NonRetaining), so a transmission lends it the packet
+	// instead of a copy (forward, sendAck).
+	innerNR bool
 
 	// escalate, if set (before Start), is invoked — without any fabric
 	// lock held — when a link's retry budget is exhausted. The mpi world
@@ -284,11 +284,9 @@ type Fabric struct {
 func Wrap(inner transport.Fabric, opts Options) *Fabric {
 	epoch := time.Now()
 	_, innerNR := inner.(transport.NonRetaining)
-	_, innerHO := inner.(transport.HandsOff)
 	f := &Fabric{
 		inner:   inner,
 		innerNR: innerNR,
-		innerHO: innerHO,
 		opts:    opts.withDefaults(),
 		now:     func() int64 { return int64(time.Since(epoch)) },
 		done:    make(chan struct{}),
@@ -309,38 +307,32 @@ func (f *Fabric) Observe(fn func(Event)) { f.onEvent = fn }
 func (f *Fabric) OnAckRetire(fn func(transport.Packet)) { f.onAckRetire = fn }
 
 // sendAck acknowledges frame seq of the link src -> dst (the ack travels
-// dst -> src). The ack comes from the packet pool. An inner fabric that
-// takes packets over (Local, chaos, which may hold it) gets it marked,
-// and the peer's onDeliver, which keeps nothing of an ack, releases it.
-// Any other gets it lent and gives it back when Send returns: TCP encodes
-// it inside Send, and Latency clones what it holds back.
+// dst -> src). The ack comes from the packet pool. A NonRetaining inner
+// fabric (TCP, which encodes it inside Send) borrows it, and gets it
+// back when Send returns. Any other gets it marked, through
+// transport.SendOwned, and the peer's onDeliver, which keeps nothing of
+// an ack, releases it.
 func (f *Fabric) sendAck(src, dst int, seq uint64) {
-	var ack *transport.Packet
-	if f.innerHO {
-		ack = transport.NewPooled(nil)
-	} else {
-		ack = transport.GetPacket()
-	}
-	ack.Src, ack.Dst, ack.Kind, ack.Seq = dst, src, transport.KindAck, seq
-	_ = f.inner.Send(ack)
-	if !f.innerHO {
+	if f.innerNR {
+		ack := transport.GetPacket()
+		ack.Src, ack.Dst, ack.Kind, ack.Seq = dst, src, transport.KindAck, seq
+		_ = f.inner.Send(ack)
 		transport.PutPacket(ack)
+		return
 	}
+	ack := transport.NewPooled(nil)
+	ack.Src, ack.Dst, ack.Kind, ack.Seq = dst, src, transport.KindAck, seq
+	_ = transport.SendOwned(f.inner, ack)
 }
 
-// forward transmits a packet Send borrows, the way the inner fabric's
-// marker asks (as transport.SendOwned would a copy): a NonRetaining one
-// borrows the packet itself in turn, one that takes packets over gets a
-// pooled copy, and any other, which may keep what it is sent, an unmarked
-// clone.
+// forward transmits a packet Send borrows: a NonRetaining inner fabric
+// borrows the packet itself in turn, any other gets a pooled copy the way
+// its marker asks (transport.SendOwned).
 func (f *Fabric) forward(pkt *transport.Packet) error {
-	switch {
-	case f.innerNR:
+	if f.innerNR {
 		return f.inner.Send(pkt)
-	case f.innerHO:
-		return f.inner.Send(pkt.CopyPooled())
 	}
-	return f.inner.Send(pkt.Clone())
+	return transport.SendOwned(f.inner, pkt.CopyPooled())
 }
 
 // Inner returns the wrapped fabric.

@@ -225,8 +225,8 @@ func ReadFrame(r io.Reader, hdr []byte) (*Packet, error) {
 // of a pool owns it and must put it back at most once, and only once
 // nothing else can reference it. One that is never put back is merely
 // collected, so a consumer that cannot prove the last reference (state
-// transfer, control frames, a reduction whose user Op returned the
-// payload itself) simply does not release.
+// transfer, a reduction whose user Op returned the payload itself) simply
+// does not release.
 
 // packetPool recycles Packet structs. A packet comes out zeroed: PutPacket
 // clears it, so a stale header or payload reference never survives into
@@ -356,19 +356,13 @@ func PutPayload(b []byte) {
 // CopyPooled returns a marked deep copy of the packet, struct and payload
 // both from the pools: what a fabric keeps of a packet it only borrows,
 // or hands on to a fabric that takes packets over. Its holder hands it
-// back with Release, or on with SendOwned. A nil payload stays nil, and
-// an empty one takes no buffer.
+// back with Release, or on with SendOwned. An empty or nil payload
+// yields an empty one that takes no buffer, as NewPooled's does.
 func (p *Packet) CopyPooled() *Packet {
-	q := GetPacket()
+	q := NewPooled(p.Payload)
+	pl := q.Payload
 	*q = *p
-	q.pooled = true
-	switch {
-	case len(p.Payload) > 0:
-		q.Payload, _ = getPayload(len(p.Payload))
-		copy(q.Payload, p.Payload)
-	case p.Payload != nil:
-		q.Payload = []byte{} // not p's storage, which Release would pool
-	}
+	q.Payload, q.pooled = pl, true
 	return q
 }
 
